@@ -73,10 +73,10 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		"Merkle anti-entropy bucket count (rounded up to a power of two; must match the cluster coordinator's)")
 	tombGC := fs.Duration("tombstone-gc", store.DefaultTombstoneGC, "how long delete and expiry tombstones are retained before garbage collection")
 	sweep := fs.Duration("sweep", 5*time.Second, "background sweep interval for TTL expiry and tombstone GC")
-	dataDir := fs.String("data-dir", "", "durability: directory for the per-shard WAL and snapshots; on restart the node reloads from it and catches up via Merkle anti-entropy (empty = in-memory only)")
-	fsyncPolicy := fs.String("fsync", "interval", "WAL fsync policy: always (group-commit per write), interval (background flush), or never (requires -data-dir)")
+	dataDir := fs.String("data-dir", "", "durability: directory for the node's write-ahead log (wal.<G>), its checkpoints (snap.<G>) and the WALMETA manifest; on restart the node reloads from it and catches up via Merkle anti-entropy (empty = in-memory only)")
+	fsyncPolicy := fs.String("fsync", "interval", "WAL fsync policy: always (every write waits for a group commit shared by all shards), interval (one background fsync per -fsync-interval), or never (requires -data-dir)")
 	fsyncEvery := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence for -fsync interval")
-	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "snapshot a shard and truncate its log once its segment exceeds this many bytes (requires -data-dir)")
+	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "log bytes per shard between checkpoints: once the log exceeds this × -shards it rotates, the whole engine is checkpointed and the covered segments are deleted (requires -data-dir)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/traces, /debug/vars, and /debug/pprof on this address (empty = off)")
 	shedQueue := fs.Int("shed-queue", 0, "admission control: per-connection worker queue depth; frames past it are shed with BUSY (0 = queue bounded only by worker count, no shedding)")
 	shedInflight := fs.Int("shed-inflight", 0, "admission control: server-wide in-flight request budget; frames past it are shed with BUSY (0 = unlimited)")
@@ -382,13 +382,19 @@ func metricsMux(rec *trace.Recorder, ml *member.Memberlist, eng *store.Sharded, 
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	// Readiness: safe to route traffic here — the engine is serving and
+	// Readiness: safe to route traffic here — the engine is serving,
+	// its log is healthy (a poisoned WAL acks no write, so a node
+	// carrying one must leave the rotation until it is restarted), and
 	// this node's membership view has at least one alive member (itself;
 	// zero means the memberlist has been stopped).
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if eng == nil || ml == nil || ml.NumAlive() < 1 {
 			http.Error(w, "not ready: membership down", http.StatusServiceUnavailable)
+			return
+		}
+		if err := eng.Err(); err != nil {
+			http.Error(w, "not ready: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ready")

@@ -2,16 +2,21 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pdcedu/internal/csnet"
+	"pdcedu/internal/member"
+	"pdcedu/internal/store"
 	"pdcedu/internal/trace"
 )
 
@@ -339,5 +344,61 @@ func TestDistnodeGateway(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^csnet\.server\.shed \d+$`).Match(page) {
 		t.Fatalf("/metrics missing csnet.server.shed:\n%s", page)
+	}
+}
+
+// failSyncFile is the store's WALFile seam with an fsync that starts
+// failing when told to.
+type failSyncFile struct {
+	*os.File
+	fail *atomic.Bool
+}
+
+func (f failSyncFile) Sync() error {
+	if f.fail.Load() {
+		return errors.New("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestReadyzFailsOnPoisonedWAL: a node whose log has failed acks no
+// write, so it must stop advertising itself as ready — membership
+// alone used to keep it in rotation.
+func TestReadyzFailsOnPoisonedWAL(t *testing.T) {
+	var fail atomic.Bool
+	eng, err := store.OpenSharded(store.Options{Shards: 2}, store.WALOptions{
+		Dir:   t.TempDir(),
+		Fsync: store.FsyncAlways,
+		OpenFile: func(path string) (store.WALFile, error) {
+			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			return failSyncFile{f, &fail}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ml, err := member.New(member.Config{ID: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := metricsMux(trace.New(trace.Config{}), ml, eng, nil)
+	readyz := func() (int, string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code, rec.Body.String()
+	}
+
+	eng.Set("healthy", []byte("v"), 0)
+	if code, body := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz on a healthy log = %d %q, want 200", code, body)
+	}
+	fail.Store(true)
+	eng.Set("lost", []byte("v"), 0)
+	if eng.Err() == nil {
+		t.Fatal("failed fsync did not poison the engine")
+	}
+	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "injected fsync failure") {
+		t.Fatalf("/readyz on a poisoned log = %d %q, want 503 naming the failure", code, body)
 	}
 }

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,55 +98,82 @@ func (tf *trackFile) floors() (synced, size int64) {
 
 // refReplay is the reference model: a straight-line, single-map replay
 // of the directory's current on-disk state, written independently of
-// the engine's recovery path. For each shard it picks the newest
-// loadable snapshot, then applies segment records oldest-first,
-// last-record-wins, stopping the shard at the first torn or corrupt
-// record (and ignoring the shard's later segments, which recovery
-// discards for the same reason).
-func refReplay(t *testing.T, dir string, shards int) map[string]Entry {
+// the engine's recovery path (whole-file reads, its own directory
+// listing; only the record codec is shared). It picks the newest
+// loadable checkpoint, then applies the records of every later
+// segment oldest-first, last-record-wins, stopping at the first torn
+// or corrupt record (and ignoring later segments, which recovery
+// discards for the same reason). Interrupted .tmp checkpoints and
+// segments a checkpoint already covers are ignored.
+func refReplay(t *testing.T, dir string) map[string]Entry {
 	t.Helper()
-	m := map[string]Entry{}
-	for si := 0; si < shards; si++ {
-		segs, snaps := scanShardFiles(dir, si)
-		var snapGen uint64
-		for i := len(snaps) - 1; i >= 0; i-- {
-			entries, err := loadSnapshot(fmt.Sprintf("%s/s%d.snap.%d", dir, si, snaps[i]))
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ref readdir: %v", err)
+	}
+	var segs, snaps []int
+	for _, de := range des {
+		var g int
+		var rest string
+		if n, _ := fmt.Sscanf(de.Name(), "wal.%d%s", &g, &rest); n == 1 {
+			segs = append(segs, g)
+		} else if n, _ := fmt.Sscanf(de.Name(), "snap.%d%s", &g, &rest); n == 1 {
+			snaps = append(snaps, g)
+		}
+	}
+	sort.Ints(segs)
+	sort.Ints(snaps)
+
+	// records decodes b as back-to-back frames, reporting whether it
+	// got through all of it.
+	records := func(b []byte, fn func(key string, e Entry, purge bool)) (n int, whole bool) {
+		for len(b) > 0 {
+			key, e, purge, used, err := decodeRecord(b)
 			if err != nil {
-				continue
+				return n, false
 			}
-			snapGen = snaps[i]
-			for _, se := range entries {
-				m[se.key] = se.e
-			}
+			fn(key, e, purge)
+			b = b[used:]
+			n++
+		}
+		return n, true
+	}
+
+	m := map[string]Entry{}
+	snapGen := 0
+	for i := len(snaps) - 1; i >= 0; i-- {
+		b, err := os.ReadFile(fmt.Sprintf("%s/snap.%d", dir, snaps[i]))
+		if err != nil || len(b) < magicLen+4 || string(b[:magicLen]) != snapMagic {
+			continue
+		}
+		cand := map[string]Entry{}
+		n, whole := records(b[magicLen+4:], func(key string, e Entry, _ bool) { cand[key] = e })
+		if !whole || uint32(n) != binary.LittleEndian.Uint32(b[magicLen:]) {
+			continue
+		}
+		m, snapGen = cand, snaps[i]
+		break
+	}
+	for _, g := range segs {
+		if g <= snapGen {
+			continue
+		}
+		b, err := os.ReadFile(fmt.Sprintf("%s/wal.%d", dir, g))
+		if err != nil {
+			t.Fatalf("ref read gen %d: %v", g, err)
+		}
+		if len(b) < magicLen || string(b[:magicLen]) != walMagic {
 			break
 		}
-		broken := false
-		for _, g := range segs {
-			if g <= snapGen || broken {
-				continue
+		_, whole := records(b[magicLen:], func(key string, e Entry, purge bool) {
+			if purge {
+				delete(m, key)
+			} else {
+				m[key] = e
 			}
-			b, err := os.ReadFile(fmt.Sprintf("%s/s%d.wal.%d", dir, si, g))
-			if err != nil {
-				t.Fatalf("ref read shard %d gen %d: %v", si, g, err)
-			}
-			if len(b) < magicLen || string(b[:magicLen]) != walMagic {
-				broken = true
-				continue
-			}
-			off := magicLen
-			for off < len(b) {
-				key, e, purge, n, err := decodeRecord(b[off:])
-				if err != nil {
-					broken = true
-					break
-				}
-				if purge {
-					delete(m, key)
-				} else {
-					m[key] = e
-				}
-				off += n
-			}
+		})
+		if !whole {
+			break
 		}
 	}
 	return m
@@ -286,7 +316,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 		}
 
-		want := refReplay(t, dir, shards)
+		want := refReplay(t, dir)
 		s = open()
 		got := rawState(s)
 		diffStates(t, fmt.Sprintf("round %d (seed %d)", round, seed), got, want)
@@ -343,4 +373,124 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		return out
 	}
 	diffStates(t, "clean close", normalize(got), normalize(final))
+}
+
+// copyFiles snapshots the named files of dir into memory.
+func copyFiles(t *testing.T, dir string, match func(name string) bool) map[string][]byte {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("readdir: %v", err)
+	}
+	out := map[string][]byte{}
+	for _, de := range des {
+		if !match(de.Name()) {
+			continue
+		}
+		b, err := os.ReadFile(dir + "/" + de.Name())
+		if err != nil {
+			t.Fatalf("read %s: %v", de.Name(), err)
+		}
+		out[de.Name()] = b
+	}
+	return out
+}
+
+// TestCrashCheckpointWindows puts the directory into the two states a
+// crash inside a checkpoint can leave — the checkpoint renamed into
+// place but the segments it covers not yet deleted, and the log
+// rotated but the checkpoint still a partial .tmp — plus the one that
+// takes a bad disk: the newest checkpoint unreadable halfway through,
+// with everything it covers still there. All three must recover
+// exactly the state the engine held, agreeing with the independent
+// reference replay, and clear the leftovers.
+func TestCrashCheckpointWindows(t *testing.T) {
+	isSeg := func(name string) bool { return strings.HasPrefix(name, "wal.") }
+	for _, window := range []string{"renamed, segments not deleted", "rotated, checkpoint still .tmp", "checkpoint unreadable"} {
+		t.Run(window, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Shards: 4, MerkleBuckets: 64}
+			wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 30}
+			s, err := OpenSharded(opts, wopts)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			set := func(from, to int, tag string) {
+				for i := from; i < to; i++ {
+					s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("%s-%d", tag, i)), 0)
+				}
+			}
+			// An older checkpoint + a sealed segment on top of it, so the
+			// .tmp window has something to fall back to.
+			set(0, 200, "first")
+			if err := s.Snapshot(); err != nil {
+				t.Fatalf("first checkpoint: %v", err)
+			}
+			set(100, 300, "second")
+			s.Delete("key-7")
+			if err := s.Sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			covered := copyFiles(t, dir, isSeg)
+			olderSnaps := copyFiles(t, dir, func(n string) bool { return strings.HasPrefix(n, "snap.") })
+			if err := s.Snapshot(); err != nil {
+				t.Fatalf("second checkpoint: %v", err)
+			}
+			set(250, 350, "tail")
+			s.Purge("key-3")
+			want := rawState(s)
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			// Rewind the directory into the crash window.
+			for name, b := range covered {
+				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, b := range olderSnaps {
+				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			newest, _ := snapFiles(t, dir)
+			sort.Strings(newest)
+			path := dir + "/" + newest[len(newest)-1]
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch window {
+			case "rotated, checkpoint still .tmp":
+				if err := os.WriteFile(path+".tmp", b[:len(b)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				os.Remove(path)
+			case "checkpoint unreadable":
+				b[len(b)/2] ^= 0xff
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			diffStates(t, "reference replay of the crash window", refReplay(t, dir), want)
+			r, err := OpenSharded(opts, wopts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer r.Close()
+			diffStates(t, "recovery from the crash window", rawState(r), want)
+			if tmps := copyFiles(t, dir, func(n string) bool { return strings.HasSuffix(n, ".tmp") }); len(tmps) != 0 {
+				t.Fatalf("recovery left interrupted checkpoints behind: %d", len(tmps))
+			}
+			if window == "renamed, segments not deleted" {
+				for name := range covered {
+					if _, err := os.Stat(dir + "/" + name); err == nil {
+						t.Fatalf("recovery kept %s, which the checkpoint covers", name)
+					}
+				}
+			}
+		})
+	}
 }

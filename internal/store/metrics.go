@@ -9,19 +9,19 @@ import "pdcedu/internal/obs"
 //	store.sweep.expired          counter: entries expired by sweeps
 //	store.sweep.purged           counter: tombstones GC'd by sweeps
 //	store.merkle.leaf_rebuilds   counter: dirty Merkle leaves rehashed
-//	store.wal.appends            counter: records appended to shard logs
+//	store.wal.appends            counter: records appended to the log
 //	store.wal.append_bytes       counter: bytes those appends wrote
 //	store.wal.fsyncs             counter: fsyncs issued (group commits,
 //	                             interval flushes, rotations)
 //	store.wal.errors             counter: sticky log failures (each one
 //	                             poisons an engine)
-//	store.wal.snapshots          counter: shard snapshots written
-//	store.wal.recovered_entries  counter: snapshot entries loaded at open
+//	store.wal.snapshots          counter: engine checkpoints written
+//	store.wal.recovered_entries  counter: checkpoint entries loaded at open
 //	store.wal.recovered_records  counter: log records replayed at open
 //	store.wal.torn_bytes         counter: log bytes dropped at torn or
 //	                             corrupt tails during recovery
 //	store.wal.fsync_ns           histogram: fsync latency
-//	store.wal.snapshot_ns        histogram: snapshot + rotation latency
+//	store.wal.snapshot_ns        histogram: rotation + checkpoint latency
 //	store.wal.recovery_ns        histogram: whole-engine reload latency
 //
 // The live entries / tombstones gauges are deliberately not here: a

@@ -2,17 +2,18 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
 // RecoveryStats summarizes what OpenSharded rebuilt from disk.
 type RecoveryStats struct {
-	// SnapshotEntries is how many entries were loaded from snapshots.
+	// SnapshotEntries is how many entries were loaded from the checkpoint.
 	SnapshotEntries int
 	// WALRecords is how many log records were replayed after them.
 	WALRecords int
@@ -26,14 +27,14 @@ type RecoveryStats struct {
 }
 
 // OpenSharded opens (or creates) a persistent sharded engine on
-// wo.Dir: it loads each shard's newest snapshot, replays the log
-// segments after it — truncating at the first torn or corrupt record,
-// so exactly the intact prefix is recovered — observes the largest
+// wo.Dir: it loads the newest checkpoint, replays the log segments
+// after it — truncating at the first torn or corrupt record, so
+// exactly the intact prefix is recovered — observes the largest
 // recovered version on the engine's clock, and starts the background
-// fsync/snapshot loop. A directory's manifest pins its shard count
-// and Merkle bucket count; when one exists it overrides o.Shards and
-// o.MerkleBuckets so the on-disk layout always matches the engine
-// geometry.
+// fsync and checkpoint loops. A directory's manifest pins its shard
+// count and Merkle bucket count; when one exists it overrides o.Shards
+// and o.MerkleBuckets. A directory in the earlier per-shard layout is
+// refused with a *LayoutError and left untouched.
 func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 	start := time.Now()
 	if wo.Dir == "" {
@@ -57,25 +58,19 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 		}
 	}
 	w := &wal{
-		o:           wo,
-		eng:         s,
-		logs:        make([]shardLog, s.Shards()),
-		snapPending: make([]atomic.Bool, s.Shards()),
-		snapC:       make(chan int, s.Shards()),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		o:      wo,
+		eng:    s,
+		snapAt: math.MaxInt64,
+		snapC:  make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 	}
-	var maxVer uint64
-	for si := 0; si < s.Shards(); si++ {
-		l := &w.logs[si]
-		l.cond.L = &l.mu
-		mv, err := w.recoverShard(s, si)
-		if err != nil {
-			return nil, err
-		}
-		if mv > maxVer {
-			maxVer = mv
-		}
+	if n := int64(s.Shards()); wo.SnapshotBytes <= math.MaxInt64/n {
+		w.snapAt = wo.SnapshotBytes * n
+	}
+	w.cond.L = &w.mu
+	maxVer, err := w.recover()
+	if err != nil {
+		return nil, err
 	}
 	if maxVer > 0 {
 		s.clock.Observe(maxVer)
@@ -86,167 +81,199 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 	walTornBytes.Add(uint64(w.rec.TornBytes))
 	walRecoveryLatency.Observe(int64(w.rec.Elapsed))
 	s.wal = w
-	go w.run()
+	w.start()
 	return s, nil
 }
 
-// recoverShard rebuilds shard si from its newest snapshot plus the
-// segments after it, then opens a fresh segment for new appends (so a
-// recovered tail is never appended through again). Returns the
-// largest version it installed.
-func (w *wal) recoverShard(s *Sharded, si int) (uint64, error) {
-	segs, snaps := scanShardFiles(w.o.Dir, si)
-	sh := &s.shards[si]
-	l := &w.logs[si]
-
-	// Newest parseable snapshot wins; an unparseable one was half
-	// written (impossible after the atomic rename, but cheap to
-	// tolerate) and is skipped.
-	var snapGen uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		entries, err := loadSnapshot(w.snapPath(si, snaps[i]))
-		if err != nil {
-			continue
+// recover rebuilds the engine from the newest checkpoint plus the
+// segments after it, deletes every file that no longer carries state,
+// and opens a fresh segment (a recovered tail is never appended through
+// again). Returns the largest version it installed. The engine is not
+// shared yet, so it takes no locks.
+func (w *wal) recover() (maxVer uint64, err error) {
+	segs, snaps := scanDir(w.o.Dir)
+	// A checkpoint interrupted before its rename.
+	tmps, _ := filepath.Glob(filepath.Join(w.o.Dir, "snap.*.tmp"))
+	for _, tmp := range tmps {
+		os.Remove(tmp)
+	}
+	apply := func(key string, e Entry, purge bool) {
+		t := &w.eng.shardFor(key).t
+		if purge {
+			t.purge(key)
+			return
 		}
-		snapGen = snaps[i]
-		for _, se := range entries {
-			sh.t.install(se.key, se.e)
-		}
-		w.rec.SnapshotEntries += len(entries)
-		break
+		t.install(key, e)
+		maxVer = max(maxVer, e.Version)
 	}
 
-	// Replay segments after the snapshot, oldest first, stopping the
-	// shard at the first torn or corrupt record: the file is truncated
-	// there and any later segments are dropped — by the crash model
-	// nothing past the first tear was ever acked as durable.
-	var maxVer uint64
+	// Newest readable checkpoint wins. An unreadable one (impossible
+	// after the atomic rename, but cheap to tolerate) has what it
+	// installed wiped, and the next older one is tried.
+	var snapGen uint64
+	for i := len(snaps) - 1; i >= 0 && snapGen == 0; i-- {
+		n, err := loadSnapshot(w.snapPath(snaps[i]), apply)
+		if err != nil {
+			for si := range w.eng.shards {
+				sh := &w.eng.shards[si]
+				sh.t = newTable(sh.t.now, sh.t.touch)
+			}
+			maxVer = 0
+			continue
+		}
+		snapGen, w.rec.SnapshotEntries = snaps[i], n
+		for _, older := range snaps[:i] {
+			os.Remove(w.snapPath(older))
+		}
+	}
+
+	// Replay segments after the checkpoint, oldest first, stopping at
+	// the first torn or corrupt record: the file is truncated there and
+	// any later segments are dropped — by the crash model nothing past
+	// the first tear was ever acked as durable.
 	maxGen := snapGen
 	stopped := false
 	for _, g := range segs {
-		if g > maxGen {
-			maxGen = g
-		}
-		if g <= snapGen {
-			os.Remove(w.segPath(si, g))
-			continue
-		}
-		path := w.segPath(si, g)
-		if stopped {
-			if st, err := os.Stat(path); err == nil {
+		maxGen = max(maxGen, g)
+		path := w.segPath(g)
+		if g <= snapGen || stopped {
+			if st, err := os.Stat(path); stopped && err == nil {
 				w.rec.TornBytes += st.Size()
 			}
 			os.Remove(path)
 			continue
 		}
-		b, err := os.ReadFile(path)
+		records, torn, err := replaySegment(path, apply)
 		if err != nil {
 			return 0, err
 		}
-		if len(b) < magicLen || string(b[:magicLen]) != walMagic {
-			// Never even got its header down: drop it.
-			w.rec.TornBytes += int64(len(b))
-			os.Remove(path)
-			stopped = true
-			continue
+		if records > 0 {
+			w.rec.Segments++
+			w.rec.WALRecords += records
 		}
-		w.rec.Segments++
-		off := magicLen
-		for off < len(b) {
-			key, e, purge, n, err := decodeRecord(b[off:])
-			if err != nil {
-				w.rec.TornBytes += int64(len(b) - off)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return 0, terr
-				}
-				stopped = true
-				break
-			}
-			if purge {
-				sh.t.purge(key)
-			} else {
-				sh.t.install(key, e)
-			}
-			if e.Version > maxVer {
-				maxVer = e.Version
-			}
-			w.rec.WALRecords++
-			off += n
-		}
-	}
-	for _, g := range snaps {
-		if g < snapGen {
-			os.Remove(w.snapPath(si, g))
-		}
+		w.rec.TornBytes += torn
+		stopped = torn > 0
 	}
 
 	// Fresh segment for this incarnation's appends.
-	f, path, err := w.createSegment(si, maxGen+1)
+	w.f, w.path, err = w.createSegment(maxGen + 1)
 	if err != nil {
 		return 0, err
 	}
-	l.f, l.path, l.gen, l.size = f, path, maxGen+1, magicLen
+	w.gen, w.size = maxGen+1, magicLen
 	return maxVer, nil
 }
 
-// scanShardFiles lists shard si's log segment and snapshot
-// generations, each sorted ascending.
-func scanShardFiles(dir string, si int) (segs, snaps []uint64) {
-	des, err := os.ReadDir(dir)
+// replaySegment streams the segment at path through apply and reports
+// the records applied and the trailing bytes dropped as torn or
+// corrupt. The file is truncated to its intact prefix; one left with no
+// record — never written to, or torn at its first frame — is deleted,
+// so restarts do not pile up empty segments.
+func replaySegment(path string, apply func(key string, e Entry, purge bool)) (records int, torn int64, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil
+		return 0, 0, err
 	}
-	walPrefix := fmt.Sprintf("s%d.wal.", si)
-	snapPrefix := fmt.Sprintf("s%d.snap.", si)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	records, torn, err = scanRecords(f, st.Size(), walMagic, nil, apply)
+	switch {
+	case err != nil && err != errTornRecord && err != errCorruptRecord:
+		return records, 0, fmt.Errorf("%s: %w", path, err)
+	case records == 0:
+		err = os.Remove(path)
+	case torn > 0: // every torn or corrupt stop leaves bytes unread
+		err = os.Truncate(path, st.Size()-torn)
+	}
+	return records, torn, err
+}
+
+// scanDir lists the directory's log segment and checkpoint
+// generations, each sorted ascending.
+func scanDir(dir string) (segs, snaps []uint64) {
+	des, _ := os.ReadDir(dir)
 	for _, de := range des {
-		name := de.Name()
+		kind, gen, _ := strings.Cut(de.Name(), ".")
+		g, err := strconv.ParseUint(gen, 10, 64)
 		switch {
-		case strings.HasPrefix(name, walPrefix):
-			if g, err := strconv.ParseUint(name[len(walPrefix):], 10, 64); err == nil {
-				segs = append(segs, g)
-			}
-		case strings.HasPrefix(name, snapPrefix):
-			rest := name[len(snapPrefix):]
-			if strings.HasSuffix(rest, ".tmp") {
-				continue
-			}
-			if g, err := strconv.ParseUint(rest, 10, 64); err == nil {
-				snaps = append(snaps, g)
-			}
+		case err != nil: // WALMETA, an interrupted checkpoint's .tmp
+		case kind == "wal":
+			segs = append(segs, g)
+		case kind == "snap":
+			snaps = append(snaps, g)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
+	slices.Sort(segs)
+	slices.Sort(snaps)
 	return segs, snaps
 }
 
-// Manifest: one tiny file pinning the directory's engine geometry, so
-// a reopen with different Options cannot scatter keys across the
-// wrong shard files or build incomparable Merkle trees.
+// Manifest: one tiny file pinning the directory's layout version and
+// engine geometry, so a reopen with different Options cannot build
+// Merkle trees that no longer compare with the peers'.
 
-const manifestName = "WALMETA"
+const (
+	manifestName = "WALMETA"
+	// Limits a manifest is held to before anything is sized from it.
+	maxManifestShards  = 1 << 16
+	maxManifestBuckets = 1 << 24
+)
+
+// LayoutError is OpenSharded's refusal of a data directory in a layout
+// this build does not read — today v1, the per-shard s<N>.wal.<G> and
+// s<N>.snap.<G> files. The directory is left exactly as it was.
+type LayoutError struct{ Version int }
+
+func (e *LayoutError) Error() string {
+	return fmt.Sprintf("WAL layout v%d, but this build reads only v%d and does not migrate (start the node on an empty directory and let it catch up from its replicas)",
+		e.Version, manifestVersion)
+}
+
+const manifestVersion = 2
+
+// parseManifest decodes a manifest body, refusing other layout
+// versions and out-of-range geometry.
+func parseManifest(b []byte) (shards, buckets int, err error) {
+	var version int
+	if _, err := fmt.Sscanf(string(b), "pdcedu-wal v%d\nshards %d\nbuckets %d\n", &version, &shards, &buckets); err != nil {
+		return 0, 0, err
+	}
+	if version != manifestVersion {
+		return 0, 0, &LayoutError{Version: version}
+	}
+	if shards < 1 || shards > maxManifestShards || buckets < shards || buckets > maxManifestBuckets {
+		return 0, 0, fmt.Errorf("geometry out of range: %d shards, %d buckets", shards, buckets)
+	}
+	return shards, buckets, nil
+}
 
 func loadManifest(dir string) (shards, buckets int, ok bool, err error) {
-	b, rerr := os.ReadFile(dir + string(os.PathSeparator) + manifestName)
-	if rerr != nil {
-		if os.IsNotExist(rerr) {
-			return 0, 0, false, nil
-		}
-		return 0, 0, false, rerr
+	b, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if os.IsNotExist(err) {
+		return 0, 0, false, nil
 	}
-	if _, serr := fmt.Sscanf(string(b), "pdcedu-wal v1\nshards %d\nbuckets %d\n", &shards, &buckets); serr != nil {
-		return 0, 0, false, fmt.Errorf("store: bad manifest %s/%s: %v", dir, manifestName, serr)
+	if err == nil {
+		shards, buckets, err = parseManifest(b)
+	}
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("store: manifest %s/%s: %w", dir, manifestName, err)
 	}
 	return shards, buckets, true, nil
 }
 
 func writeManifest(dir string, shards, buckets int) error {
-	body := fmt.Sprintf("pdcedu-wal v1\nshards %d\nbuckets %d\n", shards, buckets)
-	tmp := dir + string(os.PathSeparator) + manifestName + ".tmp"
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+	body := fmt.Sprintf("pdcedu-wal v%d\nshards %d\nbuckets %d\n", manifestVersion, shards, buckets)
+	if _, _, err := parseManifest([]byte(body)); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path+".tmp", []byte(body), 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, dir+string(os.PathSeparator)+manifestName); err != nil {
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return err
 	}
 	return syncDir(dir)

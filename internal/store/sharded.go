@@ -29,10 +29,7 @@ type Sharded struct {
 	shards []shard
 	merkle merkle
 	// wal is the persistence seam: nil for a memory-only engine
-	// (NewSharded), set by OpenSharded. Write paths append under the
-	// shard lock — the same critical section as the table mutation, so
-	// replay order equals install order — and wait for group commit
-	// (policy permitting) after the lock is released.
+	// (NewSharded), set by OpenSharded; see logAndUnlock.
 	wal *wal
 }
 
@@ -98,12 +95,6 @@ func (s *Sharded) shardFor(key string) *shard {
 	return &s.shards[keyHash32(key)&s.mask]
 }
 
-// shardIdx is shardFor's index form — the write paths need the index
-// to address the shard's log.
-func (s *Sharded) shardIdx(key string) int {
-	return int(keyHash32(key) & s.mask)
-}
-
 // Shards reports the effective (power-of-two) shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
@@ -134,26 +125,32 @@ func (s *Sharded) Set(key string, value []byte, ttl time.Duration) uint64 {
 	if ttl > 0 {
 		expireAt = s.now().Add(ttl).UnixNano()
 	}
-	si := s.shardIdx(key)
-	sh := &s.shards[si]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	ver := s.clock.Next()
 	sh.t.set(key, value, ver, expireAt)
-	var seq uint64
-	if s.wal != nil {
-		seq = s.wal.append(si, key, Entry{Value: value, Version: ver, ExpireAt: expireAt}, false)
-	}
-	sh.mu.Unlock()
-	if s.wal != nil {
-		s.wal.ack(si, seq)
-	}
+	s.logAndUnlock(sh, key, Entry{Value: value, Version: ver, ExpireAt: expireAt}, false)
 	return ver
+}
+
+// logAndUnlock ends a write's critical section: it appends the record
+// of the mutation just applied while sh.mu is still held — the same
+// critical section as the table mutation, so the log replays each key
+// in table order — then releases the shard and waits for the fsync
+// policy's ack. On a memory-only engine it is just the unlock.
+func (s *Sharded) logAndUnlock(sh *shard, key string, e Entry, purge bool) {
+	if s.wal == nil {
+		sh.mu.Unlock()
+		return
+	}
+	seq := s.wal.append(key, e, purge)
+	sh.mu.Unlock()
+	s.wal.ack(seq)
 }
 
 // SetIfAbsent implements Engine.
 func (s *Sharded) SetIfAbsent(key string, value []byte) (uint64, bool) {
-	si := s.shardIdx(key)
-	sh := &s.shards[si]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	if cur, ok := sh.t.load(key); ok && sh.t.liveNow(cur) {
 		sh.mu.Unlock()
@@ -161,32 +158,17 @@ func (s *Sharded) SetIfAbsent(key string, value []byte) (uint64, bool) {
 	}
 	ver := s.clock.Next()
 	sh.t.set(key, value, ver, 0)
-	var seq uint64
-	if s.wal != nil {
-		seq = s.wal.append(si, key, Entry{Value: value, Version: ver}, false)
-	}
-	sh.mu.Unlock()
-	if s.wal != nil {
-		s.wal.ack(si, seq)
-	}
+	s.logAndUnlock(sh, key, Entry{Value: value, Version: ver}, false)
 	return ver, true
 }
 
 // Delete implements Engine.
 func (s *Sharded) Delete(key string) (uint64, bool) {
-	si := s.shardIdx(key)
-	sh := &s.shards[si]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	ver := s.clock.Next()
 	existed := sh.t.del(key, ver)
-	var seq uint64
-	if s.wal != nil {
-		seq = s.wal.append(si, key, Entry{Version: ver, Tombstone: true}, false)
-	}
-	sh.mu.Unlock()
-	if s.wal != nil {
-		s.wal.ack(si, seq)
-	}
+	s.logAndUnlock(sh, key, Entry{Version: ver, Tombstone: true}, false)
 	return ver, existed
 }
 
@@ -195,39 +177,30 @@ func (s *Sharded) Delete(key string) (uint64, bool) {
 // re-judging.
 func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 	s.clock.Observe(e.Version)
-	si := s.shardIdx(key)
-	sh := &s.shards[si]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	winner, applied := sh.t.merge(key, e)
-	var seq uint64
-	if s.wal != nil && applied {
-		if e.Tombstone {
-			e.Value = nil
-		}
-		seq = s.wal.append(si, key, e, false)
+	if !applied {
+		sh.mu.Unlock()
+		return winner, false
 	}
-	sh.mu.Unlock()
-	if s.wal != nil && applied {
-		s.wal.ack(si, seq)
+	if e.Tombstone {
+		e.Value = nil
 	}
-	return winner, applied
+	s.logAndUnlock(sh, key, e, false)
+	return winner, true
 }
 
 // Purge implements Engine.
 func (s *Sharded) Purge(key string) bool {
-	si := s.shardIdx(key)
-	sh := &s.shards[si]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
-	ok := sh.t.purge(key)
-	var seq uint64
-	if s.wal != nil && ok {
-		seq = s.wal.append(si, key, Entry{}, true)
+	if !sh.t.purge(key) {
+		sh.mu.Unlock()
+		return false
 	}
-	sh.mu.Unlock()
-	if s.wal != nil && ok {
-		s.wal.ack(si, seq)
-	}
-	return ok
+	s.logAndUnlock(sh, key, Entry{}, true)
+	return true
 }
 
 // Keys implements Engine: a lock-bounded snapshot, one shard at a time.
@@ -295,16 +268,15 @@ func (s *Sharded) Sweep(limit int) (expired, purged int) {
 	now := s.now()
 	gcBefore := now.Add(-s.gcAge).UnixMilli()
 	scanned := 0
+	var onPurge func(string)
+	if s.wal != nil {
+		// GC'd tombstones are logged as purges so a reopen cannot
+		// resurrect them; sweeps are not client-acked, so the records
+		// just ride the next fsync.
+		onPurge = func(k string) { s.wal.append(k, Entry{}, true) }
+	}
 	for i := 0; i < len(s.shards); i++ {
-		si := int((s.cursor.Add(1) - 1) & s.mask)
-		sh := &s.shards[si]
-		var onPurge func(string)
-		if s.wal != nil {
-			// GC'd tombstones are logged as purges so a reopen cannot
-			// resurrect them; sweeps are not client-acked, so the
-			// records just ride the next fsync.
-			onPurge = func(k string) { s.wal.append(si, k, Entry{}, true) }
-		}
+		sh := &s.shards[(s.cursor.Add(1)-1)&s.mask]
 		sh.mu.Lock()
 		scanned += len(sh.t.data)
 		e, p := sh.t.sweep(now.UnixNano(), gcBefore, onPurge)

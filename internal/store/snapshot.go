@@ -1,116 +1,98 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 
 	"pdcedu/internal/obs"
 )
 
-// Snapshots bound recovery time and disk growth: once a shard's
-// segment passes WALOptions.SnapshotBytes, the background loop
-// rotates the log to a fresh generation and writes the shard's whole
-// table to s<N>.snap.<G> — where G is the generation the snapshot
-// covers — then deletes the covered segments. Recovery loads the
-// newest snapshot and replays only the segments after it.
+// Checkpoints bound recovery time and disk growth: once the open
+// segment passes WALOptions.SnapshotBytes of log per shard, the log
+// rotates to a fresh generation and every shard's table is streamed to
+// snap.<G> — G being the generation the checkpoint covers — after
+// which the covered segments are deleted. Recovery loads the newest
+// checkpoint and replays only the segments after it.
 //
 // Crash windows are all safe by construction:
 //
 //   - The old segment is fsynced before the rotation is acked past,
-//     so no group-commit ack ever rides on a snapshot that has not
-//     been written yet.
-//   - The snapshot is written to a .tmp, fsynced, renamed into place,
+//     so no group-commit ack ever rides on a checkpoint not yet written.
+//   - Shards are copied after the rotation, each under its own lock,
+//     so every record in a segment <= G is in the checkpoint. A shard
+//     copied late also carries writes logged in G+1; replaying those on
+//     top is idempotent, because replay is last-record-wins.
+//   - The checkpoint is written to a .tmp, fsynced, renamed into place,
 //     and the directory fsynced — it exists fully or not at all.
-//   - Covered segments are deleted only after the rename; a crash
-//     between snapshot and delete just replays records the snapshot
-//     already contains (replay is last-record-wins, so that is
-//     idempotent).
+//   - Covered segments and older checkpoints are deleted only after
+//     the rename; recovery ignores and removes whatever a crash leaves.
 
-// snapEntry is one copied table entry headed for a snapshot file.
-type snapEntry struct {
-	key string
-	e   Entry
-}
-
-// snapshotShard rotates shard si's log to a new generation and writes
-// a snapshot covering everything before it. Called from the
-// background loop and from the manual Snapshot barrier.
-func (w *wal) snapshotShard(si int) error {
-	if w.failed.Load() != nil {
-		return w.errOrNil()
-	}
+// checkpoint rotates the log and checkpoints everything before the
+// rotation, provided the open segment holds at least threshold bytes:
+// snapAt for the size trigger (so a token queued while the previous
+// checkpoint was rotating is a no-op), one record for the manual one.
+func (w *wal) checkpoint(threshold int64) error {
+	w.ckMu.Lock()
+	defer w.ckMu.Unlock()
 	start := obs.StartTimer()
-	sh := &w.eng.shards[si]
-	l := &w.logs[si]
 
-	sh.mu.Lock()
-	l.mu.Lock()
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if w.failed.Load() != nil || w.closed.Load() {
-		l.mu.Unlock()
-		sh.mu.Unlock()
+	w.mu.Lock()
+	due := w.failed.Load() == nil && !w.closed.Load() && w.size >= threshold
+	oldGen := w.gen // only a checkpoint moves gen, and ckMu is held
+	w.mu.Unlock()
+	if !due {
 		return w.errOrNil()
 	}
-	// Seal the old segment: everything appended so far is flushed and
-	// becomes durable here, so acks issued after the swap ride the new
-	// file's fsyncs and never depend on the snapshot write below
-	// succeeding.
-	w.flushBuf(l)
-	if w.failed.Load() != nil {
-		l.mu.Unlock()
-		sh.mu.Unlock()
-		return w.errOrNil()
-	}
-	if err := l.f.Sync(); err != nil {
-		w.poison(l, "rotate", l.path, err)
-		l.mu.Unlock()
-		sh.mu.Unlock()
-		return w.errOrNil()
-	}
-	walFsyncs.Inc()
-	oldF, oldGen := l.f, l.gen
-	nf, newPath, err := w.createSegment(si, oldGen+1)
+	nf, newPath, err := w.createSegment(oldGen + 1)
+
+	w.mu.Lock()
 	if err != nil {
-		w.poison(l, "rotate", newPath, err)
-		l.mu.Unlock()
-		sh.mu.Unlock()
+		w.poison("rotate", newPath, err)
+		w.mu.Unlock()
 		return w.errOrNil()
 	}
-	l.f, l.path, l.gen, l.size = nf, newPath, oldGen+1, magicLen
-	l.durable = l.seq
-	l.dirty = false
-	l.cond.Broadcast()
-	entries := make([]snapEntry, 0, len(sh.t.data))
-	for k, e := range sh.t.data {
-		entries = append(entries, snapEntry{k, e})
+	for w.flushing {
+		w.cond.Wait()
 	}
-	l.mu.Unlock()
-	sh.mu.Unlock()
-
+	if w.failed.Load() == nil {
+		// Seal the old segment: everything appended so far is written
+		// and fsynced here, so acks issued after the swap ride the new
+		// file's fsyncs and never depend on the checkpoint below.
+		w.flushLocked(true)
+	}
+	if w.failed.Load() != nil {
+		w.mu.Unlock()
+		nf.Close() // left magic-only; the next recovery deletes it
+		return w.errOrNil()
+	}
+	// Records that landed in buf during the seal's I/O were not sealed:
+	// they open the new segment.
+	oldF := w.f
+	w.f, w.path, w.gen, w.size = nf, newPath, oldGen+1, magicLen+int64(len(w.buf))
+	w.mu.Unlock()
 	oldF.Close()
-	if err := w.writeSnapshot(si, oldGen, entries); err != nil {
-		// The old segments stay on disk: recovery replays snapshot-less
-		// and remains exact. Poison anyway — a disk that cannot take a
-		// snapshot will not keep absorbing a growing log for long, and
-		// the operator should hear about it now.
-		w.poison(l, "snapshot", w.snapPath(si, oldGen), err)
+
+	if err := w.writeCheckpoint(oldGen); err != nil {
+		// The old segments stay on disk: recovery replays without the
+		// checkpoint and remains exact. Poison anyway — a disk that
+		// cannot take a checkpoint will not keep absorbing a growing log
+		// for long, and the operator should hear about it now.
+		w.mu.Lock()
+		w.poison("snapshot", w.snapPath(oldGen), err)
+		w.mu.Unlock()
 		return w.errOrNil()
 	}
-	// Drop everything the snapshot covers: segments at or below its
-	// generation and any older snapshot.
-	segs, snaps := scanShardFiles(w.o.Dir, si)
+	segs, snaps := scanDir(w.o.Dir)
 	for _, g := range segs {
 		if g <= oldGen {
-			os.Remove(w.segPath(si, g))
+			os.Remove(w.segPath(g))
 		}
 	}
 	for _, g := range snaps {
 		if g < oldGen {
-			os.Remove(w.snapPath(si, g))
+			os.Remove(w.snapPath(g))
 		}
 	}
 	walSnapshots.Inc()
@@ -118,94 +100,102 @@ func (w *wal) snapshotShard(si int) error {
 	return nil
 }
 
-// writeSnapshot persists entries as s<si>.snap.<gen> atomically:
-// tmp file, fsync, rename, directory fsync.
-func (w *wal) writeSnapshot(si int, gen uint64, entries []snapEntry) error {
-	tmp := w.snapPath(si, gen) + ".tmp"
+// writeCheckpoint persists the engine as snap.<gen> atomically: tmp
+// file, fsync, rename, directory fsync.
+func (w *wal) writeCheckpoint(gen uint64) error {
+	path := w.snapPath(gen)
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	bw.WriteString(snapMagic)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(entries)))
-	bw.Write(hdr[:])
-	var buf []byte
-	for _, se := range entries {
-		buf = appendRecord(buf[:0], se.key, se.e, false)
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := bw.Flush(); err == nil {
+	if err = w.streamShards(f); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, w.snapPath(si, gen)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(w.o.Dir)
 }
 
-// loadSnapshot parses a snapshot file into entries. Any framing or
-// count mismatch makes the whole file invalid (snapshots are written
-// atomically, so a bad one was interrupted before its rename and
-// should not exist — treat it as absent).
-func loadSnapshot(path string) ([]snapEntry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// streamShards writes the checkpoint body: magic, entry count (patched
+// in at the end), then every shard's entries as records. Shards are
+// encoded one at a time under their own lock and written with no lock
+// held: a checkpoint stalls 1/N of the key space and buffers one shard.
+func (w *wal) streamShards(f *os.File) error {
+	var hdr [magicLen + 4]byte
+	copy(hdr[:], snapMagic)
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
 	}
-	if len(b) < magicLen+4 || string(b[:magicLen]) != snapMagic {
-		return nil, fmt.Errorf("%s: bad snapshot header", path)
-	}
-	count := int(binary.LittleEndian.Uint32(b[magicLen:]))
-	off := magicLen + 4
-	entries := make([]snapEntry, 0, count)
-	for off < len(b) {
-		key, e, _, n, err := decodeRecord(b[off:])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v at offset %d", path, err, off)
+	var buf []byte
+	count := 0
+	for i := range w.eng.shards {
+		sh := &w.eng.shards[i]
+		buf = buf[:0]
+		sh.mu.Lock()
+		for k, e := range sh.t.data {
+			buf = appendRecord(buf, k, e, false)
 		}
-		entries = append(entries, snapEntry{key, e})
-		off += n
+		count += len(sh.t.data)
+		sh.mu.Unlock()
+		if _, err := f.Write(buf); err != nil {
+			return err
+		}
 	}
-	if len(entries) != count {
-		return nil, fmt.Errorf("%s: snapshot holds %d entries, header says %d", path, len(entries), count)
-	}
-	return entries, nil
+	binary.LittleEndian.PutUint32(hdr[magicLen:], uint32(count))
+	_, err := f.WriteAt(hdr[magicLen:], magicLen)
+	return err
 }
 
-// Snapshot forces a snapshot + log rotation on every shard that has
-// accumulated log records — the manual form of the size-triggered
-// background rotation (distnode calls it on shutdown so the next boot
-// replays a snapshot instead of the whole log). Memory-only engines
-// return nil.
+// readSnapshot streams a checkpoint of size bytes from r through fn
+// and returns how many entries it delivered. Any framing or count
+// mismatch makes the whole file invalid (checkpoints are renamed into
+// place whole, so a bad one should not exist): the caller treats it as
+// absent and discards what fn was given.
+func readSnapshot(r io.Reader, size int64, fn func(key string, e Entry, purge bool)) (int, error) {
+	var count [4]byte
+	n, left, err := scanRecords(r, size, snapMagic, count[:], fn)
+	if err != nil {
+		return n, fmt.Errorf("%v at offset %d", err, size-left)
+	}
+	if want := binary.LittleEndian.Uint32(count[:]); uint32(n) != want {
+		return n, fmt.Errorf("snapshot holds %d entries, header says %d", n, want)
+	}
+	return n, nil
+}
+
+// loadSnapshot is readSnapshot over the file at path.
+func loadSnapshot(path string, fn func(key string, e Entry, purge bool)) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	n, err := readSnapshot(f, st.Size(), fn)
+	if err != nil {
+		return n, fmt.Errorf("%s: %w", path, err)
+	}
+	return n, nil
+}
+
+// Snapshot forces a log rotation + checkpoint if the open segment
+// holds any record, so the next boot replays a checkpoint instead of
+// the whole log. Memory-only engines return nil.
 func (s *Sharded) Snapshot() error {
 	if s.wal == nil {
 		return nil
 	}
-	for si := range s.shards {
-		l := &s.wal.logs[si]
-		l.mu.Lock()
-		hasRecords := l.size > magicLen
-		l.mu.Unlock()
-		if !hasRecords {
-			continue
-		}
-		if err := s.wal.snapshotShard(si); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.wal.checkpoint(magicLen + 1)
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,9 +19,9 @@ func snapFiles(t *testing.T, dir string) (snaps, segs []string) {
 	}
 	for _, de := range des {
 		switch {
-		case strings.Contains(de.Name(), ".snap."):
+		case strings.HasPrefix(de.Name(), "snap."):
 			snaps = append(snaps, de.Name())
-		case strings.Contains(de.Name(), ".wal."):
+		case strings.HasPrefix(de.Name(), "wal."):
 			segs = append(segs, de.Name())
 		}
 	}
@@ -175,5 +177,71 @@ func TestRecoveryManifestGeometry(t *testing.T) {
 	diffStates(t, "geometry reopen", rawState(r), want)
 	if got, ok := r.Digest().Node(1); !ok || got != root {
 		t.Fatalf("digest root changed across reopen: %x vs %x", got, root)
+	}
+}
+
+// TestRecoveryRestartsLeaveBoundedFiles: every open starts a fresh
+// segment, so recovery must clear away the ones that never received a
+// record — otherwise each restart leaves one more dead file behind.
+func TestRecoveryRestartsLeaveBoundedFiles(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	files := func() int {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("readdir: %v", err)
+		}
+		return len(des)
+	}
+	var want map[string]Entry
+	var after3 int
+	for i := 0; i < 10; i++ {
+		s, err := OpenSharded(opts, WALOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		if i == 0 {
+			for k := 0; k < 100; k++ {
+				s.Set(fmt.Sprintf("key-%d", k), []byte("v"), 0)
+			}
+			want = rawState(s)
+		}
+		diffStates(t, fmt.Sprintf("open %d", i), rawState(s), want)
+		if err := s.Close(); err != nil {
+			t.Fatalf("close %d: %v", i, err)
+		}
+		if i == 2 {
+			after3 = files()
+		}
+	}
+	// Manifest + the one segment with records + the last open's.
+	if n := files(); n != after3 || n > 3 {
+		t.Fatalf("data-dir holds %d files after 10 restarts (%d after 3), want a constant <= 3", n, after3)
+	}
+}
+
+// TestRecoveryRefusesV1Layout: a directory written by the per-shard
+// layout is refused with the typed error, and nothing in it is
+// touched — no new manifest, no new segment, no deleted file.
+func TestRecoveryRefusesV1Layout(t *testing.T) {
+	dir := t.TempDir()
+	seg := appendRecord([]byte(walMagic), "k", Entry{Value: []byte("v"), Version: 1}, false)
+	v1 := map[string][]byte{
+		"WALMETA":  []byte("pdcedu-wal v1\nshards 2\nbuckets 32\n"),
+		"s0.wal.1": seg,
+		"s1.wal.1": []byte(walMagic),
+	}
+	for name, b := range v1 {
+		if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := OpenSharded(Options{}, WALOptions{Dir: dir})
+	var le *LayoutError
+	if !errors.As(err, &le) || le.Version != 1 || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("open of a v1 directory returned %v, want *LayoutError{Version: 1}", err)
+	}
+	if got := copyFiles(t, dir, func(string) bool { return true }); !reflect.DeepEqual(got, v1) {
+		t.Fatalf("refused open modified the directory: now holds %d files", len(got))
 	}
 }

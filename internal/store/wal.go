@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,15 +17,17 @@ import (
 )
 
 // This file is the write-ahead side of the engine's persistence seam:
-// a per-shard append-only log of CRC-framed versioned records, with
-// group-commit fsync batching. snapshot.go rotates the logs under
-// periodic snapshots; recovery.go replays snapshot + tail on open.
+// one append-only log of CRC-framed versioned records per engine,
+// shared by every shard, with group-commit fsync batching. snapshot.go
+// rotates the log under periodic checkpoints; recovery.go replays
+// checkpoint + tail on open.
 //
 // On-disk layout of a WAL directory (one engine):
 //
-//	WALMETA           manifest pinning shard count and Merkle buckets
-//	s<N>.wal.<G>      shard N's log segment, generation G
-//	s<N>.snap.<G>     shard N's snapshot covering segments <= G
+//	WALMETA     manifest pinning layout version, shard count and
+//	            Merkle buckets
+//	wal.<G>     log segment, generation G
+//	snap.<G>    checkpoint of the whole engine covering segments <= G
 //
 // Each segment starts with an 8-byte magic, then records:
 //
@@ -41,16 +44,17 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (the default) fsyncs dirty logs on a background
+	// FsyncInterval (the default) fsyncs a dirty log on a background
 	// cadence (WALOptions.Interval): a crash can lose at most the last
 	// interval's writes, and the write hot path never waits on a disk
-	// flush — appends land in the shard's in-memory log buffer and
+	// flush — appends land in the engine's in-memory log buffer and
 	// reach the file at the next flush point (an fsync, the buffer
 	// threshold, a rotation, or Close).
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways group-commits: a write does not return until its
-	// record is fsynced. Concurrent writers on a shard share one fsync
-	// (one leader syncs, everyone sealed under it is acked together).
+	// record is fsynced. Concurrent writers, whatever their shards,
+	// share one fsync (one leader syncs, everyone sealed under it is
+	// acked together).
 	FsyncAlways
 	// FsyncNever appends without ever forcing a flush; durability is
 	// whatever the OS page cache provides.
@@ -100,8 +104,9 @@ type WALOptions struct {
 	// Interval is the background fsync cadence under FsyncInterval
 	// (default 100ms).
 	Interval time.Duration
-	// SnapshotBytes triggers a shard snapshot + log rotation once the
-	// shard's segment exceeds this many bytes (default 8 MiB).
+	// SnapshotBytes is the log volume per shard between checkpoints:
+	// the log rotates and the engine is checkpointed once the open
+	// segment exceeds SnapshotBytes × Shards() (default 8 MiB).
 	SnapshotBytes int64
 	// OpenFile opens a log segment for appending, creating it when
 	// absent (default os.OpenFile with O_CREATE|O_WRONLY|O_APPEND).
@@ -162,9 +167,9 @@ const (
 	recFlagTombstone = 1 << 0
 	recFlagPurge     = 1 << 1
 
-	// walFlushBytes bounds the in-memory log buffer: past it an append
-	// flushes inline, so one write syscall carries many records instead
-	// of each record paying its own.
+	// walFlushBytes bounds the in-memory log buffer: the writer that
+	// grows it past this writes it out, so one write syscall carries
+	// many records instead of each record paying its own.
 	walFlushBytes = 64 << 10
 )
 
@@ -242,286 +247,290 @@ func decodeRecord(b []byte) (key string, e Entry, purge bool, n int, err error) 
 	return key, e, purge, recHeader + plen, nil
 }
 
-// shardLog is one shard's open segment plus the group-commit state.
-// Appends happen under the owning shard's mutex (so log order equals
-// table order); mu below guards the log buffer, the file handle, and
-// the durability watermarks, letting fsyncs run outside the shard
-// lock.
-type shardLog struct {
-	mu   sync.Mutex
-	cond sync.Cond
-
-	f    WALFile
-	path string
-	gen  uint64
-	size int64 // logical log size: file bytes plus buffered bytes
-
-	// buf holds encoded records not yet written to f. Every durability
-	// point (group-commit ack, interval/manual sync, rotation, clean
-	// close) flushes it first, so "fsynced" always means "buffered,
-	// written, and synced" — a crash loses the buffer exactly like it
-	// loses the OS page cache, and the ack contract is unchanged.
-	buf []byte
-
-	// pendAppends/pendBytes batch the per-record metric increments:
-	// the hot path counts under mu and flushBuf folds into the shared
-	// registry counters, keeping contended atomics off every append.
-	pendAppends uint64
-	pendBytes   uint64
-
-	// seq numbers appended records; durable is the highest seq known
-	// to be on stable storage. syncing is the group-commit leader
-	// latch: one goroutine holds the fsync, everyone else waits on
-	// cond for durable to pass their seq.
-	seq     uint64
-	durable uint64
-	syncing bool
-	dirty   bool
+// recordReader streams records through one reusable frame buffer. left
+// is what remains of the source: a length read from disk is checked
+// against it (and the format's limits) before anything is allocated.
+type recordReader struct {
+	r    io.Reader
+	left int64
+	buf  []byte
 }
 
-// wal is the engine-wide persistence state hanging off a Sharded
-// opened with OpenSharded.
+// next decodes the next record. io.EOF is the clean end of the source,
+// a source that ends mid-frame is torn, and anything that is neither
+// that nor errCorruptRecord is a read error.
+func (rr *recordReader) next() (key string, e Entry, purge bool, err error) {
+	if rr.left == 0 {
+		return "", e, false, io.EOF
+	}
+	if cap(rr.buf) < recHeader {
+		rr.buf = make([]byte, 4<<10)
+	}
+	if err := rr.fill(rr.buf[:recHeader]); err != nil {
+		return "", e, false, err
+	}
+	plen := int64(binary.LittleEndian.Uint32(rr.buf))
+	if plen < recFixed || plen > recFixed+maxKeyLen+maxValLen {
+		return "", e, false, errCorruptRecord
+	}
+	if plen > rr.left-recHeader {
+		return "", e, false, errTornRecord
+	}
+	n := recHeader + int(plen)
+	if cap(rr.buf) < n {
+		rr.buf = append(make([]byte, 0, n), rr.buf[:recHeader]...)
+	}
+	if err := rr.fill(rr.buf[recHeader:n]); err != nil {
+		return "", e, false, err
+	}
+	if key, e, purge, _, err = decodeRecord(rr.buf[:n]); err == nil {
+		rr.left -= int64(n)
+	}
+	return key, e, purge, err
+}
+
+// fill reads len(p) bytes; a source shorter than left promised is torn.
+func (rr *recordReader) fill(p []byte) error {
+	_, err := io.ReadFull(rr.r, p)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errTornRecord
+	}
+	return err
+}
+
+// scanRecords streams a segment or checkpoint of size bytes — magic,
+// len(hdr) more header bytes (copied out into hdr), then records —
+// through apply. It returns the records delivered and, if it stopped
+// early, the bytes left unread and why: torn, corrupt (a bad magic
+// included), or a read error.
+func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(key string, e Entry, purge bool)) (records int, left int64, err error) {
+	head := make([]byte, magicLen+len(hdr))
+	rr := recordReader{r: bufio.NewReaderSize(r, 64<<10), left: size - int64(len(head))}
+	if err := rr.fill(head); err != nil && err != errTornRecord {
+		return 0, size, err
+	} else if err != nil || string(head[:magicLen]) != magic {
+		return 0, size, errCorruptRecord
+	}
+	copy(hdr, head[magicLen:])
+	for {
+		key, e, purge, err := rr.next()
+		if err == io.EOF {
+			return records, 0, nil
+		}
+		if err != nil {
+			return records, rr.left, err
+		}
+		apply(key, e, purge)
+		records++
+	}
+}
+
+// wal is the persistence state of a Sharded opened with OpenSharded:
+// one open segment shared by every shard, and the group-commit state
+// that lets all of them ride one flush. Appends land in buf under mu,
+// which is held for the copy only. File I/O belongs to whoever holds
+// the flushing latch: the leader swaps buf for the spare under mu,
+// then writes and fsyncs with mu released, so appends keep landing
+// while the disk works and everything sealed under one swap is acked
+// together.
 type wal struct {
-	o    WALOptions
-	eng  *Sharded
-	logs []shardLog
+	o      WALOptions
+	eng    *Sharded
+	snapAt int64 // open-segment size that triggers a checkpoint: SnapshotBytes per shard
 
 	// failed is the sticky first error; once set the engine is
 	// poisoned (see WALError).
 	failed atomic.Pointer[WALError]
 	closed atomic.Bool
 
-	snapPending []atomic.Bool
-	snapC       chan int
-	stop        chan struct{}
-	done        chan struct{}
+	mu   sync.Mutex
+	cond sync.Cond
+
+	// buf holds encoded records not yet written to f. Every durability
+	// point (group-commit ack, interval/manual sync, rotation, clean
+	// close) writes it out first, so "fsynced" always means "buffered,
+	// written, and synced" — a crash loses the buffer exactly like it
+	// loses the OS page cache.
+	buf, spare []byte
+
+	f    WALFile
+	path string
+	gen  uint64
+	size int64 // the open segment's bytes on file plus its share of buf
+
+	// seq numbers appended records; flushed is the highest seq handed to
+	// the file, durable the highest known to be on stable storage. The
+	// flushing latch's holder alone touches f and moves flushed and
+	// durable; everyone else waits on cond.
+	seq, flushed, durable uint64
+	flushing              bool
+
+	ckMu  sync.Mutex    // one checkpoint at a time (background loop vs Snapshot)
+	snapC chan struct{} // size-trigger token for the checkpoint loop
+	stop  chan struct{}
+	bg    sync.WaitGroup
 
 	rec RecoveryStats
 }
 
 // poison records the engine's first fatal log error and wakes every
-// group-commit waiter on l so no writer blocks on a durability
-// watermark that will never advance.
-func (w *wal) poison(l *shardLog, op, path string, err error) {
-	we := &WALError{Op: op, Path: path, Err: err}
-	w.failed.CompareAndSwap(nil, we)
+// group-commit waiter so no writer blocks on a durability watermark
+// that will never advance. Callers hold mu.
+func (w *wal) poison(op, path string, err error) {
+	w.failed.CompareAndSwap(nil, &WALError{Op: op, Path: path, Err: err})
 	walErrors.Inc()
-	if l != nil {
-		l.cond.Broadcast()
-	}
+	w.cond.Broadcast()
 }
 
-// append encodes and writes one record to shard si's segment. It must
-// run under that shard's mutex — the same critical section as the
-// table mutation — so the log replays in table order. Returns the
-// record's seq (0 when the log is poisoned or closed and nothing was
-// appended).
-func (w *wal) append(si int, key string, e Entry, purge bool) uint64 {
-	l := &w.logs[si]
-	l.mu.Lock()
+// append encodes one record into the shared log buffer, under the
+// key's shard mutex (see logAndUnlock). Returns the record's seq (0
+// when the log is poisoned or closed and nothing was appended).
+func (w *wal) append(key string, e Entry, purge bool) uint64 {
+	w.mu.Lock()
 	if w.failed.Load() != nil {
-		l.mu.Unlock()
+		w.mu.Unlock()
 		return 0
 	}
 	if w.closed.Load() {
-		w.poison(l, "write", l.path, errWALClosed)
-		l.mu.Unlock()
+		w.poison("write", w.path, errWALClosed)
+		w.mu.Unlock()
 		return 0
 	}
-	before := len(l.buf)
-	l.buf = appendRecord(l.buf, key, e, purge)
-	n := len(l.buf) - before
-	l.size += int64(n)
-	l.seq++
-	seq := l.seq
-	l.dirty = true
-	l.pendAppends++
-	l.pendBytes += uint64(n)
-	if len(l.buf) >= walFlushBytes {
-		w.flushBuf(l)
-		if w.failed.Load() != nil {
-			l.mu.Unlock()
-			return 0
-		}
+	before := len(w.buf)
+	w.buf = appendRecord(w.buf, key, e, purge)
+	w.size += int64(len(w.buf) - before)
+	w.seq++
+	seq, size := w.seq, w.size
+	if len(w.buf) >= walFlushBytes && !w.flushing {
+		w.flushLocked(false)
 	}
-	size := l.size
-	l.mu.Unlock()
-	if size >= w.o.SnapshotBytes && !w.snapPending[si].Swap(true) {
+	w.mu.Unlock()
+	if size >= w.snapAt {
 		select {
-		case w.snapC <- si:
-		default:
-			w.snapPending[si].Store(false)
+		case w.snapC <- struct{}{}:
+		default: // a checkpoint is already due
 		}
 	}
 	return seq
 }
 
-// flushBuf writes shard log l's buffered records to its segment file.
-// The caller holds l.mu. A write error — a short write included, which
-// leaves a torn frame recovery will truncate — poisons the engine; the
-// buffer is consumed either way.
-func (w *wal) flushBuf(l *shardLog) {
-	if l.pendAppends > 0 {
-		walAppends.Add(l.pendAppends)
-		walAppendBytes.Add(l.pendBytes)
-		l.pendAppends, l.pendBytes = 0, 0
-	}
-	if len(l.buf) == 0 || w.failed.Load() != nil {
-		return
-	}
-	n, err := l.f.Write(l.buf)
-	if err == nil && n < len(l.buf) {
-		err = io.ErrShortWrite
-	}
-	l.buf = l.buf[:0]
-	if err != nil {
-		w.poison(l, "write", l.path, err)
-	}
-}
+// flushLocked is the leader's turn: it writes the buffered records to
+// the open segment and, when sync is set, fsyncs it. The caller holds
+// mu with the latch free and the engine healthy; mu is released for
+// the file I/O and held again on return. An error — a short write
+// included, which leaves a torn frame recovery will truncate — poisons
+// the engine; the buffer is consumed either way.
+func (w *wal) flushLocked(sync bool) {
+	w.flushing = true
+	b, sealed, f := w.buf, w.seq, w.f
+	w.buf = w.spare[:0]
+	appends := sealed - w.flushed
+	w.flushed = sealed
+	w.mu.Unlock()
 
-// ack blocks until record seq of shard si is durable — only under
-// FsyncAlways; the other policies return immediately. It runs after
-// the shard mutex is released, so concurrent writers batch into one
-// group commit: the first to arrive becomes the fsync leader, seals
-// everything appended so far, and its Sync covers every waiter whose
-// seq is under the seal.
-func (w *wal) ack(si int, seq uint64) {
-	if w.o.Fsync != FsyncAlways || seq == 0 {
-		return
+	op, err := "write", error(nil)
+	if len(b) > 0 {
+		walAppends.Add(appends)
+		walAppendBytes.Add(uint64(len(b)))
+		err = writeFull(f, b)
 	}
-	l := &w.logs[si]
-	l.mu.Lock()
-	for w.failed.Load() == nil && l.durable < seq {
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		// The leader's flush covers every record under the seal: waiters
-		// appended to the buffer, and durable may only pass their seq
-		// once those bytes are in the file and synced.
-		w.flushBuf(l)
-		if w.failed.Load() != nil {
-			l.syncing = false
-			l.cond.Broadcast()
-			break
-		}
-		sealed, f := l.seq, l.f
-		l.mu.Unlock()
+	if err == nil && sync {
+		op = "sync"
 		start := obs.StartTimer()
-		err := f.Sync()
+		err = f.Sync()
 		walFsyncLatency.ObserveSince(start)
 		walFsyncs.Inc()
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil {
-			w.poison(l, "sync", l.path, err)
-		} else if sealed > l.durable {
-			l.durable = sealed
-		}
-		l.cond.Broadcast()
 	}
-	l.mu.Unlock()
-}
 
-// syncLog forces shard log l to stable storage (the FsyncInterval
-// ticker's worker, and the body of the manual Sync barrier). It
-// respects the group-commit leader latch so it never races a
-// same-file fsync or a rotation.
-func (w *wal) syncLog(l *shardLog) {
-	l.mu.Lock()
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if w.failed.Load() != nil || !l.dirty {
-		l.mu.Unlock()
-		return
-	}
-	l.syncing = true
-	w.flushBuf(l)
-	if w.failed.Load() != nil {
-		l.syncing = false
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return
-	}
-	sealed, f := l.seq, l.f
-	l.dirty = false
-	l.mu.Unlock()
-	start := obs.StartTimer()
-	err := f.Sync()
-	walFsyncLatency.ObserveSince(start)
-	walFsyncs.Inc()
-	l.mu.Lock()
-	l.syncing = false
+	w.mu.Lock()
+	w.spare = b[:0]
+	w.flushing = false
 	if err != nil {
-		w.poison(l, "sync", l.path, err)
-	} else if sealed > l.durable {
-		l.durable = sealed
+		w.poison(op, w.path, err)
+	} else if sync {
+		w.durable = sealed
 	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	w.cond.Broadcast()
 }
 
-// run is the engine's background persistence loop: interval fsyncs
-// (when the policy asks for them) and snapshot-triggered rotations.
-func (w *wal) run() {
-	defer close(w.done)
-	var tickC <-chan time.Time
-	if w.o.Fsync == FsyncInterval {
-		t := time.NewTicker(w.o.Interval)
-		defer t.Stop()
-		tickC = t.C
+// ack runs after the shard mutex is released and, under FsyncAlways,
+// blocks until record seq is durable: concurrent writers on any shards
+// batch into one group commit, led by whichever arrives first.
+func (w *wal) ack(seq uint64) {
+	if w.o.Fsync == FsyncAlways {
+		w.waitDurable(seq)
 	}
-	for {
-		select {
-		case <-w.stop:
-			return
-		case si := <-w.snapC:
-			w.snapshotShard(si)
-			w.snapPending[si].Store(false)
-		case <-tickC:
-			for i := range w.logs {
-				w.syncLog(&w.logs[i])
+}
+
+// sync forces everything appended so far to stable storage (interval
+// tick, manual Sync barrier, clean close): at most one fsync a call.
+func (w *wal) sync() {
+	w.mu.Lock()
+	seq := w.seq
+	w.mu.Unlock()
+	w.waitDurable(seq)
+}
+
+// waitDurable returns once record seq is on stable storage (or the
+// engine poisoned), leading a flush itself unless one in flight does it.
+func (w *wal) waitDurable(seq uint64) {
+	w.mu.Lock()
+	for w.failed.Load() == nil && w.durable < seq {
+		if w.flushing {
+			w.cond.Wait()
+			continue
+		}
+		w.flushLocked(true)
+	}
+	w.mu.Unlock()
+}
+
+// start launches the background loops: interval fsyncs (policy
+// permitting) and size-triggered checkpoints — separate goroutines, so
+// the fsync cadence, which bounds what a crash can lose, never stalls
+// behind a checkpoint streaming the whole engine to disk.
+func (w *wal) start() {
+	if w.o.Fsync == FsyncInterval {
+		loop(w, time.NewTicker(w.o.Interval).C, w.sync)
+	}
+	loop(w, w.snapC, func() { w.checkpoint(w.snapAt) })
+}
+
+// loop runs fn for every value on c until the log is closed.
+func loop[T any](w *wal, c <-chan T, fn func()) {
+	w.bg.Add(1)
+	go func() {
+		defer w.bg.Done()
+		for {
+			select {
+			case <-w.stop:
+				return
+			case <-c:
+				fn()
 			}
 		}
-	}
+	}()
 }
 
-// close stops the background loop and closes every segment; sync
-// forces a final flush first (false simulates a crash: buffered OS
-// state is simply abandoned, which the crash tests pair with
-// test-side truncation).
+// close stops the background loops and closes the segment; sync forces
+// a final flush first (false simulates a crash: buffered state is
+// abandoned, which the crash tests pair with test-side truncation).
 func (w *wal) close(sync bool) error {
 	if w.closed.Swap(true) {
 		return w.errOrNil()
 	}
 	close(w.stop)
-	<-w.done
-	for i := range w.logs {
-		l := &w.logs[i]
-		l.mu.Lock()
-		for l.syncing {
-			l.cond.Wait()
-		}
-		if sync && w.failed.Load() == nil {
-			w.flushBuf(l)
-		}
-		if sync && w.failed.Load() == nil {
-			if err := l.f.Sync(); err != nil {
-				w.poison(l, "sync", l.path, err)
-			} else {
-				l.durable = l.seq
-				l.dirty = false
-			}
-		}
-		// On a crash-style close the buffer is simply dropped — the
-		// records in it were never acked durable.
-		l.buf = nil
-		l.f.Close()
-		l.cond.Broadcast()
-		l.mu.Unlock()
+	w.bg.Wait()
+	if sync {
+		w.sync()
 	}
+	w.mu.Lock()
+	for w.flushing {
+		w.cond.Wait()
+	}
+	w.buf, w.spare = nil, nil // crash-style: never acked durable
+	w.f.Close()
+	w.mu.Unlock()
 	return w.errOrNil()
 }
 
@@ -534,35 +543,40 @@ func (w *wal) errOrNil() error {
 
 // Path helpers.
 
-func (w *wal) segPath(si int, gen uint64) string {
-	return filepath.Join(w.o.Dir, fmt.Sprintf("s%d.wal.%d", si, gen))
+func (w *wal) segPath(gen uint64) string {
+	return filepath.Join(w.o.Dir, fmt.Sprintf("wal.%d", gen))
 }
 
-func (w *wal) snapPath(si int, gen uint64) string {
-	return filepath.Join(w.o.Dir, fmt.Sprintf("s%d.snap.%d", si, gen))
+func (w *wal) snapPath(gen uint64) string {
+	return filepath.Join(w.o.Dir, fmt.Sprintf("snap.%d", gen))
 }
 
 // createSegment opens a fresh segment for appending and writes its
 // magic. The directory is fsynced so the new name survives a crash
 // alongside any record fsynced into it.
-func (w *wal) createSegment(si int, gen uint64) (WALFile, string, error) {
-	path := w.segPath(si, gen)
+func (w *wal) createSegment(gen uint64) (WALFile, string, error) {
+	path := w.segPath(gen)
 	f, err := w.o.OpenFile(path)
 	if err != nil {
 		return nil, path, err
 	}
-	if n, err := f.Write([]byte(walMagic)); err != nil || n < magicLen {
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		f.Close()
-		return nil, path, err
+	if err = writeFull(f, []byte(walMagic)); err == nil {
+		err = syncDir(w.o.Dir)
 	}
-	if err := syncDir(w.o.Dir); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, path, err
 	}
 	return f, path, nil
+}
+
+// writeFull is Write with a short count turned into an error.
+func writeFull(f io.Writer, b []byte) error {
+	n, err := f.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so renames and creates inside it are
@@ -591,21 +605,18 @@ func (s *Sharded) Err() error {
 	return s.wal.errOrNil()
 }
 
-// Sync forces every shard's log to stable storage — a manual
-// durability barrier for any fsync policy — and returns the engine's
-// sticky error state.
+// Sync forces the log to stable storage — a manual durability barrier
+// for any fsync policy — and returns the engine's sticky error state.
 func (s *Sharded) Sync() error {
 	if s.wal == nil {
 		return nil
 	}
-	for i := range s.wal.logs {
-		s.wal.syncLog(&s.wal.logs[i])
-	}
+	s.wal.sync()
 	return s.wal.errOrNil()
 }
 
-// Close flushes and closes the engine's logs and stops its background
-// persistence loop. A memory-only engine returns nil. The engine must
+// Close flushes and closes the engine's log and stops its background
+// persistence loops. A memory-only engine returns nil. The engine must
 // not be used after Close.
 func (s *Sharded) Close() error {
 	if s.wal == nil {

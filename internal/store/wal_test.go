@@ -7,10 +7,15 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"pdcedu/internal/obs"
 )
 
 // rawState snapshots an engine's raw entry space (tombstones included)
@@ -56,19 +61,23 @@ func diffStates(t *testing.T, label string, got, want map[string]Entry) {
 	t.Fatalf("%s: states differ (got %d keys, want %d)", label, len(got), len(want))
 }
 
+// codecCases are the record shapes the codec test round-trips and the
+// fuzz targets start from.
+var codecCases = []struct {
+	key   string
+	e     Entry
+	purge bool
+}{
+	{"k", Entry{Value: []byte("v"), Version: 1}, false},
+	{"", Entry{Value: nil, Version: 42, ExpireAt: 12345}, false},
+	{"empty-value", Entry{Version: 7}, false},
+	{"tomb", Entry{Version: 9, Tombstone: true, ExpireAt: 99}, false},
+	{"purged", Entry{}, true},
+	{string(bytes.Repeat([]byte("K"), 300)), Entry{Value: bytes.Repeat([]byte("V"), 4096), Version: 1 << 60}, false},
+}
+
 func TestWALRecordCodec(t *testing.T) {
-	cases := []struct {
-		key   string
-		e     Entry
-		purge bool
-	}{
-		{"k", Entry{Value: []byte("v"), Version: 1}, false},
-		{"", Entry{Value: nil, Version: 42, ExpireAt: 12345}, false},
-		{"empty-value", Entry{Version: 7}, false},
-		{"tomb", Entry{Version: 9, Tombstone: true, ExpireAt: 99}, false},
-		{"purged", Entry{}, true},
-		{string(bytes.Repeat([]byte("K"), 300)), Entry{Value: bytes.Repeat([]byte("V"), 4096), Version: 1 << 60}, false},
-	}
+	cases := codecCases
 	for i, c := range cases {
 		rec := appendRecord(nil, c.key, c.e, c.purge)
 		key, e, purge, n, err := decodeRecord(rec)
@@ -375,6 +384,36 @@ func TestWALFaultInjection(t *testing.T) {
 		}
 	})
 
+	t.Run("rotation failure poisons", func(t *testing.T) {
+		dir := t.TempDir()
+		opener := func(path string) (WALFile, error) {
+			if !strings.HasSuffix(path, "wal.1") {
+				return nil, syscall.ENOSPC
+			}
+			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		}
+		s, err := OpenSharded(Options{Shards: 1, MerkleBuckets: 16}, WALOptions{Dir: dir, OpenFile: opener})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		s.Set("k", []byte("v"), 0)
+		pre := rawState(s)
+		err = s.Snapshot()
+		var we *WALError
+		if !errors.As(err, &we) || we.Op != "rotate" || !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("want sticky WALError{Op: rotate, ENOSPC}, got %v", err)
+		}
+		if s.Err() == nil || s.Close() == nil {
+			t.Fatal("rotation failure did not stick")
+		}
+		// The log was never swapped, so the directory still reopens;
+		// whether the one unsynced record made it depends on the tick.
+		r := reopenClean(t, dir)
+		if got := rawState(r); len(got) != 0 {
+			diffStates(t, "rotation failure reopen", got, pre)
+		}
+	})
+
 	t.Run("group commit failure is not half applied", func(t *testing.T) {
 		dir := t.TempDir()
 		s, fs, _ := openFault(t, dir, FsyncAlways, 0)
@@ -408,4 +447,135 @@ func TestWALFaultInjection(t *testing.T) {
 			}
 		}
 	})
+}
+
+// counter reads one process-global counter; tests take deltas because
+// the registry is shared by every engine in the package's tests.
+func counter(name string) int64 {
+	for _, m := range obs.Default().Snapshot().Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// TestWALOneLogOneFsync pins the layout: whatever the shard count, a
+// directory holds one open segment, and one Sync barrier after writes
+// on every shard is exactly one fsync.
+func TestWALOneLogOneFsync(t *testing.T) {
+	for _, shards := range []int{1, 8, 128} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			// FsyncNever: the barrier below is the only fsync there is.
+			s, err := OpenSharded(Options{Shards: shards, MerkleBuckets: 128},
+				WALOptions{Dir: dir, Fsync: FsyncNever})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer s.Close()
+			touched := map[*shard]bool{}
+			for i := 0; len(touched) < shards; i++ {
+				k := fmt.Sprintf("key-%d", i)
+				s.Set(k, []byte("v"), 0)
+				touched[s.shardFor(k)] = true
+			}
+			before := counter("store.wal.fsyncs")
+			if err := s.Sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			if d := counter("store.wal.fsyncs") - before; d != 1 {
+				t.Fatalf("one Sync over %d dirty shards issued %d fsyncs, want 1", shards, d)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatalf("second sync: %v", err)
+			}
+			if d := counter("store.wal.fsyncs") - before; d != 1 {
+				t.Fatalf("Sync of a clean log issued an fsync (%d total)", d)
+			}
+			des, _ := os.ReadDir(dir)
+			var names []string
+			for _, de := range des {
+				names = append(names, de.Name())
+			}
+			sort.Strings(names)
+			if want := []string{"WALMETA", "wal.1"}; !reflect.DeepEqual(names, want) {
+				t.Fatalf("data-dir holds %v, want %v", names, want)
+			}
+		})
+	}
+}
+
+// slowSyncFS is the WALFile seam with an fsync that takes long enough
+// for every concurrent writer to have appended behind the leader.
+type slowSyncFS struct{ syncs atomic.Int64 }
+
+type slowSyncFile struct {
+	*os.File
+	fs *slowSyncFS
+}
+
+func (fs *slowSyncFS) open(path string) (WALFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &slowSyncFile{File: f, fs: fs}, nil
+}
+
+func (f *slowSyncFile) Sync() error {
+	f.fs.syncs.Add(1)
+	time.Sleep(500 * time.Microsecond)
+	return f.File.Sync()
+}
+
+// TestWALGroupCommitAcrossShards: FsyncAlways writers that never touch
+// the same shard still share fsyncs — the commit group is the node,
+// not the shard.
+func TestWALGroupCommitAcrossShards(t *testing.T) {
+	const writers, per = 16, 40
+	fs := &slowSyncFS{}
+	dir := t.TempDir()
+	opts := Options{Shards: writers, MerkleBuckets: 64}
+	s, err := OpenSharded(opts, WALOptions{Dir: dir, Fsync: FsyncAlways, OpenFile: fs.open})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	// One key set per shard, so writer g only ever locks shard g.
+	keys := make([][]string, writers)
+	for i, filled := 0, 0; filled < writers; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		si := int(keyHash32(k) & s.mask)
+		if len(keys[si]) < per {
+			if keys[si] = append(keys[si], k); len(keys[si]) == per {
+				filled++
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(ks []string) {
+			defer wg.Done()
+			for _, k := range ks {
+				s.Set(k, []byte(k), 0)
+			}
+		}(keys[g])
+	}
+	wg.Wait()
+	if err := s.Err(); err != nil {
+		t.Fatalf("engine poisoned: %v", err)
+	}
+	if n := fs.syncs.Load(); n > writers*per/4 {
+		t.Fatalf("%d writes on %d disjoint shards cost %d fsyncs: writers are not sharing group commits", writers*per, writers, n)
+	}
+	// Every acked write is durable without a final flush.
+	want := rawState(s)
+	s.wal.close(false)
+	r, err := OpenSharded(opts, WALOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	diffStates(t, "cross-shard group commit", rawState(r), want)
 }

@@ -172,20 +172,16 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 		conf := st.conflicting(txn, mode)
 		switch lm.strategy {
 		case WoundWait:
-			// Older requester wounds younger holders.
-			wounded := false
+			// Older requester wounds younger holders (once each), then
+			// waits like everyone else: a wounded holder keeps its locks
+			// until it has rolled back, and older holders are waited on.
 			for _, h := range conf {
-				if lm.ts[txn] < lm.ts[h] {
+				if lm.ts[txn] < lm.ts[h] && !lm.aborted[h] {
 					lm.abortLocked(h)
 					lm.Wounds++
-					wounded = true
+					lm.cond.Broadcast() // the victim may itself be blocked in Acquire
 				}
 			}
-			if wounded {
-				lm.cond.Broadcast()
-				continue // re-check grant
-			}
-			// All conflicting holders are older: wait.
 		case WaitDie:
 			for _, h := range conf {
 				if lm.ts[txn] > lm.ts[h] {
@@ -229,13 +225,14 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 	}
 }
 
-// abortLocked marks a victim and strips its locks (the victim's own
-// goroutine observes ErrAborted at its next lock-manager interaction).
+// abortLocked marks a victim; the victim's own goroutine observes
+// ErrAborted at its next lock-manager interaction. The victim keeps
+// every lock it holds until its own ReleaseAll — strict 2PL: nobody
+// may read or overwrite its dirty writes before it has rolled them
+// back — so whoever chose it waits on the mark like any other waiter.
+// Only its waits-for edges go: an aborting transaction waits on nobody.
 func (lm *LockManager) abortLocked(victim int) {
 	lm.aborted[victim] = true
-	for _, st := range lm.locks {
-		delete(st.holders, victim)
-	}
 	delete(lm.waitsFor, victim)
 }
 

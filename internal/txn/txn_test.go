@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -55,8 +56,16 @@ func TestDeadlockDetectionResolves(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = lm.Acquire(1, "b", X) }()
-	go func() { defer wg.Done(); errs[1] = lm.Acquire(2, "a", X) }()
+	// A victim keeps its locks until it releases them itself (strict
+	// 2PL), so each side does what a transaction does on ErrAborted.
+	acquire := func(i, txn int, key string) {
+		defer wg.Done()
+		if errs[i] = lm.Acquire(txn, key, X); errs[i] == ErrAborted {
+			lm.ReleaseAll(txn)
+		}
+	}
+	go acquire(0, 1, "b")
+	go acquire(1, 2, "a")
 	wg.Wait()
 	aborted := 0
 	for _, err := range errs {
@@ -119,12 +128,25 @@ func TestWoundWaitOlderWounds(t *testing.T) {
 	if err := lm.Acquire(2, "x", X); err != nil {
 		t.Fatal(err)
 	}
-	// Older transaction wounds the younger holder and proceeds.
-	if err := lm.Acquire(1, "x", X); err != nil {
-		t.Fatalf("older requester should win: %v", err)
+	// The older transaction wounds the younger holder, but is granted
+	// the lock only once the victim has released it: until then the
+	// victim's dirty writes are still in place.
+	granted := make(chan error, 1)
+	go func() { granted <- lm.Acquire(1, "x", X) }()
+	for !lm.Aborted(2) {
+		runtime.Gosched()
 	}
-	if !lm.Aborted(2) {
-		t.Error("younger holder not wounded")
+	if m, ok := lm.HoldsLock(2, "x"); !ok || m != X {
+		t.Fatal("wounded holder lost its lock before releasing it")
+	}
+	select {
+	case err := <-granted:
+		t.Fatalf("older requester granted over a victim that has not rolled back (err %v)", err)
+	default:
+	}
+	lm.ReleaseAll(2)
+	if err := <-granted; err != nil {
+		t.Fatalf("older requester should win: %v", err)
 	}
 	if lm.Wounds != 1 {
 		t.Errorf("Wounds = %d, want 1", lm.Wounds)

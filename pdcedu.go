@@ -20,11 +20,12 @@
 // over its entries — the csnet KV handler, the dist cluster's
 // backends, and the txn transactional store all share it (see the
 // README "Storage engine" section). The engine is durable on demand:
-// opened on a directory it appends every write to a per-shard
-// CRC-framed write-ahead log (group-commit fsync batching under a
-// configurable always/interval/never policy) and periodically rotates
-// each log into an atomic snapshot, so a restarted node replays its
-// snapshot plus log tail locally — truncating any torn crash tail —
+// opened on a directory it appends every write to one CRC-framed
+// write-ahead log shared by all shards (one group-commit fsync for the
+// whole node under a configurable always/interval/never policy) and
+// periodically rotates it under an atomic checkpoint, so a restarted
+// node replays checkpoint plus log tail locally — truncating any torn
+// crash tail —
 // and then catches up on only the divergence window through the
 // Merkle anti-entropy exchange instead of re-streaming its keyspace
 // (see cmd/distnode's -data-dir and the README "Durability" section). The dist substrate is the
