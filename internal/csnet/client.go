@@ -294,17 +294,24 @@ func (c *Client) DelV(key string, version uint64) (winner uint64, applied bool, 
 	}
 }
 
-// Merge applies a full replicated entry (value or tombstone) iff it is
-// newer than the server's resident one. Tombstones keep their ExpireAt
-// on the wire: an expiry tombstone must reach the replica with its
-// expiry, or the replica would GC it on the wrong horizon.
-func (c *Client) Merge(key string, e store.Entry) (winner uint64, applied bool, err error) {
-	req := Request{Op: OpMerge, Key: key, Value: e.Value, Version: e.Version, ExpireAt: e.ExpireAt}
+// MergeRequest builds the OpMerge request that carries a full
+// replicated entry (value or tombstone) under trace context tr.
+// Tombstones keep their ExpireAt on the wire: an expiry tombstone must
+// reach the replica with its expiry, or the replica would GC it on the
+// wrong horizon.
+func MergeRequest(key string, e store.Entry, tr trace.Context) Request {
+	req := Request{Op: OpMerge, Key: key, Value: e.Value, Version: e.Version, ExpireAt: e.ExpireAt, Trace: tr}
 	if e.Tombstone {
 		req.Flags |= FlagTombstone
 		req.Value = nil
 	}
-	resp, err := c.Send(req).ResponseV()
+	return req
+}
+
+// Merge applies a full replicated entry (value or tombstone) iff it is
+// newer than the server's resident one.
+func (c *Client) Merge(key string, e store.Entry) (winner uint64, applied bool, err error) {
+	resp, err := c.Send(MergeRequest(key, e, trace.Context{})).ResponseV()
 	if err != nil {
 		return 0, false, err
 	}

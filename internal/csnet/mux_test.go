@@ -158,8 +158,19 @@ func TestMuxPoisonFailsAllPending(t *testing.T) {
 	for i := range pendings {
 		pendings[i] = cl.SendFrame([]byte("x"))
 	}
+	// Shutdown closes the connections and then waits for the handlers:
+	// release them only after the client has seen the close, so no
+	// reply can slip out ahead of the poison.
+	done := make(chan struct{})
+	go func() {
+		srv.Shutdown()
+		close(done)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); !cl.Broken() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(block)
-	srv.Shutdown()
+	<-done
 	for i, p := range pendings {
 		if _, err := p.Wait(); err == nil {
 			t.Fatalf("request %d succeeded after server shutdown", i)

@@ -104,7 +104,7 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 		distM.aePassLatency.ObserveSince(start)
 	}()
 
-	ctx, root := c.startAE("rebalance")
+	ctx, root := c.startOp(trace.KindAE, "rebalance")
 	defer func() {
 		root.S.Err = err != nil
 		root.Finish()
@@ -427,35 +427,15 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 		}
 	}
 
-	type mergeCall struct {
-		call *csnet.Call
-		sp   trace.Active
-	}
-	var copies []mergeCall
-	merge := func(target int, key string, e store.Entry) {
-		// A streamed winner is newer state this coordinator may never
-		// have read — written through a peer coordinator — so the cache
-		// must not keep serving anything older.
-		c.cacheSupersede(key, e.Version)
-		// Each repair merge is a child span of the pass: a waterfall of a
-		// slow pass shows exactly which owners were converged and at what
-		// cost per stream.
-		sp := c.tracer.StartSpan(ctx, trace.KindAE, "MERGE")
-		if sp.Live() {
-			sp.S.Peer = c.pools[target].addr
-		}
-		req := csnet.Request{Op: csnet.OpMerge, Key: key, Value: e.Value, Version: e.Version, ExpireAt: e.ExpireAt, Trace: sp.Context()}
-		if e.Tombstone {
-			req.Flags |= csnet.FlagTombstone
-			req.Value = nil
-		}
-		copies = append(copies, mergeCall{call: clients[target].Send(req), sp: sp})
-	}
+	// Each repair merge is a child span of the pass: a waterfall of a
+	// slow pass shows exactly which owners were converged and at what
+	// cost per stream.
+	mb := mergeBurst{c: c, kind: trace.KindAE, op: "MERGE"}
 	// Tombstones need no source read: the listing carries everything
 	// (version and — for expiry tombstones — the expiry for GC aging).
 	for _, j := range tombs {
 		for _, t := range j.targets {
-			merge(t, j.key, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
+			mb.send(ctx, clients[t], t, j.key, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
 		}
 	}
 	// Plain value winners: one pipelined GetV burst per source backend.
@@ -476,7 +456,7 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 			}
 			c.clock.Observe(resp.Version)
 			for _, t := range j.targets {
-				merge(t, j.key, store.Entry{Value: resp.Value, Version: resp.Version, ExpireAt: resp.ExpireAt})
+				mb.send(ctx, clients[t], t, j.key, entryOf(resp))
 			}
 		}
 	}
@@ -502,7 +482,7 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 				continue
 			}
 			c.clock.Observe(resp.Version)
-			e := store.Entry{Value: resp.Value, Version: resp.Version, ExpireAt: resp.ExpireAt}
+			e := entryOf(resp)
 			if !have || e.Wins(best) {
 				best, have = e, true
 			}
@@ -511,16 +491,8 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 			continue // all holders vanished mid-pass; next pass converges
 		}
 		for _, t := range j.targets {
-			merge(t, j.key, best)
+			mb.send(ctx, clients[t], t, j.key, best)
 		}
 	}
-	for _, mc := range copies {
-		resp, rerr := mc.call.ResponseV()
-		if rerr == nil && resp.Status == csnet.StatusOK {
-			copied++
-		}
-		mc.sp.S.Err = rerr != nil
-		mc.sp.Finish()
-	}
-	return copied
+	return mb.collect(nil)
 }

@@ -9,6 +9,7 @@ import (
 	"pdcedu/internal/csnet"
 	"pdcedu/internal/member"
 	"pdcedu/internal/obs"
+	"pdcedu/internal/store"
 	"pdcedu/internal/trace"
 )
 
@@ -55,6 +56,9 @@ func (e *PartialWriteError) Unwrap() []error {
 
 // Error implements error.
 func (e *PartialWriteError) Error() string {
+	if len(e.Replicas) == 0 {
+		return noLiveErr(e.Op, e.Key).Error()
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "dist: cluster %s %q: %d/%d acks (quorum %d)",
 		e.Op, e.Key, len(e.Acked), len(e.Replicas), e.Quorum)
@@ -93,11 +97,8 @@ const maxHintsPerNode = 8192
 // its merge by version instead of needing to be prevented, and the
 // version-aware rebalancer converges whatever the hints missed.
 type hintEntry struct {
-	val []byte
-	ver uint64
-	exp int64 // ExpireAt of a TTL'd write, so a replayed hint stays mortal
-	del bool
-	tr  trace.Context // trace of the write that queued the hint, so the replay joins it
+	e  store.Entry   // value or tombstone, with the ExpireAt that keeps a replayed TTL'd write mortal
+	tr trace.Context // trace of the write that queued the hint, so the replay joins it
 }
 
 // hintLocked queues e for backend b under key, superseding a queued
@@ -115,7 +116,7 @@ func (c *Cluster) hintLocked(b int, key string, e hintEntry) {
 		distM.hintsDropped.Inc()
 		return
 	}
-	if queued && cur.ver > e.ver {
+	if queued && cur.e.Version > e.e.Version {
 		return
 	}
 	if !queued {
@@ -130,7 +131,7 @@ func (c *Cluster) hintLocked(b int, key string, e hintEntry) {
 // quorum confirmation re-installs the servable entry at this same
 // version, replacing the floor).
 func (c *Cluster) hint(b int, key string, e hintEntry) {
-	c.cacheSupersede(key, e.ver)
+	c.cacheSupersede(key, e.e.Version)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hintLocked(b, key, e)
@@ -184,49 +185,24 @@ func (c *Cluster) replayHints(b int) int {
 		}
 		return 0
 	}
-	type hintCall struct {
-		call *csnet.Call
-		sp   trace.Active
-	}
-	calls := make(map[string]hintCall, len(pending))
-	for k, e := range pending {
-		// A hint carries the trace of the write that queued it; the
-		// replay merge joins that trace as a hint span, so a waterfall
-		// shows the write completing on the recovered backend.
-		sp := c.tracer.StartSpan(e.tr, trace.KindHint, "replay")
-		if sp.Live() {
-			sp.S.Peer = c.pools[b].addr
-		}
-		req := csnet.Request{Op: csnet.OpMerge, Key: k, Value: e.val, Version: e.ver, ExpireAt: e.exp, Trace: sp.Context()}
-		if e.del {
-			req.Flags |= csnet.FlagTombstone
-			req.Value = nil
-		}
-		calls[k] = hintCall{call: cl.Send(req), sp: sp}
+	// A hint carries the trace of the write that queued it; the replay
+	// merge joins that trace as a hint span, so a waterfall shows the
+	// write completing on the recovered backend.
+	mb := mergeBurst{c: c, kind: trace.KindHint, op: "replay"}
+	for k, h := range pending {
+		mb.send(h.tr, cl, b, k, h.e)
 	}
 	delivered := 0
-	for k, hc := range calls {
-		resp, err := hc.call.ResponseV()
-		ok := err == nil && (resp.Status == csnet.StatusOK || resp.Status == csnet.StatusExists)
-		if !ok {
+	mb.collect(func(k string, resident uint64, err error) {
+		if err != nil {
 			c.hintIfAbsent(b, k, pending[k])
-			hc.sp.S.Err = true
-			hc.sp.Finish()
-			continue
+			return
 		}
-		c.clock.Observe(resp.Version) // an Exists reply carries the newer resident version
-		// A replay landing (or finding the replica already newer) is a
-		// write-path event: supersede the cache at whichever version is
-		// higher — the hint's own, or the newer resident an Exists reply
-		// reported.
-		if v := resp.Version; v >= pending[k].ver {
-			c.cacheSupersede(k, v)
-		} else {
-			c.cacheSupersede(k, pending[k].ver)
-		}
-		hc.sp.Finish()
+		// An Exists reply reports a resident newer than the hint the
+		// send already superseded the cache at: supersede there too.
+		c.cacheSupersede(k, resident)
 		delivered++
-	}
+	})
 	if delivered > 0 {
 		distM.hintsReplayed.Add(uint64(delivered))
 	}
@@ -409,7 +385,7 @@ func (c *Cluster) RebalanceListings() (copied int, err error) {
 	defer c.rebalanceMu.Unlock()
 	defer distM.aePassLatency.ObserveSince(obs.StartTimer())
 	distM.aeListingPasses.Inc()
-	ctx, root := c.startAE("rebalance-listings")
+	ctx, root := c.startOp(trace.KindAE, "rebalance-listings")
 	copied, err = c.rebalanceListings(ctx)
 	root.S.Err = err != nil
 	root.Finish()
@@ -528,27 +504,13 @@ func (c *Cluster) rebalanceListings(ctx trace.Context) (copied int, err error) {
 			jobs[ks.holder] = append(jobs[ks.holder], j)
 		}
 	}
-	type mergeCall struct {
-		call *csnet.Call
-		sp   trace.Active
-	}
-	var copies []mergeCall
-	stream := func(t int, req csnet.Request) {
-		// An entry streamed to an owner is newer state the coordinator's
-		// cache may not have seen (another coordinator wrote it).
-		c.cacheSupersede(req.Key, req.Version)
-		sp := c.tracer.StartSpan(ctx, trace.KindAE, "MERGE")
-		if sp.Live() {
-			sp.S.Peer = c.pools[t].addr
-		}
-		req.Trace = sp.Context()
-		copies = append(copies, mergeCall{call: clients[t].Send(req), sp: sp})
-	}
+	// Every streamed entry goes through one merge burst (which also
+	// supersedes the coordinator's cache: another coordinator may have
+	// written what is being streamed).
+	mb := mergeBurst{c: c, kind: trace.KindAE, op: "MERGE"}
 	for _, j := range tombs {
 		for _, t := range j.targets {
-			stream(t, csnet.Request{
-				Op: csnet.OpMerge, Key: j.key, Version: j.top, Flags: csnet.FlagTombstone,
-			})
+			mb.send(ctx, clients[t], t, j.key, store.Entry{Version: j.top, Tombstone: true})
 		}
 	}
 	for src, list := range jobs {
@@ -570,17 +532,9 @@ func (c *Cluster) rebalanceListings(ctx trace.Context) (copied int, err error) {
 			// least that new, and carrying ExpireAt keeps a TTL'd entry
 			// mortal on the targets too.
 			for _, t := range j.targets {
-				stream(t, csnet.Request{Op: csnet.OpMerge, Key: j.key, Value: resp.Value, Version: resp.Version, ExpireAt: resp.ExpireAt})
+				mb.send(ctx, clients[t], t, j.key, entryOf(resp))
 			}
 		}
 	}
-	for _, mc := range copies {
-		resp, rerr := mc.call.ResponseV()
-		if rerr == nil && resp.Status == csnet.StatusOK {
-			copied++
-		}
-		mc.sp.S.Err = rerr != nil
-		mc.sp.Finish()
-	}
-	return copied, firstErr
+	return mb.collect(nil), firstErr
 }

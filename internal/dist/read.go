@@ -1,0 +1,265 @@
+package dist
+
+import (
+	"fmt"
+
+	"pdcedu/internal/csnet"
+	"pdcedu/internal/obs"
+	"pdcedu/internal/store"
+	"pdcedu/internal/trace"
+)
+
+// readPick returns the index into a key's n-element live replica set to
+// try first, consulting the Balancer when one is configured. The
+// returned release must be called when the read completes, so
+// load-aware strategies (least-loaded, power-of-two) see genuinely
+// in-flight requests rather than counters that zero out immediately.
+func (c *Cluster) readPick(key string, n int) (first int, release func()) {
+	if c.balancer == nil || n < 1 {
+		return 0, func() {}
+	}
+	pick := c.balancer.Pick(key)
+	return ((pick % n) + n) % n, func() { c.balancer.Done(pick) }
+}
+
+// cached consults the read cache for key on behalf of sess and books
+// the hit or the miss. An entry below the session's watermark is a
+// miss; a hit advances the watermark. A returned entry is servable: a
+// live value, or a tombstone to report as a definitive miss.
+func (c *Cluster) cached(key string, sess *Session) (store.Entry, bool) {
+	if c.cache == nil {
+		return store.Entry{}, false
+	}
+	if e, hit := c.cache.get(key, cacheNow()); hit && e.Version >= sess.Last() {
+		distM.cacheHits.Inc()
+		sess.Observe(e.Version)
+		return e, true
+	}
+	distM.cacheMiss.Inc()
+	return store.Entry{}, false
+}
+
+// Get reads key from its replica set with versioned reads (OpGetV).
+// The Balancer picks the replica to try first; on a miss the remaining
+// replicas are consulted, and when a later replica has the value,
+// read-repair merges it back to every replica that missed. A replica
+// that misses because it holds a tombstone reports the tombstone's
+// version: if that tombstone is newer than the value another replica
+// returns, the key is deleted — Get reports a miss and propagates the
+// tombstone to the stale holder instead of resurrecting the value. A
+// (nil, false, nil) return means no replica has a live copy.
+//
+// With a read cache configured (ClusterConfig.ReadCache) a servable
+// cached entry — a live value, or a cached tombstone reported as a
+// definitive miss — short-circuits the replica round entirely; reads
+// that do go to the replicas populate the cache with what they learn
+// (the winning entry, or the newest tombstone seen).
+func (c *Cluster) Get(key string) (value []byte, ok bool, err error) {
+	return c.getS(key, nil)
+}
+
+// GetS is Get bound to a read-your-writes Session: a cached entry is
+// served only when its version is at least the session's watermark, so
+// a session can never be handed a cached read older than its own
+// writes; the session then observes what it read, making session reads
+// monotonic too.
+func (c *Cluster) GetS(sess *Session, key string) (value []byte, ok bool, err error) {
+	return c.getS(key, sess)
+}
+
+func (c *Cluster) getS(key string, sess *Session) (value []byte, ok bool, err error) {
+	defer distM.latGet.ObserveSince(obs.StartTimer())
+	if e, hit := c.cached(key, sess); hit {
+		return e.Value, !e.Tombstone, nil
+	}
+	set := c.replicaSet(key)
+	if len(set) == 0 {
+		return nil, false, noLiveErr("get", key)
+	}
+	first, release := c.readPick(key, len(set))
+	defer release()
+	ctx, root := c.startOp(trace.KindOp, "get")
+	var w readWalk
+	value, ok, err = c.readFrom(ctx, key, sess, set, first, 0, &w)
+	root.S.Err = err != nil
+	root.Finish()
+	return value, ok, err
+}
+
+// readWalk is one key's read in progress across its replica set.
+type readWalk struct {
+	missed []int       // replicas that answered "not here"
+	tomb   store.Entry // newest tombstone among those misses (Version 0: none seen)
+	err    error       // the last replica that could not answer
+}
+
+// readFrom asks set's replicas one round trip at a time, in ring order
+// from the balancer's first pick and skipping the first from of them
+// (MGet has already heard from one), until one resolves the read. When
+// none does, the read is an error if any replica could not answer, and
+// otherwise a miss — cached as a tombstone when the newest miss was an
+// explicit delete, so polling a deleted key is as cheap as polling a
+// hot value.
+func (c *Cluster) readFrom(ctx trace.Context, key string, sess *Session, set []int, first, from int, w *readWalk) (value []byte, ok bool, err error) {
+	for i := from; i < len(set); i++ {
+		b := set[(first+i)%len(set)]
+		cl, err := c.pools[b].get()
+		if err != nil {
+			w.err = err
+			continue
+		}
+		sp := c.span(ctx, trace.KindRPC, "GETV", b)
+		call := cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
+		if value, ok, done := c.readStep(ctx, key, sess, w, b, call, &sp); done {
+			return value, ok, nil
+		}
+	}
+	if w.err != nil {
+		return nil, false, fmt.Errorf("dist: cluster get %q: %w", key, w.err)
+	}
+	if w.tomb.Version > 0 {
+		c.cache.put(key, w.tomb)
+		sess.Observe(w.tomb.Version)
+	}
+	return nil, false, nil
+}
+
+// entryOf lifts a versioned reply into the entry it carries.
+func entryOf(resp csnet.Response) store.Entry {
+	return store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&csnet.FlagTombstone != 0, ExpireAt: resp.ExpireAt}
+}
+
+// readStep waits for replica b's GETV reply, folds it into the walk,
+// and reports whether it resolved the read. A live value does: it is
+// repaired onto the replicas that missed — unless one of them reported
+// a tombstone at least as new (a tie goes to the tombstone, matching
+// Entry.Wins), in which case the value is the stale copy, the
+// tombstone is pushed at its holder, and the key reads as gone. A miss
+// or a failure moves the walk on.
+func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *readWalk, b int, call *csnet.Call, sp *trace.Active) (value []byte, ok, done bool) {
+	resp, err := call.ResponseV()
+	if err == nil && resp.Status != csnet.StatusOK && resp.Status != csnet.StatusNotFound {
+		err = statusErr(resp)
+	}
+	sp.S.Err = err != nil
+	sp.Finish()
+	if err != nil {
+		w.err = err
+		return nil, false, false
+	}
+	// Observe every version seen — misses included: a tombstone (or
+	// expired copy) this coordinator has read must order below its next
+	// write, or a Set issued after reading the delete could stamp under
+	// the tombstone and lose everywhere while reporting success.
+	c.clock.Observe(resp.Version)
+	e := entryOf(resp)
+	if resp.Status == csnet.StatusNotFound {
+		if e.Tombstone && e.Version > w.tomb.Version {
+			// Keep the tombstone's expiry too: an expiry tombstone
+			// repaired onto a peer without its ExpireAt would age from
+			// the (older) write time and could be GC'd before the peer's
+			// own copy had even expired — reopening the resurrection hole.
+			w.tomb = store.Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt}
+		}
+		w.missed = append(w.missed, b)
+		return nil, false, false
+	}
+	if w.tomb.Version >= e.Version {
+		e = w.tomb
+		c.readRepair(ctx, key, e, []int{b})
+	} else if len(w.missed) > 0 {
+		c.readRepair(ctx, key, e, w.missed)
+	}
+	c.cache.put(key, e)
+	sess.Observe(e.Version)
+	return e.Value, !e.Tombstone, true
+}
+
+// readRepair merges an entry onto replicas that returned a miss (or a
+// stale copy) as one merge burst riding the read's trace, so a
+// waterfall shows which replicas were backfilled (or tombstoned) and
+// what it cost. Failures are ignored: the next read retries.
+func (c *Cluster) readRepair(ctx trace.Context, key string, e store.Entry, missed []int) {
+	// The repair entry supersedes whatever the cache holds below it;
+	// the caller installs the same entry right after, replacing the
+	// floor with the servable copy.
+	c.cacheSupersede(key, e.Version)
+	distM.readRepairs.Add(uint64(len(missed)))
+	mb := mergeBurst{c: c, kind: trace.KindRepair, op: "MERGE"}
+	for _, b := range missed {
+		if cl, err := c.pools[b].get(); err == nil {
+			mb.send(ctx, cl, b, key, e)
+		}
+	}
+	mb.collect(nil)
+}
+
+// MGet reads many keys as one pipelined batch per backend: each key is
+// asked of its balancer-chosen first replica, and a key that misses or
+// fails there carries on through its remaining replicas exactly as Get
+// would (read-repair included) under the same trace. The result maps
+// each found key to its value; absent keys are simply not in the map.
+// A non-nil error reports the first key whose full replica set failed,
+// after the rest of the batch has completed.
+func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
+	defer distM.latMGet.ObserveSince(obs.StartTimer())
+	ctx, root := c.startOp(trace.KindOp, "mget")
+	defer root.Finish()
+	found := make(map[string][]byte, len(keys))
+	type probe struct {
+		key     string
+		set     []int
+		first   int
+		release func()
+		call    *csnet.Call // nil when the first replica had no connection
+		sp      trace.Active
+		err     error
+	}
+	probes := make([]probe, 0, len(keys))
+	var slots [inlineBackends]clientSlot
+	bc := c.batchClients(&slots)
+	var firstErr error
+	for _, key := range keys {
+		if e, hit := c.cached(key, nil); hit {
+			if !e.Tombstone {
+				found[key] = e.Value
+			}
+			continue
+		}
+		p := probe{key: key, set: c.replicaSet(key)}
+		if len(p.set) == 0 {
+			if firstErr == nil {
+				firstErr = noLiveErr("get", key)
+			}
+			continue
+		}
+		p.first, p.release = c.readPick(key, len(p.set))
+		b := p.set[p.first]
+		var cl *csnet.Client
+		if cl, p.err = bc.get(b); p.err == nil {
+			p.sp = c.span(ctx, trace.KindRPC, "GETV", b)
+			p.call = cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: p.sp.Context()})
+		}
+		probes = append(probes, p)
+	}
+	for i := range probes {
+		p := &probes[i]
+		w := readWalk{err: p.err}
+		var value []byte
+		var ok, done bool
+		if p.call != nil {
+			value, ok, done = c.readStep(ctx, p.key, nil, &w, p.set[p.first], p.call, &p.sp)
+		}
+		if !done {
+			var err error
+			if value, ok, err = c.readFrom(ctx, p.key, nil, p.set, p.first, 1, &w); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		p.release()
+		if ok {
+			found[p.key] = value
+		}
+	}
+	return found, firstErr
+}

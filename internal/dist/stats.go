@@ -94,62 +94,67 @@ var distM = func() *distMetrics {
 	}
 }()
 
-// ClusterStats fetches and merges the live metrics snapshots of every
-// reachable backend: one OpStats round per node over the existing
-// multiplexed connections, pipelined as a single burst, folded with
-// Snapshot.Merge into cluster-wide totals — counters add, histograms
-// add bucketwise, so the merged percentiles are computed over the
-// union of every node's samples, not averaged from per-node
-// percentiles. Backends that are marked down or fail the round trip
-// are skipped; the error reports the first failure, alongside
-// whatever the rest of the cluster answered.
-func (c *Cluster) ClusterStats() (obs.Snapshot, error) {
+// askLive puts req to every backend not marked down as one pipelined
+// burst over the existing multiplexed connections and hands each OK
+// reply's body to each. Backends that fail the round trip, answer
+// another status, or send a body each rejects are skipped; the error
+// reports the first such failure (as "cluster <what> on backend N"),
+// alongside whatever the rest of the cluster answered.
+func (c *Cluster) askLive(what string, req csnet.Request, each func(body []byte) error) error {
+	c.mu.Lock()
+	down := append([]bool(nil), c.down...)
+	c.mu.Unlock()
 	type sent struct {
 		call    *csnet.Call
 		backend int
 	}
-	c.mu.Lock()
-	down := make([]bool, len(c.down))
-	copy(down, c.down)
-	c.mu.Unlock()
 	calls := make([]sent, 0, len(c.pools))
 	var firstErr error
+	noteErr := func(b int, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("dist: cluster %s on backend %d: %w", what, b, err)
+		}
+	}
 	for b, p := range c.pools {
 		if down[b] {
 			continue
 		}
 		cl, err := p.get()
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dist: cluster stats on backend %d: %w", b, err)
-			}
+			noteErr(b, err)
 			continue
 		}
-		calls = append(calls, sent{cl.Send(csnet.Request{Op: csnet.OpStats}), b})
+		calls = append(calls, sent{cl.Send(req), b})
 	}
-	var merged obs.Snapshot
 	for _, s := range calls {
 		resp, err := s.call.Response()
+		if err == nil && resp.Status != csnet.StatusOK {
+			err = statusErr(resp)
+		}
+		if err == nil {
+			err = each(resp.Value)
+		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dist: cluster stats on backend %d: %w", s.backend, err)
-			}
-			continue
+			noteErr(s.backend, err)
 		}
-		if resp.Status != csnet.StatusOK {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dist: cluster stats on backend %d: status %s: %s", s.backend, resp.Status, resp.Value)
-			}
-			continue
-		}
-		snap, err := obs.DecodeSnapshot(resp.Value)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dist: cluster stats on backend %d: %w", s.backend, err)
-			}
-			continue
-		}
-		merged = merged.Merge(snap)
 	}
-	return merged, firstErr
+	return firstErr
+}
+
+// ClusterStats fetches and merges the live metrics snapshots of every
+// reachable backend: one OpStats round per node (see askLive), folded
+// with Snapshot.Merge into cluster-wide totals — counters add,
+// histograms add bucketwise, so the merged percentiles are computed
+// over the union of every node's samples, not averaged from per-node
+// percentiles.
+func (c *Cluster) ClusterStats() (obs.Snapshot, error) {
+	var merged obs.Snapshot
+	err := c.askLive("stats", csnet.Request{Op: csnet.OpStats}, func(body []byte) error {
+		snap, err := obs.DecodeSnapshot(body)
+		if err == nil {
+			merged = merged.Merge(snap)
+		}
+		return err
+	})
+	return merged, err
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"sort"
 
 	"pdcedu/internal/csnet"
@@ -9,57 +8,16 @@ import (
 )
 
 // collectSpans fans one OpTraces query out to every reachable backend
-// as a single pipelined burst — the same round discipline as
-// ClusterStats — and returns the union of their spans plus whatever
-// the coordinator's own recorder holds for the query. Backends that
-// are marked down or fail the round trip are skipped; the error
-// reports the first failure alongside what the rest answered.
+// (see askLive) and returns the union of their spans plus whatever the
+// coordinator's own recorder holds for the query.
 func (c *Cluster) collectSpans(mode byte, id uint64, local []trace.Span) ([]trace.Span, error) {
-	type sent struct {
-		call    *csnet.Call
-		backend int
-	}
-	c.mu.Lock()
-	down := make([]bool, len(c.down))
-	copy(down, c.down)
-	c.mu.Unlock()
-	calls := make([]sent, 0, len(c.pools))
-	var firstErr error
-	noteErr := func(b int, err error) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("dist: cluster traces on backend %d: %w", b, err)
-		}
-	}
-	for b, p := range c.pools {
-		if down[b] {
-			continue
-		}
-		cl, err := p.get()
-		if err != nil {
-			noteErr(b, err)
-			continue
-		}
-		calls = append(calls, sent{cl.Send(csnet.Request{Op: csnet.OpTraces, Value: csnet.EncodeTraceQuery(mode, id)}), b})
-	}
 	spans := append([]trace.Span(nil), local...)
-	for _, s := range calls {
-		resp, err := s.call.Response()
-		if err != nil {
-			noteErr(s.backend, err)
-			continue
-		}
-		if resp.Status != csnet.StatusOK {
-			noteErr(s.backend, fmt.Errorf("status %s: %s", resp.Status, resp.Value))
-			continue
-		}
-		got, err := trace.DecodeSpans(resp.Value)
-		if err != nil {
-			noteErr(s.backend, err)
-			continue
-		}
+	err := c.askLive("traces", csnet.Request{Op: csnet.OpTraces, Value: csnet.EncodeTraceQuery(mode, id)}, func(body []byte) error {
+		got, err := trace.DecodeSpans(body)
 		spans = append(spans, got...)
-	}
-	return spans, firstErr
+		return err
+	})
+	return spans, err
 }
 
 // ClusterTrace assembles the cross-node span tree of one trace: the
