@@ -1,42 +1,33 @@
-// distload is the cluster load rig: an open- or closed-loop workload
-// generator that drives the pipelined csnet mux — either through a
-// dist.Cluster coordinator (quorum reads/writes, optional hot-key
-// read cache) or raw against backend servers — and reports
-// coordinated-omission-safe latency percentiles.
+// distload is the operator's load tool: it offers a cluster a chosen
+// arrival schedule and reports what its users would have felt. It
+// drives the pipelined csnet mux — through a dist.Cluster coordinator
+// (quorum reads/writes, optional hot-key read cache) or raw against
+// backend servers — at live nodes (-addrs) or at in-process ones it
+// spawns (-spawn).
 //
-// Closed loop (-rate 0) measures service time and capacity: each
-// worker fires its next request when the previous one returns. Open
-// loop (-rate N) measures what users feel: requests arrive on a fixed
-// schedule and a stalled server is charged the queueing delay of every
-// request that arrived while it stalled, because latency is taken from
-// the slot's intended send time, not from when a worker got around to
-// it. Percentiles come from the same log-bucketed internal/obs
-// histograms the servers use.
+// Open loop (-rate N) is what it is for: requests arrive on a fixed
+// schedule and latency is taken from each slot's intended send time,
+// not from when a worker got around to it, so a stalled server is
+// charged the queueing delay of every request that arrived while it
+// stalled (coordinated-omission-safe). Closed loop (-rate 0) has each
+// worker fire its next request when the previous one returns.
+// Percentiles come from the same log-bucketed internal/obs histograms
+// the servers use.
 //
-// Typical runs:
-//
-//	distload -spawn 3 -rf 3 -read-cache 4096 -dist zipfian -read-pct 95
+//	distload -addrs 10.0.0.1:7070,10.0.0.2:7070,10.0.0.3:7070 -rate 20000
 //	distload -spawn 1 -mode raw -shed-queue 64 -shed-inflight 256 -rate 200000
-//	distload -suite bench -json BENCH_8.json   # acceptance suite
-//	distload -spawn 3 -ci -duration 30s        # CI smoke (exit 1 on failure)
+//	distload -spawn 3 -read-cache 4096 -ci -duration 30s   # CI smoke (exit 1 on failure)
 //
-// -suite bench runs the two acceptance phases end to end: Phase A
-// compares zipfian hot-key reads through a coordinator with and
-// without the read cache; Phase B calibrates one backend's closed-loop
-// capacity, then drives 2x that rate at a shedding server and at a
-// no-shed server, proving admission control keeps the p99 of served
-// requests bounded while the unprotected server's tail grows without
-// bound (or times out outright). Results merge into -json.
+// It is not the repository's benchmark: numbers to quote, with their
+// formulas and spread, come from bench/ (bash bench/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,9 +57,7 @@ type options struct {
 	timeout      time.Duration
 	preload      bool
 	name         string
-	jsonPath     string
 	ci           bool
-	suite        string
 	quiet        bool
 	load         loadConfig
 }
@@ -99,10 +88,8 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Second, "per-connection op timeout")
 	preload := fs.Bool("preload", true, "write every key once before measuring")
 	seed := fs.Int64("seed", 1, "workload RNG seed")
-	name := fs.String("name", "distload", "label for the report / JSON keys")
-	jsonPath := fs.String("json", "", "merge the report into this JSON file under its name")
+	name := fs.String("name", "distload", "label for the report")
 	ci := fs.Bool("ci", false, "smoke assertions: exit nonzero unless unexpected errors are 0 and (with -read-cache) cache hits are nonzero")
-	suite := fs.String("suite", "", "bench: run the acceptance suite (cache speedup + overload shedding) instead of a single run")
 	quiet := fs.Bool("quiet", false, "suppress the human-readable report")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -111,8 +98,8 @@ func run(args []string, out io.Writer) error {
 	opt := options{
 		spawn: *spawn, mode: *mode, rf: *rf, readCache: *readCache,
 		shedQueue: *shedQueue, shedInflight: *shedInflight, work: *work, conns: *conns,
-		timeout: *timeout, preload: *preload, name: *name, jsonPath: *jsonPath,
-		ci: *ci, suite: *suite, quiet: *quiet,
+		timeout: *timeout, preload: *preload, name: *name,
+		ci: *ci, quiet: *quiet,
 		load: loadConfig{
 			workers: *workers, rate: *rate, duration: *duration,
 			readPct: *readPct, dist: *distName, zipfS: *zipfS, zipfV: *zipfV,
@@ -126,24 +113,12 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if opt.suite == "bench" {
-		return runSuite(opt, out)
-	}
-	if opt.suite != "" {
-		return fmt.Errorf("unknown -suite %q (want bench)", opt.suite)
-	}
 	rep, err := runOnce(opt)
 	if err != nil {
 		return err
 	}
 	if !opt.quiet {
 		printReport(out, rep)
-	}
-	if opt.jsonPath != "" {
-		if err := mergeJSON(opt.jsonPath, map[string]any{opt.name: rep}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "merged %q into %s\n", opt.name, opt.jsonPath)
 	}
 	if opt.ci {
 		return ciCheck(rep, opt)
@@ -373,38 +348,3 @@ func printReport(out io.Writer, rep report) {
 }
 
 func ns(v uint64) string { return time.Duration(v).String() }
-
-// mergeJSON folds entries into the JSON object at path, preserving
-// keys already there (scripts/bench.sh writes the go-bench numbers
-// first; distload adds its suite results to the same artifact).
-func mergeJSON(path string, entries map[string]any) error {
-	m := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &m); err != nil {
-			return fmt.Errorf("merge %s: %w", path, err)
-		}
-	}
-	for k, v := range entries {
-		m[k] = v
-	}
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString("{\n")
-	for i, k := range names {
-		b, err := json.Marshal(m[k])
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(&sb, "  %q: %s", k, b)
-		if i != len(names)-1 {
-			sb.WriteByte(',')
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("}\n")
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}

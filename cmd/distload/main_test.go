@@ -2,44 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestMergeJSON checks that distload's report merge preserves keys an
-// earlier writer (scripts/bench.sh) put in the artifact and overwrites
-// only its own.
-func TestMergeJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"BenchmarkOld": {"ns_per_op": 42}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeJSON(path, map[string]any{"DistloadRun": report{Name: "a", Ops: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeJSON(path, map[string]any{"DistloadRun": report{Name: "b", Ops: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatalf("merged file is not valid JSON: %v\n%s", err, b)
-	}
-	if _, ok := m["BenchmarkOld"]; !ok {
-		t.Fatalf("merge dropped pre-existing key:\n%s", b)
-	}
-	var rep report
-	if err := json.Unmarshal(m["DistloadRun"], &rep); err != nil || rep.Name != "b" || rep.Ops != 2 {
-		t.Fatalf("merge did not overwrite its own key: %+v %v", rep, err)
-	}
-}
 
 // TestDistloadClusterSmoke runs the full CLI path against a spawned
 // 3-node cluster with the read cache on, in CI mode: the run must

@@ -25,8 +25,8 @@ type runner interface {
 }
 
 // errNotFound classifies a clean miss: it is not a failure, but the
-// report counts it separately so a suite can prove reads actually hit
-// populated keys.
+// report counts it separately to show reads actually hit populated
+// keys.
 var errNotFound = errors.New("distload: key not found")
 
 type clusterRunner struct{ gw *dist.Cluster }
@@ -154,54 +154,46 @@ type loadConfig struct {
 // from the request's intended send time on the fixed arrival
 // schedule, not from when a delayed worker finally issued it).
 type report struct {
-	Name       string  `json:"name,omitempty"`
-	Mode       string  `json:"mode"`
-	OpenLoop   bool    `json:"open_loop"`
-	RateTarget float64 `json:"rate_target_ops_s,omitempty"`
-	Seconds    float64 `json:"seconds"`
+	Name       string
+	Mode       string
+	OpenLoop   bool
+	RateTarget float64
+	Seconds    float64
 
-	Ops        uint64  `json:"ops"`
-	Reads      uint64  `json:"reads"`
-	Writes     uint64  `json:"writes"`
-	NotFound   uint64  `json:"not_found"`
-	Shed       uint64  `json:"shed"`
-	Retries    uint64  `json:"busy_retries"`
-	Timeouts   uint64  `json:"timeouts"`
-	Partials   uint64  `json:"partial_writes"`
-	Unexpected uint64  `json:"unexpected_errors"`
-	Throughput float64 `json:"throughput_ops_s"`
+	Ops        uint64
+	Reads      uint64
+	Writes     uint64
+	NotFound   uint64
+	Shed       uint64
+	Retries    uint64
+	Timeouts   uint64
+	Partials   uint64
+	Unexpected uint64
+	Throughput float64
 
-	ReadP50   uint64 `json:"read_p50_ns"`
-	ReadP99   uint64 `json:"read_p99_ns"`
-	ReadP999  uint64 `json:"read_p999_ns"`
-	ReadMax   uint64 `json:"read_max_ns"`
-	ReadMean  uint64 `json:"read_mean_ns"`
-	WriteP50  uint64 `json:"write_p50_ns"`
-	WriteP99  uint64 `json:"write_p99_ns"`
-	WriteP999 uint64 `json:"write_p999_ns"`
-	WriteMax  uint64 `json:"write_max_ns"`
+	ReadP50   uint64
+	ReadP99   uint64
+	ReadP999  uint64
+	ReadMax   uint64
+	ReadMean  uint64
+	WriteP50  uint64
+	WriteP99  uint64
+	WriteP999 uint64
+	WriteMax  uint64
 
 	// Service-time percentiles, measured from the moment the request
 	// actually hit the wire rather than from its intended slot time.
 	// Populated by the pipelined open-loop path; the gap between these
 	// and the CO-corrected numbers above is exactly the queueing delay
 	// coordinated omission would have hidden.
-	SvcReadP50 uint64 `json:"svc_read_p50_ns,omitempty"`
-	SvcReadP99 uint64 `json:"svc_read_p99_ns,omitempty"`
-	SvcReadMax uint64 `json:"svc_read_max_ns,omitempty"`
+	SvcReadP50 uint64
+	SvcReadP99 uint64
+	SvcReadMax uint64
 
-	CacheHits   uint64 `json:"cache_hits,omitempty"`
-	CacheMisses uint64 `json:"cache_misses,omitempty"`
-	CacheInvals uint64 `json:"cache_invalidations,omitempty"`
-	ServerShed  uint64 `json:"server_shed,omitempty"`
-}
-
-// p99 of all successful ops combined, for quick comparisons.
-func (r report) p99() uint64 {
-	if r.ReadP99 > r.WriteP99 {
-		return r.ReadP99
-	}
-	return r.WriteP99
+	CacheHits   uint64
+	CacheMisses uint64
+	CacheInvals uint64
+	ServerShed  uint64
 }
 
 type worker struct {

@@ -62,5 +62,5 @@ func main() {
 	}
 	_, err := tso.Read(t1, "acct0")
 	fmt.Printf("timestamp ordering: older read after younger write -> %v\n", err)
-	fmt.Printf("rejections so far: %d (aborted transactions restart with new timestamps)\n", tso.Rejections)
+	fmt.Printf("rejections so far: %d (a rejected transaction restarts with a new timestamp; the 2PL transfers above restart with their original one, so none starves)\n", tso.Rejections)
 }

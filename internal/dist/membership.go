@@ -363,12 +363,16 @@ func (c *Cluster) rebalanceLoop() {
 	}
 }
 
-// RebalanceListings is the pre-Merkle converger, kept as the fallback
-// Rebalance drops to when a backend's tree geometry disagrees with the
-// cluster's, and as the O(keyspace) baseline bench E28 measures the
-// digest exchange against: every live backend ships its *entire*
-// entry listing with versions (one OpKeysV round each), the listings
-// join into a per-key version map, and every (key, owner) pair where a
+// RebalanceListings is the pre-Merkle converger. It is kept for the two
+// jobs the digest exchange cannot do yet: the pass after a ring change
+// at rf < n, which must rescue copies stranded on non-owners (the
+// digests compare owners only), and the fallback Rebalance drops to
+// when a backend's tree geometry disagrees with the cluster's. ROADMAP
+// item 3 gives the Merkle pass both and removes this one.
+//
+// Every live backend ships its *entire* entry listing with versions
+// (one OpKeysV round each), the listings join into a per-key version
+// map, and every (key, owner) pair where a
 // current owner is missing the entry *or holds an older version* gets
 // the newest entry streamed — tombstones straight from the listing,
 // values as one pipelined OpGetV burst per source backend — applied

@@ -41,9 +41,10 @@ import "sync/atomic"
 
 // enabled gates every mutator. Default on: the contract is that
 // recording is too cheap to need turning off, and SetEnabled(false)
-// exists chiefly so the overhead benchmarks can measure a true
-// baseline (and so an operator can prove instrumentation is free on
-// their workload).
+// exists chiefly so the root E29 pair, BenchmarkServerOpInstrumented
+// against BenchmarkServerOpBaseline, has a true baseline for
+// scripts/allocgate.sh to compare (and so an operator can prove
+// instrumentation is free on their workload).
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

@@ -80,8 +80,12 @@ func (db *DB) History() *History { return db.history }
 type Txn struct {
 	db   *DB
 	id   int
+	ts   uint64 // begin timestamp: its age under the deadlock policies
 	undo []undoRec
 	done bool
+	// lostTo is the transaction this one was aborted in favour of (0:
+	// none — IDs start at 1), known once it has rolled back.
+	lostTo int
 }
 
 type undoRec struct {
@@ -93,8 +97,17 @@ type undoRec struct {
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
 	id := int(db.nextTxn.Add(1))
-	db.lm.Register(id)
-	return &Txn{db: db, id: id}
+	return &Txn{db: db, id: id, ts: db.lm.Register(id)}
+}
+
+// Restart begins the next attempt of a finished (aborted) transaction,
+// once the transaction it lost to is out of the way: a new ID, so the
+// history keeps the attempts apart, but the original begin timestamp,
+// so the retry is as old as the work it is retrying.
+func (t *Txn) Restart() *Txn {
+	id := int(t.db.nextTxn.Add(1))
+	t.db.lm.RegisterRestart(id, t.ts, t.lostTo)
+	return &Txn{db: t.db, id: id, ts: t.ts}
 }
 
 // ID returns the transaction identifier.
@@ -174,16 +187,16 @@ func (t *Txn) rollback() {
 		}
 	}
 	t.db.history.Record(t.id, OpAbort, "")
-	t.db.lm.ReleaseAll(t.id)
+	t.lostTo, _ = t.db.lm.ReleaseAll(t.id)
 	t.db.Aborts.Add(1)
 }
 
 // Transfer is the canonical bank workload: move amount from one account
 // to another inside a transaction, retrying on deadlock aborts up to
-// maxRetries times.
+// maxRetries times. Every retry keeps the first attempt's timestamp.
 func Transfer(db *DB, from, to string, amount int64, maxRetries int) error {
+	t := db.Begin()
 	for attempt := 0; ; attempt++ {
-		t := db.Begin()
 		err := func() error {
 			a, err := t.Get(from)
 			if err != nil {
@@ -205,6 +218,7 @@ func Transfer(db *DB, from, to string, amount int64, maxRetries int) error {
 			return nil
 		}
 		if err == ErrAborted && attempt < maxRetries {
+			t = t.Restart()
 			continue
 		}
 		t.Abort()

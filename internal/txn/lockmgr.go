@@ -77,9 +77,11 @@ type LockManager struct {
 	strategy Strategy
 	locks    map[string]*lockState
 	// ts assigns each transaction its age (smaller = older).
-	ts      map[int]uint64
-	nextTS  uint64
-	aborted map[int]bool
+	ts     map[int]uint64
+	nextTS uint64
+	// lostTo[v] is the transaction victim v was aborted in favour of;
+	// present means aborted.
+	lostTo map[int]int
 	// waitsFor[t] = set of transactions t waits on (Detect only).
 	waitsFor map[int]map[int]bool
 	// stats
@@ -94,29 +96,56 @@ func NewLockManager(s Strategy) *LockManager {
 		strategy: s,
 		locks:    map[string]*lockState{},
 		ts:       map[int]uint64{},
-		aborted:  map[int]bool{},
+		lostTo:   map[int]int{},
 		waitsFor: map[int]map[int]bool{},
 	}
 	lm.cond = sync.NewCond(&lm.mu)
 	return lm
 }
 
-// Register assigns a begin timestamp to a transaction; must be called
-// once before its first Acquire.
-func (lm *LockManager) Register(txn int) {
+// Register assigns a begin timestamp to a transaction and returns it;
+// must be called once before its first Acquire.
+func (lm *LockManager) Register(txn int) uint64 {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	if _, ok := lm.ts[txn]; !ok {
 		lm.nextTS++
 		lm.ts[txn] = lm.nextTS
 	}
+	return lm.ts[txn]
+}
+
+// RegisterRestart registers txn as a restart of an aborted transaction,
+// at that transaction's begin timestamp ts. Keeping the age is what
+// makes wound-wait and wait-die starvation-free: a transaction that
+// keeps losing eventually becomes the oldest one, which neither scheme
+// aborts. A restart under a fresh (younger) timestamp can lose forever.
+//
+// It first waits until winner — the transaction the aborted one lost
+// to, as ReleaseAll reported — has finished. The victim holds no locks
+// by then, so the wait cannot deadlock, and without it the restart
+// races the winner's wake-up for the lock just released, wins, and is
+// aborted by the same winner again: a retry budget burnt on one
+// conflict.
+func (lm *LockManager) RegisterRestart(txn int, ts uint64, winner int) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	for lm.ts[winner] != 0 { // registered: timestamps start at 1
+		lm.cond.Wait()
+	}
+	lm.ts[txn] = ts
 }
 
 // Aborted reports whether the transaction has been marked as a victim.
 func (lm *LockManager) Aborted(txn int) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return lm.aborted[txn]
+	return lm.abortedLocked(txn)
+}
+
+func (lm *LockManager) abortedLocked(txn int) bool {
+	_, aborted := lm.lostTo[txn]
+	return aborted
 }
 
 // conflicting returns the holders of key that conflict with txn's
@@ -152,7 +181,7 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 		return fmt.Errorf("txn: transaction %d not registered", txn)
 	}
 	for {
-		if lm.aborted[txn] {
+		if lm.abortedLocked(txn) {
 			delete(lm.waitsFor, txn)
 			return ErrAborted
 		}
@@ -176,8 +205,8 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 			// waits like everyone else: a wounded holder keeps its locks
 			// until it has rolled back, and older holders are waited on.
 			for _, h := range conf {
-				if lm.ts[txn] < lm.ts[h] && !lm.aborted[h] {
-					lm.abortLocked(h)
+				if lm.ts[txn] < lm.ts[h] && !lm.abortedLocked(h) {
+					lm.abortLocked(h, txn)
 					lm.Wounds++
 					lm.cond.Broadcast() // the victim may itself be blocked in Acquire
 				}
@@ -186,7 +215,7 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 			for _, h := range conf {
 				if lm.ts[txn] > lm.ts[h] {
 					// Younger than a holder: die.
-					lm.abortLocked(txn)
+					lm.abortLocked(txn, h)
 					lm.Deaths++
 					lm.cond.Broadcast()
 					return ErrAborted
@@ -203,13 +232,16 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 				w[h] = true
 			}
 			if cycle := lm.findCycleLocked(); len(cycle) > 0 {
-				victim := cycle[0]
+				victim, oldest := cycle[0], cycle[0]
 				for _, t := range cycle[1:] {
 					if lm.ts[t] > lm.ts[victim] {
 						victim = t // youngest dies
 					}
+					if lm.ts[t] < lm.ts[oldest] {
+						oldest = t
+					}
 				}
-				lm.abortLocked(victim)
+				lm.abortLocked(victim, oldest)
 				lm.Deadlocks++
 				lm.cond.Broadcast()
 				if victim == txn {
@@ -231,8 +263,9 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 // may read or overwrite its dirty writes before it has rolled them
 // back — so whoever chose it waits on the mark like any other waiter.
 // Only its waits-for edges go: an aborting transaction waits on nobody.
-func (lm *LockManager) abortLocked(victim int) {
-	lm.aborted[victim] = true
+// winner is the transaction the victim is sacrificed for.
+func (lm *LockManager) abortLocked(victim, winner int) {
+	lm.lostTo[victim] = winner
 	delete(lm.waitsFor, victim)
 }
 
@@ -279,17 +312,21 @@ func (lm *LockManager) findCycleLocked() []int {
 }
 
 // ReleaseAll releases every lock held by txn (commit or rollback point
-// of strict 2PL) and clears its abort mark and timestamp.
-func (lm *LockManager) ReleaseAll(txn int) {
+// of strict 2PL) and clears its abort mark and timestamp. If txn had
+// been aborted, it reports the transaction it lost to, for
+// RegisterRestart to wait on.
+func (lm *LockManager) ReleaseAll(txn int) (winner int, aborted bool) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	for _, st := range lm.locks {
 		delete(st.holders, txn)
 	}
+	winner, aborted = lm.lostTo[txn]
 	delete(lm.waitsFor, txn)
-	delete(lm.aborted, txn)
+	delete(lm.lostTo, txn)
 	delete(lm.ts, txn)
 	lm.cond.Broadcast()
+	return winner, aborted
 }
 
 // HoldsLock reports txn's mode on key (for tests).

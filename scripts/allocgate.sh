@@ -1,38 +1,53 @@
 #!/usr/bin/env sh
-# Fails when the coordinator's hot paths allocate more per op than their
-# recorded ceilings. Timings on a shared runner are noise; allocs/op at
-# a fixed iteration count is not, so this is the part of the perf
-# ledger CI can gate on (ROADMAP item 1). The ceilings are the values
-# measured before the write paths were collapsed onto one fan-out core
-# (go1.24): lower one when a change brings its number down, never raise
-# one without saying why in CHANGES.md.
+# Fails when a hot path allocates more per op than it is allowed to.
+# Timings on a shared runner are noise; allocs/op at a fixed iteration
+# count is not, so this is the part of the perf ledger CI can gate on.
+# Two checks over the root benchmarks:
+#
+#   - the four coordinator paths against recorded ceilings — the values
+#     measured after the write paths were collapsed onto one fan-out
+#     core (go1.24): lower one when a change brings its number down,
+#     never raise one without saying why in CHANGES.md;
+#   - the E29/E30 pairs against each other: a server round trip with
+#     metrics on, or with a trace recorder wired in but the request
+#     unsampled, may not allocate more than the same round trip without.
 #
 # Usage: scripts/allocgate.sh
 set -eu
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$' -benchtime 2000x .)
+out=$(go test -run '^$' -bench 'ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$|ServerOp' -benchtime 2000x .)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk '
 BEGIN {
-	max["BenchmarkClusterSetGet"] = 35
-	max["BenchmarkClusterPipelined"] = 38
-	max["BenchmarkClusterMSet100"] = 2310
-	max["BenchmarkClusterMGet100"] = 1009
+	max["BenchmarkClusterSetGet"] = 33
+	max["BenchmarkClusterPipelined"] = 37
+	max["BenchmarkClusterMSet100"] = 2103
+	max["BenchmarkClusterMGet100"] = 1005
+	base["BenchmarkServerOpInstrumented"] = "BenchmarkServerOpBaseline"
+	base["BenchmarkTracedServerOpEnabled"] = "BenchmarkTracedServerOpBaseline"
 }
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)         # strip the GOMAXPROCS suffix
-	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i
-	seen[name] = 1
-	if (allocs + 0 > max[name]) {
-		printf "%s: %d allocs/op exceeds the ceiling of %d\n", name, allocs, max[name]
-		bad = 1
-	}
+	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") allocs[name] = $i + 0
 }
 END {
-	for (name in max) if (!seen[name]) { printf "%s did not run\n", name; bad = 1 }
+	for (name in max) {
+		if (!(name in allocs)) { printf "%s did not run\n", name; bad = 1 }
+		else if (allocs[name] > max[name]) {
+			printf "%s: %d allocs/op exceeds the ceiling of %d\n", name, allocs[name], max[name]
+			bad = 1
+		}
+	}
+	for (name in base) {
+		if (!(name in allocs) || !(base[name] in allocs)) { printf "%s or %s did not run\n", name, base[name]; bad = 1 }
+		else if (allocs[name] > allocs[base[name]]) {
+			printf "%s: %d allocs/op, but %s does it in %d\n", name, allocs[name], base[name], allocs[base[name]]
+			bad = 1
+		}
+	}
 	exit bad
 }
 '
