@@ -63,9 +63,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // SendFrame enqueues one raw frame without waiting for its response;
 // the returned Pending resolves when the matching response frame
-// arrives. This is the pipelining primitive: fire many, then wait.
+// arrives. This is the pipelining primitive: fire many, then wait. body
+// stays the caller's — the transport only reads it, until the Pending
+// resolves — and the Pending is single-use (see Pending).
 func (c *Client) SendFrame(body []byte) *Pending {
-	return c.m.enqueue(body)
+	p := new(Pending)
+	c.m.enqueue(p, body, false)
+	return p
 }
 
 // RoundTrip sends one raw frame and waits for the matching response
@@ -85,17 +89,16 @@ func (c *Client) RoundTrip(body []byte) ([]byte, error) {
 // should be replaced via Dial.
 func (c *Client) Broken() bool { return c.m.broken() }
 
-// Call is an in-flight key-value protocol request issued by Send.
+// Call is an in-flight key-value protocol request issued by Send: one
+// allocation holding its own completion state. It is single-use — the
+// first Response, ResponseTimeout or ResponseV returns the outcome,
+// any later one ErrCallConsumed — and is never recycled.
 type Call struct {
-	p   *Pending
-	err error
+	p Pending
 }
 
 // Response waits for and decodes the response to this call.
 func (call *Call) Response() (Response, error) {
-	if call.err != nil {
-		return Response{}, call.err
-	}
 	body, err := call.p.Wait()
 	if err != nil {
 		return Response{}, err
@@ -106,9 +109,6 @@ func (call *Call) Response() (Response, error) {
 // ResponseTimeout is Response with a per-call deadline (see
 // Pending.WaitTimeout).
 func (call *Call) ResponseTimeout(d time.Duration) (Response, error) {
-	if call.err != nil {
-		return Response{}, call.err
-	}
 	body, err := call.p.WaitTimeout(d)
 	if err != nil {
 		return Response{}, err
@@ -119,9 +119,6 @@ func (call *Call) ResponseTimeout(d time.Duration) (Response, error) {
 // ResponseV waits for and decodes the versioned response to this call;
 // use it exactly for calls whose request op is Versioned.
 func (call *Call) ResponseV() (Response, error) {
-	if call.err != nil {
-		return Response{}, call.err
-	}
 	body, err := call.p.Wait()
 	if err != nil {
 		return Response{}, err
@@ -130,14 +127,21 @@ func (call *Call) ResponseV() (Response, error) {
 }
 
 // Send enqueues a key-value protocol request without waiting: the
-// pipelined counterpart of Do. Encoding failures surface from the
-// returned call's Response.
+// pipelined counterpart of Do. The request is encoded here into a
+// transport-owned buffer, so req.Value is the caller's again as soon as
+// Send returns. An encoding failure resolves the returned call, like
+// any other failure to send. The call is single-use (see Call).
 func (c *Client) Send(req Request) *Call {
-	body, err := EncodeRequest(req)
+	call := new(Call)
+	buf, err := AppendRequest(getBuf(0), req)
 	if err != nil {
-		return &Call{err: err}
+		putBuf(buf)
+		call.p.done.Add(1)
+		call.p.resolve(nil, err)
+		return call
 	}
-	return &Call{p: c.SendFrame(body)}
+	c.m.enqueue(&call.p, buf, true)
+	return call
 }
 
 // Do sends a request and waits for its response.

@@ -60,10 +60,11 @@ func TestFrameServerCustomProtocol(t *testing.T) {
 	}
 }
 
-// frameFunc adapts a function to FrameHandler for tests.
+// frameFunc adapts a function to FrameHandler for tests: whatever it
+// returns is appended to dst.
 type frameFunc func([]byte) []byte
 
-func (f frameFunc) ServeFrame(body []byte, _ FrameMeta) []byte { return f(body) }
+func (f frameFunc) ServeFrame(dst, body []byte, _ FrameMeta) []byte { return append(dst, f(body)...) }
 
 // TestDecodeKeysMalformedCount rejects a key-list whose count field
 // promises more entries than the body could hold, instead of

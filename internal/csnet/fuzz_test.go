@@ -1,0 +1,228 @@
+package csnet
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"pdcedu/internal/trace"
+)
+
+// The socket decoders, fuzzed. Each target holds one decoder to the
+// same three promises: any input yields a value or an error, never a
+// panic; nothing is allocated that a length field has not paid for in
+// input bytes; and whatever decodes re-encodes — through the append
+// path, into a dirty non-empty dst, for the codecs that have one — to
+// bytes that decode to the same value. A codec whose encoding is
+// canonical must reproduce the input exactly.
+//
+// CI runs each for 20 s (.github/workflows/ci.yml, "fuzz decoders"); a
+// crasher lands in testdata/fuzz and is committed as a regression seed.
+
+// dirtyDst is a non-empty buffer with spare capacity, the shape of a
+// recycled transport buffer mid-use.
+func dirtyDst() []byte { return append(make([]byte, 0, 256), "\xDB\xDB\xDBdirty"...) }
+
+func FuzzDecodeRequest(f *testing.F) {
+	tr := trace.Context{TraceID: 7, SpanID: 9, Flags: trace.FlagSampled}
+	for _, r := range []Request{
+		{Op: OpPing},
+		{Op: OpSet, Key: "k", Value: []byte("v")},
+		{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42},
+		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
+		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000, Trace: tr},
+		{Op: OpKeysV},
+	} {
+		b, _ := EncodeRequest(r)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := DecodeRequest(in)
+		if err != nil {
+			return
+		}
+		if len(r.Key)+len(r.Value) > len(in) {
+			t.Fatalf("decoded %d key + %d value bytes from a %d-byte frame", len(r.Key), len(r.Value), len(in))
+		}
+		out, err := AppendRequest(dirtyDst(), r)
+		checkReencoded(t, out, err, in, Versioned(r.Op))
+		if !r.Trace.Valid() {
+			r.Trace = trace.Context{} // a flagged trace with ID 0 is no trace: it is not re-sent
+		}
+		again, err := DecodeRequest(out[len(dirtyDst()):])
+		if err != nil || !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-decoded %+v %v, want %+v", again, err, r)
+		}
+	})
+}
+
+func FuzzDecodeResponse(f *testing.F) {
+	f.Add(EncodeResponse(Response{Status: StatusOK, Value: []byte("v")}))
+	f.Add(EncodeResponse(Response{Status: StatusBusy}))
+	f.Add([]byte{1, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := DecodeResponse(in)
+		if err != nil {
+			return
+		}
+		checkReencoded(t, AppendResponse(dirtyDst(), r), nil, in, false)
+	})
+}
+
+func FuzzDecodeResponseV(f *testing.F) {
+	f.Add(EncodeResponseV(Response{Status: StatusOK, Value: []byte("v"), Version: 1234, Flags: FlagTombstone}))
+	f.Add(EncodeResponseV(Response{Status: StatusOK, Value: []byte("v"), Version: 9, ExpireAt: 1_700_000_000_000_000_000}))
+	f.Add(EncodeResponse(Response{Status: StatusOK, Value: []byte("v")}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := DecodeResponseV(in)
+		if err != nil {
+			return
+		}
+		out := AppendResponseV(dirtyDst(), r)
+		checkReencoded(t, out, nil, in, true)
+		again, err := DecodeResponseV(out[len(dirtyDst()):])
+		if err != nil || !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-decoded %+v %v, want %+v", again, err, r)
+		}
+	})
+}
+
+// checkReencoded asserts out is dirtyDst followed by a re-encoding of
+// in. A frame without a trailer is canonical and must come back byte
+// for byte. A trailer is not — a set extension flag over a zero field
+// (a trace the decoder reports as absent, an expiry of 0) re-encodes
+// without the extension — so there the bytes must match whenever the
+// length does, and may only ever shrink.
+func checkReencoded(t *testing.T, out []byte, err error, in []byte, trailer bool) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("re-encode of a decoded value: %v", err)
+	}
+	if !bytes.HasPrefix(out, dirtyDst()) {
+		t.Fatalf("append clobbered dst's prefix: %x", out)
+	}
+	out = out[len(dirtyDst()):]
+	switch {
+	case len(out) == len(in) && !bytes.Equal(out, in):
+		t.Fatalf("re-encoded %x, input %x", out, in)
+	case len(out) != len(in) && !trailer:
+		t.Fatalf("canonical frame re-encoded to %d bytes from %d", len(out), len(in))
+	case len(out) > len(in):
+		t.Fatalf("re-encoding grew the frame: %d bytes from %d", len(out), len(in))
+	}
+}
+
+func FuzzDecodeKeys(f *testing.F) {
+	b, _ := EncodeKeys([]string{"a", "bc", ""})
+	f.Add(b)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		keys, err := DecodeKeys(in)
+		if err != nil {
+			return
+		}
+		if 2*cap(keys) > len(in) {
+			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(keys), len(in))
+		}
+		if out, err := EncodeKeys(keys); err != nil || !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x %v, input %x", out, err, in)
+		}
+	})
+}
+
+func FuzzDecodeKeysV(f *testing.F) {
+	b, _ := EncodeKeysV([]KeyVersion{{Key: "a", Version: 1}, {Key: "deleted", Version: 99, Tombstone: true}, {Key: "", Version: 3}})
+	f.Add(b)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		entries, err := DecodeKeysV(in)
+		if err != nil {
+			return
+		}
+		if keysVEntryMin*cap(entries) > len(in) {
+			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(entries), len(in))
+		}
+		// Unknown flag bits are dropped, so only the value round-trips.
+		out, err := EncodeKeysV(entries)
+		if err != nil || len(out) != len(in) {
+			t.Fatalf("re-encoded to %d bytes %v, input %d", len(out), err, len(in))
+		}
+		if again, err := DecodeKeysV(out); err != nil || !reflect.DeepEqual(again, entries) {
+			t.Fatalf("re-decoded %+v %v, want %+v", again, err, entries)
+		}
+	})
+}
+
+func FuzzDecodeBucketList(f *testing.F) {
+	f.Add(EncodeBucketList(nil))
+	f.Add(EncodeBucketList([]uint32{1, 2, 1 << 31}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		ids, err := DecodeBucketList(in)
+		if err != nil {
+			return
+		}
+		if out := EncodeBucketList(ids); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, input %x", out, in)
+		}
+	})
+}
+
+func FuzzDecodeTree(f *testing.F) {
+	f.Add(EncodeTree(1024, nil))
+	f.Add(EncodeTree(8, []TreeNode{{Node: 1, Hash: 0xDEADBEEF}, {Node: 15, Hash: 1}}))
+	f.Add([]byte{0, 0, 0, 8, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		buckets, nodes, err := DecodeTree(in)
+		if err != nil {
+			return
+		}
+		if out := EncodeTree(buckets, nodes); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, input %x", out, in)
+		}
+	})
+}
+
+func FuzzDecodeRangeV(f *testing.F) {
+	b, _ := EncodeRangeV([]KeyDigest{
+		{Key: "a", Version: 1, Digest: 0xABCD},
+		{Key: "gone", Version: 9, Tombstone: true, ExpireAt: 1_700_000_000_000_000_000},
+		{Key: "", Version: 3},
+	})
+	f.Add(b)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		entries, err := DecodeRangeV(in)
+		if err != nil {
+			return
+		}
+		if rangeVEntryMin*cap(entries) > len(in) {
+			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(entries), len(in))
+		}
+		// Unknown flag bits and a flagged zero expiry are dropped, so
+		// only the value round-trips, and the bytes can only shrink.
+		out, err := EncodeRangeV(entries)
+		if err != nil || len(out) > len(in) {
+			t.Fatalf("re-encoded to %d bytes %v, input %d", len(out), err, len(in))
+		}
+		if again, err := DecodeRangeV(out); err != nil || !reflect.DeepEqual(again, entries) {
+			t.Fatalf("re-decoded %+v %v, want %+v", again, err, entries)
+		}
+	})
+}
+
+func FuzzDecodeTraceQuery(f *testing.F) {
+	f.Add(EncodeTraceQuery(TraceQueryAll, 0))
+	f.Add(EncodeTraceQuery(TraceQueryID, 0xFEEDFACE))
+	f.Add(EncodeTraceQuery(TraceQuerySlow, 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		mode, id, err := DecodeTraceQuery(in)
+		if err != nil {
+			return
+		}
+		if out := EncodeTraceQuery(mode, id); !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, input %x", out, in)
+		}
+	})
+}

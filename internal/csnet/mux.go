@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,23 +29,116 @@ const muxSendQueue = 256
 // request that raced the reader's deadline re-arm can go unnoticed.
 const muxIdleWindow = time.Second
 
-// muxResult is what the reader delivers to a waiting caller.
-type muxResult struct {
-	body []byte
-	err  error
+// Buffer ownership — the one rule of this transport. A buffer whose
+// whole life the transport controls is drawn from getBuf and released
+// with putBuf by the frame writer, the one place every frame passes,
+// once its bytes are copied into the connection's write buffer:
+//
+//   - the request frame Send encodes (never SendFrame's body: that is
+//     the caller's and is only read);
+//   - the request body a server reads off a connection, which rides its
+//     response frame so a reply that aliases it is written first;
+//   - the dst a server hands ServeFrame to append the response to.
+//
+// Everything a caller can hold is a plain allocation made for it and
+// never reused: the *Call or *Pending, and the reply body (it is the
+// value Get returns and the read cache keeps). A buffer that misses its
+// release — a dying connection's backlog — is ordinary garbage, so no
+// path has to release to stay correct; none may release early.
+//
+// freeBufs is the free list: bounded — 1024 slots hold a pipelined
+// burst's buffers on both ends of a few connections, so a batch reuses
+// them instead of churning — and holding nothing above muxBufSize, so
+// one large frame (an OpRangeV listing, an OpStats snapshot) cannot pin
+// memory.
+var freeBufs = make(chan []byte, 1024)
+
+// bufMinCap is the capacity a fresh buffer starts with: a response
+// that fits never regrows its dst.
+const bufMinCap = 1 << 10
+
+// TestPoisonRelease makes putBuf overwrite every released buffer with
+// 0xDB, so an alias that outlives its owner fails the test that reads
+// it. Tests only (the convention of internal/poll's TestHook
+// variables): set it in TestMain, before any connection exists.
+var TestPoisonRelease bool
+
+// getBuf returns a transport-owned buffer of length n.
+func getBuf(n int) []byte {
+	select {
+	case b := <-freeBufs:
+		if cap(b) >= n {
+			return b[:n]
+		}
+		// Too small for this frame: let it go, so the list grows toward
+		// the sizes the traffic needs.
+	default:
+	}
+	return make([]byte, n, max(n, bufMinCap))
 }
 
+// putBuf releases a buffer obtained from getBuf (nil is a no-op).
+func putBuf(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	if TestPoisonRelease {
+		b = b[:cap(b)]
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n]) // doubling: one bulk write per step, cheap under -race
+		}
+	}
+	if cap(b) > muxBufSize {
+		return
+	}
+	select {
+	case freeBufs <- b[:0]:
+	default:
+	}
+}
+
+// ErrCallConsumed is what a second Wait or Response on the same call
+// returns: a call is single-use, and its reply was handed out once.
+var ErrCallConsumed = errors.New("csnet: call already consumed")
+
 // Pending is an in-flight pipelined request on a multiplexed
-// connection. Wait blocks until the matching response frame arrives or
-// the connection fails.
+// connection, resolved exactly once by whichever comes first: the
+// matching response frame, the error that poisoned the connection, or
+// a WaitTimeout expiring. It is single-use: one Wait or WaitTimeout
+// returns the outcome, any later one ErrCallConsumed. A Pending is
+// never recycled, so a stale one cannot receive another caller's reply.
 type Pending struct {
-	ch chan muxResult
+	done  sync.WaitGroup // released by the first resolver
+	state atomic.Uint32  // pendingOpen → pendingResolved → pendingTaken
+	body  []byte
+	err   error
+}
+
+const (
+	pendingOpen uint32 = iota
+	pendingResolved
+	pendingTaken
+)
+
+// resolve completes p unless something already has; the loser's result
+// is dropped.
+func (p *Pending) resolve(body []byte, err error) bool {
+	if !p.state.CompareAndSwap(pendingOpen, pendingResolved) {
+		return false
+	}
+	p.body, p.err = body, err
+	p.done.Done()
+	return true
 }
 
 // Wait returns the raw response frame for this request.
 func (p *Pending) Wait() ([]byte, error) {
-	r := <-p.ch
-	return r.body, r.err
+	p.done.Wait()
+	if !p.state.CompareAndSwap(pendingResolved, pendingTaken) {
+		return nil, ErrCallConsumed
+	}
+	return p.body, p.err
 }
 
 // ErrWaitTimeout reports that a per-call WaitTimeout elapsed before the
@@ -55,26 +149,17 @@ var ErrWaitTimeout = errors.New("csnet: wait timeout")
 // WaitTimeout is Wait with a per-call deadline shorter than the
 // connection timeout: probe traffic (internal/member) gives up on a
 // slow peer after its probe window without poisoning the shared
-// connection. An abandoned request is still resolved by the reader
-// eventually; its buffered channel keeps that send from blocking.
+// connection. The expiry is one more resolver, so it races a late
+// reply cleanly: whichever loses is dropped, and a timeout is counted
+// only when it won.
 func (p *Pending) WaitTimeout(d time.Duration) ([]byte, error) {
-	t := time.NewTimer(d)
+	t := time.AfterFunc(d, func() { p.resolve(nil, ErrWaitTimeout) })
 	defer t.Stop()
-	select {
-	case r := <-p.ch:
-		return r.body, r.err
-	case <-t.C:
+	body, err := p.Wait()
+	if err == ErrWaitTimeout {
 		csnetM.muxTimeouts.Inc()
-		return nil, ErrWaitTimeout
 	}
-}
-
-// failedPending builds a Pending that is already resolved with err, so
-// enqueue never returns nil.
-func failedPending(err error) *Pending {
-	p := &Pending{ch: make(chan muxResult, 1)}
-	p.ch <- muxResult{err: err}
-	return p
+	return body, err
 }
 
 // muxEntry tracks one registered request until its response arrives.
@@ -86,20 +171,29 @@ type muxEntry struct {
 // muxFrame is one sequence-tagged frame queued for a connection's
 // writer goroutine (client requests and server responses alike). The
 // server's read loop stamps at so a handler can report how long the
-// frame queued before it ran; the client writer leaves it zero.
+// frame queued before it ran; the client writer leaves it zero. free
+// lists the transport-owned buffers that die with the frame (see the
+// ownership rule above).
 type muxFrame struct {
 	seq  uint64
 	body []byte
 	at   time.Time
+	free [2][]byte
+}
+
+// release returns the frame's transport-owned buffers.
+func (f *muxFrame) release() {
+	putBuf(f.free[0])
+	putBuf(f.free[1])
 }
 
 // muxConn is a pipelined, multiplexed framed connection: N concurrent
 // callers share one TCP connection with N requests in flight. One
 // writer goroutine drains the send queue, coalescing header+body and
 // batching queued frames into a single buffered write; one reader
-// goroutine dispatches responses to per-request completion channels by
-// sequence number. Any transport failure poisons the connection and
-// fails every pending and future request.
+// goroutine resolves each response's Pending by sequence number. Any
+// transport failure poisons the connection and fails every pending and
+// future request.
 type muxConn struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -132,20 +226,22 @@ func newMuxConn(conn net.Conn, timeout time.Duration) (*muxConn, error) {
 	return m, nil
 }
 
-// enqueue registers a request and hands the frame to the writer. The
-// returned Pending always resolves: with the response, or with the
-// error that poisoned the connection.
-func (m *muxConn) enqueue(body []byte) *Pending {
+// enqueue registers p as a request and hands the frame to the writer;
+// owned marks body as the transport's, released once written. p always
+// resolves: with the response, or with the error that poisoned the
+// connection.
+func (m *muxConn) enqueue(p *Pending, body []byte, owned bool) {
+	p.done.Add(1)
 	if len(body) > MaxFrameSize {
-		return failedPending(ErrFrameTooLarge)
+		p.resolve(nil, ErrFrameTooLarge)
+		return
 	}
-	p := &Pending{ch: make(chan muxResult, 1)}
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
-		p.ch <- muxResult{err: err}
-		return p
+		p.resolve(nil, err)
+		return
 	}
 	seq := m.nextSeq
 	m.nextSeq++
@@ -160,12 +256,15 @@ func (m *muxConn) enqueue(body []byte) *Pending {
 		// timeout is actually enforced.
 		_ = m.conn.SetReadDeadline(time.Now().Add(m.timeout))
 	}
+	f := muxFrame{seq: seq, body: body}
+	if owned {
+		f.free[0] = body
+	}
 	select {
-	case m.sendq <- muxFrame{seq: seq, body: body}:
+	case m.sendq <- f:
 	case <-m.dead:
 		// fail() already resolved p through the pending map.
 	}
-	return p
 }
 
 // pendingCount reports how many requests await responses.
@@ -218,7 +317,7 @@ func (m *muxConn) fail(err error) {
 		close(m.dead)
 		for seq, e := range m.pending {
 			delete(m.pending, seq)
-			e.p.ch <- muxResult{err: err}
+			e.p.resolve(nil, err)
 		}
 	}
 	m.mu.Unlock()
@@ -264,6 +363,7 @@ func runFrameWriter(conn net.Conn, q <-chan muxFrame, stop <-chan struct{}, time
 			return err
 		}
 		_, err := bw.Write(f.body)
+		f.release() // copied (or failed): nothing reads the buffers again
 		return err
 	}
 	drain := func() (err error, open bool) {
@@ -393,6 +493,6 @@ func (m *muxConn) readLoop() {
 			m.fail(fmt.Errorf("csnet: mux response for unknown seq %d", seq))
 			return
 		}
-		e.p.ch <- muxResult{body: body}
+		e.p.resolve(body, nil) // false: WaitTimeout gave up first, the reply is dropped
 	}
 }

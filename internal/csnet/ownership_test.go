@@ -1,0 +1,403 @@
+package csnet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+)
+
+// These tests lean on TestMain's poison-on-release: a buffer the
+// transport lets go of too early reads back as 0xDB here.
+
+// aliasFrames answers every frame with the request buffer itself —
+// legal under FrameHandler's contract, and the reason a request body
+// rides its response frame instead of being released by the worker.
+type aliasFrames struct{}
+
+func (aliasFrames) ServeFrame(_, body []byte, _ FrameMeta) []byte { return body }
+
+// startFrames serves fh on loopback and dials one client to it.
+func startFrames(t *testing.T, fh FrameHandler) *Client {
+	t.Helper()
+	srv := NewFrameServer(fh, 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// payload is n bytes no other (n, tag) shares and 0xDB never fills.
+func payload(n, tag int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + tag)
+	}
+	return b
+}
+
+// TestAliasedReplyPipelined keeps 32 frames in flight against a handler
+// whose reply is its request buffer: each must come back intact, which
+// it only does if the request buffer outlives the response write.
+func TestAliasedReplyPipelined(t *testing.T) {
+	cl := startFrames(t, aliasFrames{})
+	const depth, rounds = 32, 200
+	for r := 0; r < rounds; r++ {
+		var pend [depth]*Pending
+		for i := range pend {
+			pend[i] = cl.SendFrame(payload(1+(r*depth+i)%900, i))
+		}
+		for i, p := range pend {
+			got, err := p.Wait()
+			if err != nil {
+				t.Fatalf("round %d frame %d: %v", r, i, err)
+			}
+			if want := payload(1+(r*depth+i)%900, i); !bytes.Equal(got, want) {
+				t.Fatalf("round %d frame %d: reply differs from the request it aliased (%d bytes, first %x)", r, i, len(got), got[:min(8, len(got))])
+			}
+		}
+	}
+}
+
+// TestEchoSizesInterleaved pipelines OpEcho values from 1 B to 1 MiB —
+// below bufMinCap, across the muxBufSize cap, far above it — from
+// several goroutines at once, so buffers of every size class are
+// recycled under each other's feet.
+func TestEchoSizesInterleaved(t *testing.T) {
+	srv := NewServer(NewKVHandler(), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sizes := []int{1, 100, bufMinCap - 1, bufMinCap + 1, 4 << 10, muxBufSize - 64, muxBufSize + 1, 1 << 20, 7, 300 << 10}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				calls := make([]*Call, len(sizes))
+				for i, n := range sizes {
+					// The value is the caller's again once Send returns.
+					v := payload(n, g+i)
+					calls[i] = cl.Send(Request{Op: OpEcho, Value: v})
+					clear(v)
+				}
+				for i, n := range sizes {
+					resp, err := calls[i].Response()
+					if err != nil || resp.Status != StatusOK {
+						t.Errorf("echo %d B: %v %v", n, resp.Status, err)
+						return
+					}
+					if !bytes.Equal(resp.Value, payload(n, g+i)) {
+						t.Errorf("echo %d B came back corrupted", n)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestReplySurvivesLaterTraffic holds a value GetV returned across
+// 10 000 later round trips on the same connection: a reply body is the
+// caller's, so nothing the transport recycles may lie under it.
+func TestReplySurvivesLaterTraffic(t *testing.T) {
+	srv := NewServer(NewKVHandler(), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	want := payload(200, 3)
+	if _, _, err := cl.SetV("held", want, 0); err != nil {
+		t.Fatal(err)
+	}
+	held, ok, err := cl.GetV("held")
+	if err != nil || !ok {
+		t.Fatalf("GetV = %v %v", ok, err)
+	}
+	for i := 0; i < 10_000; i++ {
+		key := fmt.Sprintf("k%d", i%64)
+		if _, _, err := cl.SetV(key, payload(150+i%100, i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.GetV(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(held.Value, want) {
+		t.Fatalf("value held since before the traffic changed under the caller: %x…", held.Value[:8])
+	}
+	if e, ok, err := cl.GetV("held"); err != nil || !ok || !bytes.Equal(e.Value, want) {
+		t.Fatalf("the engine's copy changed too: %v %v", ok, err)
+	}
+}
+
+// TestPoisonedMidBurst kills the server while senders still have
+// frames in the send queue: every call resolves with an error, and the
+// buffers stranded in the dead connection are never handed to anyone
+// else — traffic on a fresh connection stays intact.
+func TestPoisonedMidBurst(t *testing.T) {
+	block := make(chan struct{})
+	srv := NewServer(HandlerFunc(func(r Request) Response {
+		<-block
+		return Response{Status: StatusOK, Value: r.Value}
+	}), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const senders, each = 4, 400 // 1600 frames: past the send queue and the server's worker queue
+	var wg sync.WaitGroup
+	failed := make(chan int, senders)
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			calls := make([]*Call, each)
+			for i := range calls {
+				calls[i] = cl.Send(Request{Op: OpEcho, Value: payload(100+i, g)})
+			}
+			n := 0
+			for _, c := range calls {
+				if _, err := c.Response(); err != nil {
+					n++
+				}
+			}
+			failed <- n
+		}(g)
+	}
+	time.Sleep(20 * time.Millisecond) // let the queues fill behind the blocked handlers
+	done := make(chan struct{})
+	go func() { srv.Shutdown(); close(done) }()
+	for deadline := time.Now().Add(5 * time.Second); !cl.Broken() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(block)
+	<-done
+	wg.Wait()
+	close(failed)
+	total := 0
+	for n := range failed {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no call failed although the server died mid-burst")
+	}
+	echo := startFrames(t, aliasFrames{})
+	for i := 0; i < 2000; i++ {
+		got, err := echo.RoundTrip(payload(100+i%500, i))
+		if err != nil || !bytes.Equal(got, payload(100+i%500, i)) {
+			t.Fatalf("frame %d on a fresh connection after the poisoned burst: %v", i, err)
+		}
+	}
+}
+
+// TestLargeFrameNotKept sends a 1 MiB frame each way and then empties
+// the free list: nothing above muxBufSize may have been kept, or one
+// large listing would pin its memory for the life of the process.
+func TestLargeFrameNotKept(t *testing.T) {
+	srv := NewServer(NewKVHandler(), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := payload(1<<20, 1)
+	resp, err := cl.Do(Request{Op: OpEcho, Value: big})
+	if err != nil || !bytes.Equal(resp.Value, big) {
+		t.Fatalf("1 MiB round trip: %v", err)
+	}
+	// A frame this size goes straight to the socket, so the reply can
+	// arrive before its writer gets to the release: wait the server's
+	// goroutines out before looking.
+	cl.Close()
+	srv.Shutdown()
+	drain := func() (bufs [][]byte) {
+		for {
+			select {
+			case b := <-freeBufs:
+				bufs = append(bufs, b)
+			default:
+				return bufs
+			}
+		}
+	}
+	kept := drain()
+	if len(kept) == 0 {
+		t.Fatal("the free list is empty after a round trip: nothing is being recycled")
+	}
+	for _, b := range kept {
+		if cap(b) > muxBufSize {
+			t.Errorf("free list kept a %d-byte buffer, above the %d cap", cap(b), muxBufSize)
+		}
+	}
+	// The rule itself, at its edge, on the emptied list.
+	putBuf(make([]byte, muxBufSize+1))
+	putBuf(make([]byte, muxBufSize))
+	exact := false
+	for _, b := range drain() {
+		exact = exact || cap(b) == muxBufSize
+		if cap(b) > muxBufSize {
+			t.Errorf("putBuf kept a %d-byte buffer", cap(b))
+		}
+	}
+	if !exact {
+		t.Errorf("putBuf dropped a buffer of exactly %d bytes", muxBufSize)
+	}
+	for _, b := range kept {
+		putBuf(b)
+	}
+}
+
+// TestCallSingleUse pins the contract: the first wait on a call returns
+// its outcome, every later one ErrCallConsumed instead of blocking
+// forever.
+func TestCallSingleUse(t *testing.T) {
+	srv := NewServer(NewKVHandler(), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	call := cl.Send(Request{Op: OpPing})
+	if resp, err := call.Response(); err != nil || resp.Status != StatusOK {
+		t.Fatalf("first Response = %v %v", resp.Status, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := call.Response(); !errors.Is(err, ErrCallConsumed) {
+			t.Fatalf("Response #%d = %v, want ErrCallConsumed", i+2, err)
+		}
+	}
+	if _, err := call.ResponseTimeout(time.Second); !errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("ResponseTimeout after Response = %v, want ErrCallConsumed", err)
+	}
+	vcall := cl.Send(Request{Op: OpGetV, Key: "absent"})
+	if _, err := vcall.ResponseV(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vcall.ResponseV(); !errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("second ResponseV = %v, want ErrCallConsumed", err)
+	}
+	body, _ := EncodeRequest(Request{Op: OpPing})
+	p := cl.SendFrame(body)
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Wait(); !errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("second Wait = %v, want ErrCallConsumed", err)
+	}
+	// A request that cannot be encoded resolves its call the same way.
+	bad := cl.Send(Request{Op: OpGet, Key: string(make([]byte, 70000))})
+	if _, err := bad.Response(); err == nil || errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("unsendable call = %v, want the encoding error", err)
+	}
+	if _, err := bad.Response(); !errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("unsendable call, second Response = %v, want ErrCallConsumed", err)
+	}
+}
+
+// TestWaitTimeoutThenLateReply races the per-call deadline against the
+// reply. Whichever resolves the call first wins and the other is
+// dropped: a timed-out call never turns into its late reply, the
+// connection stays usable, and csnet.mux.timeouts counts exactly the
+// timeouts callers saw.
+func TestWaitTimeoutThenLateReply(t *testing.T) {
+	release := make(chan struct{})
+	srv := NewServer(HandlerFunc(func(r Request) Response {
+		if r.Key == "slow" {
+			<-release
+		} else if r.Key == "racy" {
+			time.Sleep(200 * time.Microsecond)
+		}
+		return Response{Status: StatusOK, Value: []byte(r.Key)}
+	}), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	before := csnetM.muxTimeouts.Value()
+	slow := cl.Send(Request{Op: OpEcho, Key: "slow"})
+	if _, err := slow.ResponseTimeout(20 * time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("ResponseTimeout on a stuck handler = %v, want ErrWaitTimeout", err)
+	}
+	close(release) // the late reply arrives now, and is dropped
+	if err := cl.Ping(); err != nil || cl.Broken() {
+		t.Fatalf("connection unusable after an abandoned call: %v broken=%v", err, cl.Broken())
+	}
+	if _, err := slow.Response(); !errors.Is(err, ErrCallConsumed) {
+		t.Fatalf("abandoned call resolved again: %v, want ErrCallConsumed", err)
+	}
+	if got := csnetM.muxTimeouts.Value() - before; got != 1 {
+		t.Fatalf("csnet.mux.timeouts moved by %d for one timed-out call", got)
+	}
+	for deadline := time.Now().Add(2 * time.Second); cl.m.pendingCount() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned request never left the pending map")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The race proper: a deadline as long as the handler takes, so both
+	// orders happen. Every call is exactly one of the two outcomes.
+	before = csnetM.muxTimeouts.Value()
+	var timeouts uint64
+	for i := 0; i < 300; i++ {
+		resp, err := cl.Send(Request{Op: OpEcho, Key: "racy"}).ResponseTimeout(250 * time.Microsecond)
+		switch {
+		case errors.Is(err, ErrWaitTimeout):
+			timeouts++
+		case err != nil || string(resp.Value) != "racy":
+			t.Fatalf("call %d: %q %v", i, resp.Value, err)
+		}
+	}
+	if got := csnetM.muxTimeouts.Value() - before; got != timeouts {
+		t.Fatalf("callers saw %d timeouts, csnet.mux.timeouts counted %d", timeouts, got)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection unusable after the race: %v", err)
+	}
+}

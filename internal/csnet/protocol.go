@@ -3,6 +3,7 @@ package csnet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"pdcedu/internal/trace"
@@ -252,29 +253,21 @@ const traceTrailerSize = 8 + 8 + 1
 // FlagHasExpiry derived from expireAt and FlagHasTrace from tr), then
 // the optional expiry and trace context.
 func appendTrailer(buf []byte, version uint64, flags byte, expireAt int64, tr trace.Context) []byte {
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], version)
-	buf = append(buf, scratch[:]...)
+	flags &^= FlagHasExpiry | FlagHasTrace
 	if expireAt != 0 {
 		flags |= FlagHasExpiry
-	} else {
-		flags &^= FlagHasExpiry
 	}
 	if tr.Valid() {
 		flags |= FlagHasTrace
-	} else {
-		flags &^= FlagHasTrace
 	}
+	buf = binary.BigEndian.AppendUint64(buf, version)
 	buf = append(buf, flags)
 	if expireAt != 0 {
-		binary.BigEndian.PutUint64(scratch[:], uint64(expireAt))
-		buf = append(buf, scratch[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(expireAt))
 	}
 	if tr.Valid() {
-		binary.BigEndian.PutUint64(scratch[:], tr.TraceID)
-		buf = append(buf, scratch[:]...)
-		binary.BigEndian.PutUint64(scratch[:], tr.SpanID)
-		buf = append(buf, scratch[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, tr.TraceID)
+		buf = binary.BigEndian.AppendUint64(buf, tr.SpanID)
 		buf = append(buf, tr.Flags)
 	}
 	return buf
@@ -314,34 +307,38 @@ func parseTrailer(b []byte) (version uint64, flags byte, expireAt int64, tr trac
 	return version, flags, expireAt, tr, nil
 }
 
-// EncodeRequest serializes a request:
+// maxTrailerSize is the versioned trailer with both extensions.
+const maxTrailerSize = versionTrailerSize + 8 + traceTrailerSize
+
+// AppendRequest appends the serialized request to dst and returns the
+// extended slice, growing dst at most once:
 // op(1) keyLen(2) key valLen(4) val
 // [version(8) flags(1) [expireAt(8)] [traceID(8) spanID(8) tflags(1)]],
 // the trailer present exactly for versioned ops, the trace extension
-// only when the request carries a valid trace context.
-func EncodeRequest(r Request) ([]byte, error) {
+// only when the request carries a valid trace context. On error dst is
+// returned unchanged.
+func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	if len(r.Key) > 0xFFFF {
-		return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(r.Key))
+		return dst, fmt.Errorf("csnet: key length %d exceeds 65535", len(r.Key))
 	}
 	size := 1 + 2 + len(r.Key) + 4 + len(r.Value)
 	if Versioned(r.Op) {
-		size += versionTrailerSize + 8 + traceTrailerSize
+		size += maxTrailerSize
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(r.Op))
-	var k [2]byte
-	binary.BigEndian.PutUint16(k[:], uint16(len(r.Key)))
-	buf = append(buf, k[:]...)
-	buf = append(buf, r.Key...)
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], uint32(len(r.Value)))
-	buf = append(buf, v[:]...)
-	buf = append(buf, r.Value...)
+	dst = slices.Grow(dst, size)
+	dst = append(dst, byte(r.Op))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
+	dst = append(dst, r.Key...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Value)))
+	dst = append(dst, r.Value...)
 	if Versioned(r.Op) {
-		buf = appendTrailer(buf, r.Version, r.Flags, r.ExpireAt, r.Trace)
+		dst = appendTrailer(dst, r.Version, r.Flags, r.ExpireAt, r.Trace)
 	}
-	return buf, nil
+	return dst, nil
 }
+
+// EncodeRequest serializes a request into a fresh buffer.
+func EncodeRequest(r Request) ([]byte, error) { return AppendRequest(nil, r) }
 
 // DecodeRequest parses a serialized request.
 func DecodeRequest(b []byte) (Request, error) {
@@ -373,30 +370,38 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// EncodeResponse serializes a legacy response: status(1) valLen(4) val.
-func EncodeResponse(r Response) []byte {
-	buf := make([]byte, 0, 1+4+len(r.Value))
-	buf = append(buf, byte(r.Status))
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], uint32(len(r.Value)))
-	buf = append(buf, v[:]...)
-	buf = append(buf, r.Value...)
-	return buf
+// AppendResponse appends a legacy response to dst and returns the
+// extended slice: status(1) valLen(4) val.
+func AppendResponse(dst []byte, r Response) []byte {
+	dst = slices.Grow(dst, 1+4+len(r.Value))
+	dst = append(dst, byte(r.Status))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Value)))
+	return append(dst, r.Value...)
 }
 
-// EncodeResponseV serializes a versioned response:
-// status(1) valLen(4) val version(8) flags(1) [expireAt(8)].
-func EncodeResponseV(r Response) []byte {
-	buf := make([]byte, 0, 1+4+len(r.Value)+versionTrailerSize+8)
-	buf = append(buf, byte(r.Status))
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], uint32(len(r.Value)))
-	buf = append(buf, v[:]...)
-	buf = append(buf, r.Value...)
+// AppendResponseV appends a versioned response to dst and returns the
+// extended slice: status(1) valLen(4) val version(8) flags(1)
+// [expireAt(8)].
+func AppendResponseV(dst []byte, r Response) []byte {
+	dst = AppendResponse(slices.Grow(dst, 1+4+len(r.Value)+maxTrailerSize), r)
 	// Responses never carry a trace context: the caller already holds
 	// it, so the zero Context keeps response bytes identical to an
 	// untraced build.
-	return appendTrailer(buf, r.Version, r.Flags, r.ExpireAt, trace.Context{})
+	return appendTrailer(dst, r.Version, r.Flags, r.ExpireAt, trace.Context{})
+}
+
+// EncodeResponse and EncodeResponseV serialize into a fresh buffer.
+func EncodeResponse(r Response) []byte  { return AppendResponse(nil, r) }
+func EncodeResponseV(r Response) []byte { return AppendResponseV(nil, r) }
+
+// appendReply appends resp in the framing a caller of op expects:
+// versioned ops get the trailer, legacy ops do not, so old clients
+// interoperate on the same port.
+func appendReply(dst []byte, op Op, resp Response) []byte {
+	if Versioned(op) {
+		return AppendResponseV(dst, resp)
+	}
+	return AppendResponse(dst, resp)
 }
 
 // DecodeResponseV parses a versioned response.

@@ -37,16 +37,21 @@ type FrameMeta struct {
 	QueueWait time.Duration
 }
 
-// FrameHandler processes one raw request frame and returns the raw
-// response frame. It is the layer below Handler: protocols that are not
-// the binary key-value protocol (e.g. the dist RPC middleware) plug in
-// here and reuse the server's connection machinery unchanged.
-// Implementations must be safe for concurrent use and must not retain
-// body after returning: on legacy connections the server reuses the
-// read buffer for the next frame. The returned frame may alias body
-// contents (it is written out before the buffer is reused).
+// FrameHandler processes one raw request frame. It is the layer below
+// Handler: protocols that are not the binary key-value protocol (e.g.
+// the dist RPC middleware) plug in here and reuse the server's
+// connection machinery unchanged. Implementations must be safe for
+// concurrent use.
+//
+// ServeFrame is append-style: it appends the response frame to dst and
+// returns the extended slice. Both buffers are the transport's (see the
+// ownership rule in mux.go): body is valid until the response has been
+// written, so the response may alias it — or be it — and nothing of
+// body or dst may be retained after that; a handler keeps what it needs
+// by copying. A reply that outgrows dst is written from wherever append
+// put it, at the cost of that one allocation.
 type FrameHandler interface {
-	ServeFrame(body []byte, meta FrameMeta) []byte
+	ServeFrame(dst, body []byte, meta FrameMeta) []byte
 }
 
 // protocolFrames adapts a key-value Handler to the frame layer.
@@ -54,40 +59,26 @@ type protocolFrames struct {
 	h Handler
 }
 
-// ServeFrame implements FrameHandler. Versioned ops get the versioned
-// response encoding (their callers expect the trailer); legacy ops get
-// the legacy one, so old clients interoperate on the same port. Every
-// frame is counted into the per-op request/latency/byte metrics; the
-// timer spans decode through encode, so the histograms report what the
-// client actually waited on the server, not just the handler body.
-func (p protocolFrames) ServeFrame(body []byte, meta FrameMeta) []byte {
+// ServeFrame implements FrameHandler, answering in the framing the
+// request's op calls for (appendReply). Every frame is counted into the
+// per-op request/latency/byte metrics; the timer spans decode through
+// encode, so the histograms report what the client actually waited on
+// the server, not just the handler body.
+func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
 	start := obs.StartTimer()
 	req, err := DecodeRequest(body)
-	var resp Response
 	if err != nil {
 		csnetM.decodeEr.Inc()
 		csnetM.ops[0].Inc() // the op byte is untrusted after a failed decode
 		csnetM.bytesIn.Add(uint64(len(body)))
-		resp = Response{Status: StatusError, Value: []byte(err.Error())}
-		// The decode failed, so trust only the op byte for the framing
-		// choice.
-		if len(body) > 0 && Versioned(Op(body[0])) {
-			return EncodeResponseV(resp)
-		}
-		return EncodeResponse(resp)
+		return appendUndecoded(dst, body, Response{Status: StatusError, Value: []byte(err.Error())})
 	}
 	req.QueueWait = meta.QueueWait
-	resp = p.h.Serve(req)
-	var out []byte
-	if Versioned(req.Op) {
-		out = EncodeResponseV(resp)
-	} else {
-		out = EncodeResponse(resp)
-	}
+	out := appendReply(dst, req.Op, p.h.Serve(req))
 	slot := opSlot(req.Op)
 	csnetM.ops[slot].Inc()
 	csnetM.bytesIn.Add(uint64(len(body)))
-	csnetM.bytesOut.Add(uint64(len(out)))
+	csnetM.bytesOut.Add(uint64(len(out) - len(dst)))
 	if !start.IsZero() {
 		d := time.Since(start)
 		csnetM.latency[slot].Observe(d.Nanoseconds())
@@ -164,16 +155,15 @@ func (s *Server) release() {
 	}
 }
 
-// busyResponse encodes the StatusBusy reply for a request frame that
-// was shed before decoding. Only the op byte is trusted for the
-// framing choice (versioned vs legacy) — the same discipline as the
-// decode-failure path.
-func busyResponse(body []byte) []byte {
-	resp := Response{Status: StatusBusy}
-	if len(body) > 0 && Versioned(Op(body[0])) {
-		return EncodeResponseV(resp)
+// appendUndecoded appends resp for a request frame that was not (or
+// could not be) decoded — shed before decoding, or malformed — so only
+// its op byte is trusted for the framing choice.
+func appendUndecoded(dst, body []byte, resp Response) []byte {
+	var op Op
+	if len(body) > 0 {
+		op = Op(body[0])
 	}
-	return EncodeResponse(resp)
+	return appendReply(dst, op, resp)
 }
 
 // NewServer creates a key-value protocol server with the given handler;
@@ -258,40 +248,40 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.serveLegacy(conn, binary.BigEndian.Uint32(pre[:]))
 }
 
-// serveLegacy processes one-request-one-response FIFO frames. Handling
-// is synchronous, so the request body scratch and the response frame
-// buffer are reused across iterations: a steady-state request costs
-// zero buffer allocations and one write syscall here.
+// serveLegacy processes one-request-one-response FIFO frames. The
+// request body and the response dst are transport buffers like the
+// muxed path's, released once the response is on the wire, so a
+// steady-state request costs zero buffer allocations and one write
+// syscall here.
 func (s *Server) serveLegacy(conn net.Conn, firstLen uint32) {
-	var body []byte  // request scratch, grown on demand
 	var frame []byte // response header+body, coalesced into one write
 	n := firstLen
 	for {
 		if n > MaxFrameSize {
 			return
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
+		body := getBuf(int(n))
 		if _, err := io.ReadFull(conn, body); err != nil {
 			return
 		}
+		dst := getBuf(0)
 		var resp []byte
 		if s.admit() {
-			resp = s.frames.ServeFrame(body, FrameMeta{})
+			resp = s.frames.ServeFrame(dst, body, FrameMeta{})
 			s.release()
 		} else {
 			// The legacy path is synchronous, so this conn holds at most
 			// one slot; shedding here means muxed traffic elsewhere has
 			// exhausted the server-wide budget.
 			csnetM.shed.Inc()
-			resp = busyResponse(body)
+			resp = appendUndecoded(dst, body, Response{Status: StatusBusy})
 		}
 		if len(resp) > MaxFrameSize {
 			return
 		}
 		frame = appendFrame(frame[:0], resp)
+		putBuf(body)
+		putBuf(dst)
 		if _, err := conn.Write(frame); err != nil {
 			return
 		}
@@ -312,10 +302,9 @@ const muxConnHandlers = 32
 // goroutines (no per-request spawn) and the shared coalescing frame
 // writer (runFrameWriter) batches finished responses into single
 // buffered writes. On a write failure the writer closes the connection,
-// which unblocks the read loop and tears the whole pipeline down.
-// Request bodies are allocated per frame here — handlers run
-// concurrently, so the legacy path's scratch reuse would be a data
-// race.
+// which unblocks the read loop and tears the whole pipeline down. Each
+// request body is a transport buffer that rides its response frame and
+// is released by the writer with the response's dst.
 func (s *Server) serveMux(conn net.Conn) {
 	// With queue shedding enabled the worker queue's capacity IS the
 	// shed bound: a frame that cannot be buffered is answered busy
@@ -342,7 +331,8 @@ func (s *Server) serveMux(conn net.Conn) {
 				if !f.at.IsZero() {
 					meta.QueueWait = time.Since(f.at)
 				}
-				out <- muxFrame{seq: f.seq, body: s.frames.ServeFrame(f.body, meta)}
+				dst := getBuf(0)
+				out <- muxFrame{seq: f.seq, body: s.frames.ServeFrame(dst, f.body, meta), free: [2][]byte{f.body, dst}}
 				s.release()
 			}
 		}()
@@ -357,7 +347,7 @@ func (s *Server) serveMux(conn net.Conn) {
 		if n > MaxFrameSize {
 			break
 		}
-		body := make([]byte, n)
+		body := getBuf(int(n))
 		if _, err := io.ReadFull(br, body); err != nil {
 			break
 		}
@@ -386,7 +376,8 @@ func (s *Server) serveMux(conn net.Conn) {
 			// ceiling admission cannot lift is the client outrunning its
 			// own read loop.
 			csnetM.shed.Inc()
-			out <- muxFrame{seq: seq, body: busyResponse(body)}
+			dst := getBuf(0)
+			out <- muxFrame{seq: seq, body: appendUndecoded(dst, body, Response{Status: StatusBusy}), free: [2][]byte{body, dst}}
 		}
 	}
 	close(in)

@@ -127,6 +127,12 @@ type Cluster struct {
 	// sliced differently by per-key placement.
 	buckets    int
 	bucketKeys []string // precomputed ring keys, one per bucket
+	// owners is the ring's answer for every bucket, precomputed: the ring
+	// changes only in MarkDown and MarkUp, which republish it (reroute),
+	// so the per-op path is a hash and an index — no lock, no ring walk,
+	// no allocation. The published table is immutable.
+	owners  atomic.Pointer[[][]int]
+	routeMu sync.Mutex // serializes ring changes with the table they publish
 
 	mu        sync.Mutex
 	down      []bool
@@ -204,6 +210,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.pools[i] = &clientPool{addr: addr, timeout: timeout}
 		c.addrIdx[addr] = i
 	}
+	c.reroute(nil)
 	go c.rebalanceLoop()
 	return c, nil
 }
@@ -223,15 +230,32 @@ func (c *Cluster) replicaSet(key string) []int {
 	return c.ownersOf(store.BucketOf(key, c.buckets))
 }
 
-// ownersOf returns the live replica set of one Merkle bucket.
+// ownersOf returns the live replica set of one Merkle bucket. The
+// slice is shared by every caller: index it, never write to it.
 func (c *Cluster) ownersOf(bucket int) []int {
-	return c.ring.PickN(c.bucketKeys[bucket], c.rf)
+	return (*c.owners.Load())[bucket]
+}
+
+// reroute applies one ring change (nil: none, for the first table) and
+// publishes the owners table of the ring that results.
+func (c *Cluster) reroute(change func()) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	if change != nil {
+		change()
+	}
+	table := make([][]int, c.buckets)
+	for b := range table {
+		table[b] = c.ring.PickN(c.bucketKeys[b], c.rf)
+	}
+	c.owners.Store(&table)
 }
 
 // ReplicaSet reports the live backends currently owning key, primary
 // first — the placement every read, write, and anti-entropy pass
 // uses. Demos and operators use it to check replication coverage
-// against the cluster's actual geometry.
+// against the cluster's actual geometry. The slice is the routing
+// table's own row: read it, do not modify it.
 func (c *Cluster) ReplicaSet(key string) []int { return c.replicaSet(key) }
 
 // startOp opens a new trace plus its root span for one operation —

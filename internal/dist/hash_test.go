@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -212,5 +213,47 @@ func TestConsistentHashDefaults(t *testing.T) {
 	}
 	if ring.Name() != "consistent-hash" {
 		t.Errorf("Name() = %q", ring.Name())
+	}
+}
+
+// TestOwnersTableTracksRing flips backends down and up from several
+// goroutines at once and then checks the published owners table row by
+// row against the ring it was built from: a table published out of
+// order with its ring change would route a bucket to the wrong nodes
+// until the next flip.
+func TestOwnersTableTracksRing(t *testing.T) {
+	_, c := startKVCluster(t, 5, ClusterConfig{Replication: 3, Buckets: 64}, nil)
+	check := func(when string) {
+		t.Helper()
+		for b := 0; b < c.buckets; b++ {
+			if got, want := c.ownersOf(b), c.ring.PickN(c.bucketKeys[b], c.rf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: bucket %d routes to %v, ring says %v", when, b, got, want)
+			}
+		}
+	}
+	check("fresh cluster")
+	var wg sync.WaitGroup
+	for b := 0; b < 4; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				c.MarkDown(b)
+				c.MarkUp(b)
+			}
+			if b%2 == 0 {
+				c.MarkDown(b)
+			}
+		}(b)
+	}
+	wg.Wait()
+	check("after concurrent flips")
+	if got := len(c.replicaSet("any-key")); got != 3 {
+		t.Fatalf("replica set has %d members with 3 of 5 backends live, want 3", got)
+	}
+	for _, o := range c.replicaSet("any-key") {
+		if o == 0 || o == 2 {
+			t.Fatalf("replica set %v includes a backend that is marked down", c.replicaSet("any-key"))
+		}
 	}
 }

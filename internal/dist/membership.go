@@ -226,7 +226,7 @@ func (c *Cluster) MarkDown(b int) bool {
 	}
 	c.down[b] = true
 	c.mu.Unlock()
-	c.ring.RemoveNode(b)
+	c.reroute(func() { c.ring.RemoveNode(b) })
 	// Full listings only when rf < n: the full pass exists to rescue
 	// copies stranded on non-owners after a ring change, and at rf == n
 	// every backend owns every bucket, so no copy can be stranded and
@@ -267,7 +267,7 @@ func (c *Cluster) MarkUp(b int) bool {
 	}
 	c.mu.Unlock()
 	c.replayHints(b)
-	c.ring.RestoreNode(b)
+	c.reroute(func() { c.ring.RestoreNode(b) })
 	c.mu.Lock()
 	c.down[b] = false
 	c.mu.Unlock()

@@ -24,7 +24,7 @@ type replicaFault struct {
 
 // outcome is what replicate learned about one mutation.
 type outcome struct {
-	set     []int  // the key's live replica set at write time
+	set     []int  // the key's live replica set at write time (shared: read-only)
 	acks    int    // replicas now holding this write or something newer
 	need    int    // acks that settle it: the write quorum, or every replica for a delete
 	existed bool   // some replica applied it over a live copy (what Del reports)
@@ -50,7 +50,8 @@ func (o *outcome) failure(op, key string) error {
 // replica of the set either acked or has a fault, so the ack list is
 // the set minus the causes.
 func (o *outcome) partial(op, key string) *PartialWriteError {
-	pe := &PartialWriteError{Op: op, Key: key, Replicas: o.set, Quorum: o.need}
+	// o.set is a row of the shared owners table; the error gets its own.
+	pe := &PartialWriteError{Op: op, Key: key, Replicas: append([]int(nil), o.set...), Quorum: o.need}
 	if len(o.faults) > 0 {
 		pe.Causes = make(map[int]error, len(o.faults))
 	}

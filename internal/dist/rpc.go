@@ -92,8 +92,9 @@ func (s *RPCServer) Start(addr string) (string, error) {
 }
 
 // ServeFrame implements csnet.FrameHandler: decode the call envelope,
-// dispatch, encode the reply envelope.
-func (s *RPCServer) ServeFrame(body []byte, _ csnet.FrameMeta) []byte {
+// dispatch, append the reply envelope to dst. json.Unmarshal copies
+// what it keeps, so nothing of body outlives the call.
+func (s *RPCServer) ServeFrame(dst, body []byte, _ csnet.FrameMeta) []byte {
 	var resp rpcResponse
 	var req rpcRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -114,7 +115,7 @@ func (s *RPCServer) ServeFrame(body []byte, _ csnet.FrameMeta) []byte {
 	if err != nil {
 		out, _ = json.Marshal(rpcResponse{Err: fmt.Sprintf("encode response: %v", err)})
 	}
-	return out
+	return append(dst, out...)
 }
 
 // Shutdown stops accepting, closes every connection and waits for the
@@ -160,7 +161,8 @@ func (c *RPCClient) Go(method string, args interface{}) *RPCCall {
 }
 
 // Done waits for the reply and, when reply is non-nil, decodes the
-// result into it. Handler and dispatch failures come back as
+// result into it. A call is single-use: a second Done reports
+// csnet.ErrCallConsumed. Handler and dispatch failures come back as
 // *RemoteError; transport failures as ordinary errors.
 func (rc *RPCCall) Done(reply interface{}) error {
 	if rc.err != nil {
