@@ -76,7 +76,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	dataDir := fs.String("data-dir", "", "durability: directory for the node's write-ahead log (wal.<G>), its checkpoints (snap.<G>) and the WALMETA manifest; on restart the node reloads from it and catches up via Merkle anti-entropy (empty = in-memory only)")
 	fsyncPolicy := fs.String("fsync", "interval", "WAL fsync policy: always (every write waits for a group commit shared by all shards), interval (one background fsync per -fsync-interval), or never (requires -data-dir)")
 	fsyncEvery := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence for -fsync interval")
-	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "log bytes per shard between checkpoints: once the log exceeds this × -shards it rotates, the whole engine is checkpointed and the covered segments are deleted (requires -data-dir)")
+	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "floor, in log bytes per shard, under the checkpoint trigger: the log rotates, the whole engine is checkpointed and the covered segments are deleted once the un-checkpointed log is as large as the last checkpoint, and never before it holds this × -shards (requires -data-dir)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/traces, /debug/vars, and /debug/pprof on this address (empty = off)")
 	shedQueue := fs.Int("shed-queue", 0, "admission control: per-connection worker queue depth; frames past it are shed with BUSY (0 = queue bounded only by worker count, no shedding)")
 	shedInflight := fs.Int("shed-inflight", 0, "admission control: server-wide in-flight request budget; frames past it are shed with BUSY (0 = unlimited)")
@@ -109,14 +109,19 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 			return fmt.Errorf("distnode: open %s: %w", *dataDir, oerr)
 		}
 		rs := eng.Recovery()
-		logger.Printf("distnode: recovered %d snapshot entries + %d WAL records (%d segments, %d torn bytes dropped) from %s in %s; fsync=%s",
-			rs.SnapshotEntries, rs.WALRecords, rs.Segments, rs.TornBytes, *dataDir, rs.Elapsed.Round(time.Microsecond), policy)
+		logBytes, checkpointAt := eng.Backlog()
+		logger.Printf("distnode: recovered %d snapshot entries + %d WAL records (%d segments, %d torn bytes dropped) from %s in %s; fsync=%s; %d log bytes un-checkpointed, next checkpoint at %d",
+			rs.SnapshotEntries, rs.WALRecords, rs.Segments, rs.TornBytes, *dataDir, rs.Elapsed.Round(time.Microsecond), policy, logBytes, checkpointAt)
 		// Reload gauges on /metrics: what this node's last open rebuilt
 		// from disk. Func re-registration is last-wins (see the store
 		// gauges below), matching the newest engine in test processes.
 		obs.Default().Func("store.recovery.entries", func() int64 { return int64(eng.Recovery().SnapshotEntries) })
 		obs.Default().Func("store.recovery.records", func() int64 { return int64(eng.Recovery().WALRecords) })
 		obs.Default().Func("store.recovery.torn_bytes", func() int64 { return eng.Recovery().TornBytes })
+		// Checkpoint pacing: the log a restart would replay, and the
+		// size at which it is next rewritten as an image.
+		obs.Default().Func("store.wal.log_bytes", func() int64 { logBytes, _ := eng.Backlog(); return logBytes })
+		obs.Default().Func("store.wal.checkpoint_at", func() int64 { _, at := eng.Backlog(); return at })
 	} else {
 		eng = store.NewSharded(sopts)
 	}

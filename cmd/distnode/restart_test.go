@@ -91,6 +91,15 @@ func TestDistnodeRestartRecovery(t *testing.T) {
 	if snapN+walN < keys {
 		t.Fatalf("restart recovered %d snapshot entries + %d WAL records, want >= %d", snapN, walN, keys)
 	}
+	// The same line carries the checkpoint pacing in force: the log just
+	// replayed counts as un-checkpointed, against the default floor
+	// (-snapshot-every 8 MiB × 128 shards — no checkpoint exists yet).
+	paceRE := regexp.MustCompile(`(\d+) log bytes un-checkpointed, next checkpoint at (\d+)`)
+	if pm := paceRE.FindStringSubmatch(rlogs.String()); pm == nil {
+		t.Fatalf("no checkpoint pacing in the recovery line:\n%s", rlogs.String())
+	} else if logBytes, _ := strconv.Atoi(pm[1]); logBytes < walN*30 || pm[2] != strconv.Itoa(8<<20*128) {
+		t.Fatalf("recovery line reports %s log bytes after %d records, threshold %s; want the replayed log counted and the 1 GiB floor", pm[1], walN, pm[2])
+	}
 	// Local reload, not a re-stream: a key nobody touched during the
 	// outage is served from the recovered WAL before any rebalance runs.
 	cl, err := csnet.Dial(addr1, time.Second)

@@ -231,6 +231,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		var ackedState map[string]Entry
 		touched := map[string]bool{}
 		sweptSinceSync := false
+		snapsBefore := counter("store.wal.snapshots")
 
 		nops := 1200 + rng.Intn(800)
 		for i := 0; i < nops; i++ {
@@ -290,6 +291,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// flip a byte (a corrupt CRC), both of which recovery must
 		// refuse to replay past.
 		s.wal.close(false)
+		// The crash windows around a checkpoint are only exercised if
+		// the size trigger still fires at this floor every round.
+		if counter("store.wal.snapshots") == snapsBefore {
+			t.Fatalf("round %d: no size-triggered checkpoint in %d ops (seed %d)", round, nops, seed)
+		}
 		for _, tf := range tfs.tracked() {
 			st, err := os.Stat(tf.path)
 			if err != nil {

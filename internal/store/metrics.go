@@ -16,6 +16,11 @@ import "pdcedu/internal/obs"
 //	store.wal.errors             counter: sticky log failures (each one
 //	                             poisons an engine)
 //	store.wal.snapshots          counter: engine checkpoints written
+//	store.wal.snapshot_bytes     counter: image bytes those checkpoints
+//	                             wrote; ÷ append_bytes is what
+//	                             checkpoints add to the log's own write
+//	                             amplification (≤ 1 once the store has
+//	                             stopped growing)
 //	store.wal.recovered_entries  counter: checkpoint entries loaded at open
 //	store.wal.recovered_records  counter: log records replayed at open
 //	store.wal.torn_bytes         counter: log bytes dropped at torn or
@@ -24,10 +29,18 @@ import "pdcedu/internal/obs"
 //	store.wal.snapshot_ns        histogram: rotation + checkpoint latency
 //	store.wal.recovery_ns        histogram: whole-engine reload latency
 //
-// The live entries / tombstones gauges are deliberately not here: a
-// process can host several engines, so cmd/distnode registers
-// store.entries and store.tombstones as func gauges over its own
-// engine's Counts.
+// The per-engine levels are deliberately not here: a process can host
+// several engines, so cmd/distnode registers them as func gauges over
+// its own engine —
+//
+//	store.entries, store.tombstones   Counts()
+//	store.wal.log_bytes               Backlog(): bytes of log no
+//	                                  checkpoint covers (what a restart
+//	                                  would replay)
+//	store.wal.checkpoint_at           Backlog(): log_bytes at which the
+//	                                  next checkpoint fires,
+//	                                  max(snapshot-every × shards, bytes
+//	                                  of the newest checkpoint)
 var (
 	sweepExpired  = obs.Default().Counter("store.sweep.expired")
 	sweepPurged   = obs.Default().Counter("store.sweep.purged")
@@ -38,6 +51,7 @@ var (
 	walFsyncs           = obs.Default().Counter("store.wal.fsyncs")
 	walErrors           = obs.Default().Counter("store.wal.errors")
 	walSnapshots        = obs.Default().Counter("store.wal.snapshots")
+	walSnapshotBytes    = obs.Default().Counter("store.wal.snapshot_bytes")
 	walRecoveredEntries = obs.Default().Counter("store.wal.recovered_entries")
 	walRecoveredRecords = obs.Default().Counter("store.wal.recovered_records")
 	walTornBytes        = obs.Default().Counter("store.wal.torn_bytes")

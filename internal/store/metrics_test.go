@@ -22,6 +22,7 @@ func TestMetricsRegistration(t *testing.T) {
 		"store.wal.fsyncs",
 		"store.wal.errors",
 		"store.wal.snapshots",
+		"store.wal.snapshot_bytes",
 		"store.wal.recovered_entries",
 		"store.wal.recovered_records",
 		"store.wal.torn_bytes",
@@ -97,6 +98,7 @@ func TestMetricsWALCounters(t *testing.T) {
 		"store.wal.append_bytes",
 		"store.wal.fsyncs",
 		"store.wal.snapshots",
+		"store.wal.snapshot_bytes",
 		"store.wal.recovered_entries",
 	} {
 		if after[name] <= before[name] {

@@ -58,14 +58,14 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 		}
 	}
 	w := &wal{
-		o:      wo,
-		eng:    s,
-		snapAt: math.MaxInt64,
-		snapC:  make(chan struct{}, 1),
-		stop:   make(chan struct{}),
+		o:     wo,
+		eng:   s,
+		floor: math.MaxInt64,
+		snapC: make(chan struct{}, 1),
+		stop:  make(chan struct{}),
 	}
 	if n := int64(s.Shards()); wo.SnapshotBytes <= math.MaxInt64/n {
-		w.snapAt = wo.SnapshotBytes * n
+		w.floor = wo.SnapshotBytes * n
 	}
 	w.cond.L = &w.mu
 	maxVer, err := w.recover()
@@ -88,8 +88,11 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 // recover rebuilds the engine from the newest checkpoint plus the
 // segments after it, deletes every file that no longer carries state,
 // and opens a fresh segment (a recovered tail is never appended through
-// again). Returns the largest version it installed. The engine is not
-// shared yet, so it takes no locks.
+// again). The checkpoint's bytes and those of the segments it keeps
+// seed the checkpoint trigger: log replayed here is as un-checkpointed
+// as log appended later, and a node that restarts often must not stack
+// segments the trigger cannot see. Returns the largest version it
+// installed. The engine is not shared yet, so it takes no locks.
 func (w *wal) recover() (maxVer uint64, err error) {
 	segs, snaps := scanDir(w.o.Dir)
 	// A checkpoint interrupted before its rename.
@@ -112,7 +115,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	// installed wiped, and the next older one is tried.
 	var snapGen uint64
 	for i := len(snaps) - 1; i >= 0 && snapGen == 0; i-- {
-		n, err := loadSnapshot(w.snapPath(snaps[i]), apply)
+		n, size, err := loadSnapshot(w.snapPath(snaps[i]), apply)
 		if err != nil {
 			for si := range w.eng.shards {
 				sh := &w.eng.shards[si]
@@ -121,7 +124,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 			maxVer = 0
 			continue
 		}
-		snapGen, w.rec.SnapshotEntries = snaps[i], n
+		snapGen, w.rec.SnapshotEntries, w.image = snaps[i], n, size
 		for _, older := range snaps[:i] {
 			os.Remove(w.snapPath(older))
 		}
@@ -133,6 +136,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	// the first tear was ever acked as durable.
 	maxGen := snapGen
 	stopped := false
+	w.backlog = magicLen // the fresh segment's
 	for _, g := range segs {
 		maxGen = max(maxGen, g)
 		path := w.segPath(g)
@@ -143,7 +147,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 			os.Remove(path)
 			continue
 		}
-		records, torn, err := replaySegment(path, apply)
+		records, kept, torn, err := replaySegment(path, apply)
 		if err != nil {
 			return 0, err
 		}
@@ -151,6 +155,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 			w.rec.Segments++
 			w.rec.WALRecords += records
 		}
+		w.backlog += kept
 		w.rec.TornBytes += torn
 		stopped = torn > 0
 	}
@@ -160,35 +165,36 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	w.gen, w.size = maxGen+1, magicLen
+	w.gen = maxGen + 1
 	return maxVer, nil
 }
 
 // replaySegment streams the segment at path through apply and reports
-// the records applied and the trailing bytes dropped as torn or
-// corrupt. The file is truncated to its intact prefix; one left with no
-// record — never written to, or torn at its first frame — is deleted,
-// so restarts do not pile up empty segments.
-func replaySegment(path string, apply func(key string, e Entry, purge bool)) (records int, torn int64, err error) {
+// the records applied, the bytes of the file it kept, and the trailing
+// bytes dropped as torn or corrupt. The file is truncated to its intact
+// prefix; one left with no record — never written to, or torn at its
+// first frame — is deleted, so restarts do not pile up empty segments.
+func replaySegment(path string, apply func(key string, e Entry, purge bool)) (records int, kept, torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	records, torn, err = scanRecords(f, st.Size(), walMagic, nil, apply)
+	kept = st.Size() - torn
 	switch {
 	case err != nil && err != errTornRecord && err != errCorruptRecord:
-		return records, 0, fmt.Errorf("%s: %w", path, err)
+		return records, 0, 0, fmt.Errorf("%s: %w", path, err)
 	case records == 0:
-		err = os.Remove(path)
+		kept, err = 0, os.Remove(path)
 	case torn > 0: // every torn or corrupt stop leaves bytes unread
-		err = os.Truncate(path, st.Size()-torn)
+		err = os.Truncate(path, kept)
 	}
-	return records, torn, err
+	return records, kept, torn, err
 }
 
 // scanDir lists the directory's log segment and checkpoint

@@ -9,12 +9,25 @@ import (
 	"pdcedu/internal/obs"
 )
 
-// Checkpoints bound recovery time and disk growth: once the open
-// segment passes WALOptions.SnapshotBytes of log per shard, the log
-// rotates to a fresh generation and every shard's table is streamed to
-// snap.<G> — G being the generation the checkpoint covers — after
-// which the covered segments are deleted. Recovery loads the newest
-// checkpoint and replays only the segments after it.
+// Checkpoints bound recovery time and disk growth: once the
+// un-checkpointed log has grown as large as the image it would replace
+// — max(WALOptions.SnapshotBytes × Shards(), bytes of the newest
+// checkpoint) — the log rotates to a fresh generation and every
+// shard's table is streamed to snap.<G>, G being the generation the
+// checkpoint covers, after which the covered segments are deleted.
+// Recovery loads the newest checkpoint and replays only the segments
+// after it.
+//
+// Pacing by the image is what keeps the cost proportional whatever the
+// data size: an image is rewritten only after at least its own size of
+// log, so checkpoints write no more than the log does once the store
+// has stopped growing (and no more than twice the log while it doubles,
+// the image then being up to image + log); recovery reads one image
+// plus at most max(floor, image) of log, plus what was appended while
+// the last checkpoint was being written; and the directory peaks at
+// three images — the old checkpoint, its log, and the .tmp replacing
+// both. SnapshotBytes is the floor below which a small store does not
+// bother.
 //
 // Crash windows are all safe by construction:
 //
@@ -29,17 +42,27 @@ import (
 //   - Covered segments and older checkpoints are deleted only after
 //     the rename; recovery ignores and removes whatever a crash leaves.
 
+// checkpointAt is the backlog at which the size trigger fires: the log
+// is checkpointed when it is as large as the image it would replace,
+// and never below the floor. Callers hold mu.
+func (w *wal) checkpointAt() int64 { return max(w.floor, w.image) }
+
 // checkpoint rotates the log and checkpoints everything before the
-// rotation, provided the open segment holds at least threshold bytes:
-// snapAt for the size trigger (so a token queued while the previous
-// checkpoint was rotating is a no-op), one record for the manual one.
-func (w *wal) checkpoint(threshold int64) error {
+// rotation, provided the backlog has reached its threshold:
+// checkpointAt for the size trigger (so a token queued while the
+// previous checkpoint was rotating is a no-op), one record for the
+// manual one.
+func (w *wal) checkpoint(manual bool) error {
 	w.ckMu.Lock()
 	defer w.ckMu.Unlock()
 	start := obs.StartTimer()
 
 	w.mu.Lock()
-	due := w.failed.Load() == nil && !w.closed.Load() && w.size >= threshold
+	threshold := w.checkpointAt()
+	if manual {
+		threshold = magicLen + 1
+	}
+	due := w.failed.Load() == nil && !w.closed.Load() && w.backlog >= threshold
 	oldGen := w.gen // only a checkpoint moves gen, and ckMu is held
 	w.mu.Unlock()
 	if !due {
@@ -70,20 +93,23 @@ func (w *wal) checkpoint(threshold int64) error {
 	// Records that landed in buf during the seal's I/O were not sealed:
 	// they open the new segment.
 	oldF := w.f
-	w.f, w.path, w.gen, w.size = nf, newPath, oldGen+1, magicLen+int64(len(w.buf))
+	w.f, w.path, w.gen, w.backlog = nf, newPath, oldGen+1, magicLen+int64(len(w.buf))
 	w.mu.Unlock()
 	oldF.Close()
 
-	if err := w.writeCheckpoint(oldGen); err != nil {
+	image, err := w.writeCheckpoint(oldGen)
+	w.mu.Lock()
+	if err != nil {
 		// The old segments stay on disk: recovery replays without the
 		// checkpoint and remains exact. Poison anyway — a disk that
 		// cannot take a checkpoint will not keep absorbing a growing log
 		// for long, and the operator should hear about it now.
-		w.mu.Lock()
 		w.poison("snapshot", w.snapPath(oldGen), err)
 		w.mu.Unlock()
 		return w.errOrNil()
 	}
+	w.image = image
+	w.mu.Unlock()
 	segs, snaps := scanDir(w.o.Dir)
 	for _, g := range segs {
 		if g <= oldGen {
@@ -100,16 +126,18 @@ func (w *wal) checkpoint(threshold int64) error {
 	return nil
 }
 
-// writeCheckpoint persists the engine as snap.<gen> atomically: tmp
-// file, fsync, rename, directory fsync.
-func (w *wal) writeCheckpoint(gen uint64) error {
+// writeCheckpoint persists the engine as snap.<gen> atomically — tmp
+// file, fsync, rename, directory fsync — and returns the image's bytes.
+func (w *wal) writeCheckpoint(gen uint64) (int64, error) {
 	path := w.snapPath(gen)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err = w.streamShards(f); err == nil {
+	n, err := w.streamShards(f)
+	walSnapshotBytes.Add(uint64(n))
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -120,23 +148,24 @@ func (w *wal) writeCheckpoint(gen uint64) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return 0, err
 	}
-	return syncDir(w.o.Dir)
+	return n, syncDir(w.o.Dir)
 }
 
 // streamShards writes the checkpoint body: magic, entry count (patched
 // in at the end), then every shard's entries as records. Shards are
 // encoded one at a time under their own lock and written with no lock
 // held: a checkpoint stalls 1/N of the key space and buffers one shard.
-func (w *wal) streamShards(f *os.File) error {
+// Returns the bytes written.
+func (w *wal) streamShards(f *os.File) (int64, error) {
 	var hdr [magicLen + 4]byte
 	copy(hdr[:], snapMagic)
 	if _, err := f.Write(hdr[:]); err != nil {
-		return err
+		return 0, err
 	}
 	var buf []byte
-	count := 0
+	count, written := 0, int64(len(hdr))
 	for i := range w.eng.shards {
 		sh := &w.eng.shards[i]
 		buf = buf[:0]
@@ -146,13 +175,15 @@ func (w *wal) streamShards(f *os.File) error {
 		}
 		count += len(sh.t.data)
 		sh.mu.Unlock()
-		if _, err := f.Write(buf); err != nil {
-			return err
+		n, err := f.Write(buf)
+		written += int64(n)
+		if err != nil {
+			return written, err
 		}
 	}
 	binary.LittleEndian.PutUint32(hdr[magicLen:], uint32(count))
 	_, err := f.WriteAt(hdr[magicLen:], magicLen)
-	return err
+	return written, err
 }
 
 // readSnapshot streams a checkpoint of size bytes from r through fn
@@ -172,30 +203,45 @@ func readSnapshot(r io.Reader, size int64, fn func(key string, e Entry, purge bo
 	return n, nil
 }
 
-// loadSnapshot is readSnapshot over the file at path.
-func loadSnapshot(path string, fn func(key string, e Entry, purge bool)) (int, error) {
+// loadSnapshot is readSnapshot over the file at path; it also returns
+// the file's size.
+func loadSnapshot(path string, fn func(key string, e Entry, purge bool)) (n int, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	n, err := readSnapshot(f, st.Size(), fn)
+	n, err = readSnapshot(f, st.Size(), fn)
 	if err != nil {
-		return n, fmt.Errorf("%s: %w", path, err)
+		return n, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return n, nil
+	return n, st.Size(), nil
 }
 
-// Snapshot forces a log rotation + checkpoint if the open segment
-// holds any record, so the next boot replays a checkpoint instead of
-// the whole log. Memory-only engines return nil.
+// Snapshot forces a log rotation + checkpoint if the un-checkpointed
+// log holds any record, so the next boot replays a checkpoint instead
+// of the whole log. Memory-only engines return nil.
 func (s *Sharded) Snapshot() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.checkpoint(magicLen + 1)
+	return s.wal.checkpoint(true)
+}
+
+// Backlog reports the bytes of log no checkpoint covers yet — what a
+// reopen would replay — and the size at which the engine will next
+// checkpoint it: max(SnapshotBytes × Shards(), bytes of the newest
+// checkpoint). Both zero for a memory-only engine.
+func (s *Sharded) Backlog() (logBytes, checkpointAt int64) {
+	w := s.wal
+	if w == nil {
+		return 0, 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.backlog, w.checkpointAt()
 }

@@ -245,3 +245,219 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 		t.Fatalf("refused open modified the directory: now holds %d files", len(got))
 	}
 }
+
+// pacedSet is Set by a writer that waits out every checkpoint it makes
+// due — the rotation and the image behind it — so checkpoints land
+// exactly where the trigger puts them, hold exactly the writes before
+// them, and can be counted. It returns the threshold in force after
+// the write.
+func pacedSet(t *testing.T, s *Sharded, key string, val []byte) int64 {
+	t.Helper()
+	s.Set(key, val, 0)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// ckMu is held from before a rotation until its image is in
+		// place, so under it the backlog and threshold are settled.
+		if !s.wal.ckMu.TryLock() {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		log, at := s.Backlog()
+		s.wal.ckMu.Unlock()
+		if log < at {
+			return at
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("engine poisoned waiting for a checkpoint: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint due at %d bytes never ran (backlog %d)", at, log)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// pacingRecord is the log (and image) bytes of one record the pacing
+// tests write: an 8-byte key and a 100-byte value.
+const pacingRecord = recHeader + recFixed + 8 + 100
+
+func pacingKey(i int) string { return fmt.Sprintf("key-%04d", i) }
+
+// TestCheckpointPacedByImage is the pacing rule end to end: one writer
+// overwrites a fixed key set whose image is far above the floor for
+// twelve images' worth of log, across clean restarts. Checkpoints must
+// write no more than the log did (plus one image), come once per image
+// of log, and leave every reopen at most one image of log to replay —
+// restarts included, since replayed log counts toward the trigger.
+func TestCheckpointPacedByImage(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 10}
+	const keys, sets = 400, 12 * 400
+	val := make([]byte, 100)
+
+	s, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 0; i < keys; i++ {
+		s.Set(pacingKey(i), val, 0)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	const image = magicLen + 4 + keys*pacingRecord
+	if _, at := s.Backlog(); at != image {
+		t.Fatalf("threshold after a %d-byte checkpoint is %d, want the image", image, at)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	snaps0, snapBytes0, appended0 := counter("store.wal.snapshots"), counter("store.wal.snapshot_bytes"), counter("store.wal.append_bytes")
+
+	for i := 0; i < sets; i++ {
+		val[0] = byte(i)
+		pacedSet(t, s, pacingKey(i%keys), val)
+		if i%1000 != 999 {
+			continue
+		}
+		want := rawState(s)
+		if err := s.Close(); err != nil {
+			t.Fatalf("close at %d: %v", i, err)
+		}
+		if s, err = OpenSharded(opts, wopts); err != nil {
+			t.Fatalf("reopen at %d: %v", i, err)
+		}
+		diffStates(t, fmt.Sprintf("reopen at %d", i), rawState(s), want)
+		rec := s.Recovery()
+		if rec.SnapshotEntries != keys {
+			t.Fatalf("reopen at %d loaded %d checkpoint entries, want %d", i, rec.SnapshotEntries, keys)
+		}
+		if replayed := int64(rec.WALRecords) * pacingRecord; replayed > image+walFlushBytes {
+			t.Fatalf("reopen at %d replayed %d log bytes on a %d-byte image", i, replayed, image)
+		}
+		if log, at := s.Backlog(); at != image || log < int64(rec.WALRecords)*pacingRecord {
+			t.Fatalf("reopen at %d: backlog %d, threshold %d; want the %d replayed records counted against the loaded image %d",
+				i, log, at, rec.WALRecords, image)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	snaps := counter("store.wal.snapshots") - snaps0
+	snapBytes := counter("store.wal.snapshot_bytes") - snapBytes0
+	appended := counter("store.wal.append_bytes") - appended0
+	if appended != sets*pacingRecord {
+		t.Fatalf("appended %d log bytes, want %d", appended, sets*pacingRecord)
+	}
+	if snapBytes != snaps*image {
+		t.Fatalf("store.wal.snapshot_bytes advanced %d over %d checkpoints of %d bytes", snapBytes, snaps, image)
+	}
+	if snapBytes > appended+image {
+		t.Fatalf("checkpoints wrote %d bytes for %d of log: more than the log plus one image", snapBytes, appended)
+	}
+	if want := appended / image; snaps < want-1 || snaps > want+1 {
+		t.Fatalf("%d checkpoints for %d images' worth of log", snaps, want)
+	}
+}
+
+// TestCheckpointFloor: a store whose image is below SnapshotBytes ×
+// Shards() checkpoints at that floor, as it did before checkpoints were
+// paced by the image.
+func TestCheckpointFloor(t *testing.T) {
+	const floor = 4 * (4 << 10)
+	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64},
+		WALOptions{Dir: t.TempDir(), Fsync: FsyncNever, SnapshotBytes: 4 << 10})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	snaps0 := counter("store.wal.snapshots")
+	val := make([]byte, 100)
+	const sets = 5 * floor / pacingRecord
+	for i := 0; i < sets; i++ {
+		if at := pacedSet(t, s, pacingKey(i%20), val); at != floor {
+			t.Fatalf("threshold %d after set %d, want the floor %d (the image is %d bytes)", at, i, floor, 20*pacingRecord)
+		}
+	}
+	if snaps := counter("store.wal.snapshots") - snaps0; snaps != 4 && snaps != 5 {
+		t.Fatalf("%d checkpoints for five floors' worth of log, want one per floor", snaps)
+	}
+}
+
+// TestCheckpointGrowthIsGeometric: a store that only grows checkpoints
+// at doubling intervals — each image is as large as all the log before
+// it — so 64 floors' worth of inserts take about log2(64) checkpoints,
+// not 64, and they write no more than twice what the log did.
+func TestCheckpointGrowthIsGeometric(t *testing.T) {
+	const floor = 4 * (1 << 10)
+	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64},
+		WALOptions{Dir: t.TempDir(), Fsync: FsyncNever, SnapshotBytes: 1 << 10})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	snaps0, snapBytes0 := counter("store.wal.snapshots"), counter("store.wal.snapshot_bytes")
+	val := make([]byte, 100)
+	const sets = 64 * floor / pacingRecord
+	thresholds := []int64{floor}
+	for i := 0; i < sets; i++ {
+		if at := pacedSet(t, s, pacingKey(i), val); at != thresholds[len(thresholds)-1] {
+			thresholds = append(thresholds, at)
+		}
+	}
+	// The first image is one floor of log, so the threshold first moves
+	// at the second checkpoint; from there every one doubles it.
+	for i := 2; i < len(thresholds); i++ {
+		if prev, at := thresholds[i-1], thresholds[i]; at < prev*19/10 || at > prev*21/10 {
+			t.Fatalf("thresholds %v: step %d is not a doubling", thresholds, i)
+		}
+	}
+	snaps := counter("store.wal.snapshots") - snaps0
+	if snaps < 6 || snaps > 8 {
+		t.Fatalf("%d checkpoints for 64 floors' worth of inserts (thresholds %v), want about log2(64)+1", snaps, thresholds)
+	}
+	if snapBytes := counter("store.wal.snapshot_bytes") - snapBytes0; snapBytes > 2*sets*pacingRecord {
+		t.Fatalf("checkpoints wrote %d bytes for %d of log while growing: more than twice the log", snapBytes, sets*pacingRecord)
+	}
+}
+
+// TestRecoveryCountsReplayedLog: a node that restarts more often than
+// it logs one threshold must still checkpoint — the segments a reopen
+// replays count toward the trigger — so neither the directory nor the
+// replay grows with the number of restarts.
+func TestRecoveryCountsReplayedLog(t *testing.T) {
+	dir := t.TempDir()
+	const floor = 4 * (2 << 10)
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 2 << 10}
+	val := make([]byte, 100)
+	// ~2 KiB of log an incarnation, a quarter of the floor, over a key
+	// set whose image stays below it.
+	const perOpen, keys = 15, 40
+	for open := 0; open < 24; open++ {
+		s, err := OpenSharded(opts, wopts)
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		if replayed := int64(s.Recovery().WALRecords) * pacingRecord; replayed > floor+pacingRecord {
+			t.Fatalf("open %d replayed %d log bytes, more than the %d-byte threshold", open, replayed, floor)
+		}
+		if _, segs := snapFiles(t, dir); len(segs) > floor/(perOpen*pacingRecord)+2 {
+			t.Fatalf("open %d found %d segments stacked: %v", open, len(segs), segs)
+		}
+		if got := s.Len(); got != min(open*perOpen, keys) {
+			t.Fatalf("open %d recovered %d keys, want %d", open, got, min(open*perOpen, keys))
+		}
+		for i := 0; i < perOpen; i++ {
+			pacedSet(t, s, pacingKey((open*perOpen+i)%keys), val)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("close %d: %v", open, err)
+		}
+	}
+	if snaps, _ := snapFiles(t, dir); len(snaps) != 1 {
+		t.Fatalf("24 restarts left checkpoints %v, want exactly one", snaps)
+	}
+}

@@ -104,9 +104,11 @@ type WALOptions struct {
 	// Interval is the background fsync cadence under FsyncInterval
 	// (default 100ms).
 	Interval time.Duration
-	// SnapshotBytes is the log volume per shard between checkpoints:
-	// the log rotates and the engine is checkpointed once the open
-	// segment exceeds SnapshotBytes × Shards() (default 8 MiB).
+	// SnapshotBytes, per shard, is the floor under the checkpoint
+	// trigger: the log rotates and the engine is checkpointed once the
+	// un-checkpointed log is as large as the image it would replace,
+	// and never before it holds SnapshotBytes × Shards() (default
+	// 8 MiB per shard). See snapshot.go.
 	SnapshotBytes int64
 	// OpenFile opens a log segment for appending, creating it when
 	// absent (default os.OpenFile with O_CREATE|O_WRONLY|O_APPEND).
@@ -334,9 +336,9 @@ func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(k
 // while the disk works and everything sealed under one swap is acked
 // together.
 type wal struct {
-	o      WALOptions
-	eng    *Sharded
-	snapAt int64 // open-segment size that triggers a checkpoint: SnapshotBytes per shard
+	o     WALOptions
+	eng   *Sharded
+	floor int64 // SnapshotBytes × Shards(): the least backlog worth a checkpoint
 
 	// failed is the sticky first error; once set the engine is
 	// poisoned (see WALError).
@@ -356,7 +358,12 @@ type wal struct {
 	f    WALFile
 	path string
 	gen  uint64
-	size int64 // the open segment's bytes on file plus its share of buf
+	// backlog is the un-checkpointed log: the bytes of every segment a
+	// reopen would replay — those retained at open, the open one on
+	// file — plus buf. image is the bytes of the newest checkpoint,
+	// written or loaded. Between them they pace checkpoints (see
+	// checkpointAt).
+	backlog, image int64
 
 	// seq numbers appended records; flushed is the highest seq handed to
 	// the file, durable the highest known to be on stable storage. The
@@ -398,14 +405,14 @@ func (w *wal) append(key string, e Entry, purge bool) uint64 {
 	}
 	before := len(w.buf)
 	w.buf = appendRecord(w.buf, key, e, purge)
-	w.size += int64(len(w.buf) - before)
+	w.backlog += int64(len(w.buf) - before)
 	w.seq++
-	seq, size := w.seq, w.size
+	seq, due := w.seq, w.backlog >= w.checkpointAt()
 	if len(w.buf) >= walFlushBytes && !w.flushing {
 		w.flushLocked(false)
 	}
 	w.mu.Unlock()
-	if size >= w.snapAt {
+	if due {
 		select {
 		case w.snapC <- struct{}{}:
 		default: // a checkpoint is already due
@@ -493,7 +500,7 @@ func (w *wal) start() {
 	if w.o.Fsync == FsyncInterval {
 		loop(w, time.NewTicker(w.o.Interval).C, w.sync)
 	}
-	loop(w, w.snapC, func() { w.checkpoint(w.snapAt) })
+	loop(w, w.snapC, func() { w.checkpoint(false) })
 }
 
 // loop runs fn for every value on c until the log is closed.

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -17,7 +18,8 @@ type Node struct {
 // Tree is all collected spans of one trace, linked parent→child.
 // Roots usually holds exactly one span (the coordinator op); spans
 // whose parent was lost (sampled away, ring-wrapped on some node)
-// surface as additional roots rather than disappearing.
+// surface as additional roots rather than disappearing — as does one
+// span of any parent cycle a buggy or hostile node reports.
 type Tree struct {
 	TraceID uint64
 	Roots   []*Node
@@ -51,6 +53,7 @@ func Assemble(spans []Span) []*Tree {
 				t.Roots = append(t.Roots, n)
 			}
 		}
+		t.cutCycles(group, nodes)
 		for _, n := range nodes {
 			sortNodes(n.Children)
 		}
@@ -59,6 +62,39 @@ func Assemble(spans []Span) []*Tree {
 	}
 	sort.Slice(trees, func(i, j int) bool { return trees[i].Start() < trees[j].Start() })
 	return trees
+}
+
+// cutCycles makes every span reachable from a root. A span has one
+// parent, so whatever the roots do not reach hangs off a parent cycle —
+// a buggy or hostile node's report. Unreached spans are promoted to
+// roots, in arrival order, until the tree shows every span.
+func (t *Tree) cutCycles(group []Span, nodes map[uint64]*Node) {
+	reached := 0
+	t.walk(func(Span, int) { reached++ })
+	if reached == len(nodes) {
+		return
+	}
+	seen := make(map[*Node]bool, len(nodes))
+	var mark func(n *Node)
+	mark = func(n *Node) {
+		seen[n] = true
+		for _, c := range n.Children {
+			mark(c)
+		}
+	}
+	for _, r := range t.Roots {
+		mark(r)
+	}
+	for _, s := range group {
+		n := nodes[s.ID]
+		if seen[n] {
+			continue
+		}
+		parent := nodes[n.Span.Parent]
+		parent.Children = slices.DeleteFunc(parent.Children, func(c *Node) bool { return c == n })
+		t.Roots = append(t.Roots, n)
+		mark(n)
+	}
 }
 
 func sortNodes(ns []*Node) {
