@@ -147,6 +147,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		_, tombs := eng.Counts()
 		return int64(tombs)
 	})
+	registerRuntimeGauges(obs.Default())
 	// A per-node recorder (not the process-global default) so tests that
 	// boot several nodes in one process keep distinct span rings and node
 	// identities. The node name is set once the listener resolves.
@@ -242,7 +243,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 			bound, mln.Addr())
 	}
 	logger.Printf("distnode %s: serving KV + gossip + anti-entropy (%d merkle buckets)",
-		bound, eng.Digest().Buckets())
+		bound, eng.Buckets())
 	if ready != nil {
 		ready <- bound
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,6 +153,21 @@ func TestDistnodeMetricsPlane(t *testing.T) {
 	}
 	if m, ok := snap.Get("store.entries"); !ok || m.Value != 1 {
 		t.Fatalf("snapshot store.entries = %+v %v, want 1", m, ok)
+	}
+	// The runtime's memory accounting rides the same snapshot. The goal
+	// is never below the live heap, and this process has a resident set.
+	for _, name := range []string{"runtime.heap_live_bytes", "runtime.heap_goal_bytes", "runtime.heap_idle_bytes", "runtime.gc_cycles", "runtime.rss_hw_bytes"} {
+		if _, ok := snap.Get(name); !ok {
+			t.Errorf("snapshot lacks %s", name)
+		}
+	}
+	live, _ := snap.Get("runtime.heap_live_bytes")
+	goal, _ := snap.Get("runtime.heap_goal_bytes")
+	if goal.Value <= 0 || goal.Value < live.Value {
+		t.Errorf("runtime.heap_goal_bytes = %d with %d live, want positive and no less", goal.Value, live.Value)
+	}
+	if hw, _ := snap.Get("runtime.rss_hw_bytes"); runtime.GOOS == "linux" && hw.Value < 1<<20 {
+		t.Errorf("runtime.rss_hw_bytes = %d, want this process's peak resident set", hw.Value)
 	}
 
 	// The HTTP plane is discoverable from the log line and serves the

@@ -102,38 +102,35 @@ const rangeVEntryMin = 2 + 8 + 8 + 1
 // EncodeRangeV serializes an OpRangeV response: count(4) then count *
 // (keyLen(2) key version(8) digest(8) flags(1) [expireAt(8)]).
 func EncodeRangeV(entries []KeyDigest) ([]byte, error) {
-	size := 4
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
 	for _, e := range entries {
 		if len(e.Key) > 0xFFFF {
 			return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(e.Key))
 		}
-		size += rangeVEntryMin + len(e.Key) + 8
-	}
-	buf := make([]byte, 4, size)
-	binary.BigEndian.PutUint32(buf, uint32(len(entries)))
-	var s [8]byte
-	for _, e := range entries {
-		binary.BigEndian.PutUint16(s[:2], uint16(len(e.Key)))
-		buf = append(buf, s[:2]...)
-		buf = append(buf, e.Key...)
-		binary.BigEndian.PutUint64(s[:], e.Version)
-		buf = append(buf, s[:]...)
-		binary.BigEndian.PutUint64(s[:], e.Digest)
-		buf = append(buf, s[:]...)
-		var flags byte
-		if e.Tombstone {
-			flags |= FlagTombstone
-		}
-		if e.ExpireAt != 0 {
-			flags |= FlagHasExpiry
-		}
-		buf = append(buf, flags)
-		if e.ExpireAt != 0 {
-			binary.BigEndian.PutUint64(s[:], uint64(e.ExpireAt))
-			buf = append(buf, s[:]...)
-		}
+		buf = appendRangeVEntry(buf, e)
 	}
 	return buf, nil
+}
+
+// appendRangeVEntry appends one listing entry in the EncodeRangeV
+// layout; the caller has checked the key length.
+func appendRangeVEntry(buf []byte, e KeyDigest) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Key)))
+	buf = append(buf, e.Key...)
+	buf = binary.BigEndian.AppendUint64(buf, e.Version)
+	buf = binary.BigEndian.AppendUint64(buf, e.Digest)
+	var flags byte
+	if e.Tombstone {
+		flags |= FlagTombstone
+	}
+	if e.ExpireAt != 0 {
+		flags |= FlagHasExpiry
+	}
+	buf = append(buf, flags)
+	if e.ExpireAt != 0 {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.ExpireAt))
+	}
+	return buf
 }
 
 // DecodeRangeV parses an OpRangeV response body.

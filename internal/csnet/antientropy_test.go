@@ -1,7 +1,9 @@
 package csnet
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -161,6 +163,106 @@ func TestTreeAndRangeOps(t *testing.T) {
 	}
 	if _, err := cl.RangeV([]uint32{9999}); err == nil {
 		t.Fatal("out-of-range bucket accepted")
+	}
+}
+
+// TestRangeVHandlerMatchesEncoder pins the handler's in-place encoding
+// to EncodeRangeV byte for byte, one entry of each flag combination at
+// a time (a listing's order is the engine's scan order, so only a
+// one-entry body has a single encoding), and the empty listing.
+func TestRangeVHandlerMatchesEncoder(t *testing.T) {
+	exp := time.Now().Add(time.Hour).UnixNano()
+	for _, e := range []store.Entry{
+		{Value: []byte("plain"), Version: 100},
+		{Version: 200, Tombstone: true},
+		{Value: []byte("mortal"), Version: 300, ExpireAt: exp},
+		{Version: 400, Tombstone: true, ExpireAt: exp},
+	} {
+		kv := NewKVHandler()
+		kv.Engine().Merge("k", e)
+		b := uint32(store.BucketOf("k", kv.Engine().Buckets()))
+		want, err := EncodeRangeV([]KeyDigest{{Key: "k", Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone, ExpireAt: e.ExpireAt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The key's bucket twice and its neighbour: still one entry.
+		resp := kv.Serve(Request{Op: OpRangeV, Value: EncodeBucketList([]uint32{b, b ^ 1, b})})
+		if resp.Status != StatusOK || !reflect.DeepEqual(resp.Value, want) {
+			t.Errorf("entry %+v: handler body %x (%s), EncodeRangeV %x", e, resp.Value, resp.Status, want)
+		}
+		empty, _ := EncodeRangeV(nil)
+		resp = kv.Serve(Request{Op: OpRangeV, Value: EncodeBucketList([]uint32{b ^ 1})})
+		if resp.Status != StatusOK || !reflect.DeepEqual(resp.Value, empty) {
+			t.Errorf("empty bucket: handler body %x (%s), EncodeRangeV %x", resp.Value, resp.Status, empty)
+		}
+	}
+}
+
+// rangeVAllBuckets loads a handler with n keys of 128-byte values and
+// returns it with the OpRangeV request that lists every bucket.
+func rangeVAllBuckets(n int) (*KVHandler, Request) {
+	kv := NewKVHandler()
+	for i := 0; i < n; i++ {
+		kv.Engine().Merge(fmt.Sprintf("key-%07d", i), store.Entry{Value: make([]byte, 128), Version: uint64(1000 + i)})
+	}
+	ids := make([]uint32, kv.Engine().Buckets())
+	for b := range ids {
+		ids[b] = uint32(b)
+	}
+	return kv, Request{Op: OpRangeV, Value: EncodeBucketList(ids)}
+}
+
+// TestRangeVAllocatesItsBody is the bound the listing owes
+// anti-entropy: the handler encodes entries into the response body as
+// the engine's scan meets them, so one OpRangeV over every bucket of a
+// 100k-key engine allocates its response (plus the sizing slack and
+// the id list) — at most 1.25 x the body — where the KeyDigest slice
+// and the second encode pass cost several times that. The body must
+// still be what the coordinator's decoder reads: every resident entry
+// once, with its version and value digest.
+func TestRangeVAllocatesItsBody(t *testing.T) {
+	const keys = 100_000
+	kv, req := rangeVAllBuckets(keys)
+	var resp Response
+	var worst uint64
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp = kv.Serve(req)
+		runtime.ReadMemStats(&after)
+		worst = max(worst, after.TotalAlloc-before.TotalAlloc)
+	}
+	if resp.Status != StatusOK {
+		t.Fatalf("RangeV status %s: %s", resp.Status, resp.Value)
+	}
+	if limit := uint64(len(resp.Value)) * 5 / 4; worst > limit {
+		t.Errorf("OpRangeV over all buckets allocated %d bytes for a %d-byte body, want <= %d", worst, len(resp.Value), limit)
+	}
+	listing, err := DecodeRangeV(resp.Value)
+	if err != nil || len(listing) != keys {
+		t.Fatalf("listing decoded to %d entries (%v), want %d", len(listing), err, keys)
+	}
+	seen := make(map[string]bool, keys)
+	digest := store.ValueDigest(make([]byte, 128))
+	for _, e := range listing {
+		raw, ok := kv.Engine().Load(e.Key)
+		if !ok || seen[e.Key] || e.Version != raw.Version || e.Digest != digest || e.Tombstone || e.ExpireAt != 0 {
+			t.Fatalf("listed %+v (seen before: %v), resident %+v %v", e, seen[e.Key], raw, ok)
+		}
+		seen[e.Key] = true
+	}
+}
+
+// BenchmarkRangeVAllBuckets is TestRangeVAllocatesItsBody's CI twin:
+// scripts/allocgate.sh holds its B/op to a ceiling.
+func BenchmarkRangeVAllBuckets(b *testing.B) {
+	kv, req := rangeVAllBuckets(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := kv.Serve(req); resp.Status != StatusOK {
+			b.Fatalf("RangeV status %s", resp.Status)
+		}
 	}
 }
 

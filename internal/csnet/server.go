@@ -603,25 +603,15 @@ func (kv *KVHandler) serve(req Request) Response {
 		if err != nil {
 			return Response{Status: StatusError, Value: []byte(err.Error())}
 		}
-		buckets := kv.eng.Digest().Buckets()
-		var entries []KeyDigest
-		for _, b := range ids {
+		buckets := kv.eng.Buckets()
+		listed := make([]int, len(ids))
+		for i, b := range ids {
 			if int(b) >= buckets {
 				return Response{Status: StatusError, Value: []byte(fmt.Sprintf("bucket %d out of range", b))}
 			}
-			kv.eng.RangeBucket(int(b), func(k string, e store.Entry) bool {
-				entries = append(entries, KeyDigest{
-					Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value),
-					Tombstone: e.Tombstone, ExpireAt: e.ExpireAt,
-				})
-				return true
-			})
+			listed[i] = int(b)
 		}
-		body, err := EncodeRangeV(entries)
-		if err != nil {
-			return Response{Status: StatusError, Value: []byte(err.Error())}
-		}
-		return Response{Status: StatusOK, Value: body}
+		return kv.rangeV(listed, buckets)
 	case OpStats:
 		// The process-global registry, not a per-handler one: a node's
 		// wire, coordinator, membership, and storage metrics all answer
@@ -648,6 +638,45 @@ func (kv *KVHandler) serve(req Request) Response {
 	default:
 		return Response{Status: StatusError, Value: []byte(fmt.Sprintf("unknown op %d", req.Op))}
 	}
+}
+
+// rangeV serves OpRangeV: the listed buckets' entries are encoded into
+// the response body as the engine's scan meets them, in the
+// EncodeRangeV layout, so a listing costs its own bytes and no per-key
+// intermediate. The body is sized once, when the first entry shows how
+// wide one is, for the listed share of the engine's entries — keys
+// hash uniformly over buckets — plus a sixteenth; a listing that
+// outgrows that is regrown by append.
+func (kv *KVHandler) rangeV(ids []int, buckets int) Response {
+	live, tombstones := kv.eng.Counts()
+	expect := (live + tombstones) * min(len(ids), buckets) / buckets
+	body := []byte{0, 0, 0, 0} // the count, patched in last
+	var tooLong error
+	n := 0
+	kv.eng.RangeBuckets(ids, func(k string, e store.Entry) bool {
+		if len(k) > 0xFFFF {
+			tooLong = fmt.Errorf("csnet: key length %d exceeds 65535", len(k))
+			return false
+		}
+		if n == 0 {
+			width := rangeVEntryMin + len(k)
+			if e.ExpireAt != 0 {
+				width += 8
+			}
+			body = make([]byte, 4, 4+(expect+expect/16+1)*width)
+		}
+		body = appendRangeVEntry(body, KeyDigest{
+			Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value),
+			Tombstone: e.Tombstone, ExpireAt: e.ExpireAt,
+		})
+		n++
+		return true
+	})
+	if tooLong != nil {
+		return Response{Status: StatusError, Value: []byte(tooLong.Error())}
+	}
+	binary.BigEndian.PutUint32(body, uint32(n))
+	return Response{Status: StatusOK, Value: body}
 }
 
 // checkVersion is the wire trust boundary for client-supplied

@@ -57,8 +57,9 @@ func (c *Cluster) AntiEntropyStats() AntiEntropyStats {
 //     A subtree all backends agree on is pruned whole: a converged
 //     cluster resolves in one root exchange per backend, and a pass
 //     costs O(diff · log buckets) hashes instead of O(keyspace) keys.
-//  2. Lists only the divergent buckets (OpRangeV), each entry carrying
-//     version, value digest, tombstone, and expiry.
+//  2. Lists only the divergent buckets (OpRangeV), aeGroupBuckets of
+//     them at a time, each entry carrying version, value digest,
+//     tombstone, and expiry.
 //  3. Resolves each key exactly like the engines' Entry.Wins: highest
 //     version, tombstone beats value on a tie, and — the hole listings
 //     could not see — same-version different-digest copies are fetched
@@ -150,11 +151,23 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 	}
 	st.BucketsDiffed = len(divergent)
 
-	holders := c.listDivergent(clients, divergent, &st, noteErr)
-	copied = c.streamWinners(ctx, clients, holders, &st, noteErr)
+	for len(divergent) > 0 {
+		group := divergent[:min(aeGroupBuckets, len(divergent))]
+		divergent = divergent[len(group):]
+		holders := c.listDivergent(clients, group, &st, noteErr)
+		copied += c.streamWinners(ctx, clients, holders, &st, noteErr)
+	}
 	st.Streamed = copied
 	return copied, firstErr
 }
+
+// aeGroupBuckets is how many divergent buckets a pass lists, resolves
+// and streams at a time. It bounds what one pass holds on either side
+// whatever the keyspace: a replica's OpRangeV response is 64/buckets of
+// its entries (~350 KB at 200k 9-byte keys over 1024 buckets), and the
+// coordinator's holders map that many keys. A backend whose connection
+// fails in one group is out of the pass for the groups after it.
+const aeGroupBuckets = 64
 
 // descendTrees walks every live backend's Merkle tree in lock-step
 // from the root, returning the buckets whose owners disagree. geomOK
@@ -274,10 +287,10 @@ type holderDigest struct {
 	entry   csnet.KeyDigest
 }
 
-// listDivergent fetches the divergent buckets' listings: each bucket
-// is requested from every reachable owner, one pipelined OpRangeV per
-// backend carrying all the buckets it owns. The result groups listed
-// copies per key.
+// listDivergent fetches one group of divergent buckets' listings: each
+// bucket is requested from every reachable owner, one pipelined
+// OpRangeV per backend carrying the buckets of the group it owns. The
+// result groups listed copies per key.
 func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *AntiEntropyStats, noteErr func(int, error)) map[string][]holderDigest {
 	perBackend := map[int][]uint32{}
 	for _, bkt := range buckets {

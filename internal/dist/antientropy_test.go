@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +15,18 @@ import (
 // and a cluster over them.
 func startKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine) ([]*csnet.KVHandler, *Cluster) {
 	t.Helper()
+	kvs, _, c := startWrappedKVCluster(t, n, cfg, mkEngine, nil)
+	return kvs, c
+}
+
+// startWrappedKVCluster is startKVCluster with each backend's handler
+// passed through wrap (nil: served as is), so a test can watch or
+// break what one backend answers; it also returns the servers.
+func startWrappedKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine,
+	wrap func(i int, kv *csnet.KVHandler) csnet.Handler) ([]*csnet.KVHandler, []*csnet.Server, *Cluster) {
+	t.Helper()
 	kvs := make([]*csnet.KVHandler, n)
+	srvs := make([]*csnet.Server, n)
 	addrs := make([]string, n)
 	for i := range kvs {
 		if mkEngine != nil {
@@ -21,13 +34,17 @@ func startKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int)
 		} else {
 			kvs[i] = csnet.NewKVHandler()
 		}
-		srv := csnet.NewServer(kvs[i], 64)
-		addr, err := srv.Start("127.0.0.1:0")
+		var h csnet.Handler = kvs[i]
+		if wrap != nil {
+			h = wrap(i, kvs[i])
+		}
+		srvs[i] = csnet.NewServer(h, 64)
+		addr, err := srvs[i].Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = addr
-		t.Cleanup(srv.Shutdown)
+		t.Cleanup(srvs[i].Shutdown)
 	}
 	cfg.Addrs = addrs
 	if cfg.Timeout == 0 {
@@ -38,7 +55,146 @@ func startKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return kvs, c
+	return kvs, srvs, c
+}
+
+// damageManyBuckets loads keys through c and then purges every fifth
+// one from backend 1 behind the cluster's back. It returns the holes
+// and the buckets they diverge — several aeGroupBuckets groups' worth.
+func damageManyBuckets(t *testing.T, kvs []*csnet.KVHandler, c *Cluster, keys int) (holes int, divergent map[int]bool) {
+	t.Helper()
+	ks := make([]string, keys)
+	vs := make([][]byte, keys)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("outcome-%d", i)
+		vs[i] = []byte(fmt.Sprintf("score-%d", i%100))
+	}
+	if err := c.MSet(ks, vs); err != nil {
+		t.Fatal(err)
+	}
+	divergent = map[int]bool{}
+	for i := 0; i < keys; i += 5 {
+		kvs[1].Engine().Purge(ks[i])
+		divergent[store.BucketOf(ks[i], c.buckets)] = true
+		holes++
+	}
+	if len(divergent) <= 3*aeGroupBuckets {
+		t.Fatalf("damage diverged %d buckets, want more than three groups of %d", len(divergent), aeGroupBuckets)
+	}
+	return holes, divergent
+}
+
+// TestAntiEntropyGroupedPass pins the grouped pass against the
+// ungrouped one it replaced: a divergence spread over more than three
+// groups of buckets converges in one Rebalance to equal roots, having
+// streamed exactly the holes and listed exactly the divergent buckets'
+// entries on their owners — the totals of a single listing — in
+// ceil(divergent / aeGroupBuckets) listing frames per backend, none of
+// which carries more than a group's share of the keyspace.
+func TestAntiEntropyGroupedPass(t *testing.T) {
+	const n, keys = 3, 5000
+	var mu sync.Mutex
+	largest := 0 // the largest OpRangeV response body any backend sent
+	kvs, _, c := startWrappedKVCluster(t, n, ClusterConfig{Replication: n, WriteQuorum: n}, nil,
+		func(_ int, kv *csnet.KVHandler) csnet.Handler {
+			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
+				resp := kv.Serve(req)
+				if req.Op == csnet.OpRangeV {
+					mu.Lock()
+					largest = max(largest, len(resp.Value))
+					mu.Unlock()
+				}
+				return resp
+			})
+		})
+	holes, divergent := damageManyBuckets(t, kvs, c, keys)
+	ids := make([]int, 0, len(divergent))
+	for b := range divergent {
+		ids = append(ids, b)
+	}
+	wantListed := 0
+	for _, kv := range kvs {
+		kv.Engine().RangeBuckets(ids, func(string, store.Entry) bool { wantListed++; return true })
+	}
+
+	copied, err := c.Rebalance()
+	if err != nil || copied != holes {
+		t.Fatalf("grouped pass = %d %v, want %d nil", copied, err, holes)
+	}
+	st := c.AntiEntropyStats()
+	if st.BucketsDiffed != len(divergent) || st.Streamed != holes || st.KeysListed != wantListed {
+		t.Errorf("pass diffed %d buckets, streamed %d, listed %d keys; want %d, %d, %d",
+			st.BucketsDiffed, st.Streamed, st.KeysListed, len(divergent), holes, wantListed)
+	}
+	groups := (len(divergent) + aeGroupBuckets - 1) / aeGroupBuckets
+	if st.ListingFrames != groups*n {
+		t.Errorf("pass used %d listing frames, want %d groups x %d owners", st.ListingFrames, groups, n)
+	}
+	root := kvs[0].Engine().Digest().Root()
+	for b, kv := range kvs {
+		if got := kv.Engine().Digest().Root(); got != root {
+			t.Errorf("backend %d root %016x after the pass, backend 0 has %016x", b, got, root)
+		}
+	}
+	// The stated size: one response lists aeGroupBuckets of c.buckets
+	// buckets, so it may not exceed one and a half times that share of
+	// a whole-keyspace listing (buckets are even only on average).
+	all := make([]uint32, c.buckets)
+	for b := range all {
+		all[b] = uint32(b)
+	}
+	whole := len(kvs[0].Serve(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(all)}).Value)
+	if limit := whole * aeGroupBuckets / c.buckets * 3 / 2; largest == 0 || largest > limit {
+		t.Errorf("largest OpRangeV response was %d bytes, want 1..%d (1.5 x %d/%d of the %d-byte whole listing)",
+			largest, limit, aeGroupBuckets, c.buckets, whole)
+	}
+}
+
+// TestAntiEntropyGroupedPassDropsPoisonedBackend breaks one backend's
+// connection while it answers its second group's listing: the pass
+// reports the error, leaves that backend out of every later group —
+// two listing frames a group instead of three — and still converges
+// the other two.
+func TestAntiEntropyGroupedPassDropsPoisonedBackend(t *testing.T) {
+	const n, keys, victim = 3, 5000, 2
+	var listings atomic.Int32
+	lose := make(chan *csnet.Server, 1) // the victim's server, once it is up
+	release := make(chan struct{})
+	kvs, srvs, c := startWrappedKVCluster(t, n, ClusterConfig{Replication: n, WriteQuorum: n}, nil,
+		func(i int, kv *csnet.KVHandler) csnet.Handler {
+			if i != victim {
+				return kv
+			}
+			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
+				if req.Op == csnet.OpRangeV && listings.Add(1) == 2 {
+					// Shutdown closes the connection under the pending
+					// call, then waits for this handler; hold the reply
+					// back until the test is over so the close wins.
+					go (<-lose).Shutdown()
+					<-release
+				}
+				return kv.Serve(req)
+			})
+		})
+	t.Cleanup(func() { close(release) })
+	lose <- srvs[victim]
+	_, divergent := damageManyBuckets(t, kvs, c, keys)
+
+	if _, err := c.Rebalance(); err == nil {
+		t.Fatal("pass with a backend lost mid-way reported no error")
+	}
+	groups := (len(divergent) + aeGroupBuckets - 1) / aeGroupBuckets
+	st := c.AntiEntropyStats()
+	if want := 2*n + (groups-2)*(n-1); st.ListingFrames != want {
+		t.Errorf("pass used %d listing frames, want %d (the lost backend asked twice, the others %d times)",
+			st.ListingFrames, want, groups)
+	}
+	if got := listings.Load(); got != 2 {
+		t.Errorf("lost backend was asked for %d listings, want 2", got)
+	}
+	if r0, r1 := kvs[0].Engine().Digest().Root(), kvs[1].Engine().Digest().Root(); r0 != r1 {
+		t.Errorf("surviving backends did not converge: roots %016x and %016x", r0, r1)
+	}
 }
 
 // TestAntiEntropySteadyStateFrames is the acceptance pin for the

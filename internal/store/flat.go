@@ -152,49 +152,36 @@ func (f *Flat) Sweep(int) (expired, purged int) {
 	return expired, purged
 }
 
-// Counts reports the engine's live entry and resident tombstone counts
-// (see Sharded.Counts).
+// Counts implements Engine.
 func (f *Flat) Counts() (live, tombstones int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.t.live, len(f.t.data) - f.t.live
 }
 
-// RangeBucket implements Engine: one table, so the snapshot scans it
-// and filters by bucket.
-func (f *Flat) RangeBucket(b int, fn func(key string, e Entry) bool) {
-	type pair struct {
-		k string
-		e Entry
-	}
+// scanBuckets calls fn with every entry of the buckets want marks: one
+// table, so any wanted bucket costs a full scan under the single lock —
+// the same ceiling every Flat snapshot has.
+func (f *Flat) scanBuckets(want []bool, fn func(b int, key string, e Entry) bool) {
 	f.mu.Lock()
-	var buf []pair
+	defer f.mu.Unlock()
 	for k, e := range f.t.data {
-		if BucketOf(k, f.merkle.buckets) == b {
-			buf = append(buf, pair{k, e})
-		}
-	}
-	f.mu.Unlock()
-	for _, p := range buf {
-		if !fn(p.k, p.e) {
+		if b := BucketOf(k, len(want)); want[b] && !fn(b, k, e) {
 			return
 		}
 	}
 }
 
-// Digest implements Engine: any dirty bucket costs one full-table scan
-// under the single lock — the same ceiling every Flat snapshot has.
-func (f *Flat) Digest() *Digest {
-	return f.merkle.digest(func(buckets map[int]bool, fn func(key string, e Entry)) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		for k, e := range f.t.data {
-			if buckets[BucketOf(k, f.merkle.buckets)] {
-				fn(k, e)
-			}
-		}
-	})
+// RangeBuckets implements Engine.
+func (f *Flat) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
+	f.scanBuckets(f.merkle.want(ids), func(_ int, k string, e Entry) bool { return fn(k, e) })
 }
+
+// Digest implements Engine.
+func (f *Flat) Digest() *Digest { return f.merkle.digest(f.scanBuckets) }
+
+// Buckets implements Engine.
+func (f *Flat) Buckets() int { return f.merkle.buckets }
 
 // MerkleRebuilds reports how many Merkle leaf rebuilds Digest has
 // performed.

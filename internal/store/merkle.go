@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -52,12 +51,19 @@ func ValueDigest(v []byte) uint64 {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
+	if h = avalanche(h); h == 0 {
+		h = 1
+	}
+	return h
+}
+
+// avalanche spreads every input bit over the whole word (the 64-bit
+// finalizer of MurmurHash3): FNV-1a alone leaves the low bits of its
+// result a function of the low bits of its input.
+func avalanche(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	if h == 0 {
-		h = 1
-	}
 	return h
 }
 
@@ -71,7 +77,7 @@ func hashU64(h, v uint64) uint64 {
 	return h
 }
 
-// hashEntry folds one (key, entry) tuple into a running leaf hash.
+// hashEntry folds one (key, entry) tuple into a running hash.
 func hashEntry(h uint64, key string, e Entry) uint64 {
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -86,6 +92,13 @@ func hashEntry(h uint64, key string, e Entry) uint64 {
 	}
 	h = hashU64(h, uint64(e.ExpireAt))
 	return hashU64(h, ValueDigest(e.Value))
+}
+
+// leafTerm is one entry's contribution to its bucket's leaf: the
+// tuple's hash, avalanched so that terms which differ in a few bits do
+// not cancel when summed.
+func leafTerm(key string, e Entry) uint64 {
+	return avalanche(hashEntry(fnvOffset64, key, e))
 }
 
 // innerHash combines two child hashes into their parent. Empty
@@ -106,11 +119,14 @@ func innerHash(l, r uint64) uint64 {
 // Digest is an immutable point-in-time Merkle tree over an engine's
 // raw entry space (tombstones and expired entries included, exactly
 // the replication view). Leaves are the engine's hash-partitioned
-// buckets; leaf b hashes the bucket's (key, version, value-digest,
-// tombstone, expiry) tuples in sorted key order; inner nodes hash
-// their two children. Nodes are 1-indexed heap style: node 1 is the
-// root, node i's children are 2i and 2i+1, and leaf b is node
-// Buckets()+b — the layout OpTreeV exchanges walk.
+// buckets; leaf b is the wrapping sum of leafTerm over the bucket's
+// (key, version, value-digest, tombstone, expiry) tuples — a
+// commutative reduction, so a leaf is accumulated in whatever order a
+// scan meets the entries and nothing is gathered or sorted — with 0
+// reserved for the empty bucket; inner nodes hash their two children.
+// Nodes are 1-indexed heap style: node 1 is the root, node i's
+// children are 2i and 2i+1, and leaf b is node Buckets()+b — the
+// layout OpTreeV exchanges walk.
 type Digest struct {
 	buckets int
 	nodes   []uint64 // nodes[1:2*buckets]; nodes[0] unused
@@ -174,49 +190,54 @@ func (m *merkle) touch(key string) {
 	m.dirty[BucketOf(key, m.buckets)].Store(true)
 }
 
-// digest returns the current tree, rebuilding dirty leaves via scan:
-// scan(buckets, fn) must invoke fn with every (key, entry) resident in
-// any of the requested buckets (under whatever locking the engine
-// needs). It is called outside m.mu only by the engine's Digest
-// methods, which serialize through m.mu here.
-func (m *merkle) digest(scan func(buckets map[int]bool, fn func(key string, e Entry))) *Digest {
+// want turns a bucket id list into the set scanBuckets takes; ids
+// outside the tree are ignored.
+func (m *merkle) want(ids []int) []bool {
+	set := make([]bool, m.buckets)
+	for _, b := range ids {
+		if b >= 0 && b < m.buckets {
+			set[b] = true
+		}
+	}
+	return set
+}
+
+// digest returns the current tree, rebuilding the dirty leaves via
+// scan — the engine's scanBuckets: scan(want, fn) calls fn with every
+// (bucket, key, entry) resident in a bucket want marks, under whatever
+// locking the engine needs. Each entry is summed into its leaf as the
+// scan meets it, so a rebuild of every leaf allocates O(buckets)
+// however many keys it visits.
+func (m *merkle) digest(scan func(want []bool, fn func(b int, key string, e Entry) bool)) *Digest {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	stale := map[int]bool{}
+	var stale []bool // the buckets to rebuild; nil while none is dirty
+	rebuilt := uint64(0)
 	for b := range m.dirty {
 		if m.dirty[b].Swap(false) {
-			stale[b] = true
+			if stale == nil {
+				stale = make([]bool, m.buckets)
+			}
+			stale[b], m.leaves[b] = true, 0
+			rebuilt++
 		}
 	}
-	if len(stale) == 0 {
+	if stale == nil {
 		return m.snap
 	}
-	type item struct {
-		key string
-		e   Entry
-	}
-	perBucket := map[int][]item{}
-	scan(stale, func(key string, e Entry) {
-		b := BucketOf(key, m.buckets)
-		perBucket[b] = append(perBucket[b], item{key, e})
+	filled := make([]bool, m.buckets)
+	scan(stale, func(b int, key string, e Entry) bool {
+		m.leaves[b] += leafTerm(key, e)
+		filled[b] = true
+		return true
 	})
-	for b := range stale {
-		items := perBucket[b]
-		sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-		h := uint64(0)
-		if len(items) > 0 {
-			h = fnvOffset64
-			for _, it := range items {
-				h = hashEntry(h, it.key, it.e)
-			}
-			if h == 0 {
-				h = 1
-			}
+	for b := range filled {
+		if filled[b] && m.leaves[b] == 0 {
+			m.leaves[b] = 1 // 0 is the empty bucket's
 		}
-		m.leaves[b] = h
-		m.rebuilds.Add(1)
-		merkleRebuilt.Inc()
 	}
+	m.rebuilds.Add(rebuilt)
+	merkleRebuilt.Add(rebuilt)
 	m.snap = newDigest(m.leaves)
 	return m.snap
 }

@@ -65,7 +65,7 @@ func NewSharded(o Options) *Sharded {
 	// Buckets and shards mask the same key hash's low bits, so with
 	// buckets >= shards every bucket's keys live in exactly one shard
 	// (shard = bucket & mask) — what lets a dirty-bucket rebuild and a
-	// RangeBucket listing scan one shard instead of the whole store.
+	// RangeBuckets listing scan one shard instead of the whole store.
 	s.merkle.init(merkleBuckets(o.MerkleBuckets, pow))
 	for i := range s.shards {
 		s.shards[i].t = newTable(o.Now, s.merkle.touch)
@@ -292,9 +292,8 @@ func (s *Sharded) Sweep(limit int) (expired, purged int) {
 	return expired, purged
 }
 
-// Counts reports the engine's live entry and resident tombstone counts
-// in one pass over the shard counters — the feed for the
-// store.entries / store.tombstones gauges.
+// Counts implements Engine in one pass over the shard counters — the
+// feed for the store.entries / store.tombstones gauges.
 func (s *Sharded) Counts() (live, tombstones int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -306,52 +305,45 @@ func (s *Sharded) Counts() (live, tombstones int) {
 	return live, tombstones
 }
 
-// RangeBucket implements Engine: bucket b's keys all live in one shard
-// (the bucket mask refines the shard mask), so the listing snapshots
-// that single shard and filters, never touching the rest of the store.
-func (s *Sharded) RangeBucket(b int, fn func(key string, e Entry) bool) {
-	type pair struct {
-		k string
-		e Entry
-	}
-	var buf []pair
-	sh := &s.shards[uint32(b)&s.mask]
-	sh.mu.Lock()
-	for k, e := range sh.t.data {
-		if BucketOf(k, s.merkle.buckets) == b {
-			buf = append(buf, pair{k, e})
+// scanBuckets calls fn with every entry of the buckets want marks, one
+// shard at a time under that shard's lock. Shard i holds the buckets
+// congruent to i modulo the shard count (the bucket mask refines the
+// shard mask), so a shard none of whose buckets is wanted is skipped
+// and any other is walked once.
+func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) bool) {
+	for i := range s.shards {
+		held := false
+		for b := i; b < len(want) && !held; b += len(s.shards) {
+			held = want[b]
 		}
-	}
-	sh.mu.Unlock()
-	for _, p := range buf {
-		if !fn(p.k, p.e) {
-			return
+		if !held {
+			continue
 		}
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for k, e := range sh.t.data {
+			if b := BucketOf(k, len(want)); want[b] && !fn(b, k, e) {
+				sh.mu.Unlock()
+				return
+			}
+		}
+		sh.mu.Unlock()
 	}
 }
 
-// Digest implements Engine. Dirty buckets are grouped by shard and
-// each affected shard is scanned once under its own lock, so a digest
-// after scattered writes costs a few shard scans, and a digest of an
-// idle engine costs nothing.
-func (s *Sharded) Digest() *Digest {
-	return s.merkle.digest(func(buckets map[int]bool, fn func(key string, e Entry)) {
-		shards := map[uint32]bool{}
-		for b := range buckets {
-			shards[uint32(b)&s.mask] = true
-		}
-		for si := range shards {
-			sh := &s.shards[si]
-			sh.mu.Lock()
-			for k, e := range sh.t.data {
-				if buckets[BucketOf(k, s.merkle.buckets)] {
-					fn(k, e)
-				}
-			}
-			sh.mu.Unlock()
-		}
-	})
+// RangeBuckets implements Engine.
+func (s *Sharded) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
+	s.scanBuckets(s.merkle.want(ids), func(_ int, k string, e Entry) bool { return fn(k, e) })
 }
+
+// Digest implements Engine. Each shard holding a dirty bucket is
+// scanned once under its own lock, so a digest after scattered writes
+// costs a few shard scans, and a digest of an idle engine costs
+// nothing.
+func (s *Sharded) Digest() *Digest { return s.merkle.digest(s.scanBuckets) }
+
+// Buckets implements Engine.
+func (s *Sharded) Buckets() int { return s.merkle.buckets }
 
 // MerkleRebuilds reports how many Merkle leaf rebuilds Digest has
 // performed.

@@ -134,11 +134,21 @@ type Engine interface {
 	// snapshots taken one shard at a time; fn returning false stops
 	// the iteration. fn runs with no lock held.
 	Range(fn func(key string, e Entry) bool)
-	// RangeBucket iterates the raw entries whose keys hash into Merkle
-	// bucket b (see BucketOf), from a snapshot like Range. It is how
-	// the anti-entropy protocol lists exactly one divergent bucket
-	// without scanning the keyspace.
-	RangeBucket(b int, fn func(key string, e Entry) bool)
+	// RangeBuckets calls fn with every raw entry whose key hashes into
+	// one of the listed Merkle buckets (see BucketOf; ids may repeat and
+	// come in any order, each entry is visited once) — how the
+	// anti-entropy protocol lists exactly the divergent buckets. Unlike
+	// Range nothing is copied: fn runs under the lock of the shard it is
+	// reading, one scan per shard however many of its buckets are
+	// listed, so fn must be brief and must not call back into the
+	// engine. fn returning false stops the iteration.
+	RangeBuckets(ids []int, fn func(key string, e Entry) bool)
+	// Buckets reports the Merkle leaf count, fixed when the engine was
+	// created — Digest().Buckets() without rebuilding anything.
+	Buckets() int
+	// Counts reports the live entries and the resident tombstones;
+	// their sum is what Range visits.
+	Counts() (live, tombstones int)
 	// Digest returns a point-in-time Merkle tree over the raw entry
 	// space — tombstones and not-yet-swept expired entries included,
 	// exactly what Range exposes. Dirty buckets are rebuilt lazily

@@ -259,7 +259,7 @@ func (r *Recorder) promote(s Span) {
 	r.pinMu.Lock()
 	defer r.pinMu.Unlock()
 	if i := r.pinIndexLocked(s.TraceID); i >= 0 {
-		r.appendPinLocked(i, s)
+		r.count(r.pinLocked(i, s))
 		return
 	}
 	idx, free := -1, false
@@ -283,10 +283,12 @@ func (r *Recorder) promote(s Span) {
 	r.pinSeq++
 	p.spans = p.spans[:0]
 	r.pinIDs[idx].Store(s.TraceID)
+	// The earlier spans were counted when they entered the ring, which
+	// still holds them: copied or not, they are not counted again.
 	for _, prior := range r.snapshotRing(s.TraceID) {
-		r.appendPinLocked(idx, prior)
+		r.pinLocked(idx, prior)
 	}
-	r.appendPinLocked(idx, s)
+	r.count(r.pinLocked(idx, s))
 	r.promoted.Add(1)
 }
 
@@ -299,7 +301,7 @@ func (r *Recorder) appendPinned(s Span) bool {
 	if i < 0 {
 		return false
 	}
-	r.appendPinLocked(i, s)
+	r.count(r.pinLocked(i, s))
 	return true
 }
 
@@ -312,19 +314,30 @@ func (r *Recorder) pinIndexLocked(traceID uint64) int {
 	return -1
 }
 
-func (r *Recorder) appendPinLocked(i int, s Span) {
+// pinLocked stores s in pin slot i and reports whether the slot now
+// holds it; false means the slot is full.
+func (r *Recorder) pinLocked(i int, s Span) bool {
 	p := &r.pins[i]
 	for j := range p.spans {
 		if p.spans[j].ID == s.ID {
-			return // promote copied it from the ring already
+			return true // promote copied it from the ring already
 		}
 	}
 	if len(p.spans) >= r.pinSpans {
-		r.dropped.Add(1)
-		return
+		return false
 	}
 	p.spans = append(p.spans, s)
-	r.recorded.Add(1)
+	return true
+}
+
+// count books the outcome of a span record sent to a pin: published,
+// or dropped. A span is counted once, here or in write.
+func (r *Recorder) count(published bool) {
+	if published {
+		r.recorded.Add(1)
+	} else {
+		r.dropped.Add(1)
+	}
 }
 
 // snapshotRing copies published spans out of the ring, optionally

@@ -248,6 +248,26 @@ func TestSlowSpanViaRealClock(t *testing.T) {
 // promoters, and snapshot readers race while the test demands exact
 // span accounting (recorded+dropped == attempts) and fully-formed
 // snapshots.
+// TestPromotionCountsEachSpanOnce is the deterministic form of the
+// overcount TestRecorderConcurrency used to hit under -race: spans
+// already in the ring were counted there, and copying them into the
+// pin when their trace is promoted may not count them a second time.
+func TestPromotionCountsEachSpanOnce(t *testing.T) {
+	r := New(Config{Capacity: 64, Pins: 2, PinSpans: 16})
+	r.SetEnabled(true)
+	r.SetSlowThreshold(time.Millisecond)
+	for id := uint64(1); id <= 6; id++ {
+		synth(r, 77, id, 0, time.Microsecond, true) // sampled, not yet pinned: the ring
+	}
+	synth(r, 77, 7, 0, 2*time.Millisecond, false) // slow: promotes trace 77
+	if st := r.Stats(); st.Recorded != 7 || st.Dropped != 0 || st.Promoted != 1 {
+		t.Fatalf("stats after 7 spans = %+v, want 7 recorded, 0 dropped, 1 promoted", st)
+	}
+	if got := len(r.SlowSpans()); got != 7 {
+		t.Fatalf("pin holds %d spans, want all 7", got)
+	}
+}
+
 func TestRecorderConcurrency(t *testing.T) {
 	r := New(Config{Capacity: 1024, Pins: 8, PinSpans: 64})
 	r.SetEnabled(true)

@@ -2,7 +2,7 @@
 # Fails when a hot path allocates more per op than it is allowed to.
 # Timings on a shared runner are noise; allocs/op at a fixed iteration
 # count is not, so this is the part of the perf ledger CI can gate on.
-# Three checks; the ceilings below are the one place the numbers live:
+# Four checks; the ceilings below are the one place the numbers live:
 #
 #   - the four coordinator paths (root benchmarks) against recorded
 #     ceilings — the values measured once the transport owned its
@@ -12,6 +12,14 @@
 #   - one csnet round trip, serial and pipelined (internal/csnet): the
 #     CI twin of the ladder's csnet.allocs_per_rtt — the call, the reply
 #     body, the server's key string, the engine's value copy;
+#   - the node side of an anti-entropy pass, in bytes/op, at 100k keys
+#     with every Merkle bucket dirty or listed: Digest() allocates the
+#     tree it returns and two bucket sets (18 KiB; ceiling 64 KiB) and
+#     never a copy of the keyspace, and one OpRangeV over every bucket
+#     allocates its response body (3.0 MB) plus sizing slack — ceiling
+#     1.25 x body.
+#     The CI twins of TestDigestAllocatesPerBucketNotPerKey (store) and
+#     TestRangeVAllocatesItsBody (csnet);
 #   - the E29/E30 pairs against each other: a server round trip with
 #     metrics on, or with a trace recorder wired in but the request
 #     unsampled, may not allocate more than the same round trip without.
@@ -21,7 +29,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 out=$(go test -run '^$' -bench 'ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$|ServerOp' -benchtime 2000x .
-	go test -run '^$' -bench 'KVRoundTrip$|KVPipelined$' -benchtime 2000x ./internal/csnet/)
+	go test -run '^$' -bench 'KVRoundTrip$|KVPipelined$' -benchtime 2000x ./internal/csnet/
+	go test -run '^$' -bench 'DigestAllDirty$' -benchtime 10x ./internal/store/
+	go test -run '^$' -bench 'RangeVAllBuckets$' -benchtime 10x ./internal/csnet/)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk '
@@ -32,19 +42,31 @@ BEGIN {
 	max["BenchmarkClusterMGet100"] = 305
 	max["BenchmarkKVRoundTrip"] = 4
 	max["BenchmarkKVPipelined"] = 4
+	maxBytes["BenchmarkDigestAllDirty"] = 65536
+	maxBytes["BenchmarkRangeVAllBuckets"] = 3750000
 	base["BenchmarkServerOpInstrumented"] = "BenchmarkServerOpBaseline"
 	base["BenchmarkTracedServerOpEnabled"] = "BenchmarkTracedServerOpBaseline"
 }
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)         # strip the GOMAXPROCS suffix
-	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") allocs[name] = $i + 0
+	for (i = 2; i < NF; i++) {
+		if ($(i + 1) == "allocs/op") allocs[name] = $i + 0
+		if ($(i + 1) == "B/op") bytes[name] = $i + 0
+	}
 }
 END {
 	for (name in max) {
 		if (!(name in allocs)) { printf "%s did not run\n", name; bad = 1 }
 		else if (allocs[name] > max[name]) {
 			printf "%s: %d allocs/op exceeds the ceiling of %d\n", name, allocs[name], max[name]
+			bad = 1
+		}
+	}
+	for (name in maxBytes) {
+		if (!(name in bytes)) { printf "%s did not run\n", name; bad = 1 }
+		else if (bytes[name] > maxBytes[name]) {
+			printf "%s: %d B/op exceeds the ceiling of %d\n", name, bytes[name], maxBytes[name]
 			bad = 1
 		}
 	}
