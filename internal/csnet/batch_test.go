@@ -1,0 +1,400 @@
+package csnet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"pdcedu/internal/obs"
+	"pdcedu/internal/store"
+)
+
+// recordFrames passes every frame through to next and keeps a copy of
+// each request body, in arrival order.
+type recordFrames struct {
+	next FrameHandler
+	mu   sync.Mutex
+	seen [][]byte
+}
+
+func (r *recordFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
+	r.mu.Lock()
+	r.seen = append(r.seen, bytes.Clone(body))
+	r.mu.Unlock()
+	return r.next.ServeFrame(dst, body, meta)
+}
+
+func (r *recordFrames) frames() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seen
+}
+
+func mergeReq(i int, value []byte) Request {
+	return Request{Op: OpMerge, Key: fmt.Sprintf("k%05d", i), Value: value, Version: uint64(1000 + i)}
+}
+
+// TestBatchOfOneIsThePlainFrame pins the choice Batch makes by group
+// size alone: one entry travels as exactly the frame Client.Send
+// writes, two as one OpBatch envelope holding both encodings.
+func TestBatchOfOneIsThePlainFrame(t *testing.T) {
+	rec := &recordFrames{next: protocolFrames{NewKVHandler()}}
+	cl := startFrames(t, rec)
+	a, b := mergeReq(1, []byte("one")), mergeReq(2, []byte("two"))
+
+	batch := cl.Batch()
+	batch.Add(a)
+	batch.Send()
+	if resp, err := batch.NextV(); err != nil || resp.Status != StatusOK || resp.Version != a.Version {
+		t.Fatalf("lone entry: %+v %v", resp, err)
+	}
+	if _, err := batch.NextV(); err == nil {
+		t.Fatal("NextV past the last entry returned no error")
+	}
+	plain, _ := EncodeRequest(a)
+	if got := rec.frames(); len(got) != 1 || !bytes.Equal(got[0], plain) {
+		t.Fatalf("a batch of one sent %x, want the plain frame %x", got, plain)
+	}
+
+	batch = cl.Batch()
+	batch.Add(a)
+	batch.Add(b)
+	batch.Send()
+	for _, want := range []Request{a, b} {
+		// a is already resident at its version: the merge loses the tie.
+		if resp, err := batch.NextV(); err != nil || resp.Version != want.Version {
+			t.Fatalf("entry %s: %+v %v", want.Key, resp, err)
+		}
+	}
+	encA, _ := EncodeRequest(a)
+	encB, _ := EncodeRequest(b)
+	body := AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), encA), encB)
+	envelope, _ := EncodeRequest(Request{Op: OpBatch, Value: body})
+	if got := rec.frames(); len(got) != 2 || !bytes.Equal(got[1], envelope) {
+		t.Fatalf("a batch of two sent %x, want the envelope %x", got[1:], envelope)
+	}
+}
+
+// TestBatchRepliesInOrderAcrossFrames sends more than one frame's
+// worth of entries — a rejected one and an unsendable one among them —
+// and holds NextV to Add order, frames to muxBufSize, and the server's
+// books to one op per entry.
+func TestBatchRepliesInOrderAcrossFrames(t *testing.T) {
+	rec := &recordFrames{next: protocolFrames{NewKVHandler()}}
+	cl := startFrames(t, rec)
+	const n = 700
+	value := bytes.Repeat([]byte{'v'}, 200) // ~230 B an entry: three frames
+	merges, bytesIn := csnetM.ops[OpMerge].Value(), csnetM.bytesIn.Value()
+	frames := csnetM.batchEntries.Snapshot()
+
+	batch := cl.Batch()
+	var wantIn uint64
+	for i := 0; i < n; i++ {
+		req := mergeReq(i, value)
+		switch i {
+		case 300:
+			req.Version = 0 // the handler refuses a merge without a version
+		case 400:
+			req.Key = strings.Repeat("k", 70000) // cannot be encoded at all
+		}
+		if enc, err := EncodeRequest(req); err == nil {
+			wantIn += uint64(len(enc))
+		}
+		batch.Add(req)
+	}
+	batch.Send()
+	for i := 0; i < n; i++ {
+		resp, err := batch.NextV()
+		switch i {
+		case 300:
+			if err != nil || resp.Status != StatusError {
+				t.Fatalf("entry %d: %+v %v, want the handler's StatusError", i, resp, err)
+			}
+		case 400:
+			if err == nil {
+				t.Fatalf("entry %d: over-long key was sent: %+v", i, resp)
+			}
+		default:
+			if err != nil || resp.Status != StatusOK || resp.Version != uint64(1000+i) {
+				t.Fatalf("entry %d: %+v %v", i, resp, err)
+			}
+		}
+	}
+	for i, f := range rec.frames() {
+		if len(f) > muxBufSize {
+			t.Errorf("frame %d is %d bytes, over muxBufSize", i, len(f))
+		}
+	}
+	if d := csnetM.ops[OpMerge].Value() - merges; d != n-1 {
+		t.Errorf("csnet.server.ops.MERGE grew by %d, want %d (one per entry sent)", d, n-1)
+	}
+	if d := csnetM.bytesIn.Value() - bytesIn; d != wantIn {
+		t.Errorf("csnet.server.bytes_in grew by %d, want %d (the entries' own encodings)", d, wantIn)
+	}
+	after := csnetM.batchEntries.Snapshot()
+	if after.Count-frames.Count < 3 || after.Sum-frames.Sum != n-1 {
+		t.Errorf("csnet.server.batch_entries took %d samples summing %d, want >= 3 summing %d",
+			after.Count-frames.Count, after.Sum-frames.Sum, n-1)
+	}
+}
+
+// oldPeerFrames is a build from before OpBatch: the envelope decodes
+// as a request with an op it does not know.
+type oldPeerFrames struct{ next FrameHandler }
+
+func (o oldPeerFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
+	if len(body) > 0 && Op(body[0]) == OpBatch {
+		return AppendResponse(dst, Response{Status: StatusError, Value: []byte(fmt.Sprintf("unknown op %d", OpBatch))})
+	}
+	return o.next.ServeFrame(dst, body, meta)
+}
+
+// TestBatchDeclinedByOldPeer: a peer that does not know OpBatch answers
+// the envelope once, and every entry reads that answer — a response,
+// not an error, so a caller sees a live peer declining.
+func TestBatchDeclinedByOldPeer(t *testing.T) {
+	kv := NewKVHandler()
+	cl := startFrames(t, oldPeerFrames{protocolFrames{kv}})
+	batch := cl.Batch()
+	for i := 0; i < 5; i++ {
+		batch.Add(mergeReq(i, []byte("v")))
+	}
+	batch.Send()
+	for i := 0; i < 5; i++ {
+		resp, err := batch.NextV()
+		if err != nil || resp.Status != StatusError || !strings.Contains(string(resp.Value), "unknown op") {
+			t.Fatalf("entry %d: %+v %v, want StatusError \"unknown op\" and no error", i, resp, err)
+		}
+	}
+	if kv.Len() != 0 {
+		t.Fatalf("%d keys applied by a peer that declined the batch", kv.Len())
+	}
+	// The same peer still takes the entries one at a time.
+	batch = cl.Batch()
+	batch.Add(mergeReq(0, []byte("v")))
+	batch.Send()
+	if resp, err := batch.NextV(); err != nil || resp.Status != StatusOK {
+		t.Fatalf("plain frame to the old peer: %+v %v", resp, err)
+	}
+}
+
+// shortReplyFrames serves a batch honestly, then drops the last drop
+// responses from the reply.
+type shortReplyFrames struct {
+	next FrameHandler
+	drop int
+}
+
+func (s shortReplyFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
+	out := s.next.ServeFrame(dst, body, meta)
+	if Op(body[0]) != OpBatch {
+		return out
+	}
+	env, err := DecodeResponse(out[len(dst):])
+	if err != nil {
+		panic(err)
+	}
+	items, _ := DecodeBatch(env.Value)
+	short := AppendBatchHeader(nil, items.Len()-s.drop)
+	for items.Len() > s.drop {
+		item, _ := items.Next()
+		short = AppendBatchItem(short, item)
+	}
+	return AppendResponse(dst, Response{Status: StatusOK, Value: short})
+}
+
+// TestBatchShortReply: a reply with fewer responses than the frame had
+// entries acks exactly the ones it carries and fails the missing tail.
+func TestBatchShortReply(t *testing.T) {
+	cl := startFrames(t, shortReplyFrames{protocolFrames{NewKVHandler()}, 2})
+	batch := cl.Batch()
+	for i := 0; i < 6; i++ {
+		batch.Add(mergeReq(i, []byte("v")))
+	}
+	batch.Send()
+	for i := 0; i < 6; i++ {
+		resp, err := batch.NextV()
+		if i < 4 && (err != nil || resp.Status != StatusOK) {
+			t.Fatalf("entry %d: %+v %v, want its ack", i, resp, err)
+		}
+		if i >= 4 && err == nil {
+			t.Fatalf("entry %d was acked %+v by a reply that did not carry it", i, resp)
+		}
+	}
+}
+
+// TestBatchLostConnection: entries in flight when the connection dies
+// all report the transport error.
+func TestBatchLostConnection(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate) // before startFrames' cleanup waits for the handlers
+	cl := startFrames(t, protocolFrames{gateHandler(gate)})
+	batch := cl.Batch()
+	for i := 0; i < 3; i++ {
+		batch.Add(mergeReq(i, []byte("v")))
+	}
+	batch.Send()
+	cl.Close()
+	for i := 0; i < 3; i++ {
+		if resp, err := batch.NextV(); !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("entry %d: %+v %v, want ErrClientClosed", i, resp, err)
+		}
+	}
+}
+
+// TestBatchRefusedWhole: an envelope whose body does not parse is
+// refused before any entry runs, and a nested envelope is an unknown op
+// to the handler.
+func TestBatchRefusedWhole(t *testing.T) {
+	kv := NewKVHandler()
+	p := protocolFrames{kv}
+	good, _ := EncodeRequest(mergeReq(1, []byte("v")))
+	body := AppendBatchItem(AppendBatchHeader(nil, 2), good)
+	body = append(body, 0, 0, 0, 9, 'x') // second item claims 9 bytes, has 1
+	env, _ := EncodeRequest(Request{Op: OpBatch, Value: body})
+	resp, err := DecodeResponse(p.ServeFrame(nil, env, FrameMeta{}))
+	if err != nil || resp.Status != StatusError {
+		t.Fatalf("truncated envelope: %+v %v, want StatusError", resp, err)
+	}
+	if kv.Len() != 0 {
+		t.Fatal("an entry of a malformed envelope was applied")
+	}
+
+	inner, _ := EncodeRequest(Request{Op: OpBatch, Value: AppendBatchHeader(nil, 0)})
+	env, _ = EncodeRequest(Request{Op: OpBatch, Value: AppendBatchItem(AppendBatchHeader(nil, 1), inner)})
+	resp, err = DecodeResponse(p.ServeFrame(nil, env, FrameMeta{}))
+	if err != nil || resp.Status != StatusOK {
+		t.Fatalf("envelope holding an envelope: %+v %v", resp, err)
+	}
+	items, _ := DecodeBatch(resp.Value)
+	item, _ := items.Next()
+	if r, err := DecodeResponse(item); err != nil || r.Status != StatusError || !strings.Contains(string(r.Value), "unknown op") {
+		t.Fatalf("nested envelope answered %+v %v, want StatusError \"unknown op\"", r, err)
+	}
+}
+
+// failSyncFile is the store's WALFile seam with an fsync that fails
+// once told to.
+type failSyncFile struct {
+	*os.File
+	fail *atomic.Bool
+}
+
+func (f failSyncFile) Sync() error {
+	if f.fail.Load() {
+		return errors.New("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// batchEnvelope encodes n SETV entries, versions counting up from
+// version, as one OpBatch request frame.
+func batchEnvelope(t testing.TB, n int, version uint64) []byte {
+	body := AppendBatchHeader(nil, n)
+	for i := 0; i < n; i++ {
+		enc, err := EncodeRequest(Request{Op: OpSetV, Key: fmt.Sprintf("k%05d", i), Value: []byte("value"), Version: version + uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = AppendBatchItem(body, enc)
+	}
+	env, err := EncodeRequest(Request{Op: OpBatch, Value: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// batchStatuses serves env and returns each entry's status.
+func batchStatuses(t *testing.T, p protocolFrames, env []byte) []Status {
+	t.Helper()
+	resp, err := DecodeResponse(p.ServeFrame(nil, env, FrameMeta{}))
+	if err != nil || resp.Status != StatusOK {
+		t.Fatalf("batch reply: %+v %v", resp, err)
+	}
+	items, err := DecodeBatch(resp.Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Status
+	for items.Len() > 0 {
+		item, err := items.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeResponseV(item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r.Status)
+	}
+	return out
+}
+
+// TestBatchWaitsForDurabilityOnce is the one-wait rule: under
+// FsyncAlways a 256-entry frame costs one group commit, not 256 — and
+// when the log fails under the frame, no entry's ack stands.
+func TestBatchWaitsForDurabilityOnce(t *testing.T) {
+	var fail atomic.Bool
+	eng, err := store.OpenSharded(store.Options{}, store.WALOptions{
+		Dir: t.TempDir(), Fsync: store.FsyncAlways,
+		OpenFile: func(path string) (store.WALFile, error) {
+			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			return failSyncFile{f, &fail}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	p := protocolFrames{NewKVHandlerOn(eng)}
+	const n = 256
+	fsyncs := obs.Default().Counter("store.wal.fsyncs")
+	before := fsyncs.Value()
+	for i, st := range batchStatuses(t, p, batchEnvelope(t, n, 1000)) {
+		if st != StatusOK {
+			t.Fatalf("entry %d: %s", i, st)
+		}
+	}
+	if d := fsyncs.Value() - before; d < 1 || d > 2 {
+		t.Errorf("a %d-entry batch moved store.wal.fsyncs by %d, want 1 or 2", n, d)
+	}
+	if eng.Len() != n {
+		t.Fatalf("engine holds %d keys, want %d", eng.Len(), n)
+	}
+
+	// The same frame at newer versions, with the disk now failing: the
+	// wait at the end of the frame is where the failure shows, after
+	// every entry has been applied and its ack encoded.
+	fail.Store(true)
+	for i, st := range batchStatuses(t, p, batchEnvelope(t, n, 2000)) {
+		if st != StatusError {
+			t.Fatalf("entry %d acked %s over a log that failed to sync", i, st)
+		}
+	}
+	if eng.Err() == nil {
+		t.Fatal("failed fsync did not poison the engine")
+	}
+}
+
+// TestBatchServeAllocations: an entry of a batch frame costs the server
+// what it costs alone — the key string and the engine's value copy —
+// and the envelope a constant.
+func TestBatchServeAllocations(t *testing.T) {
+	p := protocolFrames{NewKVHandler()}
+	const n = 100
+	env := batchEnvelope(t, n, 1000)
+	dst := make([]byte, 0, 8<<10)
+	p.ServeFrame(dst, env, FrameMeta{}) // the keys now exist: no map growth below
+	allocs := testing.AllocsPerRun(50, func() { p.ServeFrame(dst, env, FrameMeta{}) })
+	// Replays lose the merge (same version), so not even the value is
+	// copied: the key string per entry, the Commit per frame.
+	if allocs > n+1 {
+		t.Errorf("serving a %d-entry batch allocates %.0f times, want <= %d", n, allocs, n+1)
+	}
+}

@@ -68,7 +68,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // resolves — and the Pending is single-use (see Pending).
 func (c *Client) SendFrame(body []byte) *Pending {
 	p := new(Pending)
-	c.m.enqueue(p, body, false)
+	c.m.enqueue(p, body, nil)
 	return p
 }
 
@@ -140,7 +140,7 @@ func (c *Client) Send(req Request) *Call {
 		call.p.resolve(nil, err)
 		return call
 	}
-	c.m.enqueue(&call.p, buf, true)
+	c.m.enqueue(&call.p, buf, buf)
 	return call
 }
 

@@ -226,3 +226,102 @@ func FuzzDecodeTraceQuery(f *testing.F) {
 		}
 	})
 }
+
+// checkBatchBody walks a decoded batch body, hands each item to item,
+// and asserts the walk allocated nothing the body did not pay for and
+// that the body re-encodes, canonically, to itself. It reports whether
+// the whole body parsed.
+func checkBatchBody(t *testing.T, body []byte, item func([]byte)) bool {
+	t.Helper()
+	items, err := DecodeBatch(body)
+	if err != nil {
+		return false
+	}
+	if items.Len()*batchItemMin > len(body) {
+		t.Fatalf("a %d-byte body decoded to a count of %d", len(body), items.Len())
+	}
+	out := AppendBatchHeader(dirtyDst(), items.Len())
+	for items.Len() > 0 {
+		it, err := items.Next()
+		if err != nil {
+			return false
+		}
+		item(it)
+		out = AppendBatchItem(out, it)
+	}
+	checkReencoded(t, out, nil, body, false)
+	return true
+}
+
+func FuzzDecodeBatchRequest(f *testing.F) {
+	a, _ := EncodeRequest(Request{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42})
+	b, _ := EncodeRequest(Request{Op: OpMerge, Key: "gone", Version: 9, Flags: FlagTombstone, ExpireAt: 1_700_000_000_000_000_000})
+	for _, body := range [][]byte{
+		AppendBatchHeader(nil, 0),
+		AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), a), b),
+		AppendBatchItem(AppendBatchHeader(nil, 2), a), // count one more than it holds
+		{0xFF, 0xFF, 0xFF, 0xFF},
+	} {
+		env, _ := EncodeRequest(Request{Op: OpBatch, Value: body})
+		f.Add(env)
+	}
+	echo := protocolFrames{HandlerFunc(func(r Request) Response { return Response{Status: StatusOK, Value: r.Value} })}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		env, err := DecodeRequest(in)
+		if err != nil || env.Op != OpBatch {
+			return
+		}
+		entries := 0
+		whole := checkBatchBody(t, env.Value, func(item []byte) {
+			entries++
+			_, _ = DecodeRequest(item) // an entry is the request decoder's to judge
+		})
+		// The server's walk of the same frame: a reply either way, and
+		// one response per entry exactly when the envelope parsed.
+		reply, err := DecodeResponse(echo.ServeFrame(dirtyDst(), in, FrameMeta{})[len(dirtyDst()):])
+		if err != nil {
+			t.Fatalf("reply to a batch frame does not decode: %v", err)
+		}
+		if whole != (reply.Status == StatusOK) {
+			t.Fatalf("envelope parsed = %v, server answered %s", whole, reply.Status)
+		}
+		if whole {
+			if items, err := DecodeBatch(reply.Value); err != nil || items.Len() != entries {
+				t.Fatalf("reply holds %d responses (%v), frame had %d entries", items.Len(), err, entries)
+			}
+		}
+	})
+}
+
+func FuzzDecodeBatchResponse(f *testing.F) {
+	ok := EncodeResponseV(Response{Status: StatusOK, Version: 1234})
+	lost := EncodeResponseV(Response{Status: StatusExists, Version: 99, Flags: FlagTombstone})
+	for _, body := range [][]byte{
+		AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), ok), lost),
+		AppendBatchItem(AppendBatchHeader(nil, 1), ok), // one response short of two entries
+		AppendBatchItem(AppendBatchHeader(nil, 2), ok), // count one more than it holds
+		{0xFF, 0xFF, 0xFF, 0xFF},
+	} {
+		f.Add(EncodeResponse(Response{Status: StatusOK, Value: body}))
+	}
+	f.Add(EncodeResponse(Response{Status: StatusError, Value: []byte("unknown op 18")}))
+	f.Add(EncodeResponse(Response{Status: StatusBusy}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if env, err := DecodeResponse(in); err == nil && env.Status == StatusOK {
+			checkBatchBody(t, env.Value, func(item []byte) { _, _ = DecodeResponseV(item) })
+		}
+		// The client's walk of the same bytes, as the reply to a frame of
+		// two entries: two outcomes, whatever they are, and nothing after
+		// them.
+		p := new(Pending)
+		p.done.Add(1)
+		p.resolve(in, nil)
+		b := Batch{first: batchFrame{p: p, n: 2}, sent: 1}
+		for i := 0; i < 2; i++ {
+			_, _ = b.NextV()
+		}
+		if _, err := b.NextV(); err == nil {
+			t.Fatal("a third reply from a frame of two entries")
+		}
+	})
+}

@@ -25,8 +25,9 @@ const goldenSeq = 0x0102030405060708
 // goldenFrames builds one frame per op, direction and framing, plus the
 // trailer variants (expiry, trace, both). testdata/golden_frames.txt
 // holds what this table produced at the commit before the transport
-// took ownership of its buffers (PR 16, d803717); the encoders may
-// change how they build a frame, never a byte of it.
+// took ownership of its buffers (PR 16, d803717) — and, for the batch
+// envelope, at the commit that introduced it; the encoders may change
+// how they build a frame, never a byte of it.
 func goldenFrames(t testing.TB) []goldenFrame {
 	var out []goldenFrame
 	add := func(name string, body []byte) {
@@ -64,6 +65,16 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	response("resp/SETV+busy", OpSetV, Response{Status: StatusBusy})
 	response("resp/SET+busy", OpSet, Response{Status: StatusBusy})
 	response("resp/GET+error", OpGet, Response{Status: StatusError, Value: []byte("boom")})
+	// The batch envelope, added with OpBatch and pinned from then on: two
+	// entries and their replies, each reply in its own entry's framing,
+	// and the refusal a peer without the op sends back.
+	setv, _ := EncodeRequest(Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, Trace: tr})
+	merge, _ := EncodeRequest(Request{Op: OpMerge, Key: "key-2", Version: 8, Flags: FlagTombstone, ExpireAt: expiry})
+	request("req/BATCH", Request{Op: OpBatch, Value: AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), setv), merge)})
+	response("resp/BATCH", OpBatch, Response{Status: StatusOK, Value: AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2),
+		EncodeResponseV(Response{Status: StatusOK, Version: 7})),
+		EncodeResponseV(Response{Status: StatusExists, Version: 9, Flags: FlagTombstone, ExpireAt: expiry}))})
+	response("resp/BATCH+unknown-op", OpBatch, Response{Status: StatusError, Value: []byte("unknown op 18")})
 	return out
 }
 

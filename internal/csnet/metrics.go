@@ -15,6 +15,7 @@ import (
 //	csnet.server.bytes_in         counter: request frame bytes
 //	csnet.server.bytes_out        counter: response frame bytes
 //	csnet.server.decode_errors    counter: malformed request frames
+//	csnet.server.batch_entries    histogram: entries per OpBatch frame
 //	csnet.server.queue_depth.hw   gauge: per-conn worker queue high water
 //	csnet.server.slow_ops         counter: ops over the slow-op threshold
 //	csnet.server.shed             counter: frames answered StatusBusy by
@@ -41,6 +42,10 @@ type serverMetrics struct {
 	slowOps    *obs.Counter
 	shed       *obs.Counter
 	inflightHW *obs.Gauge
+	// batchEntries has one sample per OpBatch frame. The envelope is not
+	// an op: its entries are counted, timed and sized each under its own
+	// op, exactly as frames of their own would be.
+	batchEntries *obs.Histogram
 
 	muxPendingHW *obs.Gauge
 	muxTimeouts  *obs.Counter
@@ -60,6 +65,7 @@ var csnetM = func() *serverMetrics {
 		slowOps:      r.Counter("csnet.server.slow_ops"),
 		shed:         r.Counter("csnet.server.shed"),
 		inflightHW:   r.Gauge("csnet.server.inflight.hw"),
+		batchEntries: r.Histogram("csnet.server.batch_entries"),
 		muxPendingHW: r.Gauge("csnet.mux.pending.hw"),
 		muxTimeouts:  r.Counter("csnet.mux.timeouts"),
 		muxPoisoned:  r.Counter("csnet.mux.poisoned"),

@@ -34,8 +34,8 @@ const muxIdleWindow = time.Second
 // with putBuf by the frame writer, the one place every frame passes,
 // once its bytes are copied into the connection's write buffer:
 //
-//   - the request frame Send encodes (never SendFrame's body: that is
-//     the caller's and is only read);
+//   - the request frame Send encodes or a Batch builds (never
+//     SendFrame's body: that is the caller's and is only read);
 //   - the request body a server reads off a connection, which rides its
 //     response frame so a reply that aliases it is written first;
 //   - the dst a server hands ServeFrame to append the response to.
@@ -227,10 +227,10 @@ func newMuxConn(conn net.Conn, timeout time.Duration) (*muxConn, error) {
 }
 
 // enqueue registers p as a request and hands the frame to the writer;
-// owned marks body as the transport's, released once written. p always
-// resolves: with the response, or with the error that poisoned the
-// connection.
-func (m *muxConn) enqueue(p *Pending, body []byte, owned bool) {
+// free is the transport buffer body lives in (nil when body is the
+// caller's), released once written. p always resolves: with the
+// response, or with the error that poisoned the connection.
+func (m *muxConn) enqueue(p *Pending, body, free []byte) {
 	p.done.Add(1)
 	if len(body) > MaxFrameSize {
 		p.resolve(nil, ErrFrameTooLarge)
@@ -256,12 +256,8 @@ func (m *muxConn) enqueue(p *Pending, body []byte, owned bool) {
 		// timeout is actually enforced.
 		_ = m.conn.SetReadDeadline(time.Now().Add(m.timeout))
 	}
-	f := muxFrame{seq: seq, body: body}
-	if owned {
-		f.free[0] = body
-	}
 	select {
-	case m.sendq <- f:
+	case m.sendq <- muxFrame{seq: seq, body: body, free: [2][]byte{free}}:
 	case <-m.dead:
 		// fail() already resolved p through the pending map.
 	}

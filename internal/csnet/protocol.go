@@ -96,6 +96,16 @@ const (
 	// the existing mux and assemble the replies into cross-node span
 	// trees. Key is unused.
 	OpTraces
+	// OpBatch is an envelope, not an operation: the request Value is a
+	// counted sequence of encoded requests (AppendBatchItem), answered
+	// by a StatusOK response whose Value is the same sequence of their
+	// encoded responses, in order, each in the framing its own request's
+	// op calls for. The server runs every entry through the handler as
+	// if it had arrived alone, then waits for durability once. It is how
+	// a multi-key burst crosses the wire (see Batch); a peer that does
+	// not know the op answers the whole frame StatusError "unknown op",
+	// and so does a server asked to nest one. Key is unused.
+	OpBatch
 )
 
 // Versioned reports whether op's request and response frames carry the
@@ -165,6 +175,8 @@ func (o Op) String() string {
 		return "STATS"
 	case OpTraces:
 		return "TRACES"
+	case OpBatch:
+		return "BATCH"
 	default:
 		return "UNKNOWN"
 	}
@@ -214,7 +226,8 @@ func (s Status) String() string {
 // wire only for versioned ops (see Versioned; ExpireAt only when
 // nonzero, gated by FlagHasExpiry). Trace likewise rides only
 // versioned requests, only when valid (gated by FlagHasTrace).
-// QueueWait is server-local bookkeeping and never touches the wire.
+// QueueWait and Commit are server-local bookkeeping and never touch the
+// wire.
 type Request struct {
 	Op       Op
 	Key      string
@@ -229,6 +242,9 @@ type Request struct {
 	// queue before handling began (set by the server, muxed
 	// connections only).
 	QueueWait time.Duration
+	// Commit is set by the server on every entry of a batch frame (see
+	// Commit); nil on a request that arrived as a frame of its own.
+	Commit *Commit
 }
 
 // Response is a protocol response. Version, Flags, and ExpireAt ride
@@ -402,6 +418,76 @@ func appendReply(dst []byte, op Op, resp Response) []byte {
 		return AppendResponseV(dst, resp)
 	}
 	return AppendResponse(dst, resp)
+}
+
+// A batch body — the Value of an OpBatch request and of its response
+// alike — is count(4) then count * (len(4) item), the items encoded
+// requests one way and encoded responses the other.
+
+// batchItemMin is the least a batch item costs its body: the length
+// prefix of an empty item.
+const batchItemMin = 4
+
+// batchRequestHeader is what precedes the items of an OpBatch request
+// frame: op(1) keyLen(2)=0 valLen(4) count(4).
+const batchRequestHeader = 1 + 2 + 4 + 4
+
+// BatchItems walks a batch body's items in order, allocating nothing.
+type BatchItems struct {
+	b    []byte
+	left int
+}
+
+// DecodeBatch opens a batch body. A count the body cannot hold — every
+// item costs at least its length prefix — is rejected here, so the
+// count may size an allocation.
+func DecodeBatch(b []byte) (BatchItems, error) {
+	if len(b) < 4 {
+		return BatchItems{}, fmt.Errorf("csnet: batch too short (%d bytes)", len(b))
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if n > (len(b)-4)/batchItemMin {
+		return BatchItems{}, fmt.Errorf("csnet: batch count %d exceeds body size %d", n, len(b)-4)
+	}
+	if n == 0 && len(b) != 4 {
+		return BatchItems{}, fmt.Errorf("csnet: %d trailing bytes after batch", len(b)-4)
+	}
+	return BatchItems{b: b[4:], left: n}, nil
+}
+
+// Len reports how many items have not been read yet.
+func (it *BatchItems) Len() int { return it.left }
+
+// Next returns the next item, aliasing the body. After the last item
+// it checks that the body ends there.
+func (it *BatchItems) Next() ([]byte, error) {
+	if it.left == 0 {
+		return nil, fmt.Errorf("csnet: batch has no more items")
+	}
+	if len(it.b) < 4 {
+		return nil, fmt.Errorf("csnet: truncated batch item length")
+	}
+	n := int(binary.BigEndian.Uint32(it.b))
+	if n > len(it.b)-4 {
+		return nil, fmt.Errorf("csnet: truncated batch item: have %d want %d", len(it.b)-4, n)
+	}
+	item := it.b[4 : 4+n]
+	it.b = it.b[4+n:]
+	if it.left--; it.left == 0 && len(it.b) != 0 {
+		return nil, fmt.Errorf("csnet: %d trailing bytes after batch", len(it.b))
+	}
+	return item, nil
+}
+
+// AppendBatchHeader appends a batch body's count.
+func AppendBatchHeader(dst []byte, count int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(count))
+}
+
+// AppendBatchItem appends one length-prefixed item to a batch body.
+func AppendBatchItem(dst, item []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(item)))
+	return append(dst, item...)
 }
 
 // DecodeResponseV parses a versioned response.

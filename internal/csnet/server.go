@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,12 +60,19 @@ type protocolFrames struct {
 	h Handler
 }
 
-// ServeFrame implements FrameHandler, answering in the framing the
-// request's op calls for (appendReply). Every frame is counted into the
-// per-op request/latency/byte metrics; the timer spans decode through
-// encode, so the histograms report what the client actually waited on
-// the server, not just the handler body.
+// ServeFrame implements FrameHandler: one request, or one OpBatch
+// envelope of them.
 func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
+	return p.serve(dst, body, meta, nil)
+}
+
+// serve answers one encoded request in the framing its op calls for
+// (appendReply). Every request — a frame of its own or, with commit
+// set, an entry of a batch frame — is counted into the per-op
+// request/latency/byte metrics under its own op; the timer spans decode
+// through encode, so the histograms report what the client actually
+// waited on the server, not just the handler body.
+func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) []byte {
 	start := obs.StartTimer()
 	req, err := DecodeRequest(body)
 	if err != nil {
@@ -73,7 +81,11 @@ func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
 		csnetM.bytesIn.Add(uint64(len(body)))
 		return appendUndecoded(dst, body, Response{Status: StatusError, Value: []byte(err.Error())})
 	}
+	if req.Op == OpBatch && commit == nil {
+		return p.serveBatch(dst, req.Value, meta)
+	}
 	req.QueueWait = meta.QueueWait
+	req.Commit = commit
 	out := appendReply(dst, req.Op, p.h.Serve(req))
 	slot := opSlot(req.Op)
 	csnetM.ops[slot].Inc()
@@ -85,6 +97,94 @@ func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
 		noteSlowOp(req.Op, req.Key, d, req.Trace.TraceID)
 	}
 	return out
+}
+
+// batchReplyGuess is the reply bytes a batch entry is sized for up
+// front: a length prefix and a versioned write's ack.
+const batchReplyGuess = 4 + 5 + versionTrailerSize + 8
+
+// serveBatch answers an OpBatch envelope: every entry goes through
+// serve as a frame of its own would — an entry that is itself a batch
+// reaches the handler and is refused as an unknown op — and then the
+// frame waits for durability once. An envelope that does not parse is
+// refused whole, before any entry runs. If the wait reports the log
+// lost, no ack of the frame stands: every entry is answered
+// StatusError.
+func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
+	items, err := DecodeBatch(body)
+	for it := items; err == nil && it.Len() > 0; {
+		_, err = it.Next()
+	}
+	if err != nil {
+		csnetM.decodeEr.Inc()
+		csnetM.ops[0].Inc()
+		csnetM.bytesIn.Add(uint64(len(body)))
+		return AppendResponse(dst, Response{Status: StatusError, Value: []byte(err.Error())})
+	}
+	csnetM.batchEntries.Observe(int64(items.Len()))
+	commit := new(Commit)
+	out := p.appendBatchReply(slices.Grow(dst, 9+items.Len()*batchReplyGuess), items, meta, commit, nil)
+	if err := commit.wait(); err != nil {
+		out = p.appendBatchReply(out[:len(dst)], items, meta, commit, &Response{Status: StatusError, Value: []byte(err.Error())})
+	}
+	return out
+}
+
+// appendBatchReply appends the response frame of a batch: every item
+// answered by serve, or — the log having failed under the frame —
+// refused with lost.
+func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, meta FrameMeta, commit *Commit, lost *Response) []byte {
+	// status(1) valLen(4) count(4) items; valLen is patched in last.
+	out := append(dst, byte(StatusOK), 0, 0, 0, 0)
+	out = AppendBatchHeader(out, items.Len())
+	for items.Len() > 0 {
+		item, _ := items.Next() // serveBatch walked the envelope clean
+		mark := len(out)
+		out = append(out, 0, 0, 0, 0)
+		if lost != nil {
+			out = appendUndecoded(out, item, *lost)
+		} else {
+			out = p.serve(out, item, meta, commit)
+		}
+		binary.BigEndian.PutUint32(out[mark:], uint32(len(out)-mark-4))
+	}
+	binary.BigEndian.PutUint32(out[len(dst)+1:], uint32(len(out)-len(dst)-5))
+	return out
+}
+
+// Commit is the one durability wait the entries of a batch frame share.
+// The server hands the same Commit to every entry (Request.Commit); a
+// handler whose writes wait for the disk defers those waits into it,
+// and the server waits once after the last entry.
+type Commit struct {
+	kv  *KVHandler     // the handler's view over eng, made for the first entry it serves
+	eng *store.Sharded // what the entries write through; nil until a KVHandler has served one
+}
+
+// view returns the handler the frame's entries are served by: kv over
+// a deferred view of its engine, or kv itself where nothing waits.
+func (c *Commit) view(kv *KVHandler) *KVHandler {
+	if c.kv != nil {
+		return c.kv
+	}
+	c.kv = kv
+	if eng, ok := kv.eng.(*store.Sharded); ok {
+		if c.eng = eng.Deferred(); c.eng != eng {
+			v := *kv
+			v.eng = c.eng
+			c.kv = &v
+		}
+	}
+	return c.kv
+}
+
+// wait blocks until the frame's writes are durable and reports whether
+// their acks may stand.
+func (c *Commit) wait() error {
+	if c.eng == nil {
+		return nil
+	}
+	return c.eng.Wait()
 }
 
 // Server is a concurrent framed-protocol TCP server.
@@ -474,6 +574,9 @@ func (kv *KVHandler) Engine() store.Engine { return kv.eng }
 // context reparented so engine (and deeper) spans hang off it; an
 // untraced request skips all of it, never touching the clock.
 func (kv *KVHandler) Serve(req Request) Response {
+	if req.Commit != nil {
+		kv = req.Commit.view(kv)
+	}
 	if !req.Trace.Valid() {
 		return kv.serve(req)
 	}

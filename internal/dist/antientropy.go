@@ -443,12 +443,12 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 	// Each repair merge is a child span of the pass: a waterfall of a
 	// slow pass shows exactly which owners were converged and at what
 	// cost per stream.
-	mb := mergeBurst{c: c, kind: trace.KindAE, op: "MERGE"}
+	mb := mergeBurst{c: c, kind: trace.KindAE}
 	// Tombstones need no source read: the listing carries everything
 	// (version and — for expiry tombstones — the expiry for GC aging).
 	for _, j := range tombs {
 		for _, t := range j.targets {
-			mb.send(ctx, clients[t], t, j.key, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
+			mb.send(ctx, t, j.key, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
 		}
 	}
 	// Plain value winners: one pipelined GetV burst per source backend.
@@ -469,7 +469,7 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 			}
 			c.clock.Observe(resp.Version)
 			for _, t := range j.targets {
-				mb.send(ctx, clients[t], t, j.key, entryOf(resp))
+				mb.send(ctx, t, j.key, entryOf(resp))
 			}
 		}
 	}
@@ -504,7 +504,7 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 			continue // all holders vanished mid-pass; next pass converges
 		}
 		for _, t := range j.targets {
-			mb.send(ctx, clients[t], t, j.key, best)
+			mb.send(ctx, t, j.key, best)
 		}
 	}
 	return mb.collect(nil)

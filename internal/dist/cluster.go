@@ -63,11 +63,11 @@ type ClusterConfig struct {
 // read-repair backfilling replicas that missed a write.
 //
 // Transport: one pipelined, multiplexed connection per backend, shared
-// by all concurrent callers. Replica fan-out and the batch APIs
-// (MSet/MGet/MDel) issue asynchronous sends and then collect, so a
-// replicated write costs one round-trip of latency and a 100-key batch
-// costs one pipelined burst per backend instead of 100 lock-step round
-// trips.
+// by all concurrent callers; fan-out sends, then collects, so a
+// replicated write costs one round trip. A multi-key write is one
+// frame per backend each way, not one per key (csnet.Batch; a second
+// frame past 64 KiB). MGet stays a burst of GETV frames: a Get's reply
+// body is the value the caller keeps, and one shared reply would pin it.
 //
 // Versioning: every write is stamped by the cluster's hybrid logical
 // clock and applied on each replica with last-writer-wins merge
@@ -97,7 +97,9 @@ type ClusterConfig struct {
 // *PartialWriteError below it; a delete settles only when every live
 // replica acked and reports the first cause otherwise; with no live
 // replica nothing settles. Hints, read-repair and both anti-entropy
-// passes push entries through one merge burst (mergeBurst).
+// passes push entries through one merge burst (mergeBurst). A batch
+// frame refused whole (shed, or "unknown op" from an older build) is
+// "rejected" for each entry; a reply's missing tail, "transport error".
 //
 // Fault tolerance: Watch subscribes the cluster to a member.Memberlist
 // so dead backends are evicted from the ring (their keys reroute to the
@@ -377,9 +379,9 @@ func (c *Cluster) setTTL(key string, value []byte, ttl time.Duration, sess *Sess
 }
 
 // MSet writes many key/value pairs with replicated quorum writes: each
-// backend receives its whole share as one pipelined batch, so the
-// wall-clock cost is one burst per backend rather than one round-trip
-// per key per replica. Per key the semantics match Set, and when any
+// backend receives its whole share as one batch frame and answers it
+// with one, so a key costs its encoding and its engine write, not a
+// frame each way per replica. Per key the semantics match Set, and when any
 // key misses quorum the whole batch returns one *PartialWriteError
 // carrying the first such key's detail plus the total count of
 // under-quorum keys (every other key's writes still complete and
@@ -458,8 +460,8 @@ func (c *Cluster) delS(key string, sess *Session) (ok bool, err error) {
 }
 
 // MDel removes many keys from their live replica sets with version-
-// stamped tombstones, one pipelined batch per backend (see Del). It
-// returns how many keys existed on at least one replica.
+// stamped tombstones, one batch frame per backend (see Del and MSet).
+// It returns how many keys existed on at least one replica.
 func (c *Cluster) MDel(keys []string) (int, error) {
 	defer distM.latMDel.ObserveSince(obs.StartTimer())
 	muts := make([]mutation, len(keys))

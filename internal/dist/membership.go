@@ -163,8 +163,8 @@ func (c *Cluster) HintDrops() uint64 {
 	return c.hintDrops
 }
 
-// replayHints delivers backend b's queued hints as one pipelined burst
-// of version-aware merges (values and tombstones alike) and returns
+// replayHints delivers backend b's queued hints as one burst of
+// version-aware merges (values and tombstones alike) and returns
 // how many landed. A replay that finds the backend already newer
 // (StatusExists) is success — the hint is obsolete, exactly the stale
 // replay that used to need careful ordering and now simply loses.
@@ -178,22 +178,18 @@ func (c *Cluster) replayHints(b int) int {
 	if len(pending) == 0 {
 		return 0
 	}
-	cl, err := c.pools[b].get()
-	if err != nil {
-		for k, e := range pending {
-			c.hintIfAbsent(b, k, e)
-		}
-		return 0
-	}
 	// A hint carries the trace of the write that queued it; the replay
 	// merge joins that trace as a hint span, so a waterfall shows the
 	// write completing on the recovered backend.
-	mb := mergeBurst{c: c, kind: trace.KindHint, op: "replay"}
+	mb := mergeBurst{c: c, kind: trace.KindHint}
+	sent := make([]string, 0, len(pending))
 	for k, h := range pending {
-		mb.send(h.tr, cl, b, k, h.e)
+		mb.send(h.tr, b, k, h.e)
+		sent = append(sent, k)
 	}
 	delivered := 0
-	mb.collect(func(k string, resident uint64, err error) {
+	mb.collect(func(_, i int, resident uint64, err error) {
+		k := sent[i]
 		if err != nil {
 			c.hintIfAbsent(b, k, pending[k])
 			return
@@ -511,10 +507,10 @@ func (c *Cluster) rebalanceListings(ctx trace.Context) (copied int, err error) {
 	// Every streamed entry goes through one merge burst (which also
 	// supersedes the coordinator's cache: another coordinator may have
 	// written what is being streamed).
-	mb := mergeBurst{c: c, kind: trace.KindAE, op: "MERGE"}
+	mb := mergeBurst{c: c, kind: trace.KindAE}
 	for _, j := range tombs {
 		for _, t := range j.targets {
-			mb.send(ctx, clients[t], t, j.key, store.Entry{Version: j.top, Tombstone: true})
+			mb.send(ctx, t, j.key, store.Entry{Version: j.top, Tombstone: true})
 		}
 	}
 	for src, list := range jobs {
@@ -536,7 +532,7 @@ func (c *Cluster) rebalanceListings(ctx trace.Context) (copied int, err error) {
 			// least that new, and carrying ExpireAt keeps a TTL'd entry
 			// mortal on the targets too.
 			for _, t := range j.targets {
-				mb.send(ctx, clients[t], t, j.key, entryOf(resp))
+				mb.send(ctx, t, j.key, entryOf(resp))
 			}
 		}
 	}

@@ -185,11 +185,9 @@ func (c *Cluster) readRepair(ctx trace.Context, key string, e store.Entry, misse
 	// floor with the servable copy.
 	c.cacheSupersede(key, e.Version)
 	distM.readRepairs.Add(uint64(len(missed)))
-	mb := mergeBurst{c: c, kind: trace.KindRepair, op: "MERGE"}
+	mb := mergeBurst{c: c, kind: trace.KindRepair}
 	for _, b := range missed {
-		if cl, err := c.pools[b].get(); err == nil {
-			mb.send(ctx, cl, b, key, e)
-		}
+		mb.send(ctx, b, key, e)
 	}
 	mb.collect(nil)
 }

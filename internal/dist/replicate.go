@@ -78,78 +78,56 @@ func (c *Cluster) fault(ctx trace.Context, m *mutation, o *outcome, b int, err e
 	o.faults = append(o.faults, replicaFault{b, err, hint})
 }
 
-// inlineCalls is how many in-flight sends replicate tracks without
-// allocating: a single-key write at any usual replication factor.
-const inlineCalls = 4
-
-// replicate is the one write path under Set, MSet, Del and MDel: it
-// sends every mutation to its key's live replica set as one pipelined
-// burst per backend (SETV, or DELV for a tombstone), collects the
-// replies, and fills out[i] for muts[i]. The reply rules and the cache
-// verdict tabled in the Cluster doc are implemented here and nowhere
-// else. Callers stamp versions, own the root span behind ctx, and turn
-// outcomes into their own result and error shape.
+// replicate is the one write path under Set, MSet, Del and MDel: every
+// mutation goes to its key's live replica set (SETV, or DELV for a
+// tombstone), each backend's share as one frame, then the replies are
+// read back and out[i] filled for muts[i]. The reply rules and the
+// cache verdict tabled in the Cluster doc are implemented here and
+// nowhere else. Callers stamp versions, own the root span behind ctx,
+// and turn outcomes into their own result and error shape.
 func (c *Cluster) replicate(ctx trace.Context, muts []mutation, out []outcome) {
-	type sent struct {
-		call    *csnet.Call
-		sp      trace.Active
-		mut     int
-		backend int
-	}
-	var inline [inlineCalls]sent
-	calls := inline[:0]
-	if n := len(muts) * c.rf; n > len(inline) {
-		calls = make([]sent, 0, n)
-	}
 	var slots [inlineBackends]clientSlot
 	bc := c.batchClients(&slots)
 	for i := range muts {
 		m := &muts[i]
 		out[i].set = c.replicaSet(m.key)
-		op, name := csnet.OpSetV, "SETV"
+		req := csnet.Request{Op: csnet.OpSetV, Key: m.key, Value: m.e.Value, Version: m.e.Version, ExpireAt: m.e.ExpireAt}
 		if m.e.Tombstone {
-			op, name = csnet.OpDelV, "DELV"
+			req.Op = csnet.OpDelV
 		}
 		for _, b := range out[i].set {
-			cl, err := bc.get(b)
-			if err != nil {
-				c.fault(ctx, m, &out[i], b, err, true)
-				continue
-			}
-			sp := c.span(ctx, trace.KindRPC, name, b)
-			req := csnet.Request{Op: op, Key: m.key, Value: m.e.Value, Version: m.e.Version, ExpireAt: m.e.ExpireAt, Trace: sp.Context()}
-			calls = append(calls, sent{cl.Send(req), sp, i, b})
+			bc.add(ctx, trace.KindRPC, b, req)
 		}
 	}
-	for ci := range calls {
-		s := &calls[ci]
-		o := &out[s.mut]
-		resp, err := s.call.ResponseV()
-		switch {
-		case err != nil:
-			// Unreachable or dying: worth replaying when it returns.
-			c.fault(ctx, &muts[s.mut], o, s.backend, err, true)
-			s.sp.S.Err = true
-		case resp.Status == csnet.StatusOK || resp.Status == csnet.StatusExists ||
-			resp.Status == csnet.StatusNotFound && muts[s.mut].e.Tombstone:
-			// Observe the resident version: an Exists reply carries the
-			// newer one, and a coordinator whose wall clock lags must
-			// advance past it or its next write loses too.
-			c.clock.Observe(resp.Version)
-			if resp.Status == csnet.StatusExists && resp.Version > o.lostTo {
-				o.lostTo = resp.Version
-			}
-			o.existed = o.existed || resp.Status == csnet.StatusOK
-			o.acks++
-		default:
-			// Alive and declining: a replay would be declined again.
-			c.fault(ctx, &muts[s.mut], o, s.backend, statusErr(resp), false)
-			s.sp.S.Err = true
-		}
-		s.sp.Finish()
-	}
+	bc.flush()
+	// Each backend answers in the order it was sent to, so walking the
+	// plan again pairs every reply with its mutation.
 	for i := range muts {
 		m, o := &muts[i], &out[i]
+		for _, b := range o.set {
+			resp, sp, err := bc.next(b)
+			switch {
+			case err != nil:
+				// Unreachable or dying: worth replaying when it returns.
+				c.fault(ctx, m, o, b, err, true)
+			case resp.Status == csnet.StatusOK || resp.Status == csnet.StatusExists ||
+				resp.Status == csnet.StatusNotFound && m.e.Tombstone:
+				// Observe the resident version: an Exists reply carries the
+				// newer one, and a coordinator whose wall clock lags must
+				// advance past it or its next write loses too.
+				c.clock.Observe(resp.Version)
+				if resp.Status == csnet.StatusExists && resp.Version > o.lostTo {
+					o.lostTo = resp.Version
+				}
+				o.existed = o.existed || resp.Status == csnet.StatusOK
+				o.acks++
+			default:
+				// Alive and declining: a replay would be declined again.
+				err = statusErr(resp)
+				c.fault(ctx, m, o, b, err, false)
+			}
+			endSpan(sp, err != nil)
+		}
 		o.need = c.quorumFor(len(o.set))
 		if m.e.Tombstone {
 			o.need = len(o.set)
@@ -165,18 +143,30 @@ func (c *Cluster) replicate(ctx trace.Context, muts []mutation, out []outcome) {
 	}
 }
 
-// batchClients resolves one pooled client per backend for the life of
-// one operation, remembering dial failures so a dead backend is
-// reported once instead of re-dialed per key.
+// batchClients is the per-backend state of one operation: the pooled
+// client, resolved once — a dial failure is remembered, so a dead
+// backend is reported once instead of re-dialed per key — and the burst
+// the operation's writes to that backend ride.
 type batchClients struct {
 	c     *Cluster
 	slots []clientSlot // one per backend
 }
 
 type clientSlot struct {
-	cl     *csnet.Client
-	err    error
-	dialed bool
+	cl  *csnet.Client // nil with err nil: not dialed yet
+	err error
+
+	batch       csnet.Batch
+	added, read int // entries added to the burst; replies read back
+	// spans holds the traced entries' RPC spans, tagged with the entry's
+	// index, until their replies arrive; ended of them have.
+	spans []entrySpan
+	ended int
+}
+
+type entrySpan struct {
+	entry int
+	sp    trace.Active
 }
 
 // inlineBackends is the cluster width whose client slots fit the
@@ -187,67 +177,113 @@ func (c *Cluster) batchClients(buf *[inlineBackends]clientSlot) batchClients {
 	if n := len(c.pools); n > len(buf) {
 		return batchClients{c, make([]clientSlot, n)}
 	}
-	return batchClients{c, buf[:]}
+	return batchClients{c, buf[:len(c.pools)]}
 }
 
 func (bc *batchClients) get(b int) (*csnet.Client, error) {
 	s := &bc.slots[b]
-	if !s.dialed {
-		s.dialed = true
-		s.cl, s.err = bc.c.pools[b].get()
+	if s.cl == nil && s.err == nil {
+		if s.cl, s.err = bc.c.pools[b].get(); s.err == nil {
+			s.batch = s.cl.Batch()
+		}
 	}
 	return s.cl, s.err
 }
 
+// add makes req the next entry of backend b's burst, under a child span
+// of ctx, named for its op, when that is traced. With no connection to
+// b nothing is sent and the entry's reply is the dial error.
+func (bc *batchClients) add(ctx trace.Context, kind trace.Kind, b int, req csnet.Request) {
+	s := &bc.slots[b]
+	if _, err := bc.get(b); err == nil {
+		if ctx.Valid() {
+			s.spans = append(s.spans, entrySpan{s.added, bc.c.span(ctx, kind, req.Op.String(), b)})
+			req.Trace = s.spans[len(s.spans)-1].sp.Context()
+		}
+		s.batch.Add(req)
+	}
+	s.added++
+}
+
+// flush puts every backend's entries on the wire.
+func (bc *batchClients) flush() {
+	for b := range bc.slots {
+		if bc.slots[b].cl != nil {
+			bc.slots[b].batch.Send()
+		}
+	}
+}
+
+// next reads backend b's next reply, in the order add was called for
+// it, and returns the entry's span (nil when untraced) for endSpan.
+func (bc *batchClients) next(b int) (resp csnet.Response, sp *trace.Active, err error) {
+	s := &bc.slots[b]
+	if err = s.err; err == nil {
+		resp, err = s.batch.NextV()
+	}
+	if s.ended < len(s.spans) && s.spans[s.ended].entry == s.read {
+		sp = &s.spans[s.ended].sp
+		s.ended++
+	}
+	s.read++
+	return resp, sp, err
+}
+
+// endSpan closes an entry's span once its reply has been judged.
+func endSpan(sp *trace.Active, failed bool) {
+	if sp != nil {
+		sp.S.Err = failed
+		sp.Finish()
+	}
+}
+
 // mergeBurst is the one repair path under read-repair, hint replay and
-// both anti-entropy passes: OpMerge requests pipelined out as they are
-// planned, then collected together. A merge is version-aware on the
-// replica — it fills holes and fixes stale copies but can never
-// overwrite a newer write — so a burst needs no ordering, and a lost
-// one costs only the next pass.
+// both anti-entropy passes: OpMerge requests batched per backend as
+// they are planned (a frame leaves as it fills), then collected
+// together. A merge is version-aware on the replica — it fills holes
+// and fixes stale copies but can never overwrite a newer write — so a
+// burst needs no ordering, and a lost one costs only the next pass.
 type mergeBurst struct {
-	c     *Cluster
-	kind  trace.Kind // span kind and op each merge records under
-	op    string
-	calls []mergeCall
+	c      *Cluster
+	kind   trace.Kind // span kind each merge records under
+	bc     batchClients
+	inline [inlineBackends]clientSlot
 }
 
-type mergeCall struct {
-	call *csnet.Call
-	sp   trace.Active
-	key  string
-}
-
-// send merges e onto backend b through cl under a child span of ctx.
-// Whatever is being pushed at a replica is write-path news the
-// coordinator's cache may not have seen: it supersedes the key there.
-func (mb *mergeBurst) send(ctx trace.Context, cl *csnet.Client, b int, key string, e store.Entry) {
+// send merges e onto backend b under a child span of ctx. Whatever is
+// being pushed at a replica is write-path news the coordinator's cache
+// may not have seen: it supersedes the key there.
+func (mb *mergeBurst) send(ctx trace.Context, b int, key string, e store.Entry) {
+	if mb.bc.c == nil {
+		mb.bc = mb.c.batchClients(&mb.inline)
+	}
 	mb.c.cacheSupersede(key, e.Version)
-	sp := mb.c.span(ctx, mb.kind, mb.op, b)
-	mb.calls = append(mb.calls, mergeCall{cl.Send(csnet.MergeRequest(key, e, sp.Context())), sp, key})
+	mb.bc.add(ctx, mb.kind, b, csnet.MergeRequest(key, e, trace.Context{}))
 }
 
 // collect waits for every reply and returns how many merges the
-// replicas applied. reply, when non-nil, sees each one: the version now
-// resident (the merged one, or the newer one an Exists reply carries),
-// or the error of a merge that was lost or rejected.
-func (mb *mergeBurst) collect(reply func(key string, resident uint64, err error)) (applied int) {
-	for i := range mb.calls {
-		mc := &mb.calls[i]
-		resp, err := mc.call.ResponseV()
-		if err == nil && resp.Status != csnet.StatusOK && resp.Status != csnet.StatusExists {
-			err = statusErr(resp)
-		}
-		if err == nil {
-			mb.c.clock.Observe(resp.Version)
-			if resp.Status == csnet.StatusOK {
-				applied++
+// replicas applied. reply, when non-nil, sees each one — entry i of
+// those sent to backend b — with the version now resident (the merged
+// one, or the newer one an Exists reply carries), or the error of a
+// merge that was lost or rejected.
+func (mb *mergeBurst) collect(reply func(b, i int, resident uint64, err error)) (applied int) {
+	mb.bc.flush()
+	for b := range mb.bc.slots {
+		for i := 0; i < mb.bc.slots[b].added; i++ {
+			resp, sp, err := mb.bc.next(b)
+			if err == nil && resp.Status != csnet.StatusOK && resp.Status != csnet.StatusExists {
+				err = statusErr(resp)
 			}
-		}
-		mc.sp.S.Err = err != nil
-		mc.sp.Finish()
-		if reply != nil {
-			reply(mc.key, resp.Version, err)
+			if err == nil {
+				mb.c.clock.Observe(resp.Version)
+				if resp.Status == csnet.StatusOK {
+					applied++
+				}
+			}
+			endSpan(sp, err != nil)
+			if reply != nil {
+				reply(b, i, resp.Version, err)
+			}
 		}
 	}
 	return applied

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,14 +100,22 @@ func (s *sheddingBackend) Serve(r csnet.Request) csnet.Response {
 // fault and the four ops are comparable row for row.
 func TestWriteOpsAgreeOnReplicaFaults(t *testing.T) {
 	const key = "k"
+	// The x3 rows put two more keys in the burst, so each replica's share
+	// travels as a batch frame rather than a plain one: same contract.
+	three := []string{key, "k2", "k3"}
 	ops := []struct {
 		name string
+		keys int
 		do   func(c *Cluster) error
 	}{
-		{"Set", func(c *Cluster) error { return c.Set(key, []byte("v1")) }},
-		{"MSet", func(c *Cluster) error { return c.MSet([]string{key}, [][]byte{[]byte("v1")}) }},
-		{"Del", func(c *Cluster) error { _, err := c.Del(key); return err }},
-		{"MDel", func(c *Cluster) error { _, err := c.MDel([]string{key}); return err }},
+		{"Set", 1, func(c *Cluster) error { return c.Set(key, []byte("v1")) }},
+		{"MSet", 1, func(c *Cluster) error { return c.MSet([]string{key}, [][]byte{[]byte("v1")}) }},
+		{"Del", 1, func(c *Cluster) error { _, err := c.Del(key); return err }},
+		{"MDel", 1, func(c *Cluster) error { _, err := c.MDel([]string{key}); return err }},
+		{"MSetx3", 3, func(c *Cluster) error {
+			return c.MSet(three, [][]byte{[]byte("v1"), []byte("v1"), []byte("v1")})
+		}},
+		{"MDelx3", 3, func(c *Cluster) error { _, err := c.MDel(three); return err }},
 	}
 	faults := []struct {
 		name                          string
@@ -164,8 +173,8 @@ func TestWriteOpsAgreeOnReplicaFaults(t *testing.T) {
 				if got := errors.Is(err, csnet.ErrBusy); got != f.wantBusy {
 					t.Errorf("errors.Is(err, ErrBusy) = %v, want %v (err: %v)", got, f.wantBusy, err)
 				}
-				if got := c.Hints(victim); got != f.wantHints {
-					t.Errorf("Hints(victim) = %d, want %d", got, f.wantHints)
+				if got := c.Hints(victim); got != f.wantHints*op.keys {
+					t.Errorf("Hints(victim) = %d, want %d", got, f.wantHints*op.keys)
 				}
 				if now := c.clock.Next(); now <= newer {
 					t.Errorf("clock at %d did not advance past the newer resident version %d", now, newer)
@@ -175,5 +184,130 @@ func TestWriteOpsAgreeOnReplicaFaults(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// peerFrames is a backend's frame layer as a test can shape it. With
+// short zero it is a build from before OpBatch: the envelope decodes as
+// a request, reaches the handler, and is refused as an unknown op. With
+// short set it serves the envelope but drops that many responses from
+// the end of each reply.
+type peerFrames struct {
+	h     csnet.Handler
+	short int
+}
+
+func (p peerFrames) ServeFrame(dst, body []byte, _ csnet.FrameMeta) []byte {
+	req, err := csnet.DecodeRequest(body)
+	if err != nil {
+		return csnet.AppendResponse(dst, csnet.Response{Status: csnet.StatusError, Value: []byte(err.Error())})
+	}
+	if req.Op == csnet.OpBatch && p.short > 0 {
+		items, _ := csnet.DecodeBatch(req.Value)
+		reply := csnet.AppendBatchHeader(nil, items.Len()-p.short)
+		for items.Len() > 0 {
+			item, _ := items.Next()
+			served := peerFrames{h: p.h}.ServeFrame(nil, item, csnet.FrameMeta{})
+			if items.Len() >= p.short {
+				reply = csnet.AppendBatchItem(reply, served)
+			}
+		}
+		return csnet.AppendResponse(dst, csnet.Response{Status: csnet.StatusOK, Value: reply})
+	}
+	if csnet.Versioned(req.Op) {
+		return csnet.AppendResponseV(dst, p.h.Serve(req))
+	}
+	return csnet.AppendResponse(dst, p.h.Serve(req))
+}
+
+// startMixedCluster boots three KV backends, backend 1 behind frames,
+// and a write-all cluster over them.
+func startMixedCluster(t *testing.T, short int) ([]*csnet.KVHandler, *Cluster) {
+	t.Helper()
+	kvs := make([]*csnet.KVHandler, 3)
+	addrs := make([]string, 3)
+	for i := range kvs {
+		kvs[i] = csnet.NewKVHandler()
+		srv := csnet.NewServer(kvs[i], 16)
+		if i == 1 {
+			srv = csnet.NewFrameServer(peerFrames{h: kvs[i], short: short}, 16)
+		}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Shutdown)
+		addrs[i] = addr
+	}
+	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 3, WriteQuorum: 3, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return kvs, c
+}
+
+// TestBurstDeclinedByOldPeer is the mixed-build contract: a replica
+// that answers the batch frame "unknown op" is alive and declining, so
+// every mutation of the burst books a fault for it that is not hinted —
+// a replay would be declined again — and none books an ack. Single-key
+// writes, which travel as plain frames, still reach it.
+func TestBurstDeclinedByOldPeer(t *testing.T) {
+	kvs, c := startMixedCluster(t, 0)
+	keys, values := batchKeys("mixed", 8)
+
+	err := c.MSet(keys, values)
+	var pw *PartialWriteError
+	if !errors.As(err, &pw) {
+		t.Fatalf("MSet with an old replica = %v, want *PartialWriteError", err)
+	}
+	if pw.MissedKeys != len(keys) || len(pw.Hinted) != 0 || len(pw.Acked) != 2 {
+		t.Errorf("PartialWriteError = %+v, want every key short, two acks, nothing hinted", pw)
+	}
+	if cause := pw.Causes[1]; cause == nil || !strings.Contains(cause.Error(), "unknown op") {
+		t.Errorf("cause for the old replica = %v, want its \"unknown op\"", cause)
+	}
+	if c.Hints(1) != 0 {
+		t.Errorf("%d hints queued for a replica that declined", c.Hints(1))
+	}
+	if kvs[0].Len() != len(keys) || kvs[1].Len() != 0 || kvs[2].Len() != len(keys) {
+		t.Errorf("backends hold %d/%d/%d keys, want %d/0/%d", kvs[0].Len(), kvs[1].Len(), kvs[2].Len(), len(keys), len(keys))
+	}
+	if _, err := c.MDel(keys[:3]); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("MDel with an old replica = %v, want its \"unknown op\"", err)
+	}
+
+	if err := c.Set("alone", []byte("v")); err != nil {
+		t.Fatalf("single-key Set in a mixed cluster: %v", err)
+	}
+	if _, ok := kvs[1].Engine().Get("alone"); !ok {
+		t.Error("the old replica did not take a plain frame")
+	}
+	// Repair bursts meet the same refusal: nothing copied, nothing lost,
+	// and the pass after it finds the same work still to do.
+	if copied, _ := c.Rebalance(); copied != 0 {
+		t.Errorf("Rebalance copied %d entries onto a replica that declines batches", copied)
+	}
+}
+
+// TestBurstShortReply: a replica whose batch reply carries fewer
+// responses than the frame had entries has acked exactly those; the
+// missing tail is a fault for each mutation in it.
+func TestBurstShortReply(t *testing.T) {
+	kvs, c := startMixedCluster(t, 2)
+	keys, values := batchKeys("short", 6)
+	err := c.MSet(keys, values)
+	var pw *PartialWriteError
+	if !errors.As(err, &pw) {
+		t.Fatalf("MSet with a short-replying replica = %v, want *PartialWriteError", err)
+	}
+	if pw.MissedKeys != 2 || pw.Key != keys[4] {
+		t.Errorf("PartialWriteError = %+v, want the last two keys short, %q first", pw, keys[4])
+	}
+	if pw.Causes[1] == nil {
+		t.Errorf("no cause booked for the short reply: %+v", pw)
+	}
+	if kvs[1].Len() != len(keys) {
+		t.Errorf("the replica applied %d of %d entries", kvs[1].Len(), len(keys))
 	}
 }

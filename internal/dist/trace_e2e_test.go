@@ -165,6 +165,60 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterTraceBurst: a traced multi-key write keeps one RPC span
+// per (key, replica) although each replica's share crossed the wire as
+// one batch frame, and every entry's server span still hangs off its
+// own RPC span — the trace context rides the entry, not the frame.
+func TestClusterTraceBurst(t *testing.T) {
+	startedAt := time.Now().UnixNano()
+	_, _, addrs := startTracedBackends(t, 3)
+	coord := trace.New(trace.Config{Node: "coordinator"})
+	coord.SetEnabled(true)
+	coord.SetSampleEvery(1)
+	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 2, Timeout: 5 * time.Second, Tracer: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys, values := batchKeys("traced", 5)
+	if err := c.MSet(keys, values); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := c.ClusterTrace(findRoot(t, coord, "mset"))
+	if err != nil || tree == nil {
+		t.Fatalf("ClusterTrace(mset) = %v, %v", tree, err)
+	}
+	rpcs := map[uint64]bool{}
+	var servers []trace.Span
+	var walk func(n *trace.Node)
+	walk = func(n *trace.Node) {
+		switch n.Span.Kind {
+		case trace.KindRPC:
+			if n.Span.Op != "SETV" || n.Span.Start < startedAt || n.Span.Err {
+				t.Errorf("RPC span %+v, want a clean SETV", n.Span)
+			}
+			rpcs[n.Span.ID] = true
+		case trace.KindServer:
+			servers = append(servers, n.Span)
+		}
+		for _, ch := range n.Children {
+			walk(ch)
+		}
+	}
+	for _, r := range tree.Roots {
+		walk(r)
+	}
+	if want := len(keys) * 2; len(rpcs) != want || len(servers) != want {
+		t.Fatalf("mset trace holds %d RPC and %d server spans, want %d of each", len(rpcs), len(servers), want)
+	}
+	for _, s := range servers {
+		if !rpcs[s.Parent] {
+			t.Errorf("server span %+v not parented under one of the burst's RPC spans", s)
+		}
+		delete(rpcs, s.Parent) // one server span per RPC span
+	}
+}
+
 // TestClusterSlowTraces pins the tail-promotion plane: with an
 // aggressive slow threshold on the coordinator, ordinary ops pin their
 // traces and SlowTraces surfaces them cluster-wide, slowest first.

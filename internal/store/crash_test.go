@@ -500,3 +500,75 @@ func TestCrashCheckpointWindows(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashDeferredRun extends the crash suite to the run of writes a
+// batch frame makes. Under FsyncAlways, writes through a Deferred view
+// return before their fsync and Wait is the ack: a run costs one group
+// commit however long it is, everything written before a Wait that
+// returned nil survives a crash that tears away every unsynced byte,
+// and a run that was never waited for promises nothing but still
+// recovers to exactly what reached the disk.
+func TestCrashDeferredRun(t *testing.T) {
+	dir := t.TempDir()
+	tfs := newTrackFS()
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	wopts := WALOptions{Dir: dir, Fsync: FsyncAlways, OpenFile: tfs.open}
+	s, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	fsyncs := counter("store.wal.fsyncs")
+	run := s.Deferred()
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("acked-%03d", i)
+		switch i % 4 {
+		case 0:
+			run.Set(k, []byte("set"), 0)
+		case 1:
+			run.Merge(k, Entry{Value: []byte("merged"), Version: s.Clock().Next()})
+		case 2:
+			run.SetIfAbsent(k, []byte("nx"))
+		default:
+			run.Delete(k)
+		}
+	}
+	if d := counter("store.wal.fsyncs") - fsyncs; d != 0 {
+		t.Fatalf("%d fsyncs before the run's Wait, want 0", d)
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if d := counter("store.wal.fsyncs") - fsyncs; d != 1 {
+		t.Fatalf("a run of %d writes cost %d fsyncs, want 1", n, d)
+	}
+	acked := rawState(s)
+
+	unacked := s.Deferred()
+	for i := 0; i < n; i++ {
+		unacked.Set(fmt.Sprintf("unacked-%03d", i), []byte("maybe"), 0)
+	}
+
+	// Crash, losing every byte no fsync covered.
+	s.wal.close(false)
+	for _, tf := range tfs.tracked() {
+		synced, _ := tf.floors()
+		if err := os.Truncate(tf.path, synced); err != nil {
+			t.Fatalf("truncate %s: %v", tf.path, err)
+		}
+	}
+	want := refReplay(t, dir)
+	tfs.reset()
+	r, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	got := rawState(r)
+	diffStates(t, "deferred run", got, want)
+	for k, e := range acked {
+		if g, ok := got[k]; !ok || !reflect.DeepEqual(g, e) {
+			t.Fatalf("acked write lost: key %q got %+v want %+v", k, g, e)
+		}
+	}
+}

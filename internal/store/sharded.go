@@ -19,6 +19,15 @@ const DefaultShards = 128
 // — the property the csnet KVHandler relies on to serve KEYS without
 // freezing all writes.
 type Sharded struct {
+	*sharded
+	// deferred marks a view made by Deferred: its writes note their log
+	// position in last and return, and the view's one Wait blocks for it.
+	deferred bool
+	last     uint64
+}
+
+// sharded is the engine proper, shared by every view of it.
+type sharded struct {
 	clock *Clock
 	now   func() time.Time
 	gcAge time.Duration
@@ -55,13 +64,13 @@ func NewSharded(o Options) *Sharded {
 	for pow < n {
 		pow <<= 1
 	}
-	s := &Sharded{
+	s := &Sharded{sharded: &sharded{
 		clock:  o.Clock,
 		now:    o.Now,
 		gcAge:  o.TombstoneGC,
 		mask:   uint32(pow - 1),
 		shards: make([]shard, pow),
-	}
+	}}
 	// Buckets and shards mask the same key hash's low bits, so with
 	// buckets >= shards every bucket's keys live in exactly one shard
 	// (shard = bucket & mask) — what lets a dirty-bucket rebuild and a
@@ -137,7 +146,8 @@ func (s *Sharded) Set(key string, value []byte, ttl time.Duration) uint64 {
 // of the mutation just applied while sh.mu is still held — the same
 // critical section as the table mutation, so the log replays each key
 // in table order — then releases the shard and waits for the fsync
-// policy's ack. On a memory-only engine it is just the unlock.
+// policy's ack, which a Deferred view leaves to its Wait. On a
+// memory-only engine it is just the unlock.
 func (s *Sharded) logAndUnlock(sh *shard, key string, e Entry, purge bool) {
 	if s.wal == nil {
 		sh.mu.Unlock()
@@ -145,7 +155,35 @@ func (s *Sharded) logAndUnlock(sh *shard, key string, e Entry, purge bool) {
 	}
 	seq := s.wal.append(key, e, purge)
 	sh.mu.Unlock()
+	if s.deferred {
+		s.last = max(s.last, seq)
+		return
+	}
 	s.wal.ack(seq)
+}
+
+// Deferred returns a view of the engine for one goroutine's run of
+// writes that is acknowledged as a whole: each write through the view
+// is applied and logged like any other but returns without the fsync
+// policy's wait, and Wait then blocks once, for the last of them. Under
+// FsyncAlways a run of n writes costs one group commit instead of n
+// serial ones. Where no write waits — a memory-only engine, or any
+// other policy — the view is the engine itself.
+func (s *Sharded) Deferred() *Sharded {
+	if s.wal == nil || s.wal.o.Fsync != FsyncAlways || s.deferred {
+		return s
+	}
+	return &Sharded{sharded: s.sharded, deferred: true}
+}
+
+// Wait blocks until every write made through a Deferred view is as
+// durable as the fsync policy promises and returns the engine's sticky
+// error: non-nil means no write of the run may be acknowledged.
+func (s *Sharded) Wait() error {
+	if s.deferred {
+		s.wal.ack(s.last)
+	}
+	return s.Err()
 }
 
 // SetIfAbsent implements Engine.
