@@ -85,7 +85,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	readCache := fs.Int("read-cache", 0, "embedded coordinator's hot-key read-cache size in entries (0 = off; requires -cluster)")
 	slowOp := fs.Duration("slow-op", 0, "log server-side ops slower than this threshold and tail-promote their traces (0 = off)")
 	traceSample := fs.Int("trace-sample", 0, "head-sample 1 in N locally originated traces (0 = off; wire-propagated traces are always honored)")
-	traceRing := fs.Int("trace-ring", trace.DefaultCapacity, "span ring capacity (rounded up to a power of two)")
+	traceRing := fs.Int("trace-ring", trace.DefaultCapacity, "span ring capacity (rounded up to a power of two; allocated on the first span)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -160,6 +160,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	obs.Default().Func("trace.spans_recorded", func() int64 { return int64(rec.Stats().Recorded) })
 	obs.Default().Func("trace.spans_dropped", func() int64 { return int64(rec.Stats().Dropped) })
 	obs.Default().Func("trace.traces_promoted", func() int64 { return int64(rec.Stats().Promoted) })
+	obs.Default().Func("trace.ring_bytes", func() int64 { return rec.Stats().RingBytes })
 	kv := csnet.NewKVHandlerOn(eng).WithTracer(rec)
 	// The member identity must be the address peers actually dial, so
 	// the server binds first (resolving an ephemeral ":0" port) and the

@@ -156,10 +156,18 @@ func TestDistnodeMetricsPlane(t *testing.T) {
 	}
 	// The runtime's memory accounting rides the same snapshot. The goal
 	// is never below the live heap, and this process has a resident set.
-	for _, name := range []string{"runtime.heap_live_bytes", "runtime.heap_goal_bytes", "runtime.heap_idle_bytes", "runtime.gc_cycles", "runtime.rss_hw_bytes"} {
+	for _, name := range []string{"runtime.heap_live_bytes", "runtime.heap_goal_bytes", "runtime.heap_idle_bytes", "runtime.heap_objects", "runtime.gc_cycles", "runtime.rss_hw_bytes"} {
 		if _, ok := snap.Get(name); !ok {
 			t.Errorf("snapshot lacks %s", name)
 		}
+	}
+	if objs, _ := snap.Get("runtime.heap_objects"); objs.Value <= 0 {
+		t.Errorf("runtime.heap_objects = %d, want the heap's object count", objs.Value)
+	}
+	// No span has been written (-slow-op pins, it does not sample), so
+	// the span ring has not been allocated.
+	if m, ok := snap.Get("trace.ring_bytes"); !ok || m.Value != 0 {
+		t.Errorf("snapshot trace.ring_bytes = %+v %v, want 0 before the first span", m, ok)
 	}
 	live, _ := snap.Get("runtime.heap_live_bytes")
 	goal, _ := snap.Get("runtime.heap_goal_bytes")

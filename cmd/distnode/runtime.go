@@ -23,6 +23,9 @@ import (
 //	                         spans holding no object, kept or handed
 //	                         back (MemStats.HeapIdle): what a burst grew
 //	                         the heap by and steady state does not use
+//	runtime.heap_objects     /gc/heap/objects:objects — objects the
+//	                         heap holds, live or not yet swept; the
+//	                         engine keeps one per resident key
 //	runtime.gc_cycles        /gc/cycles/total:gc-cycles
 //	runtime.rss_hw_bytes     VmHWM of /proc/self/status × 1024 — the
 //	                         peak resident set, which is what the
@@ -48,6 +51,7 @@ func registerRuntimeGauges(reg *obs.Registry) {
 	reg.Func("runtime.heap_live_bytes", sum("/gc/heap/live:bytes"))
 	reg.Func("runtime.heap_goal_bytes", sum("/gc/heap/goal:bytes"))
 	reg.Func("runtime.heap_idle_bytes", sum("/memory/classes/heap/free:bytes", "/memory/classes/heap/released:bytes"))
+	reg.Func("runtime.heap_objects", sum("/gc/heap/objects:objects"))
 	reg.Func("runtime.gc_cycles", sum("/gc/cycles/total:gc-cycles"))
 	reg.Func("runtime.rss_hw_bytes", rssHighWater)
 }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,10 @@ func TestMeasureCountsExecutions(t *testing.T) {
 	}
 }
 
+// TestMeasureMinTime holds Measure to its adaptive contract rather than
+// to a count of sleeps, which the scheduler can stretch: the samples sum
+// to at least MinTime, and the loop stops at the first sample that
+// crosses it.
 func TestMeasureMinTime(t *testing.T) {
 	var calls int
 	opt := Options{Repetitions: 1, MinTime: 5 * time.Millisecond, MaxRepetitions: 100000}
@@ -26,8 +31,18 @@ func TestMeasureMinTime(t *testing.T) {
 		calls++
 		time.Sleep(time.Millisecond)
 	}, opt)
-	if s.N() < 4 {
-		t.Errorf("adaptive repetitions produced only %d samples", s.N())
+	if calls != s.N() {
+		t.Fatalf("%d calls for %d samples", calls, s.N())
+	}
+	var total time.Duration
+	for i, v := range s.Values() {
+		if total >= opt.MinTime {
+			t.Fatalf("sample %d of %d taken after the samples already summed to %v", i+1, s.N(), total)
+		}
+		total += time.Duration(math.Round(v * 1e9))
+	}
+	if total < opt.MinTime {
+		t.Fatalf("%d samples sum to %v, want at least MinTime %v", s.N(), total, opt.MinTime)
 	}
 }
 

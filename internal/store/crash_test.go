@@ -132,7 +132,7 @@ func refReplay(t *testing.T, dir string) map[string]Entry {
 			if err != nil {
 				return n, false
 			}
-			fn(key, e, purge)
+			fn(string(key), e, purge)
 			b = b[used:]
 			n++
 		}

@@ -102,8 +102,8 @@ func (f *Flat) Purge(key string) bool {
 func (f *Flat) Keys() []string {
 	now := f.now().UnixNano()
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.t.data))
-	for k, e := range f.t.data {
+	keys := make([]string, 0, f.t.size())
+	for k, e := range f.t.all() {
 		if e.Live(now) {
 			keys = append(keys, k)
 		}
@@ -120,8 +120,8 @@ func (f *Flat) Range(fn func(key string, e Entry) bool) {
 		e Entry
 	}
 	f.mu.Lock()
-	buf := make([]pair, 0, len(f.t.data))
-	for k, e := range f.t.data {
+	buf := make([]pair, 0, f.t.size())
+	for k, e := range f.t.all() {
 		buf = append(buf, pair{k, e})
 	}
 	f.mu.Unlock()
@@ -156,7 +156,7 @@ func (f *Flat) Sweep(int) (expired, purged int) {
 func (f *Flat) Counts() (live, tombstones int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.t.live, len(f.t.data) - f.t.live
+	return f.t.live, f.t.size() - f.t.live
 }
 
 // scanBuckets calls fn with every entry of the buckets want marks: one
@@ -165,11 +165,7 @@ func (f *Flat) Counts() (live, tombstones int) {
 func (f *Flat) scanBuckets(want []bool, fn func(b int, key string, e Entry) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for k, e := range f.t.data {
-		if b := BucketOf(k, len(want)); want[b] && !fn(b, k, e) {
-			return
-		}
-	}
+	f.t.scan(want, fn)
 }
 
 // RangeBuckets implements Engine.

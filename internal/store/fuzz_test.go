@@ -39,8 +39,8 @@ func FuzzDecodeRecord(f *testing.F) {
 			if n < recHeader+recFixed || n > len(b) {
 				t.Fatalf("decoded %d bytes out of %d", n, len(b))
 			}
-			k2, e2, p2, n2, err2 := decodeRecord(appendRecord(nil, key, e, purge))
-			if err2 != nil || k2 != key || p2 != purge || !reflect.DeepEqual(e2, e) || n2 > n {
+			k2, e2, p2, n2, err2 := decodeRecord(appendRecord(nil, string(key), e, purge))
+			if err2 != nil || !bytes.Equal(k2, key) || p2 != purge || !reflect.DeepEqual(e2, e) || n2 > n {
 				t.Fatalf("re-encoded record decodes to (%q, %+v, %v, %d, %v), want (%q, %+v, %v)", k2, e2, p2, n2, err2, key, e, purge)
 			}
 		}
@@ -48,7 +48,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// never buffer more than the source holds.
 		rr := recordReader{r: bytes.NewReader(b), left: int64(len(b))}
 		rk, re, rp, rerr := rr.next()
-		if len(b) > 0 && (rerr != err || rk != key || rp != purge || !reflect.DeepEqual(re, e)) {
+		if len(b) > 0 && (rerr != err || !bytes.Equal(rk, key) || rp != purge || !reflect.DeepEqual(re, e)) {
 			t.Fatalf("recordReader (%q, %+v, %v, %v) disagrees with decodeRecord (%q, %+v, %v, %v)",
 				rk, re, rp, rerr, key, e, purge, err)
 		}
@@ -82,7 +82,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(append([]byte(walMagic), 0, 0, 0)) // wrong magic
 	f.Fuzz(func(t *testing.T, b []byte) {
 		delivered := 0
-		n, err := readSnapshot(bytes.NewReader(b), int64(len(b)), func(string, Entry, bool) { delivered++ })
+		n, err := readSnapshot(bytes.NewReader(b), int64(len(b)), func([]byte, Entry, bool) { delivered++ })
 		if n != delivered {
 			t.Fatalf("reported %d entries, delivered %d", n, delivered)
 		}

@@ -100,13 +100,16 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	for _, tmp := range tmps {
 		os.Remove(tmp)
 	}
-	apply := func(key string, e Entry, purge bool) {
-		t := &w.eng.shardFor(key).t
+	// Each record is built straight from the decoded bytes, which alias
+	// the reader's frame buffer: one copy, its key string included.
+	apply := func(key []byte, e Entry, purge bool) {
 		if purge {
-			t.purge(key)
+			k := string(key)
+			w.eng.shardFor(k).t.purge(k)
 			return
 		}
-		t.install(key, e)
+		k, r := newRec(key, e)
+		w.eng.shardFor(k).t.install(k, r)
 		maxVer = max(maxVer, e.Version)
 	}
 
@@ -174,7 +177,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 // bytes dropped as torn or corrupt. The file is truncated to its intact
 // prefix; one left with no record — never written to, or torn at its
 // first frame — is deleted, so restarts do not pile up empty segments.
-func replaySegment(path string, apply func(key string, e Entry, purge bool)) (records int, kept, torn int64, err error) {
+func replaySegment(path string, apply func(key []byte, e Entry, purge bool)) (records int, kept, torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err

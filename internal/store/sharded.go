@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -40,16 +39,6 @@ type sharded struct {
 	// wal is the persistence seam: nil for a memory-only engine
 	// (NewSharded), set by OpenSharded; see logAndUnlock.
 	wal *wal
-}
-
-// shard pads each mutex+table pair out to exactly one 64-byte cache
-// line (mutex 8 + table 24 + pad 32), so two cores hammering
-// neighboring shards do not false-share (the same trap
-// internal/arch/falsesharing.go teaches).
-type shard struct {
-	mu sync.Mutex
-	t  table
-	_  [32]byte
 }
 
 // NewSharded creates a sharded engine.
@@ -251,7 +240,7 @@ func (s *Sharded) Keys() []string {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.t.data {
+		for k, e := range sh.t.all() {
 			if e.Live(now) {
 				keys = append(keys, k)
 			}
@@ -274,7 +263,7 @@ func (s *Sharded) Range(fn func(key string, e Entry) bool) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		buf = buf[:0]
-		for k, e := range sh.t.data {
+		for k, e := range sh.t.all() {
 			buf = append(buf, pair{k, e})
 		}
 		sh.mu.Unlock()
@@ -316,7 +305,7 @@ func (s *Sharded) Sweep(limit int) (expired, purged int) {
 	for i := 0; i < len(s.shards); i++ {
 		sh := &s.shards[(s.cursor.Add(1)-1)&s.mask]
 		sh.mu.Lock()
-		scanned += len(sh.t.data)
+		scanned += sh.t.size()
 		e, p := sh.t.sweep(now.UnixNano(), gcBefore, onPurge)
 		sh.mu.Unlock()
 		expired += e
@@ -337,7 +326,7 @@ func (s *Sharded) Counts() (live, tombstones int) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		live += sh.t.live
-		tombstones += len(sh.t.data) - sh.t.live
+		tombstones += sh.t.size() - sh.t.live
 		sh.mu.Unlock()
 	}
 	return live, tombstones
@@ -359,13 +348,11 @@ func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) b
 		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.t.data {
-			if b := BucketOf(k, len(want)); want[b] && !fn(b, k, e) {
-				sh.mu.Unlock()
-				return
-			}
-		}
+		more := sh.t.scan(want, fn)
 		sh.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 

@@ -170,10 +170,10 @@ func (w *wal) streamShards(f *os.File) (int64, error) {
 		sh := &w.eng.shards[i]
 		buf = buf[:0]
 		sh.mu.Lock()
-		for k, e := range sh.t.data {
+		for k, e := range sh.t.all() {
 			buf = appendRecord(buf, k, e, false)
 		}
-		count += len(sh.t.data)
+		count += sh.t.size()
 		sh.mu.Unlock()
 		n, err := f.Write(buf)
 		written += int64(n)
@@ -190,8 +190,9 @@ func (w *wal) streamShards(f *os.File) (int64, error) {
 // and returns how many entries it delivered. Any framing or count
 // mismatch makes the whole file invalid (checkpoints are renamed into
 // place whole, so a bad one should not exist): the caller treats it as
-// absent and discards what fn was given.
-func readSnapshot(r io.Reader, size int64, fn func(key string, e Entry, purge bool)) (int, error) {
+// absent and discards what fn was given. As with scanRecords, fn's key
+// and value are valid only during the call.
+func readSnapshot(r io.Reader, size int64, fn func(key []byte, e Entry, purge bool)) (int, error) {
 	var count [4]byte
 	n, left, err := scanRecords(r, size, snapMagic, count[:], fn)
 	if err != nil {
@@ -205,7 +206,7 @@ func readSnapshot(r io.Reader, size int64, fn func(key string, e Entry, purge bo
 
 // loadSnapshot is readSnapshot over the file at path; it also returns
 // the file's size.
-func loadSnapshot(path string, fn func(key string, e Entry, purge bool)) (n int, size int64, err error) {
+func loadSnapshot(path string, fn func(key []byte, e Entry, purge bool)) (n int, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err

@@ -47,9 +47,12 @@ import (
 
 // Entry is one versioned record.
 type Entry struct {
-	// Value is the payload; nil for tombstones. Readers receive the
-	// stored slice without a copy and must not modify it (writers
-	// always install fresh copies, never mutate in place).
+	// Value is the payload; nil for tombstones and empty values. An
+	// engine copies it into its record on a write, and readers receive
+	// a slice aliasing that record with no copy: its capacity equals its
+	// length, it must not be modified, and it stays intact whatever
+	// later happens to the key, because a record is never mutated or
+	// reused.
 	Value []byte
 	// Version is the HLC stamp ordering this write; never zero for a
 	// stored entry.

@@ -212,39 +212,40 @@ var (
 // decodeRecord parses the record at the head of b, returning the key,
 // entry, purge flag, and bytes consumed. errTornRecord means b ends
 // mid-frame (a crash mid-append); errCorruptRecord means the frame is
-// structurally invalid or fails its CRC. The returned value is a
-// fresh copy, never an alias of b.
-func decodeRecord(b []byte) (key string, e Entry, purge bool, n int, err error) {
+// structurally invalid or fails its CRC. The key and the value alias b
+// — nothing is copied — so a caller keeping either past b's reuse
+// copies it, as the table does by building its record from them.
+func decodeRecord(b []byte) (key []byte, e Entry, purge bool, n int, err error) {
 	if len(b) < recHeader {
-		return "", Entry{}, false, 0, errTornRecord
+		return nil, Entry{}, false, 0, errTornRecord
 	}
 	plen := int(binary.LittleEndian.Uint32(b))
 	if plen < recFixed || plen > recFixed+maxKeyLen+maxValLen {
-		return "", Entry{}, false, 0, errCorruptRecord
+		return nil, Entry{}, false, 0, errCorruptRecord
 	}
 	if len(b) < recHeader+plen {
-		return "", Entry{}, false, 0, errTornRecord
+		return nil, Entry{}, false, 0, errTornRecord
 	}
 	p := b[recHeader : recHeader+plen]
 	if crc32.Checksum(p, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return "", Entry{}, false, 0, errCorruptRecord
+		return nil, Entry{}, false, 0, errCorruptRecord
 	}
 	flags := p[0]
 	e.Version = binary.LittleEndian.Uint64(p[1:])
 	e.ExpireAt = int64(binary.LittleEndian.Uint64(p[9:]))
 	klen := int(binary.LittleEndian.Uint32(p[17:]))
 	if klen > maxKeyLen || recFixed+klen > plen {
-		return "", Entry{}, false, 0, errCorruptRecord
+		return nil, Entry{}, false, 0, errCorruptRecord
 	}
 	vlen := int(binary.LittleEndian.Uint32(p[21+klen:]))
 	if vlen != plen-recFixed-klen {
-		return "", Entry{}, false, 0, errCorruptRecord
+		return nil, Entry{}, false, 0, errCorruptRecord
 	}
-	key = string(p[21 : 21+klen])
+	key = p[21 : 21+klen]
 	e.Tombstone = flags&recFlagTombstone != 0
 	purge = flags&recFlagPurge != 0
 	if vlen > 0 && !e.Tombstone {
-		e.Value = append([]byte(nil), p[25+klen:25+klen+vlen]...)
+		e.Value = p[25+klen : 25+klen+vlen]
 	}
 	return key, e, purge, recHeader + plen, nil
 }
@@ -258,32 +259,33 @@ type recordReader struct {
 	buf  []byte
 }
 
-// next decodes the next record. io.EOF is the clean end of the source,
-// a source that ends mid-frame is torn, and anything that is neither
-// that nor errCorruptRecord is a read error.
-func (rr *recordReader) next() (key string, e Entry, purge bool, err error) {
+// next decodes the next record; its key and value alias the frame
+// buffer and are valid until the following call. io.EOF is the clean
+// end of the source, a source that ends mid-frame is torn, and anything
+// that is neither that nor errCorruptRecord is a read error.
+func (rr *recordReader) next() (key []byte, e Entry, purge bool, err error) {
 	if rr.left == 0 {
-		return "", e, false, io.EOF
+		return nil, e, false, io.EOF
 	}
 	if cap(rr.buf) < recHeader {
 		rr.buf = make([]byte, 4<<10)
 	}
 	if err := rr.fill(rr.buf[:recHeader]); err != nil {
-		return "", e, false, err
+		return nil, e, false, err
 	}
 	plen := int64(binary.LittleEndian.Uint32(rr.buf))
 	if plen < recFixed || plen > recFixed+maxKeyLen+maxValLen {
-		return "", e, false, errCorruptRecord
+		return nil, e, false, errCorruptRecord
 	}
 	if plen > rr.left-recHeader {
-		return "", e, false, errTornRecord
+		return nil, e, false, errTornRecord
 	}
 	n := recHeader + int(plen)
 	if cap(rr.buf) < n {
 		rr.buf = append(make([]byte, 0, n), rr.buf[:recHeader]...)
 	}
 	if err := rr.fill(rr.buf[recHeader:n]); err != nil {
-		return "", e, false, err
+		return nil, e, false, err
 	}
 	if key, e, purge, _, err = decodeRecord(rr.buf[:n]); err == nil {
 		rr.left -= int64(n)
@@ -302,10 +304,11 @@ func (rr *recordReader) fill(p []byte) error {
 
 // scanRecords streams a segment or checkpoint of size bytes — magic,
 // len(hdr) more header bytes (copied out into hdr), then records —
-// through apply. It returns the records delivered and, if it stopped
-// early, the bytes left unread and why: torn, corrupt (a bad magic
-// included), or a read error.
-func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(key string, e Entry, purge bool)) (records int, left int64, err error) {
+// through apply, whose key and value alias a reused frame buffer and
+// are valid only during the call. It returns the records delivered
+// and, if it stopped early, the bytes left unread and why: torn,
+// corrupt (a bad magic included), or a read error.
+func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(key []byte, e Entry, purge bool)) (records int, left int64, err error) {
 	head := make([]byte, magicLen+len(hdr))
 	rr := recordReader{r: bufio.NewReaderSize(r, 64<<10), left: size - int64(len(head))}
 	if err := rr.fill(head); err != nil && err != errTornRecord {

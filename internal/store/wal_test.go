@@ -87,7 +87,7 @@ func TestWALRecordCodec(t *testing.T) {
 		if n != len(rec) {
 			t.Fatalf("case %d: consumed %d of %d bytes", i, n, len(rec))
 		}
-		if key != c.key || purge != c.purge || !reflect.DeepEqual(e, c.e) {
+		if string(key) != c.key || purge != c.purge || !reflect.DeepEqual(e, c.e) {
 			t.Fatalf("case %d: roundtrip got (%q, %+v, %v) want (%q, %+v, %v)",
 				i, key, e, purge, c.key, c.e, c.purge)
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Defaults for New when Config fields are zero.
@@ -16,7 +17,7 @@ const (
 // Config sizes a Recorder. Zero fields take the defaults above.
 type Config struct {
 	Node     string // identity stamped on every span this recorder starts
-	Capacity int    // ring capacity, rounded up to a power of two
+	Capacity int    // ring capacity, rounded up to a power of two; allocated on the first span
 	Pins     int    // max concurrently pinned (tail-promoted) traces
 	PinSpans int    // max spans kept per pinned trace
 }
@@ -25,10 +26,12 @@ type Config struct {
 // (overwrite-oldest) for sampled spans, plus a small pin table holding
 // tail-promoted slow traces so they survive ring wraparound.
 //
-// The record path is wait-free in the common case: one atomic add to
-// claim a slot, a CAS to mark it busy, a struct copy, one atomic
-// store to publish. A writer lapped onto a slot still being written
-// spins briefly and then drops the span (counted) rather than block.
+// The record path is wait-free in the common case: one atomic load of
+// the ring, one atomic add to claim a slot, a CAS to mark it busy, a
+// struct copy, one atomic store to publish. A writer lapped onto a slot
+// still being written spins briefly and then drops the span (counted)
+// rather than block. The ring is allocated by the first span written to
+// it, so a node that never records one never holds it.
 type Recorder struct {
 	enabled     atomic.Bool
 	sampleEvery atomic.Int64 // head-sample 1 in N new traces; 0 = never
@@ -36,9 +39,10 @@ type Recorder struct {
 	slowNs      atomic.Int64           // tail-promotion threshold; 0 = off
 	node        atomic.Pointer[string] // identity for spans started here
 
-	mask uint64
-	ring []ringSlot
-	head atomic.Uint64
+	mask     uint64
+	ring     atomic.Pointer[[]ringSlot] // nil until the first span is written
+	ringInit sync.Once
+	head     atomic.Uint64
 
 	recorded   atomic.Uint64 // spans published (ring or pin)
 	dropped    atomic.Uint64 // spans lost to lap contention or pin overflow
@@ -91,7 +95,6 @@ func New(cfg Config) *Recorder {
 	}
 	r := &Recorder{
 		mask:     uint64(n - 1),
-		ring:     make([]ringSlot, n),
 		pinIDs:   make([]atomic.Uint64, pins),
 		pins:     make([]pinSlot, pins),
 		pinSpans: pinSpans,
@@ -222,9 +225,18 @@ func (r *Recorder) record(s Span, flags uint8) {
 // write publishes a span into the ring, overwrite-oldest. A writer
 // lapped onto a mid-write slot spins briefly, then drops the span —
 // overwrite-oldest semantics make dropping the contended slot's
-// predecessor acceptable, and it keeps the path wait-bounded.
+// predecessor acceptable, and it keeps the path wait-bounded. The first
+// write allocates the ring.
 func (r *Recorder) write(s Span) {
-	slot := &r.ring[(r.head.Add(1)-1)&r.mask]
+	ring := r.ring.Load()
+	if ring == nil {
+		r.ringInit.Do(func() {
+			ring := make([]ringSlot, r.mask+1)
+			r.ring.Store(&ring)
+		})
+		ring = r.ring.Load()
+	}
+	slot := &(*ring)[(r.head.Add(1)-1)&r.mask]
 	for spin := 0; ; spin++ {
 		seq := slot.seq.Load()
 		if seq&1 == 0 && slot.seq.CompareAndSwap(seq, seq+1) {
@@ -347,11 +359,16 @@ func (r *Recorder) count(published bool) {
 // restores the sequence unchanged, which a concurrent writer cannot
 // distinguish from never having looked. Contended slots retry a few
 // times, then are skipped: the snapshot is a query path, losing one
-// in-flight span to contention is fine.
+// in-flight span to contention is fine. A ring no span has been
+// written to yet is empty.
 func (r *Recorder) snapshotRing(traceID uint64) []Span {
+	ring := r.ring.Load()
+	if ring == nil {
+		return nil
+	}
 	out := make([]Span, 0, 64)
-	for i := range r.ring {
-		slot := &r.ring[i]
+	for i := range *ring {
+		slot := &(*ring)[i]
 		for attempt := 0; attempt < 4; attempt++ {
 			seq := slot.seq.Load()
 			if seq == 0 {
@@ -427,15 +444,20 @@ type Stats struct {
 	Promoted   uint64 // traces tail-promoted
 	PinEvicted uint64 // pinned traces evicted by newer slow traces
 	Pinned     int    // traces currently pinned
+	RingBytes  int64  // the span ring's memory: 0 until the first span is written
 }
 
 // Stats returns recorder counters; cheap enough to poll as gauges.
 func (r *Recorder) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Recorded:   r.recorded.Load(),
 		Dropped:    r.dropped.Load(),
 		Promoted:   r.promoted.Load(),
 		PinEvicted: r.pinEvicted.Load(),
 		Pinned:     int(r.pinCount.Load()),
 	}
+	if ring := r.ring.Load(); ring != nil {
+		st.RingBytes = int64(len(*ring)) * int64(unsafe.Sizeof(ringSlot{}))
+	}
+	return st
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestIDsAndContext(t *testing.T) {
@@ -91,6 +92,9 @@ func TestUnsampledSpanEvaporates(t *testing.T) {
 	if got := len(r.Spans()); got != 0 {
 		t.Fatalf("unsampled span persisted: %d spans", got)
 	}
+	if b := r.Stats().RingBytes; b != 0 {
+		t.Fatalf("unsampled span allocated the ring: %d bytes", b)
+	}
 }
 
 func TestUnsampledPathAllocsZero(t *testing.T) {
@@ -124,8 +128,14 @@ func synth(r *Recorder, traceID, id, parent uint64, dur time.Duration, sampled b
 func TestRingOverwritesOldest(t *testing.T) {
 	r := New(Config{Capacity: 8})
 	r.SetEnabled(true)
+	if b := r.Stats().RingBytes; b != 0 || len(r.Spans()) != 0 {
+		t.Fatalf("fresh recorder holds a %d-byte ring", b)
+	}
 	for i := 1; i <= 20; i++ {
 		synth(r, uint64(i), uint64(i), 0, time.Microsecond, true)
+	}
+	if b, want := r.Stats().RingBytes, 8*int64(unsafe.Sizeof(ringSlot{})); b != want {
+		t.Fatalf("ring of 8 holds %d bytes, want %d", b, want)
 	}
 	spans := r.Spans()
 	if len(spans) != 8 {
