@@ -358,19 +358,6 @@ func (c *Client) RangeV(bucketIDs []uint32) ([]KeyDigest, error) {
 	return DecodeRangeV(resp.Value)
 }
 
-// KeysV lists every entry the server holds — tombstones included —
-// with versions.
-func (c *Client) KeysV() ([]KeyVersion, error) {
-	resp, err := c.Send(Request{Op: OpKeysV}).ResponseV()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("csnet: keysv: %s", resp.Value)
-	}
-	return DecodeKeysV(resp.Value)
-}
-
 // Keys lists every key the server holds.
 func (c *Client) Keys() ([]string, error) {
 	resp, err := c.Do(Request{Op: OpKeys})

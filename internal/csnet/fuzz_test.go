@@ -31,7 +31,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42},
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
 		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000, Trace: tr},
-		{Op: OpKeysV},
+		{Op: OpPurgeV, Key: "k", Version: 13},
 	} {
 		b, _ := EncodeRequest(r)
 		f.Add(b)
@@ -126,29 +126,6 @@ func FuzzDecodeKeys(f *testing.F) {
 		}
 		if out, err := EncodeKeys(keys); err != nil || !bytes.Equal(out, in) {
 			t.Fatalf("re-encoded %x %v, input %x", out, err, in)
-		}
-	})
-}
-
-func FuzzDecodeKeysV(f *testing.F) {
-	b, _ := EncodeKeysV([]KeyVersion{{Key: "a", Version: 1}, {Key: "deleted", Version: 99, Tombstone: true}, {Key: "", Version: 3}})
-	f.Add(b)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		entries, err := DecodeKeysV(in)
-		if err != nil {
-			return
-		}
-		if keysVEntryMin*cap(entries) > len(in) {
-			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(entries), len(in))
-		}
-		// Unknown flag bits are dropped, so only the value round-trips.
-		out, err := EncodeKeysV(entries)
-		if err != nil || len(out) != len(in) {
-			t.Fatalf("re-encoded to %d bytes %v, input %d", len(out), err, len(in))
-		}
-		if again, err := DecodeKeysV(out); err != nil || !reflect.DeepEqual(again, entries) {
-			t.Fatalf("re-decoded %+v %v, want %+v", again, err, entries)
 		}
 	})
 }

@@ -26,8 +26,9 @@ const goldenSeq = 0x0102030405060708
 // trailer variants (expiry, trace, both). testdata/golden_frames.txt
 // holds what this table produced at the commit before the transport
 // took ownership of its buffers (PR 16, d803717) — and, for the batch
-// envelope, at the commit that introduced it; the encoders may change
-// how they build a frame, never a byte of it.
+// envelope and the purge, at the commits that introduced them; the
+// encoders may change how they build a frame, never a byte of it. The
+// retired OpKeysV byte has no frames left to pin.
 func goldenFrames(t testing.TB) []goldenFrame {
 	var out []goldenFrame
 	add := func(name string, body []byte) {
@@ -53,6 +54,9 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	const expiry = 1_700_000_000_123_456_789
 	tr := trace.Context{TraceID: 0xA1A2A3A4A5A6A7A8, SpanID: 0xB1B2B3B4B5B6B7B8, Flags: trace.FlagSampled}
 	for op := OpPing; op <= OpTraces; op++ {
+		if op == opRetiredKeysV {
+			continue
+		}
 		request("req/"+op.String(), Request{Op: op, Key: "key-1", Value: []byte("value"), Version: 0x1122334455667788, Flags: FlagTombstone})
 		response("resp/"+op.String(), op, Response{Status: StatusOK, Value: []byte("value"), Version: 0x1122334455667788, Flags: FlagTombstone})
 	}
@@ -75,6 +79,10 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		EncodeResponseV(Response{Status: StatusOK, Version: 7})),
 		EncodeResponseV(Response{Status: StatusExists, Version: 9, Flags: FlagTombstone, ExpireAt: expiry}))})
 	response("resp/BATCH+unknown-op", OpBatch, Response{Status: StatusError, Value: []byte("unknown op 18")})
+	// The version-bounded purge, pinned from the commit that added it: a
+	// request, and the reply that kept a newer entry.
+	request("req/PURGEV", Request{Op: OpPurgeV, Key: "key-1", Version: 7})
+	response("resp/PURGEV", OpPurgeV, Response{Status: StatusExists, Version: 9})
 	return out
 }
 
@@ -120,7 +128,7 @@ func TestGoldenFrames(t *testing.T) {
 // is exactly the frame Encode* builds.
 func TestAppendMatchesEncode(t *testing.T) {
 	tr := trace.Context{TraceID: 9, SpanID: 8, Flags: trace.FlagSampled}
-	for op := OpPing; op <= OpTraces; op++ {
+	for op := OpPing; op <= OpPurgeV; op++ {
 		req := Request{Op: op, Key: "k", Value: bytes.Repeat([]byte{byte(op)}, 100), Version: 5, ExpireAt: 77, Trace: tr}
 		want, err := EncodeRequest(req)
 		if err != nil {

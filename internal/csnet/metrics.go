@@ -33,8 +33,8 @@ import (
 // where the op is untrusted) land in the UNKNOWN slot rather than
 // silently vanishing.
 type serverMetrics struct {
-	ops        [int(OpTraces) + 1]*obs.Counter
-	latency    [int(OpTraces) + 1]*obs.Histogram
+	ops        [int(OpPurgeV) + 1]*obs.Counter
+	latency    [int(OpPurgeV) + 1]*obs.Histogram
 	bytesIn    *obs.Counter
 	bytesOut   *obs.Counter
 	decodeEr   *obs.Counter
@@ -54,7 +54,8 @@ type serverMetrics struct {
 
 // csnetM holds the package's metric pointers, resolved once at init so
 // the request path never touches the registry map. Index 0 of the
-// per-op arrays is the UNKNOWN slot (op byte 0 or past OpTraces).
+// per-op arrays is the UNKNOWN slot (op byte 0 or past OpPurgeV); the
+// retired OpKeysV byte stringifies as UNKNOWN and so shares its counter.
 var csnetM = func() *serverMetrics {
 	r := obs.Default()
 	m := &serverMetrics{
@@ -70,7 +71,7 @@ var csnetM = func() *serverMetrics {
 		muxTimeouts:  r.Counter("csnet.mux.timeouts"),
 		muxPoisoned:  r.Counter("csnet.mux.poisoned"),
 	}
-	for op := 0; op <= int(OpTraces); op++ {
+	for op := 0; op <= int(OpPurgeV); op++ {
 		name := Op(op).String() // op 0 and unmapped bytes stringify as UNKNOWN
 		m.ops[op] = r.Counter("csnet.server.ops." + name)
 		m.latency[op] = r.Histogram("csnet.server.op_latency." + name)
@@ -81,7 +82,7 @@ var csnetM = func() *serverMetrics {
 // opSlot clamps an untrusted op byte into the metric arrays: known ops
 // map to themselves, everything else to the UNKNOWN slot (0).
 func opSlot(op Op) int {
-	if op >= 1 && op <= OpTraces {
+	if op >= 1 && op <= OpPurgeV {
 		return int(op)
 	}
 	return 0

@@ -59,26 +59,24 @@ const (
 	// can never resurrect old state (the job OpSetNX's set-if-absent
 	// used to approximate).
 	OpMerge
-	// OpKeysV lists every entry the server holds — tombstones included
-	// — as (key, version, flags) triples encoded by EncodeKeysV; the
-	// rebalancer uses it to find not just missing copies but stale
-	// ones.
-	OpKeysV
+	// opRetiredKeysV is the byte of the retired whole-store listing
+	// (OpKeysV). It stays reserved and versioned, so every later op keeps
+	// its byte and an older peer's request still decodes — to be
+	// answered "unknown op" in the framing it expects.
+	opRetiredKeysV
 	// OpTreeV answers Merkle digest queries: the request Value is an
 	// EncodeBucketList of tree node indexes (empty = just the root),
 	// the response Value an EncodeTree of their hashes plus the tree
-	// geometry. Two replicas (or their coordinator) descend from the
+	// geometry. A coordinator descends every replica's tree from the
 	// root through mismatching nodes to the divergent leaf buckets in
-	// O(log buckets) exchanges — the anti-entropy replacement for
-	// shipping full OpKeysV listings.
+	// O(log buckets) exchanges, so no pass ever lists the whole store.
 	OpTreeV
 	// OpRangeV lists the raw entries of the requested Merkle buckets
 	// only (request Value: EncodeBucketList of bucket indexes; response
 	// Value: EncodeRangeV), each entry carrying its version, value
-	// digest, tombstone flag, and expiry. It is the bucket-scoped
-	// OpKeysV the digest descent ends in: only divergent buckets ever
-	// pay for a listing, and the digest makes same-version value splits
-	// visible to the planner.
+	// digest, tombstone flag, and expiry. It is what the digest descent
+	// ends in: only divergent buckets ever pay for a listing, and the
+	// digest makes same-version value splits visible to the planner.
 	OpRangeV
 	// OpStats asks the server for its live metrics: the response Value
 	// is an obs.Snapshot of the process-global registry, encoded by
@@ -106,13 +104,22 @@ const (
 	// not know the op answers the whole frame StatusError "unknown op",
 	// and so does a server asked to nest one. Key is unused.
 	OpBatch
+	// OpPurgeV removes Key's resident entry outright — no tombstone —
+	// iff its version is at most Version: StatusOK when it removed one,
+	// otherwise StatusExists carrying the resident version (newer than
+	// Version, or 0 for none). Anti-entropy sends it to drop a copy a
+	// backend holds in a bucket it does not own, once every owner holds
+	// at least as much; the version bound is what keeps a write that
+	// landed after the listing. A durable server logs it as a purge
+	// record.
+	OpPurgeV
 )
 
 // Versioned reports whether op's request and response frames carry the
 // 8-byte version + 1-byte flags trailer.
 func Versioned(op Op) bool {
 	switch op {
-	case OpSetV, OpGetV, OpDelV, OpMerge, OpKeysV, OpTreeV, OpRangeV:
+	case OpSetV, OpGetV, OpDelV, OpMerge, opRetiredKeysV, OpTreeV, OpRangeV, OpPurgeV:
 		return true
 	}
 	return false
@@ -165,8 +172,6 @@ func (o Op) String() string {
 		return "DELV"
 	case OpMerge:
 		return "MERGE"
-	case OpKeysV:
-		return "KEYSV"
 	case OpTreeV:
 		return "TREEV"
 	case OpRangeV:
@@ -177,6 +182,8 @@ func (o Op) String() string {
 		return "TRACES"
 	case OpBatch:
 		return "BATCH"
+	case OpPurgeV:
+		return "PURGEV"
 	default:
 		return "UNKNOWN"
 	}
@@ -558,80 +565,6 @@ func DecodeKeys(b []byte) ([]string, error) {
 		return nil, fmt.Errorf("csnet: %d trailing bytes after key list", len(b))
 	}
 	return keys, nil
-}
-
-// KeyVersion is one entry of an OpKeysV listing: a key, the version of
-// its resident entry, and whether that entry is a tombstone.
-type KeyVersion struct {
-	Key       string
-	Version   uint64
-	Tombstone bool
-}
-
-// keysVEntryMin is the smallest wire size of one KeysV entry:
-// keyLen(2) version(8) flags(1) plus an empty key.
-const keysVEntryMin = 2 + 8 + 1
-
-// EncodeKeysV serializes a versioned key listing for an OpKeysV
-// response: count(4) then count * (keyLen(2) key version(8) flags(1)).
-func EncodeKeysV(entries []KeyVersion) ([]byte, error) {
-	size := 4
-	for _, e := range entries {
-		if len(e.Key) > 0xFFFF {
-			return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(e.Key))
-		}
-		size += keysVEntryMin + len(e.Key)
-	}
-	buf := make([]byte, 4, size)
-	binary.BigEndian.PutUint32(buf, uint32(len(entries)))
-	var l [2]byte
-	var v [8]byte
-	for _, e := range entries {
-		binary.BigEndian.PutUint16(l[:], uint16(len(e.Key)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, e.Key...)
-		binary.BigEndian.PutUint64(v[:], e.Version)
-		buf = append(buf, v[:]...)
-		var flags byte
-		if e.Tombstone {
-			flags |= FlagTombstone
-		}
-		buf = append(buf, flags)
-	}
-	return buf, nil
-}
-
-// DecodeKeysV parses an OpKeysV response body.
-func DecodeKeysV(b []byte) ([]KeyVersion, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("csnet: versioned key list too short (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Reject counts the body cannot possibly hold before allocating.
-	if n > len(b)/keysVEntryMin {
-		return nil, fmt.Errorf("csnet: versioned key count %d exceeds body size %d", n, len(b))
-	}
-	entries := make([]KeyVersion, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("csnet: truncated versioned key list at entry %d", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		if len(b) < 2+kl+8+1 {
-			return nil, fmt.Errorf("csnet: truncated versioned key at entry %d", i)
-		}
-		entries = append(entries, KeyVersion{
-			Key:       string(b[2 : 2+kl]),
-			Version:   binary.BigEndian.Uint64(b[2+kl : 2+kl+8]),
-			Tombstone: b[2+kl+8]&FlagTombstone != 0,
-		})
-		b = b[2+kl+8+1:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("csnet: %d trailing bytes after versioned key list", len(b))
-	}
-	return entries, nil
 }
 
 // Trace query modes for OpTraces.

@@ -507,7 +507,7 @@ func (s *Server) Shutdown() {
 // past the global-lock ceiling and a KEYS listing locks one shard at a
 // time instead of stalling every write. Legacy ops (GET/SET/SETNX/DEL/
 // KEYS) are served unchanged alongside the versioned ops
-// (SETV/GETV/DELV/MERGE/KEYSV) on the same handler.
+// (SETV/GETV/DELV/MERGE/TREEV/RANGEV/PURGEV) on the same handler.
 type KVHandler struct {
 	eng store.Engine
 	trc *trace.Recorder // nil = trace.Default()
@@ -672,17 +672,12 @@ func (kv *KVHandler) serve(req Request) Response {
 			e.Value = req.Value
 		}
 		return kv.merge(e, req.Key, req.Trace)
-	case OpKeysV:
-		var entries []KeyVersion
-		kv.eng.Range(func(k string, e store.Entry) bool {
-			entries = append(entries, KeyVersion{Key: k, Version: e.Version, Tombstone: e.Tombstone})
-			return true
-		})
-		body, err := EncodeKeysV(entries)
-		if err != nil {
-			return Response{Status: StatusError, Value: []byte(err.Error())}
+	case OpPurgeV:
+		if kv.eng.Purge(req.Key, req.Version) {
+			return kv.ackDurable(Response{Status: StatusOK})
 		}
-		return Response{Status: StatusOK, Value: body}
+		cur, _ := kv.eng.Load(req.Key)
+		return Response{Status: StatusExists, Version: cur.Version}
 	case OpTreeV:
 		ids, err := DecodeBucketList(req.Value)
 		if err != nil {

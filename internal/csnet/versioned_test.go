@@ -18,7 +18,7 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
 		{Op: OpMerge, Key: "k", Value: []byte("payload"), Version: 1<<63 + 5},
 		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000},
-		{Op: OpKeysV},
+		{Op: OpPurgeV, Key: "k", Version: 13},
 	}
 	for _, want := range reqs {
 		b, err := EncodeRequest(want)
@@ -68,36 +68,9 @@ func TestVersionedResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeysVRoundTrip(t *testing.T) {
-	want := []KeyVersion{
-		{Key: "a", Version: 1},
-		{Key: "deleted", Version: 99, Tombstone: true},
-		{Key: "", Version: 3},
-	}
-	b, err := EncodeKeysV(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeKeysV(b)
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("decode = %v %v", got, err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// A hostile count must be rejected before allocation.
-	bad := append([]byte(nil), b...)
-	bad[0], bad[1], bad[2], bad[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := DecodeKeysV(bad); err == nil {
-		t.Fatal("hostile KeysV count accepted")
-	}
-}
-
 // TestVersionedOpsEndToEnd drives the versioned protocol over a real
-// server: versioned merge semantics, tombstone-aware GetV, and the
-// KeysV listing.
+// server: versioned merge semantics, tombstone-aware GetV, a bucket
+// listing that shows tombstones, and the version-bounded purge.
 func TestVersionedOpsEndToEnd(t *testing.T) {
 	kv := NewKVHandler()
 	srv := NewServer(kv, 16)
@@ -148,19 +121,19 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if v, ok, err := cl.Get("k"); err != nil || !ok || string(v) != "back" {
 		t.Fatalf("legacy Get after merge = %q %v %v", v, ok, err)
 	}
-	// KeysV sees tombstones; Keys does not.
+	// RangeV sees tombstones; Keys does not.
 	cl.SetV("dead", []byte("x"), 10)
 	cl.DelV("dead", 20)
-	listing, err := cl.KeysV()
+	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("dead", kv.Engine().Buckets()))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]KeyVersion{}
-	for _, kvn := range listing {
-		byKey[kvn.Key] = kvn
+	byKey := map[string]KeyDigest{}
+	for _, kd := range listing {
+		byKey[kd.Key] = kd
 	}
 	if !byKey["dead"].Tombstone || byKey["dead"].Version != 20 {
-		t.Fatalf("KeysV lost the tombstone: %+v", byKey["dead"])
+		t.Fatalf("RangeV lost the tombstone: %+v", byKey["dead"])
 	}
 	keys, err := cl.Keys()
 	if err != nil {
@@ -190,6 +163,66 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	}
 	if v, ok, err := cl.Get("k"); err != nil || !ok || string(v) != "back" {
 		t.Fatalf("value damaged by rejected hostile versions: %q %v %v", v, ok, err)
+	}
+	// A purge removes an entry — tombstones too, leaving nothing — only
+	// at or below its version, and reports what it kept.
+	purge := func(ver uint64) Response {
+		t.Helper()
+		resp, err := cl.Send(Request{Op: OpPurgeV, Key: "dead", Version: ver}).ResponseV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := purge(19); resp.Status != StatusExists || resp.Version != 20 {
+		t.Fatalf("purge under the resident version = %+v, want Exists@20", resp)
+	}
+	if resp := purge(20); resp.Status != StatusOK {
+		t.Fatalf("purge at the resident version = %+v, want OK", resp)
+	}
+	if e, ok := kv.Engine().Load("dead"); ok {
+		t.Fatalf("purged tombstone still resident: %+v", e)
+	}
+	if resp := purge(20); resp.Status != StatusExists || resp.Version != 0 {
+		t.Fatalf("purge of an absent key = %+v, want Exists@0", resp)
+	}
+}
+
+// TestRetiredKeysVIsUnknownOp pins the mixed-build story of the retired
+// whole-store listing: an older coordinator's OpKeysV still decodes here
+// and is answered "unknown op" in the versioned framing its client
+// reads — so its full-listings pass fails with that error — while the
+// ops its digest passes use answer as before on the same connection.
+func TestRetiredKeysVIsUnknownOp(t *testing.T) {
+	kv := NewKVHandler()
+	srv := NewServer(kv, 16)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, _, err := cl.SetV("k", []byte("v"), 5); err != nil {
+		t.Fatal(err)
+	}
+
+	if opRetiredKeysV != 13 || OpTreeV != 14 || OpBatch != 18 {
+		t.Fatalf("op bytes moved: retired KeysV %d, TreeV %d, Batch %d", opRetiredKeysV, OpTreeV, OpBatch)
+	}
+	resp, err := cl.Send(Request{Op: opRetiredKeysV}).ResponseV()
+	if err != nil || resp.Status != StatusError || string(resp.Value) != "unknown op 13" {
+		t.Fatalf("retired KeysV = %+v %v, want a versioned StatusError \"unknown op 13\"", resp, err)
+	}
+	if buckets, nodes, err := cl.TreeV(nil); err != nil || buckets != kv.Engine().Buckets() || len(nodes) != 1 || nodes[0].Hash == 0 {
+		t.Fatalf("TreeV after the refusal = %d %+v %v", buckets, nodes, err)
+	}
+	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("k", kv.Engine().Buckets()))})
+	if err != nil || len(listing) != 1 || listing[0].Key != "k" || listing[0].Version != 5 {
+		t.Fatalf("RangeV after the refusal = %+v %v", listing, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"pdcedu/internal/csnet"
 	"pdcedu/internal/obs"
@@ -11,15 +12,17 @@ import (
 
 // AntiEntropyStats describes the last Rebalance pass — chiefly how
 // much of the keyspace it had to look at. A steady-state pass over a
-// converged cluster shows DigestFrames == live backends, everything
-// else zero: the roots matched and nothing was listed.
+// converged cluster shows DigestFrames == live backends when every
+// backend owns every bucket (a deeper descent otherwise), everything
+// else zero: nothing diverged and nothing was listed.
 type AntiEntropyStats struct {
 	// DigestFrames counts OpTreeV exchanges (one per backend per
 	// descent level that still had mismatching nodes).
 	DigestFrames int
 	// HashesCompared counts tree node hashes fetched across backends.
 	HashesCompared int
-	// BucketsDiffed counts leaf buckets whose owners disagreed.
+	// BucketsDiffed counts leaf buckets whose owners disagreed or that a
+	// non-owner held something in.
 	BucketsDiffed int
 	// ListingFrames counts OpRangeV exchanges (zero when nothing
 	// diverged — the "no per-key listings" guarantee).
@@ -30,9 +33,9 @@ type AntiEntropyStats struct {
 	ValueFetches int
 	// Streamed counts entries merged onto stale or missing owners.
 	Streamed int
-	// FellBack reports that a tree-geometry mismatch forced the pass
-	// down to RebalanceListings.
-	FellBack bool
+	// Purged counts copies removed from backends that do not own their
+	// bucket (OpPurgeV replies StatusOK).
+	Purged int
 }
 
 // AntiEntropyStats returns the stats of the most recent Rebalance
@@ -43,7 +46,9 @@ func (c *Cluster) AntiEntropyStats() AntiEntropyStats {
 	return c.lastAE
 }
 
-// Rebalance converges replication by Merkle anti-entropy. Every live
+// Rebalance converges replication by Merkle anti-entropy. It is the
+// cluster's one converger: scheduled after every ring change, callable
+// directly for a deterministic converge in tests and demos. Every live
 // backend maintains a hash tree over its raw entry space (leaf = one
 // hash-partitioned key bucket; see store.Digest), and because
 // placement is bucket-granular, a bucket's owners hold identical
@@ -52,36 +57,36 @@ func (c *Cluster) AntiEntropyStats() AntiEntropyStats {
 //  1. Descends the trees: compare every backend's root, then the
 //     children of each node any pair of backends disagrees on, level
 //     by level (one pipelined OpTreeV burst per level), down to the
-//     leaves — where the comparison narrows to each bucket's current
-//     owners, so a non-owner's leftover copies never trigger repair.
-//     A subtree all backends agree on is pruned whole: a converged
-//     cluster resolves in one root exchange per backend, and a pass
-//     costs O(diff · log buckets) hashes instead of O(keyspace) keys.
+//     leaves. A leaf diverges when its bucket's current owners disagree
+//     or when a non-owner's leaf is not empty — a copy stranded there
+//     by a ring change, or left over from before one. A subtree every
+//     backend agrees on is pruned whole when it is empty, or when every
+//     live backend owns every bucket: a converged cluster then resolves
+//     in one root exchange per backend, and a pass costs O(diff · log
+//     buckets) hashes instead of O(keyspace) keys. A backend whose tree
+//     geometry differs from the cluster's is dropped from the pass with
+//     an error naming both.
 //  2. Lists only the divergent buckets (OpRangeV), aeGroupBuckets of
-//     them at a time, each entry carrying version, value digest,
+//     them at a time, from their owners and from the non-owners holding
+//     something there, each entry carrying version, value digest,
 //     tombstone, and expiry.
-//  3. Resolves each key exactly like the engines' Entry.Wins: highest
-//     version, tombstone beats value on a tie, and — the hole listings
-//     could not see — same-version different-digest copies are fetched
-//     and ordered by bytes, mortal beats immortal on full ties.
+//  3. Resolves each key exactly like the engines' Entry.Wins over every
+//     listed copy: highest version, tombstone beats value on a tie, and
+//     — the hole listings could not see — same-version different-digest
+//     copies are fetched and ordered by bytes, mortal beats immortal on
+//     full ties.
 //  4. Streams winners to every owner that is behind, divergent, or
 //     missing the key: tombstones straight from the listing, values as
 //     pipelined OpGetV reads merged with OpMerge — which can never
-//     clobber a write that landed after the listing.
+//     clobber a write that landed after the listing. A winner stranded
+//     on a non-owner streams onto the owners the same way.
+//  5. Purges each non-owner copy (OpPurgeV at its listed version) once
+//     every current owner is confirmed to hold an entry at least as new
+//     — by its own listing, or by a merge of a winner that beats the
+//     copy, acked in this pass — and only while the owners table is the
+//     one the group was planned with.
 //
-// It returns how many entries were streamed and applied. Callable
-// directly for a deterministic converge in tests and demos. A backend
-// whose tree geometry differs from the cluster's cannot be diffed; the
-// pass falls back to RebalanceListings (see AntiEntropyStats.FellBack).
-//
-// Scope: comparison and repair target each bucket's *current owners*.
-// A copy stranded on a non-owner is invisible here — possible only
-// when every owner of a bucket was down at write time, so the ring's
-// next live successors accepted the write and became non-owners again
-// at restore. That is why the passes MarkDown/MarkUp schedule are full
-// RebalanceListings passes (every backend listed, stranded copies
-// rescued; see kickRebalance), while steady-state and manual passes
-// use the digest exchange.
+// It returns how many entries were streamed and applied.
 func (c *Cluster) Rebalance() (copied int, err error) {
 	c.rebalanceMu.Lock()
 	defer c.rebalanceMu.Unlock()
@@ -95,13 +100,11 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 		// sees cumulative anti-entropy cost; lastAE stays the per-pass
 		// view the accessor and tests read.
 		distM.aePasses.Inc()
-		if st.FellBack {
-			distM.aeFallbacks.Inc()
-		}
 		distM.aeDigestFrames.Add(uint64(st.DigestFrames))
 		distM.aeListingFrames.Add(uint64(st.ListingFrames))
 		distM.aeKeysListed.Add(uint64(st.KeysListed))
 		distM.aeStreamed.Add(uint64(st.Streamed))
+		distM.aePurged.Add(uint64(st.Purged))
 		distM.aePassLatency.ObserveSince(start)
 	}()
 
@@ -136,26 +139,16 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 		return 0, firstErr
 	}
 
-	divergent, geomOK := c.descendTrees(clients, live, &st, noteErr)
-	if !geomOK {
-		st.FellBack = true
-		copied, err = c.rebalanceListings(ctx)
-		if err == nil {
-			err = firstErr
-		}
-		st.Streamed = copied
-		return copied, err
-	}
-	if len(divergent) == 0 {
-		return 0, firstErr
-	}
+	divergent := c.descendTrees(clients, live, &st, noteErr)
 	st.BucketsDiffed = len(divergent)
-
 	for len(divergent) > 0 {
 		group := divergent[:min(aeGroupBuckets, len(divergent))]
 		divergent = divergent[len(group):]
-		holders := c.listDivergent(clients, group, &st, noteErr)
-		copied += c.streamWinners(ctx, clients, holders, &st, noteErr)
+		table := c.owners.Load()
+		holders, listed := c.listDivergent(clients, *table, group, &st, noteErr)
+		applied, strays := c.streamWinners(ctx, clients, *table, holders, listed, &st, noteErr)
+		copied += applied
+		st.Purged += c.purgeStrays(ctx, table, strays, noteErr)
 	}
 	st.Streamed = copied
 	return copied, firstErr
@@ -169,11 +162,23 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 // fails in one group is out of the pass for the groups after it.
 const aeGroupBuckets = 64
 
+// divergence is one bucket the pass lists: from its owners, and from
+// the non-owners (strays) whose leaf showed they hold something in it.
+type divergence struct {
+	bucket int
+	strays []int
+}
+
 // descendTrees walks every live backend's Merkle tree in lock-step
-// from the root, returning the buckets whose owners disagree. geomOK
-// is false when any backend reported a different tree geometry than
-// the cluster places by — diffing against it would be meaningless.
-func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntropyStats, noteErr func(int, error)) (divergent []int, geomOK bool) {
+// from the root, returning the buckets whose owners disagree or that a
+// non-owner holds something in.
+func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntropyStats, noteErr func(int, error)) (divergent []divergence) {
+	// Where every live backend owns every bucket no copy can be stray,
+	// so agreement anywhere is convergence. Otherwise agreeing on
+	// non-empty content means some backend holds buckets it does not
+	// own, and only an empty subtree is pruned.
+	ownsAll := c.rf >= c.Live()
+	owners := *c.owners.Load()
 	frontier := []uint32{1}
 	for len(frontier) > 0 {
 		body := csnet.EncodeBucketList(frontier)
@@ -203,14 +208,13 @@ func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntr
 				continue
 			}
 			buckets, nodes, derr := csnet.DecodeTree(resp.Value)
+			if derr == nil && buckets != c.buckets {
+				derr = fmt.Errorf("tree geometry %d buckets, cluster places by %d", buckets, c.buckets)
+			}
 			if derr != nil {
 				noteErr(s.backend, derr)
 				clients[s.backend] = nil
 				continue
-			}
-			if buckets != c.buckets {
-				noteErr(s.backend, fmt.Errorf("tree geometry %d buckets, cluster places by %d", buckets, c.buckets))
-				return nil, false
 			}
 			m := make(map[uint32]uint64, len(nodes))
 			for _, nd := range nodes {
@@ -221,64 +225,45 @@ func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntr
 		}
 		var next []uint32
 		for _, id := range frontier {
-			if agreeAll(hashes, id) {
-				// Every responding backend holds an identical subtree —
-				// owners included — so nothing under this node can need
-				// repair. This is the pruning that makes a converged
-				// cluster's pass O(backends) frames.
+			if h, same := agree(hashes, id, nil); same && (h == 0 || ownsAll) {
 				continue
 			}
 			if int(id) < c.buckets {
 				next = append(next, 2*id, 2*id+1)
 				continue
 			}
-			// Leaf: only the bucket's owners must agree. Non-owners may
-			// hold leftover copies from before a ring change; those are
-			// harmless extras, not divergence.
-			bucket := int(id) - c.buckets
-			if !agreeAmong(hashes, id, c.ownersOf(bucket)) {
-				divergent = append(divergent, bucket)
+			d := divergence{bucket: int(id) - c.buckets}
+			row := owners[d.bucket]
+			for _, b := range live {
+				if m, ok := hashes[b]; ok && m[id] != 0 && !slices.Contains(row, b) {
+					d.strays = append(d.strays, b)
+				}
+			}
+			if _, same := agree(hashes, id, row); len(d.strays) > 0 || !same {
+				divergent = append(divergent, d)
 			}
 		}
 		frontier = next
 	}
-	return divergent, true
+	return divergent
 }
 
-// agreeAll reports whether every backend that answered holds the same
-// hash for node id.
-func agreeAll(hashes map[int]map[uint32]uint64, id uint32) bool {
-	var first uint64
+// agree reports whether the backends of set that answered — every one
+// that answered, for a nil set — hold the same hash for node id, and
+// which.
+func agree(hashes map[int]map[uint32]uint64, id uint32, set []int) (h uint64, same bool) {
 	seen := false
-	for _, m := range hashes {
-		h := m[id]
-		if !seen {
-			first, seen = h, true
-		} else if h != first {
-			return false
-		}
-	}
-	return true
-}
-
-// agreeAmong reports whether the listed backends (those that answered)
-// hold the same hash for node id.
-func agreeAmong(hashes map[int]map[uint32]uint64, id uint32, backends []int) bool {
-	var first uint64
-	seen := false
-	for _, b := range backends {
-		m, ok := hashes[b]
-		if !ok {
+	for b, m := range hashes {
+		if set != nil && !slices.Contains(set, b) {
 			continue
 		}
-		h := m[id]
 		if !seen {
-			first, seen = h, true
-		} else if h != first {
-			return false
+			h, seen = m[id], true
+		} else if m[id] != h {
+			return h, false
 		}
 	}
-	return true
+	return h, true
 }
 
 // holderDigest is one backend's listed copy of a key.
@@ -288,15 +273,18 @@ type holderDigest struct {
 }
 
 // listDivergent fetches one group of divergent buckets' listings: each
-// bucket is requested from every reachable owner, one pipelined
-// OpRangeV per backend carrying the buckets of the group it owns. The
-// result groups listed copies per key.
-func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *AntiEntropyStats, noteErr func(int, error)) map[string][]holderDigest {
+// bucket is requested from every reachable owner and from its strays,
+// one pipelined OpRangeV per backend carrying the group's buckets it is
+// asked for. It returns the listed copies per key, and which backends'
+// listings arrived: one that was lost, refused or undecodable says
+// nothing about what its owner holds, so that backend is neither a
+// target nor a witness for the group.
+func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group []divergence, st *AntiEntropyStats, noteErr func(int, error)) (holders map[string][]holderDigest, listed []bool) {
 	perBackend := map[int][]uint32{}
-	for _, bkt := range buckets {
-		for _, o := range c.ownersOf(bkt) {
-			if clients[o] != nil {
-				perBackend[o] = append(perBackend[o], uint32(bkt))
+	for _, d := range group {
+		for _, b := range slices.Concat(owners[d.bucket], d.strays) {
+			if clients[b] != nil {
+				perBackend[b] = append(perBackend[b], uint32(d.bucket))
 			}
 		}
 	}
@@ -309,7 +297,8 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *Anti
 		calls = append(calls, sent{clients[b].Send(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(ids)}), b})
 		st.ListingFrames++
 	}
-	holders := map[string][]holderDigest{}
+	holders = map[string][]holderDigest{}
+	listed = make([]bool, len(clients))
 	for _, s := range calls {
 		resp, rerr := s.call.ResponseV()
 		if rerr != nil {
@@ -318,7 +307,7 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *Anti
 			continue
 		}
 		if resp.Status != csnet.StatusOK {
-			noteErr(s.backend, fmt.Errorf("rangev status %s: %s", resp.Status, resp.Value))
+			noteErr(s.backend, fmt.Errorf("rangev %w", statusErr(resp)))
 			continue
 		}
 		listing, derr := csnet.DecodeRangeV(resp.Value)
@@ -326,6 +315,7 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *Anti
 			noteErr(s.backend, derr)
 			continue
 		}
+		listed[s.backend] = true
 		st.KeysListed += len(listing)
 		for _, e := range listing {
 			// Observe every imported version (the same invariant as the
@@ -336,7 +326,7 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, buckets []int, st *Anti
 			holders[e.Key] = append(holders[e.Key], holderDigest{backend: s.backend, entry: e})
 		}
 	}
-	return holders
+	return holders, listed
 }
 
 // winsListed orders two listed copies the way store.Entry.Wins orders
@@ -364,23 +354,45 @@ func winsListed(e, cur csnet.KeyDigest) (wins, ordered bool) {
 	return false, true
 }
 
+// stray is one listed copy on a backend that does not own its key's
+// bucket.
+type stray struct {
+	key string
+	holderDigest
+}
+
+// rescue is one key's stray copies and how many owners have yet to be
+// confirmed holding at least as much.
+type rescue struct {
+	strays  []stray
+	waiting int
+}
+
 // streamWinners resolves each divergent key to its Entry.Wins winner
-// and merges it onto every owner holding less. Tombstone winners
-// stream straight from the listing; value winners are read once
-// (pipelined per source backend) and merged at the version actually
-// read — which may be newer than the listing's, and merge keeps every
-// target at least that new. Same-version different-digest splits fetch
-// one copy per digest and let Entry.Wins order the bytes.
-func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, holders map[string][]holderDigest, st *AntiEntropyStats, noteErr func(int, error)) (copied int) {
+// over every listed copy and merges it onto every owner holding less.
+// Tombstone winners stream straight from the listing; value winners are
+// read once (pipelined per source backend) and merged at the version
+// actually read — which may be newer than the listing's, and merge
+// keeps every target at least that new. Same-version different-digest
+// splits fetch one copy per digest and let Entry.Wins order the bytes.
+//
+// Non-owner copies take part in choosing the winner; only owners whose
+// listing arrived are targets. When every owner of a key was listed,
+// its non-owner copies are returned for purging once each owner is
+// confirmed: it listed the winner (which beats every listed copy), or
+// acked the merge of one that beats the copy.
+func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owners [][]int, holders map[string][]holderDigest, listed []bool, st *AntiEntropyStats, noteErr func(int, error)) (copied int, purge []stray) {
 	type job struct {
 		key     string
 		winner  csnet.KeyDigest
-		source  int   // backend to read a value winner from
-		targets []int // owners to merge onto
+		source  int     // backend to read a value winner from
+		targets []int   // owners to merge onto
+		rescue  *rescue // the key's strays, when every owner was listed
 	}
 	var tombs []job
 	reads := map[int][]job{} // value reads grouped by source backend
 	var splits []job         // same-version digest splits: read from every distinct holder
+	var rescues []*rescue
 	for key, list := range holders {
 		// The Wins-maximal listed copy; splits surface as unordered.
 		winner := list[0]
@@ -405,9 +417,12 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 				}
 			}
 		}
+		row := owners[store.BucketOf(key, c.buckets)]
 		var targets []int
-		for _, o := range c.ownersOf(store.BucketOf(key, c.buckets)) {
-			if clients[o] == nil {
+		witnessed := len(row) > 0
+		for _, o := range row {
+			if !listed[o] {
+				witnessed = false
 				continue
 			}
 			var cand *csnet.KeyDigest
@@ -426,10 +441,21 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 				targets = append(targets, o) // behind, or losing a tie-break
 			}
 		}
+		var r *rescue
+		for _, h := range list {
+			if !witnessed || slices.Contains(row, h.backend) {
+				continue
+			}
+			if r == nil {
+				r = &rescue{waiting: len(targets)}
+				rescues = append(rescues, r)
+			}
+			r.strays = append(r.strays, stray{key, h})
+		}
 		if len(targets) == 0 {
 			continue
 		}
-		j := job{key: key, winner: winner.entry, source: winner.backend, targets: targets}
+		j := job{key: key, winner: winner.entry, source: winner.backend, targets: targets, rescue: r}
 		switch {
 		case split:
 			splits = append(splits, j)
@@ -442,14 +468,21 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 
 	// Each repair merge is a child span of the pass: a waterfall of a
 	// slow pass shows exactly which owners were converged and at what
-	// cost per stream.
+	// cost per stream. A merge for a key with strays is remembered by
+	// its place in its backend's burst, so its ack can confirm the owner.
 	mb := mergeBurst{c: c, kind: trace.KindAE}
+	confirms := map[[2]int]*rescue{}
+	merge := func(j job, e store.Entry) {
+		for _, t := range j.targets {
+			if i := mb.send(ctx, t, j.key, e); j.rescue != nil {
+				confirms[[2]int{t, i}] = j.rescue
+			}
+		}
+	}
 	// Tombstones need no source read: the listing carries everything
 	// (version and — for expiry tombstones — the expiry for GC aging).
 	for _, j := range tombs {
-		for _, t := range j.targets {
-			mb.send(ctx, t, j.key, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
-		}
+		merge(j, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
 	}
 	// Plain value winners: one pipelined GetV burst per source backend.
 	for src, list := range reads {
@@ -468,30 +501,32 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 				continue // deleted or expired since the listing; next pass converges
 			}
 			c.clock.Observe(resp.Version)
-			for _, t := range j.targets {
-				mb.send(ctx, t, j.key, entryOf(resp))
-			}
+			merge(j, entryOf(resp))
 		}
 	}
 	// Digest splits: fetch one copy per distinct digest and let
 	// Entry.Wins order the actual bytes — the divergence listings alone
-	// could never close.
+	// could never close. The winner beats exactly the copies whose bytes
+	// arrived, and every older one; a stray holding any other is kept.
 	for _, j := range splits {
-		seen := map[uint64]bool{}
+		fetched := map[uint64]bool{}
 		var fetches []*csnet.Call
+		var digests []uint64
 		for _, h := range holders[j.key] {
-			if h.entry.Version != j.winner.Version || h.entry.Tombstone || seen[h.entry.Digest] || clients[h.backend] == nil {
+			if h.entry.Version != j.winner.Version || h.entry.Tombstone || fetched[h.entry.Digest] || clients[h.backend] == nil {
 				continue
 			}
-			seen[h.entry.Digest] = true
+			fetched[h.entry.Digest] = true
 			fetches = append(fetches, clients[h.backend].Send(csnet.Request{Op: csnet.OpGetV, Key: j.key}))
+			digests = append(digests, h.entry.Digest)
 			st.ValueFetches++
 		}
 		var best store.Entry
 		have := false
-		for _, call := range fetches {
+		for i, call := range fetches {
 			resp, rerr := call.ResponseV()
 			if rerr != nil || resp.Status != csnet.StatusOK {
+				fetched[digests[i]] = false
 				continue
 			}
 			c.clock.Observe(resp.Version)
@@ -503,9 +538,43 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, hold
 		if !have {
 			continue // all holders vanished mid-pass; next pass converges
 		}
-		for _, t := range j.targets {
-			mb.send(ctx, t, j.key, best)
+		if r := j.rescue; r != nil {
+			r.strays = slices.DeleteFunc(r.strays, func(s stray) bool {
+				return s.entry.Version == j.winner.Version && !fetched[s.entry.Digest]
+			})
+		}
+		merge(j, best)
+	}
+	copied = mb.collect(func(b, i int, _ uint64, err error) {
+		if r := confirms[[2]int{b, i}]; r != nil && err == nil {
+			r.waiting--
+		}
+	})
+	for _, r := range rescues {
+		if r.waiting == 0 {
+			purge = append(purge, r.strays...)
 		}
 	}
-	return mb.collect(nil)
+	return copied, purge
+}
+
+// purgeStrays removes the confirmed non-owner copies, one OpPurgeV at
+// each copy's listed version — so a write that reached the backend
+// since is kept — batched per backend like the merges. It sends nothing
+// once the owners table has moved on from the one the group was
+// planned with: a stray may own its bucket now, and the next pass
+// (every ring change schedules one) judges it afresh.
+func (c *Cluster) purgeStrays(ctx trace.Context, planned *[][]int, strays []stray, noteErr func(int, error)) int {
+	if len(strays) == 0 || c.owners.Load() != planned {
+		return 0
+	}
+	mb := mergeBurst{c: c, kind: trace.KindAE}
+	for _, s := range strays {
+		mb.add(ctx, s.backend, csnet.Request{Op: csnet.OpPurgeV, Key: s.key, Version: s.entry.Version})
+	}
+	return mb.collect(func(b, _ int, _ uint64, err error) {
+		if err != nil {
+			noteErr(b, err)
+		}
+	})
 }

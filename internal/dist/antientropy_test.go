@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +60,10 @@ func startWrappedKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func
 	return kvs, srvs, c
 }
 
+// lose simulates data loss behind the cluster's back: key's entry
+// vanishes from eng, tombstone or not, whatever its version.
+func lose(eng store.Engine, key string) { eng.Purge(key, math.MaxUint64) }
+
 // damageManyBuckets loads keys through c and then purges every fifth
 // one from backend 1 behind the cluster's back. It returns the holes
 // and the buckets they diverge — several aeGroupBuckets groups' worth.
@@ -74,7 +80,7 @@ func damageManyBuckets(t *testing.T, kvs []*csnet.KVHandler, c *Cluster, keys in
 	}
 	divergent = map[int]bool{}
 	for i := 0; i < keys; i += 5 {
-		kvs[1].Engine().Purge(ks[i])
+		lose(kvs[1].Engine(), ks[i])
 		divergent[store.BucketOf(ks[i], c.buckets)] = true
 		holes++
 	}
@@ -235,7 +241,7 @@ func TestAntiEntropySteadyStateFrames(t *testing.T) {
 	// list only the divergent buckets — far below the keyspace.
 	const holes = 5
 	for i := 0; i < holes; i++ {
-		kvs[1].Engine().Purge(ks[i*17])
+		lose(kvs[1].Engine(), ks[i*17])
 	}
 	copied, err = c.Rebalance()
 	if err != nil || copied != holes {
@@ -301,29 +307,46 @@ func TestAntiEntropySameVersionSplitConverges(t *testing.T) {
 	}
 }
 
-// TestRebalanceGeometryFallback pins the mismatch path: backends whose
-// engines were built with a different Merkle bucket count cannot be
-// tree-diffed, so the pass falls back to full listings — slower, still
-// convergent.
-func TestRebalanceGeometryFallback(t *testing.T) {
-	kvs, c := startKVCluster(t, 2, ClusterConfig{Replication: 2, WriteQuorum: 1},
-		func(int) store.Engine { return store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64}) })
+// TestRebalanceGeometryMismatch pins the mismatch path: a backend whose
+// engine was built with a different Merkle bucket count cannot be
+// tree-diffed, so the pass leaves it out with an error naming both
+// geometries, and the backends that match still converge among
+// themselves — with nothing merged onto the odd one.
+func TestRebalanceGeometryMismatch(t *testing.T) {
+	const odd = 2
+	var merges atomic.Int32
+	kvs, _, c := startWrappedKVCluster(t, 3, ClusterConfig{Replication: 3, WriteQuorum: 1},
+		func(i int) store.Engine {
+			if i == odd {
+				return store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64})
+			}
+			return store.NewSharded(store.Options{})
+		},
+		func(i int, kv *csnet.KVHandler) csnet.Handler {
+			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
+				if i == odd && req.Op == csnet.OpMerge {
+					merges.Add(1)
+				}
+				return kv.Serve(req)
+			})
+		})
 	if err := c.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	kvs[1].Engine().Purge("k")
+	lose(kvs[1].Engine(), "k")
+	lose(kvs[odd].Engine(), "k")
 	copied, err := c.Rebalance()
-	if err == nil {
-		t.Fatal("geometry mismatch unreported")
+	if err == nil || !strings.Contains(err.Error(), "64 buckets") || !strings.Contains(err.Error(), fmt.Sprint(store.DefaultMerkleBuckets)) {
+		t.Fatalf("pass error = %v, want the mismatch naming 64 and %d buckets", err, store.DefaultMerkleBuckets)
 	}
 	if copied != 1 {
-		t.Fatalf("fallback streamed %d, want 1", copied)
-	}
-	if st := c.AntiEntropyStats(); !st.FellBack {
-		t.Errorf("stats = %+v, want FellBack", st)
+		t.Fatalf("pass streamed %d, want 1 (the hole on the matching backend)", copied)
 	}
 	if _, ok := kvs[1].Engine().Get("k"); !ok {
-		t.Fatal("fallback did not repair the hole")
+		t.Fatal("the matching backends did not converge")
+	}
+	if got := merges.Load(); got != 0 {
+		t.Errorf("%d merges reached the mismatched backend, want 0", got)
 	}
 }
 

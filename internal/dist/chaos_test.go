@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,12 +15,16 @@ import (
 // randomized fault injector seeds every divergence class the
 // replication stack knows how to produce — holes, stale versions,
 // same-version value splits, orphan tombstones, expired-immortal
-// copies — directly into the engines of a 5-node cluster, then one
+// copies, and, since rf < n leaves non-owners, copies stranded on a
+// non-owner while every owner lost the key and older copies left over
+// on one — directly into the engines of a 5-node cluster. One
 // anti-entropy pass must converge every owner byte-identically to the
-// Entry.Wins winner computed by a reference model, and the following
-// pass must find a fully converged cluster (digest-only, nothing
-// streamed). The seed is logged so a failure replays; CI runs it twice
-// under the race detector for two fresh seeds.
+// Entry.Wins winner over every backend's copy, computed by a reference
+// model; within two passes no non-owner may hold anything in a bucket
+// it does not own; and the pass after that must find a fully converged
+// cluster (nothing listed, streamed or purged). The seed is logged so
+// a failure replays; CI runs it twice under the race detector for two
+// fresh seeds.
 func TestAntiEntropyChaos(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("seed %d", seed)
@@ -43,23 +48,30 @@ func TestAntiEntropyChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fault injection: mutate owner engines behind the cluster's back.
+	// Fault injection: mutate engines behind the cluster's back.
 	eng := func(b int) store.Engine { return kvs[b].Engine() }
-	for i, k := range keys {
+	nonOwner := func(owners []int) int {
+		for {
+			if b := rng.Intn(nNodes); !slices.Contains(owners, b) {
+				return b
+			}
+		}
+	}
+	for _, k := range keys {
 		owners := c.replicaSet(k)
 		victim := owners[rng.Intn(len(owners))]
 		base, ok := eng(owners[0]).Load(k)
 		if !ok {
 			t.Fatalf("baseline copy of %q missing on owner %d", k, owners[0])
 		}
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0: // hole: one owner lost the key outright
-			eng(victim).Purge(k)
+			lose(eng(victim), k)
 		case 1: // stale version: one owner stuck on an older write
-			eng(victim).Purge(k)
+			lose(eng(victim), k)
 			eng(victim).Merge(k, store.Entry{Value: []byte("stale"), Version: base.Version - uint64(1+rng.Intn(500))})
 		case 2: // same-version value split (coordinator collision)
-			eng(victim).Purge(k)
+			lose(eng(victim), k)
 			eng(victim).Merge(k, store.Entry{Value: []byte(fmt.Sprintf("split-%d", rng.Intn(1_000_000))), Version: base.Version})
 		case 3: // orphan tombstone: a delete that reached one owner only
 			eng(victim).Merge(k, store.Entry{Version: base.Version + uint64(1+rng.Intn(500)), Tombstone: true})
@@ -68,19 +80,25 @@ func TestAntiEntropyChaos(t *testing.T) {
 			exp := time.Now().Add(-time.Minute).UnixNano()
 			ver := base.Version + 1
 			for _, o := range owners {
-				eng(o).Purge(k)
+				lose(eng(o), k)
 				eng(o).Merge(k, store.Entry{Value: base.Value, Version: ver})
 			}
-			eng(victim).Purge(k)
+			lose(eng(victim), k)
 			eng(victim).Merge(k, store.Entry{Value: base.Value, Version: ver, ExpireAt: exp})
 			eng(victim).Get(k) // lazy-expire it into a tombstone
+		case 5: // stranded: every owner lost the key, a non-owner holds it
+			for _, o := range owners {
+				lose(eng(o), k)
+			}
+			eng(nonOwner(owners)).Merge(k, base)
+		case 6: // leftover: a non-owner holds an older copy
+			eng(nonOwner(owners)).Merge(k, store.Entry{Value: []byte("leftover"), Version: base.Version - uint64(1+rng.Intn(500))})
 		default: // untouched: converged keys must stay untouched
-			_ = i
 		}
 	}
 
-	// Reference model: per key, the Entry.Wins winner over whatever the
-	// owners hold right now.
+	// Reference model: per key, the Entry.Wins winner over whatever any
+	// backend holds right now.
 	type want struct {
 		e   store.Entry
 		any bool
@@ -88,7 +106,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 	expected := make(map[string]want, nKeys)
 	for _, k := range keys {
 		var w want
-		for _, o := range c.replicaSet(k) {
+		for o := 0; o < nNodes; o++ {
 			e, ok := eng(o).Load(k)
 			if !ok {
 				continue
@@ -122,12 +140,35 @@ func TestAntiEntropyChaos(t *testing.T) {
 		}
 	}
 
+	// Non-owners hold nothing within two passes: every non-owner copy is
+	// purged once the owners are confirmed to hold at least as much.
+	strayLeaves := func() (n int) {
+		for b := 0; b < nNodes; b++ {
+			d := eng(b).Digest()
+			for bucket := 0; bucket < d.Buckets(); bucket++ {
+				if d.Leaf(bucket) != 0 && !slices.Contains(c.ownersOf(bucket), b) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	t.Logf("first pass: %+v", c.AntiEntropyStats())
+	if strayLeaves() > 0 {
+		if _, err := c.Rebalance(); err != nil {
+			t.Fatalf("second pass: %v", err)
+		}
+		if n := strayLeaves(); n > 0 {
+			t.Fatalf("%d non-owner leaves still hold entries after two passes (%+v)", n, c.AntiEntropyStats())
+		}
+	}
+
 	// The next pass sees a converged cluster: digests only, no stream.
 	copied, err := c.Rebalance()
 	if err != nil || copied != 0 {
 		t.Fatalf("post-converge pass = %d %v, want 0 nil", copied, err)
 	}
-	if st := c.AntiEntropyStats(); st.ListingFrames != 0 || st.KeysListed != 0 {
+	if st := c.AntiEntropyStats(); st.ListingFrames != 0 || st.KeysListed != 0 || st.Purged != 0 {
 		t.Fatalf("post-converge pass still listing: %+v", st)
 	}
 }

@@ -37,8 +37,9 @@ type ClusterConfig struct {
 	// Buckets is the Merkle bucket count placement and anti-entropy
 	// agree on (rounded up to a power of two; default
 	// store.DefaultMerkleBuckets). It must match the backends' engine
-	// MerkleBuckets — the digest exchange carries the geometry, and a
-	// mismatch makes Rebalance fall back to full listings.
+	// MerkleBuckets — the digest exchange carries the geometry, and
+	// Rebalance leaves a backend that differs out of the pass with an
+	// error naming both.
 	Buckets int
 	// Tracer records the coordinator's spans and originates trace
 	// contexts for cluster operations (nil = trace.Default()). Enable
@@ -96,8 +97,8 @@ type ClusterConfig struct {
 // A set settles on a write quorum of acks and reports a
 // *PartialWriteError below it; a delete settles only when every live
 // replica acked and reports the first cause otherwise; with no live
-// replica nothing settles. Hints, read-repair and both anti-entropy
-// passes push entries through one merge burst (mergeBurst). A batch
+// replica nothing settles. Hints, read-repair and anti-entropy push
+// entries through one merge burst (mergeBurst). A batch
 // frame refused whole (shed, or "unknown op" from an older build) is
 // "rejected" for each entry; a reply's missing tail, "transport error".
 //
@@ -108,7 +109,8 @@ type ClusterConfig struct {
 // key, expiry included) and replayed when the replica rejoins; a
 // background Merkle anti-entropy pass compares replica digests and
 // streams exactly the diverged entries — missing, stale, value-split,
-// or tombstoned — to their current owners after every ring change. See
+// or tombstoned — to their current owners after every ring change, then
+// purges the copies backends hold in buckets they no longer own. See
 // MarkDown, MarkUp, Rebalance, AntiEntropyStats, and
 // PartialWriteError.
 type Cluster struct {
@@ -142,8 +144,7 @@ type Cluster struct {
 	hintDrops uint64
 	lastAE    AntiEntropyStats
 
-	rebalanceMu   sync.Mutex  // serializes Rebalance passes
-	fullPass      atomic.Bool // next scheduled pass must be full listings (set on ring changes)
+	rebalanceMu   sync.Mutex // serializes Rebalance passes
 	rebalance     chan struct{}
 	stop          chan struct{}
 	rebalanceDone chan struct{}

@@ -111,7 +111,7 @@ func TestClusterMGetFallbackRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := c.replicaSet("grade")[0]       // balancer-less first choice
-	handlers[primary].Engine().Purge("grade") // simulated data loss, not a delete
+	lose(handlers[primary].Engine(), "grade") // simulated data loss, not a delete
 	got, err := c.MGet([]string{"grade", "missing"})
 	if err != nil {
 		t.Fatal(err)

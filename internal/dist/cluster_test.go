@@ -149,7 +149,7 @@ func TestClusterReadRepair(t *testing.T) {
 	// key cluster-wide), so the Get below must miss there, fall through
 	// to the next replica, and repair the hole.
 	primary := c.replicaSet("grade")[0] // the replica a balancer-less Get tries first
-	handlers[primary].Engine().Purge("grade")
+	lose(handlers[primary].Engine(), "grade")
 	if handlers[primary].Len() != 0 {
 		t.Fatal("failed to damage primary")
 	}

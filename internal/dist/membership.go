@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"pdcedu/internal/csnet"
 	"pdcedu/internal/member"
-	"pdcedu/internal/obs"
 	"pdcedu/internal/store"
 	"pdcedu/internal/trace"
 )
@@ -223,11 +221,7 @@ func (c *Cluster) MarkDown(b int) bool {
 	c.down[b] = true
 	c.mu.Unlock()
 	c.reroute(func() { c.ring.RemoveNode(b) })
-	// Full listings only when rf < n: the full pass exists to rescue
-	// copies stranded on non-owners after a ring change, and at rf == n
-	// every backend owns every bucket, so no copy can be stranded and
-	// the cheap digest exchange converges the cluster on its own.
-	c.kickRebalance(c.rf < len(c.pools))
+	c.kickRebalance()
 	return true
 }
 
@@ -236,7 +230,8 @@ func (c *Cluster) MarkDown(b int) bool {
 // flag flip), the ring restores b's virtual nodes to exactly their old
 // positions, and a background rebalance is scheduled to stream
 // everything the hints missed — values written and keys deleted during
-// the outage — over b's stale copies. None of the replay ordering is
+// the outage — over b's stale copies, and to purge the copies the
+// stand-ins took for b's buckets once b holds them. None of the replay ordering is
 // correctness-critical anymore: every path is a version-aware merge,
 // so a stale hint racing a rebalanced copy just loses by version; the
 // bulk-replay-before-restore order survives only because it gets data
@@ -268,11 +263,7 @@ func (c *Cluster) MarkUp(b int) bool {
 	c.down[b] = false
 	c.mu.Unlock()
 	c.replayHints(b)
-	// Same rf == n carve-out as MarkDown: a restarted full-replication
-	// backend (e.g. a distnode that reloaded its WAL) catches up through
-	// the Merkle digest pass alone — only partial replication can leave
-	// stranded non-owner copies that need whole-backend listings.
-	c.kickRebalance(c.rf < len(c.pools))
+	c.kickRebalance()
 	return true
 }
 
@@ -324,18 +315,9 @@ func (c *Cluster) Watch(ml *member.Memberlist) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// kickRebalance schedules a background rebalance; coalesces with one
-// already pending. Ring changes (MarkDown/MarkUp) request a *full
-// listings* pass: right after a geometry change the cluster can hold
-// copies the Merkle pass deliberately ignores — a write accepted by
-// ring successors while every current owner was down lives on backends
-// that are non-owners once the ring is restored, and only a
-// whole-backend listing can find and rescue it. Steady-state scheduled
-// passes and manual Rebalance calls stay on the cheap digest exchange.
-func (c *Cluster) kickRebalance(full bool) {
-	if full {
-		c.fullPass.Store(true)
-	}
+// kickRebalance schedules a background Rebalance; coalesces with one
+// already pending.
+func (c *Cluster) kickRebalance() {
 	select {
 	case c.rebalance <- struct{}{}:
 	default:
@@ -350,191 +332,7 @@ func (c *Cluster) rebalanceLoop() {
 		case <-c.stop:
 			return
 		case <-c.rebalance:
-			if c.fullPass.Swap(false) {
-				_, _ = c.RebalanceListings()
-			} else {
-				_, _ = c.Rebalance()
-			}
+			_, _ = c.Rebalance()
 		}
 	}
-}
-
-// RebalanceListings is the pre-Merkle converger. It is kept for the two
-// jobs the digest exchange cannot do yet: the pass after a ring change
-// at rf < n, which must rescue copies stranded on non-owners (the
-// digests compare owners only), and the fallback Rebalance drops to
-// when a backend's tree geometry disagrees with the cluster's. ROADMAP
-// item 3 gives the Merkle pass both and removes this one.
-//
-// Every live backend ships its *entire* entry listing with versions
-// (one OpKeysV round each), the listings join into a per-key version
-// map, and every (key, owner) pair where a
-// current owner is missing the entry *or holds an older version* gets
-// the newest entry streamed — tombstones straight from the listing,
-// values as one pipelined OpGetV burst per source backend — applied
-// with OpMerge, which fills holes and overwrites stale copies but can
-// never clobber a write that landed after the listing.
-//
-// Two costs Rebalance no longer pays remain here: a steady-state pass
-// ships every key's listing even when nothing diverged, and an
-// equal-version value-vs-value split is invisible (OpKeysV listings
-// carry no value digest), so such copies stay divergent until
-// overwritten.
-func (c *Cluster) RebalanceListings() (copied int, err error) {
-	c.rebalanceMu.Lock()
-	defer c.rebalanceMu.Unlock()
-	defer distM.aePassLatency.ObserveSince(obs.StartTimer())
-	distM.aeListingPasses.Inc()
-	ctx, root := c.startOp(trace.KindAE, "rebalance-listings")
-	copied, err = c.rebalanceListings(ctx)
-	root.S.Err = err != nil
-	root.Finish()
-	distM.aeStreamed.Add(uint64(copied))
-	return copied, err
-}
-
-func (c *Cluster) rebalanceListings(ctx trace.Context) (copied int, err error) {
-	n := len(c.pools)
-	var firstErr error
-	noteErr := func(b int, err error) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("dist: rebalance backend %d: %w", b, err)
-		}
-	}
-	// Gather who holds what at which version. Each key's state is a
-	// compact (backend, version) list — typically rf entries — rather
-	// than an n-wide version array, so the pass costs memory
-	// proportional to actual replication, not cluster width (the same
-	// instinct as the bitmask holder map this replaces).
-	type holderVer struct {
-		backend int
-		ver     uint64
-		tomb    bool
-	}
-	type keyState struct {
-		holders []holderVer
-		top     uint64 // newest version seen anywhere
-		holder  int    // backend holding top
-		topTomb bool   // the newest entry is a tombstone
-	}
-	holders := make(map[string]*keyState)
-	clients := make([]*csnet.Client, n)
-	for b := 0; b < n; b++ {
-		if c.IsDown(b) {
-			continue
-		}
-		cl, cerr := c.pools[b].get()
-		if cerr != nil {
-			noteErr(b, cerr)
-			continue
-		}
-		listing, kerr := cl.KeysV()
-		if kerr != nil {
-			noteErr(b, kerr)
-			continue
-		}
-		clients[b] = cl
-		for _, e := range listing {
-			// Observe every imported version (the same invariant as the
-			// read/write paths): a coordinator whose wall clock lags
-			// must advance past listed state or its next Set could
-			// stamp under it and silently lose everywhere.
-			c.clock.Observe(e.Version)
-			ks := holders[e.Key]
-			if ks == nil {
-				ks = &keyState{}
-				holders[e.Key] = ks
-			}
-			ks.holders = append(ks.holders, holderVer{backend: b, ver: e.Version, tomb: e.Tombstone})
-			// Strictly newer wins; on a version tie a tombstone beats a
-			// value, mirroring Entry.Wins, so two coordinators stamping
-			// the same millisecond still converge to deleted.
-			if e.Version > ks.top || (e.Version == ks.top && e.Tombstone && !ks.topTomb) {
-				ks.top, ks.holder, ks.topTomb = e.Version, b, e.Tombstone
-			}
-		}
-	}
-	// Plan: for each key, every reachable current owner that is missing
-	// the newest entry or holds an older one is a target. Tombstones
-	// need no read — the listing already carries everything to merge;
-	// values are read once from the newest holder.
-	type job struct {
-		key     string
-		top     uint64
-		targets []int
-	}
-	var tombs []job             // streamed straight from the listing
-	jobs := make(map[int][]job) // value reads grouped by source backend
-	for k, ks := range holders {
-		holderOf := func(b int) holderVer {
-			for _, h := range ks.holders {
-				if h.backend == b {
-					return h
-				}
-			}
-			return holderVer{backend: b} // no entry; engine versions are never 0
-		}
-		// An owner needs the stream when it is strictly behind, or tied
-		// with the top version but holding a value where the top is a
-		// tombstone (the Entry.Wins tie-break the engines apply). An
-		// equal-version value-vs-value tie is invisible here — listings
-		// carry no value digest; the Merkle Rebalance sees and repairs
-		// that divergence, which is one reason it replaced this pass.
-		var targets []int
-		for _, t := range c.replicaSet(k) {
-			if clients[t] == nil {
-				continue
-			}
-			h := holderOf(t)
-			if h.ver < ks.top || (h.ver == ks.top && ks.topTomb && !h.tomb) {
-				targets = append(targets, t)
-			}
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		j := job{key: k, top: ks.top, targets: targets}
-		if ks.topTomb {
-			// A tombstone needs no source read: the listing already
-			// carries everything the merge will send.
-			tombs = append(tombs, j)
-		} else {
-			// ks.holder listed the key, so its client is live by
-			// construction; the value is read from it below.
-			jobs[ks.holder] = append(jobs[ks.holder], j)
-		}
-	}
-	// Every streamed entry goes through one merge burst (which also
-	// supersedes the coordinator's cache: another coordinator may have
-	// written what is being streamed).
-	mb := mergeBurst{c: c, kind: trace.KindAE}
-	for _, j := range tombs {
-		for _, t := range j.targets {
-			mb.send(ctx, t, j.key, store.Entry{Version: j.top, Tombstone: true})
-		}
-	}
-	for src, list := range jobs {
-		reads := make([]*csnet.Call, len(list))
-		for i, j := range list {
-			reads[i] = clients[src].Send(csnet.Request{Op: csnet.OpGetV, Key: j.key})
-		}
-		for i, j := range list {
-			resp, rerr := reads[i].ResponseV()
-			if rerr != nil {
-				noteErr(src, rerr) // conn poisoned; the next kick retries
-				break
-			}
-			if resp.Status != csnet.StatusOK {
-				continue // deleted or expired since the listing
-			}
-			// Stream at the version (and expiry) actually read — it may
-			// be newer than the listing's; merge keeps every target at
-			// least that new, and carrying ExpireAt keeps a TTL'd entry
-			// mortal on the targets too.
-			for _, t := range j.targets {
-				mb.send(ctx, t, j.key, entryOf(resp))
-			}
-		}
-	}
-	return mb.collect(nil), firstErr
 }

@@ -238,34 +238,44 @@ func endSpan(sp *trace.Active, failed bool) {
 }
 
 // mergeBurst is the one repair path under read-repair, hint replay and
-// both anti-entropy passes: OpMerge requests batched per backend as
-// they are planned (a frame leaves as it fills), then collected
-// together. A merge is version-aware on the replica — it fills holes
-// and fixes stale copies but can never overwrite a newer write — so a
-// burst needs no ordering, and a lost one costs only the next pass.
+// anti-entropy: OpMerge requests batched per backend as they are
+// planned (a frame leaves as it fills), then collected together. A
+// merge is version-aware on the replica — it fills holes and fixes
+// stale copies but can never overwrite a newer write — so a burst needs
+// no ordering, and a lost one costs only the next pass. Anti-entropy's
+// version-bounded purges ride a burst of their own the same way: OK is
+// applied, Exists is a newer entry kept.
 type mergeBurst struct {
 	c      *Cluster
-	kind   trace.Kind // span kind each merge records under
+	kind   trace.Kind // span kind each request records under
 	bc     batchClients
 	inline [inlineBackends]clientSlot
 }
 
-// send merges e onto backend b under a child span of ctx. Whatever is
+// send merges e onto backend b under a child span of ctx and returns
+// the entry's index among those sent to b (collect's i). Whatever is
 // being pushed at a replica is write-path news the coordinator's cache
 // may not have seen: it supersedes the key there.
-func (mb *mergeBurst) send(ctx trace.Context, b int, key string, e store.Entry) {
+func (mb *mergeBurst) send(ctx trace.Context, b int, key string, e store.Entry) int {
+	mb.c.cacheSupersede(key, e.Version)
+	return mb.add(ctx, b, csnet.MergeRequest(key, e, trace.Context{}))
+}
+
+// add makes req the next entry of backend b's burst and returns its
+// index among them.
+func (mb *mergeBurst) add(ctx trace.Context, b int, req csnet.Request) int {
 	if mb.bc.c == nil {
 		mb.bc = mb.c.batchClients(&mb.inline)
 	}
-	mb.c.cacheSupersede(key, e.Version)
-	mb.bc.add(ctx, mb.kind, b, csnet.MergeRequest(key, e, trace.Context{}))
+	mb.bc.add(ctx, mb.kind, b, req)
+	return mb.bc.slots[b].added - 1
 }
 
-// collect waits for every reply and returns how many merges the
+// collect waits for every reply and returns how many requests the
 // replicas applied. reply, when non-nil, sees each one — entry i of
 // those sent to backend b — with the version now resident (the merged
 // one, or the newer one an Exists reply carries), or the error of a
-// merge that was lost or rejected.
+// request that was lost or rejected.
 func (mb *mergeBurst) collect(reply func(b, i int, resident uint64, err error)) (applied int) {
 	mb.bc.flush()
 	for b := range mb.bc.slots {

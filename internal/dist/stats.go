@@ -22,14 +22,14 @@ import (
 //	dist.cache.misses               counter: cache-enabled reads that went to replicas
 //	dist.cache.invalidations        counter: entries superseded by a write-path event
 //	dist.cache.evictions            counter: entries dropped by LRU capacity
-//	dist.antientropy.passes         counter: digest-descent Rebalance passes
-//	dist.antientropy.listing_passes counter: full-listing passes
-//	dist.antientropy.fallbacks      counter: digest passes that fell back
+//	dist.antientropy.passes         counter: Rebalance passes
 //	dist.antientropy.streamed       counter: entries streamed by repair plans
+//	dist.antientropy.purged         counter: non-owner copies removed
+//	                                (OpPurgeV replies StatusOK)
 //	dist.antientropy.digest_frames  counter: OpTreeV exchanges
-//	dist.antientropy.listing_frames counter: OpKeysV/OpRangeV exchanges
+//	dist.antientropy.listing_frames counter: OpRangeV exchanges
 //	dist.antientropy.keys_listed    counter: entries carried by those listings
-//	dist.antientropy.pass_latency   histogram: full Rebalance pass cost, ns
+//	dist.antientropy.pass_latency   histogram: whole Rebalance pass cost, ns
 type distMetrics struct {
 	latSet  *obs.Histogram
 	latGet  *obs.Histogram
@@ -52,9 +52,8 @@ type distMetrics struct {
 	cacheEvict *obs.Counter
 
 	aePasses        *obs.Counter
-	aeListingPasses *obs.Counter
-	aeFallbacks     *obs.Counter
 	aeStreamed      *obs.Counter
+	aePurged        *obs.Counter
 	aeDigestFrames  *obs.Counter
 	aeListingFrames *obs.Counter
 	aeKeysListed    *obs.Counter
@@ -84,9 +83,8 @@ var distM = func() *distMetrics {
 		cacheInval:      r.Counter("dist.cache.invalidations"),
 		cacheEvict:      r.Counter("dist.cache.evictions"),
 		aePasses:        r.Counter("dist.antientropy.passes"),
-		aeListingPasses: r.Counter("dist.antientropy.listing_passes"),
-		aeFallbacks:     r.Counter("dist.antientropy.fallbacks"),
 		aeStreamed:      r.Counter("dist.antientropy.streamed"),
+		aePurged:        r.Counter("dist.antientropy.purged"),
 		aeDigestFrames:  r.Counter("dist.antientropy.digest_frames"),
 		aeListingFrames: r.Counter("dist.antientropy.listing_frames"),
 		aeKeysListed:    r.Counter("dist.antientropy.keys_listed"),

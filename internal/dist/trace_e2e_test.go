@@ -118,7 +118,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	// Induce a read-repair: purge the primary's copy behind the
 	// cluster's back, then do a traced quorum read.
 	primary := c.replicaSet("grade")[0]
-	handlers[primary].Engine().Purge("grade")
+	lose(handlers[primary].Engine(), "grade")
 	got, ok, err := c.Get("grade")
 	if err != nil || !ok || string(got) != "A" {
 		t.Fatalf("Get after damage = %q %v %v", got, ok, err)

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -263,8 +264,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				s.SetIfAbsent(k, randVal())
 				touched[k] = true
 			case r < 75:
+				// Aimed at the resident version or the one below it, so
+				// half the purges are declined and must leave no record.
 				k := randKey()
-				s.Purge(k)
+				cur, _ := s.Load(k)
+				s.Purge(k, cur.Version-uint64(rng.Intn(2)))
 				touched[k] = true
 			case r < 82:
 				s.Get(randKey())
@@ -443,7 +447,7 @@ func TestCrashCheckpointWindows(t *testing.T) {
 				t.Fatalf("second checkpoint: %v", err)
 			}
 			set(250, 350, "tail")
-			s.Purge("key-3")
+			s.Purge("key-3", math.MaxUint64)
 			want := rawState(s)
 			if err := s.Close(); err != nil {
 				t.Fatalf("close: %v", err)

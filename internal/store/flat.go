@@ -89,9 +89,9 @@ func (f *Flat) Merge(key string, e Entry) (uint64, bool) {
 }
 
 // Purge implements Engine.
-func (f *Flat) Purge(key string) bool {
+func (f *Flat) Purge(key string, version uint64) bool {
 	f.mu.Lock()
-	ok := f.t.purge(key)
+	ok := f.t.purge(key, version)
 	f.mu.Unlock()
 	return ok
 }

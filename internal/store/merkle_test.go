@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -112,7 +113,7 @@ func TestMerkleDigestTracksWrites(t *testing.T) {
 			if d2.Root() == d1.Root() {
 				t.Fatal("Delete did not change the root")
 			}
-			eng.Purge("k")
+			eng.Purge("k", math.MaxUint64)
 			d3 := eng.Digest()
 			if d3.Root() != 0 {
 				t.Fatalf("root after purge-to-empty = %016x, want 0", d3.Root())
@@ -344,12 +345,12 @@ func TestMerkleEmptyBucketIsZero(t *testing.T) {
 			check("after sets")
 			for i := 0; i < 300; i += 2 {
 				k := fmt.Sprintf("k-%d", i)
-				eng.Purge(k)
+				eng.Purge(k, math.MaxUint64)
 				held[BucketOf(k, buckets)]--
 			}
 			check("after purging half")
 			for i := 1; i < 300; i += 2 {
-				eng.Purge(fmt.Sprintf("k-%d", i))
+				eng.Purge(fmt.Sprintf("k-%d", i), math.MaxUint64)
 			}
 			if root := eng.Digest().Root(); root != 0 {
 				t.Fatalf("root after purging everything = %016x, want 0", root)

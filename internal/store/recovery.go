@@ -104,8 +104,10 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	// the reader's frame buffer: one copy, its key string included.
 	apply := func(key []byte, e Entry, purge bool) {
 		if purge {
+			// Logged only when it removed an entry, and replayed in table
+			// order, so whatever is resident now is what it removed.
 			k := string(key)
-			w.eng.shardFor(k).t.purge(k)
+			w.eng.shardFor(k).t.purge(k, math.MaxUint64)
 			return
 		}
 		k, r := newRec(key, e)

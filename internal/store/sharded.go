@@ -218,11 +218,12 @@ func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 	return winner, true
 }
 
-// Purge implements Engine.
-func (s *Sharded) Purge(key string) bool {
+// Purge implements Engine. The removal is logged as a purge record,
+// the one garbage collection writes.
+func (s *Sharded) Purge(key string, version uint64) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	if !sh.t.purge(key) {
+	if !sh.t.purge(key, version) {
 		sh.mu.Unlock()
 		return false
 	}

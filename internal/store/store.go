@@ -126,9 +126,12 @@ type Engine interface {
 	// version and whether e was applied.
 	Merge(key string, e Entry) (winner uint64, applied bool)
 	// Purge removes key's entry outright — no tombstone, no version
-	// stamp. Garbage collection uses it internally; tests use it to
-	// simulate data loss. It reports whether an entry was removed.
-	Purge(key string) bool
+	// stamp — iff its version is at most version, so a purge can never
+	// take a write newer than the copy it was aimed at. Anti-entropy uses
+	// it to drop copies a backend holds outside the buckets it owns;
+	// tests pass math.MaxUint64 to simulate data loss. It reports whether
+	// an entry was removed.
+	Purge(key string, version uint64) bool
 	// Keys lists the live keys from a lock-bounded snapshot: at most
 	// one shard (or the single table) is locked at a time, so a large
 	// listing cannot stall all writers.

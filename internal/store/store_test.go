@@ -269,8 +269,13 @@ func TestEngineKeysAndRange(t *testing.T) {
 			if n != 5 {
 				t.Fatalf("Range continued after fn returned false: %d visits", n)
 			}
-			// Purge removes outright — no tombstone left behind.
-			if !eng.Purge("k-1") || eng.Purge("k-1") {
+			// Purge removes outright — no tombstone left behind — but never
+			// an entry newer than the version it names.
+			cur, _ := eng.Load("k-1")
+			if eng.Purge("k-1", cur.Version-1) {
+				t.Fatal("Purge removed an entry newer than its version")
+			}
+			if !eng.Purge("k-1", cur.Version) || eng.Purge("k-1", cur.Version) {
 				t.Fatal("Purge transitions wrong")
 			}
 			if _, ok := eng.Load("k-1"); ok {

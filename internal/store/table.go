@@ -255,10 +255,11 @@ func (t *table) replace(k string, r rec, cur rec, had bool) {
 	t.touch(k)
 }
 
-// purge removes key's entry outright, reporting whether one existed.
-func (t *table) purge(key string) bool {
+// purge removes key's entry outright if its version is at most ver,
+// reporting whether it did.
+func (t *table) purge(key string, ver uint64) bool {
 	cur, ok := t.data[key]
-	if !ok {
+	if !ok || cur.ver > ver {
 		return false
 	}
 	if !cur.tombstone() {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -32,7 +33,7 @@ func TestValueSurvivesItsKey(t *testing.T) {
 			eng.Merge(key, Entry{Value: []byte("a newer value"), Version: eng.Clock().Next() + 1})
 		},
 		"deleted": func(eng Engine, _ *fakeTime) { eng.Delete(key) },
-		"purged":  func(eng Engine, _ *fakeTime) { eng.Purge(key) },
+		"purged":  func(eng Engine, _ *fakeTime) { eng.Purge(key, math.MaxUint64) },
 		"expired": func(eng Engine, ft *fakeTime) {
 			ft.advance(time.Hour)
 			eng.Get(key)

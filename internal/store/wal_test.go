@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"sort"
@@ -147,7 +148,7 @@ func TestWALBasicDurability(t *testing.T) {
 	s.Set("ttl-key", []byte("mortal"), time.Minute)
 	s.SetIfAbsent("nx-key", []byte("nx"))
 	s.Merge("merged", Entry{Value: []byte("riding-in"), Version: s.Clock().Next()})
-	s.Purge("key-60")
+	s.Purge("key-60", math.MaxUint64)
 	var maxVer uint64
 	want := rawState(s)
 	for _, e := range want {
