@@ -218,7 +218,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		defer gw.Watch(ml)()
 	}
 	if *slowOp > 0 {
-		csnet.SetSlowOp(*slowOp, func(op csnet.Op, bucket int, d time.Duration, traceID uint64) {
+		csnet.SetSlowOp(*slowOp, eng.Buckets(), func(op csnet.Op, bucket int, d time.Duration, traceID uint64) {
 			if traceID != 0 {
 				// The trace ID makes the log line actionable: paste it into
 				// /debug/traces?id= for the whole request's waterfall.
@@ -229,7 +229,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 			logger.Printf("distnode %s: slow op %s bucket=%d took %s (threshold %s)",
 				bound, op, bucket, d, *slowOp)
 		})
-		defer csnet.SetSlowOp(0, nil)
+		defer csnet.SetSlowOp(0, 0, nil)
 	}
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {

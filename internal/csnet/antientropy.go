@@ -133,7 +133,9 @@ func appendRangeVEntry(buf []byte, e KeyDigest) []byte {
 	return buf
 }
 
-// DecodeRangeV parses an OpRangeV response body.
+// DecodeRangeV parses an OpRangeV response body into one allocation,
+// the slice: every entry's Key aliases b (see the ownership rule in
+// mux.go).
 func DecodeRangeV(b []byte) ([]KeyDigest, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("csnet: range listing too short (%d bytes)", len(b))
@@ -154,7 +156,7 @@ func DecodeRangeV(b []byte) ([]KeyDigest, error) {
 			return nil, fmt.Errorf("csnet: truncated range entry %d", i)
 		}
 		e := KeyDigest{
-			Key:     string(b[2 : 2+kl]),
+			Key:     aliasString(b[2 : 2+kl]),
 			Version: binary.BigEndian.Uint64(b[2+kl:]),
 			Digest:  binary.BigEndian.Uint64(b[2+kl+8:]),
 		}

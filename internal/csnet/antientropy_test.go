@@ -253,6 +253,28 @@ func TestRangeVAllocatesItsBody(t *testing.T) {
 	}
 }
 
+// TestDecodeRangeVAllocatesTheSlice is the coordinator's half of the
+// same bound: decoding an N-entry listing allocates the []KeyDigest and
+// nothing per entry, because every key aliases the reply body.
+func TestDecodeRangeVAllocatesTheSlice(t *testing.T) {
+	entries := make([]KeyDigest, 1000)
+	for i := range entries {
+		entries[i] = KeyDigest{Key: fmt.Sprintf("listed-%d", i), Version: uint64(i + 1), Digest: uint64(i)}
+	}
+	entries[7].Tombstone, entries[9].ExpireAt = true, 1_700_000_000_000_000_000
+	body, err := EncodeRangeV(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []KeyDigest
+	if allocs := testing.AllocsPerRun(20, func() { got, err = DecodeRangeV(body) }); allocs != 1 {
+		t.Errorf("decoding a %d-entry listing made %.0f allocations, want 1 (the slice)", len(entries), allocs)
+	}
+	if err != nil || !reflect.DeepEqual(got, entries) {
+		t.Fatalf("listing decoded to %d entries (%v), want the %d encoded", len(got), err, len(entries))
+	}
+}
+
 // BenchmarkRangeVAllBuckets is TestRangeVAllocatesItsBody's CI twin:
 // scripts/allocgate.sh holds its B/op to a ceiling.
 func BenchmarkRangeVAllBuckets(b *testing.B) {

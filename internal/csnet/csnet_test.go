@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"pdcedu/internal/store"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -309,4 +311,49 @@ func BenchmarkKVPipelined(b *testing.B) {
 		}
 	}
 	drain()
+}
+
+// BenchmarkServeFrameGetV is a node serving one GETV frame of a resident
+// key, decode to encoded reply, as a server worker runs it: it
+// allocates nothing — the key aliases the frame, the value the engine's
+// record, and the reply is appended to the transport's dst.
+// scripts/allocgate.sh holds it to 0.
+func BenchmarkServeFrameGetV(b *testing.B) {
+	kv := NewKVHandler()
+	kv.Engine().Set("bench", make([]byte, 128), 0)
+	body, err := EncodeRequest(Request{Op: OpGetV, Key: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fh := protocolFrames{h: kv}
+	dst := make([]byte, 0, bufMinCap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = fh.ServeFrame(dst[:0], body, FrameMeta{})
+	}
+	if resp, err := DecodeResponseV(dst); err != nil || resp.Status != StatusOK || len(resp.Value) != 128 {
+		b.Fatalf("GETV = %+v %v", resp, err)
+	}
+}
+
+// BenchmarkServeFrameSetV is the same for a SETV frame at a rising
+// version, so every one is applied: one allocation, the engine's
+// record. scripts/allocgate.sh holds it to 1.
+func BenchmarkServeFrameSetV(b *testing.B) {
+	kv := NewKVHandler()
+	clock := store.NewClock()
+	val := make([]byte, 128)
+	fh := protocolFrames{h: kv}
+	body := make([]byte, 0, bufMinCap)
+	dst := make([]byte, 0, bufMinCap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, _ = AppendRequest(body[:0], Request{Op: OpSetV, Key: "bench", Value: val, Version: clock.Next()})
+		dst = fh.ServeFrame(dst[:0], body, FrameMeta{})
+	}
+	if resp, err := DecodeResponseV(dst); err != nil || resp.Status != StatusOK {
+		b.Fatalf("SETV = %+v %v", resp, err)
+	}
 }

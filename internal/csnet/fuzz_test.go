@@ -2,6 +2,7 @@ package csnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -43,6 +44,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if len(r.Key)+len(r.Value) > len(in) {
 			t.Fatalf("decoded %d key + %d value bytes from a %d-byte frame", len(r.Key), len(r.Value), len(in))
+		}
+		// The key is the frame's key field, byte for byte.
+		if field := in[3 : 3+binary.BigEndian.Uint16(in[1:])]; r.Key != string(field) {
+			t.Fatalf("decoded key %x, frame's key field %x", r.Key, field)
 		}
 		out, err := AppendRequest(dirtyDst(), r)
 		checkReencoded(t, out, err, in, Versioned(r.Op))

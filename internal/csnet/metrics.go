@@ -95,22 +95,31 @@ func opSlot(op Op) int {
 // without writing user keys into logs.
 var (
 	slowOpThreshold atomic.Int64
-	slowOpLog       atomic.Value // of func(op Op, bucket int, d time.Duration, traceID uint64)
+	slowOpLog       atomic.Pointer[slowOpSink]
 )
 
+// slowOpSink is one SetSlowOp setting: the log and the Merkle geometry
+// it names buckets in.
+type slowOpSink struct {
+	buckets int
+	logf    func(op Op, bucket int, d time.Duration, traceID uint64)
+}
+
 // SetSlowOp installs the slow-op log: server ops slower than threshold
-// invoke logf with the op, the key's Merkle bucket, the measured
-// latency, and the request's trace ID (0 when the request carried no
-// trace) — so a logged slow op can be looked up in /debug/traces
-// directly. A zero threshold or nil logf disables it. The previous
-// setting is replaced atomically; in-flight ops may use either.
-func SetSlowOp(threshold time.Duration, logf func(op Op, bucket int, d time.Duration, traceID uint64)) {
+// invoke logf with the op, the key's bucket in a tree of buckets
+// leaves — the served engine's Buckets(), so the bucket is one that
+// node's digest has — the measured latency, and the request's trace ID
+// (0 when the request carried no trace), so a logged slow op can be
+// looked up in /debug/traces directly. A zero threshold or nil logf
+// disables it. The previous setting is replaced atomically; in-flight
+// ops may use either.
+func SetSlowOp(threshold time.Duration, buckets int, logf func(op Op, bucket int, d time.Duration, traceID uint64)) {
 	if threshold <= 0 || logf == nil {
 		slowOpThreshold.Store(0)
-		slowOpLog.Store((func(op Op, bucket int, d time.Duration, traceID uint64))(nil))
+		slowOpLog.Store(nil)
 		return
 	}
-	slowOpLog.Store(logf)
+	slowOpLog.Store(&slowOpSink{buckets: buckets, logf: logf})
 	slowOpThreshold.Store(int64(threshold))
 }
 
@@ -121,10 +130,10 @@ func noteSlowOp(op Op, key string, d time.Duration, traceID uint64) {
 	if t == 0 || int64(d) < t {
 		return
 	}
-	logf, _ := slowOpLog.Load().(func(op Op, bucket int, d time.Duration, traceID uint64))
-	if logf == nil {
+	sink := slowOpLog.Load()
+	if sink == nil {
 		return
 	}
 	csnetM.slowOps.Inc()
-	logf(op, store.BucketOf(key, store.DefaultMerkleBuckets), d, traceID)
+	sink.logf(op, store.BucketOf(key, sink.buckets), d, traceID)
 }

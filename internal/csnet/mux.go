@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // ErrClientClosed is delivered to every in-flight request when the
@@ -46,6 +47,16 @@ const muxIdleWindow = time.Second
 // release — a dying connection's backlog — is ordinary garbage, so no
 // path has to release to stay correct; none may release early.
 //
+// Decoders do not copy out of the bytes they decode (aliasString):
+//
+//   - a served Request's Key and Value alias the request body, so they
+//     are valid until Handler.Serve returns, and a handler that keeps
+//     either past that clones it (strings.Clone, bytes.Clone). The
+//     engines copy what they store, so a served read copies its key
+//     nowhere and a write once, into the engine's record;
+//   - a decoded listing's keys (DecodeRangeV) alias the reply body,
+//     which is the caller's and lives as long as any of them does.
+//
 // freeBufs is the free list: bounded — 1024 slots hold a pipelined
 // burst's buffers on both ends of a few connections, so a batch reuses
 // them instead of churning — and holding nothing above muxBufSize, so
@@ -56,6 +67,11 @@ var freeBufs = make(chan []byte, 1024)
 // bufMinCap is the capacity a fresh buffer starts with: a response
 // that fits never regrows its dst.
 const bufMinCap = 1 << 10
+
+// aliasString returns a string sharing b's bytes instead of copying
+// them: the package's one unsafe conversion, safe exactly as long as
+// the rule above holds b still.
+func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // TestPoisonRelease makes putBuf overwrite every released buffer with
 // 0xDB, so an alias that outlives its owner fails the test that reads

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pdcedu/internal/store"
 )
 
 // These tests lean on TestMain's poison-on-release: a buffer the
@@ -400,4 +404,179 @@ func TestWaitTimeoutThenLateReply(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("connection unusable after the race: %v", err)
 	}
+}
+
+// keyStep is one write of TestServedKeysOutliveTheirFrame and what its
+// key holds once it is served: a value (valueOf the key), a tombstone,
+// or — after a purge — nothing.
+type keyStep struct {
+	req   Request
+	after string // "value", "tombstone" or ""
+}
+
+func valueOf(key string) []byte { return []byte("value of " + key) }
+
+// versionedKeySteps is every versioned op that stores a key, in each of
+// its forms — server-stamped and explicit versions, with and without an
+// expiry — under keys starting with prefix; a batch frame can carry all
+// of them.
+func versionedKeySteps(prefix string, clock *store.Clock) []keyStep {
+	far := time.Now().Add(time.Hour).UnixNano()
+	k := func(name string) string { return prefix + "/" + name + "/" + strings.Repeat("key", 10) }
+	write := func(op Op, name string, version uint64, expireAt int64) keyStep {
+		key := k(name)
+		return keyStep{Request{Op: op, Key: key, Value: valueOf(key), Version: version, ExpireAt: expireAt}, "value"}
+	}
+	purged := clock.Next()
+	return []keyStep{
+		write(OpSetV, "setv-stamped", 0, 0),
+		write(OpSetV, "setv-stamped-ttl", 0, far),
+		write(OpSetV, "setv", clock.Next(), 0),
+		write(OpSetV, "setv-ttl", clock.Next(), far),
+		{Request{Op: OpDelV, Key: k("delv-stamped")}, "tombstone"},
+		{Request{Op: OpDelV, Key: k("delv"), Version: clock.Next()}, "tombstone"},
+		write(OpMerge, "merge", clock.Next(), 0),
+		{Request{Op: OpMerge, Key: k("merge-tombstone"), Version: clock.Next(), Flags: FlagTombstone}, "tombstone"},
+		write(OpSetV, "purgev", purged, 0),
+		{Request{Op: OpPurgeV, Key: k("purgev"), Version: purged}, ""},
+	}
+}
+
+// writeKeys serves steps on cl: the legacy writes alone, and the
+// versioned ones twice — each alone, and then all as one batch frame
+// under a second prefix. It returns every step served, and calls
+// served after each frame's reply.
+func writeKeys(t *testing.T, cl *Client, prefix string, served func()) []keyStep {
+	t.Helper()
+	clock := store.NewClock()
+	alone := []keyStep{
+		{Request{Op: OpSet, Key: prefix + "/set", Value: valueOf(prefix + "/set")}, "value"},
+		{Request{Op: OpSetNX, Key: prefix + "/setnx", Value: valueOf(prefix + "/setnx")}, "value"},
+	}
+	alone = append(alone, versionedKeySteps(prefix, clock)...)
+	for _, s := range alone {
+		reply := (*Call).Response
+		if Versioned(s.req.Op) {
+			reply = (*Call).ResponseV
+		}
+		resp, err := reply(cl.Send(s.req))
+		if err != nil || (resp.Status != StatusOK && resp.Status != StatusNotFound) {
+			t.Fatalf("%s %q = %s %v", s.req.Op, s.req.Key, resp.Status, err)
+		}
+		served()
+	}
+	batched := versionedKeySteps(prefix+"/batch", clock)
+	b := cl.Batch()
+	for _, s := range batched {
+		b.Add(s.req)
+	}
+	b.Send()
+	for _, s := range batched {
+		if resp, err := b.NextV(); err != nil || (resp.Status != StatusOK && resp.Status != StatusNotFound) {
+			t.Fatalf("batched %s %q = %s %v", s.req.Op, s.req.Key, resp.Status, err)
+		}
+	}
+	served()
+	return append(alone, batched...)
+}
+
+// TestServedKeysOutliveTheirFrame: a served Request.Key aliases its
+// frame, which the transport poisons on release (TestMain), so a key
+// anything on the server path kept instead of copying would read back
+// as 0xDB. Every op that stores a key writes one, alone and in a batch
+// frame; after later traffic has churned the free list, every key must
+// read back byte-exact through the engine's Keys and Range and over
+// the wire through GETV. The stash subtest is the mutation: a handler
+// that keeps req.Key sees its bytes turn to 0xDB, so the check can fail.
+func TestServedKeysOutliveTheirFrame(t *testing.T) {
+	dial := func(t *testing.T, h Handler) *Client {
+		srv := NewServer(h, 0)
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Shutdown)
+		cl, err := Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+
+	t.Run("engine", func(t *testing.T) {
+		kv := NewKVHandler()
+		cl := dial(t, kv)
+		held := map[string]string{} // key -> what it holds once every step is served
+		for _, s := range writeKeys(t, cl, "served", func() {}) {
+			held[s.req.Key] = s.after
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := cl.Do(Request{Op: OpEcho, Value: payload(100+i, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var live, resident []string
+		for k, after := range held {
+			if after == "value" {
+				live = append(live, k)
+			}
+			if after != "" {
+				resident = append(resident, k)
+			}
+		}
+		keys := kv.Engine().Keys()
+		slices.Sort(keys)
+		slices.Sort(live)
+		if !slices.Equal(keys, live) {
+			t.Errorf("Keys() = %q\nwant      %q", keys, live)
+		}
+		var ranged []string
+		kv.Engine().Range(func(k string, e store.Entry) bool {
+			ranged = append(ranged, k)
+			if e.Tombstone != (held[k] == "tombstone") || !e.Tombstone && !bytes.Equal(e.Value, valueOf(k)) {
+				t.Errorf("Range: %q holds %+v, want %s", k, e, held[k])
+			}
+			return true
+		})
+		slices.Sort(ranged)
+		slices.Sort(resident)
+		if !slices.Equal(ranged, resident) {
+			t.Errorf("Range visited %q\nwant          %q", ranged, resident)
+		}
+		for k, after := range held {
+			e, ok, err := cl.GetV(k)
+			switch {
+			case err != nil:
+				t.Fatalf("GETV %q: %v", k, err)
+			case after == "value" && (!ok || !bytes.Equal(e.Value, valueOf(k))),
+				after == "tombstone" && (ok || !e.Tombstone),
+				after == "" && (ok || e.Tombstone || e.Version != 0):
+				t.Errorf("GETV %q = %+v found=%v, want %q", k, e, ok, after)
+			}
+		}
+	})
+
+	t.Run("stash", func(t *testing.T) {
+		kv := NewKVHandler()
+		stash := make(chan string, 64)
+		cl := dial(t, HandlerFunc(func(r Request) Response {
+			stash <- r.Key // kept past Serve: the bug this test exists to catch
+			return kv.Serve(r)
+		}))
+		checked := 0
+		writeKeys(t, cl, "stashed", func() {
+			for len(stash) > 0 {
+				k := <-stash
+				if poisoned := strings.Repeat("\xDB", len(k)); k != poisoned {
+					t.Fatalf("a key kept past Serve reads %q after its frame was released, want %d bytes of 0xDB", k, len(k))
+				}
+				checked++
+			}
+		})
+		if checked == 0 {
+			t.Fatal("the handler stashed no keys")
+		}
+	})
 }

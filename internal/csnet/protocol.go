@@ -234,7 +234,8 @@ func (s Status) String() string {
 // nonzero, gated by FlagHasExpiry). Trace likewise rides only
 // versioned requests, only when valid (gated by FlagHasTrace).
 // QueueWait and Commit are server-local bookkeeping and never touch the
-// wire.
+// wire. On a server, Key and Value alias the request frame and are valid
+// only until Handler.Serve returns (the ownership rule in mux.go).
 type Request struct {
 	Op       Op
 	Key      string
@@ -363,7 +364,8 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 // EncodeRequest serializes a request into a fresh buffer.
 func EncodeRequest(r Request) ([]byte, error) { return AppendRequest(nil, r) }
 
-// DecodeRequest parses a serialized request.
+// DecodeRequest parses a serialized request. The request's Key and
+// Value alias b, copying nothing (see the ownership rule in mux.go).
 func DecodeRequest(b []byte) (Request, error) {
 	var r Request
 	if len(b) < 7 {
@@ -374,7 +376,7 @@ func DecodeRequest(b []byte) (Request, error) {
 	if len(b) < 3+kl+4 {
 		return r, fmt.Errorf("csnet: truncated request key")
 	}
-	r.Key = string(b[3 : 3+kl])
+	r.Key = aliasString(b[3 : 3+kl])
 	vl := int(binary.BigEndian.Uint32(b[3+kl : 3+kl+4]))
 	rest := b[3+kl+4:]
 	if Versioned(r.Op) {

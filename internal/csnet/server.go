@@ -801,7 +801,7 @@ func checkVersion(v uint64) (Response, bool) {
 func (kv *KVHandler) getV(req Request) Response {
 	eng := kv.tracer().StartSpan(req.Trace, trace.KindEngine, "get")
 	if eng.Live() {
-		eng.S.Bucket = int32(store.BucketOf(req.Key, store.DefaultMerkleBuckets))
+		eng.S.Bucket = int32(store.BucketOf(req.Key, kv.eng.Buckets()))
 	}
 	resp := Response{Status: StatusNotFound}
 	if e, live := kv.eng.Get(req.Key); live {
@@ -826,7 +826,7 @@ func (kv *KVHandler) getV(req Request) Response {
 func (kv *KVHandler) merge(e store.Entry, key string, tr trace.Context) Response {
 	eng := kv.tracer().StartSpan(tr, trace.KindEngine, "merge")
 	if eng.Live() {
-		eng.S.Bucket = int32(store.BucketOf(key, store.DefaultMerkleBuckets))
+		eng.S.Bucket = int32(store.BucketOf(key, kv.eng.Buckets()))
 	}
 	winner, applied := kv.eng.Merge(key, e)
 	eng.Finish()

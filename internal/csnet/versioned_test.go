@@ -2,7 +2,9 @@ package csnet
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,5 +417,57 @@ func TestTracedLegacyInterop(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no server SETV span parented to the wire context in %+v", spans)
+	}
+}
+
+// TestSpansAndSlowOpsNameTheEnginesBucket serves a node whose engine has
+// 64 Merkle leaves, not the default 1024, a key whose default-geometry
+// bucket is past 63: a traced MERGE and GETV must label their engine
+// spans, and the slow-op log its lines, with the key's bucket in that
+// engine's tree — a leaf its digest has.
+func TestSpansAndSlowOpsNameTheEnginesBucket(t *testing.T) {
+	eng := store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64})
+	key := "k"
+	for i := 0; store.BucketOf(key, store.DefaultMerkleBuckets) < eng.Buckets(); i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	want := store.BucketOf(key, eng.Buckets())
+	var mu sync.Mutex
+	var logged []int
+	SetSlowOp(time.Nanosecond, eng.Buckets(), func(_ Op, bucket int, _ time.Duration, _ uint64) {
+		mu.Lock()
+		logged = append(logged, bucket)
+		mu.Unlock()
+	})
+	defer SetSlowOp(0, 0, nil)
+
+	rec := trace.New(trace.Config{Node: "n64"})
+	fh := protocolFrames{h: NewKVHandlerOn(eng).WithTracer(rec)}
+	tc := trace.Context{TraceID: 0x64, SpanID: 1, Flags: trace.FlagSampled}
+	for _, req := range []Request{
+		{Op: OpMerge, Key: key, Value: []byte("v"), Version: eng.Clock().Next(), Trace: tc},
+		{Op: OpGetV, Key: key, Trace: tc},
+	} {
+		body, err := EncodeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := DecodeResponseV(fh.ServeFrame(nil, body, FrameMeta{})); err != nil || resp.Status != StatusOK {
+			t.Fatalf("%s = %+v %v", req.Op, resp, err)
+		}
+	}
+	ops := map[string]int32{}
+	for _, s := range rec.TraceSpans(tc.TraceID) {
+		if s.Kind == trace.KindEngine {
+			ops[s.Op] = s.Bucket
+		}
+	}
+	if len(ops) != 2 || ops["merge"] != int32(want) || ops["get"] != int32(want) {
+		t.Errorf("engine spans name buckets %v, want %d for merge and get in a %d-leaf tree", ops, want, eng.Buckets())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 2 || logged[0] != want || logged[1] != want {
+		t.Errorf("slow-op log named buckets %v, want [%d %d]", logged, want, want)
 	}
 }

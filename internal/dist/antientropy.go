@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"pdcedu/internal/csnet"
 	"pdcedu/internal/obs"
@@ -158,7 +159,9 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 // and streams at a time. It bounds what one pass holds on either side
 // whatever the keyspace: a replica's OpRangeV response is 64/buckets of
 // its entries (~350 KB at 200k 9-byte keys over 1024 buckets), and the
-// coordinator's holders map that many keys. A backend whose connection
+// coordinator's holders map that many keys, each aliasing the listing
+// it came in (csnet.DecodeRangeV) — nothing of which outlives the group
+// but the keys it streams (streamWinners). A backend whose connection
 // fails in one group is out of the pass for the groups after it.
 const aeGroupBuckets = 64
 
@@ -455,7 +458,11 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 		if len(targets) == 0 {
 			continue
 		}
-		j := job{key: key, winner: winner.entry, source: winner.backend, targets: targets, rescue: r}
+		// A listed key aliases its listing's whole reply body. A streamed
+		// one may outlive the group as a read-cache floor
+		// (mergeBurst.send) and would pin that body there, so it gets
+		// its own bytes.
+		j := job{key: strings.Clone(key), winner: winner.entry, source: winner.backend, targets: targets, rescue: r}
 		switch {
 		case split:
 			splits = append(splits, j)

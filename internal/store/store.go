@@ -100,7 +100,10 @@ func (e Entry) Wins(cur Entry) bool {
 }
 
 // Engine is a versioned key-value storage engine. Implementations are
-// safe for concurrent use.
+// safe for concurrent use, and keep neither a key nor a value a caller
+// passes in past the call: whatever they store is their own copy (a
+// table stores the key its record holds), so a server may hand them
+// bytes it is about to reuse.
 type Engine interface {
 	// Get returns the live entry for key: tombstoned, expired, and
 	// absent keys all miss. Implementations may lazily drop an expired
