@@ -1,6 +1,6 @@
 // Root benchmarks: one testing.B per table and figure of the paper,
 // regenerating each artifact end to end (E1-E6), and the two sets that
-// scripts/allocgate.sh reads allocs/op from — the four coordinator
+// scripts/allocgate.sh reads allocs/op from — the five coordinator
 // paths, and the E29/E30 pairs that hold instrumentation and tracing to
 // zero added allocations on a server round trip. Timings belong to
 // bench/ (bash bench/run.sh): every other layer is a rung of its
@@ -95,7 +95,7 @@ func BenchmarkSurveyAudit(b *testing.B) {
 }
 
 // benchCluster starts loopback KV backends and a replicated cluster
-// for the four coordinator benchmarks (E18, E20-E22) whose allocs/op
+// for the five coordinator benchmarks (E18, E20-E22, Get) whose allocs/op
 // scripts/allocgate.sh holds to a ceiling.
 func benchCluster(b *testing.B) *dist.Cluster {
 	b.Helper()
@@ -137,6 +137,24 @@ func BenchmarkClusterSetGet(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterGet measures a Get alone over a preloaded key set:
+// the one-key case of fetch, the read path MGet shares, gated on its
+// own so a stray allocation there is not hidden in SetGet's write.
+func BenchmarkClusterGet(b *testing.B) {
+	c := benchCluster(b)
+	keys, values := benchBatchKeys()
+	if err := c.MSet(keys, values); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := c.Get(keys[i%len(keys)]); err != nil || !ok {
+			b.Fatalf("get %s: %v %v", keys[i%len(keys)], ok, err)
+		}
+	}
+}
+
 // BenchmarkClusterPipelined measures the same Set+Get pair issued by
 // many concurrent goroutines sharing one multiplexed connection per
 // backend (E20): throughput comes from N requests in flight, not N
@@ -161,7 +179,7 @@ func BenchmarkClusterPipelined(b *testing.B) {
 	})
 }
 
-// benchBatchKeys builds the 100-key working set for E21/E22.
+// benchBatchKeys builds the 100-key working set for E21/E22 and Get.
 func benchBatchKeys() (keys []string, values [][]byte) {
 	for i := 0; i < 100; i++ {
 		keys = append(keys, fmt.Sprintf("batch-%d", i))

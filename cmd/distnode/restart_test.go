@@ -126,15 +126,14 @@ func TestDistnodeRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	copied, err := c2.Rebalance()
+	st, err := c2.Rebalance()
 	if err != nil {
 		t.Fatalf("catch-up pass: %v", err)
 	}
-	if copied < updates+deletes || copied > updates+deletes+10 {
+	if st.Streamed < updates+deletes || st.Streamed > updates+deletes+10 {
 		t.Fatalf("catch-up streamed %d entries, want ~%d (the divergence window, not the keyspace)",
-			copied, updates+deletes)
+			st.Streamed, updates+deletes)
 	}
-	st := c2.AntiEntropyStats()
 	if st.DigestFrames < 3 || st.DigestFrames > 33 {
 		t.Errorf("catch-up used %d digest frames, want 3..33 (3 backends x <= 11 tree levels)", st.DigestFrames)
 	}
@@ -160,11 +159,10 @@ func TestDistnodeRestartRecovery(t *testing.T) {
 	}
 	// A second pass finds a converged cluster: pure root exchange, no
 	// listings, nothing streamed — and the tombstones stay tombstones.
-	copied, err = c2.Rebalance()
-	if err != nil || copied != 0 {
-		t.Fatalf("steady-state pass = %d %v, want 0 nil", copied, err)
+	st, err = c2.Rebalance()
+	if err != nil || st.Streamed != 0 {
+		t.Fatalf("steady-state pass = %d %v, want 0 nil", st.Streamed, err)
 	}
-	st = c2.AntiEntropyStats()
 	if st.ListingFrames != 0 || st.KeysListed != 0 {
 		t.Errorf("steady-state pass listed keys: %+v", st)
 	}

@@ -11,8 +11,8 @@ import (
 	"pdcedu/internal/trace"
 )
 
-// AntiEntropyStats describes the last Rebalance pass — chiefly how
-// much of the keyspace it had to look at. A steady-state pass over a
+// AntiEntropyStats describes one Rebalance pass — chiefly how much of
+// the keyspace it had to look at. A steady-state pass over a
 // converged cluster shows DigestFrames == live backends when every
 // backend owns every bucket (a deeper descent otherwise), everything
 // else zero: nothing diverged and nothing was listed.
@@ -37,14 +37,6 @@ type AntiEntropyStats struct {
 	// Purged counts copies removed from backends that do not own their
 	// bucket (OpPurgeV replies StatusOK).
 	Purged int
-}
-
-// AntiEntropyStats returns the stats of the most recent Rebalance
-// pass.
-func (c *Cluster) AntiEntropyStats() AntiEntropyStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastAE
 }
 
 // Rebalance converges replication by Merkle anti-entropy. It is the
@@ -87,19 +79,15 @@ func (c *Cluster) AntiEntropyStats() AntiEntropyStats {
 //     copy, acked in this pass — and only while the owners table is the
 //     one the group was planned with.
 //
-// It returns how many entries were streamed and applied.
-func (c *Cluster) Rebalance() (copied int, err error) {
+// It returns the pass's stats — Streamed is how many entries were
+// streamed and applied — and the first backend error.
+func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 	c.rebalanceMu.Lock()
 	defer c.rebalanceMu.Unlock()
-	st := AntiEntropyStats{}
 	start := obs.StartTimer()
 	defer func() {
-		c.mu.Lock()
-		c.lastAE = st
-		c.mu.Unlock()
-		// Fold the per-pass stats into the registry so the stats plane
-		// sees cumulative anti-entropy cost; lastAE stays the per-pass
-		// view the accessor and tests read.
+		// Fold the pass into the registry: dist.antientropy.* is the
+		// cumulative record of what the returned stats say per pass.
 		distM.aePasses.Inc()
 		distM.aeDigestFrames.Add(uint64(st.DigestFrames))
 		distM.aeListingFrames.Add(uint64(st.ListingFrames))
@@ -137,7 +125,7 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 		live = append(live, b)
 	}
 	if len(live) == 0 {
-		return 0, firstErr
+		return st, firstErr
 	}
 
 	divergent := c.descendTrees(clients, live, &st, noteErr)
@@ -148,11 +136,10 @@ func (c *Cluster) Rebalance() (copied int, err error) {
 		table := c.owners.Load()
 		holders, listed := c.listDivergent(clients, *table, group, &st, noteErr)
 		applied, strays := c.streamWinners(ctx, clients, *table, holders, listed, &st, noteErr)
-		copied += applied
+		st.Streamed += applied
 		st.Purged += c.purgeStrays(ctx, table, strays, noteErr)
 	}
-	st.Streamed = copied
-	return copied, firstErr
+	return st, firstErr
 }
 
 // aeGroupBuckets is how many divergent buckets a pass lists, resolves

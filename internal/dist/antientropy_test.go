@@ -123,11 +123,10 @@ func TestAntiEntropyGroupedPass(t *testing.T) {
 		kv.Engine().RangeBuckets(ids, func(string, store.Entry) bool { wantListed++; return true })
 	}
 
-	copied, err := c.Rebalance()
-	if err != nil || copied != holes {
-		t.Fatalf("grouped pass = %d %v, want %d nil", copied, err, holes)
+	st, err := c.Rebalance()
+	if err != nil || st.Streamed != holes {
+		t.Fatalf("grouped pass = %d %v, want %d nil", st.Streamed, err, holes)
 	}
-	st := c.AntiEntropyStats()
 	if st.BucketsDiffed != len(divergent) || st.Streamed != holes || st.KeysListed != wantListed {
 		t.Errorf("pass diffed %d buckets, streamed %d, listed %d keys; want %d, %d, %d",
 			st.BucketsDiffed, st.Streamed, st.KeysListed, len(divergent), holes, wantListed)
@@ -186,11 +185,11 @@ func TestAntiEntropyGroupedPassDropsPoisonedBackend(t *testing.T) {
 	lose <- srvs[victim]
 	_, divergent := damageManyBuckets(t, kvs, c, keys)
 
-	if _, err := c.Rebalance(); err == nil {
+	st, err := c.Rebalance()
+	if err == nil {
 		t.Fatal("pass with a backend lost mid-way reported no error")
 	}
 	groups := (len(divergent) + aeGroupBuckets - 1) / aeGroupBuckets
-	st := c.AntiEntropyStats()
 	if want := 2*n + (groups-2)*(n-1); st.ListingFrames != want {
 		t.Errorf("pass used %d listing frames, want %d (the lost backend asked twice, the others %d times)",
 			st.ListingFrames, want, groups)
@@ -225,11 +224,10 @@ func TestAntiEntropySteadyStateFrames(t *testing.T) {
 	if _, err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	copied, err := c.Rebalance()
-	if err != nil || copied != 0 {
-		t.Fatalf("steady-state pass = %d %v, want 0 nil", copied, err)
+	st, err := c.Rebalance()
+	if err != nil || st.Streamed != 0 {
+		t.Fatalf("steady-state pass = %d %v, want 0 nil", st.Streamed, err)
 	}
-	st := c.AntiEntropyStats()
 	if st.DigestFrames != n {
 		t.Errorf("steady-state digest frames = %d, want %d (one root exchange per backend)", st.DigestFrames, n)
 	}
@@ -243,11 +241,10 @@ func TestAntiEntropySteadyStateFrames(t *testing.T) {
 	for i := 0; i < holes; i++ {
 		lose(kvs[1].Engine(), ks[i*17])
 	}
-	copied, err = c.Rebalance()
-	if err != nil || copied != holes {
-		t.Fatalf("repair pass = %d %v, want %d nil", copied, err, holes)
+	st, err = c.Rebalance()
+	if err != nil || st.Streamed != holes {
+		t.Fatalf("repair pass = %d %v, want %d nil", st.Streamed, err, holes)
 	}
-	st = c.AntiEntropyStats()
 	if st.BucketsDiffed == 0 || st.BucketsDiffed > holes {
 		t.Errorf("repair pass diffed %d buckets, want 1..%d", st.BucketsDiffed, holes)
 	}
@@ -282,14 +279,14 @@ func TestAntiEntropySameVersionSplitConverges(t *testing.T) {
 	if _, _, err := cl1.SetV("k", []byte("zzz"), 100); err != nil {
 		t.Fatal(err)
 	}
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
-	if copied == 0 {
+	if st.Streamed == 0 {
 		t.Fatal("split went unstreamed — the divergence the old listings rebalancer could not see")
 	}
-	if st := c.AntiEntropyStats(); st.ValueFetches < 2 {
+	if st.ValueFetches < 2 {
 		t.Errorf("stats = %+v, want both split copies fetched", st)
 	}
 	for b, kv := range kvs {
@@ -299,10 +296,10 @@ func TestAntiEntropySameVersionSplitConverges(t *testing.T) {
 		}
 	}
 	// Converged: the next pass is digest-only.
-	if copied, err = c.Rebalance(); err != nil || copied != 0 {
-		t.Fatalf("steady-state pass = %d %v, want 0 nil", copied, err)
+	if st, err = c.Rebalance(); err != nil || st.Streamed != 0 {
+		t.Fatalf("steady-state pass = %d %v, want 0 nil", st.Streamed, err)
 	}
-	if st := c.AntiEntropyStats(); st.ListingFrames != 0 {
+	if st.ListingFrames != 0 {
 		t.Errorf("steady-state pass still listing: %+v", st)
 	}
 }
@@ -335,12 +332,12 @@ func TestRebalanceGeometryMismatch(t *testing.T) {
 	}
 	lose(kvs[1].Engine(), "k")
 	lose(kvs[odd].Engine(), "k")
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if err == nil || !strings.Contains(err.Error(), "64 buckets") || !strings.Contains(err.Error(), fmt.Sprint(store.DefaultMerkleBuckets)) {
 		t.Fatalf("pass error = %v, want the mismatch naming 64 and %d buckets", err, store.DefaultMerkleBuckets)
 	}
-	if copied != 1 {
-		t.Fatalf("pass streamed %d, want 1 (the hole on the matching backend)", copied)
+	if st.Streamed != 1 {
+		t.Fatalf("pass streamed %d, want 1 (the hole on the matching backend)", st.Streamed)
 	}
 	if _, ok := kvs[1].Engine().Get("k"); !ok {
 		t.Fatal("the matching backends did not converge")
@@ -416,36 +413,31 @@ func TestClusterTTLReplicatedMortal(t *testing.T) {
 	}
 }
 
-// TestReadRepairKeepsTombstoneExpiry pins the Get path fix that rides
-// with expiry tombstones: the tombstone a miss repairs onto a stale
-// holder must carry its ExpireAt, or the holder would age it from the
-// (older) write time and could GC it before its own copy had expired.
+// TestReadRepairKeepsTombstoneExpiry pins the read path fix that rides
+// with expiry tombstones, through every entry point: the tombstone a
+// miss repairs onto a stale holder must carry its ExpireAt, or the
+// holder would age it from the (older) write time and could GC it
+// before its own copy had expired.
 func TestReadRepairKeepsTombstoneExpiry(t *testing.T) {
-	kvs, _, _, c := startVersionedPair(t)
-	// Find a key whose first replica is backend 0 (balancer-less Get
-	// order), so the Get sees the tombstone before the stale value.
-	key := ""
-	for i := 0; i < 256; i++ {
-		k := fmt.Sprintf("exp-probe-%d", i)
-		if set := c.replicaSet(k); len(set) == 2 && set[0] == 0 {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no key with backend 0 first in 256 probes")
-	}
-	exp := time.Now().Add(-time.Minute).UnixNano()
-	ver := kvs[0].Engine().Clock().Next()
-	kvs[0].Engine().Merge(key, store.Entry{Value: []byte("v"), Version: ver, ExpireAt: exp})
-	kvs[0].Engine().Get(key) // expire into a tombstone
-	kvs[1].Engine().Merge(key, store.Entry{Value: []byte("zombie"), Version: ver - 1})
-	if _, ok, err := c.Get(key); err != nil || ok {
-		t.Fatalf("Get = %v %v, want miss", ok, err)
-	}
-	repaired, ok := kvs[1].Engine().Load(key)
-	if !ok || !repaired.Tombstone || repaired.Version != ver || repaired.ExpireAt != exp {
-		t.Fatalf("repaired tombstone = %+v %v, want tombstone@%d with ExpireAt %d", repaired, ok, ver, exp)
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			kvs, _, _, c := startVersionedPair(t)
+			// A key whose primary is backend 0, so the read sees the
+			// tombstone before the stale value.
+			key := keyWithPrimary(t, c, "exp-probe", 0)
+			exp := time.Now().Add(-time.Minute).UnixNano()
+			ver := kvs[0].Engine().Clock().Next()
+			kvs[0].Engine().Merge(key, store.Entry{Value: []byte("v"), Version: ver, ExpireAt: exp})
+			kvs[0].Engine().Get(key) // expire into a tombstone
+			kvs[1].Engine().Merge(key, store.Entry{Value: []byte("zombie"), Version: ver - 1})
+			if _, ok, err := r.read(c, key); err != nil || ok {
+				t.Fatalf("read = %v %v, want miss", ok, err)
+			}
+			repaired, ok := kvs[1].Engine().Load(key)
+			if !ok || !repaired.Tombstone || repaired.Version != ver || repaired.ExpireAt != exp {
+				t.Fatalf("repaired tombstone = %+v %v, want tombstone@%d with ExpireAt %d", repaired, ok, ver, exp)
+			}
+		})
 	}
 }
 

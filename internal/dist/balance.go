@@ -8,7 +8,9 @@ import (
 )
 
 // Balancer assigns requests to one of a fixed set of servers. All
-// implementations are safe for concurrent use.
+// implementations are safe for concurrent use. The strategies are
+// compared by SimulateLoad; Cluster uses none of them — its reads ask
+// each key's primary first.
 type Balancer interface {
 	// Name identifies the strategy in reports.
 	Name() string

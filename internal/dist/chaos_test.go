@@ -118,7 +118,8 @@ func TestAntiEntropyChaos(t *testing.T) {
 		expected[k] = w
 	}
 
-	if _, err := c.Rebalance(); err != nil {
+	st, err := c.Rebalance()
+	if err != nil {
 		t.Fatalf("anti-entropy pass: %v", err)
 	}
 
@@ -153,22 +154,21 @@ func TestAntiEntropyChaos(t *testing.T) {
 		}
 		return n
 	}
-	t.Logf("first pass: %+v", c.AntiEntropyStats())
+	t.Logf("first pass: %+v", st)
 	if strayLeaves() > 0 {
-		if _, err := c.Rebalance(); err != nil {
+		if st, err = c.Rebalance(); err != nil {
 			t.Fatalf("second pass: %v", err)
 		}
 		if n := strayLeaves(); n > 0 {
-			t.Fatalf("%d non-owner leaves still hold entries after two passes (%+v)", n, c.AntiEntropyStats())
+			t.Fatalf("%d non-owner leaves still hold entries after two passes (%+v)", n, st)
 		}
 	}
 
 	// The next pass sees a converged cluster: digests only, no stream.
-	copied, err := c.Rebalance()
-	if err != nil || copied != 0 {
-		t.Fatalf("post-converge pass = %d %v, want 0 nil", copied, err)
+	if st, err = c.Rebalance(); err != nil || st.Streamed != 0 {
+		t.Fatalf("post-converge pass = %d %v, want 0 nil", st.Streamed, err)
 	}
-	if st := c.AntiEntropyStats(); st.ListingFrames != 0 || st.KeysListed != 0 || st.Purged != 0 {
+	if st.ListingFrames != 0 || st.KeysListed != 0 || st.Purged != 0 {
 		t.Fatalf("post-converge pass still listing: %+v", st)
 	}
 }

@@ -20,12 +20,6 @@ type ClusterConfig struct {
 	// Replication is the number of backends each key is written to
 	// (default 1, capped at len(Addrs)).
 	Replication int
-	// Balancer spreads reads across a key's replica set; a key's read
-	// slot is Pick(key) mod Replication. Nil defaults to primary-first
-	// reads via the placement ring. Placement itself is always ring
-	// based so Set and Get agree on where a key lives regardless of the
-	// strategy plugged in here.
-	Balancer Balancer
 	// Vnodes is the virtual-node count of the placement ring (default 64).
 	Vnodes int
 	// Timeout bounds each backend round-trip (default 5s).
@@ -60,8 +54,8 @@ type ClusterConfig struct {
 // in a bucket shares one replica set — the granularity anti-entropy
 // digests compare) on its Replication first distinct ring successors,
 // writes go synchronously to the live members of that set, and reads
-// are spread over the replica set by the configured Balancer with
-// read-repair backfilling replicas that missed a write.
+// ask the primary first, walking the rest of the set in ring order
+// with read-repair backfilling replicas that missed a write.
 //
 // Transport: one pipelined, multiplexed connection per backend, shared
 // by all concurrent callers; fan-out sends, then collects, so a
@@ -111,18 +105,16 @@ type ClusterConfig struct {
 // streams exactly the diverged entries — missing, stale, value-split,
 // or tombstoned — to their current owners after every ring change, then
 // purges the copies backends hold in buckets they no longer own. See
-// MarkDown, MarkUp, Rebalance, AntiEntropyStats, and
-// PartialWriteError.
+// MarkDown, MarkUp, Rebalance, and PartialWriteError.
 type Cluster struct {
-	ring     *ConsistentHash // live placement: down backends removed
-	clock    *store.Clock    // stamps write versions, observes read versions
-	balancer Balancer
-	tracer   *trace.Recorder
-	cache    *readCache // hot-key read cache; nil when disabled
-	rf       int
-	quorum   int
-	pools    []*clientPool
-	addrIdx  map[string]int
+	ring    *ConsistentHash // live placement: down backends removed
+	clock   *store.Clock    // stamps write versions, observes read versions
+	tracer  *trace.Recorder
+	cache   *readCache // hot-key read cache; nil when disabled
+	rf      int
+	quorum  int
+	pools   []*clientPool
+	addrIdx map[string]int
 	// Placement is bucket-granular: a key maps to its Merkle bucket
 	// (store.BucketOf) and the bucket — not the key — is what the ring
 	// places. Every key in a bucket therefore shares one replica set,
@@ -138,11 +130,9 @@ type Cluster struct {
 	owners  atomic.Pointer[[][]int]
 	routeMu sync.Mutex // serializes ring changes with the table they publish
 
-	mu        sync.Mutex
-	down      []bool
-	hints     []map[string]hintEntry // per-backend pending hinted operations
-	hintDrops uint64
-	lastAE    AntiEntropyStats
+	mu    sync.Mutex
+	down  []bool
+	hints []map[string]hintEntry // per-backend pending hinted operations
 
 	rebalanceMu   sync.Mutex // serializes Rebalance passes
 	rebalance     chan struct{}
@@ -191,7 +181,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		ring:          NewConsistentHash(n, cfg.Vnodes),
 		clock:         store.NewClock(),
-		balancer:      cfg.Balancer,
 		tracer:        tracer,
 		cache:         newReadCache(cfg.ReadCache),
 		rf:            rf,

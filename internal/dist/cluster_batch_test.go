@@ -24,7 +24,7 @@ func batchKeys(prefix string, n int) (keys []string, values [][]byte) {
 // batch, and MDel must count and remove every key from all replicas.
 func TestClusterBatchOps(t *testing.T) {
 	handlers, addrs := startBackends(t, 3)
-	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 2, Balancer: NewRoundRobin(3)})
+	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,9 @@ func TestClusterMSetValidation(t *testing.T) {
 	}
 }
 
-// TestClusterMGetFallbackRepair damages a key's first-choice replica
-// behind the cluster's back: MGet must still find the value on another
-// replica and backfill the hole, like single-key Get.
+// TestClusterMGetFallbackRepair damages a key's primary behind the
+// cluster's back: MGet must still find the value on another replica
+// and backfill the hole, like single-key Get.
 func TestClusterMGetFallbackRepair(t *testing.T) {
 	handlers, addrs := startBackends(t, 3)
 	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 3})
@@ -110,7 +110,7 @@ func TestClusterMGetFallbackRepair(t *testing.T) {
 	if err := c.Set("grade", []byte("A")); err != nil {
 		t.Fatal(err)
 	}
-	primary := c.replicaSet("grade")[0]       // balancer-less first choice
+	primary := c.replicaSet("grade")[0]       // the replica every read asks first
 	lose(handlers[primary].Engine(), "grade") // simulated data loss, not a delete
 	got, err := c.MGet([]string{"grade", "missing"})
 	if err != nil {
@@ -238,7 +238,7 @@ func TestPoolRedialRaceKeepsOneConn(t *testing.T) {
 // read back exactly its own values. Run with -race.
 func TestClusterConcurrentBatchesNoCrossTalk(t *testing.T) {
 	_, addrs := startBackends(t, 3)
-	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 2, Balancer: NewLeastLoaded(3)})
+	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func TestClusterNoLostWrites(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Addrs:       addrs,
 		Replication: 2,
-		Balancer:    NewRoundRobin(3),
 		Timeout:     5 * time.Second,
 	})
 	if err != nil {
@@ -125,40 +124,72 @@ func TestClusterShardingDisjoint(t *testing.T) {
 	}
 }
 
-// TestClusterReadRepair deletes a key's copy from one replica behind
-// the cluster's back; a Get must still succeed and backfill the
-// missing replica.
-func TestClusterReadRepair(t *testing.T) {
-	handlers, addrs := startBackends(t, 3)
-	c, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set("grade", []byte("A")); err != nil {
-		t.Fatal(err)
-	}
-	for b, h := range handlers {
-		if h.Len() == 0 {
-			t.Fatalf("backend %d missing the write with replication 3", b)
+// readers are the read path's entry points, each asked for one key:
+// Get, an MGet of the key alone, and an MGet of the key between two
+// neighbours it writes first. A test of a read rule runs all three.
+var readers = []struct {
+	name string
+	read func(c *Cluster, key string) (value []byte, ok bool, err error)
+}{
+	{"Get", func(c *Cluster, key string) ([]byte, bool, error) { return c.Get(key) }},
+	{"MGet", func(c *Cluster, key string) ([]byte, bool, error) {
+		got, err := c.MGet([]string{key})
+		v, ok := got[key]
+		return v, ok, err
+	}},
+	{"MGetAmong", func(c *Cluster, key string) ([]byte, bool, error) {
+		near := []string{key + "-before", key + "-after"}
+		for _, k := range near {
+			if err := c.Set(k, []byte(k)); err != nil {
+				return nil, false, err
+			}
 		}
-	}
-	// Damage the ring primary — the replica a balancer-less Get tries
-	// first — by purging the entry outright (simulated data loss; a
-	// protocol Del would be a legitimate newer delete and tombstone the
-	// key cluster-wide), so the Get below must miss there, fall through
-	// to the next replica, and repair the hole.
-	primary := c.replicaSet("grade")[0] // the replica a balancer-less Get tries first
-	lose(handlers[primary].Engine(), "grade")
-	if handlers[primary].Len() != 0 {
-		t.Fatal("failed to damage primary")
-	}
-	got, ok, err := c.Get("grade")
-	if err != nil || !ok || string(got) != "A" {
-		t.Fatalf("Get after damage = %q %v %v, want A", got, ok, err)
-	}
-	if handlers[primary].Len() != 1 {
-		t.Errorf("read-repair did not backfill the damaged replica")
+		got, err := c.MGet([]string{near[0], key, near[1]})
+		for _, k := range near {
+			if string(got[k]) != k {
+				return nil, false, fmt.Errorf("MGet read neighbour %q as %q", k, got[k])
+			}
+		}
+		v, ok := got[key]
+		return v, ok, err
+	}},
+}
+
+// TestClusterReadRepair damages a key's primary — the replica every
+// read asks first — behind the cluster's back: its copy purged
+// outright (simulated data loss; a protocol Del would be a legitimate
+// newer delete and tombstone the key cluster-wide), or its server
+// stopped while it stays in the ring. Through each entry point the
+// read must miss or fail there, fall through to the next replica, and
+// repair a lost copy.
+func TestClusterReadRepair(t *testing.T) {
+	for _, damage := range []string{"lost copy", "primary unreachable"} {
+		for _, r := range readers {
+			t.Run(damage+"/"+r.name, func(t *testing.T) {
+				kvs, srvs, c := startWrappedKVCluster(t, 3, ClusterConfig{Replication: 3}, nil, nil)
+				if err := c.Set("grade", []byte("A")); err != nil {
+					t.Fatal(err)
+				}
+				for b, kv := range kvs {
+					if _, ok := kv.Engine().Get("grade"); !ok {
+						t.Fatalf("backend %d missing the write with replication 3", b)
+					}
+				}
+				primary := c.replicaSet("grade")[0]
+				if damage == "lost copy" {
+					lose(kvs[primary].Engine(), "grade")
+				} else {
+					srvs[primary].Shutdown()
+				}
+				got, ok, err := r.read(c, "grade")
+				if err != nil || !ok || string(got) != "A" {
+					t.Fatalf("read after damage = %q %v %v, want A", got, ok, err)
+				}
+				if _, ok := kvs[primary].Engine().Get("grade"); !ok && damage == "lost copy" {
+					t.Errorf("read-repair did not backfill the damaged replica")
+				}
+			})
+		}
 	}
 }
 

@@ -348,6 +348,40 @@ func TestMemberHintedHandoff(t *testing.T) {
 	}
 }
 
+// TestHintQueueBound fills an unreachable replica's hint queue past
+// maxHintsPerNode: the queue stops at the bound, each write past it is
+// counted as dropped, and a rejoin drains the queue.
+func TestHintQueueBound(t *testing.T) {
+	const victim, over = 1, 100
+	kvs, srvs, c := startWrappedKVCluster(t, 2, ClusterConfig{Replication: 2, WriteQuorum: 1}, nil, nil)
+	srvs[victim].Shutdown() // unreachable but still in the ring: every write hints it
+	keys, values := batchKeys("bound", maxHintsPerNode+over)
+	dropped := distM.hintsDropped.Value()
+	if err := c.MSet(keys, values); err != nil {
+		t.Fatalf("quorum-1 MSet with one replica unreachable: %v", err)
+	}
+	if got := c.Hints(victim); got != maxHintsPerNode {
+		t.Fatalf("Hints(victim) = %d, want the bound %d", got, maxHintsPerNode)
+	}
+	if d := distM.hintsDropped.Value() - dropped; d != over {
+		t.Errorf("dist.hints.dropped grew by %d, want the %d writes past the bound", d, over)
+	}
+
+	srv := csnet.NewServer(kvs[victim], 64)
+	if _, err := srv.Start(c.pools[victim].addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	c.MarkDown(victim)
+	c.MarkUp(victim)
+	if got := c.Hints(victim); got != 0 {
+		t.Fatalf("Hints(victim) = %d after rejoin, want the queue drained", got)
+	}
+	if got := kvs[victim].Len(); got < maxHintsPerNode {
+		t.Errorf("rejoined replica holds %d keys, want at least the %d replayed", got, maxHintsPerNode)
+	}
+}
+
 // TestMemberRebalance checks the key-streaming pass: evicting a node
 // re-replicates its keys onto the stand-in replicas, and readmitting it
 // restores full replication on the original geometry.
@@ -398,11 +432,11 @@ func TestMemberRebalance(t *testing.T) {
 
 	// Readmit and stream again: the original replica sets are whole.
 	c.MarkUp(0)
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if err != nil {
 		t.Fatalf("rebalance after readmission: %v", err)
 	}
-	t.Logf("readmission rebalance filled %d holes", copied)
+	t.Logf("readmission rebalance filled %d holes", st.Streamed)
 	for i := 0; i < nKeys; i++ {
 		for _, b := range c.replicaSet(key(i)) {
 			if !holds(b, key(i)) {
@@ -523,11 +557,11 @@ func TestMemberDeleteTombstonePropagation(t *testing.T) {
 		t.Fatalf("deleted key resurrected: ok=%v err=%v", ok, err)
 	}
 	// A second pass finds everything converged: nothing to stream.
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied != 0 {
-		t.Errorf("steady-state rebalance streamed %d entries, want 0", copied)
+	if st.Streamed != 0 {
+		t.Errorf("steady-state rebalance streamed %d entries, want 0", st.Streamed)
 	}
 }

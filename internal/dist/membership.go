@@ -80,8 +80,9 @@ func (e *PartialWriteError) Error() string {
 }
 
 // maxHintsPerNode caps each down backend's hint queue: past it, new
-// hints for keys not already queued are dropped (counted by HintDrops)
-// and the rebalancer is left to converge the backend when it returns.
+// hints for keys not already queued are dropped (counted as
+// dist.hints.dropped) and the rebalancer is left to converge the
+// backend when it returns.
 // With version-aware merge a dropped hint costs only convergence
 // latency, never correctness: the rebalancer streams the newer entry
 // (or tombstone) to the rejoined backend, and a stale copy cannot win.
@@ -110,7 +111,6 @@ func (c *Cluster) hintLocked(b int, key string, e hintEntry) {
 	}
 	cur, queued := c.hints[b][key]
 	if !queued && len(c.hints[b]) >= maxHintsPerNode {
-		c.hintDrops++
 		distM.hintsDropped.Inc()
 		return
 	}
@@ -152,13 +152,6 @@ func (c *Cluster) Hints(b int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.hints[b])
-}
-
-// HintDrops reports how many hints were discarded on full queues.
-func (c *Cluster) HintDrops() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hintDrops
 }
 
 // replayHints delivers backend b's queued hints as one burst of

@@ -65,16 +65,16 @@ func TestAntiEntropyRefusedListingIsNoTarget(t *testing.T) {
 		lose(kvs[1].Engine(), ks[i])
 	}
 
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if !errors.Is(err, csnet.ErrBusy) {
 		t.Fatalf("pass error = %v, want the shed listing reported", err)
 	}
-	if copied != keys/10 {
-		t.Errorf("pass streamed %d, want the %d holes", copied, keys/10)
+	if st.Streamed != keys/10 {
+		t.Errorf("pass streamed %d, want the %d holes", st.Streamed, keys/10)
 	}
 	if got := merges.Load(); got != 0 {
 		t.Errorf("%d merges sent to the backend that refused its listing (listed %d keys), want 0",
-			got, c.AntiEntropyStats().KeysListed)
+			got, st.KeysListed)
 	}
 	for i := 0; i < keys; i += 10 {
 		if _, ok := kvs[1].Engine().Get(ks[i]); !ok {
@@ -163,13 +163,14 @@ func TestAntiEntropyPurgeKeepsNewerWrite(t *testing.T) {
 	strayAt, newer = stray, store.Entry{Value: []byte("regraded"), Version: base.Version + 1}
 	mu.Unlock()
 
-	if _, err := c.Rebalance(); err != nil {
+	st, err := c.Rebalance()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := kvs[stray].Engine().Load(key); !ok || got.Version != newer.Version {
 		t.Fatalf("non-owner after the racing purge = %+v %v, want the newer entry kept", got, ok)
 	}
-	if st := c.AntiEntropyStats(); purges != 1 || st.Purged != 0 {
+	if purges != 1 || st.Purged != 0 {
 		t.Fatalf("%d purges sent, %d applied; want the one for the listed copy, declined", purges, st.Purged)
 	}
 
@@ -261,10 +262,10 @@ func TestPurgeDeclinedByOldPeer(t *testing.T) {
 	oldPeer.Store(int32(stray))
 
 	for pass := 1; pass <= 2; pass++ {
-		if _, err := c.Rebalance(); err == nil {
+		st, err := c.Rebalance()
+		if err == nil {
 			t.Fatalf("pass %d: the declined purge went unreported", pass)
 		}
-		st := c.AntiEntropyStats()
 		if st.BucketsDiffed != 1 || st.ListingFrames == 0 || st.Purged != 0 {
 			t.Fatalf("pass %d = %+v, want the bucket diffed and listed again, nothing purged", pass, st)
 		}

@@ -9,19 +9,6 @@ import (
 	"pdcedu/internal/trace"
 )
 
-// readPick returns the index into a key's n-element live replica set to
-// try first, consulting the Balancer when one is configured. The
-// returned release must be called when the read completes, so
-// load-aware strategies (least-loaded, power-of-two) see genuinely
-// in-flight requests rather than counters that zero out immediately.
-func (c *Cluster) readPick(key string, n int) (first int, release func()) {
-	if c.balancer == nil || n < 1 {
-		return 0, func() {}
-	}
-	pick := c.balancer.Pick(key)
-	return ((pick % n) + n) % n, func() { c.balancer.Done(pick) }
-}
-
 // cached consults the read cache for key on behalf of sess and books
 // the hit or the miss. An entry below the session's watermark is a
 // miss; a hit advances the watermark. A returned entry is servable: a
@@ -39,15 +26,16 @@ func (c *Cluster) cached(key string, sess *Session) (store.Entry, bool) {
 	return store.Entry{}, false
 }
 
-// Get reads key from its replica set with versioned reads (OpGetV).
-// The Balancer picks the replica to try first; on a miss the remaining
-// replicas are consulted, and when a later replica has the value,
+// Get reads key from its replica set with versioned reads (OpGetV),
+// asking the primary first; on a miss the remaining replicas are
+// consulted in ring order, and when a later replica has the value,
 // read-repair merges it back to every replica that missed. A replica
 // that misses because it holds a tombstone reports the tombstone's
 // version: if that tombstone is newer than the value another replica
 // returns, the key is deleted — Get reports a miss and propagates the
 // tombstone to the stale holder instead of resurrecting the value. A
-// (nil, false, nil) return means no replica has a live copy.
+// (nil, false, nil) return means no replica has a live copy. Get is
+// the one-key case of fetch, the read path MGet shares.
 //
 // With a read cache configured (ClusterConfig.ReadCache) a servable
 // cached entry — a live value, or a cached tombstone reported as a
@@ -69,21 +57,92 @@ func (c *Cluster) GetS(sess *Session, key string) (value []byte, ok bool, err er
 
 func (c *Cluster) getS(key string, sess *Session) (value []byte, ok bool, err error) {
 	defer distM.latGet.ObserveSince(obs.StartTimer())
-	if e, hit := c.cached(key, sess); hit {
-		return e.Value, !e.Tombstone, nil
+	keys := [1]string{key}
+	var out [1]fetched
+	err = c.fetch("get", keys[:], sess, out[:])
+	return out[0].value, out[0].ok, err
+}
+
+// MGet reads many keys as Get does, under one trace, with every key's
+// first GETV in flight at once: one per key to its primary, a pipelined
+// burst per backend. The result maps each found key to its value;
+// absent keys are simply not in the map. A non-nil error reports the
+// first key whose full replica set failed, after the rest of the batch
+// has completed.
+func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
+	defer distM.latMGet.ObserveSince(obs.StartTimer())
+	out := make([]fetched, len(keys))
+	err := c.fetch("mget", keys, nil, out)
+	found := make(map[string][]byte, len(keys))
+	for i := range out {
+		if out[i].ok {
+			found[keys[i]] = out[i].value
+		}
 	}
-	set := c.replicaSet(key)
-	if len(set) == 0 {
-		return nil, false, noLiveErr("get", key)
+	return found, err
+}
+
+// fetched is one key's read through fetch: its replica set and the
+// primary's GETV in flight, then what the read resolved to.
+type fetched struct {
+	set   []int       // nil when no replica is asked: a cache hit, or none live
+	call  *csnet.Call // nil when the primary had no connection
+	sp    trace.Active
+	err   error // why the primary had no connection
+	value []byte
+	ok    bool
+}
+
+// fetch is the one read path under Get and MGet: out[i] receives
+// keys[i]. It serves what the cache can, sends every other key's GETV
+// to its primary — a dead backend is dialed once per call, not once per
+// key — and then resolves each key in turn: the primary's reply, and
+// for a key it did not settle, the rest of the replica set through
+// readFrom. The root span opens before the cache is consulted and
+// reports the first error, which fetch also returns.
+func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) (err error) {
+	ctx, root := c.startOp(trace.KindOp, op)
+	var slots [inlineBackends]clientSlot
+	bc := c.batchClients(&slots)
+	for i, key := range keys {
+		f := &out[i]
+		if e, hit := c.cached(key, sess); hit {
+			f.value, f.ok = e.Value, !e.Tombstone
+			continue
+		}
+		if f.set = c.replicaSet(key); len(f.set) == 0 {
+			if err == nil {
+				err = noLiveErr("get", key)
+			}
+			continue
+		}
+		var cl *csnet.Client
+		if cl, f.err = bc.get(f.set[0]); f.err != nil {
+			continue
+		}
+		f.sp = c.span(ctx, trace.KindRPC, "GETV", f.set[0])
+		f.call = cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: f.sp.Context()})
 	}
-	first, release := c.readPick(key, len(set))
-	defer release()
-	ctx, root := c.startOp(trace.KindOp, "get")
-	var w readWalk
-	value, ok, err = c.readFrom(ctx, key, sess, set, first, 0, &w)
+	for i, key := range keys {
+		f := &out[i]
+		if len(f.set) == 0 {
+			continue
+		}
+		w := readWalk{err: f.err}
+		if f.call != nil {
+			var done bool
+			if f.value, f.ok, done = c.readStep(ctx, key, sess, &w, f.set[0], f.call, &f.sp); done {
+				continue
+			}
+		}
+		var rerr error
+		if f.value, f.ok, rerr = c.readFrom(ctx, key, sess, f.set[1:], &w); rerr != nil && err == nil {
+			err = rerr
+		}
+	}
 	root.S.Err = err != nil
 	root.Finish()
-	return value, ok, err
+	return err
 }
 
 // readWalk is one key's read in progress across its replica set.
@@ -93,16 +152,13 @@ type readWalk struct {
 	err    error       // the last replica that could not answer
 }
 
-// readFrom asks set's replicas one round trip at a time, in ring order
-// from the balancer's first pick and skipping the first from of them
-// (MGet has already heard from one), until one resolves the read. When
-// none does, the read is an error if any replica could not answer, and
-// otherwise a miss — cached as a tombstone when the newest miss was an
-// explicit delete, so polling a deleted key is as cheap as polling a
-// hot value.
-func (c *Cluster) readFrom(ctx trace.Context, key string, sess *Session, set []int, first, from int, w *readWalk) (value []byte, ok bool, err error) {
-	for i := from; i < len(set); i++ {
-		b := set[(first+i)%len(set)]
+// readFrom asks set's replicas one round trip at a time, in ring order,
+// until one resolves the read. When none does, the read is an error if
+// any replica could not answer, and otherwise a miss — cached as a
+// tombstone when the newest miss was an explicit delete, so polling a
+// deleted key is as cheap as polling a hot value.
+func (c *Cluster) readFrom(ctx trace.Context, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
+	for _, b := range set {
 		cl, err := c.pools[b].get()
 		if err != nil {
 			w.err = err
@@ -190,74 +246,4 @@ func (c *Cluster) readRepair(ctx trace.Context, key string, e store.Entry, misse
 		mb.send(ctx, b, key, e)
 	}
 	mb.collect(nil)
-}
-
-// MGet reads many keys as one pipelined batch per backend: each key is
-// asked of its balancer-chosen first replica, and a key that misses or
-// fails there carries on through its remaining replicas exactly as Get
-// would (read-repair included) under the same trace. The result maps
-// each found key to its value; absent keys are simply not in the map.
-// A non-nil error reports the first key whose full replica set failed,
-// after the rest of the batch has completed.
-func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
-	defer distM.latMGet.ObserveSince(obs.StartTimer())
-	ctx, root := c.startOp(trace.KindOp, "mget")
-	defer root.Finish()
-	found := make(map[string][]byte, len(keys))
-	type probe struct {
-		key     string
-		set     []int
-		first   int
-		release func()
-		call    *csnet.Call // nil when the first replica had no connection
-		sp      trace.Active
-		err     error
-	}
-	probes := make([]probe, 0, len(keys))
-	var slots [inlineBackends]clientSlot
-	bc := c.batchClients(&slots)
-	var firstErr error
-	for _, key := range keys {
-		if e, hit := c.cached(key, nil); hit {
-			if !e.Tombstone {
-				found[key] = e.Value
-			}
-			continue
-		}
-		p := probe{key: key, set: c.replicaSet(key)}
-		if len(p.set) == 0 {
-			if firstErr == nil {
-				firstErr = noLiveErr("get", key)
-			}
-			continue
-		}
-		p.first, p.release = c.readPick(key, len(p.set))
-		b := p.set[p.first]
-		var cl *csnet.Client
-		if cl, p.err = bc.get(b); p.err == nil {
-			p.sp = c.span(ctx, trace.KindRPC, "GETV", b)
-			p.call = cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: p.sp.Context()})
-		}
-		probes = append(probes, p)
-	}
-	for i := range probes {
-		p := &probes[i]
-		w := readWalk{err: p.err}
-		var value []byte
-		var ok, done bool
-		if p.call != nil {
-			value, ok, done = c.readStep(ctx, p.key, nil, &w, p.set[p.first], p.call, &p.sp)
-		}
-		if !done {
-			var err error
-			if value, ok, err = c.readFrom(ctx, p.key, nil, p.set, p.first, 1, &w); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		p.release()
-		if ok {
-			found[p.key] = value
-		}
-	}
-	return found, firstErr
 }

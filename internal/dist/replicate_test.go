@@ -285,8 +285,8 @@ func TestBurstDeclinedByOldPeer(t *testing.T) {
 	}
 	// Repair bursts meet the same refusal: nothing copied, nothing lost,
 	// and the pass after it finds the same work still to do.
-	if copied, _ := c.Rebalance(); copied != 0 {
-		t.Errorf("Rebalance copied %d entries onto a replica that declines batches", copied)
+	if st, _ := c.Rebalance(); st.Streamed != 0 {
+		t.Errorf("Rebalance copied %d entries onto a replica that declines batches", st.Streamed)
 	}
 }
 

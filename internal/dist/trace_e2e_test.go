@@ -219,6 +219,66 @@ func TestClusterTraceBurst(t *testing.T) {
 	}
 }
 
+// TestClusterTraceMGet: a multi-key MGet's fall-through GETV and its
+// read-repair hang under the mget root span like every first probe, and
+// an MGet whose key no replica could answer finishes that root span as
+// an error, so ClusterTrace and SlowTraces show it failed.
+func TestClusterTraceMGet(t *testing.T) {
+	coord := trace.New(trace.Config{Node: "coordinator"})
+	coord.SetEnabled(true)
+	coord.SetSampleEvery(1)
+	kvs, srvs, c := startWrappedKVCluster(t, 3, ClusterConfig{Replication: 2, Tracer: coord}, nil, nil)
+	keys, values := batchKeys("traced", 5)
+	if err := c.MSet(keys, values); err != nil {
+		t.Fatal(err)
+	}
+	damaged := keys[2]
+	set := c.replicaSet(damaged)
+	lose(kvs[set[0]].Engine(), damaged)
+	if got, err := c.MGet(keys); err != nil || len(got) != len(keys) {
+		t.Fatalf("MGet after damage = %d keys, %v", len(got), err)
+	}
+	spans := coord.TraceSpans(findRoot(t, coord, "mget"))
+	var root trace.Span
+	for _, s := range spans {
+		if s.Kind == trace.KindOp {
+			root = s
+		}
+	}
+	getvs, repairs := 0, 0
+	for _, s := range spans {
+		switch {
+		case s.Kind == trace.KindRPC && s.Op == "GETV":
+			getvs++
+		case s.Kind == trace.KindRepair:
+			repairs++
+		default:
+			continue
+		}
+		if s.Parent != root.ID {
+			t.Errorf("%s span %+v not under the mget root %016x", s.Op, s, root.ID)
+		}
+	}
+	if getvs != len(keys)+1 || repairs != 1 {
+		t.Errorf("mget trace holds %d GETV and %d repair spans, want %d and 1", getvs, repairs, len(keys)+1)
+	}
+	if root.Err {
+		t.Errorf("root span of a successful MGet reports an error: %+v", root)
+	}
+
+	for _, b := range set {
+		srvs[b].Shutdown() // still in the ring: every replica of the key fails
+	}
+	if _, err := c.MGet([]string{damaged}); err == nil {
+		t.Fatal("MGet of a key whose every replica is stopped reported no error")
+	}
+	for _, s := range coord.TraceSpans(findRoot(t, coord, "mget")) {
+		if s.Kind == trace.KindOp && !s.Err {
+			t.Errorf("root span of a failed MGet reports success: %+v", s)
+		}
+	}
+}
+
 // TestClusterSlowTraces pins the tail-promotion plane: with an
 // aggressive slow threshold on the coordinator, ordinary ops pin their
 // traces and SlowTraces surfaces them cluster-wide, slowest first.

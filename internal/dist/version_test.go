@@ -112,12 +112,12 @@ func TestVersionRebalanceConvergesStaleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	copied, err := c.Rebalance()
+	st, err := c.Rebalance()
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
-	if copied != 1 {
-		t.Errorf("rebalance streamed %d entries, want 1 (the stale copy)", copied)
+	if st.Streamed != 1 {
+		t.Errorf("rebalance streamed %d entries, want 1 (the stale copy)", st.Streamed)
 	}
 	for b, kv := range kvs {
 		e, ok := kv.Engine().Get("k")
@@ -126,8 +126,8 @@ func TestVersionRebalanceConvergesStaleCopy(t *testing.T) {
 		}
 	}
 	// Converged: a steady-state pass streams nothing.
-	if copied, err = c.Rebalance(); err != nil || copied != 0 {
-		t.Fatalf("steady-state rebalance = %d %v, want 0 nil", copied, err)
+	if st, err = c.Rebalance(); err != nil || st.Streamed != 0 {
+		t.Fatalf("steady-state rebalance = %d %v, want 0 nil", st.Streamed, err)
 	}
 }
 
@@ -168,51 +168,58 @@ func TestVersionRebalanceTombstoneTie(t *testing.T) {
 
 // TestVersionReadRepairHonorsTombstone pins the read path: when a
 // replica consulted earlier holds a tombstone newer than the value a
-// later replica returns, the key is deleted — Get must report a miss
-// and push the tombstone at the stale holder instead of resurrecting
-// the value (the old miss-based repair had no way to even notice).
+// later replica returns, the key is deleted — a read through any entry
+// point must report a miss and push the tombstone at the stale holder
+// instead of resurrecting the value (the old miss-based repair had no
+// way to even notice).
 func TestVersionReadRepairHonorsTombstone(t *testing.T) {
-	kvs, _, addrs, c := startVersionedPair(t)
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			kvs, _, addrs, c := startVersionedPair(t)
+			// A key whose primary is backend 0, so the read sees the
+			// tombstone before the stale value.
+			key := keyWithPrimary(t, c, "probe", 0)
 
-	// Find a key whose balancer-less first replica is backend 0, so the
-	// Get below sees the tombstone before the stale value.
-	key := ""
+			cl0, err := csnet.Dial(addrs[0], time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl0.Close()
+			cl1, err := csnet.Dial(addrs[1], time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl1.Close()
+			if _, _, err := cl1.SetV(key, []byte("zombie"), 100); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cl0.DelV(key, 200); err != nil {
+				t.Fatal(err)
+			}
+
+			if v, ok, err := r.read(c, key); err != nil || ok {
+				t.Fatalf("read of deleted key = %q %v %v, want miss", v, ok, err)
+			}
+			// The stale holder received the tombstone.
+			e, ok := kvs[1].Engine().Load(key)
+			if !ok || !e.Tombstone || e.Version != 200 {
+				t.Fatalf("backend 1 after repair = %+v %v, want tombstone@200", e, ok)
+			}
+		})
+	}
+}
+
+// keyWithPrimary finds a key named prefix-N whose primary is backend b.
+func keyWithPrimary(t *testing.T, c *Cluster, prefix string, b int) string {
+	t.Helper()
 	for i := 0; i < 256; i++ {
-		k := fmt.Sprintf("probe-%d", i)
-		if set := c.replicaSet(k); len(set) == 2 && set[0] == 0 {
-			key = k
-			break
+		k := fmt.Sprintf("%s-%d", prefix, i)
+		if set := c.replicaSet(k); len(set) == c.rf && set[0] == b {
+			return k
 		}
 	}
-	if key == "" {
-		t.Fatal("no key with backend 0 as first replica in 256 probes")
-	}
-
-	cl0, err := csnet.Dial(addrs[0], time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl0.Close()
-	cl1, err := csnet.Dial(addrs[1], time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl1.Close()
-	if _, _, err := cl1.SetV(key, []byte("zombie"), 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl0.DelV(key, 200); err != nil {
-		t.Fatal(err)
-	}
-
-	if v, ok, err := c.Get(key); err != nil || ok {
-		t.Fatalf("Get of deleted key = %q %v %v, want miss", v, ok, err)
-	}
-	// The stale holder received the tombstone.
-	e, ok := kvs[1].Engine().Load(key)
-	if !ok || !e.Tombstone || e.Version != 200 {
-		t.Fatalf("backend 1 after repair = %+v %v, want tombstone@200", e, ok)
-	}
+	t.Fatalf("no key with backend %d as primary in 256 probes", b)
+	return ""
 }
 
 // TestVersionClusterWritesAgreeAcrossReplicas pins coordinator
@@ -239,7 +246,7 @@ func TestVersionClusterWritesAgreeAcrossReplicas(t *testing.T) {
 			t.Fatalf("replicas disagree on %q: %d vs %d", k, vers[0].Version, vers[1].Version)
 		}
 	}
-	if copied, err := c.Rebalance(); err != nil || copied != 0 {
-		t.Fatalf("steady-state rebalance = %d %v, want 0 nil", copied, err)
+	if st, err := c.Rebalance(); err != nil || st.Streamed != 0 {
+		t.Fatalf("steady-state rebalance = %d %v, want 0 nil", st.Streamed, err)
 	}
 }
