@@ -266,6 +266,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 
 	tick := time.NewTicker(5 * *probe)
 	defer tick.Stop()
+	leafRebuilds := obs.Default().Counter("store.merkle.leaf_rebuilds")
 	for {
 		select {
 		case <-stop:
@@ -286,7 +287,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 			var b strings.Builder
 			expired, purged := sweeper.Totals()
 			fmt.Fprintf(&b, "store: %d keys (swept %d expired, %d tombstones); merkle root %016x (%d leaf rebuilds); members (%d alive):",
-				kv.Len(), expired, purged, eng.Digest().Root(), eng.MerkleRebuilds(), ml.NumAlive())
+				kv.Len(), expired, purged, eng.Digest().Root(), leafRebuilds.Value(), ml.NumAlive())
 			for _, m := range ml.Members() {
 				fmt.Fprintf(&b, " %s=%s@%d", m.ID, m.State, m.Incarnation)
 			}

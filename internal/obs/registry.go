@@ -91,8 +91,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // RegisterCounter adopts an externally owned counter under name — for
 // counters that predate the registry or are also read through their
-// owner's accessor (the store engines' Merkle rebuild counts). Panics
-// if name is already registered.
+// owner's accessor. Panics if name is already registered.
 func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

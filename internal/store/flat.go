@@ -179,9 +179,5 @@ func (f *Flat) Digest() *Digest { return f.merkle.digest(f.scanBuckets) }
 // Buckets implements Engine.
 func (f *Flat) Buckets() int { return f.merkle.buckets }
 
-// MerkleRebuilds reports how many Merkle leaf rebuilds Digest has
-// performed.
-func (f *Flat) MerkleRebuilds() uint64 { return f.merkle.MerkleRebuilds() }
-
 // Clock implements Engine.
 func (f *Flat) Clock() *Clock { return f.clock }

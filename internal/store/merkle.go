@@ -171,10 +171,9 @@ type merkle struct {
 	buckets int
 	dirty   []atomic.Bool
 
-	mu       sync.Mutex
-	leaves   []uint64
-	snap     *Digest
-	rebuilds atomic.Uint64 // leaf rebuilds, for operator stats
+	mu     sync.Mutex
+	leaves []uint64
+	snap   *Digest
 }
 
 func (m *merkle) init(buckets int) {
@@ -236,12 +235,7 @@ func (m *merkle) digest(scan func(want []bool, fn func(b int, key string, e Entr
 			m.leaves[b] = 1 // 0 is the empty bucket's
 		}
 	}
-	m.rebuilds.Add(rebuilt)
 	merkleRebuilt.Add(rebuilt)
 	m.snap = newDigest(m.leaves)
 	return m.snap
 }
-
-// MerkleRebuilds reports how many leaf rebuilds Digest() has performed
-// — an operator-facing measure of write-driven tree churn.
-func (m *merkle) MerkleRebuilds() uint64 { return m.rebuilds.Load() }

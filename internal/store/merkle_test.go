@@ -406,12 +406,12 @@ func TestDigestAllocatesPerBucketNotPerKey(t *testing.T) {
 	// Bytes, around the call itself.
 	for i := 0; i < 5; i++ {
 		touchAll()
-		rebuilt := eng.MerkleRebuilds()
+		rebuilt := merkleRebuilt.Value()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		eng.Digest()
 		runtime.ReadMemStats(&after)
-		if got := eng.MerkleRebuilds() - rebuilt; got != uint64(eng.Buckets()) {
+		if got := merkleRebuilt.Value() - rebuilt; got != uint64(eng.Buckets()) {
 			t.Fatalf("Digest rebuilt %d leaves, want all %d", got, eng.Buckets())
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {

@@ -4,7 +4,7 @@ import "pdcedu/internal/obs"
 
 // Storage metric names (process-wide, summed over every engine in the
 // process — per-engine figures stay on the engines' own accessors like
-// MerkleRebuilds, Counts, and Recovery):
+// Counts and Recovery):
 //
 //	store.sweep.expired          counter: entries expired by sweeps
 //	store.sweep.purged           counter: tombstones GC'd by sweeps

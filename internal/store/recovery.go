@@ -110,8 +110,8 @@ func (w *wal) recover() (maxVer uint64, err error) {
 			w.eng.shardFor(k).t.purge(k, math.MaxUint64)
 			return
 		}
-		k, r := newRec(key, e)
-		w.eng.shardFor(k).t.install(k, r)
+		r := newRec(key, e)
+		w.eng.shardFor(r.key()).t.install(r)
 		maxVer = max(maxVer, e.Version)
 	}
 

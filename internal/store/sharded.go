@@ -98,7 +98,7 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Get implements Engine. TTL-free entries never cost a wall-clock
 // read here — the expiry check is lazy inside the table — which keeps
-// the hot path at hash + one shard lock + one map lookup.
+// the hot path at hash + one shard lock + one table probe.
 func (s *Sharded) Get(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -117,7 +117,7 @@ func (s *Sharded) Load(key string) (Entry, bool) {
 }
 
 // Set implements Engine. The version is stamped under the shard lock,
-// so within a key the map order and the version order agree.
+// so within a key the table order and the version order agree.
 func (s *Sharded) Set(key string, value []byte, ttl time.Duration) uint64 {
 	var expireAt int64
 	if ttl > 0 {
@@ -370,10 +370,6 @@ func (s *Sharded) Digest() *Digest { return s.merkle.digest(s.scanBuckets) }
 
 // Buckets implements Engine.
 func (s *Sharded) Buckets() int { return s.merkle.buckets }
-
-// MerkleRebuilds reports how many Merkle leaf rebuilds Digest has
-// performed.
-func (s *Sharded) MerkleRebuilds() uint64 { return s.merkle.MerkleRebuilds() }
 
 // Clock implements Engine.
 func (s *Sharded) Clock() *Clock { return s.clock }

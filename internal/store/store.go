@@ -5,7 +5,7 @@
 // last-writer-wins merge.
 //
 // Two implementations ship. Sharded is the production engine: the key
-// space is split over N power-of-two shards, each a plain map behind
+// space is split over N power-of-two shards, each a hash table behind
 // its own mutex, so writers on different shards never contend and a
 // full-store snapshot (Keys, Range) locks one shard at a time instead
 // of stalling every writer for the whole listing. Flat is the

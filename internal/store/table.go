@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"iter"
 	"math"
 	"sync"
@@ -9,22 +10,29 @@ import (
 	"unsafe"
 )
 
-// table is the lock-agnostic core both engines share: one map of
-// records plus the bookkeeping that keeps Flat and Sharded from ever
-// drifting semantically. Every method must be called with the
+// table is the lock-agnostic core both engines share: an open-addressed
+// index of records plus the bookkeeping that keeps Flat and Sharded from
+// ever drifting semantically. Every method must be called with the
 // enclosing engine's lock (the shard's, or Flat's single one) held.
 type table struct {
-	// data maps each key to its record. The map key is a string that
-	// aliases the record's own key bytes, so a resident entry costs one
-	// allocation and a 32-byte slot. Go's string-keyed map replaces the
-	// stored key when an existing key is assigned, so an overwritten
-	// record is released with its slot's old key.
-	data map[string]rec
+	// slots holds each resident entry's record, found by linear probing
+	// from its key's slot hash; the record holds the key, so a slot is
+	// the 16-byte rec and nothing else. tags[i] says whether slot i is
+	// empty, deleted or full, and a full slot's tag carries 7 bits of
+	// its key's hash, so a probe reads a record only on a tag match —
+	// the key it wants, or a 1-in-128 false match. Both are a power of
+	// two long and never shrink.
+	slots []rec
+	tags  []byte
+	// used counts full and deleted slots: a probe ends only at an empty
+	// one, so both count toward the 7/8 limit. n counts full slots, the
+	// resident entries.
+	used, n int
 	// now is the wall-time source, consulted lazily: an entry with no
 	// TTL never costs a clock read on the hot path.
 	now func() time.Time
 	// touch notifies the engine's Merkle tree that key's raw entry
-	// changed; every mutation of data must call it (never nil).
+	// changed; every mutation of the slots must call it (never nil).
 	touch func(key string)
 	// live counts non-tombstone entries. An entry that expired but has
 	// not been lazily tombstoned or swept still counts; the invariant
@@ -43,8 +51,125 @@ type shard struct {
 	_  [(64 - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(table{}))%64) % 64]byte
 }
 
+const (
+	tagEmpty   = 0
+	tagDeleted = 1
+	tagFull    = 0x80 // | the top 7 bits of the key's slot hash
+
+	minSlots = 8
+)
+
+// slotSeed seeds the slot hash per process, so which keys collide in a
+// table cannot be chosen from outside (Go's map seeds its hash for the
+// same reason). keyHash32 is no substitute: it is fixed by the
+// replication contract, and the shard mask is its low bits, so every key
+// of a shard shares them.
+var slotSeed = maphash.MakeSeed()
+
 func newTable(now func() time.Time, touch func(key string)) table {
-	return table{data: map[string]rec{}, now: now, touch: touch}
+	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), now: now, touch: touch}
+}
+
+// find probes for key. It returns key's slot and true or, when key is
+// absent, the slot an insert of it should take — the first deleted slot
+// the probe passed, else the empty one that ended it — and false; tag
+// is the one a full slot holding key carries.
+func (t *table) find(key string) (i int, tag byte, ok bool) {
+	h := maphash.String(slotSeed, key)
+	tag = tagFull | byte(h>>57)
+	mask := len(t.tags) - 1
+	free := -1
+	for i = int(h) & mask; ; i = (i + 1) & mask {
+		switch t.tags[i] {
+		case tag:
+			if t.slots[i].key() == key {
+				return i, tag, true
+			}
+		case tagDeleted:
+			if free < 0 {
+				free = i
+			}
+		case tagEmpty:
+			if free < 0 {
+				free = i
+			}
+			return free, tag, false
+		}
+	}
+}
+
+// replace stores r in slot i, which find returned for r's key with tag,
+// keeping the counts and the Merkle tree current. An insert into an
+// empty slot at the 7/8 limit resizes the index and probes again. A
+// table holding no tombstone knows an overwritten record is a value
+// without reading it, which an overwrite otherwise never touches.
+func (t *table) replace(i int, tag byte, r rec) {
+	k := r.key()
+	was := false
+	if t.tags[i]&tagFull != 0 {
+		was = t.live == t.n || !t.slots[i].tombstone()
+	} else {
+		if t.tags[i] == tagEmpty {
+			if t.used >= len(t.tags)/8*7 {
+				t.resize()
+				i, _, _ = t.find(k)
+			}
+			t.used++
+		}
+		t.tags[i] = tag
+		t.n++
+	}
+	if is := !r.tombstone(); is && !was {
+		t.live++
+	} else if was && !is {
+		t.live--
+	}
+	t.slots[i] = r
+	t.touch(k)
+}
+
+// remove deletes slot i's entry and returns its key. Nothing moves, so
+// a walk of the slots may remove the one it stands on: the slot is
+// marked deleted, which a probe passes over — or empty, when the next
+// slot is empty and no probe can pass through it.
+func (t *table) remove(i int) string {
+	k := t.slots[i].key()
+	if !t.slots[i].tombstone() {
+		t.live--
+	}
+	t.slots[i] = rec{}
+	t.n--
+	if t.tags[(i+1)&(len(t.tags)-1)] == tagEmpty {
+		t.tags[i] = tagEmpty
+		t.used--
+	} else {
+		t.tags[i] = tagDeleted
+	}
+	t.touch(k)
+	return k
+}
+
+// resize rebuilds the index with room for one more entry: at twice the
+// size when the entries alone would pass 7/8 of it, else at the same
+// size, reclaiming the deleted slots that filled it.
+func (t *table) resize() {
+	size := len(t.tags)
+	if t.n+1 > size/8*7 {
+		size *= 2
+	}
+	slots, tags := t.slots, t.tags
+	t.slots, t.tags, t.used = make([]rec, size), make([]byte, size), t.n
+	mask := size - 1
+	for j, tag := range tags {
+		if tag&tagFull == 0 {
+			continue
+		}
+		i := int(maphash.String(slotSeed, slots[j].key())) & mask
+		for t.tags[i] != tagEmpty {
+			i = (i + 1) & mask
+		}
+		t.slots[i], t.tags[i] = slots[j], tag
+	}
 }
 
 // A record is one entry's key, value and metadata in a single
@@ -54,16 +179,16 @@ func newTable(now func() time.Time, touch func(key string)) table {
 //
 // little-endian, klen widening to 4 bytes for a key over 64 KiB. A
 // 9-byte key and a 128-byte value make exactly the 144-byte size class.
-// The version lives beside the pointer in the map slot, where merge and
+// The version lives beside the pointer in the slot, where merge and
 // sweep compare it.
 //
 // The rule that makes the aliasing safe: a record is written once, when
-// newRec creates it, and is never mutated or reused. The map key and
-// every Entry.Value handed out point into it, and the garbage collector
-// keeps it alive for as long as any of them does, so a caller holding a
-// Value sees the same bytes whatever happens to the key afterwards.
-// This file is the only one that converts between a record and the
-// string and slices aliasing it.
+// newRec creates it, and is never mutated or reused. Every key and
+// Entry.Value handed out point into it, and the garbage collector keeps
+// it alive for as long as any of them does, so a caller holding one
+// sees the same bytes whatever happens to the key afterwards. This file
+// is the only one that converts between a record and the string and
+// slices aliasing it.
 type rec struct {
 	p   *byte
 	ver uint64
@@ -77,10 +202,9 @@ const (
 	baseHeader = 1 + 2 + 4 // flags, klen, vlen: the header without its options
 )
 
-// newRec lays key and e out as a new record and returns it with the
-// string that aliases its key — the one to store it under. A
-// tombstone's value is dropped.
-func newRec[K ~string | ~[]byte](key K, e Entry) (string, rec) {
+// newRec lays key and e out as a new record. A tombstone's value is
+// dropped.
+func newRec[K ~string | ~[]byte](key K, e Entry) rec {
 	var flags byte
 	if e.Tombstone {
 		flags |= flagTombstone
@@ -106,11 +230,7 @@ func newRec[K ~string | ~[]byte](key K, e Entry) (string, rec) {
 	}
 	copy(b[hdr:], key)
 	copy(b[hdr+len(key):], e.Value)
-	k := ""
-	if len(key) > 0 {
-		k = unsafe.String(&b[hdr], len(key))
-	}
-	return k, rec{p: &b[0], ver: e.Version}
+	return rec{p: &b[0], ver: e.Version}
 }
 
 // header returns the header length of a record with these flags and
@@ -126,26 +246,41 @@ func header(flags byte) (hdr, lw int) {
 	return hdr, lw
 }
 
+// layout reads r's header: its flags, its length and its key's and
+// value's lengths.
+func (r rec) layout() (flags byte, hdr, klen, vlen int) {
+	flags = *r.p
+	hdr, lw := header(flags)
+	h := unsafe.Slice(r.p, hdr)
+	klen = int(binary.LittleEndian.Uint16(h[1:]))
+	if lw == 4 {
+		klen = int(binary.LittleEndian.Uint32(h[1:]))
+	}
+	return flags, hdr, klen, int(binary.LittleEndian.Uint32(h[1+lw:]))
+}
+
 // tombstone reports whether r is a tombstone, reading only its flags.
 func (r rec) tombstone() bool { return *r.p&flagTombstone != 0 }
+
+// key returns the string aliasing r's key bytes.
+func (r rec) key() string {
+	_, hdr, klen, _ := r.layout()
+	if klen == 0 {
+		return ""
+	}
+	return unsafe.String(&unsafe.Slice(r.p, hdr+klen)[hdr], klen)
+}
 
 // entry rebuilds the Entry r holds. Its Value aliases the record, with
 // capacity equal to its length, and is nil when the value is empty.
 func (r rec) entry() Entry {
-	flags := *r.p
-	hdr, lw := header(flags)
-	h := unsafe.Slice(r.p, hdr)
-	klen := int(binary.LittleEndian.Uint16(h[1:]))
-	if lw == 4 {
-		klen = int(binary.LittleEndian.Uint32(h[1:]))
-	}
-	vlen := int(binary.LittleEndian.Uint32(h[1+lw:]))
+	flags, hdr, klen, vlen := r.layout()
+	b := unsafe.Slice(r.p, hdr+klen+vlen)
 	e := Entry{Version: r.ver, Tombstone: flags&flagTombstone != 0}
 	if flags&flagExpires != 0 {
-		e.ExpireAt = int64(binary.LittleEndian.Uint64(h[hdr-8:]))
+		e.ExpireAt = int64(binary.LittleEndian.Uint64(b[hdr-8:]))
 	}
 	if vlen > 0 {
-		b := unsafe.Slice(r.p, hdr+klen+vlen)
 		e.Value = b[hdr+klen : len(b) : len(b)]
 	}
 	return e
@@ -167,52 +302,50 @@ func (t *table) liveNow(e Entry) bool {
 // hole outright deletion used to leave). The sweeper reaps it at the
 // GC horizon.
 func (t *table) get(key string) (Entry, bool) {
-	r, ok := t.data[key]
+	i, _, ok := t.find(key)
 	if !ok {
 		return Entry{}, false
 	}
-	e := r.entry()
+	e := t.slots[i].entry()
 	if e.Tombstone {
 		return Entry{}, false
 	}
 	if e.ExpireAt != 0 && t.now().UnixNano() >= e.ExpireAt {
-		t.expire(key, r, e)
+		t.expire(i, e)
 		return Entry{}, false
 	}
 	return e, true
 }
 
-// expire converts key's expired value entry cur (holding e) into its
-// expiry tombstone.
-func (t *table) expire(key string, cur rec, e Entry) {
-	k, r := newRec(key, Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt})
-	t.replace(k, r, cur, true)
+// expire converts slot i's expired value entry e into its expiry
+// tombstone.
+func (t *table) expire(i int, e Entry) {
+	r := newRec(t.slots[i].key(), Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt})
+	t.replace(i, t.tags[i], r)
 }
 
 // load returns the raw entry, tombstones and expired entries included.
 func (t *table) load(key string) (Entry, bool) {
-	r, ok := t.data[key]
+	i, _, ok := t.find(key)
 	if !ok {
 		return Entry{}, false
 	}
-	return r.entry(), true
+	return t.slots[i].entry(), true
 }
 
 // set installs a value entry (a record holding a copy of val) at
 // version ver.
 func (t *table) set(key string, val []byte, ver uint64, expireAt int64) {
-	cur, had := t.data[key]
-	k, r := newRec(key, Entry{Value: val, Version: ver, ExpireAt: expireAt})
-	t.replace(k, r, cur, had)
+	i, tag, _ := t.find(key)
+	t.replace(i, tag, newRec(key, Entry{Value: val, Version: ver, ExpireAt: expireAt}))
 }
 
 // del installs a tombstone at version ver and reports whether a live
 // value was displaced.
 func (t *table) del(key string, ver uint64) bool {
-	cur, had := t.data[key]
-	existed := had && t.liveNow(cur.entry())
-	k, r := newRec(key, Entry{Version: ver, Tombstone: true})
-	t.replace(k, r, cur, had)
+	i, tag, had := t.find(key)
+	existed := had && t.liveNow(t.slots[i].entry())
+	t.replace(i, tag, newRec(key, Entry{Version: ver, Tombstone: true}))
 	return existed
 }
 
@@ -220,64 +353,43 @@ func (t *table) del(key string, ver uint64) bool {
 // that holds a copy of its value. It returns the winning version and
 // whether e was applied.
 func (t *table) merge(key string, e Entry) (uint64, bool) {
-	cur, had := t.data[key]
+	i, tag, had := t.find(key)
 	// Wins orders by version first: only a tie reads the record.
-	if had && (e.Version < cur.ver || e.Version == cur.ver && !e.Wins(cur.entry())) {
+	if cur := t.slots[i]; had && (e.Version < cur.ver || e.Version == cur.ver && !e.Wins(cur.entry())) {
 		return cur.ver, false
 	}
-	k, r := newRec(key, e)
-	t.replace(k, r, cur, had)
+	t.replace(i, tag, newRec(key, e))
 	return e.Version, true
 }
 
-// install stores r under k exactly as given — no Wins comparison. WAL
-// replay uses it: records reapply in append order, so
-// last-record-wins reproduces the table state at the crash point, and
-// each decoded record is built once, straight from the log's bytes.
-func (t *table) install(k string, r rec) {
-	cur, had := t.data[k]
-	t.replace(k, r, cur, had)
-}
-
-// replace stores r under k (the string aliasing r's key) in place of
-// cur, which had says exists, keeping the live count and the Merkle
-// tree current. A table holding no tombstone knows cur is a value
-// without reading its record, which an overwrite otherwise never
-// touches.
-func (t *table) replace(k string, r rec, cur rec, had bool) {
-	was, is := had && (t.live == len(t.data) || !cur.tombstone()), !r.tombstone()
-	if is && !was {
-		t.live++
-	} else if was && !is {
-		t.live--
-	}
-	t.data[k] = r
-	t.touch(k)
+// install stores r exactly as given — no Wins comparison. WAL replay
+// uses it: records reapply in append order, so last-record-wins
+// reproduces the table state at the crash point, and each decoded
+// record is built once, straight from the log's bytes.
+func (t *table) install(r rec) {
+	i, tag, _ := t.find(r.key())
+	t.replace(i, tag, r)
 }
 
 // purge removes key's entry outright if its version is at most ver,
 // reporting whether it did.
 func (t *table) purge(key string, ver uint64) bool {
-	cur, ok := t.data[key]
-	if !ok || cur.ver > ver {
+	i, _, ok := t.find(key)
+	if !ok || t.slots[i].ver > ver {
 		return false
 	}
-	if !cur.tombstone() {
-		t.live--
-	}
-	delete(t.data, key)
-	t.touch(key)
+	t.remove(i)
 	return true
 }
 
 // size reports the resident entries, tombstones included.
-func (t *table) size() int { return len(t.data) }
+func (t *table) size() int { return t.n }
 
 // all iterates every resident entry, tombstones included.
 func (t *table) all() iter.Seq2[string, Entry] {
 	return func(yield func(string, Entry) bool) {
-		for k, r := range t.data {
-			if !yield(k, r.entry()) {
+		for i, tag := range t.tags {
+			if r := t.slots[i]; tag&tagFull != 0 && !yield(r.key(), r.entry()) {
 				return
 			}
 		}
@@ -288,7 +400,12 @@ func (t *table) all() iter.Seq2[string, Entry] {
 // engines' scanBuckets), decoding only those, and reports whether it
 // got through the table without fn stopping it.
 func (t *table) scan(want []bool, fn func(b int, key string, e Entry) bool) bool {
-	for k, r := range t.data {
+	for i, tag := range t.tags {
+		if tag&tagFull == 0 {
+			continue
+		}
+		r := t.slots[i]
+		k := r.key()
 		if b := BucketOf(k, len(want)); want[b] && !fn(b, k, r.entry()) {
 			return false
 		}
@@ -305,10 +422,14 @@ func (t *table) scan(want []bool, fn func(b int, key string, e Entry) bool) bool
 // enclosing lock is still held — the persistent engine logs the purge
 // there so a reopen cannot resurrect a collected tombstone. Expiry
 // conversions are deliberately not reported: they are deterministic
-// from the stored ExpireAt, so replay re-derives them for free.
+// from the stored ExpireAt, so replay re-derives them for free. Both
+// rewrite the slot they stand on, so the walk meets every entry once.
 func (t *table) sweep(now, gcBeforeMillis int64, onPurge func(key string)) (expired, purged int) {
-	for k, r := range t.data {
-		e := r.entry()
+	for i, tag := range t.tags {
+		if tag&tagFull == 0 {
+			continue
+		}
+		e := t.slots[i].entry()
 		switch {
 		case e.Tombstone:
 			age := WallMillis(e.Version)
@@ -316,15 +437,14 @@ func (t *table) sweep(now, gcBeforeMillis int64, onPurge func(key string)) (expi
 				age = expMillis
 			}
 			if age < gcBeforeMillis {
-				delete(t.data, k)
-				t.touch(k)
+				k := t.remove(i)
 				if onPurge != nil {
 					onPurge(k)
 				}
 				purged++
 			}
 		case e.ExpireAt != 0 && now >= e.ExpireAt:
-			t.expire(k, r, e)
+			t.expire(i, e)
 			expired++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,6 +89,215 @@ func TestValueSurvivesItsKey(t *testing.T) {
 	}
 }
 
+// TestRecordKeyReadBack: every probe hit compares the caller's key with
+// the one read back out of a record, and every listing hands that key
+// out, so a key must read back byte-exact whatever its record's header
+// looks like — empty, 9 bytes, or past 64 KiB (the 4-byte klen), with
+// and without an expiry, and as a tombstone.
+func TestRecordKeyReadBack(t *testing.T) {
+	keys := map[string]string{
+		"empty":   "",
+		"9 bytes": "nine-byte",
+		"64KiB+1": strings.Repeat("L", 64<<10+1),
+	}
+	val := []byte("value")
+	// Each write leaves one entry under k and reports whether it is a
+	// tombstone.
+	writes := map[string]func(eng Engine, ft *fakeTime, k string) bool{
+		"Set":     func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val, 0); return false },
+		"Set+TTL": func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val, time.Hour); return false },
+		"Delete": func(eng Engine, _ *fakeTime, k string) bool {
+			eng.Set(k, val, 0)
+			eng.Delete(k)
+			return true
+		},
+		"expired": func(eng Engine, ft *fakeTime, k string) bool {
+			eng.Set(k, val, time.Minute)
+			ft.advance(time.Hour)
+			eng.Get(k) // the expiry tombstone: tombstone and expiry flags
+			return true
+		},
+		"Merge": func(eng Engine, _ *fakeTime, k string) bool {
+			eng.Merge(k, Entry{Value: val, Version: eng.Clock().Next()})
+			return false
+		},
+		"Merge+expiry": func(eng Engine, ft *fakeTime, k string) bool {
+			eng.Merge(k, Entry{Value: val, Version: eng.Clock().Next(), ExpireAt: ft.now().Add(time.Hour).UnixNano()})
+			return false
+		},
+		"Merge tombstone": func(eng Engine, _ *fakeTime, k string) bool {
+			eng.Merge(k, Entry{Version: eng.Clock().Next(), Tombstone: true})
+			return true
+		},
+	}
+	for kname, k := range keys {
+		for wname, write := range writes {
+			for _, ename := range []string{"sharded", "flat"} {
+				t.Run(kname+"/"+wname+"/"+ename, func(t *testing.T) {
+					ft := newFakeTime()
+					eng := engines(ft)[ename]
+					tomb := write(eng, ft, k)
+					if e, ok := eng.Load(k); !ok || e.Tombstone != tomb {
+						t.Fatalf("Load = %v, tombstone %v; want found, tombstone %v", ok, e.Tombstone, tomb)
+					}
+					if _, ok := eng.Get(k); ok == tomb {
+						t.Fatalf("Get found %v, want %v", ok, !tomb)
+					}
+					listed := func() (n int) {
+						check := func(got string, e Entry) bool {
+							if got != k || e.Tombstone != tomb {
+								t.Errorf("listed a %d-byte key (tombstone %v), want the %d-byte key (tombstone %v)",
+									len(got), e.Tombstone, len(k), tomb)
+							}
+							n++
+							return true
+						}
+						eng.Range(check)
+						eng.RangeBuckets([]int{BucketOf(k, eng.Buckets())}, check)
+						return n
+					}
+					if n := listed(); n != 2 {
+						t.Fatalf("Range and RangeBuckets listed %d entries, want one each", n)
+					}
+					if _, applied := eng.Merge(k, Entry{Value: val, Version: 1}); applied {
+						t.Fatal("a stale Merge was applied: it did not find the resident entry")
+					}
+					eng.Set(k, []byte("again"), 0)
+					if live, tombs := eng.Counts(); live != 1 || tombs != 0 {
+						t.Fatalf("after an overwrite: %d live, %d tombstones, want the one entry", live, tombs)
+					}
+					if !eng.Purge(k, math.MaxUint64) {
+						t.Fatal("Purge did not find the entry")
+					}
+					if live, tombs := eng.Counts(); live+tombs != 0 || listed() != 0 {
+						t.Fatalf("after Purge: %d live, %d tombstones, want none", live, tombs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// slotBound is the slot count a table that has held at most n entries
+// at once may have: the smallest power of two, not below minSlots,
+// whose 7/8 holds them.
+func slotBound(n int) int {
+	size := minSlots
+	for n > size/8*7 {
+		size *= 2
+	}
+	return size
+}
+
+// TestTableChurnStaysBounded holds the index to its bound under the
+// churn anti-entropy purges and tombstone GC make: distinct keys
+// inserted and purged at a constant resident count, a third of them
+// tombstones. Purged slots are marked deleted and count toward the 7/8
+// limit, so the table must reclaim them by rebuilding at its size —
+// never by doubling past what the resident entries need — and must
+// still find every resident key with exact counts.
+func TestTableChurnStaysBounded(t *testing.T) {
+	val := make([]byte, 8)
+	for _, resident := range []int{1, 6, 7, 100, 895, 896} {
+		t.Run(fmt.Sprint(resident), func(t *testing.T) {
+			tb := newTable(time.Now, func(string) {})
+			bound := slotBound(resident + 1) // each insert precedes its purge
+			tomb := map[string]bool{}        // the model: resident key → is a tombstone
+			var order []string
+			next := 0
+			insert := func() {
+				k := fmt.Sprintf("churn-%d", next)
+				next++
+				tomb[k] = next%3 == 0
+				if tomb[k] {
+					tb.del(k, uint64(next))
+				} else {
+					tb.set(k, val, uint64(next), 0)
+				}
+				order = append(order, k)
+			}
+			check := func(round int) {
+				live := 0
+				for k, isTomb := range tomb {
+					if !isTomb {
+						live++
+					}
+					if e, ok := tb.load(k); !ok || e.Tombstone != isTomb {
+						t.Fatalf("round %d: %s found %v (tombstone %v), want found (tombstone %v)", round, k, ok, e.Tombstone, isTomb)
+					}
+				}
+				if tb.size() != len(tomb) || tb.live != live {
+					t.Fatalf("round %d: size %d, live %d; want %d, %d", round, tb.size(), tb.live, len(tomb), live)
+				}
+			}
+			for len(order) < resident {
+				insert()
+			}
+			for round := 0; round < 4*bound+64; round++ {
+				insert()
+				k := order[0]
+				order = order[1:]
+				if !tb.purge(k, math.MaxUint64) {
+					t.Fatalf("round %d: purge of resident %s failed", round, k)
+				}
+				delete(tomb, k)
+				if _, ok := tb.load(k); ok {
+					t.Fatalf("round %d: purged %s is still found", round, k)
+				}
+				if len(tb.slots) > bound || tb.used > len(tb.tags)/8*7 {
+					t.Fatalf("round %d: %d slots, %d used, at %d resident; want <= %d slots, used <= 7/8",
+						round, len(tb.slots), tb.used, len(tomb), bound)
+				}
+				if round%61 == 0 {
+					check(round)
+				}
+			}
+			check(-1)
+		})
+	}
+}
+
+// TestTableSweepVisitsEachEntryOnce: a sweep rewrites or removes the
+// slot it stands on as it walks, so it must meet every entry exactly
+// once. An expired value here becomes a tombstone already past the GC
+// horizon, which a walk that met it again would collect in the same
+// pass; deleted slots from earlier purges sit among the entries.
+func TestTableSweepVisitsEachEntryOnce(t *testing.T) {
+	ft := newFakeTime()
+	now := ft.now()
+	version := func(age time.Duration) uint64 { return uint64(now.Add(-age).UnixMilli()) << logicalBits }
+	tb := newTable(ft.now, func(string) {})
+	const n = 500
+	for i := 0; i < n; i++ {
+		tb.set(fmt.Sprintf("filler-%d", i), []byte("v"), version(0), 0)
+		tb.set(fmt.Sprintf("value-%d", i), []byte("v"), version(0), 0)
+		tb.set(fmt.Sprintf("expired-%d", i), []byte("v"), version(time.Hour), now.Add(-30*time.Minute).UnixNano())
+		tb.del(fmt.Sprintf("old-tomb-%d", i), version(time.Hour))
+		tb.del(fmt.Sprintf("new-tomb-%d", i), version(0))
+	}
+	for i := 0; i < n; i++ {
+		tb.purge(fmt.Sprintf("filler-%d", i), math.MaxUint64)
+	}
+	purgedKeys := map[string]int{}
+	gcBefore := now.Add(-time.Minute).UnixMilli()
+	expired, purged := tb.sweep(now.UnixNano(), gcBefore, func(k string) { purgedKeys[k]++ })
+	if expired != n || purged != n || len(purgedKeys) != n {
+		t.Fatalf("sweep expired %d and purged %d (%d distinct keys), want %d each", expired, purged, len(purgedKeys), n)
+	}
+	for k, times := range purgedKeys {
+		if !strings.HasPrefix(k, "old-tomb-") || times != 1 {
+			t.Fatalf("sweep purged %s %d times; want only the old tombstones, once each", k, times)
+		}
+	}
+	if tb.size() != 3*n || tb.live != n {
+		t.Fatalf("after the sweep: size %d, live %d; want %d, %d", tb.size(), tb.live, 3*n, n)
+	}
+	// The expiry tombstones are collected by the next pass.
+	if expired, purged := tb.sweep(now.UnixNano(), gcBefore, nil); expired != 0 || purged != n || tb.size() != 2*n {
+		t.Fatalf("second sweep expired %d, purged %d, left %d; want 0, %d, %d", expired, purged, tb.size(), n, 2*n)
+	}
+}
+
 // fillFresh merges n entries of a 9-byte key and a 128-byte value — the
 // benchmark's shape — into eng at versions above ver, each key a fresh
 // string as a request decoder would hand over, the value a shared
@@ -101,10 +311,10 @@ func fillFresh(eng Engine, n int, ver uint64) {
 
 // TestTableBytesPerEntry bounds what a resident entry costs the heap:
 // its record (a 144-byte size class for this shape) plus its share of
-// the map's 32-byte slots, where a 64-byte Entry slot, a value
-// allocation and a key allocation cost 238 bytes. Every key is written
-// twice, so a record an overwrite left reachable — through the map's
-// stored key, say — would double the figure.
+// the index's 17-byte slots (a rec and a tag), where a 32-byte
+// map[string]rec slot cost 197 bytes and a 64-byte Entry slot, a value
+// allocation and a key allocation 238. Every key is written twice, so a
+// record an overwrite left reachable would double the figure.
 func TestTableBytesPerEntry(t *testing.T) {
 	const n = 100_000
 	var before, after runtime.MemStats
@@ -119,8 +329,8 @@ func TestTableBytesPerEntry(t *testing.T) {
 	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n
 	objects := float64(after.HeapObjects-before.HeapObjects) / n
 	t.Logf("%.1f heap bytes and %.2f heap objects per entry", perEntry, objects)
-	if perEntry > 205 {
-		t.Errorf("%.1f heap bytes per entry, want <= 205", perEntry)
+	if perEntry > 175 {
+		t.Errorf("%.1f heap bytes per entry, want <= 175", perEntry)
 	}
 	if objects > 1.05 {
 		t.Errorf("%.2f heap objects per entry, want one record each", objects)
@@ -128,8 +338,9 @@ func TestTableBytesPerEntry(t *testing.T) {
 }
 
 // TestOneAllocationPerRecord: a write that installs an entry allocates
-// its record and nothing else — once the map has the slot, exactly one
-// allocation; for new keys, one each plus the map's amortized growth.
+// its record and nothing else — over a resident key, which it replaces
+// in its own slot, exactly one allocation; for new keys, one each plus
+// the index's amortized growth.
 func TestOneAllocationPerRecord(t *testing.T) {
 	val := make([]byte, 128)
 	for name, eng := range engines(newFakeTime()) {
@@ -167,7 +378,7 @@ func TestOneAllocationPerRecord(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			if per := float64(after.Mallocs-before.Mallocs) / n; per > 1.05 {
-				t.Errorf("%.3f allocations per new key, want 1 plus map growth (<= 1.05)", per)
+				t.Errorf("%.3f allocations per new key, want 1 plus index growth (<= 1.05)", per)
 			}
 		})
 	}
@@ -175,7 +386,7 @@ func TestOneAllocationPerRecord(t *testing.T) {
 
 // TestRecoveryBuildsEachRecordOnce: replay hands each decoded key and
 // value to the table once — one allocation per record replayed, plus
-// the map's growth and a constant for the files — never a decoded copy
+// the index's growth and a constant for the files — never a decoded copy
 // that is then copied again.
 func TestRecoveryBuildsEachRecordOnce(t *testing.T) {
 	const n = 20_000
@@ -206,13 +417,13 @@ func TestRecoveryBuildsEachRecordOnce(t *testing.T) {
 		t.Fatalf("recovered %d entries + %d records into %d keys, want %d each", rs.SnapshotEntries, rs.WALRecords, r.Len(), n)
 	}
 	if per := float64(after.Mallocs-before.Mallocs) / (2 * n); per > 1.1 {
-		t.Errorf("%.3f allocations per replayed record, want 1 plus map growth (<= 1.1)", per)
+		t.Errorf("%.3f allocations per replayed record, want 1 plus index growth (<= 1.1)", per)
 	}
 }
 
 // BenchmarkMergeNewKey is the CI twin of TestTableBytesPerEntry:
 // scripts/allocgate.sh holds its B/op — a new key's record plus its
-// share of the map's growth — to a ceiling. Run it at a fixed count
+// share of the index's growth — to a ceiling. Run it at a fixed count
 // (-benchtime 100000x) so the table it grows is the same size each time.
 func BenchmarkMergeNewKey(b *testing.B) {
 	keys := make([]string, b.N)
