@@ -3,7 +3,6 @@ package csnet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,60 +102,6 @@ func TestAdmissionDefaultOff(t *testing.T) {
 		if resp.Status == StatusBusy {
 			t.Fatalf("call %d: default-configured server emitted BUSY", i)
 		}
-	}
-}
-
-// TestLegacyShedResponse drives the unframed (pre-mux) wire path into
-// an exhausted budget and checks the shed reply is a well-formed
-// legacy response frame — a legacy peer sees BUSY, not a hang or a
-// closed conn.
-func TestLegacyShedResponse(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	srv := NewServer(gateHandler(gate), 8)
-	srv.SetAdmission(0, 1)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-
-	// Occupy the whole budget with one muxed call stuck in the gate.
-	c, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	stuck := c.Send(Request{Op: OpEcho, Value: []byte("hold")})
-	time.Sleep(50 * time.Millisecond)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	body, err := EncodeRequest(Request{Op: OpGet, Key: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, body); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	raw, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeResponse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusBusy {
-		t.Fatalf("legacy status = %v, want BUSY", resp.Status)
-	}
-	gate <- struct{}{}
-	if resp, err := stuck.Response(); err != nil || resp.Status != StatusOK {
-		t.Fatalf("held call = %+v, %v", resp, err)
 	}
 }
 

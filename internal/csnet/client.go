@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"sync"
 	"time"
 
 	"pdcedu/internal/obs"
@@ -84,10 +85,88 @@ func (c *Client) RoundTrip(body []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// Broken reports whether the underlying connection has been poisoned
-// by a transport failure; a broken client fails every call fast and
-// should be replaced via Dial.
-func (c *Client) Broken() bool { return c.m.broken() }
+// broken reports whether the underlying connection has been poisoned
+// by a transport failure; a broken client fails every call fast, and a
+// Peer replaces it.
+func (c *Client) broken() bool { return c.m.broken() }
+
+// ErrPeerClosed is what Peer.Client returns once the Peer is closed.
+var ErrPeerClosed = errors.New("csnet: peer closed")
+
+// Peer is the one connection a process keeps to one server, shared by
+// every caller: pipelining makes one muxed connection carry any number
+// of concurrent requests. It dials on first use and again once a
+// transport failure has poisoned the connection, and never hands out a
+// broken client. Dials run outside the lock: when two race, the first
+// to finish is kept and the other closed, and a dial that finishes
+// after Close is closed too.
+type Peer struct {
+	addr    string
+	timeout time.Duration
+	dial    func(addr string, timeout time.Duration) (*Client, error) // Dial; a test stalls it here
+
+	mu     sync.Mutex
+	cl     *Client
+	closed bool
+}
+
+// NewPeer returns the Peer for the server at addr; timeout is Dial's.
+// Nothing is dialed until the first Client call.
+func NewPeer(addr string, timeout time.Duration) *Peer {
+	return &Peer{addr: addr, timeout: timeout, dial: Dial}
+}
+
+// Addr returns the server's address.
+func (p *Peer) Addr() string { return p.addr }
+
+// Client returns the peer's live client, dialing when there is none.
+func (p *Peer) Client() (*Client, error) {
+	if cl, err := p.settle(nil); cl != nil || err != nil {
+		return cl, err
+	}
+	cl, err := p.dial(p.addr, p.timeout)
+	if err != nil {
+		return nil, err
+	}
+	return p.settle(cl)
+}
+
+// settle returns the live installed client, or installs dialed (nil:
+// none yet) when there is none. A broken client is closed and dropped
+// first — replacing one, unlike the first dial, is a redial and is
+// counted — and a dialed client that is not installed is closed.
+func (p *Peer) settle(dialed *Client) (*Client, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cl != nil && p.cl.broken() {
+		csnetM.peerRedials.Inc()
+		p.cl.Close()
+		p.cl = nil
+	}
+	if p.closed || p.cl != nil {
+		if dialed != nil {
+			dialed.Close()
+		}
+		if p.closed {
+			return nil, ErrPeerClosed
+		}
+		return p.cl, nil
+	}
+	p.cl = dialed
+	return dialed, nil
+}
+
+// Close closes the connection, failing its in-flight calls, and every
+// later Client call.
+func (p *Peer) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	if p.cl != nil {
+		p.cl.Close()
+		p.cl = nil
+	}
+}
 
 // Call is an in-flight key-value protocol request issued by Send: one
 // allocation holding its own completion state. It is single-use — the

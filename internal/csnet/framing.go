@@ -3,19 +3,19 @@
 // protocol design"): length-prefixed message framing over TCP, a small
 // binary request/response key-value protocol, a concurrent TCP server
 // with a connection limit and graceful shutdown, a pipelined
-// multiplexed client, and a UDP datagram echo service.
+// multiplexed client with the one redialing connection a process keeps
+// per server (Peer), and a UDP datagram echo service.
 //
-// Two wire formats share every listener:
+// A listener speaks one wire format, the muxed one:
 //
-//	legacy:  length(4) body            — one request, one response, FIFO
-//	muxed:   length(4) seq(8) body     — many requests in flight, the
+//	CSM1 then length(4) seq(8) body    — many requests in flight, the
 //	                                     response echoes the request seq
 //
-// A multiplexing client announces itself by sending the 4-byte magic
-// "CSM1" immediately after connecting. Interpreted as a legacy length
-// prefix the magic would claim a ~1.1 GB frame — far beyond
-// MaxFrameSize — so the server can tell the two formats apart from the
-// first four bytes alone and legacy peers keep working unchanged.
+// A client opens every connection with the 4-byte preamble "CSM1"; a
+// connection that opens with anything else is closed without a reply.
+// WriteFrame and ReadFrame are the framing lesson on its own —
+// length(4) body, one request, one response, FIFO — for programs that
+// build their own protocol over a stream; no Server speaks it.
 package csnet
 
 import (
@@ -32,35 +32,25 @@ const MaxFrameSize = 16 << 20
 // ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("csnet: frame exceeds maximum size")
 
-// muxMagic is the preamble a multiplexing client sends right after
-// connecting. As a big-endian integer it is 0x43534D31, larger than any
-// legal legacy length prefix.
+// muxMagic is the preamble a client sends right after connecting.
 var muxMagic = [4]byte{'C', 'S', 'M', '1'}
 
-// frameHeaderSize is the legacy header (length only); muxHeaderSize
-// adds the 8-byte sequence number.
+// frameHeaderSize is a length-prefixed frame's header (length only);
+// muxHeaderSize adds the 8-byte sequence number.
 const (
 	frameHeaderSize = 4
 	muxHeaderSize   = 12
 )
 
-// appendFrame appends a length-prefixed legacy frame to dst, so callers
-// holding a reusable buffer emit header and body as one write (one
-// syscall and one TCP segment instead of two).
-func appendFrame(dst, body []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
-}
-
 // WriteFrame writes a length-prefixed frame (4-byte big-endian length +
-// body) as a single coalesced write.
+// body) as a single coalesced write: one syscall and one TCP segment
+// instead of two.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	frame := appendFrame(make([]byte, 0, frameHeaderSize+len(body)), body)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, frameHeaderSize+len(body)), uint32(len(body)))
+	frame = append(frame, body...)
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("csnet: write frame: %w", err)
 	}

@@ -22,7 +22,7 @@ type goldenFrame struct {
 // goldenSeq is the sequence number every golden muxed frame carries.
 const goldenSeq = 0x0102030405060708
 
-// goldenFrames builds one frame per op, direction and framing, plus the
+// goldenFrames builds one muxed frame per op and direction, plus the
 // trailer variants (expiry, trace, both). testdata/golden_frames.txt
 // holds what this table produced at the commit before the transport
 // took ownership of its buffers (PR 16, d803717) — and, for the batch
@@ -32,7 +32,6 @@ const goldenSeq = 0x0102030405060708
 func goldenFrames(t testing.TB) []goldenFrame {
 	var out []goldenFrame
 	add := func(name string, body []byte) {
-		out = append(out, goldenFrame{name + "/legacy", appendFrame(nil, body)})
 		muxed := make([]byte, muxHeaderSize, muxHeaderSize+len(body))
 		putMuxHeader(muxed, goldenSeq, len(body))
 		out = append(out, goldenFrame{name + "/muxed", append(muxed, body...)})

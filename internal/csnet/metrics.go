@@ -14,7 +14,9 @@ import (
 //	csnet.server.op_latency.<OP>  histogram: handler latency, ns
 //	csnet.server.bytes_in         counter: request frame bytes
 //	csnet.server.bytes_out        counter: response frame bytes
-//	csnet.server.decode_errors    counter: malformed request frames
+//	csnet.server.decode_errors    counter: malformed request frames, and
+//	                              connections opened without the CSM1
+//	                              preamble
 //	csnet.server.batch_entries    histogram: entries per OpBatch frame
 //	csnet.server.queue_depth.hw   gauge: per-conn worker queue high water
 //	csnet.server.slow_ops         counter: ops over the slow-op threshold
@@ -25,9 +27,8 @@ import (
 //	csnet.mux.pending.hw          gauge: client pipeline depth high water
 //	csnet.mux.timeouts            counter: client waits that expired
 //	csnet.mux.poisoned            counter: muxed conns failed with error
-//
-// Reconnects after a poisoned conn are counted by the layer that owns
-// redial policy (dist.pool.redials).
+//	csnet.peer.redials            counter: broken Peer connections replaced
+//	                              (the coordinator's and gossip's alike)
 //
 // Out-of-range or unknown op bytes (including the decode-failure path,
 // where the op is untrusted) land in the UNKNOWN slot rather than
@@ -50,6 +51,7 @@ type serverMetrics struct {
 	muxPendingHW *obs.Gauge
 	muxTimeouts  *obs.Counter
 	muxPoisoned  *obs.Counter
+	peerRedials  *obs.Counter
 }
 
 // csnetM holds the package's metric pointers, resolved once at init so
@@ -70,6 +72,7 @@ var csnetM = func() *serverMetrics {
 		muxPendingHW: r.Gauge("csnet.mux.pending.hw"),
 		muxTimeouts:  r.Counter("csnet.mux.timeouts"),
 		muxPoisoned:  r.Counter("csnet.mux.poisoned"),
+		peerRedials:  r.Counter("csnet.peer.redials"),
 	}
 	for op := 0; op <= int(OpPurgeV); op++ {
 		name := Op(op).String() // op 0 and unmapped bytes stringify as UNKNOWN

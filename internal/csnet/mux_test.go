@@ -2,10 +2,12 @@ package csnet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -136,7 +138,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 
 // TestMuxPoisonFailsAllPending kills the server mid-flight: every
 // outstanding request must resolve with an error, the client must
-// report Broken, and later calls must fail fast instead of hanging.
+// report broken, and later calls must fail fast instead of hanging.
 func TestMuxPoisonFailsAllPending(t *testing.T) {
 	block := make(chan struct{})
 	srv := NewFrameServer(frameFunc(func(body []byte) []byte {
@@ -166,7 +168,7 @@ func TestMuxPoisonFailsAllPending(t *testing.T) {
 		srv.Shutdown()
 		close(done)
 	}()
-	for deadline := time.Now().Add(2 * time.Second); !cl.Broken() && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); !cl.broken() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(block)
@@ -176,7 +178,7 @@ func TestMuxPoisonFailsAllPending(t *testing.T) {
 			t.Fatalf("request %d succeeded after server shutdown", i)
 		}
 	}
-	if !cl.Broken() {
+	if !cl.broken() {
 		t.Error("client not marked broken after transport failure")
 	}
 	if _, err := cl.RoundTrip([]byte("y")); err == nil {
@@ -237,66 +239,83 @@ func TestMuxOversizeRequest(t *testing.T) {
 	}
 }
 
-// TestLegacyAndMuxCoexist drives one server with a raw legacy-framed
-// connection and a multiplexed Client at the same time: the preamble
-// sniff must route each connection to the right serving loop.
-func TestLegacyAndMuxCoexist(t *testing.T) {
-	srv := NewServer(NewKVHandler(), 0)
+// TestMuxOversizeReply serves a reply too large for a frame: that call
+// is answered StatusError, and the connection it shares with a
+// concurrent call and a later Ping keeps working.
+func TestMuxOversizeReply(t *testing.T) {
+	bigDone := make(chan struct{})
+	srv := NewServer(HandlerFunc(func(r Request) Response {
+		if r.Key == "big" {
+			defer close(bigDone)
+			return Response{Status: StatusOK, Value: make([]byte, MaxFrameSize)}
+		}
+		<-bigDone // answered after the oversize reply is built
+		return Response{Status: StatusOK, Value: r.Value}
+	}), 0)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	small := cl.Send(Request{Op: OpEcho, Key: "small", Value: []byte("v")})
+	big := cl.Send(Request{Op: OpEcho, Key: "big"})
+	if resp, err := big.Response(); err != nil || resp.Status != StatusError {
+		t.Fatalf("oversize reply = %v %q, %v; want StatusError", resp.Status, resp.Value, err)
+	}
+	if resp, err := small.Response(); err != nil || string(resp.Value) != "v" {
+		t.Fatalf("concurrent call = %+v, %v", resp, err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection unusable after an oversize reply: %v", err)
+	}
+}
 
-	mux, err := Dial(addr, time.Second)
+// TestServerRefusesUnmuxedConn opens a connection with a
+// length-prefixed frame instead of the CSM1 preamble: the server sends
+// nothing back, closes it, never runs the handler, and counts one
+// decode error.
+func TestServerRefusesUnmuxedConn(t *testing.T) {
+	var served atomic.Int64
+	srv := NewServer(HandlerFunc(func(Request) Response {
+		served.Add(1)
+		return Response{Status: StatusOK}
+	}), 0)
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mux.Close()
-	if err := mux.Set("shared", []byte("via-mux")); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := net.Dial("tcp", addr)
+	defer srv.Shutdown()
+	before := csnetM.decodeEr.Value()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	reqBody, err := EncodeRequest(Request{Op: OpGet, Key: "shared"})
+	defer conn.Close()
+	body, err := EncodeRequest(Request{Op: OpGet, Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(raw, reqBody); err != nil {
+	if err := WriteFrame(conn, body); err != nil {
 		t.Fatal(err)
 	}
-	respBody, err := ReadFrame(raw)
-	if err != nil {
-		t.Fatal(err)
+	// Closed with the frame's body unread, so a reset is as good as EOF;
+	// only a timeout would mean the server kept the connection open.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	var ne net.Error
+	if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("read = %d bytes, %v; want the connection closed with no reply", n, err)
 	}
-	resp, err := DecodeResponse(respBody)
-	if err != nil {
-		t.Fatal(err)
+	if n := served.Load(); n != 0 {
+		t.Errorf("handler ran %d times for an unmuxed connection", n)
 	}
-	if resp.Status != StatusOK || string(resp.Value) != "via-mux" {
-		t.Fatalf("legacy read of mux write = %v %q", resp.Status, resp.Value)
-	}
-	// Several frames on the same legacy connection (exercises the
-	// reused scratch buffers).
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("legacy-%d", i)
-		reqBody, err := EncodeRequest(Request{Op: OpSet, Key: key, Value: []byte(key)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(raw, reqBody); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadFrame(raw); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok, err := mux.Get(key); err != nil || !ok || string(v) != key {
-			t.Fatalf("mux read of legacy write %s = %q %v %v", key, v, ok, err)
-		}
+	if d := csnetM.decodeEr.Value() - before; d != 1 {
+		t.Errorf("decode_errors grew by %d, want 1", d)
 	}
 }
 

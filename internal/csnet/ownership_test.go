@@ -201,7 +201,7 @@ func TestPoisonedMidBurst(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the queues fill behind the blocked handlers
 	done := make(chan struct{})
 	go func() { srv.Shutdown(); close(done) }()
-	for deadline := time.Now().Add(5 * time.Second); !cl.Broken() && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); !cl.broken() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(block)
@@ -369,8 +369,8 @@ func TestWaitTimeoutThenLateReply(t *testing.T) {
 		t.Fatalf("ResponseTimeout on a stuck handler = %v, want ErrWaitTimeout", err)
 	}
 	close(release) // the late reply arrives now, and is dropped
-	if err := cl.Ping(); err != nil || cl.Broken() {
-		t.Fatalf("connection unusable after an abandoned call: %v broken=%v", err, cl.Broken())
+	if err := cl.Ping(); err != nil || cl.broken() {
+		t.Fatalf("connection unusable after an abandoned call: %v broken=%v", err, cl.broken())
 	}
 	if _, err := slow.Response(); !errors.Is(err, ErrCallConsumed) {
 		t.Fatalf("abandoned call resolved again: %v, want ErrCallConsumed", err)

@@ -31,8 +31,7 @@ func (f HandlerFunc) Serve(r Request) Response { return f(r) }
 
 // FrameMeta carries per-frame transport facts the handler cannot
 // measure itself. QueueWait is how long the frame sat in the
-// connection's worker queue before a handler picked it up (muxed
-// connections only; zero on the synchronous legacy path) — the
+// connection's worker queue before a handler picked it up — the
 // queue-wait vs handle-time split a trace waterfall renders.
 type FrameMeta struct {
 	QueueWait time.Duration
@@ -61,9 +60,15 @@ type protocolFrames struct {
 }
 
 // ServeFrame implements FrameHandler: one request, or one OpBatch
-// envelope of them.
+// envelope of them. A reply too large for a frame is answered
+// StatusError instead, so it fails its own call and not the connection
+// every other call shares.
 func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
-	return p.serve(dst, body, meta, nil)
+	out := p.serve(dst, body, meta, nil)
+	if len(out)-len(dst) > MaxFrameSize {
+		out = appendUndecoded(dst, body, Response{Status: StatusError, Value: []byte(ErrFrameTooLarge.Error())})
+	}
+	return out
 }
 
 // serve answers one encoded request in the framing its op calls for
@@ -210,19 +215,18 @@ type Server struct {
 }
 
 // SetAdmission enables overload shedding; call it before Start.
-// queueDepth bounds each muxed connection's worker queue: a frame
-// arriving while the queue is full is answered StatusBusy immediately
-// instead of queueing (0 keeps the pre-busy behavior — the read loop
-// blocks, pushing backpressure into TCP). maxInflight is a server-wide
-// budget on frames admitted but not yet answered, across every
-// connection and both wire formats; past it, new frames are shed the
-// same way. A shed request is never silently dropped — the caller
-// always receives the typed busy response — and never reaches the
-// handler, so it has no effect and is safe to retry. This is what
-// keeps p99 bounded past capacity: the queues that would otherwise
-// grow without bound are capped, and the excess is converted into
-// fast, explicit busy replies the client can back off on (see
-// ErrBusy).
+// queueDepth bounds each connection's worker queue: a frame arriving
+// while the queue is full is answered StatusBusy immediately instead
+// of queueing (0 keeps the pre-busy behavior — the read loop blocks,
+// pushing backpressure into TCP). maxInflight is a server-wide budget
+// on frames admitted but not yet answered, across every connection;
+// past it, new frames are shed the same way. A shed request is never
+// silently dropped — the caller always receives the typed busy
+// response — and never reaches the handler, so it has no effect and is
+// safe to retry. This is what keeps p99 bounded past capacity: the
+// queues that would otherwise grow without bound are capped, and the
+// excess is converted into fast, explicit busy replies the client can
+// back off on (see ErrBusy).
 func (s *Server) SetAdmission(queueDepth, maxInflight int) {
 	if queueDepth < 0 {
 		queueDepth = 0
@@ -332,65 +336,19 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// serveConn sniffs the first four bytes to pick the wire format: the
-// "CSM1" magic selects the multiplexed mode; anything else is a legacy
-// length prefix (the magic decodes to a length far beyond MaxFrameSize,
-// so the two can never collide).
+// serveConn serves one connection in the muxed framing, the only one
+// a Server speaks: a connection that does not open with the CSM1
+// preamble is counted as a decode error and closed without a reply.
 func (s *Server) serveConn(conn net.Conn) {
 	var pre [4]byte
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
 		return
 	}
-	if pre == muxMagic {
-		s.serveMux(conn)
+	if pre != muxMagic {
+		csnetM.decodeEr.Inc()
 		return
 	}
-	s.serveLegacy(conn, binary.BigEndian.Uint32(pre[:]))
-}
-
-// serveLegacy processes one-request-one-response FIFO frames. The
-// request body and the response dst are transport buffers like the
-// muxed path's, released once the response is on the wire, so a
-// steady-state request costs zero buffer allocations and one write
-// syscall here.
-func (s *Server) serveLegacy(conn net.Conn, firstLen uint32) {
-	var frame []byte // response header+body, coalesced into one write
-	n := firstLen
-	for {
-		if n > MaxFrameSize {
-			return
-		}
-		body := getBuf(int(n))
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		dst := getBuf(0)
-		var resp []byte
-		if s.admit() {
-			resp = s.frames.ServeFrame(dst, body, FrameMeta{})
-			s.release()
-		} else {
-			// The legacy path is synchronous, so this conn holds at most
-			// one slot; shedding here means muxed traffic elsewhere has
-			// exhausted the server-wide budget.
-			csnetM.shed.Inc()
-			resp = appendUndecoded(dst, body, Response{Status: StatusBusy})
-		}
-		if len(resp) > MaxFrameSize {
-			return
-		}
-		frame = appendFrame(frame[:0], resp)
-		putBuf(body)
-		putBuf(dst)
-		if _, err := conn.Write(frame); err != nil {
-			return
-		}
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n = binary.BigEndian.Uint32(hdr[:])
-	}
+	s.serveMux(conn)
 }
 
 // muxConnHandlers bounds concurrently executing handlers per muxed
@@ -427,10 +385,7 @@ func (s *Server) serveMux(conn net.Conn) {
 		go func() {
 			defer workerWG.Done()
 			for f := range in {
-				var meta FrameMeta
-				if !f.at.IsZero() {
-					meta.QueueWait = time.Since(f.at)
-				}
+				meta := FrameMeta{QueueWait: time.Since(f.at)}
 				dst := getBuf(0)
 				out <- muxFrame{seq: f.seq, body: s.frames.ServeFrame(dst, f.body, meta), free: [2][]byte{f.body, dst}}
 				s.release()

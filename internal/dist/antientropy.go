@@ -116,7 +116,7 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 		if c.IsDown(b) {
 			continue
 		}
-		cl, cerr := c.pools[b].get()
+		cl, cerr := c.pools[b].Client()
 		if cerr != nil {
 			noteErr(b, cerr)
 			continue

@@ -237,7 +237,3 @@ func (s *Session) Last() uint64 {
 	}
 	return s.last.Load()
 }
-
-// CacheLen reports how many entries (floors included) the coordinator
-// read cache currently holds; 0 when the cache is disabled.
-func (c *Cluster) CacheLen() int { return c.cache.Len() }

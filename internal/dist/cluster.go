@@ -113,7 +113,7 @@ type Cluster struct {
 	cache   *readCache // hot-key read cache; nil when disabled
 	rf      int
 	quorum  int
-	pools   []*clientPool
+	pools   []*csnet.Peer // one connection per backend
 	addrIdx map[string]int
 	// Placement is bucket-granular: a key maps to its Merkle bucket
 	// (store.BucketOf) and the bucket — not the key — is what the ring
@@ -185,7 +185,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cache:         newReadCache(cfg.ReadCache),
 		rf:            rf,
 		quorum:        quorum,
-		pools:         make([]*clientPool, n),
+		pools:         make([]*csnet.Peer, n),
 		addrIdx:       make(map[string]int, n),
 		buckets:       buckets,
 		bucketKeys:    make([]string, buckets),
@@ -199,7 +199,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.bucketKeys[b] = fmt.Sprintf("bucket-%d", b)
 	}
 	for i, addr := range cfg.Addrs {
-		c.pools[i] = &clientPool{addr: addr, timeout: timeout}
+		c.pools[i] = csnet.NewPeer(addr, timeout)
 		c.addrIdx[addr] = i
 	}
 	c.reroute(nil)
@@ -271,7 +271,7 @@ func (c *Cluster) startOp(kind trace.Kind, op string) (trace.Context, trace.Acti
 func (c *Cluster) span(ctx trace.Context, kind trace.Kind, op string, backend int) trace.Active {
 	sp := c.tracer.StartSpan(ctx, kind, op)
 	if sp.Live() {
-		sp.S.Peer = c.pools[backend].addr
+		sp.S.Peer = c.pools[backend].Addr()
 	}
 	return sp
 }
@@ -487,73 +487,8 @@ func (c *Cluster) Close() error {
 		close(c.stop)
 	})
 	<-c.rebalanceDone // a rebalance pass in flight finishes first
-	var first error
 	for _, p := range c.pools {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// clientPool holds the single multiplexed connection to one backend.
-// The old many-connections pool is gone: pipelining made it redundant,
-// since one muxed connection carries any number of concurrent requests.
-// A transport failure poisons the connection (every caller on it fails
-// fast) and the next get transparently redials.
-type clientPool struct {
-	addr    string
-	timeout time.Duration
-
-	mu sync.Mutex
-	cl *csnet.Client
-}
-
-// get returns the backend's shared client, dialing on first use or
-// after the previous connection broke. A poisoned client is never
-// handed out.
-func (p *clientPool) get() (*csnet.Client, error) {
-	p.mu.Lock()
-	if p.cl != nil && !p.cl.Broken() {
-		cl := p.cl
-		p.mu.Unlock()
-		return cl, nil
-	}
-	stale := p.cl
-	p.cl = nil
-	p.mu.Unlock()
-	if stale != nil {
-		// A broken connection being replaced — as opposed to the first
-		// dial — is the redial the pool exists to absorb; count it.
-		distM.poolRedials.Inc()
-		stale.Close()
-	}
-	cl, err := csnet.Dial(p.addr, p.timeout) // dial outside the lock
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.cl != nil && !p.cl.Broken() {
-		// Lost a concurrent redial race: the pool keeps exactly one
-		// connection per backend, extras are closed.
-		winner := p.cl
-		p.mu.Unlock()
-		cl.Close()
-		return winner, nil
-	}
-	p.cl = cl
-	p.mu.Unlock()
-	return cl, nil
-}
-
-// close tears down the backend connection.
-func (p *clientPool) close() error {
-	p.mu.Lock()
-	cl := p.cl
-	p.cl = nil
-	p.mu.Unlock()
-	if cl != nil {
-		return cl.Close()
+		p.Close()
 	}
 	return nil
 }

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
-
-	"pdcedu/internal/csnet"
 )
 
 // batchKeys builds n distinct key/value pairs with a prefix.
@@ -124,112 +121,6 @@ func TestClusterMGetFallbackRepair(t *testing.T) {
 	}
 	if handlers[primary].Len() != 1 {
 		t.Error("MGet fallback did not read-repair the damaged replica")
-	}
-}
-
-// TestPoolNeverReturnsPoisoned kills a backend under a pooled
-// connection, then restarts it on the same port: the pool must notice
-// the poisoned client and redial instead of handing the broken
-// connection back out.
-func TestPoolNeverReturnsPoisoned(t *testing.T) {
-	srv := csnet.NewServer(csnet.NewKVHandler(), 16)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &clientPool{addr: addr, timeout: 500 * time.Millisecond}
-	defer p.close()
-
-	cl1, err := p.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl1.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Shutdown()
-	if err := cl1.Ping(); err == nil {
-		t.Fatal("ping succeeded against a shut-down backend")
-	}
-	if !cl1.Broken() {
-		t.Fatal("client not poisoned by transport failure")
-	}
-	// While the backend is down, get must fail (redial refused), never
-	// return the poisoned client.
-	if cl, err := p.get(); err == nil && cl == cl1 {
-		t.Fatal("pool handed back the poisoned client")
-	}
-	// Restart on the same port; the pool must transparently redial.
-	srv2 := csnet.NewServer(csnet.NewKVHandler(), 16)
-	if _, err := srv2.Start(addr); err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer srv2.Shutdown()
-	cl2, err := p.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl2 == cl1 {
-		t.Fatal("pool reused the poisoned client after restart")
-	}
-	if err := cl2.Ping(); err != nil {
-		t.Fatalf("redialed client unusable: %v", err)
-	}
-}
-
-// TestPoolRedialRaceKeepsOneConn hammers a cold pool from many
-// goroutines: every caller must end up with a working client, and the
-// pool must converge on a single shared connection (racing extra dials
-// are closed, not leaked into the pool).
-func TestPoolRedialRaceKeepsOneConn(t *testing.T) {
-	srv := csnet.NewServer(csnet.NewKVHandler(), 64)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	p := &clientPool{addr: addr, timeout: 2 * time.Second}
-	defer p.close()
-
-	const goroutines = 16
-	clients := make([]*csnet.Client, goroutines)
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := p.get()
-			if err != nil {
-				errs <- err
-				return
-			}
-			clients[g] = cl
-			if err := cl.Ping(); err != nil {
-				errs <- fmt.Errorf("goroutine %d got unusable client: %w", g, err)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// The pool converges on exactly one connection.
-	final, err := p.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, cl := range clients {
-		if cl != final {
-			// A loser of the install race was closed; its caller must
-			// have received the winner, never a dead extra.
-			t.Fatalf("goroutine %d holds a client that is not the pooled one", g)
-		}
-	}
-	if err := final.Ping(); err != nil {
-		t.Fatal(err)
 	}
 }
 

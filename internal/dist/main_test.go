@@ -30,7 +30,7 @@ func TestValuesSurviveTransportReuse(t *testing.T) {
 	// reply body of the Get below, not from a caller's slice.
 	addrs := make([]string, len(c.pools))
 	for i, p := range c.pools {
-		addrs[i] = p.addr
+		addrs[i] = p.Addr()
 	}
 	writer, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 3})
 	if err != nil {

@@ -368,7 +368,7 @@ func TestHintQueueBound(t *testing.T) {
 	}
 
 	srv := csnet.NewServer(kvs[victim], 64)
-	if _, err := srv.Start(c.pools[victim].addr); err != nil {
+	if _, err := srv.Start(c.pools[victim].Addr()); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Shutdown)

@@ -159,7 +159,7 @@ type readWalk struct {
 // deleted key is as cheap as polling a hot value.
 func (c *Cluster) readFrom(ctx trace.Context, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
 	for _, b := range set {
-		cl, err := c.pools[b].get()
+		cl, err := c.pools[b].Client()
 		if err != nil {
 			w.err = err
 			continue

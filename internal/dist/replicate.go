@@ -183,7 +183,7 @@ func (c *Cluster) batchClients(buf *[inlineBackends]clientSlot) batchClients {
 func (bc *batchClients) get(b int) (*csnet.Client, error) {
 	s := &bc.slots[b]
 	if s.cl == nil && s.err == nil {
-		if s.cl, s.err = bc.c.pools[b].get(); s.err == nil {
+		if s.cl, s.err = bc.c.pools[b].Client(); s.err == nil {
 			s.batch = s.cl.Batch()
 		}
 	}

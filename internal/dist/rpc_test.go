@@ -2,7 +2,6 @@ package dist
 
 import (
 	"errors"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -95,21 +94,17 @@ func TestRPCHandlerError(t *testing.T) {
 	}
 }
 
-// TestRPCMalformedPayload speaks raw frames to the server: a frame that
-// is not a JSON envelope must produce an error response, not a hang or
-// a dropped connection.
+// TestRPCMalformedPayload sends raw frames through a csnet client: a
+// frame that is not a JSON envelope must produce an error response, not
+// a hang or a dropped connection.
 func TestRPCMalformedPayload(t *testing.T) {
 	_, addr := startMeanServer(t)
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	cl, err := csnet.Dial(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if err := csnet.WriteFrame(conn, []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	body, err := csnet.ReadFrame(conn)
+	defer cl.Close()
+	body, err := cl.RoundTrip([]byte("{not json"))
 	if err != nil {
 		t.Fatalf("no response to malformed payload: %v", err)
 	}
@@ -117,10 +112,7 @@ func TestRPCMalformedPayload(t *testing.T) {
 		t.Errorf("response = %s, want a malformed-request error", body)
 	}
 	// Same connection still serves well-formed calls afterwards.
-	if err := csnet.WriteFrame(conn, []byte(`{"method":"stats.mean","args":[2,4]}`)); err != nil {
-		t.Fatal(err)
-	}
-	body, err = csnet.ReadFrame(conn)
+	body, err = cl.RoundTrip([]byte(`{"method":"stats.mean","args":[2,4]}`))
 	if err != nil || !strings.Contains(string(body), "3") {
 		t.Errorf("follow-up call = %s, %v; want result 3", body, err)
 	}

@@ -17,7 +17,6 @@ import (
 //	dist.hints.dropped              counter: hints lost to the per-backend cap
 //	dist.partial_writes             counter: writes returning PartialWriteError
 //	dist.quorum_shortfall           counter: keys that missed quorum (MissedKeys)
-//	dist.pool.redials               counter: backend connections re-dialed
 //	dist.cache.hits                 counter: reads served from the coordinator cache
 //	dist.cache.misses               counter: cache-enabled reads that went to replicas
 //	dist.cache.invalidations        counter: entries superseded by a write-path event
@@ -44,7 +43,6 @@ type distMetrics struct {
 	hintsDropped  *obs.Counter
 	partialWrites *obs.Counter
 	quorumShort   *obs.Counter
-	poolRedials   *obs.Counter
 
 	cacheHits  *obs.Counter
 	cacheMiss  *obs.Counter
@@ -77,7 +75,6 @@ var distM = func() *distMetrics {
 		hintsDropped:    r.Counter("dist.hints.dropped"),
 		partialWrites:   r.Counter("dist.partial_writes"),
 		quorumShort:     r.Counter("dist.quorum_shortfall"),
-		poolRedials:     r.Counter("dist.pool.redials"),
 		cacheHits:       r.Counter("dist.cache.hits"),
 		cacheMiss:       r.Counter("dist.cache.misses"),
 		cacheInval:      r.Counter("dist.cache.invalidations"),
@@ -117,7 +114,7 @@ func (c *Cluster) askLive(what string, req csnet.Request, each func(body []byte)
 		if down[b] {
 			continue
 		}
-		cl, err := p.get()
+		cl, err := p.Client()
 		if err != nil {
 			noteErr(b, err)
 			continue

@@ -21,65 +21,38 @@ type Transport interface {
 }
 
 // csnetTransport sends SWIM messages as OpGossip requests over one
-// pooled multiplexed connection per peer, dialed lazily and redialed
-// after transport failures. Membership probes therefore exercise the
-// same wire path the data plane uses: a peer that cannot serve gossip
-// cannot serve reads either, which is exactly what the detector should
-// measure.
+// csnet.Peer per peer: one multiplexed connection, dialed lazily and
+// redialed after transport failures. Membership probes therefore
+// exercise the same wire path the data plane uses: a peer that cannot
+// serve gossip cannot serve reads either, which is exactly what the
+// detector should measure.
 type csnetTransport struct {
 	connTimeout time.Duration
 
-	mu      sync.Mutex
-	clients map[string]*csnet.Client
-	closed  bool
+	mu    sync.Mutex
+	peers map[string]*csnet.Peer // nil once closed
 }
 
 // newCsnetTransport builds the default transport; connTimeout bounds
 // dialing and each connection-level request deadline (per-call probe
 // timeouts are enforced on top via ResponseTimeout).
 func newCsnetTransport(connTimeout time.Duration) *csnetTransport {
-	return &csnetTransport{connTimeout: connTimeout, clients: map[string]*csnet.Client{}}
-}
-
-func (t *csnetTransport) client(peer string) (*csnet.Client, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("member: transport closed")
-	}
-	if cl := t.clients[peer]; cl != nil && !cl.Broken() {
-		t.mu.Unlock()
-		return cl, nil
-	}
-	stale := t.clients[peer]
-	delete(t.clients, peer)
-	t.mu.Unlock()
-	if stale != nil {
-		stale.Close()
-	}
-	cl, err := csnet.Dial(peer, t.connTimeout) // dial outside the lock
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		cl.Close()
-		return nil, fmt.Errorf("member: transport closed")
-	}
-	if cur := t.clients[peer]; cur != nil && !cur.Broken() {
-		t.mu.Unlock()
-		cl.Close() // lost a concurrent redial race
-		return cur, nil
-	}
-	t.clients[peer] = cl
-	t.mu.Unlock()
-	return cl, nil
+	return &csnetTransport{connTimeout: connTimeout, peers: map[string]*csnet.Peer{}}
 }
 
 // Exchange implements Transport.
 func (t *csnetTransport) Exchange(peer string, msg []byte, timeout time.Duration) ([]byte, error) {
-	cl, err := t.client(peer)
+	t.mu.Lock()
+	p := t.peers[peer]
+	if p == nil && t.peers != nil {
+		p = csnet.NewPeer(peer, t.connTimeout)
+		t.peers[peer] = p
+	}
+	t.mu.Unlock()
+	if p == nil {
+		return nil, fmt.Errorf("member: transport closed")
+	}
+	cl, err := p.Client()
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +69,11 @@ func (t *csnetTransport) Exchange(peer string, msg []byte, timeout time.Duration
 // Close implements Transport.
 func (t *csnetTransport) Close() error {
 	t.mu.Lock()
-	t.closed = true
-	clients := t.clients
-	t.clients = map[string]*csnet.Client{}
+	peers := t.peers
+	t.peers = nil
 	t.mu.Unlock()
-	for _, cl := range clients {
-		cl.Close()
+	for _, p := range peers {
+		p.Close()
 	}
 	return nil
 }

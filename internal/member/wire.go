@@ -58,6 +58,10 @@ func readString16(b []byte) (string, []byte, error) {
 	return string(b[2 : 2+n]), b[2+n:], nil
 }
 
+// minUpdateSize is the least an update costs its message: state,
+// incarnation and an empty id's length.
+const minUpdateSize = 1 + 8 + 2
+
 // encodeMessage serializes a message:
 // kind(1) from(str16) target(str16) count(2) then count * update,
 // update = state(1) incarnation(8) id(str16).
@@ -111,6 +115,9 @@ func decodeMessage(b []byte) (message, error) {
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
+	if n > len(b)/minUpdateSize {
+		return m, fmt.Errorf("member: %d updates overrun a %d-byte body", n, len(b))
+	}
 	if n > 0 {
 		m.Updates = make([]Update, 0, n)
 	}

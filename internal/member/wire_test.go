@@ -1,6 +1,7 @@
 package member
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,6 +53,9 @@ func TestMemberWireErrors(t *testing.T) {
 		"truncated from":    {byte(msgPing), 0},
 		"truncated body":    good[:len(good)-3],
 		"trailing bytes":    append(append([]byte{}, good...), 0xAB),
+		// 65 535 updates claimed by a 7-byte value: refused before the
+		// decoder sizes a slice for them.
+		"count overruns body": {byte(msgPing), 0, 0, 0, 0, 0xFF, 0xFF},
 	}
 	// A corrupt state byte inside an update.
 	bad := append([]byte{}, good...)
@@ -73,4 +77,37 @@ func TestMemberWireErrors(t *testing.T) {
 	}}); err == nil {
 		t.Error("encode accepted a 64KiB update ID")
 	}
+}
+
+// FuzzDecodeMessage holds the gossip decoder to the contract of the
+// csnet and store decoders: any input yields a message or an error,
+// never a panic; no more updates are allocated for than the input has
+// bytes to carry; and a message that decodes re-encodes to the input
+// (the encoding is canonical). CI runs it with the other decoders.
+func FuzzDecodeMessage(f *testing.F) {
+	for _, m := range []message{
+		{Kind: msgPing, From: "127.0.0.1:9001"},
+		{Kind: msgPingReq, From: "n1", Target: "n3"},
+		{Kind: msgAck, From: "n2", Updates: []Update{
+			{ID: "n1", State: StateAlive, Incarnation: 1},
+			{ID: "", State: StateDead, Incarnation: 1<<63 + 5},
+		}},
+	} {
+		b, _ := encodeMessage(m)
+		f.Add(b)
+	}
+	f.Add([]byte{byte(msgPing), 0, 0, 0, 0, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := decodeMessage(in)
+		if err != nil {
+			return
+		}
+		if cap(m.Updates) > len(in)/minUpdateSize {
+			t.Fatalf("room for %d updates from a %d-byte message", cap(m.Updates), len(in))
+		}
+		out, err := encodeMessage(m)
+		if err != nil || !bytes.Equal(out, in) {
+			t.Fatalf("re-encoded %x, %v; want %x", out, err, in)
+		}
+	})
 }

@@ -131,9 +131,6 @@ func (r *Recorder) SetSampleEvery(n int) { r.sampleEvery.Store(int64(n)) }
 // over d pins its whole trace. d<=0 disables tail promotion.
 func (r *Recorder) SetSlowThreshold(d time.Duration) { r.slowNs.Store(int64(d)) }
 
-// SlowThreshold returns the current tail-promotion threshold.
-func (r *Recorder) SlowThreshold() time.Duration { return time.Duration(r.slowNs.Load()) }
-
 // NewTrace mints a trace context for a new operation, applying the
 // head-sampling decision. Returns the zero Context while disabled.
 func (r *Recorder) NewTrace() Context {
