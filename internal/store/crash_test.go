@@ -129,11 +129,11 @@ func refReplay(t *testing.T, dir string) map[string]Entry {
 	// got through all of it.
 	records := func(b []byte, fn func(key string, e Entry, purge bool)) (n int, whole bool) {
 		for len(b) > 0 {
-			key, e, purge, used, err := decodeRecord(b)
+			r, used, err := decodeFrame(b)
 			if err != nil {
 				return n, false
 			}
-			fn(string(key), e, purge)
+			fn(r.key(), r.entry(), r.purge())
 			b = b[used:]
 			n++
 		}

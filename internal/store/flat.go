@@ -103,9 +103,9 @@ func (f *Flat) Keys() []string {
 	now := f.now().UnixNano()
 	f.mu.Lock()
 	keys := make([]string, 0, f.t.size())
-	for k, e := range f.t.all() {
-		if e.Live(now) {
-			keys = append(keys, k)
+	for r := range f.t.all() {
+		if r.entry().Live(now) {
+			keys = append(keys, r.key())
 		}
 	}
 	f.mu.Unlock()
@@ -121,8 +121,8 @@ func (f *Flat) Range(fn func(key string, e Entry) bool) {
 	}
 	f.mu.Lock()
 	buf := make([]pair, 0, f.t.size())
-	for k, e := range f.t.all() {
-		buf = append(buf, pair{k, e})
+	for r := range f.t.all() {
+		buf = append(buf, pair{r.key(), r.entry()})
 	}
 	f.mu.Unlock()
 	for _, p := range buf {

@@ -11,6 +11,7 @@ import "pdcedu/internal/obs"
 //	store.merkle.leaf_rebuilds   counter: dirty Merkle leaves rehashed
 //	store.wal.appends            counter: records appended to the log
 //	store.wal.append_bytes       counter: bytes those appends wrote
+//	                             (156 for a 9 + 128-byte Set; wal.go)
 //	store.wal.fsyncs             counter: fsyncs issued (group commits,
 //	                             interval flushes, rotations)
 //	store.wal.errors             counter: sticky log failures (each one
@@ -25,6 +26,9 @@ import "pdcedu/internal/obs"
 //	store.wal.recovered_records  counter: log records replayed at open
 //	store.wal.torn_bytes         counter: log bytes dropped at torn or
 //	                             corrupt tails during recovery
+//	store.wal.flush_records      histogram: records per write-out of
+//	                             the log buffer — the group-commit batch
+//	                             (sums to store.wal.appends)
 //	store.wal.fsync_ns           histogram: fsync latency
 //	store.wal.snapshot_ns        histogram: rotation + checkpoint latency
 //	store.wal.recovery_ns        histogram: whole-engine reload latency
@@ -56,6 +60,7 @@ var (
 	walRecoveredRecords = obs.Default().Counter("store.wal.recovered_records")
 	walTornBytes        = obs.Default().Counter("store.wal.torn_bytes")
 
+	walFlushRecords    = obs.Default().Histogram("store.wal.flush_records")
 	walFsyncLatency    = obs.Default().Histogram("store.wal.fsync_ns")
 	walSnapshotLatency = obs.Default().Histogram("store.wal.snapshot_ns")
 	walRecoveryLatency = obs.Default().Histogram("store.wal.recovery_ns")

@@ -28,6 +28,7 @@ func TestMetricsRegistration(t *testing.T) {
 		"store.wal.torn_bytes",
 	}
 	histograms := []string{
+		"store.wal.flush_records",
 		"store.wal.fsync_ns",
 		"store.wal.snapshot_ns",
 		"store.wal.recovery_ns",

@@ -33,8 +33,8 @@ type RecoveryStats struct {
 // recovered version on the engine's clock, and starts the background
 // fsync and checkpoint loops. A directory's manifest pins its shard
 // count and Merkle bucket count; when one exists it overrides o.Shards
-// and o.MerkleBuckets. A directory in the earlier per-shard layout is
-// refused with a *LayoutError and left untouched.
+// and o.MerkleBuckets. A directory in an earlier layout is refused
+// with a *LayoutError and left untouched.
 func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 	start := time.Now()
 	if wo.Dir == "" {
@@ -100,19 +100,20 @@ func (w *wal) recover() (maxVer uint64, err error) {
 	for _, tmp := range tmps {
 		os.Remove(tmp)
 	}
-	// Each record is built straight from the decoded bytes, which alias
-	// the reader's frame buffer: one copy, its key string included.
-	apply := func(key []byte, e Entry, purge bool) {
-		if purge {
+	// A record read aliases the reader's frame buffer and is already in
+	// the table's layout: installing it is one copy, its key included.
+	apply := func(r rec) {
+		if r.purge() {
 			// Logged only when it removed an entry, and replayed in table
-			// order, so whatever is resident now is what it removed.
-			k := string(key)
+			// order, so whatever is resident now is what it removed. The
+			// key is only looked up, so it may alias the buffer.
+			k := r.key()
 			w.eng.shardFor(k).t.purge(k, math.MaxUint64)
 			return
 		}
-		r := newRec(key, e)
+		r = r.clone()
 		w.eng.shardFor(r.key()).t.install(r)
-		maxVer = max(maxVer, e.Version)
+		maxVer = max(maxVer, r.ver)
 	}
 
 	// Newest readable checkpoint wins. An unreadable one (impossible
@@ -179,7 +180,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 // bytes dropped as torn or corrupt. The file is truncated to its intact
 // prefix; one left with no record — never written to, or torn at its
 // first frame — is deleted, so restarts do not pile up empty segments.
-func replaySegment(path string, apply func(key []byte, e Entry, purge bool)) (records int, kept, torn int64, err error) {
+func replaySegment(path string, apply func(rec)) (records int, kept, torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
@@ -234,8 +235,10 @@ const (
 )
 
 // LayoutError is OpenSharded's refusal of a data directory in a layout
-// this build does not read — today v1, the per-shard s<N>.wal.<G> and
-// s<N>.snap.<G> files. The directory is left exactly as it was.
+// this build does not read: v1, the per-shard s<N>.wal.<G> and
+// s<N>.snap.<G> files, or v2, whose frames carried a length and a
+// field-by-field entry of their own. The directory is left exactly as
+// it was.
 type LayoutError struct{ Version int }
 
 func (e *LayoutError) Error() string {
@@ -243,7 +246,7 @@ func (e *LayoutError) Error() string {
 		e.Version, manifestVersion)
 }
 
-const manifestVersion = 2
+const manifestVersion = 3
 
 // parseManifest decodes a manifest body, refusing other layout
 // versions and out-of-range geometry.

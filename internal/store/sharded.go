@@ -211,9 +211,6 @@ func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 		sh.mu.Unlock()
 		return winner, false
 	}
-	if e.Tombstone {
-		e.Value = nil
-	}
 	s.logAndUnlock(sh, key, e, false)
 	return winner, true
 }
@@ -241,9 +238,9 @@ func (s *Sharded) Keys() []string {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.t.all() {
-			if e.Live(now) {
-				keys = append(keys, k)
+		for r := range sh.t.all() {
+			if r.entry().Live(now) {
+				keys = append(keys, r.key())
 			}
 		}
 		sh.mu.Unlock()
@@ -264,8 +261,8 @@ func (s *Sharded) Range(fn func(key string, e Entry) bool) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		buf = buf[:0]
-		for k, e := range sh.t.all() {
-			buf = append(buf, pair{k, e})
+		for r := range sh.t.all() {
+			buf = append(buf, pair{r.key(), r.entry()})
 		}
 		sh.mu.Unlock()
 		for _, p := range buf {

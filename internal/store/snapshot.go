@@ -154,10 +154,11 @@ func (w *wal) writeCheckpoint(gen uint64) (int64, error) {
 }
 
 // streamShards writes the checkpoint body: magic, entry count (patched
-// in at the end), then every shard's entries as records. Shards are
-// encoded one at a time under their own lock and written with no lock
-// held: a checkpoint stalls 1/N of the key space and buffers one shard.
-// Returns the bytes written.
+// in at the end), then every shard's records, each copied out as it is
+// and framed like a log record. Shards are copied one at a time under
+// their own lock and written with no lock held: a checkpoint stalls
+// 1/N of the key space and buffers one shard. Returns the bytes
+// written.
 func (w *wal) streamShards(f *os.File) (int64, error) {
 	var hdr [magicLen + 4]byte
 	copy(hdr[:], snapMagic)
@@ -170,8 +171,10 @@ func (w *wal) streamShards(f *os.File) (int64, error) {
 		sh := &w.eng.shards[i]
 		buf = buf[:0]
 		sh.mu.Lock()
-		for k, e := range sh.t.all() {
-			buf = appendRecord(buf, k, e, false)
+		for r := range sh.t.all() {
+			start := len(buf)
+			buf = append(append(buf, make([]byte, frameHead)...), r.bytes()...)
+			seal(buf[start:], r.ver)
 		}
 		count += sh.t.size()
 		sh.mu.Unlock()
@@ -190,9 +193,9 @@ func (w *wal) streamShards(f *os.File) (int64, error) {
 // and returns how many entries it delivered. Any framing or count
 // mismatch makes the whole file invalid (checkpoints are renamed into
 // place whole, so a bad one should not exist): the caller treats it as
-// absent and discards what fn was given. As with scanRecords, fn's key
-// and value are valid only during the call.
-func readSnapshot(r io.Reader, size int64, fn func(key []byte, e Entry, purge bool)) (int, error) {
+// absent and discards what fn was given. As with scanRecords, fn's
+// record is valid only during the call.
+func readSnapshot(r io.Reader, size int64, fn func(rec)) (int, error) {
 	var count [4]byte
 	n, left, err := scanRecords(r, size, snapMagic, count[:], fn)
 	if err != nil {
@@ -206,7 +209,7 @@ func readSnapshot(r io.Reader, size int64, fn func(key []byte, e Entry, purge bo
 
 // loadSnapshot is readSnapshot over the file at path; it also returns
 // the file's size.
-func loadSnapshot(path string, fn func(key []byte, e Entry, purge bool)) (n int, size int64, err error) {
+func loadSnapshot(path string, fn func(rec)) (n int, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err

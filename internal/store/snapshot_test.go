@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"strings"
@@ -220,29 +222,47 @@ func TestRecoveryRestartsLeaveBoundedFiles(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesV1Layout: a directory written by the per-shard
-// layout is refused with the typed error, and nothing in it is
-// touched — no new manifest, no new segment, no deleted file.
+// TestRecoveryRefusesV1Layout: a directory written by an earlier layout
+// — v1's per-shard files, or v2's one log of length-framed entries — is
+// refused with the typed error, and nothing in it is touched: no new
+// manifest, no new segment, no deleted file.
 func TestRecoveryRefusesV1Layout(t *testing.T) {
-	dir := t.TempDir()
-	seg := appendRecord([]byte(walMagic), "k", Entry{Value: []byte("v"), Version: 1}, false)
-	v1 := map[string][]byte{
-		"WALMETA":  []byte("pdcedu-wal v1\nshards 2\nbuckets 32\n"),
-		"s0.wal.1": seg,
-		"s1.wal.1": []byte(walMagic),
-	}
-	for name, b := range v1 {
-		if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := OpenSharded(Options{}, WALOptions{Dir: dir})
-	var le *LayoutError
-	if !errors.As(err, &le) || le.Version != 1 || !strings.Contains(err.Error(), dir) {
-		t.Fatalf("open of a v1 directory returned %v, want *LayoutError{Version: 1}", err)
-	}
-	if got := copyFiles(t, dir, func(string) bool { return true }); !reflect.DeepEqual(got, v1) {
-		t.Fatalf("refused open modified the directory: now holds %d files", len(got))
+	// A v2 frame of "k" = "v" at version 1: payload length and CRC,
+	// then flags, version, expireAt, key length, key, value length and
+	// value.
+	payload := []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'k', 1, 0, 0, 0, 'v'}
+	v2Frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	v2Frame = append(binary.LittleEndian.AppendUint32(v2Frame, crc32.Checksum(payload, crcTable)), payload...)
+	for _, c := range []struct {
+		version int
+		files   map[string][]byte
+	}{
+		{1, map[string][]byte{
+			"WALMETA":  []byte("pdcedu-wal v1\nshards 2\nbuckets 32\n"),
+			"s0.wal.1": append([]byte("PDCWAL1\n"), v2Frame...),
+			"s1.wal.1": []byte("PDCWAL1\n"),
+		}},
+		{2, map[string][]byte{
+			"WALMETA": []byte("pdcedu-wal v2\nshards 2\nbuckets 32\n"),
+			"wal.1":   append([]byte("PDCWAL1\n"), v2Frame...),
+		}},
+	} {
+		t.Run(fmt.Sprintf("v%d", c.version), func(t *testing.T) {
+			dir := t.TempDir()
+			for name, b := range c.files {
+				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := OpenSharded(Options{}, WALOptions{Dir: dir})
+			var le *LayoutError
+			if !errors.As(err, &le) || le.Version != c.version || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("open of a v%d directory returned %v, want *LayoutError{Version: %d}", c.version, err, c.version)
+			}
+			if got := copyFiles(t, dir, func(string) bool { return true }); !reflect.DeepEqual(got, c.files) {
+				t.Fatalf("refused open modified the directory: now holds %d files", len(got))
+			}
+		})
 	}
 }
 
@@ -278,8 +298,9 @@ func pacedSet(t *testing.T, s *Sharded, key string, val []byte) int64 {
 }
 
 // pacingRecord is the log (and image) bytes of one record the pacing
-// tests write: an 8-byte key and a 100-byte value.
-const pacingRecord = recHeader + recFixed + 8 + 100
+// tests write: an 8-byte key and a 100-byte value, framed (CRC and
+// version) around the table's record header.
+const pacingRecord = frameHead + baseHeader + 8 + 100
 
 func pacingKey(i int) string { return fmt.Sprintf("key-%04d", i) }
 

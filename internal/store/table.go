@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"iter"
 	"math"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -180,10 +181,13 @@ func (t *table) resize() {
 // little-endian, klen widening to 4 bytes for a key over 64 KiB. A
 // 9-byte key and a 128-byte value make exactly the 144-byte size class.
 // The version lives beside the pointer in the slot, where merge and
-// sweep compare it.
+// sweep compare it. The log and checkpoints store this same layout
+// byte for byte behind a CRC and the version (wal.go), so a checkpoint
+// copies a resident record out as it is and replay installs one copy
+// of the record it read.
 //
 // The rule that makes the aliasing safe: a record is written once, when
-// newRec creates it, and is never mutated or reused. Every key and
+// it is created, and is never mutated or reused. Every key and
 // Entry.Value handed out point into it, and the garbage collector keeps
 // it alive for as long as any of them does, so a caller holding one
 // sees the same bytes whatever happens to the key afterwards. This file
@@ -198,14 +202,18 @@ const (
 	flagTombstone = 1 << iota
 	flagExpires
 	flagLongKey
+	// flagPurge marks a log record that removes its key outright; it
+	// is never installed in a table.
+	flagPurge
+	flagsKnown = flagPurge<<1 - 1
 
 	baseHeader = 1 + 2 + 4 // flags, klen, vlen: the header without its options
 )
 
-// newRec lays key and e out as a new record. A tombstone's value is
-// dropped.
-func newRec[K ~string | ~[]byte](key K, e Entry) rec {
-	var flags byte
+// appendRec lays key and e out as a record, with flags as well as the
+// ones e implies, on the end of dst: the one encoder of the layout,
+// behind both newRec and the log. A tombstone's value is dropped.
+func appendRec(dst []byte, key string, e Entry, flags byte) []byte {
 	if e.Tombstone {
 		flags |= flagTombstone
 		e.Value = nil
@@ -217,7 +225,13 @@ func newRec[K ~string | ~[]byte](key K, e Entry) rec {
 		flags |= flagExpires
 	}
 	hdr, lw := header(flags)
-	b := make([]byte, hdr+len(key)+len(e.Value))
+	size := hdr + len(key) + len(e.Value)
+	if dst == nil {
+		dst = make([]byte, 0, size) // newRec's: one allocation, under -race too
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:] // every byte of it is written below
 	b[0] = flags
 	if lw == 2 {
 		binary.LittleEndian.PutUint16(b[1:], uint16(len(key)))
@@ -230,6 +244,13 @@ func newRec[K ~string | ~[]byte](key K, e Entry) rec {
 	}
 	copy(b[hdr:], key)
 	copy(b[hdr+len(key):], e.Value)
+	return dst
+}
+
+// newRec lays key and e out as a new record in an allocation of its
+// own.
+func newRec(key string, e Entry) rec {
+	b := appendRec(nil, key, e, 0)
 	return rec{p: &b[0], ver: e.Version}
 }
 
@@ -259,8 +280,24 @@ func (r rec) layout() (flags byte, hdr, klen, vlen int) {
 	return flags, hdr, klen, int(binary.LittleEndian.Uint32(h[1+lw:]))
 }
 
+// bytes returns the slice aliasing the whole of r's record.
+func (r rec) bytes() []byte {
+	_, hdr, klen, vlen := r.layout()
+	return unsafe.Slice(r.p, hdr+klen+vlen)
+}
+
+// clone copies r into an allocation of its own: the one copy replay
+// makes of a record it read into a reused buffer.
+func (r rec) clone() rec {
+	b := append([]byte(nil), r.bytes()...)
+	return rec{p: &b[0], ver: r.ver}
+}
+
 // tombstone reports whether r is a tombstone, reading only its flags.
 func (r rec) tombstone() bool { return *r.p&flagTombstone != 0 }
+
+// purge reports whether r is a log record removing its key.
+func (r rec) purge() bool { return *r.p&flagPurge != 0 }
 
 // key returns the string aliasing r's key bytes.
 func (r rec) key() string {
@@ -385,11 +422,11 @@ func (t *table) purge(key string, ver uint64) bool {
 // size reports the resident entries, tombstones included.
 func (t *table) size() int { return t.n }
 
-// all iterates every resident entry, tombstones included.
-func (t *table) all() iter.Seq2[string, Entry] {
-	return func(yield func(string, Entry) bool) {
+// all iterates every resident record, tombstones included.
+func (t *table) all() iter.Seq[rec] {
+	return func(yield func(rec) bool) {
 		for i, tag := range t.tags {
-			if r := t.slots[i]; tag&tagFull != 0 && !yield(r.key(), r.entry()) {
+			if tag&tagFull != 0 && !yield(t.slots[i]) {
 				return
 			}
 		}

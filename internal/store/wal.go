@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,16 +30,20 @@ import (
 //	wal.<G>     log segment, generation G
 //	snap.<G>    checkpoint of the whole engine covering segments <= G
 //
-// Each segment starts with an 8-byte magic, then records:
+// Each segment starts with an 8-byte magic, then one frame per record:
 //
-//	u32 payload length | u32 CRC-32C of payload | payload
-//	payload = u8 flags | u64 version | i64 expireAt |
-//	          u32 keyLen | key | u32 valLen | value
+//	u32 CRC-32C of the rest | u64 version | record
+//	record = flags(1) | klen(2, or 4 past 64 KiB) | vlen(4) |
+//	         expireAt(8, only with flagExpires) | key | value
 //
-// Everything is little-endian. A record is torn when the file ends
-// mid-frame and corrupt when the CRC or structure does not check out;
-// recovery truncates at the first such record, so replay recovers
-// exactly the prefix that reached disk intact.
+// The record is the table's own (table.go), byte for byte, plus one
+// flag only the log sets: flagPurge, a record that removes its key. The
+// frame has no length of its own; the record header holds both, and
+// the CRC covers them. A 9-byte key and a 128-byte value are a
+// 156-byte frame. Everything is little-endian. A record is torn when
+// the file ends mid-frame and corrupt when the CRC or header does not
+// check out; recovery truncates at the first such record, so replay
+// recovers exactly the prefix that reached disk intact.
 
 // FsyncPolicy says when appended records are forced to stable storage.
 type FsyncPolicy int
@@ -158,16 +163,11 @@ var errWALClosed = errors.New("log is closed")
 // Record framing.
 
 const (
-	walMagic  = "PDCWAL1\n"
-	snapMagic = "PDCSNP1\n"
+	walMagic  = "PDCWAL2\n"
+	snapMagic = "PDCSNP2\n"
 	magicLen  = 8
-	recHeader = 8                 // u32 length + u32 crc
-	recFixed  = 1 + 8 + 8 + 4 + 4 // flags + version + expireAt + keyLen + valLen
-	maxKeyLen = 1 << 20
-	maxValLen = 1 << 30
-
-	recFlagTombstone = 1 << 0
-	recFlagPurge     = 1 << 1
+	frameHead = 4 + 8                  // u32 crc + u64 version
+	minFrame  = frameHead + baseHeader // an empty key and value, no expiry
 
 	// walFlushBytes bounds the in-memory log buffer: the writer that
 	// grows it past this writes it out, so one write syscall carries
@@ -177,31 +177,24 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord encodes one record onto buf and returns the extended
-// slice.
-func appendRecord(buf []byte, key string, e Entry, purge bool) []byte {
-	payload := recFixed + len(key) + len(e.Value)
-	start := len(buf)
-	buf = append(buf, make([]byte, recHeader+payload)...)
-	b := buf[start:]
-	binary.LittleEndian.PutUint32(b[0:], uint32(payload))
+// appendFrame appends the frame of the record for key and e — a purge
+// record when purge is set — to buf and returns the extended slice.
+func appendFrame(buf []byte, key string, e Entry, purge bool) []byte {
 	var flags byte
-	if e.Tombstone {
-		flags |= recFlagTombstone
-	}
 	if purge {
-		flags |= recFlagPurge
+		flags = flagPurge
 	}
-	p := b[recHeader:]
-	p[0] = flags
-	binary.LittleEndian.PutUint64(p[1:], e.Version)
-	binary.LittleEndian.PutUint64(p[9:], uint64(e.ExpireAt))
-	binary.LittleEndian.PutUint32(p[17:], uint32(len(key)))
-	copy(p[21:], key)
-	binary.LittleEndian.PutUint32(p[21+len(key):], uint32(len(e.Value)))
-	copy(p[25+len(key):], e.Value)
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(p, crcTable))
+	start := len(buf)
+	buf = appendRec(append(buf, make([]byte, frameHead)...), key, e, flags)
+	seal(buf[start:], e.Version)
 	return buf
+}
+
+// seal writes a frame's version and then its CRC, which covers the
+// version and the record.
+func seal(frame []byte, ver uint64) {
+	binary.LittleEndian.PutUint64(frame[4:], ver)
+	binary.LittleEndian.PutUint32(frame, crc32.Checksum(frame[4:], crcTable))
 }
 
 var (
@@ -209,88 +202,81 @@ var (
 	errCorruptRecord = errors.New("wal: corrupt record")
 )
 
-// decodeRecord parses the record at the head of b, returning the key,
-// entry, purge flag, and bytes consumed. errTornRecord means b ends
-// mid-frame (a crash mid-append); errCorruptRecord means the frame is
-// structurally invalid or fails its CRC. The key and the value alias b
-// — nothing is copied — so a caller keeping either past b's reuse
-// copies it, as the table does by building its record from them.
-func decodeRecord(b []byte) (key []byte, e Entry, purge bool, n int, err error) {
-	if len(b) < recHeader {
-		return nil, Entry{}, false, 0, errTornRecord
+// decodeFrame checks the frame at the head of b and returns its record
+// and length. The record aliases b — nothing is copied — so a caller
+// keeping it past b's reuse clones it, as replay does. errTornRecord
+// means b ends mid-frame (a crash mid-append), and comes with how long
+// b must be to tell more. errCorruptRecord means a bad CRC or a record
+// header no encoder writes: an unknown flag, a tombstone or purge
+// carrying a value, a wide klen for a short key, or a zero expiry.
+func decodeFrame(b []byte) (rec, int, error) {
+	if len(b) < minFrame {
+		return rec{}, minFrame, errTornRecord
 	}
-	plen := int(binary.LittleEndian.Uint32(b))
-	if plen < recFixed || plen > recFixed+maxKeyLen+maxValLen {
-		return nil, Entry{}, false, 0, errCorruptRecord
+	flags := b[frameHead]
+	hdr, _ := header(flags)
+	if flags&^flagsKnown != 0 {
+		return rec{}, 0, errCorruptRecord
+	} else if len(b) < frameHead+hdr {
+		return rec{}, frameHead + hdr, errTornRecord
 	}
-	if len(b) < recHeader+plen {
-		return nil, Entry{}, false, 0, errTornRecord
+	r := rec{p: &b[frameHead], ver: binary.LittleEndian.Uint64(b[4:])}
+	_, _, klen, vlen := r.layout()
+	n := frameHead + hdr + klen + vlen
+	switch {
+	case flags&(flagTombstone|flagPurge) != 0 && vlen > 0,
+		flags&flagLongKey != 0 && klen <= math.MaxUint16,
+		flags&flagExpires != 0 && binary.LittleEndian.Uint64(b[frameHead+hdr-8:]) == 0:
+		return rec{}, 0, errCorruptRecord
+	case len(b) < n:
+		return rec{}, n, errTornRecord
+	case crc32.Checksum(b[4:n], crcTable) != binary.LittleEndian.Uint32(b):
+		return rec{}, 0, errCorruptRecord
 	}
-	p := b[recHeader : recHeader+plen]
-	if crc32.Checksum(p, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, Entry{}, false, 0, errCorruptRecord
-	}
-	flags := p[0]
-	e.Version = binary.LittleEndian.Uint64(p[1:])
-	e.ExpireAt = int64(binary.LittleEndian.Uint64(p[9:]))
-	klen := int(binary.LittleEndian.Uint32(p[17:]))
-	if klen > maxKeyLen || recFixed+klen > plen {
-		return nil, Entry{}, false, 0, errCorruptRecord
-	}
-	vlen := int(binary.LittleEndian.Uint32(p[21+klen:]))
-	if vlen != plen-recFixed-klen {
-		return nil, Entry{}, false, 0, errCorruptRecord
-	}
-	key = p[21 : 21+klen]
-	e.Tombstone = flags&recFlagTombstone != 0
-	purge = flags&recFlagPurge != 0
-	if vlen > 0 && !e.Tombstone {
-		e.Value = p[25+klen : 25+klen+vlen]
-	}
-	return key, e, purge, recHeader + plen, nil
+	return r, n, nil
 }
 
 // recordReader streams records through one reusable frame buffer. left
 // is what remains of the source: a length read from disk is checked
-// against it (and the format's limits) before anything is allocated.
+// against it before anything is allocated.
 type recordReader struct {
 	r    io.Reader
 	left int64
 	buf  []byte
 }
 
-// next decodes the next record; its key and value alias the frame
-// buffer and are valid until the following call. io.EOF is the clean
-// end of the source, a source that ends mid-frame is torn, and anything
-// that is neither that nor errCorruptRecord is a read error.
-func (rr *recordReader) next() (key []byte, e Entry, purge bool, err error) {
+// next decodes the next record, which aliases the frame buffer and is
+// valid until the following call. io.EOF is the clean end of the
+// source, a source that ends mid-frame is torn, and anything that is
+// neither that nor errCorruptRecord is a read error. A frame is read in
+// up to three steps, each as long as the last one showed it must be:
+// the fixed head, the rest of the record header, the key and value.
+func (rr *recordReader) next() (rec, error) {
 	if rr.left == 0 {
-		return nil, e, false, io.EOF
+		return rec{}, io.EOF
 	}
-	if cap(rr.buf) < recHeader {
+	if cap(rr.buf) < minFrame {
 		rr.buf = make([]byte, 4<<10)
 	}
-	if err := rr.fill(rr.buf[:recHeader]); err != nil {
-		return nil, e, false, err
+	for n := 0; ; {
+		r, m, err := decodeFrame(rr.buf[:n])
+		if err != errTornRecord {
+			if err == nil {
+				rr.left -= int64(m)
+			}
+			return r, err
+		}
+		if int64(m) > rr.left {
+			return rec{}, errTornRecord
+		}
+		if cap(rr.buf) < m {
+			rr.buf = append(make([]byte, 0, m), rr.buf[:n]...)
+		}
+		if err := rr.fill(rr.buf[n:m]); err != nil {
+			return rec{}, err
+		}
+		n = m
 	}
-	plen := int64(binary.LittleEndian.Uint32(rr.buf))
-	if plen < recFixed || plen > recFixed+maxKeyLen+maxValLen {
-		return nil, e, false, errCorruptRecord
-	}
-	if plen > rr.left-recHeader {
-		return nil, e, false, errTornRecord
-	}
-	n := recHeader + int(plen)
-	if cap(rr.buf) < n {
-		rr.buf = append(make([]byte, 0, n), rr.buf[:recHeader]...)
-	}
-	if err := rr.fill(rr.buf[recHeader:n]); err != nil {
-		return nil, e, false, err
-	}
-	if key, e, purge, _, err = decodeRecord(rr.buf[:n]); err == nil {
-		rr.left -= int64(n)
-	}
-	return key, e, purge, err
 }
 
 // fill reads len(p) bytes; a source shorter than left promised is torn.
@@ -304,11 +290,11 @@ func (rr *recordReader) fill(p []byte) error {
 
 // scanRecords streams a segment or checkpoint of size bytes — magic,
 // len(hdr) more header bytes (copied out into hdr), then records —
-// through apply, whose key and value alias a reused frame buffer and
-// are valid only during the call. It returns the records delivered
-// and, if it stopped early, the bytes left unread and why: torn,
-// corrupt (a bad magic included), or a read error.
-func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(key []byte, e Entry, purge bool)) (records int, left int64, err error) {
+// through apply, whose record aliases a reused frame buffer and is
+// valid only during the call. It returns the records delivered and, if
+// it stopped early, the bytes left unread and why: torn, corrupt (a bad
+// magic included), or a read error.
+func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(rec)) (records int, left int64, err error) {
 	head := make([]byte, magicLen+len(hdr))
 	rr := recordReader{r: bufio.NewReaderSize(r, 64<<10), left: size - int64(len(head))}
 	if err := rr.fill(head); err != nil && err != errTornRecord {
@@ -318,14 +304,14 @@ func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(k
 	}
 	copy(hdr, head[magicLen:])
 	for {
-		key, e, purge, err := rr.next()
+		r, err := rr.next()
 		if err == io.EOF {
 			return records, 0, nil
 		}
 		if err != nil {
 			return records, rr.left, err
 		}
-		apply(key, e, purge)
+		apply(r)
 		records++
 	}
 }
@@ -407,7 +393,7 @@ func (w *wal) append(key string, e Entry, purge bool) uint64 {
 		return 0
 	}
 	before := len(w.buf)
-	w.buf = appendRecord(w.buf, key, e, purge)
+	w.buf = appendFrame(w.buf, key, e, purge)
 	w.backlog += int64(len(w.buf) - before)
 	w.seq++
 	seq, due := w.seq, w.backlog >= w.checkpointAt()
@@ -442,6 +428,7 @@ func (w *wal) flushLocked(sync bool) {
 	if len(b) > 0 {
 		walAppends.Add(appends)
 		walAppendBytes.Add(uint64(len(b)))
+		walFlushRecords.Observe(int64(appends))
 		err = writeFull(f, b)
 	}
 	if err == nil && sync {
