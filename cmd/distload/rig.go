@@ -15,94 +15,8 @@ import (
 	"pdcedu/internal/obs"
 )
 
-// runner abstracts the two load targets: a dist.Cluster coordinator
-// (quorum reads/writes, optional hot-key cache) and raw csnet clients
-// speaking the pipelined mux straight at one or more backends.
-type runner interface {
-	read(w *worker, key string) error
-	write(w *worker, key string, val []byte) error
-	close()
-}
-
-// errNotFound classifies a clean miss: it is not a failure, but the
-// report counts it separately to show reads actually hit populated
-// keys.
-var errNotFound = errors.New("distload: key not found")
-
-type clusterRunner struct{ gw *dist.Cluster }
-
-func (r *clusterRunner) read(_ *worker, key string) error {
-	_, ok, err := r.gw.Get(key)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return errNotFound
-	}
-	return nil
-}
-
-func (r *clusterRunner) write(_ *worker, key string, val []byte) error {
-	return r.gw.Set(key, val)
-}
-
-func (r *clusterRunner) close() { _ = r.gw.Close() }
-
-// rawRunner drives csnet clients directly. Each worker is pinned to
-// one client (worker index mod conns), so -conns controls how many
-// muxed TCP connections carry the pipelined traffic.
-type rawRunner struct {
-	clients []*csnet.Client
-	addrs   []string
-}
-
-func newRawRunner(addrs []string, conns int, timeout time.Duration) (*rawRunner, error) {
-	if conns < 1 {
-		conns = 1
-	}
-	r := &rawRunner{addrs: addrs}
-	for i := 0; i < conns; i++ {
-		cl, err := csnet.Dial(addrs[i%len(addrs)], timeout)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.clients = append(r.clients, cl)
-	}
-	return r, nil
-}
-
-func (r *rawRunner) client(w *worker) *csnet.Client {
-	return r.clients[w.id%len(r.clients)]
-}
-
-func (r *rawRunner) read(w *worker, key string) error {
-	_, ok, err := r.client(w).Get(key)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return errNotFound
-	}
-	return nil
-}
-
-func (r *rawRunner) write(w *worker, key string, val []byte) error {
-	return r.client(w).Set(key, val)
-}
-
-func (r *rawRunner) close() {
-	for _, cl := range r.clients {
-		if cl != nil {
-			_ = cl.Close()
-		}
-	}
-}
-
-// keyPicker yields key indices for one worker. Zipfian pickers are
-// per-worker (rand.Zipf is not concurrency-safe) but share the same
-// skew, so the hot set is the same across workers — that is what makes
-// a key "hot" cluster-wide.
+// keyPicker yields the dispatcher's key indices, uniform or zipfian
+// (rand.Zipf is not concurrency-safe, so it has one owner).
 type keyPicker struct {
 	rng  *rand.Rand
 	zipf *rand.Zipf
@@ -133,32 +47,17 @@ func (p *keyPicker) next() uint64 {
 	return p.rng.Uint64() % p.n
 }
 
-// loadConfig is one measured run.
-type loadConfig struct {
-	workers  int
-	rate     float64 // target ops/sec across all workers; 0 = closed loop
-	duration time.Duration
-	readPct  int
-	dist     string
-	zipfS    float64
-	zipfV    float64
-	keys     int
-	valSize  int
-	retries  int // extra attempts after a BUSY shed reply
-	base     time.Duration
-	seed     int64
-}
-
-// report is the outcome of one run. All latencies are nanoseconds; in
-// open-loop mode they are coordinated-omission corrected (measured
-// from the request's intended send time on the fixed arrival
-// schedule, not from when a delayed worker finally issued it).
+// report is the outcome of one run. Read and Write hold
+// coordinated-omission-corrected latencies in nanoseconds, measured
+// from each op's slot time on the fixed arrival schedule; ReadSvc holds
+// the same reads' service time, measured from when the op was sent.
+// Both include every queue in the cluster; the gap between them is the
+// dispatcher's own lag.
 type report struct {
 	Name       string
-	Mode       string
-	OpenLoop   bool
-	RateTarget float64
+	Rate       float64
 	Seconds    float64
+	Throughput float64
 
 	Ops        uint64
 	Reads      uint64
@@ -169,26 +68,8 @@ type report struct {
 	Timeouts   uint64
 	Partials   uint64
 	Unexpected uint64
-	Throughput float64
 
-	ReadP50   uint64
-	ReadP99   uint64
-	ReadP999  uint64
-	ReadMax   uint64
-	ReadMean  uint64
-	WriteP50  uint64
-	WriteP99  uint64
-	WriteP999 uint64
-	WriteMax  uint64
-
-	// Service-time percentiles, measured from the moment the request
-	// actually hit the wire rather than from its intended slot time.
-	// Populated by the pipelined open-loop path; the gap between these
-	// and the CO-corrected numbers above is exactly the queueing delay
-	// coordinated omission would have hidden.
-	SvcReadP50 uint64
-	SvcReadP99 uint64
-	SvcReadMax uint64
+	Read, ReadSvc, Write obs.HistogramSnapshot
 
 	CacheHits   uint64
 	CacheMisses uint64
@@ -196,164 +77,121 @@ type report struct {
 	ServerShed  uint64
 }
 
-type worker struct {
-	id   int
-	pick *keyPicker
-	val  []byte
+// maxInflight bounds the ops the dispatcher has issued and not yet seen
+// resolve. When a cluster that does not shed stops answering, the
+// dispatcher blocks here and the lag is charged to every later slot:
+// the honest CO accounting of a system that has stopped absorbing its
+// arrival rate.
+const maxInflight = 65536
+
+// errNotFound classifies a clean miss: a served read, counted
+// separately to show reads actually hit populated keys.
+var errNotFound = errors.New("distload: key not found")
+
+// tally is one run's outcome counts and latency histograms, shared by
+// every op's goroutine.
+type tally struct {
+	reads, writes, notFound, shed, retries, timeouts, partials, unexpected atomic.Uint64
+	read, readSvc, write                                                   *obs.Histogram
 }
 
-// runLoad drives cfg against r and reports CO-safe latencies.
-//
-// Open loop (rate > 0): the arrival schedule is fixed up front — slot
-// i's intended send time is start + i/rate, handed out by a global
-// atomic counter. A worker that falls behind does NOT skip slots or
-// reset the clock; it issues the overdue request immediately and the
-// recorded latency includes the time the request spent waiting for a
-// free worker. That is the coordinated-omission correction: a server
-// that stalls for a second shows a second of tail latency instead of
-// quietly receiving one fewer request.
-//
-// Closed loop (rate == 0): each worker issues its next request the
-// moment the previous one completes; latency is pure service time and
-// throughput measures capacity.
-func runLoad(r runner, keys []string, cfg loadConfig) (report, error) {
-	if cfg.workers < 1 {
-		cfg.workers = 1
+// runLoad is the dispatcher: it offers gw opt's open-loop schedule.
+// Slot i is due at start + i/rate. The dispatcher sleeps until a slot
+// is due (an overdue slot goes at once: the clock is never reset) and
+// issues it on its own goroutine, so it never waits for a reply and a
+// slow cluster cannot slow the schedule; only maxInflight can. Each op
+// records two latencies: from its slot time — what an arriving user
+// would feel — and from its send.
+func runLoad(gw *dist.Cluster, keys []string, opt options) (report, error) {
+	pick, err := newKeyPicker(opt.dist, len(keys), opt.zipfS, opt.zipfV, opt.seed)
+	if err != nil {
+		return report{}, err
 	}
-	if cfg.base <= 0 {
-		cfg.base = time.Millisecond
-	}
-	readHist, writeHist := obs.NewHistogram(), obs.NewHistogram()
-	var reads, writes, notFound, shed, retries, timeouts, partials, unexpected atomic.Uint64
-
-	classify := func(err error, isRead bool) {
-		switch {
-		case err == nil:
-			if isRead {
-				reads.Add(1)
-			} else {
-				writes.Add(1)
-			}
-		case errors.Is(err, errNotFound):
-			reads.Add(1)
-			notFound.Add(1)
-		case csnet.IsBusy(err):
-			shed.Add(1)
-		case isTimeout(err):
-			timeouts.Add(1)
-		case isPartial(err):
-			partials.Add(1)
-		default:
-			unexpected.Add(1)
-		}
-	}
-
-	var slot atomic.Int64
-	openLoop := cfg.rate > 0
-	var interval time.Duration
-	var slots int64
-	if openLoop {
-		interval = time.Duration(float64(time.Second) / cfg.rate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
-		slots = int64(cfg.duration / interval)
-		if slots < 1 {
-			slots = 1
-		}
-	}
-
-	start := time.Now()
-	deadline := start.Add(cfg.duration)
+	val := make([]byte, opt.valSize)
+	base := max(opt.retryBase, time.Nanosecond) // rand.Int63n panics on 0
+	interval := max(time.Duration(float64(time.Second)/opt.rate), time.Nanosecond)
+	slots := max(int64(opt.duration/interval), 1)
+	t := &tally{read: obs.NewHistogram(), readSvc: obs.NewHistogram(), write: obs.NewHistogram()}
+	sem := make(chan struct{}, maxInflight)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.workers; i++ {
-		pick, err := newKeyPicker(cfg.dist, cfg.keys, cfg.zipfS, cfg.zipfV, cfg.seed+int64(i))
-		if err != nil {
-			return report{}, err
+	start := time.Now()
+	for s := range slots {
+		due := start.Add(time.Duration(s) * interval)
+		if d := time.Until(due); d > 0 {
+			time.Sleep(d)
 		}
-		w := &worker{id: i, pick: pick, val: make([]byte, cfg.valSize)}
-		opRng := rand.New(rand.NewSource(cfg.seed ^ int64(i)<<17))
+		sem <- struct{}{}
+		key := keys[pick.next()%uint64(len(keys))]
+		isRead := pick.rng.Intn(100) < opt.readPct
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				var intended time.Time
-				if openLoop {
-					s := slot.Add(1) - 1
-					if s >= slots {
-						return
-					}
-					intended = start.Add(time.Duration(s) * interval)
-					if d := time.Until(intended); d > 0 {
-						time.Sleep(d)
+			defer func() { <-sem; wg.Done() }()
+			sent := time.Now()
+			var err error
+			for try := 0; ; try++ {
+				if isRead {
+					var ok bool
+					if _, ok, err = gw.Get(key); err == nil && !ok {
+						err = errNotFound
 					}
 				} else {
-					intended = time.Now()
-					if !intended.Before(deadline) {
-						return
-					}
+					err = gw.Set(key, val)
 				}
-				key := keys[w.pick.next()%uint64(len(keys))]
-				isRead := opRng.Intn(100) < cfg.readPct
-				var err error
-				for try := 0; ; try++ {
-					if isRead {
-						err = r.read(w, key)
-					} else {
-						err = r.write(w, key, w.val)
-					}
-					if err == nil || !csnet.IsBusy(err) || try >= cfg.retries {
-						break
-					}
-					retries.Add(1)
-					// Full-jitter exponential backoff, mirroring
-					// csnet.(*Client).DoRetry: uniform in [0, base<<try).
-					time.Sleep(time.Duration(opRng.Int63n(int64(cfg.base << uint(try)))))
+				if !csnet.IsBusy(err) || try >= opt.retries {
+					break
 				}
-				lat := time.Since(intended)
-				classify(err, isRead)
-				if err == nil || errors.Is(err, errNotFound) {
-					if isRead {
-						readHist.Observe(lat.Nanoseconds())
-					} else {
-						writeHist.Observe(lat.Nanoseconds())
-					}
-				}
+				t.retries.Add(1)
+				// Full-jitter exponential backoff, mirroring
+				// csnet.(*Client).DoRetry: uniform in [0, base<<try).
+				time.Sleep(time.Duration(rand.Int63n(int64(base << try))))
 			}
+			t.record(err, isRead, due, sent)
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rs, ws := readHist.Snapshot(), writeHist.Snapshot()
 	rep := report{
-		Mode:       "raw",
-		OpenLoop:   openLoop,
-		RateTarget: cfg.rate,
-		Seconds:    elapsed.Seconds(),
-		Reads:      reads.Load(),
-		Writes:     writes.Load(),
-		NotFound:   notFound.Load(),
-		Shed:       shed.Load(),
-		Retries:    retries.Load(),
-		Timeouts:   timeouts.Load(),
-		Partials:   partials.Load(),
-		Unexpected: unexpected.Load(),
-		ReadP50:    rs.Quantile(0.50),
-		ReadP99:    rs.Quantile(0.99),
-		ReadP999:   rs.Quantile(0.999),
-		ReadMax:    rs.Max,
-		ReadMean:   rs.Mean(),
-		WriteP50:   ws.Quantile(0.50),
-		WriteP99:   ws.Quantile(0.99),
-		WriteP999:  ws.Quantile(0.999),
-		WriteMax:   ws.Max,
+		Rate: opt.rate, Seconds: elapsed.Seconds(),
+		Reads: t.reads.Load(), Writes: t.writes.Load(), NotFound: t.notFound.Load(),
+		Shed: t.shed.Load(), Retries: t.retries.Load(), Timeouts: t.timeouts.Load(),
+		Partials: t.partials.Load(), Unexpected: t.unexpected.Load(),
+		Read: t.read.Snapshot(), ReadSvc: t.readSvc.Snapshot(), Write: t.write.Snapshot(),
 	}
 	rep.Ops = rep.Reads + rep.Writes + rep.Shed + rep.Timeouts + rep.Partials + rep.Unexpected
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Reads+rep.Writes) / elapsed.Seconds()
-	}
+	rep.Throughput = float64(rep.Reads+rep.Writes) / elapsed.Seconds()
 	return rep, nil
+}
+
+// record classifies one op's final outcome and, for a served op, books
+// its latencies.
+func (t *tally) record(err error, isRead bool, due, sent time.Time) {
+	switch {
+	case err == nil:
+	case errors.Is(err, errNotFound):
+		t.notFound.Add(1)
+	case csnet.IsBusy(err):
+		t.shed.Add(1)
+		return
+	case isTimeout(err):
+		t.timeouts.Add(1)
+		return
+	case isPartial(err):
+		t.partials.Add(1)
+		return
+	default:
+		t.unexpected.Add(1)
+		return
+	}
+	now := time.Now()
+	if !isRead {
+		t.writes.Add(1)
+		t.write.Observe(now.Sub(due).Nanoseconds())
+		return
+	}
+	t.reads.Add(1)
+	t.read.Observe(now.Sub(due).Nanoseconds())
+	t.readSvc.Observe(now.Sub(sent).Nanoseconds())
 }
 
 func isTimeout(err error) bool {
@@ -389,156 +227,4 @@ func attachCacheStats(rep *report, before, after obs.Snapshot) {
 	rep.CacheMisses = counterDelta(before, after, "dist.cache.misses")
 	rep.CacheInvals = counterDelta(before, after, "dist.cache.invalidations")
 	rep.ServerShed = counterDelta(before, after, "csnet.server.shed")
-}
-
-// flight is one pipelined request awaiting its response.
-type flight struct {
-	call     *csnet.Call
-	intended time.Time
-	sent     time.Time
-	isRead   bool
-}
-
-// runLoadAsync is the pipelined open-loop raw driver. Synchronous
-// workers cannot offer more load than (workers / service time), so a
-// saturated server quietly throttles them — the rig would be
-// coordinating with the very omission it is supposed to expose.
-// Here each connection has a sender that issues requests on the global
-// slot schedule without waiting for responses (csnet's mux pipelines
-// them) and a collector that resolves the responses in send order.
-// Two latencies are recorded per op: CO-corrected (from the slot's
-// intended time — what an arriving user would experience) and service
-// time (from the actual send — what the server delivered for the
-// requests it accepted).
-//
-// maxInflight bounds outstanding requests across all connections;
-// when an overloaded no-shed server stops answering, the sender
-// blocks on that budget and the lag is charged to every subsequent
-// slot, which is the honest CO accounting of a system that has
-// stopped absorbing its arrival rate.
-func runLoadAsync(r *rawRunner, keys []string, cfg loadConfig, maxInflight int) (report, error) {
-	if cfg.rate <= 0 {
-		return report{}, errors.New("runLoadAsync needs an open-loop rate")
-	}
-	if maxInflight < 1 {
-		maxInflight = 65536
-	}
-	readCO, readSvc, writeCO := obs.NewHistogram(), obs.NewHistogram(), obs.NewHistogram()
-	var reads, writes, notFound, shed, timeouts, unexpected atomic.Uint64
-
-	interval := time.Duration(float64(time.Second) / cfg.rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	slots := int64(cfg.duration / interval)
-	if slots < 1 {
-		slots = 1
-	}
-	var slot atomic.Int64
-	sem := make(chan struct{}, maxInflight)
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for i, cl := range r.clients {
-		q := make(chan flight, maxInflight)
-		pick, err := newKeyPicker(cfg.dist, cfg.keys, cfg.zipfS, cfg.zipfV, cfg.seed+int64(i))
-		if err != nil {
-			return report{}, err
-		}
-		opRng := rand.New(rand.NewSource(cfg.seed ^ int64(i)<<17))
-		val := make([]byte, cfg.valSize)
-		cl := cl
-		wg.Add(1)
-		go func() { // sender
-			defer wg.Done()
-			defer close(q)
-			for {
-				s := slot.Add(1) - 1
-				if s >= slots {
-					return
-				}
-				intended := start.Add(time.Duration(s) * interval)
-				if d := time.Until(intended); d > 0 {
-					time.Sleep(d)
-				}
-				sem <- struct{}{}
-				key := keys[pick.next()%uint64(len(keys))]
-				isRead := opRng.Intn(100) < cfg.readPct
-				req := csnet.Request{Op: csnet.OpGet, Key: key}
-				if !isRead {
-					req = csnet.Request{Op: csnet.OpSet, Key: key, Value: val}
-				}
-				sent := time.Now()
-				q <- flight{call: cl.Send(req), intended: intended, sent: sent, isRead: isRead}
-			}
-		}()
-		wg.Add(1)
-		go func() { // collector
-			defer wg.Done()
-			for f := range q {
-				resp, err := f.call.Response()
-				<-sem
-				co := time.Since(f.intended).Nanoseconds()
-				svc := time.Since(f.sent).Nanoseconds()
-				switch {
-				case err != nil:
-					if isTimeout(err) {
-						timeouts.Add(1)
-					} else {
-						unexpected.Add(1)
-					}
-					continue
-				case resp.Status == csnet.StatusBusy:
-					shed.Add(1)
-					continue
-				case resp.Status == csnet.StatusNotFound:
-					notFound.Add(1)
-				case resp.Status != csnet.StatusOK:
-					unexpected.Add(1)
-					continue
-				}
-				if f.isRead {
-					reads.Add(1)
-					readCO.Observe(co)
-					readSvc.Observe(svc)
-				} else {
-					writes.Add(1)
-					writeCO.Observe(co)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rs, ss, ws := readCO.Snapshot(), readSvc.Snapshot(), writeCO.Snapshot()
-	rep := report{
-		Mode:       "raw",
-		OpenLoop:   true,
-		RateTarget: cfg.rate,
-		Seconds:    elapsed.Seconds(),
-		Reads:      reads.Load(),
-		Writes:     writes.Load(),
-		NotFound:   notFound.Load(),
-		Shed:       shed.Load(),
-		Timeouts:   timeouts.Load(),
-		Unexpected: unexpected.Load(),
-		ReadP50:    rs.Quantile(0.50),
-		ReadP99:    rs.Quantile(0.99),
-		ReadP999:   rs.Quantile(0.999),
-		ReadMax:    rs.Max,
-		ReadMean:   rs.Mean(),
-		WriteP50:   ws.Quantile(0.50),
-		WriteP99:   ws.Quantile(0.99),
-		WriteP999:  ws.Quantile(0.999),
-		WriteMax:   ws.Max,
-		SvcReadP50: ss.Quantile(0.50),
-		SvcReadP99: ss.Quantile(0.99),
-		SvcReadMax: ss.Max,
-	}
-	rep.Ops = rep.Reads + rep.Writes + rep.NotFound + rep.Shed + rep.Timeouts + rep.Unexpected
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Reads+rep.Writes) / elapsed.Seconds()
-	}
-	return rep, nil
 }

@@ -112,12 +112,6 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		logBytes, checkpointAt := eng.Backlog()
 		logger.Printf("distnode: recovered %d snapshot entries + %d WAL records (%d segments, %d torn bytes dropped) from %s in %s; fsync=%s; %d log bytes un-checkpointed, next checkpoint at %d",
 			rs.SnapshotEntries, rs.WALRecords, rs.Segments, rs.TornBytes, *dataDir, rs.Elapsed.Round(time.Microsecond), policy, logBytes, checkpointAt)
-		// Reload gauges on /metrics: what this node's last open rebuilt
-		// from disk. Func re-registration is last-wins (see the store
-		// gauges below), matching the newest engine in test processes.
-		obs.Default().Func("store.recovery.entries", func() int64 { return int64(eng.Recovery().SnapshotEntries) })
-		obs.Default().Func("store.recovery.records", func() int64 { return int64(eng.Recovery().WALRecords) })
-		obs.Default().Func("store.recovery.torn_bytes", func() int64 { return eng.Recovery().TornBytes })
 		// Checkpoint pacing: the log a restart would replay, and the
 		// size at which it is next rewritten as an image.
 		obs.Default().Func("store.wal.log_bytes", func() int64 { logBytes, _ := eng.Backlog(); return logBytes })
@@ -192,10 +186,11 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	// The embedded coordinator: the same dist.Cluster a standalone
 	// gateway would run, co-located with a node and subscribed to its
 	// membership, so dead backends leave its ring by gossip. Its /kv
-	// HTTP surface (on the metrics plane) is what distload and demos
-	// drive; its dist.* metrics — the read-cache hit/miss/invalidation
-	// counters included — land in this node's registry and therefore on
-	// /metrics and in every OpStats/ClusterStats merge.
+	// HTTP surface (on the metrics plane) is for curl and demos; distload
+	// and bench each run their own coordinator over csnet. Its dist.*
+	// metrics — the read-cache hit/miss/invalidation counters included —
+	// land in this node's registry and therefore on /metrics and in
+	// every OpStats/ClusterStats merge.
 	var gw *dist.Cluster
 	if *clusterAddrs != "" {
 		var backends []string
@@ -266,7 +261,9 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 
 	tick := time.NewTicker(5 * *probe)
 	defer tick.Stop()
-	leafRebuilds := obs.Default().Counter("store.merkle.leaf_rebuilds")
+	reg := obs.Default()
+	leafRebuilds := reg.Counter("store.merkle.leaf_rebuilds")
+	swept, purged := reg.Counter("store.sweep.expired"), reg.Counter("store.sweep.purged")
 	for {
 		select {
 		case <-stop:
@@ -285,9 +282,8 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 				continue
 			}
 			var b strings.Builder
-			expired, purged := sweeper.Totals()
 			fmt.Fprintf(&b, "store: %d keys (swept %d expired, %d tombstones); merkle root %016x (%d leaf rebuilds); members (%d alive):",
-				kv.Len(), expired, purged, eng.Digest().Root(), leafRebuilds.Value(), ml.NumAlive())
+				kv.Len(), swept.Value(), purged.Value(), eng.Digest().Root(), leafRebuilds.Value(), ml.NumAlive())
 			for _, m := range ml.Members() {
 				fmt.Fprintf(&b, " %s=%s@%d", m.ID, m.State, m.Incarnation)
 			}

@@ -320,13 +320,7 @@ func (c *Client) Del(key string) (bool, error) {
 // Tombstone flag) of a resident tombstone or expired copy, so callers
 // can order the miss against other replicas.
 func (c *Client) GetV(key string) (e store.Entry, ok bool, err error) {
-	return c.GetVT(key, trace.Context{})
-}
-
-// GetVT is GetV with a trace context attached to the request frame, so
-// the server's handling joins the caller's trace.
-func (c *Client) GetVT(key string, tr trace.Context) (e store.Entry, ok bool, err error) {
-	resp, err := c.Send(Request{Op: OpGetV, Key: key, Trace: tr}).ResponseV()
+	resp, err := c.Send(Request{Op: OpGetV, Key: key}).ResponseV()
 	if err != nil {
 		return store.Entry{}, false, err
 	}

@@ -209,9 +209,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	shutdown bool
 	wg       sync.WaitGroup
-
-	// ActiveConns is exposed for tests and monitoring.
-	active sync.WaitGroup
 }
 
 // SetAdmission enables overload shedding; call it before Start.

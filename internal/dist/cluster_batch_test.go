@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 // batchKeys builds n distinct key/value pairs with a prefix.
@@ -121,6 +123,64 @@ func TestClusterMGetFallbackRepair(t *testing.T) {
 	}
 	if handlers[primary].Len() != 1 {
 		t.Error("MGet fallback did not read-repair the damaged replica")
+	}
+}
+
+// TestClusterMGetDialsABrokenReplicaOnce sends an MGet whose every key
+// misses on its primary and falls through to a secondary that accepts
+// each connection and closes it at once. fetch resolves a backend's
+// client once per call, so the whole MGet dials the secondary once, not
+// once per key.
+func TestClusterMGetDialsABrokenReplicaOnce(t *testing.T) {
+	_, addrs := startBackends(t, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Room for a dial per key and one more, so the accept loop never
+	// blocks even when every key redials.
+	accepted := make(chan string, 64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn.RemoteAddr().String()
+			conn.Close()
+		}
+	}()
+	c, err := NewCluster(ClusterConfig{Addrs: []string{addrs[0], ln.Addr().String()}, Replication: 2, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var keys []string
+	for i := 0; len(keys) < 50; i++ {
+		if k := fmt.Sprintf("absent-%d", i); c.replicaSet(k)[0] == 0 {
+			keys = append(keys, k)
+		}
+	}
+	if _, err := c.MGet(keys); err == nil {
+		t.Fatal("MGet succeeded with a secondary that answers nothing")
+	}
+	// The listen queue is FIFO: once a connection dialed after MGet
+	// returned is accepted, every dial MGet made has been counted.
+	mark, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mark.Close()
+	dials := 0
+	for a := range accepted {
+		if a == mark.LocalAddr().String() {
+			break
+		}
+		dials++
+	}
+	if dials != 1 {
+		t.Fatalf("one MGet of %d keys dialed the broken replica %d times, want 1", len(keys), dials)
 	}
 }
 

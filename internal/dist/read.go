@@ -136,7 +136,7 @@ func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) 
 			}
 		}
 		var rerr error
-		if f.value, f.ok, rerr = c.readFrom(ctx, key, sess, f.set[1:], &w); rerr != nil && err == nil {
+		if f.value, f.ok, rerr = c.readFrom(ctx, &bc, key, sess, f.set[1:], &w); rerr != nil && err == nil {
 			err = rerr
 		}
 	}
@@ -153,13 +153,15 @@ type readWalk struct {
 }
 
 // readFrom asks set's replicas one round trip at a time, in ring order,
-// until one resolves the read. When none does, the read is an error if
-// any replica could not answer, and otherwise a miss — cached as a
-// tombstone when the newest miss was an explicit delete, so polling a
-// deleted key is as cheap as polling a hot value.
-func (c *Cluster) readFrom(ctx trace.Context, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
+// until one resolves the read. It dials through fetch's bc, so a dead
+// replica costs one dial per call, not one per key. When none resolves
+// the read, it is an error if any replica could not answer, and
+// otherwise a miss — cached as a tombstone when the newest miss was an
+// explicit delete, so polling a deleted key is as cheap as polling a
+// hot value.
+func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
 	for _, b := range set {
-		cl, err := c.pools[b].Client()
+		cl, err := bc.get(b)
 		if err != nil {
 			w.err = err
 			continue

@@ -46,10 +46,8 @@ var counterStripes = func() uint32 {
 	return uint32(pow)
 }()
 
-// NewCounter creates a standalone counter. Register it under a name
-// with Registry.RegisterCounter when it should appear in snapshots;
-// unregistered counters (e.g. one per storage engine, read through the
-// engine's own accessor) work identically.
+// NewCounter creates a counter outside any registry; Registry.Counter
+// creates one under a name that snapshots report.
 func NewCounter() *Counter {
 	return &Counter{stripes: make([]stripe, counterStripes), mask: counterStripes - 1}
 }

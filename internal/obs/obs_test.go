@@ -288,9 +288,6 @@ func TestRegistry(t *testing.T) {
 	r.Gauge("depth").Set(-2)
 	r.Histogram("lat").Observe(1000)
 	r.Func("fn", func() int64 { return 77 })
-	adopted := NewCounter()
-	adopted.Add(5)
-	r.RegisterCounter("adopted", adopted)
 
 	snap := r.Snapshot()
 	names := make([]string, len(snap.Metrics))
@@ -310,7 +307,6 @@ func TestRegistry(t *testing.T) {
 	check("reqs", 3)
 	check("depth", -2)
 	check("fn", 77)
-	check("adopted", 5)
 	if m, ok := snap.Get("lat"); !ok || m.Hist == nil || m.Hist.Count != 1 {
 		t.Fatalf("lat = %+v (ok=%v), want histogram with 1 sample", m, ok)
 	}
@@ -330,7 +326,6 @@ func TestRegistry(t *testing.T) {
 	}
 	mustPanic(func() { r.Gauge("reqs") })
 	mustPanic(func() { r.Histogram("reqs") })
-	mustPanic(func() { r.RegisterCounter("reqs", NewCounter()) })
 	mustPanic(func() { r.Func("reqs", func() int64 { return 0 }) })
 	r.Func("fn", func() int64 { return 88 }) // last wins, no panic
 	if m, _ := r.Snapshot().Get("fn"); m.Value != 88 {

@@ -89,18 +89,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterCounter adopts an externally owned counter under name — for
-// counters that predate the registry or are also read through their
-// owner's accessor. Panics if name is already registered.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.metrics[name]; ok {
-		panic(fmt.Sprintf("obs: metric %q already registered", name))
-	}
-	r.metrics[name] = entry{kind: KindCounter, c: c}
-}
-
 // Func registers a function gauge: fn is called at snapshot time and
 // its result reported under name as a gauge. Re-registering the same
 // name replaces the function (last wins) — deliberately lenient so

@@ -14,15 +14,12 @@ type Sweeper struct {
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
-
-	mu      sync.Mutex
-	expired int
-	purged  int
 }
 
 // StartSweeper begins sweeping e every interval (default one second),
 // scanning roughly limit entries per pass (limit <= 0 sweeps the whole
-// store each time).
+// store each time). What it removes is counted where every Sweep is:
+// store.sweep.expired and store.sweep.purged.
 func StartSweeper(e Engine, interval time.Duration, limit int) *Sweeper {
 	if interval <= 0 {
 		interval = time.Second
@@ -37,23 +34,11 @@ func StartSweeper(e Engine, interval time.Duration, limit int) *Sweeper {
 			case <-s.stop:
 				return
 			case <-t.C:
-				exp, pur := e.Sweep(limit)
-				s.mu.Lock()
-				s.expired += exp
-				s.purged += pur
-				s.mu.Unlock()
+				e.Sweep(limit)
 			}
 		}
 	}()
 	return s
-}
-
-// Totals reports how many expired entries and tombstones the sweeper
-// has removed so far.
-func (s *Sweeper) Totals() (expired, purged int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired, s.purged
 }
 
 // Stop halts the sweeper and waits for the in-flight pass to finish.

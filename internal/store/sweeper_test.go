@@ -49,8 +49,9 @@ func TestSweepRotationBounded(t *testing.T) {
 }
 
 // TestSweeperBackground exercises sweeper.go directly: the background
-// loop must reap expired entries via the engine's Sweep, report them
-// through Totals, and Stop must be idempotent and wait the loop out.
+// loop must reap expired entries via the engine's Sweep, which reports
+// them on store.sweep.expired and store.sweep.purged, and Stop must be
+// idempotent and wait the loop out.
 func TestSweeperBackground(t *testing.T) {
 	ft := newFakeTime()
 	s := NewSharded(Options{Shards: 4, Now: ft.now, TombstoneGC: time.Hour})
@@ -59,34 +60,33 @@ func TestSweeperBackground(t *testing.T) {
 		s.Set(fmt.Sprintf("key-%d", i), []byte("v"), time.Millisecond)
 	}
 	ft.advance(time.Second)
+	exp0, pur0 := sweepExpired.Value(), sweepPurged.Value()
 	sw := StartSweeper(s, time.Millisecond, 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if exp, _ := sw.Totals(); exp == n {
+		if sweepExpired.Value()-exp0 >= n {
 			break
 		}
 		if time.Now().After(deadline) {
-			exp, _ := sw.Totals()
-			t.Fatalf("sweeper reaped %d of %d before the deadline", exp, n)
+			t.Fatalf("sweeper reaped %d of %d before the deadline", sweepExpired.Value()-exp0, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// Tombstones age out through the same loop.
 	ft.advance(2 * time.Hour)
 	for {
-		if _, pur := sw.Totals(); pur == n {
+		if sweepPurged.Value()-pur0 >= n {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, pur := sw.Totals()
-			t.Fatalf("sweeper purged %d of %d before the deadline", pur, n)
+			t.Fatalf("sweeper purged %d of %d before the deadline", sweepPurged.Value()-pur0, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	sw.Stop()
 	sw.Stop() // idempotent
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after background sweep", s.Len())
+	if live, tombs := s.Counts(); live != 0 || tombs != 0 {
+		t.Fatalf("%d live entries and %d tombstones after background sweep", live, tombs)
 	}
 }
 
@@ -94,9 +94,10 @@ func TestSweeperBackground(t *testing.T) {
 // interval must not spin or panic — it falls back to one second.
 func TestSweeperDefaultInterval(t *testing.T) {
 	s := NewSharded(Options{Shards: 2})
+	exp0, pur0 := sweepExpired.Value(), sweepPurged.Value()
 	sw := StartSweeper(s, 0, 10)
 	sw.Stop()
-	if exp, pur := sw.Totals(); exp != 0 || pur != 0 {
-		t.Fatalf("idle sweeper reported totals %d/%d", exp, pur)
+	if exp, pur := sweepExpired.Value()-exp0, sweepPurged.Value()-pur0; exp != 0 || pur != 0 {
+		t.Fatalf("idle sweeper reported %d expired, %d purged", exp, pur)
 	}
 }

@@ -66,10 +66,10 @@
 // write path, session tokens for read-your-writes), the csnet server
 // sheds excess load with a typed BUSY status once its queue depth or
 // in-flight budget is exceeded (clients retry with jittered backoff),
-// and cmd/distload drives the whole stack open- or closed-loop with
-// zipfian or uniform keys, reporting coordinated-omission-safe
-// p50/p99/p999 latencies (see the README "Load testing &
-// backpressure" section).
+// and cmd/distload offers the coordinator a fixed open-loop arrival
+// schedule with zipfian or uniform keys, reporting
+// coordinated-omission-safe p50/p99/p999 latencies (see the README
+// "Load testing & backpressure" section).
 package pdcedu
 
 import (
