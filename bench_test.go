@@ -222,8 +222,8 @@ func BenchmarkClusterMGet100(b *testing.B) {
 	}
 }
 
-// benchServerOp measures one server round trip (a legacy SET through a
-// real loopback server and muxed client) with metric recording either
+// benchServerOp measures one server round trip (a SetV through a real
+// loopback server and muxed client) with metric recording either
 // enabled or disabled — the E29 pair. The contract scripts/allocgate.sh
 // checks is that the instrumented op allocates no more than the
 // baseline: instrumentation must be invisible on the hottest path in
@@ -248,7 +248,7 @@ func benchServerOp(b *testing.B, instrumented bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cl.Set(fmt.Sprintf("bench-%d", i&4095), val); err != nil {
+		if _, _, err := cl.SetV(fmt.Sprintf("bench-%d", i&4095), val, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -141,8 +141,8 @@ func runLoad(gw *dist.Cluster, keys []string, opt options) (report, error) {
 					break
 				}
 				t.retries.Add(1)
-				// Full-jitter exponential backoff, mirroring
-				// csnet.(*Client).DoRetry: uniform in [0, base<<try).
+				// Full-jitter exponential backoff, uniform in
+				// [0, base<<try), so shed callers do not retry in step.
 				time.Sleep(time.Duration(rand.Int63n(int64(base << try))))
 			}
 			t.record(err, isRead, due, sent)

@@ -135,10 +135,10 @@ func TestDistnodeMetricsPlane(t *testing.T) {
 	}
 	defer cl.Close()
 	for i := 0; i < 10; i++ {
-		if err := cl.Set("metrics-key", []byte("v")); err != nil {
+		if _, _, err := cl.SetV("metrics-key", []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cl.Get("metrics-key"); err != nil {
+		if _, _, err := cl.GetV("metrics-key"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,8 +148,8 @@ func TestDistnodeMetricsPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if m, ok := snap.Get("csnet.server.ops.SET"); !ok || m.Value < 10 {
-		t.Fatalf("snapshot csnet.server.ops.SET = %+v %v, want >= 10", m, ok)
+	if m, ok := snap.Get("csnet.server.ops.SETV"); !ok || m.Value < 10 {
+		t.Fatalf("snapshot csnet.server.ops.SETV = %+v %v, want >= 10", m, ok)
 	}
 	if m, ok := snap.Get("store.entries"); !ok || m.Value != 1 {
 		t.Fatalf("snapshot store.entries = %+v %v, want 1", m, ok)
@@ -198,15 +198,15 @@ func TestDistnodeMetricsPlane(t *testing.T) {
 		return string(body)
 	}
 	page := get("/metrics")
-	if !regexp.MustCompile(`(?m)^csnet\.server\.op_latency\.GET count=\d+ p50=\d+ p99=\d+ p999=\d+ max=\d+`).MatchString(page) {
-		t.Fatalf("/metrics missing GET latency percentiles:\n%s", page)
+	if !regexp.MustCompile(`(?m)^csnet\.server\.op_latency\.GETV count=\d+ p50=\d+ p99=\d+ p999=\d+ max=\d+`).MatchString(page) {
+		t.Fatalf("/metrics missing GETV latency percentiles:\n%s", page)
 	}
 	if !strings.Contains(get("/debug/vars"), `"pdcedu"`) {
 		t.Fatal("/debug/vars missing the pdcedu expvar map")
 	}
 
 	// -slow-op 1ns flags everything; the log names the op and bucket.
-	if !regexp.MustCompile(`slow op (SET|GET|SETV|GETV|PING|STATS) bucket=\d+ took`).MatchString(logs.String()) {
+	if !regexp.MustCompile(`slow op (SETV|GETV|PING|STATS) bucket=\d+ took`).MatchString(logs.String()) {
 		t.Fatalf("no slow-op line in logs:\n%s", logs.String())
 	}
 

@@ -29,23 +29,27 @@ func main() {
 
 // storageEngine contrasts the single-lock store with the sharded,
 // versioned engine on the workload that breaks a global lock: a mixed
-// Get/Set stream while a KEYS listing of a large keyspace runs
-// concurrently. The flat engine's listing holds its one lock for the
-// whole materialization, stalling every writer; the sharded engine's
-// lock-bounded snapshot locks one shard at a time. It then shows why
+// Get/Set stream while a listing of the whole keyspace (RangeBuckets
+// over every bucket) runs concurrently. The flat engine's listing holds
+// its one lock for the whole scan, stalling every writer; the sharded
+// engine's listing locks one shard at a time. It then shows why
 // versions exist: a stale replayed write loses its merge instead of
 // clobbering newer data.
 func storageEngine() {
 	fmt.Println("== Storage engine: sharded vs single-lock ==")
 	const seeded, workers, opsPerWorker = 100_000, 4, 2_000
 	// run returns the total mixed-workload time and the worst single
-	// write stall observed while a full-store KEYS listing loops
+	// write stall observed while a full-store listing loops
 	// concurrently — the stall is where the single lock really hurts:
-	// a flat Set can sit behind an entire 100k-key materialization,
+	// a flat Set can sit behind an entire 100k-key scan,
 	// while a sharded Set waits on 1/128th of the store at most.
 	run := func(eng store.Engine) (total, worstStall time.Duration) {
 		for i := 0; i < seeded; i++ {
 			eng.Set(fmt.Sprintf("seed:%d", i), []byte("x"), 0)
+		}
+		every := make([]int, eng.Buckets())
+		for b := range every {
+			every[b] = b
 		}
 		stop := make(chan struct{})
 		var lister sync.WaitGroup
@@ -57,7 +61,7 @@ func storageEngine() {
 				case <-stop:
 					return
 				default:
-					eng.Keys()
+					eng.RangeBuckets(every, func(string, store.Entry) bool { return true })
 				}
 			}
 		}()
@@ -92,7 +96,7 @@ func storageEngine() {
 	}
 	flatTotal, flatStall := run(store.NewFlat(store.Options{}))
 	shardTotal, shardStall := run(store.NewSharded(store.Options{}))
-	t := perf.NewTable(fmt.Sprintf("%d-key store, %d writers under a concurrent KEYS loop", seeded, workers),
+	t := perf.NewTable(fmt.Sprintf("%d-key store, %d writers under a concurrent listing loop", seeded, workers),
 		"engine", "mixed Get/Set time", "worst single-write stall")
 	t.AddRow("flat (one lock)", flatTotal.Round(time.Millisecond), flatStall.Round(time.Microsecond))
 	t.AddRow("sharded", shardTotal.Round(time.Millisecond), shardStall.Round(time.Microsecond))
@@ -150,12 +154,13 @@ func clientServer() {
 					}
 					clients[s] = cl
 				}
-				if err := clients[s].Set(key, []byte(key)); err != nil {
+				// Version 0: the server stamps the write itself.
+				if _, _, err := clients[s].SetV(key, []byte(key), 0); err != nil {
 					log.Fatal(err)
 				}
-				v, ok, err := clients[s].Get(key)
-				if err != nil || !ok || string(v) != key {
-					log.Fatalf("get %s = %q %v %v", key, v, ok, err)
+				e, ok, err := clients[s].GetV(key)
+				if err != nil || !ok || string(e.Value) != key {
+					log.Fatalf("get %s = %q %v %v", key, e.Value, ok, err)
 				}
 				mu.Lock()
 				perServer[s]++
@@ -377,7 +382,7 @@ func replicaCoverage(c *dist.Cluster, nodes []*healNode, nKeys int) int {
 		key := fmt.Sprintf("enrollment:%d", i)
 		whole := true
 		for _, b := range c.ReplicaSet(key) {
-			if nodes[b].kv.Serve(csnet.Request{Op: csnet.OpGet, Key: key}).Status != csnet.StatusOK {
+			if nodes[b].kv.Serve(csnet.Request{Op: csnet.OpGetV, Key: key}).Status != csnet.StatusOK {
 				whole = false
 				break
 			}

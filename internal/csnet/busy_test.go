@@ -92,61 +92,16 @@ func TestAdmissionDefaultOff(t *testing.T) {
 	const n = 256
 	calls := make([]*Call, n)
 	for i := range calls {
-		calls[i] = c.Send(Request{Op: OpSet, Key: fmt.Sprintf("k%d", i%7), Value: []byte("v")})
+		calls[i] = c.Send(Request{Op: OpSetV, Key: fmt.Sprintf("k%d", i%7), Value: []byte("v")})
 	}
 	for i, call := range calls {
-		resp, err := call.Response()
+		resp, err := call.ResponseV()
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if resp.Status == StatusBusy {
 			t.Fatalf("call %d: default-configured server emitted BUSY", i)
 		}
-	}
-}
-
-// TestDoRetry checks the client backoff loop: busy replies are
-// re-offered with delay, a success short-circuits, and exhausted
-// attempts hand back the final busy response rather than an error.
-func TestDoRetry(t *testing.T) {
-	var served atomic.Int64
-	busyFirst := func(n int64) Handler {
-		return HandlerFunc(func(r Request) Response {
-			if served.Add(1) <= n {
-				return Response{Status: StatusBusy}
-			}
-			return Response{Status: StatusOK, Value: r.Value}
-		})
-	}
-
-	srv := NewServer(busyFirst(2), 4)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	c, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	resp, err := c.DoRetry(Request{Op: OpEcho, Value: []byte("r")}, 4, 100*time.Microsecond)
-	if err != nil || resp.Status != StatusOK || string(resp.Value) != "r" {
-		t.Fatalf("DoRetry = %+v, %v", resp, err)
-	}
-	if got := served.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3", got)
-	}
-
-	// All attempts shed: final busy response, nil error.
-	served.Store(-1 << 40)
-	resp, err = c.DoRetry(Request{Op: OpEcho}, 3, 100*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusBusy {
-		t.Fatalf("exhausted retries status = %v, want BUSY", resp.Status)
 	}
 }
 
@@ -167,21 +122,14 @@ func TestIsBusyPredicate(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Get("k")
-	if !IsBusy(err) {
-		t.Fatalf("Get err = %v, want IsBusy", err)
-	}
-	if err := c.Set("k", []byte("v")); !IsBusy(err) {
-		t.Fatalf("Set err = %v, want IsBusy", err)
-	}
-	if _, err := c.Del("k"); !IsBusy(err) {
-		t.Fatalf("Del err = %v, want IsBusy", err)
-	}
 	if _, _, err := c.GetV("k"); !IsBusy(err) {
 		t.Fatalf("GetV err = %v, want IsBusy", err)
 	}
 	if _, _, err := c.SetV("k", []byte("v"), 1); !IsBusy(err) {
 		t.Fatalf("SetV err = %v, want IsBusy", err)
+	}
+	if _, _, err := c.DelV("k", 1); !IsBusy(err) {
+		t.Fatalf("DelV err = %v, want IsBusy", err)
 	}
 	if IsBusy(nil) {
 		t.Error("IsBusy(nil)")

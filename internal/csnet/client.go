@@ -3,7 +3,6 @@ package csnet
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -41,8 +40,7 @@ func respErr(what string, resp Response) error {
 // share the connection with N requests in flight, instead of
 // serializing lock-step round trips.
 type Client struct {
-	addr string
-	m    *muxConn
+	m *muxConn
 }
 
 // Dial connects to a Server at addr. timeout bounds the dial and each
@@ -59,7 +57,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{addr: addr, m: m}, nil
+	return &Client{m: m}, nil
 }
 
 // SendFrame enqueues one raw frame without waiting for its response;
@@ -71,18 +69,6 @@ func (c *Client) SendFrame(body []byte) *Pending {
 	p := new(Pending)
 	c.m.enqueue(p, body, nil)
 	return p
-}
-
-// RoundTrip sends one raw frame and waits for the matching response
-// frame. Concurrent RoundTrips share the connection; none blocks
-// another. Custom frame protocols (e.g. the dist RPC middleware) build
-// on it.
-func (c *Client) RoundTrip(body []byte) ([]byte, error) {
-	resp, err := c.SendFrame(body).Wait()
-	if err != nil {
-		return nil, fmt.Errorf("csnet: roundtrip %s: %w", c.addr, err)
-	}
-	return resp, nil
 }
 
 // broken reports whether the underlying connection has been poisoned
@@ -228,93 +214,6 @@ func (c *Client) Do(req Request) (Response, error) {
 	return c.Send(req).Response()
 }
 
-// DoRetry is Do plus jittered backoff on StatusBusy: a shed reply is
-// retried up to attempts times, sleeping a full-jitter exponential
-// delay (uniform in [0, base<<try)) between tries so a fleet of
-// rejected clients doesn't re-converge on the same instant. Transport
-// errors return immediately — only an explicit Busy, which proves the
-// server is alive and declining, is worth re-offering. If every
-// attempt is shed the final Busy response is returned with a nil
-// error; callers distinguish it by Status (or by respErr/IsBusy in
-// the typed helpers) rather than by a synthesized failure.
-func (c *Client) DoRetry(req Request, attempts int, base time.Duration) (Response, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	var resp Response
-	var err error
-	for try := 0; try < attempts; try++ {
-		resp, err = c.Do(req)
-		if err != nil || resp.Status != StatusBusy {
-			return resp, err
-		}
-		if try < attempts-1 {
-			time.Sleep(rand.N(base << try))
-		}
-	}
-	return resp, nil
-}
-
-// Get fetches a key; ok is false for StatusNotFound.
-func (c *Client) Get(key string) (value []byte, ok bool, err error) {
-	resp, err := c.Do(Request{Op: OpGet, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return resp.Value, true, nil
-	case StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, respErr(fmt.Sprintf("get %q", key), resp)
-	}
-}
-
-// Set stores a key.
-func (c *Client) Set(key string, value []byte) error {
-	resp, err := c.Do(Request{Op: OpSet, Key: key, Value: value})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return respErr(fmt.Sprintf("set %q", key), resp)
-	}
-	return nil
-}
-
-// SetNX stores a key only if it is absent; stored is false when an
-// existing value was left unchanged.
-func (c *Client) SetNX(key string, value []byte) (stored bool, err error) {
-	resp, err := c.Do(Request{Op: OpSetNX, Key: key, Value: value})
-	if err != nil {
-		return false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return true, nil
-	case StatusExists:
-		return false, nil
-	default:
-		return false, respErr(fmt.Sprintf("setnx %q", key), resp)
-	}
-}
-
-// Del removes a key; ok is false if it did not exist.
-func (c *Client) Del(key string) (bool, error) {
-	resp, err := c.Do(Request{Op: OpDel, Key: key})
-	if err != nil {
-		return false, err
-	}
-	if resp.Status == StatusBusy {
-		return false, respErr(fmt.Sprintf("del %q", key), resp)
-	}
-	return resp.Status == StatusOK, nil
-}
-
 // GetV fetches a key with its version. On ok the entry is live; on
 // !ok with a nil error the entry may still carry the version (and
 // Tombstone flag) of a resident tombstone or expired copy, so callers
@@ -429,18 +328,6 @@ func (c *Client) RangeV(bucketIDs []uint32) ([]KeyDigest, error) {
 		return nil, fmt.Errorf("csnet: rangev: %s", resp.Value)
 	}
 	return DecodeRangeV(resp.Value)
-}
-
-// Keys lists every key the server holds.
-func (c *Client) Keys() ([]string, error) {
-	resp, err := c.Do(Request{Op: OpKeys})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("csnet: keys: %s", resp.Value)
-	}
-	return DecodeKeys(resp.Value)
 }
 
 // Stats fetches the server's live metrics snapshot — every counter,

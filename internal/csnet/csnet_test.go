@@ -106,20 +106,20 @@ func TestKVServerEndToEnd(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("course", []byte("parallel programming")); err != nil {
+	if _, _, err := c.SetV("course", []byte("parallel programming"), 0); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get("course")
-	if err != nil || !ok || string(v) != "parallel programming" {
-		t.Fatalf("Get = %q,%v,%v", v, ok, err)
+	e, ok, err := c.GetV("course")
+	if err != nil || !ok || string(e.Value) != "parallel programming" {
+		t.Fatalf("GetV = %q,%v,%v", e.Value, ok, err)
 	}
-	if _, ok, _ := c.Get("missing"); ok {
+	if _, ok, _ := c.GetV("missing"); ok {
 		t.Error("missing key reported found")
 	}
-	if ok, err := c.Del("course"); err != nil || !ok {
-		t.Errorf("Del = %v,%v", ok, err)
+	if _, ok, err := c.DelV("course", 0); err != nil || !ok {
+		t.Errorf("DelV = %v,%v", ok, err)
 	}
-	if ok, _ := c.Del("course"); ok {
+	if _, ok, _ := c.DelV("course", 0); ok {
 		t.Error("double delete reported found")
 	}
 	// Echo and unknown op.
@@ -158,13 +158,13 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for j := 0; j < perClient; j++ {
 				key := fmt.Sprintf("k-%d-%d", i, j)
-				if err := c.Set(key, []byte(key)); err != nil {
+				if _, _, err := c.SetV(key, []byte(key), 0); err != nil {
 					errs <- err
 					return
 				}
-				v, ok, err := c.Get(key)
-				if err != nil || !ok || string(v) != key {
-					errs <- fmt.Errorf("get %s = %q,%v,%v", key, v, ok, err)
+				e, ok, err := c.GetV(key)
+				if err != nil || !ok || string(e.Value) != key {
+					errs <- fmt.Errorf("get %s = %q,%v,%v", key, e.Value, ok, err)
 					return
 				}
 			}
@@ -235,8 +235,8 @@ func TestUDPEchoTimeout(t *testing.T) {
 }
 
 func TestOpAndStatusStrings(t *testing.T) {
-	if OpPing.String() != "PING" || OpGet.String() != "GET" || OpSet.String() != "SET" ||
-		OpDel.String() != "DEL" || OpEcho.String() != "ECHO" || Op(77).String() != "UNKNOWN" {
+	if OpPing.String() != "PING" || OpGetV.String() != "GETV" || OpSetV.String() != "SETV" ||
+		OpDelV.String() != "DELV" || OpEcho.String() != "ECHO" || Op(77).String() != "UNKNOWN" {
 		t.Error("Op.String mismatch")
 	}
 	if StatusOK.String() != "OK" || StatusNotFound.String() != "NOT_FOUND" ||
@@ -246,7 +246,7 @@ func TestOpAndStatusStrings(t *testing.T) {
 }
 
 func TestKeyTooLong(t *testing.T) {
-	_, err := EncodeRequest(Request{Op: OpGet, Key: string(make([]byte, 70000))})
+	_, err := EncodeRequest(Request{Op: OpGetV, Key: string(make([]byte, 70000))})
 	if err == nil {
 		t.Error("oversized key accepted")
 	}
@@ -268,16 +268,20 @@ func BenchmarkKVRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Set("bench", payload); err != nil {
-			b.Fatal(err)
+		// Rising versions: every write wins its merge.
+		if _, applied, err := c.SetV("bench", payload, uint64(i+1)); err != nil || !applied {
+			b.Fatalf("setv: applied=%v %v", applied, err)
 		}
 	}
 }
 
-// BenchmarkKVPipelined measures the same Set with a 64-deep pipeline
+// BenchmarkKVPipelined measures the same SetV with a 64-deep pipeline
 // window on one multiplexed connection (E23): requests stream instead
 // of waiting a full round-trip each, so the wire stays busy and the
-// per-op syscall and alloc cost amortizes across a batch.
+// per-op syscall and alloc cost amortizes across a batch. Server
+// workers may apply a window out of order, so the writes cycle over
+// 4096 keys: a key's next version is a whole cycle later, and every
+// write wins its merge.
 func BenchmarkKVPipelined(b *testing.B) {
 	srv := NewServer(NewKVHandler(), 16)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -291,13 +295,17 @@ func BenchmarkKVPipelined(b *testing.B) {
 	}
 	defer c.Close()
 	payload := make([]byte, 128)
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench-%d", i)
+	}
 	const window = 64
 	calls := make([]*Call, 0, window)
 	drain := func() {
 		for _, call := range calls {
-			resp, err := call.Response()
+			resp, err := call.ResponseV()
 			if err != nil || resp.Status != StatusOK {
-				b.Fatalf("pipelined set: %v %v", resp.Status, err)
+				b.Fatalf("pipelined setv: %v %v", resp.Status, err)
 			}
 		}
 		calls = calls[:0]
@@ -305,7 +313,8 @@ func BenchmarkKVPipelined(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		calls = append(calls, c.Send(Request{Op: OpSet, Key: "bench", Value: payload}))
+		req := Request{Op: OpSetV, Key: keys[i%len(keys)], Value: payload, Version: uint64(i + 1)}
+		calls = append(calls, c.Send(req))
 		if len(calls) == window {
 			drain()
 		}

@@ -28,7 +28,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	tr := trace.Context{TraceID: 7, SpanID: 9, Flags: trace.FlagSampled}
 	for _, r := range []Request{
 		{Op: OpPing},
-		{Op: OpSet, Key: "k", Value: []byte("v")},
+		{Op: OpEcho, Key: "k", Value: []byte("v")},
 		{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42},
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
 		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000, Trace: tr},
@@ -115,24 +115,6 @@ func checkReencoded(t *testing.T, out []byte, err error, in []byte, trailer bool
 	case len(out) > len(in):
 		t.Fatalf("re-encoding grew the frame: %d bytes from %d", len(out), len(in))
 	}
-}
-
-func FuzzDecodeKeys(f *testing.F) {
-	b, _ := EncodeKeys([]string{"a", "bc", ""})
-	f.Add(b)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		keys, err := DecodeKeys(in)
-		if err != nil {
-			return
-		}
-		if 2*cap(keys) > len(in) {
-			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(keys), len(in))
-		}
-		if out, err := EncodeKeys(keys); err != nil || !bytes.Equal(out, in) {
-			t.Fatalf("re-encoded %x %v, input %x", out, err, in)
-		}
-	})
 }
 
 func FuzzDecodeBucketList(f *testing.F) {

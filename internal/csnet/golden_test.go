@@ -27,8 +27,8 @@ const goldenSeq = 0x0102030405060708
 // holds what this table produced at the commit before the transport
 // took ownership of its buffers (PR 16, d803717) — and, for the batch
 // envelope and the purge, at the commits that introduced them; the
-// encoders may change how they build a frame, never a byte of it. The
-// retired OpKeysV byte has no frames left to pin.
+// encoders may change how they build a frame, never a byte of it.
+// Retired op bytes have no frames left to pin.
 func goldenFrames(t testing.TB) []goldenFrame {
 	var out []goldenFrame
 	add := func(name string, body []byte) {
@@ -53,7 +53,7 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	const expiry = 1_700_000_000_123_456_789
 	tr := trace.Context{TraceID: 0xA1A2A3A4A5A6A7A8, SpanID: 0xB1B2B3B4B5B6B7B8, Flags: trace.FlagSampled}
 	for op := OpPing; op <= OpTraces; op++ {
-		if op == opRetiredKeysV {
+		if op.String() == "UNKNOWN" { // a retired byte
 			continue
 		}
 		request("req/"+op.String(), Request{Op: op, Key: "key-1", Value: []byte("value"), Version: 0x1122334455667788, Flags: FlagTombstone})
@@ -62,12 +62,12 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	request("req/SETV+expiry", Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, ExpireAt: expiry})
 	request("req/SETV+trace", Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, Trace: tr})
 	request("req/MERGE+expiry+trace", Request{Op: OpMerge, Key: "key-1", Version: 7, Flags: FlagTombstone, ExpireAt: expiry, Trace: tr})
-	request("req/GET+empty", Request{Op: OpGet})
+	request("req/PING+empty", Request{Op: OpPing})
 	response("resp/GETV+expiry", OpGetV, Response{Status: StatusOK, Value: []byte("value"), Version: 7, ExpireAt: expiry})
 	response("resp/GETV+tombstone-miss", OpGetV, Response{Status: StatusNotFound, Version: 7, Flags: FlagTombstone})
 	response("resp/SETV+busy", OpSetV, Response{Status: StatusBusy})
-	response("resp/SET+busy", OpSet, Response{Status: StatusBusy})
-	response("resp/GET+error", OpGet, Response{Status: StatusError, Value: []byte("boom")})
+	response("resp/PING+busy", OpPing, Response{Status: StatusBusy})
+	response("resp/ECHO+error", OpEcho, Response{Status: StatusError, Value: []byte("boom")})
 	// The batch envelope, added with OpBatch and pinned from then on: two
 	// entries and their replies, each reply in its own entry's framing,
 	// and the refusal a peer without the op sends back.
@@ -140,7 +140,7 @@ func TestAppendMatchesEncode(t *testing.T) {
 		checkAppended(t, fmt.Sprint("response ", op), AppendResponse(dirtyDst(), resp), nil, dirtyDst(), EncodeResponse(resp))
 		checkAppended(t, fmt.Sprint("responseV ", op), AppendResponseV(dirtyDst(), resp), nil, dirtyDst(), EncodeResponseV(resp))
 	}
-	long := Request{Op: OpGet, Key: string(make([]byte, 70000))}
+	long := Request{Op: OpGetV, Key: string(make([]byte, 70000))}
 	if got, err := AppendRequest(dirtyDst(), long); err == nil || !bytes.Equal(got, dirtyDst()) {
 		t.Errorf("oversized key: dst = %q, err = %v; want dst untouched and an error", got, err)
 	}

@@ -57,7 +57,8 @@ type serverMetrics struct {
 // csnetM holds the package's metric pointers, resolved once at init so
 // the request path never touches the registry map. Index 0 of the
 // per-op arrays is the UNKNOWN slot (op byte 0 or past OpPurgeV); the
-// retired OpKeysV byte stringifies as UNKNOWN and so shares its counter.
+// retired bytes (2, 3, 4, 6, 8 and 13) stringify as UNKNOWN and so
+// share its counter.
 var csnetM = func() *serverMetrics {
 	r := obs.Default()
 	m := &serverMetrics{

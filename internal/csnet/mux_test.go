@@ -41,7 +41,7 @@ func TestMuxNoCrossTalk(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				msg := []byte(fmt.Sprintf("g%d-i%d", g, i))
-				got, err := cl.RoundTrip(msg)
+				got, err := cl.SendFrame(msg).Wait()
 				if err != nil {
 					errs <- err
 					return
@@ -181,7 +181,7 @@ func TestMuxPoisonFailsAllPending(t *testing.T) {
 	if !cl.broken() {
 		t.Error("client not marked broken after transport failure")
 	}
-	if _, err := cl.RoundTrip([]byte("y")); err == nil {
+	if _, err := cl.SendFrame([]byte("y")).Wait(); err == nil {
 		t.Error("call on poisoned client succeeded")
 	}
 }
@@ -208,7 +208,7 @@ func TestMuxRequestTimeout(t *testing.T) {
 	defer cl.Close()
 
 	start := time.Now()
-	_, err = cl.RoundTrip([]byte("never answered"))
+	_, err = cl.SendFrame([]byte("never answered")).Wait()
 	if err == nil {
 		t.Fatal("unanswered request succeeded")
 	}
@@ -296,7 +296,7 @@ func TestServerRefusesUnmuxedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	body, err := EncodeRequest(Request{Op: OpGet, Key: "k"})
+	body, err := EncodeRequest(Request{Op: OpGetV, Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestMuxStuckRequestTimesOutOnBusyConn(t *testing.T) {
 		case <-deadline:
 			t.Fatal("stuck request never timed out while the connection stayed busy")
 		default:
-			_, _ = cl.RoundTrip([]byte("busy"))
+			_, _ = cl.SendFrame([]byte("busy")).Wait()
 		}
 	}
 }

@@ -217,7 +217,7 @@ func TestPoisonedMidBurst(t *testing.T) {
 	}
 	echo := startFrames(t, aliasFrames{})
 	for i := 0; i < 2000; i++ {
-		got, err := echo.RoundTrip(payload(100+i%500, i))
+		got, err := echo.SendFrame(payload(100+i%500, i)).Wait()
 		if err != nil || !bytes.Equal(got, payload(100+i%500, i)) {
 			t.Fatalf("frame %d on a fresh connection after the poisoned burst: %v", i, err)
 		}
@@ -328,7 +328,7 @@ func TestCallSingleUse(t *testing.T) {
 		t.Fatalf("second Wait = %v, want ErrCallConsumed", err)
 	}
 	// A request that cannot be encoded resolves its call the same way.
-	bad := cl.Send(Request{Op: OpGet, Key: string(make([]byte, 70000))})
+	bad := cl.Send(Request{Op: OpGetV, Key: string(make([]byte, 70000))})
 	if _, err := bad.Response(); err == nil || errors.Is(err, ErrCallConsumed) {
 		t.Fatalf("unsendable call = %v, want the encoding error", err)
 	}
@@ -442,24 +442,15 @@ func versionedKeySteps(prefix string, clock *store.Clock) []keyStep {
 	}
 }
 
-// writeKeys serves steps on cl: the legacy writes alone, and the
-// versioned ones twice — each alone, and then all as one batch frame
-// under a second prefix. It returns every step served, and calls
-// served after each frame's reply.
+// writeKeys serves steps on cl twice — each alone, and then all as one
+// batch frame under a second prefix. It returns every step served, and
+// calls served after each frame's reply.
 func writeKeys(t *testing.T, cl *Client, prefix string, served func()) []keyStep {
 	t.Helper()
 	clock := store.NewClock()
-	alone := []keyStep{
-		{Request{Op: OpSet, Key: prefix + "/set", Value: valueOf(prefix + "/set")}, "value"},
-		{Request{Op: OpSetNX, Key: prefix + "/setnx", Value: valueOf(prefix + "/setnx")}, "value"},
-	}
-	alone = append(alone, versionedKeySteps(prefix, clock)...)
+	alone := versionedKeySteps(prefix, clock)
 	for _, s := range alone {
-		reply := (*Call).Response
-		if Versioned(s.req.Op) {
-			reply = (*Call).ResponseV
-		}
-		resp, err := reply(cl.Send(s.req))
+		resp, err := cl.Send(s.req).ResponseV()
 		if err != nil || (resp.Status != StatusOK && resp.Status != StatusNotFound) {
 			t.Fatalf("%s %q = %s %v", s.req.Op, s.req.Key, resp.Status, err)
 		}
@@ -485,8 +476,8 @@ func writeKeys(t *testing.T, cl *Client, prefix string, served func()) []keyStep
 // anything on the server path kept instead of copying would read back
 // as 0xDB. Every op that stores a key writes one, alone and in a batch
 // frame; after later traffic has churned the free list, every key must
-// read back byte-exact through the engine's Keys and Range and over
-// the wire through GETV. The stash subtest is the mutation: a handler
+// read back byte-exact through the engine's listing (RangeBuckets over
+// every bucket) and over the wire through GETV. The stash subtest is the mutation: a handler
 // that keeps req.Key sees its bytes turn to 0xDB, so the check can fail.
 func TestServedKeysOutliveTheirFrame(t *testing.T) {
 	dial := func(t *testing.T, h Handler) *Client {
@@ -517,33 +508,29 @@ func TestServedKeysOutliveTheirFrame(t *testing.T) {
 			}
 		}
 
-		var live, resident []string
+		var resident []string
 		for k, after := range held {
-			if after == "value" {
-				live = append(live, k)
-			}
 			if after != "" {
 				resident = append(resident, k)
 			}
 		}
-		keys := kv.Engine().Keys()
-		slices.Sort(keys)
-		slices.Sort(live)
-		if !slices.Equal(keys, live) {
-			t.Errorf("Keys() = %q\nwant      %q", keys, live)
+		eng := kv.Engine()
+		every := make([]int, eng.Buckets())
+		for b := range every {
+			every[b] = b
 		}
 		var ranged []string
-		kv.Engine().Range(func(k string, e store.Entry) bool {
-			ranged = append(ranged, k)
+		eng.RangeBuckets(every, func(k string, e store.Entry) bool {
+			ranged = append(ranged, strings.Clone(k))
 			if e.Tombstone != (held[k] == "tombstone") || !e.Tombstone && !bytes.Equal(e.Value, valueOf(k)) {
-				t.Errorf("Range: %q holds %+v, want %s", k, e, held[k])
+				t.Errorf("RangeBuckets: %q holds %+v, want %s", k, e, held[k])
 			}
 			return true
 		})
 		slices.Sort(ranged)
 		slices.Sort(resident)
 		if !slices.Equal(ranged, resident) {
-			t.Errorf("Range visited %q\nwant          %q", ranged, resident)
+			t.Errorf("RangeBuckets visited %q\nwant                 %q", ranged, resident)
 		}
 		for k, after := range held {
 			e, ok, err := cl.GetV(k)

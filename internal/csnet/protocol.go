@@ -15,27 +15,20 @@ type Op byte
 const (
 	// OpPing checks liveness.
 	OpPing Op = iota + 1
-	// OpGet reads a key.
-	OpGet
-	// OpSet writes a key.
-	OpSet
-	// OpDel removes a key.
-	OpDel
+	// The blank bytes are the retired unversioned key-value ops. They
+	// stay reserved, so every later op keeps its byte, and a server
+	// answers them "unknown op" in the unversioned framing they used.
+	_ // 2: GET
+	_ // 3: SET
+	_ // 4: DEL
 	// OpEcho returns the value unchanged.
 	OpEcho
-	// OpSetNX writes a key only if it is absent (set-if-not-exists);
-	// read-repair uses it so a backfill can never overwrite a newer
-	// write that landed in the meantime.
-	OpSetNX
+	_ // 6: SETNX
 	// OpGossip carries one opaque cluster-membership message in Value
 	// (the SWIM probe/ack traffic of internal/member); the response
 	// Value is the encoded reply. Key is unused.
 	OpGossip
-	// OpKeys lists every live key the server holds, encoded in the
-	// response Value by EncodeKeys; served from the storage engine's
-	// lock-bounded per-shard snapshot, so a big listing cannot stall
-	// writers.
-	OpKeys
+	_ // 8: KEYS
 	// OpSetV is the versioned write: the frame carries an 8-byte
 	// version stamped by the coordinator's hybrid logical clock, and
 	// the server applies it with last-writer-wins merge (StatusOK) or
@@ -56,8 +49,7 @@ const (
 	// FlagTombstone — iff it is newer than the resident one. It is the
 	// op read-repair, hinted handoff, and the rebalancer use: a stale
 	// replay answers StatusExists and changes nothing, so replay order
-	// can never resurrect old state (the job OpSetNX's set-if-absent
-	// used to approximate).
+	// can never resurrect old state.
 	OpMerge
 	// opRetiredKeysV is the byte of the retired whole-store listing
 	// (OpKeysV). It stays reserved and versioned, so every later op keeps
@@ -150,20 +142,10 @@ func (o Op) String() string {
 	switch o {
 	case OpPing:
 		return "PING"
-	case OpGet:
-		return "GET"
-	case OpSet:
-		return "SET"
-	case OpDel:
-		return "DEL"
 	case OpEcho:
 		return "ECHO"
-	case OpSetNX:
-		return "SETNX"
 	case OpGossip:
 		return "GOSSIP"
-	case OpKeys:
-		return "KEYS"
 	case OpSetV:
 		return "SETV"
 	case OpGetV:
@@ -199,7 +181,9 @@ const (
 	StatusNotFound
 	// StatusError carries an error message in Value.
 	StatusError
-	// StatusExists reports that OpSetNX left an existing key unchanged.
+	// StatusExists reports that a versioned write left a newer resident
+	// entry unchanged (or, for OpPurgeV, that nothing old enough was
+	// there to remove); the response carries the resident version.
 	StatusExists
 	// StatusBusy reports that the server shed the request under
 	// admission control (worker queue full or in-flight budget
@@ -395,7 +379,7 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// AppendResponse appends a legacy response to dst and returns the
+// AppendResponse appends an unversioned response to dst and returns the
 // extended slice: status(1) valLen(4) val.
 func AppendResponse(dst []byte, r Response) []byte {
 	dst = slices.Grow(dst, 1+4+len(r.Value))
@@ -420,8 +404,7 @@ func EncodeResponse(r Response) []byte  { return AppendResponse(nil, r) }
 func EncodeResponseV(r Response) []byte { return AppendResponseV(nil, r) }
 
 // appendReply appends resp in the framing a caller of op expects:
-// versioned ops get the trailer, legacy ops do not, so old clients
-// interoperate on the same port.
+// versioned ops get the trailer, the rest do not.
 func appendReply(dst []byte, op Op, resp Response) []byte {
 	if Versioned(op) {
 		return AppendResponseV(dst, resp)
@@ -515,58 +498,6 @@ func DecodeResponseV(b []byte) (Response, error) {
 	var err error
 	r.Version, r.Flags, r.ExpireAt, _, err = parseTrailer(b[5+vl:])
 	return r, err
-}
-
-// EncodeKeys serializes a key list for an OpKeys response:
-// count(4) then count * (keyLen(2) key).
-func EncodeKeys(keys []string) ([]byte, error) {
-	size := 4
-	for _, k := range keys {
-		if len(k) > 0xFFFF {
-			return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(k))
-		}
-		size += 2 + len(k)
-	}
-	buf := make([]byte, 4, size)
-	binary.BigEndian.PutUint32(buf, uint32(len(keys)))
-	var l [2]byte
-	for _, k := range keys {
-		binary.BigEndian.PutUint16(l[:], uint16(len(k)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, k...)
-	}
-	return buf, nil
-}
-
-// DecodeKeys parses an OpKeys response body.
-func DecodeKeys(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("csnet: key list too short (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Each entry costs at least its 2-byte length prefix, so a count
-	// beyond len(b)/2 is corrupt; checking before the allocation keeps a
-	// malformed frame from demanding gigabytes.
-	if n > len(b)/2 {
-		return nil, fmt.Errorf("csnet: key count %d exceeds body size %d", n, len(b))
-	}
-	keys := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("csnet: truncated key list at entry %d", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		if len(b) < 2+kl {
-			return nil, fmt.Errorf("csnet: truncated key at entry %d", i)
-		}
-		keys = append(keys, string(b[2:2+kl]))
-		b = b[2+kl:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("csnet: %d trailing bytes after key list", len(b))
-	}
-	return keys, nil
 }
 
 // Trace query modes for OpTraces.

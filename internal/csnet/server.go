@@ -454,12 +454,11 @@ func (s *Server) Shutdown() {
 }
 
 // KVHandler serves the key-value protocol as a thin adapter over a
-// store.Engine. The old single-RWMutex map is gone: the default engine
-// is the sharded, versioned store, so parallel mixed workloads scale
-// past the global-lock ceiling and a KEYS listing locks one shard at a
-// time instead of stalling every write. Legacy ops (GET/SET/SETNX/DEL/
-// KEYS) are served unchanged alongside the versioned ops
-// (SETV/GETV/DELV/MERGE/TREEV/RANGEV/PURGEV) on the same handler.
+// store.Engine. There is one protocol: the versioned ops
+// (SETV/GETV/DELV/MERGE/PURGEV), applied last-writer-wins, plus the
+// digest and listing ops anti-entropy walks (TREEV/RANGEV). The default
+// engine is the sharded, versioned store, so parallel mixed workloads
+// scale past the global-lock ceiling.
 type KVHandler struct {
 	eng store.Engine
 	trc *trace.Recorder // nil = trace.Default()
@@ -547,31 +546,6 @@ func (kv *KVHandler) serve(req Request) Response {
 		return Response{Status: StatusOK, Value: []byte("pong")}
 	case OpEcho:
 		return Response{Status: StatusOK, Value: req.Value}
-	case OpGet:
-		e, ok := kv.eng.Get(req.Key)
-		if !ok {
-			return Response{Status: StatusNotFound}
-		}
-		return Response{Status: StatusOK, Value: e.Value}
-	case OpSet:
-		kv.eng.Set(req.Key, req.Value, 0)
-		return kv.ackDurable(Response{Status: StatusOK})
-	case OpSetNX:
-		if _, stored := kv.eng.SetIfAbsent(req.Key, req.Value); !stored {
-			return Response{Status: StatusExists}
-		}
-		return kv.ackDurable(Response{Status: StatusOK})
-	case OpDel:
-		if _, existed := kv.eng.Delete(req.Key); !existed {
-			return kv.ackDurable(Response{Status: StatusNotFound})
-		}
-		return kv.ackDurable(Response{Status: StatusOK})
-	case OpKeys:
-		body, err := EncodeKeys(kv.eng.Keys())
-		if err != nil {
-			return Response{Status: StatusError, Value: []byte(err.Error())}
-		}
-		return Response{Status: StatusOK, Value: body}
 	case OpGetV:
 		return kv.getV(req)
 	case OpSetV:

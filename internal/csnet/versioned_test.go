@@ -3,7 +3,6 @@ package csnet
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -36,11 +35,11 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 			t.Fatalf("roundtrip = %+v, want %+v", got, want)
 		}
 	}
-	// Legacy ops must decode to a zero trailer and reject stray bytes.
-	if b, _ := EncodeRequest(Request{Op: OpSet, Key: "k", Value: []byte("v"), Version: 99}); true {
+	// Unversioned ops must decode to a zero trailer and reject stray bytes.
+	if b, _ := EncodeRequest(Request{Op: OpEcho, Key: "k", Value: []byte("v"), Version: 99}); true {
 		got, err := DecodeRequest(b)
 		if err != nil || got.Version != 0 {
-			t.Fatalf("legacy op carried a version: %+v %v", got, err)
+			t.Fatalf("unversioned op carried a version: %+v %v", got, err)
 		}
 	}
 	// A versioned frame with a truncated trailer is an error, not a
@@ -120,10 +119,10 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if _, applied, err := cl.Merge("k", store.Entry{Value: []byte("back"), Version: delVer + 1}); err != nil || !applied {
 		t.Fatalf("resurrecting merge = %v %v", applied, err)
 	}
-	if v, ok, err := cl.Get("k"); err != nil || !ok || string(v) != "back" {
-		t.Fatalf("legacy Get after merge = %q %v %v", v, ok, err)
+	if e, ok, err := cl.GetV("k"); err != nil || !ok || string(e.Value) != "back" {
+		t.Fatalf("GetV after merge = %+v %v %v", e, ok, err)
 	}
-	// RangeV sees tombstones; Keys does not.
+	// RangeV lists tombstones; GetV misses them.
 	cl.SetV("dead", []byte("x"), 10)
 	cl.DelV("dead", 20)
 	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("dead", kv.Engine().Buckets()))})
@@ -137,13 +136,8 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if !byKey["dead"].Tombstone || byKey["dead"].Version != 20 {
 		t.Fatalf("RangeV lost the tombstone: %+v", byKey["dead"])
 	}
-	keys, err := cl.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(keys)
-	if len(keys) != 1 || keys[0] != "k" {
-		t.Fatalf("Keys = %v, want [k]", keys)
+	if e, ok, err := cl.GetV("dead"); err != nil || ok || !e.Tombstone {
+		t.Fatalf("GetV of a tombstone = %+v %v %v, want a tombstone miss", e, ok, err)
 	}
 	// Merge without a version is a protocol error.
 	if _, _, err := cl.Merge("k", store.Entry{Value: []byte("x")}); err == nil {
@@ -163,8 +157,8 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 			t.Fatalf("far-future delv version %d accepted", hostile)
 		}
 	}
-	if v, ok, err := cl.Get("k"); err != nil || !ok || string(v) != "back" {
-		t.Fatalf("value damaged by rejected hostile versions: %q %v %v", v, ok, err)
+	if e, ok, err := cl.GetV("k"); err != nil || !ok || string(e.Value) != "back" {
+		t.Fatalf("value damaged by rejected hostile versions: %+v %v %v", e, ok, err)
 	}
 	// A purge removes an entry — tombstones too, leaving nothing — only
 	// at or below its version, and reports what it kept.
@@ -190,11 +184,12 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRetiredKeysVIsUnknownOp pins the mixed-build story of the retired
-// whole-store listing: an older coordinator's OpKeysV still decodes here
-// and is answered "unknown op" in the versioned framing its client
-// reads — so its full-listings pass fails with that error — while the
-// ops its digest passes use answer as before on the same connection.
+// TestRetiredKeysVIsUnknownOp pins the retired op bytes: the unversioned
+// GET, SET, DEL, SETNX and KEYS (2, 3, 4, 6, 8) and the whole-store
+// listing OpKeysV (13). A request on any of them still decodes and is
+// answered "unknown op N" in the framing its byte always had — so an
+// older peer reads a refusal, not garbage — it leaves the engine
+// untouched, and the same connection goes on serving the versioned ops.
 func TestRetiredKeysVIsUnknownOp(t *testing.T) {
 	kv := NewKVHandler()
 	srv := NewServer(kv, 16)
@@ -212,19 +207,41 @@ func TestRetiredKeysVIsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if opRetiredKeysV != 13 || OpTreeV != 14 || OpBatch != 18 {
-		t.Fatalf("op bytes moved: retired KeysV %d, TreeV %d, Batch %d", opRetiredKeysV, OpTreeV, OpBatch)
+	if OpEcho != 5 || OpGossip != 7 || OpSetV != 9 || opRetiredKeysV != 13 || OpTreeV != 14 || OpBatch != 18 {
+		t.Fatalf("op bytes moved: Echo %d, Gossip %d, SetV %d, retired KeysV %d, TreeV %d, Batch %d",
+			OpEcho, OpGossip, OpSetV, opRetiredKeysV, OpTreeV, OpBatch)
 	}
-	resp, err := cl.Send(Request{Op: opRetiredKeysV}).ResponseV()
-	if err != nil || resp.Status != StatusError || string(resp.Value) != "unknown op 13" {
-		t.Fatalf("retired KeysV = %+v %v, want a versioned StatusError \"unknown op 13\"", resp, err)
+	for _, retired := range []struct {
+		name string
+		op   Op
+	}{{"GET", 2}, {"SET", 3}, {"DEL", 4}, {"SETNX", 6}, {"KEYS", 8}, {"KEYSV", opRetiredKeysV}} {
+		t.Run(retired.name, func(t *testing.T) {
+			call := cl.Send(Request{Op: retired.op, Key: "k", Value: []byte("clobbered"), Version: 9})
+			reply := call.Response
+			if Versioned(retired.op) {
+				reply = call.ResponseV
+			}
+			resp, err := reply()
+			if want := fmt.Sprintf("unknown op %d", retired.op); err != nil || resp.Status != StatusError || string(resp.Value) != want {
+				t.Fatalf("op %d = %+v %v, want StatusError %q", retired.op, resp, err, want)
+			}
+			if e, ok := kv.Engine().Load("k"); !ok || string(e.Value) != "v" || e.Version != 5 || e.Tombstone {
+				t.Fatalf("op %d changed the engine: k = %+v %v", retired.op, e, ok)
+			}
+			if live, tombs := kv.Engine().Counts(); live != 1 || tombs != 0 {
+				t.Fatalf("op %d changed the engine: %d live, %d tombstones", retired.op, live, tombs)
+			}
+			if e, ok, err := cl.GetV("k"); err != nil || !ok || string(e.Value) != "v" || e.Version != 5 {
+				t.Fatalf("GetV after the refusal = %+v %v %v", e, ok, err)
+			}
+		})
 	}
 	if buckets, nodes, err := cl.TreeV(nil); err != nil || buckets != kv.Engine().Buckets() || len(nodes) != 1 || nodes[0].Hash == 0 {
-		t.Fatalf("TreeV after the refusal = %d %+v %v", buckets, nodes, err)
+		t.Fatalf("TreeV after the refusals = %d %+v %v", buckets, nodes, err)
 	}
 	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("k", kv.Engine().Buckets()))})
 	if err != nil || len(listing) != 1 || listing[0].Key != "k" || listing[0].Version != 5 {
-		t.Fatalf("RangeV after the refusal = %+v %v", listing, err)
+		t.Fatalf("RangeV after the refusals = %+v %v", listing, err)
 	}
 }
 
@@ -273,66 +290,12 @@ func TestVersionedTTLReplication(t *testing.T) {
 	}
 }
 
-// TestVersionedLegacyInterop pins the same-port guarantee: one
-// connection freely mixes legacy and versioned ops against one store —
-// a legacy SET is visible to GETV with a real version, a SETV is
-// visible to legacy GET, and a legacy client (Set/Get/SetNX/Del/Keys)
-// never sees a trailer it cannot parse.
-func TestVersionedLegacyInterop(t *testing.T) {
-	srv := NewServer(NewKVHandler(), 16)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	cl, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if err := cl.Set("legacy", []byte("old-school")); err != nil {
-		t.Fatal(err)
-	}
-	e, ok, err := cl.GetV("legacy")
-	if err != nil || !ok || string(e.Value) != "old-school" || e.Version == 0 {
-		t.Fatalf("GetV of legacy write = %+v %v %v, want value with a stamped version", e, ok, err)
-	}
-	if _, _, err := cl.SetV("versioned", []byte("new-school"), e.Version+1); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := cl.Get("versioned"); err != nil || !ok || string(v) != "new-school" {
-		t.Fatalf("legacy Get of versioned write = %q %v %v", v, ok, err)
-	}
-	// Legacy delete tombstones under the hood but keeps its contract.
-	if ok, err := cl.Del("legacy"); err != nil || !ok {
-		t.Fatalf("legacy Del = %v %v", ok, err)
-	}
-	if ok, err := cl.Del("legacy"); err != nil || ok {
-		t.Fatalf("second legacy Del = %v %v, want false", ok, err)
-	}
-	if stored, err := cl.SetNX("versioned", []byte("nope")); err != nil || stored {
-		t.Fatalf("SetNX over live key = %v %v", stored, err)
-	}
-	if stored, err := cl.SetNX("legacy", []byte("revived")); err != nil || !stored {
-		t.Fatalf("SetNX over tombstone = %v %v, want stored", stored, err)
-	}
-	keys, err := cl.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(keys)
-	if len(keys) != 2 || keys[0] != "legacy" || keys[1] != "versioned" {
-		t.Fatalf("Keys = %v, want [legacy versioned]", keys)
-	}
-}
-
-// TestTracedLegacyInterop pins the trace trailer's interop discipline,
-// alongside TestVersionedLegacyInterop: an untraced versioned frame is
-// byte-identical to a pre-tracing build (no FlagHasTrace, no trailer
-// extension — built here by hand), a traced frame round-trips its
-// context, and traced, plain-versioned, and legacy frames mix freely on
-// one server port with only the traced request recording spans.
+// TestTracedLegacyInterop pins the trace trailer's interop discipline:
+// an untraced versioned frame is byte-identical to a pre-tracing build
+// (no FlagHasTrace, no trailer extension — built here by hand), a
+// traced frame round-trips its context, and traced and untraced
+// versioned frames mix freely on one server port with only the traced
+// request recording spans.
 func TestTracedLegacyInterop(t *testing.T) {
 	// Untraced wire bytes, fully hand-assembled: any trailer growth on
 	// the untraced path breaks legacy peers and must fail here.
@@ -391,14 +354,14 @@ func TestTracedLegacyInterop(t *testing.T) {
 	if err != nil || resp.Status != StatusOK {
 		t.Fatalf("traced SetV = %+v %v", resp, err)
 	}
-	if err := cl.Set("legacy", []byte("l")); err != nil {
-		t.Fatalf("legacy Set on the same port: %v", err)
+	if _, _, err := cl.SetV("plain", []byte("p"), 0); err != nil {
+		t.Fatalf("untraced SetV on the same port: %v", err)
 	}
-	if v, ok, err := cl.Get("traced"); err != nil || !ok || string(v) != "t" {
-		t.Fatalf("legacy Get of traced write = %q %v %v", v, ok, err)
+	if e, ok, err := cl.GetV("traced"); err != nil || !ok || string(e.Value) != "t" {
+		t.Fatalf("untraced GetV of traced write = %+v %v %v", e, ok, err)
 	}
-	if e, ok, err := cl.GetV("legacy"); err != nil || !ok || string(e.Value) != "l" {
-		t.Fatalf("untraced GetV of legacy write = %+v %v %v", e, ok, err)
+	if e, ok, err := cl.GetV("plain"); err != nil || !ok || string(e.Value) != "p" {
+		t.Fatalf("untraced GetV of untraced write = %+v %v %v", e, ok, err)
 	}
 	spans := rec.Spans()
 	if len(spans) == 0 {

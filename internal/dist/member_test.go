@@ -68,7 +68,7 @@ func (n *clusterNode) kill() {
 // has reports whether the node's local store holds key (asked of the
 // handler directly, bypassing the network).
 func (n *clusterNode) has(key string) bool {
-	return n.kv.Serve(csnet.Request{Op: csnet.OpGet, Key: key}).Status == csnet.StatusOK
+	return n.kv.Serve(csnet.Request{Op: csnet.OpGetV, Key: key}).Status == csnet.StatusOK
 }
 
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -342,7 +342,7 @@ func TestMemberHintedHandoff(t *testing.T) {
 	if got := c.Hints(1); got != 0 {
 		t.Fatalf("Hints(1) = %d after replay, want 0", got)
 	}
-	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGet, Key: "grade"})
+	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGetV, Key: "grade"})
 	if resp.Status != csnet.StatusOK || string(resp.Value) != "A+" {
 		t.Fatalf("replayed hint = %s %q, want OK \"A+\" (the superseding write)", resp.Status, resp.Value)
 	}
@@ -420,7 +420,7 @@ func TestMemberRebalance(t *testing.T) {
 		t.Fatalf("rebalance after eviction: %v", err)
 	}
 	holds := func(b int, k string) bool {
-		return kvs[b].Serve(csnet.Request{Op: csnet.OpGet, Key: k}).Status == csnet.StatusOK
+		return kvs[b].Serve(csnet.Request{Op: csnet.OpGetV, Key: k}).Status == csnet.StatusOK
 	}
 	for i := 0; i < nKeys; i++ {
 		for _, b := range c.replicaSet(key(i)) {
@@ -503,7 +503,7 @@ func TestMemberStaleHintAcrossOutage(t *testing.T) {
 	if _, err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGet, Key: "k"})
+	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGetV, Key: "k"})
 	if resp.Status != csnet.StatusOK || string(resp.Value) != "v2" {
 		t.Fatalf("converged value = %s %q, want OK \"v2\" (not the stale v1)", resp.Status, resp.Value)
 	}
@@ -550,7 +550,7 @@ func TestMemberDeleteTombstonePropagation(t *testing.T) {
 	if _, err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	if resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGet, Key: "gone"}); resp.Status != csnet.StatusNotFound {
+	if resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGetV, Key: "gone"}); resp.Status != csnet.StatusNotFound {
 		t.Fatalf("stale copy survived rejoin: %s %q", resp.Status, resp.Value)
 	}
 	if _, ok, err := c.Get("gone"); err != nil || ok {

@@ -104,7 +104,7 @@ func TestRPCMalformedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	body, err := cl.RoundTrip([]byte("{not json"))
+	body, err := cl.SendFrame([]byte("{not json")).Wait()
 	if err != nil {
 		t.Fatalf("no response to malformed payload: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestRPCMalformedPayload(t *testing.T) {
 		t.Errorf("response = %s, want a malformed-request error", body)
 	}
 	// Same connection still serves well-formed calls afterwards.
-	body, err = cl.RoundTrip([]byte(`{"method":"stats.mean","args":[2,4]}`))
+	body, err = cl.SendFrame([]byte(`{"method":"stats.mean","args":[2,4]}`)).Wait()
 	if err != nil || !strings.Contains(string(body), "3") {
 		t.Errorf("follow-up call = %s, %v; want result 3", body, err)
 	}

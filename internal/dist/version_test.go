@@ -40,7 +40,7 @@ func startVersionedPair(t *testing.T) ([2]*csnet.KVHandler, [2]*csnet.Server, []
 // TestVersionStaleHintReplayLoses is the acceptance regression for the
 // tentpole: a hint captured against an old write and replayed *after*
 // a newer write has already reached the backend must lose — with the
-// old unversioned OpSet replay this exact sequence overwrote the new
+// old unversioned SET replay this exact sequence overwrote the new
 // value with the stale one.
 func TestVersionStaleHintReplayLoses(t *testing.T) {
 	kvs, srvs, addrs, c := startVersionedPair(t)
@@ -65,7 +65,7 @@ func TestVersionStaleHintReplayLoses(t *testing.T) {
 	if err := c.Set("k", []byte("new")); err != nil {
 		t.Fatalf("healthy Set: %v", err)
 	}
-	if resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGet, Key: "k"}); string(resp.Value) != "new" {
+	if resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGetV, Key: "k"}); string(resp.Value) != "new" {
 		t.Fatalf("setup: backend 1 = %q, want new", resp.Value)
 	}
 
@@ -76,7 +76,7 @@ func TestVersionStaleHintReplayLoses(t *testing.T) {
 	if got := c.Hints(1); got != 0 {
 		t.Fatalf("Hints(1) = %d after replay, want 0 (an obsolete hint is delivered-and-dropped)", got)
 	}
-	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGet, Key: "k"})
+	resp := kvs[1].Serve(csnet.Request{Op: csnet.OpGetV, Key: "k"})
 	if resp.Status != csnet.StatusOK || string(resp.Value) != "new" {
 		t.Fatalf("backend 1 after stale replay = %s %q, want OK \"new\"", resp.Status, resp.Value)
 	}

@@ -149,7 +149,7 @@ func TestHandlerRouting(t *testing.T) {
 	}
 	kv := csnet.NewKVHandler()
 	shared := ml.Handler(kv)
-	if resp := shared.Serve(csnet.Request{Op: csnet.OpSet, Key: "k", Value: []byte("v")}); resp.Status != csnet.StatusOK {
+	if resp := shared.Serve(csnet.Request{Op: csnet.OpSetV, Key: "k", Value: []byte("v")}); resp.Status != csnet.StatusOK {
 		t.Fatalf("data op through shared handler = %s", resp.Status)
 	}
 	ping, err := encodeMessage(message{Kind: msgPing, From: "tester"})
@@ -164,7 +164,7 @@ func TestHandlerRouting(t *testing.T) {
 		t.Fatalf("gossip reply = %+v %v, want ack", msg, err)
 	}
 	gossipOnly := ml.Handler(nil)
-	if resp := gossipOnly.Serve(csnet.Request{Op: csnet.OpGet, Key: "k"}); resp.Status != csnet.StatusError {
+	if resp := gossipOnly.Serve(csnet.Request{Op: csnet.OpGetV, Key: "k"}); resp.Status != csnet.StatusError {
 		t.Fatalf("data op on gossip-only endpoint = %s, want error", resp.Status)
 	}
 	if resp := gossipOnly.Serve(csnet.Request{Op: csnet.OpGossip, Value: []byte{0xFF}}); resp.Status != csnet.StatusError {

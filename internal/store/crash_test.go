@@ -249,7 +249,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				k := randKey()
 				s.Delete(k)
 				touched[k] = true
-			case r < 64:
+			case r < 70:
 				k := randKey()
 				e := Entry{Version: s.Clock().Last() - uint64(rng.Intn(3)) + uint64(rng.Intn(6))}
 				if rng.Intn(4) == 0 {
@@ -258,10 +258,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					e.Value = randVal()
 				}
 				s.Merge(k, e)
-				touched[k] = true
-			case r < 70:
-				k := randKey()
-				s.SetIfAbsent(k, randVal())
 				touched[k] = true
 			case r < 75:
 				// Aimed at the resident version or the one below it, so
@@ -526,13 +522,11 @@ func TestCrashDeferredRun(t *testing.T) {
 	run := s.Deferred()
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("acked-%03d", i)
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
 			run.Set(k, []byte("set"), 0)
 		case 1:
 			run.Merge(k, Entry{Value: []byte("merged"), Version: s.Clock().Next()})
-		case 2:
-			run.SetIfAbsent(k, []byte("nx"))
 		default:
 			run.Delete(k)
 		}

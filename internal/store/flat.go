@@ -58,18 +58,6 @@ func (f *Flat) Set(key string, value []byte, ttl time.Duration) uint64 {
 	return ver
 }
 
-// SetIfAbsent implements Engine.
-func (f *Flat) SetIfAbsent(key string, value []byte) (uint64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cur, ok := f.t.load(key); ok && f.t.liveNow(cur) {
-		return cur.Version, false
-	}
-	ver := f.clock.Next()
-	f.t.set(key, value, ver, 0)
-	return ver, true
-}
-
 // Delete implements Engine.
 func (f *Flat) Delete(key string) (uint64, bool) {
 	f.mu.Lock()
@@ -94,42 +82,6 @@ func (f *Flat) Purge(key string, version uint64) bool {
 	ok := f.t.purge(key, version)
 	f.mu.Unlock()
 	return ok
-}
-
-// Keys implements Engine. Unlike Sharded there is only one lock to
-// hold, so a large listing does stall writers — which is exactly the
-// ceiling the benchmarks measure.
-func (f *Flat) Keys() []string {
-	now := f.now().UnixNano()
-	f.mu.Lock()
-	keys := make([]string, 0, f.t.size())
-	for r := range f.t.all() {
-		if r.entry().Live(now) {
-			keys = append(keys, r.key())
-		}
-	}
-	f.mu.Unlock()
-	return keys
-}
-
-// Range implements Engine: the table is snapshotted under the lock,
-// then fn runs against the copy with no lock held.
-func (f *Flat) Range(fn func(key string, e Entry) bool) {
-	type pair struct {
-		k string
-		e Entry
-	}
-	f.mu.Lock()
-	buf := make([]pair, 0, f.t.size())
-	for r := range f.t.all() {
-		buf = append(buf, pair{r.key(), r.entry()})
-	}
-	f.mu.Unlock()
-	for _, p := range buf {
-		if !fn(p.k, p.e) {
-			return
-		}
-	}
 }
 
 // Len implements Engine.

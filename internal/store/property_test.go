@@ -75,11 +75,12 @@ func (m *model) sweep(gcAge time.Duration) {
 	}
 }
 
-func (m *model) liveKeys() []string {
-	now := m.now().UnixNano()
+// liveKeys lists, sorted, the keys of a raw entry space that are live
+// at now: the model's, or an engine's listing (rawState).
+func liveKeys(data map[string]Entry, now time.Time) []string {
 	var keys []string
-	for k, e := range m.data {
-		if e.Live(now) {
+	for k, e := range data {
+		if e.Live(now.UnixNano()) {
 			keys = append(keys, k)
 		}
 	}
@@ -91,8 +92,8 @@ func (m *model) liveKeys() []string {
 // engine and the reference model in lock-step, comparing results after
 // every op and full raw state at checkpoints. Covers TTL expiry (lazy
 // and swept), tombstoned deletes with GC, set-if-newer merge in stale,
-// fresh, and tied flavors, and snapshot listing. The seed is logged so
-// a failure replays.
+// fresh, and tied flavors, and the whole-store listing. The seed is
+// logged so a failure replays.
 func TestStoreProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	for name, mk := range map[string]func(Options) Engine{
@@ -133,7 +134,7 @@ func TestStoreProperty(t *testing.T) {
 					k := key()
 					ver, _ := eng.Delete(k)
 					m.del(k, ver)
-				case p < 75: // Merge: stale, fresh, or tied
+				case p < 80: // Merge: stale, fresh, or tied
 					k := key()
 					e := Entry{Version: eng.Clock().Last()}
 					switch rng.Intn(3) {
@@ -165,14 +166,6 @@ func TestStoreProperty(t *testing.T) {
 						t.Fatalf("op %d: Merge(%q, v%d tomb=%v) engine applied=%v model=%v",
 							i, k, e.Version, e.Tombstone, applied, mApplied)
 					}
-				case p < 80: // SetIfAbsent
-					k := key()
-					v := val()
-					if ver, stored := eng.SetIfAbsent(k, v); stored {
-						m.set(k, v, ver, 0)
-					} else if me, ok := m.get(k); !ok || me.Version != ver {
-						t.Fatalf("op %d: SetIfAbsent(%q) kept %d but model has %+v,%v", i, k, ver, me, ok)
-					}
 				case p < 85: // Load cross-check (raw view)
 					k := key()
 					ge, gok := eng.Load(k)
@@ -180,11 +173,10 @@ func TestStoreProperty(t *testing.T) {
 					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone || ge.ExpireAt != me.ExpireAt)) {
 						t.Fatalf("op %d: Load(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
 					}
-				case p < 90: // Keys + Merkle digest cross-check
-					got := eng.Keys()
-					sort.Strings(got)
-					if want := m.liveKeys(); !slices.Equal(got, want) { // nil and empty listings are the same listing
-						t.Fatalf("op %d: Keys engine=%v model=%v", i, got, want)
+				case p < 90: // listing + Merkle digest cross-check
+					got := liveKeys(rawState(eng), ft.now())
+					if want := liveKeys(m.data, ft.now()); !slices.Equal(got, want) { // nil and empty listings are the same listing
+						t.Fatalf("op %d: live keys engine=%v model=%v", i, got, want)
 					}
 					d := eng.Digest()
 					if want := digestOf(m.data, d.Buckets()); d.Root() != want.Root() {
@@ -216,11 +208,7 @@ func TestStoreProperty(t *testing.T) {
 			}
 
 			// Final full-state comparison: raw entries, live keys, Len.
-			raw := map[string]Entry{}
-			eng.Range(func(k string, e Entry) bool {
-				raw[k] = e
-				return true
-			})
+			raw := rawState(eng)
 			if len(raw) != len(m.data) {
 				t.Fatalf("raw entry count: engine %d model %d", len(raw), len(m.data))
 			}
@@ -231,10 +219,9 @@ func TestStoreProperty(t *testing.T) {
 					t.Fatalf("raw entry %q: engine %+v model %+v", k, ge, me)
 				}
 			}
-			got := eng.Keys()
-			sort.Strings(got)
-			if want := m.liveKeys(); !slices.Equal(got, want) { // nil and empty listings are the same listing
-				t.Fatalf("final Keys: engine %v model %v", got, want)
+			got := liveKeys(raw, ft.now())
+			if want := liveKeys(m.data, ft.now()); !slices.Equal(got, want) { // nil and empty listings are the same listing
+				t.Fatalf("final live keys: engine %v model %v", got, want)
 			}
 			live := 0
 			for _, e := range m.data {

@@ -13,10 +13,9 @@ const DefaultShards = 128
 // Sharded is the production engine: the key space is split over a
 // power-of-two number of shards, each an independent table behind its
 // own mutex. Writers on different shards never contend, and the
-// snapshot paths (Keys, Range, Sweep) lock one shard at a time, so a
-// listing of a huge store stalls at most 1/N of the key space at once
-// — the property the csnet KVHandler relies on to serve KEYS without
-// freezing all writes.
+// whole-store paths (RangeBuckets, Digest, Sweep) lock one shard at a
+// time, so a listing of a huge store stalls at most 1/N of the key
+// space at once.
 type Sharded struct {
 	*sharded
 	// deferred marks a view made by Deferred: its writes note their log
@@ -175,20 +174,6 @@ func (s *Sharded) Wait() error {
 	return s.Err()
 }
 
-// SetIfAbsent implements Engine.
-func (s *Sharded) SetIfAbsent(key string, value []byte) (uint64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if cur, ok := sh.t.load(key); ok && sh.t.liveNow(cur) {
-		sh.mu.Unlock()
-		return cur.Version, false
-	}
-	ver := s.clock.Next()
-	sh.t.set(key, value, ver, 0)
-	s.logAndUnlock(sh, key, Entry{Value: value, Version: ver}, false)
-	return ver, true
-}
-
 // Delete implements Engine.
 func (s *Sharded) Delete(key string) (uint64, bool) {
 	sh := s.shardFor(key)
@@ -226,51 +211,6 @@ func (s *Sharded) Purge(key string, version uint64) bool {
 	}
 	s.logAndUnlock(sh, key, Entry{}, true)
 	return true
-}
-
-// Keys implements Engine: a lock-bounded snapshot, one shard at a time.
-func (s *Sharded) Keys() []string {
-	now := s.now().UnixNano()
-	// Presize from the live counters (one cheap pass) so the listing
-	// appends never reallocate mid-shard; entries that expire between
-	// the two passes just leave a little slack.
-	keys := make([]string, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for r := range sh.t.all() {
-			if r.entry().Live(now) {
-				keys = append(keys, r.key())
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return keys
-}
-
-// Range implements Engine: each shard is snapshotted under its lock,
-// then fn runs against the copy with no lock held, so fn may call back
-// into the engine.
-func (s *Sharded) Range(fn func(key string, e Entry) bool) {
-	type pair struct {
-		k string
-		e Entry
-	}
-	var buf []pair
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		buf = buf[:0]
-		for r := range sh.t.all() {
-			buf = append(buf, pair{r.key(), r.entry()})
-		}
-		sh.mu.Unlock()
-		for _, p := range buf {
-			if !fn(p.k, p.e) {
-				return
-			}
-		}
-	}
 }
 
 // Len implements Engine.

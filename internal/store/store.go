@@ -7,8 +7,8 @@
 // Two implementations ship. Sharded is the production engine: the key
 // space is split over N power-of-two shards, each a hash table behind
 // its own mutex, so writers on different shards never contend and a
-// full-store snapshot (Keys, Range) locks one shard at a time instead
-// of stalling every writer for the whole listing. Flat is the
+// full-store listing (RangeBuckets over every bucket) locks one shard
+// at a time instead of stalling every writer for the whole listing. Flat is the
 // single-lock baseline the benchmarks and the randomized property test
 // measure Sharded against; both share one transition-rule core (table)
 // so their semantics cannot drift.
@@ -115,10 +115,6 @@ type Engine interface {
 	// Set stores value with a fresh clock version (ttl <= 0 means no
 	// expiry) and returns the stamped version.
 	Set(key string, value []byte, ttl time.Duration) uint64
-	// SetIfAbsent stores value only when key has no live entry; it
-	// returns the stamped version and true, or the resident live
-	// version and false.
-	SetIfAbsent(key string, value []byte) (uint64, bool)
 	// Delete tombstones key at a fresh clock version (recording the
 	// deletion even when the key was never present, so it can propagate
 	// to replicas that do hold a copy) and reports whether a live value
@@ -135,32 +131,26 @@ type Engine interface {
 	// tests pass math.MaxUint64 to simulate data loss. It reports whether
 	// an entry was removed.
 	Purge(key string, version uint64) bool
-	// Keys lists the live keys from a lock-bounded snapshot: at most
-	// one shard (or the single table) is locked at a time, so a large
-	// listing cannot stall all writers.
-	Keys() []string
-	// Range iterates raw entries (tombstones included) from per-shard
-	// snapshots taken one shard at a time; fn returning false stops
-	// the iteration. fn runs with no lock held.
-	Range(fn func(key string, e Entry) bool)
-	// RangeBuckets calls fn with every raw entry whose key hashes into
-	// one of the listed Merkle buckets (see BucketOf; ids may repeat and
-	// come in any order, each entry is visited once) — how the
-	// anti-entropy protocol lists exactly the divergent buckets. Unlike
-	// Range nothing is copied: fn runs under the lock of the shard it is
-	// reading, one scan per shard however many of its buckets are
-	// listed, so fn must be brief and must not call back into the
-	// engine. fn returning false stops the iteration.
+	// RangeBuckets calls fn with every raw entry (tombstones included)
+	// whose key hashes into one of the listed Merkle buckets (see
+	// BucketOf; ids may repeat and come in any order, each entry is
+	// visited once) — how the anti-entropy protocol lists exactly the
+	// divergent buckets, and the engine's one listing: every bucket from
+	// 0 to Buckets()-1 lists the whole store. Nothing is copied: fn runs
+	// under the lock of the shard it is reading, one scan per shard
+	// however many of its buckets are listed, so fn must be brief, must
+	// not call back into the engine, and must copy a key it keeps. fn
+	// returning false stops the iteration.
 	RangeBuckets(ids []int, fn func(key string, e Entry) bool)
 	// Buckets reports the Merkle leaf count, fixed when the engine was
 	// created — Digest().Buckets() without rebuilding anything.
 	Buckets() int
 	// Counts reports the live entries and the resident tombstones;
-	// their sum is what Range visits.
+	// their sum is what a RangeBuckets over every bucket visits.
 	Counts() (live, tombstones int)
 	// Digest returns a point-in-time Merkle tree over the raw entry
 	// space — tombstones and not-yet-swept expired entries included,
-	// exactly what Range exposes. Dirty buckets are rebuilt lazily
+	// exactly what RangeBuckets lists. Dirty buckets are rebuilt lazily
 	// here; an idle engine answers from a cached snapshot.
 	Digest() *Digest
 	// Len reports the number of non-tombstone entries. Entries that

@@ -60,13 +60,7 @@ func TestEngineBasicOps(t *testing.T) {
 			if eng.Len() != 1 {
 				t.Fatalf("Len = %d, want 1", eng.Len())
 			}
-			ver, stored := eng.SetIfAbsent("k", []byte("c"))
-			if stored || ver != v2 {
-				t.Fatalf("SetIfAbsent over live key = %d %v, want %d false", ver, stored, v2)
-			}
-			if _, stored := eng.SetIfAbsent("k2", []byte("c")); !stored {
-				t.Fatal("SetIfAbsent on absent key not stored")
-			}
+			eng.Set("k2", []byte("c"), 0)
 			dv, existed := eng.Delete("k")
 			if !existed || dv <= v2 {
 				t.Fatalf("Delete = %d %v, want newer version and existed", dv, existed)
@@ -242,32 +236,31 @@ func TestEngineKeysAndRange(t *testing.T) {
 			eng.Delete("k-0")
 			eng.Set("gone", []byte("x"), time.Minute)
 			ft.advance(time.Hour)
-			keys := eng.Keys()
-			if len(keys) != 19 {
-				t.Fatalf("Keys = %d entries, want 19 live", len(keys))
-			}
-			for _, k := range keys {
-				if k == "k-0" || k == "gone" {
-					t.Fatalf("Keys listed dead key %q", k)
-				}
-			}
-			// Range sees the raw state: tombstone and expired included.
-			raw := map[string]Entry{}
-			eng.Range(func(k string, e Entry) bool {
-				raw[k] = e
-				return true
-			})
+			// The listing sees the raw state: tombstone and expired
+			// included; only 19 of its entries are live.
+			raw := rawState(eng)
 			if len(raw) != 21 {
-				t.Fatalf("Range visited %d entries, want 21 raw", len(raw))
+				t.Fatalf("listing visited %d entries, want 21 raw", len(raw))
 			}
 			if !raw["k-0"].Tombstone {
-				t.Fatal("Range lost the tombstone")
+				t.Fatal("listing lost the tombstone")
+			}
+			live := 0
+			for k, e := range raw {
+				if e.Live(ft.now().UnixNano()) {
+					live++
+				} else if k != "k-0" && k != "gone" {
+					t.Fatalf("live key %q listed as dead: %+v", k, e)
+				}
+			}
+			if live != 19 {
+				t.Fatalf("listing holds %d live entries, want 19", live)
 			}
 			// Early stop works.
 			n := 0
-			eng.Range(func(string, Entry) bool { n++; return n < 5 })
+			eng.RangeBuckets(everyBucket(eng), func(string, Entry) bool { n++; return n < 5 })
 			if n != 5 {
-				t.Fatalf("Range continued after fn returned false: %d visits", n)
+				t.Fatalf("listing continued after fn returned false: %d visits", n)
 			}
 			// Purge removes outright — no tombstone left behind — but never
 			// an entry newer than the version it names.
@@ -300,7 +293,9 @@ func TestShardedConcurrentSnapshotDoesNotBlockWrites(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if len(eng.Keys()) < 10_000 {
+				n := 0
+				eng.RangeBuckets(everyBucket(eng), func(string, Entry) bool { n++; return true })
+				if n < 10_000 {
 					t.Error("snapshot lost seeded keys")
 					return
 				}

@@ -20,7 +20,7 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 }
 
 // TestValueSurvivesItsKey holds the record's immutability rule from the
-// reader's side: a Value handed out by Get, Load, Range or RangeBuckets
+// reader's side: a Value handed out by Get, Load or RangeBuckets
 // aliases the record it was read from, so it must stay byte for byte
 // what it was — and have no spare capacity an append could write into —
 // whatever later happens to its key, with the heap churned and
@@ -57,20 +57,14 @@ func TestValueSurvivesItsKey(t *testing.T) {
 				held = append(held, e.Value)
 				e, _ = eng.Load(key)
 				held = append(held, e.Value)
-				eng.Range(func(k string, e Entry) bool {
-					if k == key {
-						held = append(held, e.Value)
-					}
-					return true
-				})
 				eng.RangeBuckets([]int{BucketOf(key, eng.Buckets())}, func(k string, e Entry) bool {
 					if k == key {
 						held = append(held, e.Value)
 					}
 					return true
 				})
-				if len(held) != 4 {
-					t.Fatalf("read the value %d times, want 4", len(held))
+				if len(held) != 3 {
+					t.Fatalf("read the value %d times, want 3", len(held))
 				}
 				mutate(eng, ft)
 				for i := 0; i < 2000; i++ { // reuse what the mutation freed
@@ -152,12 +146,11 @@ func TestRecordKeyReadBack(t *testing.T) {
 							n++
 							return true
 						}
-						eng.Range(check)
 						eng.RangeBuckets([]int{BucketOf(k, eng.Buckets())}, check)
 						return n
 					}
-					if n := listed(); n != 2 {
-						t.Fatalf("Range and RangeBuckets listed %d entries, want one each", n)
+					if n := listed(); n != 1 {
+						t.Fatalf("RangeBuckets listed %d entries, want one", n)
 					}
 					if _, applied := eng.Merge(k, Entry{Value: val, Version: 1}); applied {
 						t.Fatal("a stale Merge was applied: it did not find the resident entry")
@@ -347,19 +340,14 @@ func TestOneAllocationPerRecord(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng.Set("k", val, 0)
 			writes := map[string]func(){
-				"Set":         func() { eng.Set("k", val, 0) },
-				"Set+TTL":     func() { eng.Set("k", val, time.Hour) },
-				"Merge":       func() { eng.Merge("k", Entry{Value: val, Version: eng.Clock().Next()}) },
-				"Delete":      func() { eng.Delete("k") },
-				"SetIfAbsent": func() { eng.Delete("k"); eng.SetIfAbsent("k", val) },
+				"Set":     func() { eng.Set("k", val, 0) },
+				"Set+TTL": func() { eng.Set("k", val, time.Hour) },
+				"Merge":   func() { eng.Merge("k", Entry{Value: val, Version: eng.Clock().Next()}) },
+				"Delete":  func() { eng.Delete("k") },
 			}
 			for wname, write := range writes {
-				want := 1.0
-				if wname == "SetIfAbsent" {
-					want = 2 // the Delete that makes room, then the write
-				}
-				if got := testing.AllocsPerRun(100, write); got != want {
-					t.Errorf("%s over a resident key: %.0f allocations, want %.0f", wname, got, want)
+				if got := testing.AllocsPerRun(100, write); got != 1 {
+					t.Errorf("%s over a resident key: %.0f allocations, want 1", wname, got)
 				}
 			}
 			const n = 50_000

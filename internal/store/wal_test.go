@@ -19,12 +19,24 @@ import (
 	"pdcedu/internal/obs"
 )
 
+// everyBucket lists every Merkle bucket of e: RangeBuckets over it is
+// the engine's whole listing.
+func everyBucket(e Engine) []int {
+	ids := make([]int, e.Buckets())
+	for b := range ids {
+		ids[b] = b
+	}
+	return ids
+}
+
 // rawState snapshots an engine's raw entry space (tombstones included)
-// into a plain map.
+// into a plain map, each key and value copied out of the record it
+// aliases.
 func rawState(e Engine) map[string]Entry {
 	m := map[string]Entry{}
-	e.Range(func(k string, en Entry) bool {
-		m[k] = en
+	e.RangeBuckets(everyBucket(e), func(k string, en Entry) bool {
+		en.Value = bytes.Clone(en.Value)
+		m[strings.Clone(k)] = en
 		return true
 	})
 	return m
@@ -205,7 +217,6 @@ func TestWALBasicDurability(t *testing.T) {
 		s.Delete(fmt.Sprintf("key-%d", i))
 	}
 	s.Set("ttl-key", []byte("mortal"), time.Minute)
-	s.SetIfAbsent("nx-key", []byte("nx"))
 	s.Merge("merged", Entry{Value: []byte("riding-in"), Version: s.Clock().Next()})
 	s.Purge("key-60", math.MaxUint64)
 	var maxVer uint64

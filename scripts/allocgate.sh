@@ -24,9 +24,10 @@
 #     ClusterGet instead of hiding in SetGet's write. SetGet is a write
 #     and a Get. Lower one when a change brings its number down, never
 #     raise one without saying why in CHANGES.md;
-#   - one csnet round trip, serial and pipelined (internal/csnet): the
-#     CI twin of the ladder's csnet.allocs_per_rtt — the call, the reply
-#     body, the engine's record;
+#   - one csnet SETV round trip at a rising version, serial and
+#     pipelined (internal/csnet): the CI twin of the ladder's
+#     csnet.allocs_per_rtt, which times the same op — the call, the
+#     reply body, the engine's record;
 #   - one frame served in process, decode to encoded reply
 #     (internal/csnet): a GETV allocates nothing — its key aliases the
 #     frame, its value the engine's record — and a SETV once, the
@@ -53,8 +54,8 @@
 #     record (7 header + 137 payload). The CI twin of the benchmark's
 #     store.wal_bytes_per_set (3 replicas x 156 = 468) and of
 #     TestWALBytesPerRecord: a field added to the frame fails here;
-#   - the E29/E30 pairs against each other: a server round trip with
-#     metrics on, or with a trace recorder wired in but the request
+#   - the E29/E30 pairs against each other: a SETV server round trip
+#     with metrics on, or with a trace recorder wired in but the request
 #     unsampled, may not allocate more than the same round trip without.
 #
 # Usage: scripts/allocgate.sh
