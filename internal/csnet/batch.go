@@ -1,6 +1,7 @@
 package csnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -13,8 +14,11 @@ import (
 // were added. A frame of several entries is one OpBatch envelope; a
 // frame of one is that request's own plain frame, byte for byte what
 // Client.Send would have written — the choice is the size of the group
-// and nothing else. Either way a frame costs one Pending and one reply
-// body, however many entries it carries.
+// and nothing else. Either way a frame takes one Pending and one reply
+// body, however many entries it carries, and both are the transport's:
+// NextV copies out of a reply the one part a caller can keep, an
+// error's text, and hands the Pending and body back once the frame's
+// last entry is read, so a burst allocates neither.
 //
 // The zero Batch is not usable; get one from Client.Batch. A Batch is
 // for one goroutine and one burst: Add…, Send, then NextV once per Add.
@@ -32,12 +36,16 @@ type Batch struct {
 
 	// The reply cursor: frame at-1 is open and left of its entries are
 	// still to be handed out — each the error err when that is set, else
-	// the response all when whole is, else the next of items.
+	// the response all when whole is, else the next of items. items
+	// alias body, the open frame's reply, which goes back to the
+	// transport with its Pending p once they are read (release).
 	at, left int
 	err      error
 	whole    bool
 	all      Response
 	items    BatchItems
+	p        *Pending
+	body     []byte
 }
 
 // batchFrame is one frame of a Batch on the wire, or (p nil) an entry
@@ -110,7 +118,7 @@ func (b *Batch) Send() {
 		binary.BigEndian.PutUint32(body[3:], uint32(len(body)-(1+2+4)))
 		binary.BigEndian.PutUint32(body[7:], uint32(b.n))
 	}
-	p := new(Pending)
+	p := getPending()
 	b.c.m.enqueue(p, body, b.buf)
 	b.push(batchFrame{p: p, n: b.n})
 	b.buf, b.n = nil, 0
@@ -155,9 +163,15 @@ func (b *Batch) NextV() (Response, error) {
 		// Short of responses, or unreadable from here on: the rest of the
 		// frame's entries get the same answer.
 		b.err = fmt.Errorf("csnet: batch reply with %d entries unanswered: %w", b.left+1, err)
+		b.release()
 		return Response{}, b.err
 	}
-	return DecodeResponseV(item)
+	resp, err := DecodeResponseV(item)
+	resp.Value = bytes.Clone(resp.Value)
+	if b.left == 0 {
+		b.release()
+	}
+	return resp, err
 }
 
 // open waits for frame f's reply and sets the cursor to hand it out.
@@ -166,19 +180,31 @@ func (b *Batch) open(f batchFrame) {
 	if f.p == nil {
 		return
 	}
-	body, err := f.p.Wait()
-	switch {
-	case err != nil:
-		b.err = err
-	case f.n == 1:
-		b.all, b.err = DecodeResponseV(body)
-		b.whole = true
-	default:
-		if b.all, b.err = DecodeResponse(body); b.err != nil {
-			return
+	b.p = f.p
+	b.body, b.err = f.p.Wait()
+	if b.err != nil {
+		b.release()
+		return
+	}
+	if f.n == 1 {
+		b.all, b.err = DecodeResponseV(b.body)
+	} else if b.all, b.err = DecodeResponse(b.body); b.err == nil && b.all.Status == StatusOK {
+		if b.items, b.err = DecodeBatch(b.all.Value); b.err == nil {
+			return // the items are read, and the body released, by NextV
 		}
-		if b.whole = b.all.Status != StatusOK; !b.whole {
-			b.items, b.err = DecodeBatch(b.all.Value)
-		}
+	}
+	// One answer for every entry of the frame: a copy, not the body.
+	b.whole = true
+	b.all.Value = bytes.Clone(b.all.Value)
+	b.release()
+}
+
+// release hands the open frame's Pending and reply body back to the
+// transport; nothing the Batch returned aliases them.
+func (b *Batch) release() {
+	if b.p != nil {
+		putBuf(b.body)
+		putPending(b.p)
+		b.p, b.body = nil, nil
 	}
 }

@@ -228,19 +228,27 @@ func TestBatchShortReply(t *testing.T) {
 	}
 }
 
-// TestBatchLostConnection: entries in flight when the connection dies
-// all report the transport error.
+// TestBatchLostConnection: a connection closed after some of a burst's
+// replies were read fails every entry still to be read with the
+// transport error, whether its frame was answered yet or not.
 func TestBatchLostConnection(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate) // before startFrames' cleanup waits for the handlers
-	cl := startFrames(t, protocolFrames{gateHandler(gate)})
+	cl := startFrames(t, protocolFrames{refuseBad(gate)})
 	batch := cl.Batch()
+	batch.Add(mergeReq(1, []byte("v")))
+	batch.Send()
 	for i := 0; i < 3; i++ {
-		batch.Add(mergeReq(i, []byte("v")))
+		batch.Add(Request{Op: OpMerge, Key: fmt.Sprintf("slow-%d", i), Value: []byte("v"), Version: 9})
 	}
 	batch.Send()
+	batch.Add(Request{Op: OpMerge, Key: "slow-alone", Value: []byte("v"), Version: 9})
+	batch.Send()
+	if resp, err := batch.NextV(); err != nil || resp.Status != StatusOK {
+		t.Fatalf("entry 0: %+v %v, want its ack", resp, err)
+	}
 	cl.Close()
-	for i := 0; i < 3; i++ {
+	for i := 1; i < 5; i++ {
 		if resp, err := batch.NextV(); !errors.Is(err, ErrClientClosed) {
 			t.Fatalf("entry %d: %+v %v, want ErrClientClosed", i, resp, err)
 		}

@@ -275,6 +275,35 @@ func BenchmarkKVRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkKVBatch is the same SetV as a one-entry Batch, the frame
+// every replica of a coordinator's Set gets: the Batch draws its
+// Pending and reply body from the transport and hands them back, so the
+// round trip allocates only the engine's record.
+func BenchmarkKVBatch(b *testing.B) {
+	srv := NewServer(NewKVHandler(), 16)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown()
+	c, err := Dial(addr, 2*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	payload := make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := c.Batch()
+		batch.Add(Request{Op: OpSetV, Key: "bench", Value: payload, Version: uint64(i + 1)})
+		batch.Send()
+		if resp, err := batch.NextV(); err != nil || resp.Status != StatusOK {
+			b.Fatalf("batch setv: %v %v", resp.Status, err)
+		}
+	}
+}
+
 // BenchmarkKVPipelined measures the same SetV with a 64-deep pipeline
 // window on one multiplexed connection (E23): requests stream instead
 // of waiting a full round-trip each, so the wire stays busy and the

@@ -27,6 +27,9 @@ import (
 //	csnet.mux.pending.hw          gauge: client pipeline depth high water
 //	csnet.mux.timeouts            counter: client waits that expired
 //	csnet.mux.poisoned            counter: muxed conns failed with error
+//	csnet.mux.frames_per_flush    histogram: frames per flush of a muxed
+//	                              conn's writer, client and server side
+//	                              alike: how well a burst coalesces
 //	csnet.peer.redials            counter: broken Peer connections replaced
 //	                              (the coordinator's and gossip's alike)
 //
@@ -52,6 +55,9 @@ type serverMetrics struct {
 	muxTimeouts  *obs.Counter
 	muxPoisoned  *obs.Counter
 	peerRedials  *obs.Counter
+
+	// framesPerFlush has one sample per write syscall of runFrameWriter.
+	framesPerFlush *obs.Histogram
 }
 
 // csnetM holds the package's metric pointers, resolved once at init so
@@ -74,6 +80,8 @@ var csnetM = func() *serverMetrics {
 		muxTimeouts:  r.Counter("csnet.mux.timeouts"),
 		muxPoisoned:  r.Counter("csnet.mux.poisoned"),
 		peerRedials:  r.Counter("csnet.peer.redials"),
+
+		framesPerFlush: r.Histogram("csnet.mux.frames_per_flush"),
 	}
 	for op := 0; op <= int(OpPurgeV); op++ {
 		name := Op(op).String() // op 0 and unmapped bytes stringify as UNKNOWN

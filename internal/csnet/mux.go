@@ -32,20 +32,28 @@ const muxIdleWindow = time.Second
 
 // Buffer ownership — the one rule of this transport. A buffer whose
 // whole life the transport controls is drawn from getBuf and released
-// with putBuf by the frame writer, the one place every frame passes,
-// once its bytes are copied into the connection's write buffer:
+// with putBuf by the one place that last reads it:
 //
 //   - the request frame Send encodes or a Batch builds (never
-//     SendFrame's body: that is the caller's and is only read);
+//     SendFrame's body: that is the caller's and is only read), released
+//     by the frame writer once its bytes are copied into the
+//     connection's write buffer;
 //   - the request body a server reads off a connection, which rides its
 //     response frame so a reply that aliases it is written first;
-//   - the dst a server hands ServeFrame to append the response to.
+//   - the dst a server hands ServeFrame to append the response to;
+//   - a Batch frame's reply body, released by the Batch together with
+//     the frame's Pending (getPending/putPending) once the frame's last
+//     entry has been decoded. A write's reply is a status and a version;
+//     the one part of it a caller can keep, an error's text, is copied
+//     out, so no Response a Batch returns aliases the body.
 //
-// Everything a caller can hold is a plain allocation made for it and
-// never reused: the *Call or *Pending, and the reply body (it is the
-// value Get returns and the read cache keeps). A buffer that misses its
-// release — a dying connection's backlog — is ordinary garbage, so no
-// path has to release to stay correct; none may release early.
+// Everything else a caller can hold is a plain allocation made for it
+// and never reused: the *Call of Send, the *Pending of SendFrame, and
+// their reply bodies (a read's body is the value Get returns and the
+// read cache keeps). A buffer or Pending that misses its release — a
+// dying connection's backlog, an abandoned Batch — is ordinary
+// garbage, so no path has to release to stay correct; none may release
+// early.
 //
 // Decoders do not copy out of the bytes they decode (aliasString):
 //
@@ -64,6 +72,12 @@ const muxIdleWindow = time.Second
 // memory.
 var freeBufs = make(chan []byte, 1024)
 
+// freePendings is the Batch frames' Pendings, under freeBufs' rules:
+// bounded — 1024 slots, one per frame in flight, hold the bursts of a
+// few hundred concurrent rf=3 writes — and poisoned in tests (see
+// putPending).
+var freePendings = make(chan *Pending, 1024)
+
 // bufMinCap is the capacity a fresh buffer starts with: a response
 // that fits never regrows its dst.
 const bufMinCap = 1 << 10
@@ -75,8 +89,10 @@ func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), le
 
 // TestPoisonRelease makes putBuf overwrite every released buffer with
 // 0xDB, so an alias that outlives its owner fails the test that reads
-// it. Tests only (the convention of internal/poll's TestHook
-// variables): set it in TestMain, before any connection exists.
+// it, and makes a released Pending refuse a second release or a late
+// resolve with a panic. Tests only (the convention of internal/poll's
+// TestHook variables): set it in TestMain, before any connection
+// exists.
 var TestPoisonRelease bool
 
 // getBuf returns a transport-owned buffer of length n.
@@ -114,6 +130,33 @@ func putBuf(b []byte) {
 	}
 }
 
+// getPending returns an open Pending that a Batch owns: its reply body
+// comes from getBuf, and the Batch hands both back with putPending.
+func getPending() *Pending {
+	select {
+	case p := <-freePendings:
+		p.state.Store(pendingOpen)
+		return p
+	default:
+		return &Pending{owned: true}
+	}
+}
+
+// putPending releases a Pending from getPending once its reply has been
+// taken. Safe because a Batch only ever Waits — no timer can resolve it
+// late — and the mux deletes a seq from pending before it resolves
+// it, so once Wait returns nothing else holds p.
+func putPending(p *Pending) {
+	if TestPoisonRelease && !p.state.CompareAndSwap(pendingTaken, pendingReleased) {
+		panic("csnet: Pending released twice, or before its reply was taken")
+	}
+	p.body, p.err = nil, nil
+	select {
+	case freePendings <- p:
+	default:
+	}
+}
+
 // ErrCallConsumed is what a second Wait or Response on the same call
 // returns: a call is single-use, and its reply was handed out once.
 var ErrCallConsumed = errors.New("csnet: call already consumed")
@@ -122,11 +165,13 @@ var ErrCallConsumed = errors.New("csnet: call already consumed")
 // connection, resolved exactly once by whichever comes first: the
 // matching response frame, the error that poisoned the connection, or
 // a WaitTimeout expiring. It is single-use: one Wait or WaitTimeout
-// returns the outcome, any later one ErrCallConsumed. A Pending is
-// never recycled, so a stale one cannot receive another caller's reply.
+// returns the outcome, any later one ErrCallConsumed. The Pending
+// SendFrame returns is never recycled, so a stale one cannot receive
+// another caller's reply; only a Batch recycles its own (getPending).
 type Pending struct {
 	done  sync.WaitGroup // released by the first resolver
-	state atomic.Uint32  // pendingOpen → pendingResolved → pendingTaken
+	state atomic.Uint32  // pendingOpen → pendingResolved → pendingTaken (→ pendingReleased)
+	owned bool           // a Batch's: its reply body is a getBuf buffer
 	body  []byte
 	err   error
 }
@@ -135,12 +180,16 @@ const (
 	pendingOpen uint32 = iota
 	pendingResolved
 	pendingTaken
+	pendingReleased // back on freePendings; only under TestPoisonRelease
 )
 
 // resolve completes p unless something already has; the loser's result
 // is dropped.
 func (p *Pending) resolve(body []byte, err error) bool {
 	if !p.state.CompareAndSwap(pendingOpen, pendingResolved) {
+		if TestPoisonRelease && p.state.Load() == pendingReleased {
+			panic("csnet: Pending resolved after its release")
+		}
 		return false
 	}
 	p.body, p.err = body, err
@@ -366,10 +415,12 @@ func (m *muxConn) close() error {
 func runFrameWriter(conn net.Conn, q <-chan muxFrame, stop <-chan struct{}, timeout time.Duration, fail func(error)) {
 	bw := bufio.NewWriterSize(conn, muxBufSize)
 	hdr := make([]byte, muxHeaderSize)
+	frames := 0 // written since the last flush
 	writeOne := func(f muxFrame) error {
 		if len(f.body) > MaxFrameSize {
 			return ErrFrameTooLarge
 		}
+		frames++
 		putMuxHeader(hdr, f.seq, len(f.body))
 		if _, err := bw.Write(hdr); err != nil {
 			return err
@@ -417,6 +468,10 @@ func runFrameWriter(conn net.Conn, q <-chan muxFrame, stop <-chan struct{}, time
 			err, open = drain()
 		}
 		if err == nil {
+			// Booked before the write, so it is in the histogram by the
+			// time the peer reads the frames.
+			csnetM.framesPerFlush.Observe(int64(frames))
+			frames = 0
 			err = bw.Flush()
 		}
 		if err != nil {
@@ -490,21 +545,38 @@ func (m *muxConn) readLoop() {
 			m.fail(ErrFrameTooLarge)
 			return
 		}
-		body := make([]byte, n)
+		// Look the seq up before reading the body: a response nobody
+		// asked for means the stream is corrupt, so fail now rather than
+		// wait on a body that may never come, and never risk delivering
+		// one caller's bytes to another. The entry stays in pending while
+		// its body is read, so its deadline still governs the read and a
+		// failed read resolves it through fail.
+		m.mu.Lock()
+		e, ok := m.pending[seq]
+		m.mu.Unlock()
+		if !ok {
+			m.fail(fmt.Errorf("csnet: mux response for unknown seq %d", seq))
+			return
+		}
+		var body []byte
+		if e.p.owned {
+			body = getBuf(int(n))
+		} else {
+			body = make([]byte, n)
+		}
+		// A body nobody is handed goes back to the free list, whichever
+		// way it was allocated.
 		if err := m.readRetry(br, body); err != nil {
+			putBuf(body)
 			m.fail(fmt.Errorf("csnet: mux read body: %w", err))
 			return
 		}
 		m.mu.Lock()
-		e, ok := m.pending[seq]
+		_, ok = m.pending[seq] // gone: fail resolved it while the body was read
 		delete(m.pending, seq)
 		m.mu.Unlock()
-		if !ok {
-			// A response nobody asked for means the stream is corrupt;
-			// never risk delivering one caller's bytes to another.
-			m.fail(fmt.Errorf("csnet: mux response for unknown seq %d", seq))
-			return
+		if !ok || !e.p.resolve(body, nil) { // false: WaitTimeout gave up first
+			putBuf(body)
 		}
-		e.p.resolve(body, nil) // false: WaitTimeout gave up first, the reply is dropped
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -401,5 +403,146 @@ func TestMuxStuckRequestTimesOutOnBusyConn(t *testing.T) {
 		default:
 			_, _ = cl.SendFrame([]byte("busy")).Wait()
 		}
+	}
+}
+
+// rawPeer is a muxed server reduced to a socket: it takes one
+// connection, reads the preamble and one request frame, and lets
+// answer write whatever it likes in reply to that frame's seq. It
+// returns the address to Dial; the connection stays open until the
+// test ends.
+func rawPeer(t *testing.T, answer func(conn net.Conn, seq uint64)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		pre := make([]byte, len(muxMagic)+muxHeaderSize)
+		if _, err := io.ReadFull(conn, pre); err != nil {
+			t.Error(err)
+			return
+		}
+		seq, n := parseMuxHeader(pre[len(muxMagic):])
+		if _, err := io.ReadFull(conn, make([]byte, n)); err != nil {
+			t.Error(err)
+			return
+		}
+		answer(conn, seq)
+		// Hold the connection until the client hangs up.
+		io.Copy(io.Discard, conn)
+	}()
+	return ln.Addr().String()
+}
+
+// TestMuxUnknownSeqFailsAtHeader: a reply header for a seq nobody sent
+// poisons the connection as soon as it is read — the caller in flight
+// gets the "unknown seq" error at once, not a read timeout after
+// waiting on a body the header promised and never sent.
+func TestMuxUnknownSeqFailsAtHeader(t *testing.T) {
+	addr := rawPeer(t, func(conn net.Conn, seq uint64) {
+		hdr := make([]byte, muxHeaderSize)
+		putMuxHeader(hdr, seq+1000, 100) // and no body
+		conn.Write(hdr)
+	})
+	const timeout = 5 * time.Second
+	cl, err := Dial(addr, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	start := time.Now()
+	_, err = cl.SendFrame([]byte("x")).Wait()
+	if err == nil || !strings.Contains(err.Error(), "unknown seq") {
+		t.Fatalf("err = %v, want the unknown seq error", err)
+	}
+	if d := time.Since(start); d > timeout/5 {
+		t.Fatalf("failed after %v, want well under the %v timeout", d, timeout)
+	}
+}
+
+// TestMuxReplyBodyCut: a reply whose body stops short fails its caller
+// with the read error when the connection closes, and one whose body
+// never comes fails it at its own deadline, for a Batch's frame (the
+// transport's body buffer) and a plain one alike.
+func TestMuxReplyBodyCut(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		wait := func(cl *Client) error {
+			if !batched {
+				_, err := cl.SendFrame([]byte("x")).Wait()
+				return err
+			}
+			b := cl.Batch()
+			b.Add(mergeReq(1, []byte("v")))
+			b.Send()
+			_, err := b.NextV()
+			return err
+		}
+		cut := rawPeer(t, func(conn net.Conn, seq uint64) {
+			hdr := make([]byte, muxHeaderSize)
+			putMuxHeader(hdr, seq, 100)
+			conn.Write(append(hdr, make([]byte, 40)...))
+			conn.Close()
+		})
+		cl, err := Dial(cut, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(cl); err == nil || !strings.Contains(err.Error(), "mux read body") {
+			t.Errorf("batched=%v, body cut short: err = %v, want the body read error", batched, err)
+		}
+		cl.Close()
+
+		silent := rawPeer(t, func(conn net.Conn, seq uint64) {
+			hdr := make([]byte, muxHeaderSize)
+			putMuxHeader(hdr, seq, 100)
+			conn.Write(hdr)
+		})
+		const timeout = 300 * time.Millisecond
+		if cl, err = Dial(silent, timeout); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := wait(cl); err == nil {
+			t.Errorf("batched=%v: a reply with no body succeeded", batched)
+		}
+		if d := time.Since(start); d > 10*timeout {
+			t.Errorf("batched=%v: a reply with no body failed after %v, want about the %v timeout", batched, d, timeout)
+		}
+		cl.Close()
+	}
+}
+
+// TestMuxFramesPerFlush: every flush of a muxed writer books how many
+// frames it carried, so a pipelined burst's requests and replies all
+// land in csnet.mux.frames_per_flush, in fewer flushes than frames.
+func TestMuxFramesPerFlush(t *testing.T) {
+	cl := startFrames(t, aliasFrames{})
+	before := csnetM.framesPerFlush.Snapshot()
+	const depth = 64
+	var pend [depth]*Pending
+	for i := range pend {
+		pend[i] = cl.SendFrame(payload(100, i))
+	}
+	for i, p := range pend {
+		if _, err := p.Wait(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	after := csnetM.framesPerFlush.Snapshot()
+	flushes, frames := after.Count-before.Count, after.Sum-before.Sum
+	if frames < 2*depth || flushes == 0 || flushes >= frames {
+		t.Fatalf("%d flushes carried %d frames, want at least %d frames in fewer flushes", flushes, frames, 2*depth)
 	}
 }

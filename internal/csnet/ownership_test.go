@@ -567,3 +567,145 @@ func TestServedKeysOutliveTheirFrame(t *testing.T) {
 		}
 	})
 }
+
+// refuseBad answers a write to a key starting "bad" StatusError with
+// text naming the key, and acks every other at its version; a key
+// starting "slow" waits for gate first.
+func refuseBad(gate <-chan struct{}) Handler {
+	return HandlerFunc(func(r Request) Response {
+		if strings.HasPrefix(r.Key, "slow") {
+			<-gate
+		}
+		if strings.HasPrefix(r.Key, "bad") {
+			return Response{Status: StatusError, Value: []byte("refused " + r.Key)}
+		}
+		return Response{Status: StatusOK, Version: r.Version}
+	})
+}
+
+// TestBatchErrorTextOutlivesItsFrame: a Batch hands its reply bodies
+// back to the transport, so the error text a write reply carries must
+// be the caller's own copy — intact after the next NextV, after the
+// burst, and after later bursts have reused the released buffers. The
+// three places the text can come from: a one-entry frame, an entry of
+// a multi-entry frame, and a whole-frame answer (a peer that does not
+// know OpBatch).
+func TestBatchErrorTextOutlivesItsFrame(t *testing.T) {
+	type kept struct {
+		resp Response
+		want string
+	}
+	churn := func(cl *Client) {
+		for r := 0; r < 20; r++ {
+			b := cl.Batch()
+			for i := 0; i < 8; i++ {
+				b.Add(mergeReq(i, payload(200, r)))
+			}
+			b.Send()
+			for i := 0; i < 8; i++ {
+				b.NextV()
+			}
+		}
+	}
+	check := func(t *testing.T, when string, keep []kept) {
+		t.Helper()
+		for _, k := range keep {
+			if k.resp.Status != StatusError || string(k.resp.Value) != k.want {
+				t.Errorf("%s: reply reads %v %q, want StatusError %q", when, k.resp.Status, k.resp.Value, k.want)
+			}
+		}
+	}
+
+	t.Run("frames", func(t *testing.T) {
+		cl := startFrames(t, protocolFrames{refuseBad(nil)})
+		b := cl.Batch()
+		b.Add(Request{Op: OpMerge, Key: "bad-alone", Version: 7})
+		b.Send() // frame 1: one entry
+		b.Add(mergeReq(1, []byte("v")))
+		b.Add(Request{Op: OpMerge, Key: "bad-inside", Version: 7})
+		b.Add(mergeReq(2, []byte("v")))
+		b.Send() // frame 2: three entries
+		refused := map[int]string{0: "refused bad-alone", 2: "refused bad-inside"}
+		var keep []kept
+		for i := 0; i < 4; i++ {
+			resp, err := b.NextV()
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			if want, ok := refused[i]; ok {
+				keep = append(keep, kept{resp, want})
+			}
+			check(t, fmt.Sprintf("after NextV %d", i), keep)
+		}
+		churn(cl)
+		check(t, "after later bursts", keep)
+	})
+
+	t.Run("whole frame", func(t *testing.T) {
+		cl := startFrames(t, oldPeerFrames{protocolFrames{NewKVHandler()}})
+		b := cl.Batch()
+		for i := 0; i < 3; i++ {
+			b.Add(mergeReq(i, []byte("v")))
+		}
+		b.Send()
+		var keep []kept
+		for i := 0; i < 3; i++ {
+			resp, err := b.NextV()
+			if err != nil {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+			keep = append(keep, kept{resp, fmt.Sprintf("unknown op %d", OpBatch)})
+			check(t, fmt.Sprintf("after NextV %d", i), keep)
+		}
+		churn(cl)
+		check(t, "after later bursts", keep)
+	})
+}
+
+// TestPendingReleaseIsChecked: under TestPoisonRelease a Batch's
+// Pending refuses a second release and a resolve after its release —
+// the two ways a recycled completion could be handed someone else's
+// reply.
+func TestPendingReleaseIsChecked(t *testing.T) {
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	p := &Pending{owned: true} // not getPending's: nothing else can draw it
+	p.done.Add(1)
+	p.resolve([]byte("reply"), nil)
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	panics("a release before the reply is taken", func() {
+		q := &Pending{owned: true}
+		q.done.Add(1)
+		q.resolve(nil, nil)
+		putPending(q)
+	})
+	putPending(p)
+	panics("a second release", func() { putPending(p) })
+	panics("a resolve after release", func() { p.resolve([]byte("late"), nil) })
+	// Drawn again, it is open and usable. p went onto the free list
+	// last, so it is among the first cap(freePendings) draws.
+	for i := 0; ; i++ {
+		if i == cap(freePendings) {
+			t.Fatal("a released Pending is not on the free list")
+		}
+		if getPending() == p {
+			break
+		}
+	}
+	p.done.Add(1)
+	if !p.resolve([]byte("next"), nil) {
+		t.Fatal("a Pending drawn again does not resolve")
+	}
+	if body, err := p.Wait(); err != nil || string(body) != "next" {
+		t.Fatalf("reused Pending: %q %v", body, err)
+	}
+}
