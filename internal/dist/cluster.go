@@ -61,8 +61,9 @@ type ClusterConfig struct {
 // by all concurrent callers; fan-out sends, then collects, so a
 // replicated write costs one round trip. A multi-key write is one
 // frame per backend each way, not one per key (csnet.Batch; a second
-// frame past 64 KiB). MGet stays a burst of GETV frames: a Get's reply
-// body is the value the caller keeps, and one shared reply would pin it.
+// frame past 64 KiB). MGet's GETVs to their primaries travel the same
+// way: a read's value is copied out of the reply, which goes back to
+// the transport, so one shared reply pins nothing.
 //
 // Versioning: every write is stamped by the cluster's hybrid logical
 // clock and applied on each replica with last-writer-wins merge

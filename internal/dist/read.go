@@ -64,11 +64,11 @@ func (c *Cluster) getS(key string, sess *Session) (value []byte, ok bool, err er
 }
 
 // MGet reads many keys as Get does, under one trace, with every key's
-// first GETV in flight at once: one per key to its primary, a pipelined
-// burst per backend. The result maps each found key to its value;
-// absent keys are simply not in the map. A non-nil error reports the
-// first key whose full replica set failed, after the rest of the batch
-// has completed.
+// first GETV in flight at once: each backend's share of the primaries
+// travels as one frame (csnet.Batch, as MSet's writes do). The result
+// maps each found key to its value; absent keys are simply not in the
+// map. A non-nil error reports the first key whose full replica set
+// failed, after the rest of the batch has completed.
 func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
 	defer distM.latMGet.ObserveSince(obs.StartTimer())
 	out := make([]fetched, len(keys))
@@ -82,24 +82,23 @@ func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
 	return found, err
 }
 
-// fetched is one key's read through fetch: its replica set and the
-// primary's GETV in flight, then what the read resolved to.
+// fetched is one key's read through fetch: its replica set, then what
+// the read resolved to. The primary's GETV, its span and a failure to
+// reach it live in fetch's per-backend slots, not here.
 type fetched struct {
-	set   []int       // nil when no replica is asked: a cache hit, or none live
-	call  *csnet.Call // nil when the primary had no connection
-	sp    trace.Active
-	err   error // why the primary had no connection
+	set   []int // nil when no replica is asked: a cache hit, or none live
 	value []byte
 	ok    bool
 }
 
 // fetch is the one read path under Get and MGet: out[i] receives
-// keys[i]. It serves what the cache can, sends every other key's GETV
-// to its primary — a dead backend is dialed once per call, not once per
-// key — and then resolves each key in turn: the primary's reply, and
-// for a key it did not settle, the rest of the replica set through
-// readFrom. The root span opens before the cache is consulted and
-// reports the first error, which fetch also returns.
+// keys[i]. It serves what the cache can and queues every other key's
+// GETV on its primary's burst — the batchClients core replicate uses,
+// so a dead backend is dialed once per call, not once per key, and a
+// backend's share is one frame — then resolves each key in turn: the
+// primary's reply, and for a key it did not settle, the rest of the
+// replica set through readFrom. The root span opens before the cache
+// is consulted and reports the first error, which fetch also returns.
 func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) (err error) {
 	ctx, root := c.startOp(trace.KindOp, op)
 	var slots [inlineBackends]clientSlot
@@ -116,26 +115,22 @@ func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) 
 			}
 			continue
 		}
-		var cl *csnet.Client
-		if cl, f.err = bc.get(f.set[0]); f.err != nil {
-			continue
-		}
-		f.sp = c.span(ctx, trace.KindRPC, "GETV", f.set[0])
-		f.call = cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: f.sp.Context()})
+		bc.add(ctx, trace.KindRPC, f.set[0], csnet.Request{Op: csnet.OpGetV, Key: key})
 	}
+	bc.flush()
+	// Each primary answers in the order it was sent to, so walking the
+	// keys again pairs every reply with its key.
 	for i, key := range keys {
 		f := &out[i]
 		if len(f.set) == 0 {
 			continue
 		}
-		w := readWalk{err: f.err}
-		if f.call != nil {
-			var done bool
-			if f.value, f.ok, done = c.readStep(ctx, key, sess, &w, f.set[0], f.call, &f.sp); done {
-				continue
-			}
+		var w readWalk
+		resp, sp, rerr := bc.next(f.set[0])
+		var done bool
+		if f.value, f.ok, done = c.readStep(ctx, key, sess, &w, f.set[0], resp, rerr, sp); done {
+			continue
 		}
-		var rerr error
 		if f.value, f.ok, rerr = c.readFrom(ctx, &bc, key, sess, f.set[1:], &w); rerr != nil && err == nil {
 			err = rerr
 		}
@@ -153,12 +148,14 @@ type readWalk struct {
 }
 
 // readFrom asks set's replicas one round trip at a time, in ring order,
-// until one resolves the read. It dials through fetch's bc, so a dead
-// replica costs one dial per call, not one per key. When none resolves
-// the read, it is an error if any replica could not answer, and
-// otherwise a miss — cached as a tombstone when the newest miss was an
-// explicit delete, so polling a deleted key is as cheap as polling a
-// hot value.
+// until one resolves the read. Each ask is a one-entry Batch of its
+// own: the slot bursts' replies pair with the keys in send order, which
+// a fallback sent in between would break. It dials through fetch's bc,
+// so a dead replica costs one dial per call, not one per key. When
+// none resolves the read, it is an error if any replica could not
+// answer, and otherwise a miss — cached as a tombstone when the newest
+// miss was an explicit delete, so polling a deleted key is as cheap as
+// polling a hot value.
 func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
 	for _, b := range set {
 		cl, err := bc.get(b)
@@ -167,8 +164,11 @@ func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess
 			continue
 		}
 		sp := c.span(ctx, trace.KindRPC, "GETV", b)
-		call := cl.Send(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
-		if value, ok, done := c.readStep(ctx, key, sess, w, b, call, &sp); done {
+		batch := cl.Batch()
+		batch.Add(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
+		batch.Send()
+		resp, err := batch.NextV()
+		if value, ok, done := c.readStep(ctx, key, sess, w, b, resp, err, &sp); done {
 			return value, ok, nil
 		}
 	}
@@ -187,20 +187,19 @@ func entryOf(resp csnet.Response) store.Entry {
 	return store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&csnet.FlagTombstone != 0, ExpireAt: resp.ExpireAt}
 }
 
-// readStep waits for replica b's GETV reply, folds it into the walk,
-// and reports whether it resolved the read. A live value does: it is
-// repaired onto the replicas that missed — unless one of them reported
-// a tombstone at least as new (a tie goes to the tombstone, matching
-// Entry.Wins), in which case the value is the stale copy, the
-// tombstone is pushed at its holder, and the key reads as gone. A miss
-// or a failure moves the walk on.
-func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *readWalk, b int, call *csnet.Call, sp *trace.Active) (value []byte, ok, done bool) {
-	resp, err := call.ResponseV()
+// readStep folds replica b's GETV reply — or the error that stood in
+// for it — into the walk, closes its span, and reports whether it
+// resolved the read. A live value does: it is repaired onto the
+// replicas that missed — unless one of them reported a tombstone at
+// least as new (a tie goes to the tombstone, matching Entry.Wins), in
+// which case the value is the stale copy, the tombstone is pushed at
+// its holder, and the key reads as gone. A miss or a failure moves the
+// walk on.
+func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *readWalk, b int, resp csnet.Response, err error, sp *trace.Active) (value []byte, ok, done bool) {
 	if err == nil && resp.Status != csnet.StatusOK && resp.Status != csnet.StatusNotFound {
 		err = statusErr(resp)
 	}
-	sp.S.Err = err != nil
-	sp.Finish()
+	endSpan(sp, err != nil)
 	if err != nil {
 		w.err = err
 		return nil, false, false

@@ -187,20 +187,25 @@ func TestWriteOpsAgreeOnReplicaFaults(t *testing.T) {
 	}
 }
 
-// peerFrames is a backend's frame layer as a test can shape it. With
-// short zero it is a build from before OpBatch: the envelope decodes as
-// a request, reaches the handler, and is refused as an unknown op. With
+// peerFrames is a backend's frame layer as a test can shape it. Left
+// zero it is a build from before OpBatch: the envelope decodes as a
+// request, reaches the handler, and is refused as an unknown op. With
 // short set it serves the envelope but drops that many responses from
-// the end of each reply.
+// the end of each reply; with busy set it sheds every envelope whole,
+// StatusBusy, as admission control does a frame it has no room for.
 type peerFrames struct {
 	h     csnet.Handler
 	short int
+	busy  bool
 }
 
 func (p peerFrames) ServeFrame(dst, body []byte, _ csnet.FrameMeta) []byte {
 	req, err := csnet.DecodeRequest(body)
 	if err != nil {
 		return csnet.AppendResponse(dst, csnet.Response{Status: csnet.StatusError, Value: []byte(err.Error())})
+	}
+	if req.Op == csnet.OpBatch && p.busy {
+		return csnet.AppendResponse(dst, csnet.Response{Status: csnet.StatusBusy})
 	}
 	if req.Op == csnet.OpBatch && p.short > 0 {
 		items, _ := csnet.DecodeBatch(req.Value)
@@ -220,9 +225,9 @@ func (p peerFrames) ServeFrame(dst, body []byte, _ csnet.FrameMeta) []byte {
 	return csnet.AppendResponse(dst, p.h.Serve(req))
 }
 
-// startMixedCluster boots three KV backends, backend 1 behind frames,
-// and a write-all cluster over them.
-func startMixedCluster(t *testing.T, short int) ([]*csnet.KVHandler, *Cluster) {
+// startMixedCluster boots three KV backends, backend 1 behind frames
+// (its handler filled in here), and a write-all cluster over them.
+func startMixedCluster(t *testing.T, frames peerFrames) ([]*csnet.KVHandler, *Cluster) {
 	t.Helper()
 	kvs := make([]*csnet.KVHandler, 3)
 	addrs := make([]string, 3)
@@ -230,7 +235,8 @@ func startMixedCluster(t *testing.T, short int) ([]*csnet.KVHandler, *Cluster) {
 		kvs[i] = csnet.NewKVHandler()
 		srv := csnet.NewServer(kvs[i], 16)
 		if i == 1 {
-			srv = csnet.NewFrameServer(peerFrames{h: kvs[i], short: short}, 16)
+			frames.h = kvs[i]
+			srv = csnet.NewFrameServer(frames, 16)
 		}
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
@@ -253,7 +259,7 @@ func startMixedCluster(t *testing.T, short int) ([]*csnet.KVHandler, *Cluster) {
 // a replay would be declined again — and none books an ack. Single-key
 // writes, which travel as plain frames, still reach it.
 func TestBurstDeclinedByOldPeer(t *testing.T) {
-	kvs, c := startMixedCluster(t, 0)
+	kvs, c := startMixedCluster(t, peerFrames{})
 	keys, values := batchKeys("mixed", 8)
 
 	err := c.MSet(keys, values)
@@ -294,7 +300,7 @@ func TestBurstDeclinedByOldPeer(t *testing.T) {
 // responses than the frame had entries has acked exactly those; the
 // missing tail is a fault for each mutation in it.
 func TestBurstShortReply(t *testing.T) {
-	kvs, c := startMixedCluster(t, 2)
+	kvs, c := startMixedCluster(t, peerFrames{short: 2})
 	keys, values := batchKeys("short", 6)
 	err := c.MSet(keys, values)
 	var pw *PartialWriteError
