@@ -71,8 +71,8 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	shards := fs.Int("shards", store.DefaultShards, "storage-engine shard count (rounded up to a power of two)")
 	merkleBuckets := fs.Int("merkle-buckets", store.DefaultMerkleBuckets,
 		"Merkle anti-entropy bucket count (rounded up to a power of two; must match the cluster coordinator's)")
-	tombGC := fs.Duration("tombstone-gc", store.DefaultTombstoneGC, "how long delete and expiry tombstones are retained before garbage collection")
-	sweep := fs.Duration("sweep", 5*time.Second, "background sweep interval for TTL expiry and tombstone GC")
+	tombGC := fs.Duration("tombstone-gc", store.DefaultTombstoneGC, "how long delete tombstones are retained before garbage collection")
+	sweep := fs.Duration("sweep", 5*time.Second, "background sweep interval for tombstone GC")
 	dataDir := fs.String("data-dir", "", "durability: directory for the node's write-ahead log (wal.<G>), its checkpoints (snap.<G>) and the WALMETA manifest; on restart the node reloads from it and catches up via Merkle anti-entropy (empty = in-memory only)")
 	fsyncPolicy := fs.String("fsync", "interval", "WAL fsync policy: always (every write waits for a group commit shared by all shards), interval (one background fsync per -fsync-interval), or never (requires -data-dir)")
 	fsyncEvery := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence for -fsync interval")
@@ -263,7 +263,7 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	defer tick.Stop()
 	reg := obs.Default()
 	leafRebuilds := reg.Counter("store.merkle.leaf_rebuilds")
-	swept, purged := reg.Counter("store.sweep.expired"), reg.Counter("store.sweep.purged")
+	purged := reg.Counter("store.sweep.purged")
 	for {
 		select {
 		case <-stop:
@@ -282,8 +282,8 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 				continue
 			}
 			var b strings.Builder
-			fmt.Fprintf(&b, "store: %d keys (swept %d expired, %d tombstones); merkle root %016x (%d leaf rebuilds); members (%d alive):",
-				kv.Len(), swept.Value(), purged.Value(), eng.Digest().Root(), leafRebuilds.Value(), ml.NumAlive())
+			fmt.Fprintf(&b, "store: %d keys (%d tombstones GC'd); merkle root %016x (%d leaf rebuilds); members (%d alive):",
+				kv.Len(), purged.Value(), eng.Digest().Root(), leafRebuilds.Value(), ml.NumAlive())
 			for _, m := range ml.Members() {
 				fmt.Fprintf(&b, " %s=%s@%d", m.ID, m.State, m.Incarnation)
 			}

@@ -413,12 +413,12 @@ func TestReadyzFailsOnPoisonedWAL(t *testing.T) {
 		return rec.Code, rec.Body.String()
 	}
 
-	eng.Set("healthy", []byte("v"), 0)
+	eng.Set("healthy", []byte("v"))
 	if code, body := readyz(); code != http.StatusOK {
 		t.Fatalf("/readyz on a healthy log = %d %q, want 200", code, body)
 	}
 	fail.Store(true)
-	eng.Set("lost", []byte("v"), 0)
+	eng.Set("lost", []byte("v"))
 	if eng.Err() == nil {
 		t.Fatal("failed fsync did not poison the engine")
 	}

@@ -45,7 +45,7 @@ func storageEngine() {
 	// while a sharded Set waits on 1/128th of the store at most.
 	run := func(eng store.Engine) (total, worstStall time.Duration) {
 		for i := 0; i < seeded; i++ {
-			eng.Set(fmt.Sprintf("seed:%d", i), []byte("x"), 0)
+			eng.Set(fmt.Sprintf("seed:%d", i), []byte("x"))
 		}
 		every := make([]int, eng.Buckets())
 		for b := range every {
@@ -76,7 +76,7 @@ func storageEngine() {
 				for i := 0; i < opsPerWorker; i++ {
 					k := fmt.Sprintf("hot:%d:%d", w, i&255)
 					opStart := time.Now()
-					eng.Set(k, []byte("v"), 0)
+					eng.Set(k, []byte("v"))
 					d := int64(time.Since(opStart))
 					for {
 						cur := worst.Load()
@@ -103,7 +103,7 @@ func storageEngine() {
 	fmt.Println(t.String())
 
 	eng := store.NewSharded(store.Options{})
-	ver := eng.Set("grade", []byte("A+"), 0)
+	ver := eng.Set("grade", []byte("A+"))
 	if _, applied := eng.Merge("grade", store.Entry{Value: []byte("C-"), Version: ver - 1}); !applied {
 		e, _ := eng.Get("grade")
 		fmt.Printf("stale replay (version %d) lost the merge: grade is still %q@%d\n\n",

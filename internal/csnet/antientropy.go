@@ -86,13 +86,12 @@ func DecodeTree(b []byte) (buckets int, nodes []TreeNode, err error) {
 // KeyDigest is one entry of an OpRangeV bucket listing: everything the
 // anti-entropy planner needs to order two copies without their values
 // — version for the LWW race, digest for same-version value splits,
-// tombstone and expiry for the delete/expiry tie-breaks.
+// tombstone for the delete tie-break.
 type KeyDigest struct {
 	Key       string
 	Version   uint64
 	Digest    uint64
 	Tombstone bool
-	ExpireAt  int64
 }
 
 // rangeVEntryMin is the smallest wire size of one RangeV entry:
@@ -100,7 +99,7 @@ type KeyDigest struct {
 const rangeVEntryMin = 2 + 8 + 8 + 1
 
 // EncodeRangeV serializes an OpRangeV response: count(4) then count *
-// (keyLen(2) key version(8) digest(8) flags(1) [expireAt(8)]).
+// (keyLen(2) key version(8) digest(8) flags(1)).
 func EncodeRangeV(entries []KeyDigest) ([]byte, error) {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
 	for _, e := range entries {
@@ -123,14 +122,7 @@ func appendRangeVEntry(buf []byte, e KeyDigest) []byte {
 	if e.Tombstone {
 		flags |= FlagTombstone
 	}
-	if e.ExpireAt != 0 {
-		flags |= FlagHasExpiry
-	}
-	buf = append(buf, flags)
-	if e.ExpireAt != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.ExpireAt))
-	}
-	return buf
+	return append(buf, flags)
 }
 
 // DecodeRangeV parses an OpRangeV response body into one allocation,
@@ -161,15 +153,11 @@ func DecodeRangeV(b []byte) ([]KeyDigest, error) {
 			Digest:  binary.BigEndian.Uint64(b[2+kl+8:]),
 		}
 		flags := b[2+kl+16]
+		if flags&flagRetiredExpiry != 0 {
+			return nil, fmt.Errorf("csnet: range entry %d: %w", i, errRetiredExpiry)
+		}
 		e.Tombstone = flags&FlagTombstone != 0
 		b = b[2+kl+17:]
-		if flags&FlagHasExpiry != 0 {
-			if len(b) < 8 {
-				return nil, fmt.Errorf("csnet: truncated expiry in range entry %d", i)
-			}
-			e.ExpireAt = int64(binary.BigEndian.Uint64(b))
-			b = b[8:]
-		}
 		entries = append(entries, e)
 	}
 	if len(b) != 0 {

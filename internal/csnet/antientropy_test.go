@@ -49,8 +49,6 @@ func TestRangeVRoundTrip(t *testing.T) {
 	entries := []KeyDigest{
 		{Key: "plain", Version: 100, Digest: 42},
 		{Key: "dead", Version: 200, Tombstone: true},
-		{Key: "mortal", Version: 300, Digest: 7, ExpireAt: 1_700_000_000_000_000_000},
-		{Key: "dead-mortal", Version: 400, Tombstone: true, ExpireAt: 1_700_000_000_000_000_000},
 		{Key: "", Version: 500, Digest: 1},
 	}
 	body, err := EncodeRangeV(entries)
@@ -139,7 +137,7 @@ func TestTreeAndRangeOps(t *testing.T) {
 	}
 
 	// The bucket listing pins the divergent key by digest.
-	listing, err := cl.RangeV([]uint32{uint32(want)})
+	listing, err := rangeV(cl, []uint32{uint32(want)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,7 @@ func TestTreeAndRangeOps(t *testing.T) {
 	if _, _, err := cl.TreeV([]uint32{9999}); err == nil {
 		t.Fatal("out-of-range tree node accepted")
 	}
-	if _, err := cl.RangeV([]uint32{9999}); err == nil {
+	if _, err := rangeV(cl, []uint32{9999}); err == nil {
 		t.Fatal("out-of-range bucket accepted")
 	}
 }
@@ -171,17 +169,14 @@ func TestTreeAndRangeOps(t *testing.T) {
 // a time (a listing's order is the engine's scan order, so only a
 // one-entry body has a single encoding), and the empty listing.
 func TestRangeVHandlerMatchesEncoder(t *testing.T) {
-	exp := time.Now().Add(time.Hour).UnixNano()
 	for _, e := range []store.Entry{
 		{Value: []byte("plain"), Version: 100},
 		{Version: 200, Tombstone: true},
-		{Value: []byte("mortal"), Version: 300, ExpireAt: exp},
-		{Version: 400, Tombstone: true, ExpireAt: exp},
 	} {
 		kv := NewKVHandler()
 		kv.Engine().Merge("k", e)
 		b := uint32(store.BucketOf("k", kv.Engine().Buckets()))
-		want, err := EncodeRangeV([]KeyDigest{{Key: "k", Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone, ExpireAt: e.ExpireAt}})
+		want, err := EncodeRangeV([]KeyDigest{{Key: "k", Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +241,7 @@ func TestRangeVAllocatesItsBody(t *testing.T) {
 	digest := store.ValueDigest(make([]byte, 128))
 	for _, e := range listing {
 		raw, ok := kv.Engine().Load(e.Key)
-		if !ok || seen[e.Key] || e.Version != raw.Version || e.Digest != digest || e.Tombstone || e.ExpireAt != 0 {
+		if !ok || seen[e.Key] || e.Version != raw.Version || e.Digest != digest || e.Tombstone {
 			t.Fatalf("listed %+v (seen before: %v), resident %+v %v", e, seen[e.Key], raw, ok)
 		}
 		seen[e.Key] = true
@@ -261,7 +256,7 @@ func TestDecodeRangeVAllocatesTheSlice(t *testing.T) {
 	for i := range entries {
 		entries[i] = KeyDigest{Key: fmt.Sprintf("listed-%d", i), Version: uint64(i + 1), Digest: uint64(i)}
 	}
-	entries[7].Tombstone, entries[9].ExpireAt = true, 1_700_000_000_000_000_000
+	entries[7].Tombstone = true
 	body, err := EncodeRangeV(entries)
 	if err != nil {
 		t.Fatal(err)
@@ -290,36 +285,4 @@ func BenchmarkRangeVAllBuckets(b *testing.B) {
 
 func keyN(i int) string {
 	return "key-" + string(rune('a'+i%26)) + "-" + string(rune('0'+i/26))
-}
-
-// TestMergeTombstoneCarriesExpiry pins the wire fix that rides along
-// with expiry tombstones: Client.Merge of a tombstone keeps ExpireAt,
-// so the replica GCs the expiry tombstone on the same horizon.
-func TestMergeTombstoneCarriesExpiry(t *testing.T) {
-	kv := NewKVHandler()
-	srv := NewServer(kv, 4)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	cl, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	exp := time.Now().Add(time.Hour).UnixNano()
-	if _, applied, err := cl.Merge("k", store.Entry{Version: 100, Tombstone: true, ExpireAt: exp}); err != nil || !applied {
-		t.Fatalf("merge = %v %v", applied, err)
-	}
-	raw, ok := kv.Engine().Load("k")
-	if !ok || !raw.Tombstone || raw.ExpireAt != exp {
-		t.Fatalf("resident tombstone = %+v %v, want ExpireAt %d", raw, ok, exp)
-	}
-	// And GetV reports the tombstone's expiry on a miss.
-	e, found, err := cl.GetV("k")
-	if err != nil || found || !e.Tombstone || e.ExpireAt != exp {
-		t.Fatalf("GetV = %+v %v %v, want tombstone miss with expiry", e, found, err)
-	}
 }

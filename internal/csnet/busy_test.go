@@ -128,8 +128,8 @@ func TestIsBusyPredicate(t *testing.T) {
 	if _, _, err := c.SetV("k", []byte("v"), 1); !IsBusy(err) {
 		t.Fatalf("SetV err = %v, want IsBusy", err)
 	}
-	if _, _, err := c.DelV("k", 1); !IsBusy(err) {
-		t.Fatalf("DelV err = %v, want IsBusy", err)
+	if resp, err := c.Send(Request{Op: OpDelV, Key: "k", Version: 1}).ResponseV(); err != nil || resp.Status != StatusBusy {
+		t.Fatalf("DelV = %+v %v, want StatusBusy", resp, err)
 	}
 	if IsBusy(nil) {
 		t.Error("IsBusy(nil)")

@@ -216,14 +216,14 @@ func (c *Client) Do(req Request) (Response, error) {
 
 // GetV fetches a key with its version. On ok the entry is live; on
 // !ok with a nil error the entry may still carry the version (and
-// Tombstone flag) of a resident tombstone or expired copy, so callers
+// Tombstone flag) of a resident tombstone, so callers
 // can order the miss against other replicas.
 func (c *Client) GetV(key string) (e store.Entry, ok bool, err error) {
 	resp, err := c.Send(Request{Op: OpGetV, Key: key}).ResponseV()
 	if err != nil {
 		return store.Entry{}, false, err
 	}
-	e = store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&FlagTombstone != 0, ExpireAt: resp.ExpireAt}
+	e = store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&FlagTombstone != 0}
 	switch resp.Status {
 	case StatusOK:
 		return e, true, nil
@@ -252,53 +252,15 @@ func (c *Client) SetV(key string, value []byte, version uint64) (winner uint64, 
 	}
 }
 
-// DelV tombstones a key at the given version via last-writer-wins
-// merge (version 0 lets the server stamp one). applied reports whether
-// the tombstone won (for version 0: whether a live value existed).
-func (c *Client) DelV(key string, version uint64) (winner uint64, applied bool, err error) {
-	resp, err := c.Send(Request{Op: OpDelV, Key: key, Version: version}).ResponseV()
-	if err != nil {
-		return 0, false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return resp.Version, true, nil
-	case StatusExists, StatusNotFound:
-		return resp.Version, false, nil
-	default:
-		return 0, false, respErr(fmt.Sprintf("delv %q", key), resp)
-	}
-}
-
 // MergeRequest builds the OpMerge request that carries a full
 // replicated entry (value or tombstone) under trace context tr.
-// Tombstones keep their ExpireAt on the wire: an expiry tombstone must
-// reach the replica with its expiry, or the replica would GC it on the
-// wrong horizon.
 func MergeRequest(key string, e store.Entry, tr trace.Context) Request {
-	req := Request{Op: OpMerge, Key: key, Value: e.Value, Version: e.Version, ExpireAt: e.ExpireAt, Trace: tr}
+	req := Request{Op: OpMerge, Key: key, Value: e.Value, Version: e.Version, Trace: tr}
 	if e.Tombstone {
 		req.Flags |= FlagTombstone
 		req.Value = nil
 	}
 	return req
-}
-
-// Merge applies a full replicated entry (value or tombstone) iff it is
-// newer than the server's resident one.
-func (c *Client) Merge(key string, e store.Entry) (winner uint64, applied bool, err error) {
-	resp, err := c.Send(MergeRequest(key, e, trace.Context{})).ResponseV()
-	if err != nil {
-		return 0, false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return resp.Version, true, nil
-	case StatusExists:
-		return resp.Version, false, nil
-	default:
-		return 0, false, respErr(fmt.Sprintf("merge %q", key), resp)
-	}
 }
 
 // TreeV queries the server's Merkle digest for the given tree node
@@ -315,19 +277,6 @@ func (c *Client) TreeV(nodes []uint32) (buckets int, hashes []TreeNode, err erro
 		return 0, nil, fmt.Errorf("csnet: treev: %s", resp.Value)
 	}
 	return DecodeTree(resp.Value)
-}
-
-// RangeV lists the raw entries of the given Merkle buckets, each with
-// its version, value digest, tombstone flag, and expiry.
-func (c *Client) RangeV(bucketIDs []uint32) ([]KeyDigest, error) {
-	resp, err := c.Send(Request{Op: OpRangeV, Value: EncodeBucketList(bucketIDs)}).ResponseV()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("csnet: rangev: %s", resp.Value)
-	}
-	return DecodeRangeV(resp.Value)
 }
 
 // Stats fetches the server's live metrics snapshot — every counter,

@@ -116,11 +116,11 @@ func TestKVServerEndToEnd(t *testing.T) {
 	if _, ok, _ := c.GetV("missing"); ok {
 		t.Error("missing key reported found")
 	}
-	if _, ok, err := c.DelV("course", 0); err != nil || !ok {
-		t.Errorf("DelV = %v,%v", ok, err)
+	if resp, err := c.Send(Request{Op: OpDelV, Key: "course"}).ResponseV(); err != nil || resp.Status != StatusOK {
+		t.Errorf("DelV = %+v,%v", resp, err)
 	}
-	if _, ok, _ := c.DelV("course", 0); ok {
-		t.Error("double delete reported found")
+	if resp, _ := c.Send(Request{Op: OpDelV, Key: "course"}).ResponseV(); resp.Status != StatusNotFound {
+		t.Errorf("double delete = %+v, want NOT_FOUND", resp)
 	}
 	// Echo and unknown op.
 	resp, err := c.Do(Request{Op: OpEcho, Value: []byte("abc")})
@@ -358,7 +358,7 @@ func BenchmarkKVPipelined(b *testing.B) {
 // scripts/allocgate.sh holds it to 0.
 func BenchmarkServeFrameGetV(b *testing.B) {
 	kv := NewKVHandler()
-	kv.Engine().Set("bench", make([]byte, 128), 0)
+	kv.Engine().Set("bench", make([]byte, 128))
 	body, err := EncodeRequest(Request{Op: OpGetV, Key: "bench"})
 	if err != nil {
 		b.Fatal(err)

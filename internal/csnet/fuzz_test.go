@@ -31,7 +31,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpEcho, Key: "k", Value: []byte("v")},
 		{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42},
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
-		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000, Trace: tr},
+		{Op: OpMerge, Key: "k", Value: []byte("traced"), Version: 11, Trace: tr},
 		{Op: OpPurgeV, Key: "k", Version: 13},
 	} {
 		b, _ := EncodeRequest(r)
@@ -76,7 +76,7 @@ func FuzzDecodeResponse(f *testing.F) {
 
 func FuzzDecodeResponseV(f *testing.F) {
 	f.Add(EncodeResponseV(Response{Status: StatusOK, Value: []byte("v"), Version: 1234, Flags: FlagTombstone}))
-	f.Add(EncodeResponseV(Response{Status: StatusOK, Value: []byte("v"), Version: 9, ExpireAt: 1_700_000_000_000_000_000}))
+	f.Add(EncodeResponseV(Response{Status: StatusExists, Version: 9}))
 	f.Add(EncodeResponse(Response{Status: StatusOK, Value: []byte("v")}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r, err := DecodeResponseV(in)
@@ -94,9 +94,9 @@ func FuzzDecodeResponseV(f *testing.F) {
 
 // checkReencoded asserts out is dirtyDst followed by a re-encoding of
 // in. A frame without a trailer is canonical and must come back byte
-// for byte. A trailer is not — a set extension flag over a zero field
-// (a trace the decoder reports as absent, an expiry of 0) re-encodes
-// without the extension — so there the bytes must match whenever the
+// for byte. A trailer is not — a set trace flag over a zero trace ID
+// (a trace the decoder reports as absent) re-encodes without the
+// extension — so there the bytes must match whenever the
 // length does, and may only ever shrink.
 func checkReencoded(t *testing.T, out []byte, err error, in []byte, trailer bool) {
 	t.Helper()
@@ -150,7 +150,7 @@ func FuzzDecodeTree(f *testing.F) {
 func FuzzDecodeRangeV(f *testing.F) {
 	b, _ := EncodeRangeV([]KeyDigest{
 		{Key: "a", Version: 1, Digest: 0xABCD},
-		{Key: "gone", Version: 9, Tombstone: true, ExpireAt: 1_700_000_000_000_000_000},
+		{Key: "gone", Version: 9, Tombstone: true},
 		{Key: "", Version: 3},
 	})
 	f.Add(b)
@@ -163,8 +163,8 @@ func FuzzDecodeRangeV(f *testing.F) {
 		if rangeVEntryMin*cap(entries) > len(in) {
 			t.Fatalf("%d-entry listing allocated for a %d-byte body", cap(entries), len(in))
 		}
-		// Unknown flag bits and a flagged zero expiry are dropped, so
-		// only the value round-trips, and the bytes can only shrink.
+		// Unknown flag bits are dropped, so only the value round-trips,
+		// and the bytes can only shrink.
 		out, err := EncodeRangeV(entries)
 		if err != nil || len(out) > len(in) {
 			t.Fatalf("re-encoded to %d bytes %v, input %d", len(out), err, len(in))
@@ -219,7 +219,7 @@ func checkBatchBody(t *testing.T, body []byte, item func([]byte)) bool {
 
 func FuzzDecodeBatchRequest(f *testing.F) {
 	a, _ := EncodeRequest(Request{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42})
-	b, _ := EncodeRequest(Request{Op: OpMerge, Key: "gone", Version: 9, Flags: FlagTombstone, ExpireAt: 1_700_000_000_000_000_000})
+	b, _ := EncodeRequest(Request{Op: OpMerge, Key: "gone", Version: 9, Flags: FlagTombstone})
 	for _, body := range [][]byte{
 		AppendBatchHeader(nil, 0),
 		AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), a), b),

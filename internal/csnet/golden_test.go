@@ -3,6 +3,7 @@ package csnet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -23,12 +24,13 @@ type goldenFrame struct {
 const goldenSeq = 0x0102030405060708
 
 // goldenFrames builds one muxed frame per op and direction, plus the
-// trailer variants (expiry, trace, both). testdata/golden_frames.txt
+// trace trailer variant. testdata/golden_frames.txt
 // holds what this table produced at the commit before the transport
 // took ownership of its buffers (PR 16, d803717) — and, for the batch
 // envelope and the purge, at the commits that introduced them; the
 // encoders may change how they build a frame, never a byte of it.
-// Retired op bytes have no frames left to pin.
+// Retired op bytes and the retired expiry trailer have no frames left
+// to pin, except inside the batch envelope's (see withRetiredExpiry).
 func goldenFrames(t testing.TB) []goldenFrame {
 	var out []goldenFrame
 	add := func(name string, body []byte) {
@@ -50,7 +52,6 @@ func goldenFrames(t testing.TB) []goldenFrame {
 			add(name, EncodeResponse(r))
 		}
 	}
-	const expiry = 1_700_000_000_123_456_789
 	tr := trace.Context{TraceID: 0xA1A2A3A4A5A6A7A8, SpanID: 0xB1B2B3B4B5B6B7B8, Flags: trace.FlagSampled}
 	for op := OpPing; op <= OpTraces; op++ {
 		if op.String() == "UNKNOWN" { // a retired byte
@@ -59,30 +60,83 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		request("req/"+op.String(), Request{Op: op, Key: "key-1", Value: []byte("value"), Version: 0x1122334455667788, Flags: FlagTombstone})
 		response("resp/"+op.String(), op, Response{Status: StatusOK, Value: []byte("value"), Version: 0x1122334455667788, Flags: FlagTombstone})
 	}
-	request("req/SETV+expiry", Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, ExpireAt: expiry})
 	request("req/SETV+trace", Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, Trace: tr})
-	request("req/MERGE+expiry+trace", Request{Op: OpMerge, Key: "key-1", Version: 7, Flags: FlagTombstone, ExpireAt: expiry, Trace: tr})
 	request("req/PING+empty", Request{Op: OpPing})
-	response("resp/GETV+expiry", OpGetV, Response{Status: StatusOK, Value: []byte("value"), Version: 7, ExpireAt: expiry})
 	response("resp/GETV+tombstone-miss", OpGetV, Response{Status: StatusNotFound, Version: 7, Flags: FlagTombstone})
 	response("resp/SETV+busy", OpSetV, Response{Status: StatusBusy})
 	response("resp/PING+busy", OpPing, Response{Status: StatusBusy})
 	response("resp/ECHO+error", OpEcho, Response{Status: StatusError, Value: []byte("boom")})
 	// The batch envelope, added with OpBatch and pinned from then on: two
 	// entries and their replies, each reply in its own entry's framing,
-	// and the refusal a peer without the op sends back.
+	// and the refusal a peer without the op sends back. The envelope
+	// does not read its items, and its second item each way was laid
+	// down with an expiry, so the pinned bytes keep it.
 	setv, _ := EncodeRequest(Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7, Trace: tr})
-	merge, _ := EncodeRequest(Request{Op: OpMerge, Key: "key-2", Version: 8, Flags: FlagTombstone, ExpireAt: expiry})
-	request("req/BATCH", Request{Op: OpBatch, Value: AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), setv), merge)})
+	merge, _ := EncodeRequest(Request{Op: OpMerge, Key: "key-2", Version: 8, Flags: FlagTombstone})
+	request("req/BATCH", Request{Op: OpBatch, Value: AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2), setv), withRetiredExpiry(merge))})
 	response("resp/BATCH", OpBatch, Response{Status: StatusOK, Value: AppendBatchItem(AppendBatchItem(AppendBatchHeader(nil, 2),
 		EncodeResponseV(Response{Status: StatusOK, Version: 7})),
-		EncodeResponseV(Response{Status: StatusExists, Version: 9, Flags: FlagTombstone, ExpireAt: expiry}))})
+		withRetiredExpiry(EncodeResponseV(Response{Status: StatusExists, Version: 9, Flags: FlagTombstone})))})
 	response("resp/BATCH+unknown-op", OpBatch, Response{Status: StatusError, Value: []byte("unknown op 18")})
 	// The version-bounded purge, pinned from the commit that added it: a
 	// request, and the reply that kept a newer entry.
 	request("req/PURGEV", Request{Op: OpPurgeV, Key: "key-1", Version: 7})
 	response("resp/PURGEV", OpPurgeV, Response{Status: StatusExists, Version: 9})
 	return out
+}
+
+// retiredExpiry is the expiry the golden frames that carried one were
+// built with.
+const retiredExpiry = 1_700_000_000_123_456_789
+
+// withRetiredExpiry adds to an untraced versioned frame what an expiry
+// once did: the reserved flag bit 1, and the 8-byte expiry after the
+// flags byte.
+func withRetiredExpiry(frame []byte) []byte {
+	frame[len(frame)-1] |= flagRetiredExpiry
+	return binary.BigEndian.AppendUint64(frame, retiredExpiry)
+}
+
+// TestRetiredExpiryBitIsRefused: a versioned request, a versioned
+// response or a listing entry that sets the reserved expiry bit is
+// refused as malformed — the bytes of the retired "+expiry" golden
+// frames included — instead of being read as some other trailer.
+func TestRetiredExpiryBitIsRefused(t *testing.T) {
+	tr := trace.Context{TraceID: 0xA1A2A3A4A5A6A7A8, SpanID: 0xB1B2B3B4B5B6B7B8, Flags: trace.FlagSampled}
+	setv, _ := EncodeRequest(Request{Op: OpSetV, Key: "key-1", Value: []byte("value"), Version: 7})
+	setv = withRetiredExpiry(setv)
+	traced, _ := EncodeRequest(Request{Op: OpMerge, Key: "key-1", Version: 7, Flags: FlagTombstone, Trace: tr})
+	traced[len(traced)-traceTrailerSize-1] |= flagRetiredExpiry // the bit alone, no expiry field
+	for name, b := range map[string][]byte{"SETV+expiry": setv, "MERGE+bit+trace": traced} {
+		if r, err := DecodeRequest(b); err == nil {
+			t.Errorf("DecodeRequest(%s) = %+v, want an error", name, r)
+		}
+	}
+	// On the wire, the server answers such a frame StatusError and
+	// writes nothing.
+	kv := NewKVHandler()
+	if resp, err := DecodeResponseV(protocolFrames{kv}.ServeFrame(nil, setv, FrameMeta{})); err != nil || resp.Status != StatusError {
+		t.Errorf("served SETV+expiry = %+v %v, want StatusError", resp, err)
+	}
+	if e, ok := kv.Engine().Load("key-1"); ok {
+		t.Errorf("refused SETV+expiry stored %+v", e)
+	}
+	// Each decoder meets the frame an expiry once made and the bit
+	// alone, which would otherwise decode.
+	getv := EncodeResponseV(Response{Status: StatusOK, Value: []byte("value"), Version: 7})
+	getv[len(getv)-1] |= flagRetiredExpiry
+	for name, b := range map[string][]byte{"GETV+bit": getv, "GETV+expiry": binary.BigEndian.AppendUint64(getv, retiredExpiry)} {
+		if r, err := DecodeResponseV(b); err == nil {
+			t.Errorf("DecodeResponseV(%s) = %+v, want an error", name, r)
+		}
+	}
+	listing, _ := EncodeRangeV([]KeyDigest{{Key: "live", Version: 3, Digest: 5}, {Key: "gone", Version: 9, Tombstone: true}})
+	listing[len(listing)-1] |= flagRetiredExpiry
+	for name, b := range map[string][]byte{"entry+bit": listing, "entry+expiry": binary.BigEndian.AppendUint64(listing, retiredExpiry)} {
+		if entries, err := DecodeRangeV(b); err == nil {
+			t.Errorf("DecodeRangeV(%s) = %+v, want an error", name, entries)
+		}
+	}
 }
 
 // TestGoldenFrames pins the wire: every frame this build produces is
@@ -128,7 +182,7 @@ func TestGoldenFrames(t *testing.T) {
 func TestAppendMatchesEncode(t *testing.T) {
 	tr := trace.Context{TraceID: 9, SpanID: 8, Flags: trace.FlagSampled}
 	for op := OpPing; op <= OpPurgeV; op++ {
-		req := Request{Op: op, Key: "k", Value: bytes.Repeat([]byte{byte(op)}, 100), Version: 5, ExpireAt: 77, Trace: tr}
+		req := Request{Op: op, Key: "k", Value: bytes.Repeat([]byte{byte(op)}, 100), Version: 5, Trace: tr}
 		want, err := EncodeRequest(req)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +190,7 @@ func TestAppendMatchesEncode(t *testing.T) {
 		got, err := AppendRequest(dirtyDst(), req)
 		checkAppended(t, fmt.Sprint("request ", op), got, err, dirtyDst(), want)
 
-		resp := Response{Status: StatusOK, Value: req.Value, Version: 5, ExpireAt: 77}
+		resp := Response{Status: StatusOK, Value: req.Value, Version: 5}
 		checkAppended(t, fmt.Sprint("response ", op), AppendResponse(dirtyDst(), resp), nil, dirtyDst(), EncodeResponse(resp))
 		checkAppended(t, fmt.Sprint("responseV ", op), AppendResponseV(dirtyDst(), resp), nil, dirtyDst(), EncodeResponseV(resp))
 	}

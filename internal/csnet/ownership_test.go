@@ -417,27 +417,23 @@ type keyStep struct {
 func valueOf(key string) []byte { return []byte("value of " + key) }
 
 // versionedKeySteps is every versioned op that stores a key, in each of
-// its forms — server-stamped and explicit versions, with and without an
-// expiry — under keys starting with prefix; a batch frame can carry all
-// of them.
+// its forms — server-stamped and explicit versions — under keys
+// starting with prefix; a batch frame can carry all of them.
 func versionedKeySteps(prefix string, clock *store.Clock) []keyStep {
-	far := time.Now().Add(time.Hour).UnixNano()
 	k := func(name string) string { return prefix + "/" + name + "/" + strings.Repeat("key", 10) }
-	write := func(op Op, name string, version uint64, expireAt int64) keyStep {
+	write := func(op Op, name string, version uint64) keyStep {
 		key := k(name)
-		return keyStep{Request{Op: op, Key: key, Value: valueOf(key), Version: version, ExpireAt: expireAt}, "value"}
+		return keyStep{Request{Op: op, Key: key, Value: valueOf(key), Version: version}, "value"}
 	}
 	purged := clock.Next()
 	return []keyStep{
-		write(OpSetV, "setv-stamped", 0, 0),
-		write(OpSetV, "setv-stamped-ttl", 0, far),
-		write(OpSetV, "setv", clock.Next(), 0),
-		write(OpSetV, "setv-ttl", clock.Next(), far),
+		write(OpSetV, "setv-stamped", 0),
+		write(OpSetV, "setv", clock.Next()),
 		{Request{Op: OpDelV, Key: k("delv-stamped")}, "tombstone"},
 		{Request{Op: OpDelV, Key: k("delv"), Version: clock.Next()}, "tombstone"},
-		write(OpMerge, "merge", clock.Next(), 0),
+		write(OpMerge, "merge", clock.Next()),
 		{Request{Op: OpMerge, Key: k("merge-tombstone"), Version: clock.Next(), Flags: FlagTombstone}, "tombstone"},
-		write(OpSetV, "purgev", purged, 0),
+		write(OpSetV, "purgev", purged),
 		{Request{Op: OpPurgeV, Key: k("purgev"), Version: purged}, ""},
 	}
 }

@@ -2,6 +2,7 @@ package csnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -66,7 +67,7 @@ const (
 	// OpRangeV lists the raw entries of the requested Merkle buckets
 	// only (request Value: EncodeBucketList of bucket indexes; response
 	// Value: EncodeRangeV), each entry carrying its version, value
-	// digest, tombstone flag, and expiry. It is what the digest descent
+	// digest, and tombstone flag. It is what the digest descent
 	// ends in: only divergent buckets ever pay for a listing, and the
 	// digest makes same-version value splits visible to the planner.
 	OpRangeV
@@ -121,19 +122,16 @@ func Versioned(op Op) bool {
 const (
 	// FlagTombstone marks a deleted entry.
 	FlagTombstone byte = 1 << 0
-	// FlagHasExpiry marks a versioned frame whose trailer carries an
-	// 8-byte ExpireAt (Unix nanoseconds) after the flags byte. The
-	// codec sets and consumes it from the ExpireAt field; carrying the
-	// expiry on the wire is what keeps a TTL'd entry mortal on every
-	// replica it merges to (and keeps an expired copy from being
-	// resurrected as immortal by read-repair or the rebalancer).
-	FlagHasExpiry byte = 1 << 1
+	// flagRetiredExpiry (bit 1) once marked a trailer carrying an
+	// 8-byte expiry after the flags byte. Entries no longer expire, so
+	// the bit is reserved: a versioned frame or a listing entry that
+	// sets it is refused as malformed rather than misparsed.
+	flagRetiredExpiry byte = 1 << 1
 	// FlagHasTrace marks a versioned request whose trailer carries a
 	// 17-byte trace context — traceID(8) spanID(8) traceFlags(1) —
-	// after the optional expiry. The codec sets and consumes it from
-	// the Trace field, so an untraced frame stays byte-identical to a
-	// pre-tracing build and a legacy peer is never shown the trailer:
-	// the same interop discipline as FlagHasExpiry.
+	// after the flags byte. The codec sets and consumes it from the
+	// Trace field, so an untraced frame stays byte-identical to a
+	// pre-tracing build and a legacy peer is never shown the trailer.
 	FlagHasTrace byte = 1 << 2
 )
 
@@ -213,20 +211,18 @@ func (s Status) String() string {
 	}
 }
 
-// Request is a protocol request. Version, Flags, and ExpireAt ride the
-// wire only for versioned ops (see Versioned; ExpireAt only when
-// nonzero, gated by FlagHasExpiry). Trace likewise rides only
+// Request is a protocol request. Version and Flags ride the wire only
+// for versioned ops (see Versioned). Trace likewise rides only
 // versioned requests, only when valid (gated by FlagHasTrace).
 // QueueWait and Commit are server-local bookkeeping and never touch the
 // wire. On a server, Key and Value alias the request frame and are valid
 // only until Handler.Serve returns (the ownership rule in mux.go).
 type Request struct {
-	Op       Op
-	Key      string
-	Value    []byte
-	Version  uint64
-	Flags    byte
-	ExpireAt int64
+	Op      Op
+	Key     string
+	Value   []byte
+	Version uint64
+	Flags   byte
 	// Trace is the distributed trace context stamped by the
 	// coordinator; the server's handler records its spans under it.
 	Trace trace.Context
@@ -239,40 +235,32 @@ type Request struct {
 	Commit *Commit
 }
 
-// Response is a protocol response. Version, Flags, and ExpireAt ride
-// the wire only in replies to versioned ops.
+// Response is a protocol response. Version and Flags ride the wire
+// only in replies to versioned ops.
 type Response struct {
-	Status   Status
-	Value    []byte
-	Version  uint64
-	Flags    byte
-	ExpireAt int64
+	Status  Status
+	Value   []byte
+	Version uint64
+	Flags   byte
 }
 
 // versionTrailerSize is the fixed part of a versioned frame's trailer:
-// version(8) flags(1). FlagHasExpiry appends expireAt(8); FlagHasTrace
-// appends traceID(8) spanID(8) traceFlags(1) after the expiry.
+// version(8) flags(1). FlagHasTrace appends traceID(8) spanID(8)
+// traceFlags(1).
 const versionTrailerSize = 8 + 1
 
 // traceTrailerSize is the optional trace extension of the trailer.
 const traceTrailerSize = 8 + 8 + 1
 
 // appendTrailer writes the versioned trailer: version, flags (with
-// FlagHasExpiry derived from expireAt and FlagHasTrace from tr), then
-// the optional expiry and trace context.
-func appendTrailer(buf []byte, version uint64, flags byte, expireAt int64, tr trace.Context) []byte {
-	flags &^= FlagHasExpiry | FlagHasTrace
-	if expireAt != 0 {
-		flags |= FlagHasExpiry
-	}
+// FlagHasTrace derived from tr), then the optional trace context.
+func appendTrailer(buf []byte, version uint64, flags byte, tr trace.Context) []byte {
+	flags &^= FlagHasTrace
 	if tr.Valid() {
 		flags |= FlagHasTrace
 	}
 	buf = binary.BigEndian.AppendUint64(buf, version)
 	buf = append(buf, flags)
-	if expireAt != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(expireAt))
-	}
 	if tr.Valid() {
 		buf = binary.BigEndian.AppendUint64(buf, tr.TraceID)
 		buf = binary.BigEndian.AppendUint64(buf, tr.SpanID)
@@ -282,26 +270,21 @@ func appendTrailer(buf []byte, version uint64, flags byte, expireAt int64, tr tr
 }
 
 // parseTrailer reads a versioned trailer, returning the decoded fields
-// (flags with FlagHasExpiry and FlagHasTrace cleared — ExpireAt and
-// the Context carry the meaning).
-func parseTrailer(b []byte) (version uint64, flags byte, expireAt int64, tr trace.Context, err error) {
+// (flags with FlagHasTrace cleared — the Context carries the meaning).
+// The reserved expiry bit is refused.
+func parseTrailer(b []byte) (version uint64, flags byte, tr trace.Context, err error) {
 	if len(b) < versionTrailerSize {
-		return 0, 0, 0, tr, fmt.Errorf("csnet: truncated version trailer (%d bytes)", len(b))
+		return 0, 0, tr, fmt.Errorf("csnet: truncated version trailer (%d bytes)", len(b))
 	}
 	version = binary.BigEndian.Uint64(b[:8])
 	flags = b[8]
 	rest := b[versionTrailerSize:]
-	if flags&FlagHasExpiry != 0 {
-		if len(rest) < 8 {
-			return 0, 0, 0, tr, fmt.Errorf("csnet: truncated expiry in version trailer")
-		}
-		expireAt = int64(binary.BigEndian.Uint64(rest))
-		rest = rest[8:]
-		flags &^= FlagHasExpiry
+	if flags&flagRetiredExpiry != 0 {
+		return 0, 0, tr, fmt.Errorf("csnet: version trailer: %w", errRetiredExpiry)
 	}
 	if flags&FlagHasTrace != 0 {
 		if len(rest) < traceTrailerSize {
-			return 0, 0, 0, tr, fmt.Errorf("csnet: truncated trace in version trailer")
+			return 0, 0, tr, fmt.Errorf("csnet: truncated trace in version trailer")
 		}
 		tr.TraceID = binary.BigEndian.Uint64(rest[:8])
 		tr.SpanID = binary.BigEndian.Uint64(rest[8:16])
@@ -310,18 +293,22 @@ func parseTrailer(b []byte) (version uint64, flags byte, expireAt int64, tr trac
 		flags &^= FlagHasTrace
 	}
 	if len(rest) != 0 {
-		return 0, 0, 0, tr, fmt.Errorf("csnet: %d trailing bytes after version trailer", len(rest))
+		return 0, 0, tr, fmt.Errorf("csnet: %d trailing bytes after version trailer", len(rest))
 	}
-	return version, flags, expireAt, tr, nil
+	return version, flags, tr, nil
 }
 
-// maxTrailerSize is the versioned trailer with both extensions.
-const maxTrailerSize = versionTrailerSize + 8 + traceTrailerSize
+// errRetiredExpiry refuses a trailer or listing entry that sets the
+// reserved expiry bit.
+var errRetiredExpiry = errors.New("reserved flag bit 1 (retired expiry) set")
+
+// maxTrailerSize is the versioned trailer with its trace extension.
+const maxTrailerSize = versionTrailerSize + traceTrailerSize
 
 // AppendRequest appends the serialized request to dst and returns the
 // extended slice, growing dst at most once:
 // op(1) keyLen(2) key valLen(4) val
-// [version(8) flags(1) [expireAt(8)] [traceID(8) spanID(8) tflags(1)]],
+// [version(8) flags(1) [traceID(8) spanID(8) tflags(1)]],
 // the trailer present exactly for versioned ops, the trace extension
 // only when the request carries a valid trace context. On error dst is
 // returned unchanged.
@@ -340,7 +327,7 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Value)))
 	dst = append(dst, r.Value...)
 	if Versioned(r.Op) {
-		dst = appendTrailer(dst, r.Version, r.Flags, r.ExpireAt, r.Trace)
+		dst = appendTrailer(dst, r.Version, r.Flags, r.Trace)
 	}
 	return dst, nil
 }
@@ -369,7 +356,7 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		r.Value = rest[:vl]
 		var err error
-		r.Version, r.Flags, r.ExpireAt, r.Trace, err = parseTrailer(rest[vl:])
+		r.Version, r.Flags, r.Trace, err = parseTrailer(rest[vl:])
 		return r, err
 	}
 	if len(rest) != vl {
@@ -389,14 +376,13 @@ func AppendResponse(dst []byte, r Response) []byte {
 }
 
 // AppendResponseV appends a versioned response to dst and returns the
-// extended slice: status(1) valLen(4) val version(8) flags(1)
-// [expireAt(8)].
+// extended slice: status(1) valLen(4) val version(8) flags(1).
 func AppendResponseV(dst []byte, r Response) []byte {
 	dst = AppendResponse(slices.Grow(dst, 1+4+len(r.Value)+maxTrailerSize), r)
 	// Responses never carry a trace context: the caller already holds
 	// it, so the zero Context keeps response bytes identical to an
 	// untraced build.
-	return appendTrailer(dst, r.Version, r.Flags, r.ExpireAt, trace.Context{})
+	return appendTrailer(dst, r.Version, r.Flags, trace.Context{})
 }
 
 // EncodeResponse and EncodeResponseV serialize into a fresh buffer.
@@ -496,7 +482,7 @@ func DecodeResponseV(b []byte) (Response, error) {
 	}
 	r.Value = b[5 : 5+vl]
 	var err error
-	r.Version, r.Flags, r.ExpireAt, _, err = parseTrailer(b[5+vl:])
+	r.Version, r.Flags, _, err = parseTrailer(b[5+vl:])
 	return r, err
 }
 

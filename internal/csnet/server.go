@@ -477,7 +477,7 @@ func NewKVHandler() *KVHandler {
 
 // NewKVHandlerOn creates a handler over the given engine — the
 // pluggable seam: a node can share one engine between the handler, a
-// TTL sweeper, and a transactional layer.
+// tombstone-GC sweeper, and a transactional layer.
 func NewKVHandlerOn(eng store.Engine) *KVHandler {
 	kv := &KVHandler{eng: eng}
 	if d, ok := eng.(interface{ Err() error }); ok {
@@ -550,18 +550,12 @@ func (kv *KVHandler) serve(req Request) Response {
 		return kv.getV(req)
 	case OpSetV:
 		if req.Version == 0 {
-			if req.ExpireAt == 0 {
-				return kv.ackDurable(Response{Status: StatusOK, Version: kv.eng.Set(req.Key, req.Value, 0)})
-			}
-			// Server-stamped write with an expiry: stamp a fresh version
-			// and merge, so the request's absolute ExpireAt is honored
-			// exactly (Set only takes a relative TTL).
-			return kv.merge(store.Entry{Value: req.Value, Version: kv.eng.Clock().Next(), ExpireAt: req.ExpireAt}, req.Key, req.Trace)
+			return kv.ackDurable(Response{Status: StatusOK, Version: kv.eng.Set(req.Key, req.Value)})
 		}
 		if resp, ok := checkVersion(req.Version); !ok {
 			return resp
 		}
-		return kv.merge(store.Entry{Value: req.Value, Version: req.Version, ExpireAt: req.ExpireAt}, req.Key, req.Trace)
+		return kv.merge(store.Entry{Value: req.Value, Version: req.Version}, req.Key, req.Trace)
 	case OpDelV:
 		if req.Version == 0 {
 			ver, existed := kv.eng.Delete(req.Key)
@@ -589,9 +583,7 @@ func (kv *KVHandler) serve(req Request) Response {
 		if resp, ok := checkVersion(req.Version); !ok {
 			return resp
 		}
-		// ExpireAt applies to tombstones too: an expiry tombstone keeps
-		// its expiry so the receiving replica GCs it on the same horizon.
-		e := store.Entry{Version: req.Version, ExpireAt: req.ExpireAt}
+		e := store.Entry{Version: req.Version}
 		if req.Flags&FlagTombstone != 0 {
 			e.Tombstone = true
 		} else {
@@ -683,15 +675,10 @@ func (kv *KVHandler) rangeV(ids []int, buckets int) Response {
 			return false
 		}
 		if n == 0 {
-			width := rangeVEntryMin + len(k)
-			if e.ExpireAt != 0 {
-				width += 8
-			}
-			body = make([]byte, 4, 4+(expect+expect/16+1)*width)
+			body = make([]byte, 4, 4+(expect+expect/16+1)*(rangeVEntryMin+len(k)))
 		}
 		body = appendRangeVEntry(body, KeyDigest{
-			Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value),
-			Tombstone: e.Tombstone, ExpireAt: e.ExpireAt,
+			Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone,
 		})
 		n++
 		return true
@@ -715,29 +702,20 @@ func checkVersion(v uint64) (Response, bool) {
 	return Response{}, true
 }
 
-// getV serves OpGetV. Get first: the dominant live-hit case costs one
-// engine lookup, and liveness stays the engine's call (it owns the
-// time source). A miss falls back to Load so a resident tombstone's
-// version — and, for expiry tombstones, its ExpireAt — still reaches
-// the reader, who needs them to order the delete against other
-// replicas' copies and to repair peers with a correctly-aging
-// tombstone. An entry that just expired was lazily converted to
-// exactly such a tombstone by the Get, so it reports as a tombstone
-// miss, not plain-absent.
+// getV serves OpGetV with one engine lookup, the raw entry: a live
+// value answers StatusOK, and a resident tombstone answers a miss that
+// still carries its version, which the reader needs to order the
+// delete against other replicas' copies and to repair peers with it.
 func (kv *KVHandler) getV(req Request) Response {
 	eng := kv.tracer().StartSpan(req.Trace, trace.KindEngine, "get")
 	if eng.Live() {
 		eng.S.Bucket = int32(store.BucketOf(req.Key, kv.eng.Buckets()))
 	}
 	resp := Response{Status: StatusNotFound}
-	if e, live := kv.eng.Get(req.Key); live {
-		resp = Response{Status: StatusOK, Value: e.Value, Version: e.Version, ExpireAt: e.ExpireAt}
-	} else if raw, ok := kv.eng.Load(req.Key); ok {
-		resp.Version = raw.Version
-		resp.ExpireAt = raw.ExpireAt // expiry tombstones carry their expiry
-		if raw.Tombstone {
-			resp.Flags |= FlagTombstone
-		}
+	if e, ok := kv.eng.Load(req.Key); ok && !e.Tombstone {
+		resp = Response{Status: StatusOK, Value: e.Value, Version: e.Version}
+	} else if ok {
+		resp.Version, resp.Flags = e.Version, FlagTombstone
 	}
 	eng.Finish()
 	return resp

@@ -11,6 +11,25 @@ import (
 	"pdcedu/internal/trace"
 )
 
+// sendV sends req over cl and returns its versioned reply: how these
+// tests drive the ops Client has no helper for (OpDelV, OpMerge).
+func sendV(cl *Client, req Request) (Response, error) {
+	return cl.Send(req).ResponseV()
+}
+
+// rangeV lists the given Merkle buckets over cl (OpRangeV), the way the
+// anti-entropy coordinator does.
+func rangeV(cl *Client, bucketIDs []uint32) ([]KeyDigest, error) {
+	resp, err := sendV(cl, Request{Op: OpRangeV, Value: EncodeBucketList(bucketIDs)})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status != StatusOK {
+		return nil, fmt.Errorf("rangev: %s: %s", resp.Status, resp.Value)
+	}
+	return DecodeRangeV(resp.Value)
+}
+
 func TestVersionedRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpSetV, Key: "k", Value: []byte("v"), Version: 42},
@@ -18,7 +37,6 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 		{Op: OpDelV, Key: "k", Version: 7},
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
 		{Op: OpMerge, Key: "k", Value: []byte("payload"), Version: 1<<63 + 5},
-		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000},
 		{Op: OpPurgeV, Key: "k", Version: 13},
 	}
 	for _, want := range reqs {
@@ -31,7 +49,7 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
 		if got.Op != want.Op || got.Key != want.Key || string(got.Value) != string(want.Value) ||
-			got.Version != want.Version || got.Flags != want.Flags || got.ExpireAt != want.ExpireAt {
+			got.Version != want.Version || got.Flags != want.Flags {
 			t.Fatalf("roundtrip = %+v, want %+v", got, want)
 		}
 	}
@@ -53,11 +71,11 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 func TestVersionedResponseRoundTrip(t *testing.T) {
 	for _, want := range []Response{
 		{Status: StatusOK, Value: []byte("v"), Version: 1234, Flags: FlagTombstone},
-		{Status: StatusOK, Value: []byte("v"), Version: 9, ExpireAt: 1_700_000_000_000_000_000},
+		{Status: StatusOK, Value: []byte("v"), Version: 9},
 	} {
 		got, err := DecodeResponseV(EncodeResponseV(want))
 		if err != nil || got.Status != want.Status || string(got.Value) != "v" ||
-			got.Version != want.Version || got.Flags != want.Flags || got.ExpireAt != want.ExpireAt {
+			got.Version != want.Version || got.Flags != want.Flags {
 			t.Fatalf("roundtrip = %+v %v, want %+v", got, err, want)
 		}
 	}
@@ -104,28 +122,28 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	}
 	// A stale tombstone loses; a newer one deletes — and GetV reports
 	// the tombstone's version on the miss.
-	if _, applied, err := cl.Merge("k", store.Entry{Version: 150, Tombstone: true}); err != nil || applied {
-		t.Fatalf("stale tombstone merge applied: %v %v", applied, err)
+	if resp, err := sendV(cl, MergeRequest("k", store.Entry{Version: 150, Tombstone: true}, trace.Context{})); err != nil || resp.Status != StatusExists {
+		t.Fatalf("stale tombstone merge = %+v %v, want EXISTS", resp, err)
 	}
 	delVer := winner + 100
-	if _, applied, err := cl.DelV("k", delVer); err != nil || !applied {
-		t.Fatalf("DelV = %v %v", applied, err)
+	if resp, err := sendV(cl, Request{Op: OpDelV, Key: "k", Version: delVer}); err != nil || resp.Status != StatusOK {
+		t.Fatalf("DelV = %+v %v", resp, err)
 	}
 	e, ok, err = cl.GetV("k")
 	if err != nil || ok || !e.Tombstone || e.Version != delVer {
 		t.Fatalf("GetV after DelV = %+v %v %v, want tombstone@%d", e, ok, err, delVer)
 	}
 	// Merge resurrects with a newer value.
-	if _, applied, err := cl.Merge("k", store.Entry{Value: []byte("back"), Version: delVer + 1}); err != nil || !applied {
-		t.Fatalf("resurrecting merge = %v %v", applied, err)
+	if resp, err := sendV(cl, MergeRequest("k", store.Entry{Value: []byte("back"), Version: delVer + 1}, trace.Context{})); err != nil || resp.Status != StatusOK {
+		t.Fatalf("resurrecting merge = %+v %v", resp, err)
 	}
 	if e, ok, err := cl.GetV("k"); err != nil || !ok || string(e.Value) != "back" {
 		t.Fatalf("GetV after merge = %+v %v %v", e, ok, err)
 	}
 	// RangeV lists tombstones; GetV misses them.
 	cl.SetV("dead", []byte("x"), 10)
-	cl.DelV("dead", 20)
-	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("dead", kv.Engine().Buckets()))})
+	sendV(cl, Request{Op: OpDelV, Key: "dead", Version: 20})
+	listing, err := rangeV(cl, []uint32{uint32(store.BucketOf("dead", kv.Engine().Buckets()))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +158,21 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 		t.Fatalf("GetV of a tombstone = %+v %v %v, want a tombstone miss", e, ok, err)
 	}
 	// Merge without a version is a protocol error.
-	if _, _, err := cl.Merge("k", store.Entry{Value: []byte("x")}); err == nil {
-		t.Fatal("version-0 merge accepted")
+	if resp, err := sendV(cl, MergeRequest("k", store.Entry{Value: []byte("x")}, trace.Context{})); err != nil || resp.Status != StatusError {
+		t.Fatalf("version-0 merge = %+v %v, want ERROR", resp, err)
 	}
 	// A version claiming to be from the far future is rejected at the
 	// trust boundary before it can poison the server's clock or plant
 	// an unGCable tombstone — for every versioned write op.
 	for _, hostile := range []uint64{^uint64(0), store.VersionCeiling(time.Now().Add(time.Hour))} {
-		if _, _, err := cl.Merge("k", store.Entry{Value: []byte("x"), Version: hostile}); err == nil {
-			t.Fatalf("far-future merge version %d accepted", hostile)
+		if resp, err := sendV(cl, MergeRequest("k", store.Entry{Value: []byte("x"), Version: hostile}, trace.Context{})); err != nil || resp.Status != StatusError {
+			t.Fatalf("far-future merge version %d = %+v %v, want ERROR", hostile, resp, err)
 		}
 		if _, _, err := cl.SetV("k", []byte("x"), hostile); err == nil {
 			t.Fatalf("far-future setv version %d accepted", hostile)
 		}
-		if _, _, err := cl.DelV("k", hostile); err == nil {
-			t.Fatalf("far-future delv version %d accepted", hostile)
+		if resp, err := sendV(cl, Request{Op: OpDelV, Key: "k", Version: hostile}); err != nil || resp.Status != StatusError {
+			t.Fatalf("far-future delv version %d = %+v %v, want ERROR", hostile, resp, err)
 		}
 	}
 	if e, ok, err := cl.GetV("k"); err != nil || !ok || string(e.Value) != "back" {
@@ -239,54 +257,9 @@ func TestRetiredKeysVIsUnknownOp(t *testing.T) {
 	if buckets, nodes, err := cl.TreeV(nil); err != nil || buckets != kv.Engine().Buckets() || len(nodes) != 1 || nodes[0].Hash == 0 {
 		t.Fatalf("TreeV after the refusals = %d %+v %v", buckets, nodes, err)
 	}
-	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("k", kv.Engine().Buckets()))})
+	listing, err := rangeV(cl, []uint32{uint32(store.BucketOf("k", kv.Engine().Buckets()))})
 	if err != nil || len(listing) != 1 || listing[0].Key != "k" || listing[0].Version != 5 {
 		t.Fatalf("RangeV after the refusals = %+v %v", listing, err)
-	}
-}
-
-// TestVersionedTTLReplication pins the expiry wire carriage: a TTL'd
-// entry read via GetV and merged onto another server stays mortal —
-// same ExpireAt, not an immortal copy.
-func TestVersionedTTLReplication(t *testing.T) {
-	var kvs [2]*KVHandler
-	var cls [2]*Client
-	for i := range kvs {
-		kvs[i] = NewKVHandler()
-		srv := NewServer(kvs[i], 16)
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Shutdown()
-		cls[i], err = Dial(addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cls[i].Close()
-	}
-	// A server-stamped versioned write (Version 0) honors the
-	// request's absolute expiry too.
-	resp, err := cls[0].Send(Request{
-		Op: OpSetV, Key: "session", Value: []byte("token"),
-		ExpireAt: time.Now().Add(time.Hour).UnixNano(),
-	}).ResponseV()
-	if err != nil || resp.Status != StatusOK {
-		t.Fatalf("server-stamped SetV with expiry = %+v %v", resp, err)
-	}
-	if got, ok := kvs[0].Engine().Load("session"); !ok || got.ExpireAt == 0 {
-		t.Fatalf("server-stamped SetV dropped the expiry: %+v %v", got, ok)
-	}
-	e, ok, err := cls[0].GetV("session")
-	if err != nil || !ok || e.ExpireAt == 0 {
-		t.Fatalf("GetV of TTL'd entry = %+v %v %v, want expiry on the wire", e, ok, err)
-	}
-	if _, applied, err := cls[1].Merge("session", e); err != nil || !applied {
-		t.Fatalf("merge to second server = %v %v", applied, err)
-	}
-	got, ok := kvs[1].Engine().Load("session")
-	if !ok || got.ExpireAt != e.ExpireAt || got.Version != e.Version {
-		t.Fatalf("replicated entry = %+v %v, want same expiry %d and version %d", got, ok, e.ExpireAt, e.Version)
 	}
 }
 
@@ -309,7 +282,7 @@ func TestTracedLegacyInterop(t *testing.T) {
 		0, 1, 'k', // keyLen(2) key
 		0, 0, 0, 1, 'v', // valLen(4) val
 		0, 0, 0, 0, 0, 0, 0, 7, // version(8)
-		0, // flags: no expiry, no trace
+		0, // flags: no trace
 	}
 	if !bytes.Equal(b, want) {
 		t.Fatalf("untraced SetV frame = %x, want byte-identical pre-tracing wire %x", b, want)

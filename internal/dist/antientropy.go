@@ -61,13 +61,12 @@ type AntiEntropyStats struct {
 //     an error naming both.
 //  2. Lists only the divergent buckets (OpRangeV), aeGroupBuckets of
 //     them at a time, from their owners and from the non-owners holding
-//     something there, each entry carrying version, value digest,
-//     tombstone, and expiry.
+//     something there, each entry carrying version, value digest and
+//     tombstone.
 //  3. Resolves each key exactly like the engines' Entry.Wins over every
 //     listed copy: highest version, tombstone beats value on a tie, and
 //     — the hole listings could not see — same-version different-digest
-//     copies are fetched and ordered by bytes, mortal beats immortal on
-//     full ties.
+//     copies are fetched and ordered by bytes.
 //  4. Streams winners to every owner that is behind, divergent, or
 //     missing the key: tombstones straight from the listing, values as
 //     pipelined OpGetV reads merged with OpMerge — which can never
@@ -324,7 +323,7 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group [
 // tombstone-beats-value, then — where Wins compares value bytes — the
 // digest only says *whether* they differ, so equal-version live copies
 // with different digests return unordered=false and the caller fetches
-// the bytes. Mortal beats immortal on the remaining tie.
+// the bytes.
 func winsListed(e, cur csnet.KeyDigest) (wins, ordered bool) {
 	if e.Version != cur.Version {
 		return e.Version > cur.Version, true
@@ -334,12 +333,6 @@ func winsListed(e, cur csnet.KeyDigest) (wins, ordered bool) {
 	}
 	if !e.Tombstone && e.Digest != cur.Digest {
 		return false, false // value order unknowable from digests
-	}
-	if e.ExpireAt != cur.ExpireAt {
-		if e.ExpireAt == 0 {
-			return false, true
-		}
-		return cur.ExpireAt == 0 || e.ExpireAt < cur.ExpireAt, true
 	}
 	return false, true
 }
@@ -473,10 +466,9 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 			}
 		}
 	}
-	// Tombstones need no source read: the listing carries everything
-	// (version and — for expiry tombstones — the expiry for GC aging).
+	// Tombstones need no source read: the listing carries the version.
 	for _, j := range tombs {
-		merge(j, store.Entry{Version: j.winner.Version, Tombstone: true, ExpireAt: j.winner.ExpireAt})
+		merge(j, store.Entry{Version: j.winner.Version, Tombstone: true})
 	}
 	// Plain value winners: one pipelined GetV burst per source backend.
 	for src, list := range reads {
@@ -492,7 +484,7 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 				break
 			}
 			if resp.Status != csnet.StatusOK {
-				continue // deleted or expired since the listing; next pass converges
+				continue // deleted since the listing; next pass converges
 			}
 			c.clock.Observe(resp.Version)
 			merge(j, entryOf(resp))

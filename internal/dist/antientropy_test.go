@@ -346,125 +346,3 @@ func TestRebalanceGeometryMismatch(t *testing.T) {
 		t.Errorf("%d merges reached the mismatched backend, want 0", got)
 	}
 }
-
-// TestClusterTTLReplicatedMortal pins the TTL plumb: SetTTL/MSetTTL
-// stamp one absolute expiry into every replica's copy — including
-// copies delivered by hint replay — so no replica holds an immortal
-// version of a mortal key.
-func TestClusterTTLReplicatedMortal(t *testing.T) {
-	kvs, srvs, addrs, c := startVersionedPair(t)
-	if err := c.SetTTL("session", []byte("tok"), time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MSetTTL([]string{"m1", "m2"}, [][]byte{[]byte("a"), []byte("b")}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"session", "m1", "m2"} {
-		var exps [2]int64
-		for b, kv := range kvs {
-			e, ok := kv.Engine().Load(key)
-			if !ok || e.ExpireAt == 0 {
-				t.Fatalf("backend %d: %q = %+v %v, want a mortal copy", b, key, e, ok)
-			}
-			exps[b] = e.ExpireAt
-		}
-		if exps[0] != exps[1] {
-			t.Fatalf("%q replicas disagree on expiry: %d vs %d", key, exps[0], exps[1])
-		}
-	}
-
-	// A TTL'd write hinted past an outage must replay mortal too.
-	srvs[1].Shutdown()
-	if err := c.SetTTL("hinted", []byte("tok"), time.Hour); err != nil {
-		t.Fatalf("degraded SetTTL: %v", err)
-	}
-	srvs[1] = csnet.NewServer(kvs[1], 16)
-	if _, err := srvs[1].Start(addrs[1]); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srvs[1].Shutdown)
-	c.MarkDown(1)
-	c.MarkUp(1)
-	if got := c.Hints(1); got != 0 {
-		t.Fatalf("Hints(1) = %d after replay, want 0", got)
-	}
-	e, ok := kvs[1].Engine().Load("hinted")
-	if !ok || e.ExpireAt == 0 {
-		t.Fatalf("hint-replayed copy = %+v %v, want mortal", e, ok)
-	}
-
-	// End to end: a short TTL actually expires at the cluster API.
-	if err := c.SetTTL("blink", []byte("x"), 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, ok, err := c.Get("blink")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("TTL'd key still readable 5s past its expiry")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestReadRepairKeepsTombstoneExpiry pins the read path fix that rides
-// with expiry tombstones, through every entry point: the tombstone a
-// miss repairs onto a stale holder must carry its ExpireAt, or the
-// holder would age it from the (older) write time and could GC it
-// before its own copy had expired.
-func TestReadRepairKeepsTombstoneExpiry(t *testing.T) {
-	for _, r := range readers {
-		t.Run(r.name, func(t *testing.T) {
-			kvs, _, _, c := startVersionedPair(t)
-			// A key whose primary is backend 0, so the read sees the
-			// tombstone before the stale value.
-			key := keyWithPrimary(t, c, "exp-probe", 0)
-			exp := time.Now().Add(-time.Minute).UnixNano()
-			ver := kvs[0].Engine().Clock().Next()
-			kvs[0].Engine().Merge(key, store.Entry{Value: []byte("v"), Version: ver, ExpireAt: exp})
-			kvs[0].Engine().Get(key) // expire into a tombstone
-			kvs[1].Engine().Merge(key, store.Entry{Value: []byte("zombie"), Version: ver - 1})
-			if _, ok, err := r.read(c, key); err != nil || ok {
-				t.Fatalf("read = %v %v, want miss", ok, err)
-			}
-			repaired, ok := kvs[1].Engine().Load(key)
-			if !ok || !repaired.Tombstone || repaired.Version != ver || repaired.ExpireAt != exp {
-				t.Fatalf("repaired tombstone = %+v %v, want tombstone@%d with ExpireAt %d", repaired, ok, ver, exp)
-			}
-		})
-	}
-}
-
-// TestAntiEntropyExpiredImmortalConverges pins the expiry leg of the
-// chaos classes deterministically: one replica's copy expired into a
-// tombstone, the other still holds the same version immortal — the
-// cluster must converge to deleted, never resurrect.
-func TestAntiEntropyExpiredImmortalConverges(t *testing.T) {
-	kvs, _, _, c := startVersionedPair(t)
-	ver := kvs[0].Engine().Clock().Next()
-	// Backend 0: mortal copy, already expired into a tombstone.
-	kvs[0].Engine().Merge("k", store.Entry{Value: []byte("v"), Version: ver, ExpireAt: time.Now().Add(-time.Minute).UnixNano()})
-	if _, ok := kvs[0].Engine().Get("k"); ok {
-		t.Fatal("expired copy readable")
-	}
-	// Backend 1: the same write delivered without its expiry (the
-	// pre-fix hint replay could do this).
-	kvs[1].Engine().Merge("k", store.Entry{Value: []byte("v"), Version: ver})
-	if _, err := c.Rebalance(); err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	for b, kv := range kvs {
-		if _, ok := kv.Engine().Get("k"); ok {
-			t.Fatalf("backend %d resurrected an expired key", b)
-		}
-	}
-	if v, ok, err := c.Get("k"); err != nil || ok {
-		t.Fatalf("cluster Get = %q %v %v, want miss", v, ok, err)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pdcedu/internal/store"
 )
@@ -28,7 +27,7 @@ import (
 // blocks any in-flight older populate from resurrecting a stale value.
 // Three node states:
 //
-//   - value: a live entry, servable (respecting ExpireAt)
+//   - value: a live entry, servable
 //   - tombstone: a known delete, servable as a definitive miss
 //   - floor: a version watermark, never servable; a put at a version
 //     >= the floor replaces it, anything older is refused
@@ -93,10 +92,8 @@ func (c *readCache) shardOf(key string) *cacheShard {
 // get returns the cached entry for key. ok means the entry is
 // *servable*: a live value or a known tombstone (the caller reports a
 // tombstone as a definitive miss without touching the replicas).
-// Floors and expired values return ok=false; an expired value is
-// dropped so the next quorum read can install the replicas' expiry
-// tombstone in its place.
-func (c *readCache) get(key string, now int64) (store.Entry, bool) {
+// Floors return ok=false.
+func (c *readCache) get(key string) (store.Entry, bool) {
 	if c == nil {
 		return store.Entry{}, false
 	}
@@ -109,11 +106,6 @@ func (c *readCache) get(key string, now int64) (store.Entry, bool) {
 	}
 	n := el.Value.(*cacheNode)
 	if n.floor {
-		return store.Entry{}, false
-	}
-	if !n.e.Tombstone && n.e.ExpireAt != 0 && now >= n.e.ExpireAt {
-		delete(s.m, key)
-		s.ll.Remove(el)
 		return store.Entry{}, false
 	}
 	s.ll.MoveToFront(el)
@@ -200,9 +192,6 @@ func (c *readCache) Len() int {
 	}
 	return n
 }
-
-// cacheNow is the expiry clock the cache checks entries against.
-func cacheNow() int64 { return time.Now().UnixNano() }
 
 // Session is a read-your-writes token. A caller that threads one
 // Session through its GetS/SetS/DelS calls is guaranteed never to be

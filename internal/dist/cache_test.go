@@ -15,29 +15,29 @@ import (
 
 func TestReadCacheBasics(t *testing.T) {
 	rc := newReadCache(64)
-	if _, ok := rc.get("k", cacheNow()); ok {
+	if _, ok := rc.get("k"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	rc.put("k", store.Entry{Value: []byte("v1"), Version: 10})
-	if e, ok := rc.get("k", cacheNow()); !ok || string(e.Value) != "v1" || e.Version != 10 {
+	if e, ok := rc.get("k"); !ok || string(e.Value) != "v1" || e.Version != 10 {
 		t.Fatalf("get = %+v, %v", e, ok)
 	}
 	// Older put refused; newer replaces.
 	rc.put("k", store.Entry{Value: []byte("old"), Version: 5})
-	if e, _ := rc.get("k", cacheNow()); string(e.Value) != "v1" {
+	if e, _ := rc.get("k"); string(e.Value) != "v1" {
 		t.Fatalf("older put replaced newer entry: %+v", e)
 	}
 	rc.put("k", store.Entry{Value: []byte("v2"), Version: 20})
-	if e, _ := rc.get("k", cacheNow()); string(e.Value) != "v2" {
+	if e, _ := rc.get("k"); string(e.Value) != "v2" {
 		t.Fatalf("newer put did not replace: %+v", e)
 	}
 	// Tombstone is servable (a definitive miss) and beats a value tie.
 	rc.put("k", store.Entry{Version: 30, Tombstone: true})
-	if e, ok := rc.get("k", cacheNow()); !ok || !e.Tombstone {
+	if e, ok := rc.get("k"); !ok || !e.Tombstone {
 		t.Fatalf("tombstone not served: %+v, %v", e, ok)
 	}
 	rc.put("k", store.Entry{Value: []byte("tie"), Version: 30})
-	if e, _ := rc.get("k", cacheNow()); !e.Tombstone {
+	if e, _ := rc.get("k"); !e.Tombstone {
 		t.Fatalf("value won a version tie against a tombstone: %+v", e)
 	}
 }
@@ -50,7 +50,7 @@ func TestReadCacheSupersede(t *testing.T) {
 	if rc.supersede("k", 5) {
 		t.Fatal("supersede below resident reported a change")
 	}
-	if _, ok := rc.get("k", cacheNow()); !ok {
+	if _, ok := rc.get("k"); !ok {
 		t.Fatal("no-op supersede evicted the entry")
 	}
 
@@ -59,40 +59,25 @@ func TestReadCacheSupersede(t *testing.T) {
 	if !rc.supersede("k", 20) {
 		t.Fatal("supersede above resident reported no change")
 	}
-	if _, ok := rc.get("k", cacheNow()); ok {
+	if _, ok := rc.get("k"); ok {
 		t.Fatal("floored entry still served")
 	}
 	rc.put("k", store.Entry{Value: []byte("stale"), Version: 15})
-	if _, ok := rc.get("k", cacheNow()); ok {
+	if _, ok := rc.get("k"); ok {
 		t.Fatal("floor let an older populate through")
 	}
 	// A put at the floor's version (the confirmed outcome of the event
 	// that installed it) replaces the floor.
 	rc.put("k", store.Entry{Value: []byte("v2"), Version: 20})
-	if e, ok := rc.get("k", cacheNow()); !ok || string(e.Value) != "v2" {
+	if e, ok := rc.get("k"); !ok || string(e.Value) != "v2" {
 		t.Fatalf("equal-version put did not replace floor: %+v, %v", e, ok)
 	}
 
 	// Supersede of an absent key installs a blocking floor too.
 	rc.supersede("other", 40)
 	rc.put("other", store.Entry{Value: []byte("stale"), Version: 39})
-	if _, ok := rc.get("other", cacheNow()); ok {
+	if _, ok := rc.get("other"); ok {
 		t.Fatal("absent-key floor let an older populate through")
-	}
-}
-
-func TestReadCacheExpiry(t *testing.T) {
-	rc := newReadCache(64)
-	rc.put("k", store.Entry{Value: []byte("v"), Version: 10, ExpireAt: time.Now().Add(30 * time.Millisecond).UnixNano()})
-	if _, ok := rc.get("k", cacheNow()); !ok {
-		t.Fatal("unexpired entry not served")
-	}
-	time.Sleep(50 * time.Millisecond)
-	if _, ok := rc.get("k", cacheNow()); ok {
-		t.Fatal("expired entry served")
-	}
-	if rc.Len() != 0 {
-		t.Fatalf("expired entry still resident: Len=%d", rc.Len())
 	}
 }
 
@@ -337,12 +322,12 @@ func TestCacheReadRepairSupersedes(t *testing.T) {
 
 	c.cache.put("k", store.Entry{Value: []byte("stale"), Version: 10})
 	c.readRepair(trace.Context{}, "k", store.Entry{Value: []byte("fresh"), Version: 20}, nil)
-	if e, ok := c.cache.get("k", cacheNow()); ok {
+	if e, ok := c.cache.get("k"); ok {
 		t.Fatalf("cached entry served past the repair point: %+v", e)
 	}
 	// And the racing stale populate is blocked by the floor.
 	c.cache.put("k", store.Entry{Value: []byte("stale"), Version: 15})
-	if _, ok := c.cache.get("k", cacheNow()); ok {
+	if _, ok := c.cache.get("k"); ok {
 		t.Fatal("stale populate served past the repair point")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // TestAntiEntropyChaos is the divergence chaos property test: a
 // randomized fault injector seeds every divergence class the
 // replication stack knows how to produce — holes, stale versions,
-// same-version value splits, orphan tombstones, expired-immortal
-// copies, and, since rf < n leaves non-owners, copies stranded on a
+// same-version value splits, orphan tombstones, and, since rf < n
+// leaves non-owners, copies stranded on a
 // non-owner while every owner lost the key and older copies left over
 // on one — directly into the engines of a 5-node cluster. One
 // anti-entropy pass must converge every owner byte-identically to the
@@ -64,7 +64,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 		if !ok {
 			t.Fatalf("baseline copy of %q missing on owner %d", k, owners[0])
 		}
-		switch rng.Intn(8) {
+		switch rng.Intn(7) {
 		case 0: // hole: one owner lost the key outright
 			lose(eng(victim), k)
 		case 1: // stale version: one owner stuck on an older write
@@ -75,23 +75,12 @@ func TestAntiEntropyChaos(t *testing.T) {
 			eng(victim).Merge(k, store.Entry{Value: []byte(fmt.Sprintf("split-%d", rng.Intn(1_000_000))), Version: base.Version})
 		case 3: // orphan tombstone: a delete that reached one owner only
 			eng(victim).Merge(k, store.Entry{Version: base.Version + uint64(1+rng.Intn(500)), Tombstone: true})
-		case 4: // expired-immortal: one owner expired its mortal copy,
-			// another holds the same version without the expiry
-			exp := time.Now().Add(-time.Minute).UnixNano()
-			ver := base.Version + 1
-			for _, o := range owners {
-				lose(eng(o), k)
-				eng(o).Merge(k, store.Entry{Value: base.Value, Version: ver})
-			}
-			lose(eng(victim), k)
-			eng(victim).Merge(k, store.Entry{Value: base.Value, Version: ver, ExpireAt: exp})
-			eng(victim).Get(k) // lazy-expire it into a tombstone
-		case 5: // stranded: every owner lost the key, a non-owner holds it
+		case 4: // stranded: every owner lost the key, a non-owner holds it
 			for _, o := range owners {
 				lose(eng(o), k)
 			}
 			eng(nonOwner(owners)).Merge(k, base)
-		case 6: // leftover: a non-owner holds an older copy
+		case 5: // leftover: a non-owner holds an older copy
 			eng(nonOwner(owners)).Merge(k, store.Entry{Value: []byte("leftover"), Version: base.Version - uint64(1+rng.Intn(500))})
 		default: // untouched: converged keys must stay untouched
 		}
@@ -135,7 +124,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 				t.Fatalf("owner %d missing %q after anti-entropy (want %+v)", o, k, w.e)
 			}
 			if got.Version != w.e.Version || got.Tombstone != w.e.Tombstone ||
-				!bytes.Equal(got.Value, w.e.Value) || got.ExpireAt != w.e.ExpireAt {
+				!bytes.Equal(got.Value, w.e.Value) {
 				t.Fatalf("owner %d of %q = %+v, want %+v", o, k, got, w.e)
 			}
 		}

@@ -101,7 +101,7 @@ type ClusterConfig struct {
 // so dead backends are evicted from the ring (their keys reroute to the
 // next live nodes) and recovered ones are readmitted. Writes that fail
 // on an unreachable replica are queued as hints (latest version per
-// key, expiry included) and replayed when the replica rejoins; a
+// key) and replayed when the replica rejoins; a
 // background Merkle anti-entropy pass compares replica digests and
 // streams exactly the diverged entries — missing, stale, value-split,
 // or tombstoned — to their current owners after every ring change, then
@@ -318,15 +318,6 @@ func noLiveErr(op, key string) error {
 	return fmt.Errorf("dist: cluster %s %q: no live backends", op, key)
 }
 
-// expireAt turns a TTL into the absolute expiry every replica and hint
-// carries (ttl <= 0 means no expiry).
-func expireAt(ttl time.Duration) int64 {
-	if ttl <= 0 {
-		return 0
-	}
-	return time.Now().Add(ttl).UnixNano()
-}
-
 // Set writes key to every live replica synchronously: the coordinator
 // stamps one clock version and the sends are pipelined onto each
 // replica's multiplexed connection as versioned merges (OpSetV) and
@@ -338,7 +329,7 @@ func expireAt(ttl time.Duration) int64 {
 // acknowledges and otherwise returns a *PartialWriteError naming the
 // replicas that did; the Cluster doc has the per-reply rules.
 func (c *Cluster) Set(key string, value []byte) error {
-	return c.setTTL(key, value, 0, nil)
+	return c.SetS(nil, key, value)
 }
 
 // SetS is Set bound to a read-your-writes Session: on success the
@@ -346,21 +337,8 @@ func (c *Cluster) Set(key string, value []byte) error {
 // same session can never be served a cached entry older than this
 // write. See Session.
 func (c *Cluster) SetS(sess *Session, key string, value []byte) error {
-	return c.setTTL(key, value, 0, sess)
-}
-
-// SetTTL is Set with an expiry: the coordinator computes one absolute
-// ExpireAt from ttl (<= 0 means no expiry) and stamps it into every
-// replica's OpSetV — and into any hint queued for an unreachable
-// replica — so the entry is mortal everywhere it lands, and an expired
-// copy converges to an expiry tombstone instead of resurrecting.
-func (c *Cluster) SetTTL(key string, value []byte, ttl time.Duration) error {
-	return c.setTTL(key, value, ttl, nil)
-}
-
-func (c *Cluster) setTTL(key string, value []byte, ttl time.Duration, sess *Session) error {
 	defer distM.latSet.ObserveSince(obs.StartTimer())
-	muts := [1]mutation{{key, store.Entry{Value: value, Version: c.clock.Next(), ExpireAt: expireAt(ttl)}}}
+	muts := [1]mutation{{key, store.Entry{Value: value, Version: c.clock.Next()}}}
 	var out [1]outcome
 	err := c.writeSets("set", muts[:], out[:])
 	if err == nil {
@@ -378,20 +356,13 @@ func (c *Cluster) setTTL(key string, value []byte, ttl time.Duration, sess *Sess
 // under-quorum keys (every other key's writes still complete and
 // remain durable).
 func (c *Cluster) MSet(keys []string, values [][]byte) error {
-	return c.MSetTTL(keys, values, 0)
-}
-
-// MSetTTL is MSet with one expiry applied to the whole batch (ttl <= 0
-// means no expiry); see SetTTL for the replication semantics.
-func (c *Cluster) MSetTTL(keys []string, values [][]byte, ttl time.Duration) error {
 	defer distM.latMSet.ObserveSince(obs.StartTimer())
 	if len(keys) != len(values) {
 		return fmt.Errorf("dist: cluster mset: %d keys but %d values", len(keys), len(values))
 	}
-	exp := expireAt(ttl)
 	muts := make([]mutation, len(keys))
 	for i, key := range keys {
-		muts[i] = mutation{key, store.Entry{Value: values[i], Version: c.clock.Next(), ExpireAt: exp}}
+		muts[i] = mutation{key, store.Entry{Value: values[i], Version: c.clock.Next()}}
 	}
 	return c.writeSets("mset", muts, make([]outcome, len(keys)))
 }

@@ -102,7 +102,7 @@ func TestValuesSurviveTransportReuse(t *testing.T) {
 		if !bytes.Equal(got[k], w) {
 			t.Errorf("the value read for %s changed under the caller: %x…", k, head(got[k]))
 		}
-		if e, hit := c.cache.get(k, cacheNow()); !hit || !bytes.Equal(e.Value, w) {
+		if e, hit := c.cache.get(k); !hit || !bytes.Equal(e.Value, w) {
 			t.Errorf("the read cache's copy of %s changed (hit=%v): %x…", k, hit, head(e.Value))
 		}
 		for b, kv := range kvs {

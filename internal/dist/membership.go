@@ -96,7 +96,7 @@ const maxHintsPerNode = 8192
 // its merge by version instead of needing to be prevented, and the
 // version-aware rebalancer converges whatever the hints missed.
 type hintEntry struct {
-	e  store.Entry   // value or tombstone, with the ExpireAt that keeps a replayed TTL'd write mortal
+	e  store.Entry   // value or tombstone
 	tr trace.Context // trace of the write that queued the hint, so the replay joins it
 }
 

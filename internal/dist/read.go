@@ -17,7 +17,7 @@ func (c *Cluster) cached(key string, sess *Session) (store.Entry, bool) {
 	if c.cache == nil {
 		return store.Entry{}, false
 	}
-	if e, hit := c.cache.get(key, cacheNow()); hit && e.Version >= sess.Last() {
+	if e, hit := c.cache.get(key); hit && e.Version >= sess.Last() {
 		distM.cacheHits.Inc()
 		sess.Observe(e.Version)
 		return e, true
@@ -184,7 +184,7 @@ func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess
 
 // entryOf lifts a versioned reply into the entry it carries.
 func entryOf(resp csnet.Response) store.Entry {
-	return store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&csnet.FlagTombstone != 0, ExpireAt: resp.ExpireAt}
+	return store.Entry{Value: resp.Value, Version: resp.Version, Tombstone: resp.Flags&csnet.FlagTombstone != 0}
 }
 
 // readStep folds replica b's GETV reply — or the error that stood in
@@ -204,19 +204,15 @@ func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *read
 		w.err = err
 		return nil, false, false
 	}
-	// Observe every version seen — misses included: a tombstone (or
-	// expired copy) this coordinator has read must order below its next
+	// Observe every version seen — misses included: a tombstone this
+	// coordinator has read must order below its next
 	// write, or a Set issued after reading the delete could stamp under
 	// the tombstone and lose everywhere while reporting success.
 	c.clock.Observe(resp.Version)
 	e := entryOf(resp)
 	if resp.Status == csnet.StatusNotFound {
 		if e.Tombstone && e.Version > w.tomb.Version {
-			// Keep the tombstone's expiry too: an expiry tombstone
-			// repaired onto a peer without its ExpireAt would age from
-			// the (older) write time and could be GC'd before the peer's
-			// own copy had even expired — reopening the resurrection hole.
-			w.tomb = store.Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt}
+			w.tomb = store.Entry{Version: e.Version, Tombstone: true}
 		}
 		w.missed = append(w.missed, b)
 		return nil, false, false

@@ -94,7 +94,7 @@ func TestReadBurstRefusedWhole(t *testing.T) {
 					t.Errorf("MGet[%s] = %q, want %q", k, found[k], values[i])
 				}
 				want, _ := kvs[0].Engine().Get(k)
-				if e, hit := c.cache.get(k, cacheNow()); !hit || e.Tombstone || e.Version != want.Version || !bytes.Equal(e.Value, values[i]) {
+				if e, hit := c.cache.get(k); !hit || e.Tombstone || e.Version != want.Version || !bytes.Equal(e.Value, values[i]) {
 					t.Errorf("cache for %s = %+v (hit=%v), want the live replicas' version %d", k, e, hit, want.Version)
 				}
 			}

@@ -91,7 +91,7 @@ func (c *Cluster) replicate(ctx trace.Context, muts []mutation, out []outcome) {
 	for i := range muts {
 		m := &muts[i]
 		out[i].set = c.replicaSet(m.key)
-		req := csnet.Request{Op: csnet.OpSetV, Key: m.key, Value: m.e.Value, Version: m.e.Version, ExpireAt: m.e.ExpireAt}
+		req := csnet.Request{Op: csnet.OpSetV, Key: m.key, Value: m.e.Value, Version: m.e.Version}
 		if m.e.Tombstone {
 			req.Op = csnet.OpDelV
 		}

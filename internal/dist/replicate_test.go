@@ -179,7 +179,7 @@ func TestWriteOpsAgreeOnReplicaFaults(t *testing.T) {
 				if now := c.clock.Next(); now <= newer {
 					t.Errorf("clock at %d did not advance past the newer resident version %d", now, newer)
 				}
-				if _, cached := c.cache.get(key, cacheNow()); cached != f.wantCached {
+				if _, cached := c.cache.get(key); cached != f.wantCached {
 					t.Errorf("cache serves the key: %v, want %v", cached, f.wantCached)
 				}
 			})

@@ -151,8 +151,8 @@ func TestVersionRebalanceTombstoneTie(t *testing.T) {
 	if _, _, err := cl0.SetV("k", []byte("val"), 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl1.DelV("k", 100); err != nil {
-		t.Fatal(err)
+	if resp, err := cl1.Send(csnet.Request{Op: csnet.OpDelV, Key: "k", Version: 100}).ResponseV(); err != nil || resp.Status == csnet.StatusError {
+		t.Fatalf("DelV = %+v %v", resp, err)
 	}
 	if _, err := c.Rebalance(); err != nil {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestVersionReadRepairHonorsTombstone(t *testing.T) {
 			if _, _, err := cl1.SetV(key, []byte("zombie"), 100); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := cl0.DelV(key, 200); err != nil {
-				t.Fatal(err)
+			if resp, err := cl0.Send(csnet.Request{Op: csnet.OpDelV, Key: key, Version: 200}).ResponseV(); err != nil || resp.Status == csnet.StatusError {
+				t.Fatalf("DelV = %+v %v", resp, err)
 			}
 
 			if v, ok, err := r.read(c, key); err != nil || ok {

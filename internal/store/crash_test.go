@@ -227,8 +227,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	const rounds = 4
 	for round := 0; round < rounds; round++ {
 		// ackedState is the raw engine state at the last Sync barrier;
-		// keys untouched since then (and not subject to deterministic
-		// expiry) must come back exactly after the crash.
+		// keys untouched since then must come back exactly after the
+		// crash.
 		var ackedState map[string]Entry
 		touched := map[string]bool{}
 		sweptSinceSync := false
@@ -239,11 +239,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 40:
 				k := randKey()
-				var ttl time.Duration
-				if rng.Intn(5) == 0 {
-					ttl = time.Duration(1+rng.Intn(50)) * time.Millisecond
-				}
-				s.Set(k, randVal(), ttl)
+				s.Set(k, randVal())
 				touched[k] = true
 			case r < 52:
 				k := randKey()
@@ -338,11 +334,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 
 		// Acked-durability floor: every key untouched since the last
-		// Sync barrier (and immortal, so lazy expiry cannot have moved
-		// it without an op) must survive the crash byte-identically.
+		// Sync barrier must survive the crash byte-identically.
 		if ackedState != nil && !sweptSinceSync {
 			for k, e := range ackedState {
-				if touched[k] || e.ExpireAt != 0 {
+				if touched[k] {
 					continue
 				}
 				g, ok := got[k]
@@ -354,8 +349,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 	}
 
-	// Final round: a clean close must bring back the state exactly
-	// (modulo deterministic expiry, which replay re-derives lazily).
+	// Final round: a clean close must bring back the state exactly.
 	final := rawState(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("final close: %v", err)
@@ -366,19 +360,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Fatalf("final reopen: %v", err)
 	}
 	defer r.Close()
-	got := rawState(r)
-	nowNS := ft.now().UnixNano()
-	normalize := func(m map[string]Entry) map[string]Entry {
-		out := make(map[string]Entry, len(m))
-		for k, e := range m {
-			if !e.Tombstone && e.ExpireAt != 0 && nowNS >= e.ExpireAt {
-				e = Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt}
-			}
-			out[k] = e
-		}
-		return out
-	}
-	diffStates(t, "clean close", normalize(got), normalize(final))
+	diffStates(t, "clean close", rawState(r), final)
 }
 
 // copyFiles snapshots the named files of dir into memory.
@@ -423,7 +405,7 @@ func TestCrashCheckpointWindows(t *testing.T) {
 			}
 			set := func(from, to int, tag string) {
 				for i := from; i < to; i++ {
-					s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("%s-%d", tag, i)), 0)
+					s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("%s-%d", tag, i)))
 				}
 			}
 			// An older checkpoint + a sealed segment on top of it, so the
@@ -524,7 +506,7 @@ func TestCrashDeferredRun(t *testing.T) {
 		k := fmt.Sprintf("acked-%03d", i)
 		switch i % 3 {
 		case 0:
-			run.Set(k, []byte("set"), 0)
+			run.Set(k, []byte("set"))
 		case 1:
 			run.Merge(k, Entry{Value: []byte("merged"), Version: s.Clock().Next()})
 		default:
@@ -544,7 +526,7 @@ func TestCrashDeferredRun(t *testing.T) {
 
 	unacked := s.Deferred()
 	for i := 0; i < n; i++ {
-		unacked.Set(fmt.Sprintf("unacked-%03d", i), []byte("maybe"), 0)
+		unacked.Set(fmt.Sprintf("unacked-%03d", i), []byte("maybe"))
 	}
 
 	// Crash, losing every byte no fsync covered.

@@ -25,7 +25,7 @@ func NewFlat(o Options) *Flat {
 	o = o.withDefaults()
 	f := &Flat{clock: o.Clock, now: o.Now, gcAge: o.TombstoneGC}
 	f.merkle.init(merkleBuckets(o.MerkleBuckets, 1))
-	f.t = newTable(o.Now, f.merkle.touch)
+	f.t = newTable(f.merkle.touch)
 	return f
 }
 
@@ -46,14 +46,10 @@ func (f *Flat) Load(key string) (Entry, bool) {
 }
 
 // Set implements Engine.
-func (f *Flat) Set(key string, value []byte, ttl time.Duration) uint64 {
-	var expireAt int64
-	if ttl > 0 {
-		expireAt = f.now().Add(ttl).UnixNano()
-	}
+func (f *Flat) Set(key string, value []byte) uint64 {
 	f.mu.Lock()
 	ver := f.clock.Next()
-	f.t.set(key, value, ver, expireAt)
+	f.t.set(key, value, ver)
 	f.mu.Unlock()
 	return ver
 }
@@ -93,15 +89,13 @@ func (f *Flat) Len() int {
 
 // Sweep implements Engine; the limit is ignored beyond "at least one
 // pass" since there is only one table to scan.
-func (f *Flat) Sweep(int) (expired, purged int) {
-	now := f.now()
-	gcBefore := now.Add(-f.gcAge).UnixMilli()
+func (f *Flat) Sweep(int) (purged int) {
+	gcBefore := f.now().Add(-f.gcAge).UnixMilli()
 	f.mu.Lock()
-	expired, purged = f.t.sweep(now.UnixNano(), gcBefore, nil)
+	purged = f.t.sweep(gcBefore, nil)
 	f.mu.Unlock()
-	sweepExpired.Add(uint64(expired))
 	sweepPurged.Add(uint64(purged))
-	return expired, purged
+	return purged
 }
 
 // Counts implements Engine.

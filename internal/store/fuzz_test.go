@@ -25,7 +25,7 @@ func codecSeeds() [][]byte {
 func FuzzDecodeRecord(f *testing.F) {
 	long := strings.Repeat("K", math.MaxUint16+1) // a 4-byte klen
 	seeds := append(codecSeeds(),
-		appendFrame(nil, long, Entry{Value: []byte("v"), Version: 5, ExpireAt: 77}, false),
+		appendFrame(nil, long, Entry{Value: []byte("v"), Version: 5}, false),
 		appendFrame(nil, long, Entry{Version: 6, Tombstone: true}, false))
 	for _, frame := range seeds {
 		f.Add(frame)
@@ -109,13 +109,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 }
 
 func FuzzLoadManifest(f *testing.F) {
+	f.Add([]byte("pdcedu-wal v4\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v3\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v2\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v1\nshards 2\nbuckets 32\n"))
-	f.Add([]byte("pdcedu-wal v3\nshards 99999999999999999999\nbuckets 1\n"))
-	f.Add([]byte("pdcedu-wal v3\nshards 1073741824\nbuckets 1073741824\n"))
-	f.Add([]byte("pdcedu-wal v3\nshards -4\nbuckets 16\n"))
-	f.Add([]byte("pdcedu-wal v3\nshards 8\n"))
+	f.Add([]byte("pdcedu-wal v4\nshards 99999999999999999999\nbuckets 1\n"))
+	f.Add([]byte("pdcedu-wal v4\nshards 1073741824\nbuckets 1073741824\n"))
+	f.Add([]byte("pdcedu-wal v4\nshards -4\nbuckets 16\n"))
+	f.Add([]byte("pdcedu-wal v4\nshards 8\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		shards, buckets, err := parseManifest(b)

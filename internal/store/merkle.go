@@ -90,7 +90,6 @@ func hashEntry(h uint64, key string, e Entry) uint64 {
 		h ^= 1
 		h *= fnvPrime64
 	}
-	h = hashU64(h, uint64(e.ExpireAt))
 	return hashU64(h, ValueDigest(e.Value))
 }
 
@@ -117,13 +116,13 @@ func innerHash(l, r uint64) uint64 {
 }
 
 // Digest is an immutable point-in-time Merkle tree over an engine's
-// raw entry space (tombstones and expired entries included, exactly
-// the replication view). Leaves are the engine's hash-partitioned
-// buckets; leaf b is the wrapping sum of leafTerm over the bucket's
-// (key, version, value-digest, tombstone, expiry) tuples — a
-// commutative reduction, so a leaf is accumulated in whatever order a
-// scan meets the entries and nothing is gathered or sorted — with 0
-// reserved for the empty bucket; inner nodes hash their two children.
+// raw entry space (tombstones included, exactly the replication view).
+// Leaves are the engine's hash-partitioned buckets; leaf b is the
+// wrapping sum of leafTerm over the bucket's (key, version,
+// value-digest, tombstone) tuples — a commutative reduction, so a leaf
+// is accumulated in whatever order a scan meets the entries and
+// nothing is gathered or sorted — with 0 reserved for the empty
+// bucket; inner nodes hash their two children.
 // Nodes are 1-indexed heap style: node 1 is the root, node i's
 // children are 2i and 2i+1, and leaf b is node Buckets()+b — the
 // layout OpTreeV exchanges walk.
@@ -184,7 +183,7 @@ func (m *merkle) init(buckets int) {
 }
 
 // touch marks key's bucket dirty; called after any mutation of the raw
-// entry space (set, delete, merge, purge, sweep, lazy expiry).
+// entry space (set, delete, merge, purge, sweep).
 func (m *merkle) touch(key string) {
 	m.dirty[BucketOf(key, m.buckets)].Store(true)
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 )
 
 // digestOf builds a reference Digest straight from a raw entry map,
@@ -49,7 +48,6 @@ func TestMerkleDigestDeterministic(t *testing.T) {
 		entries[fmt.Sprintf("k-%d", i)] = Entry{Value: []byte(fmt.Sprintf("v-%d", i)), Version: uint64(1000 + i)}
 	}
 	entries["dead"] = Entry{Version: 5000, Tombstone: true}
-	entries["mortal"] = Entry{Value: []byte("m"), Version: 5001, ExpireAt: ft.now().Add(time.Hour).UnixNano()}
 	for k, e := range entries {
 		a.Merge(k, e)
 	}
@@ -100,7 +98,7 @@ func TestMerkleDigestTracksWrites(t *testing.T) {
 			if d0.Root() != 0 {
 				t.Fatalf("empty root = %016x, want 0", d0.Root())
 			}
-			eng.Set("k", []byte("a"), 0)
+			eng.Set("k", []byte("a"))
 			d1 := eng.Digest()
 			if d1.Root() == 0 || d1.Root() == d0.Root() {
 				t.Fatal("Set did not change the root")
@@ -140,28 +138,6 @@ func TestMerkleSameVersionDivergenceVisible(t *testing.T) {
 	}
 }
 
-// TestMerkleLazyExpiryConvergesDigests pins the interaction between
-// lazy expiry and the tree: two replicas expiring the same entry at
-// different moments (one by read, one by sweep) end on the same digest.
-func TestMerkleLazyExpiryConvergesDigests(t *testing.T) {
-	ft := newFakeTime()
-	a := NewSharded(Options{MerkleBuckets: 64, Now: ft.now})
-	b := NewSharded(Options{MerkleBuckets: 64, Now: ft.now})
-	e := Entry{Value: []byte("v"), Version: 100, ExpireAt: ft.now().Add(time.Minute).UnixNano()}
-	a.Merge("k", e)
-	b.Merge("k", e)
-	ft.advance(time.Hour)
-	a.Get("k") // lazy expiry on read
-	b.Sweep(0) // swept expiry
-	da, db := a.Digest(), b.Digest()
-	if da.Root() != db.Root() {
-		t.Fatalf("expiry paths diverged: %016x vs %016x", da.Root(), db.Root())
-	}
-	if da.Root() == 0 {
-		t.Fatal("expiry tombstone missing from the digest")
-	}
-}
-
 // TestRangeBucketsVisitsListedBuckets pins RangeBuckets against its
 // definition — Load of every key the test wrote, filtered by BucketOf:
 // the listed buckets' entries, each exactly once, however the ids are
@@ -172,7 +148,7 @@ func TestRangeBucketsVisitsListedBuckets(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const written = 3000
 			for i := 0; i < written; i++ {
-				eng.Set(fmt.Sprintf("k-%d", i), []byte{byte(i)}, 0)
+				eng.Set(fmt.Sprintf("k-%d", i), []byte{byte(i)})
 			}
 			eng.Delete("k-7")
 			buckets := eng.Buckets()
@@ -311,8 +287,6 @@ func TestMerkleSingleFieldDivergence(t *testing.T) {
 		"version":       {"k-42", func(m map[string]Entry) { e := m["k-42"]; e.Version++; m["k-42"] = e }},
 		"value byte":    {"k-99", func(m map[string]Entry) { e := m["k-99"]; e.Value = []byte("value-9A"); m["k-99"] = e }},
 		"tombstone bit": {"k-3", func(m map[string]Entry) { m["k-3"] = Entry{Version: m["k-3"].Version, Tombstone: true} }},
-		"expire at":     {"k-250", func(m map[string]Entry) { e := m["k-250"]; e.ExpireAt = 1 << 62; m["k-250"] = e }},
-		"tomb expiry":   {"tomb", func(m map[string]Entry) { e := m["tomb"]; e.ExpireAt = 1 << 62; m["tomb"] = e }},
 	} {
 		got := build(c.mutate)
 		if got.Root() == ref.Root() {
@@ -337,7 +311,7 @@ func TestMerkleEmptyBucketIsZero(t *testing.T) {
 			held := map[int]int{}
 			for i := 0; i < 300; i++ {
 				k := fmt.Sprintf("k-%d", i)
-				eng.Set(k, []byte("x"), 0)
+				eng.Set(k, []byte("x"))
 				held[BucketOf(k, buckets)]++
 			}
 			check := func(when string) {
@@ -440,43 +414,5 @@ func BenchmarkDigestAllDirty(b *testing.B) {
 		touchAll()
 		b.StartTimer()
 		eng.Digest()
-	}
-}
-
-// TestExpiryTombstoneStopsResurrection is the regression for the
-// ROADMAP hole this PR closes: a stale immortal copy that survived a
-// TTL lapse on another replica must not win replication afterwards.
-func TestExpiryTombstoneStopsResurrection(t *testing.T) {
-	ft := newFakeTime()
-	fresh := NewSharded(Options{Now: ft.now}) // wrote the TTL'd value, expired it
-	stale := NewSharded(Options{Now: ft.now}) // holds an older immortal copy
-	stale.Merge("k", Entry{Value: []byte("old"), Version: 100})
-	ttl := Entry{Value: []byte("new"), Version: 200, ExpireAt: ft.now().Add(time.Minute).UnixNano()}
-	fresh.Merge("k", ttl)
-	ft.advance(time.Hour)
-	if _, ok := fresh.Get("k"); ok {
-		t.Fatal("entry readable past its TTL")
-	}
-	// Anti-entropy replays the stale copy at fresh: it must lose to the
-	// expiry tombstone (version 200 beats 100).
-	if _, applied := fresh.Merge("k", Entry{Value: []byte("old"), Version: 100}); applied {
-		t.Fatal("stale immortal copy resurrected an expired key")
-	}
-	// And the tombstone replayed at stale converges it to deleted.
-	tomb, ok := fresh.Load("k")
-	if !ok || !tomb.Tombstone || tomb.Version != 200 || tomb.ExpireAt == 0 {
-		t.Fatalf("expiry left %+v %v, want expiry tombstone@200", tomb, ok)
-	}
-	if _, applied := stale.Merge("k", tomb); !applied {
-		t.Fatal("expiry tombstone lost against the stale copy")
-	}
-	if _, ok := stale.Get("k"); ok {
-		t.Fatal("stale replica still serves the resurrected value")
-	}
-	// Same-version immortal split: mortal beats immortal, both orders.
-	mortal := Entry{Value: []byte("v"), Version: 300, ExpireAt: ft.now().Add(time.Minute).UnixNano()}
-	immortal := Entry{Value: []byte("v"), Version: 300}
-	if !mortal.Wins(immortal) || immortal.Wins(mortal) {
-		t.Fatal("mortal-beats-immortal tie-break broken")
 	}
 }

@@ -6,7 +6,6 @@ import "pdcedu/internal/obs"
 // process — per-engine figures stay on the engines' own accessors like
 // Counts and Recovery):
 //
-//	store.sweep.expired          counter: entries expired by sweeps
 //	store.sweep.purged           counter: tombstones GC'd by sweeps
 //	store.merkle.leaf_rebuilds   counter: dirty Merkle leaves rehashed
 //	store.wal.appends            counter: records appended to the log
@@ -46,7 +45,6 @@ import "pdcedu/internal/obs"
 //	                                  max(snapshot-every × shards, bytes
 //	                                  of the newest checkpoint)
 var (
-	sweepExpired  = obs.Default().Counter("store.sweep.expired")
 	sweepPurged   = obs.Default().Counter("store.sweep.purged")
 	merkleRebuilt = obs.Default().Counter("store.merkle.leaf_rebuilds")
 

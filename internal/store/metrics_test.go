@@ -14,7 +14,6 @@ import (
 // series to a renamed or dropped registration.
 func TestMetricsRegistration(t *testing.T) {
 	counters := []string{
-		"store.sweep.expired",
 		"store.sweep.purged",
 		"store.merkle.leaf_rebuilds",
 		"store.wal.appends",
@@ -76,7 +75,7 @@ func TestMetricsWALCounters(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte("value"), 0)
+		s.Set(fmt.Sprintf("key-%d", i), []byte("value"))
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -114,39 +113,30 @@ func TestMetricsWALCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsSweepCounters covers the pre-existing sweep counters:
-// store.sweep.expired and store.sweep.purged must account every
-// reaped entry.
+// TestMetricsSweepCounters covers the sweep counter:
+// store.sweep.purged must account every collected tombstone.
 func TestMetricsSweepCounters(t *testing.T) {
-	read := func() (int64, int64) {
-		var exp, pur int64
+	read := func() (pur int64) {
 		for _, m := range obs.Default().Snapshot().Metrics {
-			switch m.Name {
-			case "store.sweep.expired":
-				exp = m.Value
-			case "store.sweep.purged":
+			if m.Name == "store.sweep.purged" {
 				pur = m.Value
 			}
 		}
-		return exp, pur
+		return pur
 	}
-	expBefore, purBefore := read()
+	purBefore := read()
 
 	ft := newFakeTime()
 	s := NewSharded(Options{Shards: 2, Now: ft.now, TombstoneGC: time.Minute})
 	for i := 0; i < 20; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte("v"), time.Millisecond)
+		s.Set(fmt.Sprintf("key-%d", i), []byte("v"))
+		s.Delete(fmt.Sprintf("key-%d", i))
 	}
-	ft.advance(time.Second)
 	s.Sweep(0)
 	ft.advance(2 * time.Minute)
 	s.Sweep(0)
 
-	expAfter, purAfter := read()
-	if expAfter-expBefore < 20 {
-		t.Errorf("store.sweep.expired advanced by %d, want >= 20", expAfter-expBefore)
-	}
-	if purAfter-purBefore < 20 {
+	if purAfter := read(); purAfter-purBefore < 20 {
 		t.Errorf("store.sweep.purged advanced by %d, want >= 20", purAfter-purBefore)
 	}
 }

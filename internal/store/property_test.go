@@ -12,8 +12,7 @@ import (
 // model is the flat reference a real engine is cross-checked against:
 // one map, straight-line transition rules, no sharding, no locking, no
 // bookkeeping — if an engine and the model ever disagree, the engine's
-// machinery (shard routing, live counters, lazy expiry, sweep
-// rotation) has a bug.
+// machinery (shard routing, live counters, sweep rotation) has a bug.
 type model struct {
 	data map[string]Entry
 	now  func() time.Time
@@ -24,20 +23,11 @@ func (m *model) get(k string) (Entry, bool) {
 	if !ok || e.Tombstone {
 		return Entry{}, false
 	}
-	if e.ExpireAt != 0 && m.now().UnixNano() >= e.ExpireAt {
-		// Mirror the engine's lazy expiry-into-tombstone on read.
-		m.data[k] = Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt}
-		return Entry{}, false
-	}
 	return e, true
 }
 
-func (m *model) set(k string, v []byte, ver uint64, ttl time.Duration) {
-	var exp int64
-	if ttl > 0 {
-		exp = m.now().Add(ttl).UnixNano()
-	}
-	m.data[k] = Entry{Value: append([]byte(nil), v...), Version: ver, ExpireAt: exp}
+func (m *model) set(k string, v []byte, ver uint64) {
+	m.data[k] = Entry{Value: append([]byte(nil), v...), Version: ver}
 }
 
 func (m *model) del(k string, ver uint64) {
@@ -57,30 +47,20 @@ func (m *model) merge(k string, e Entry) bool {
 }
 
 func (m *model) sweep(gcAge time.Duration) {
-	now := m.now().UnixNano()
 	gcBefore := m.now().Add(-gcAge).UnixMilli()
 	for k, e := range m.data {
-		switch {
-		case e.Tombstone:
-			age := WallMillis(e.Version)
-			if expMillis := e.ExpireAt / int64(time.Millisecond); expMillis > age {
-				age = expMillis
-			}
-			if age < gcBefore {
-				delete(m.data, k)
-			}
-		case e.ExpireAt != 0 && now >= e.ExpireAt:
-			m.data[k] = Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt}
+		if e.Tombstone && WallMillis(e.Version) < gcBefore {
+			delete(m.data, k)
 		}
 	}
 }
 
-// liveKeys lists, sorted, the keys of a raw entry space that are live
-// at now: the model's, or an engine's listing (rawState).
-func liveKeys(data map[string]Entry, now time.Time) []string {
+// liveKeys lists, sorted, the keys of a raw entry space that are live:
+// the model's, or an engine's listing (rawState).
+func liveKeys(data map[string]Entry) []string {
 	var keys []string
 	for k, e := range data {
-		if e.Live(now.UnixNano()) {
+		if !e.Tombstone {
 			keys = append(keys, k)
 		}
 	}
@@ -90,8 +70,8 @@ func liveKeys(data map[string]Entry, now time.Time) []string {
 
 // TestStoreProperty drives a randomized op sequence through each
 // engine and the reference model in lock-step, comparing results after
-// every op and full raw state at checkpoints. Covers TTL expiry (lazy
-// and swept), tombstoned deletes with GC, set-if-newer merge in stale,
+// every op and full raw state at checkpoints. Covers tombstoned
+// deletes with GC (swept whole or bounded), set-if-newer merge in stale,
 // fresh, and tied flavors, and the whole-store listing. The seed is
 // logged so a failure replays.
 func TestStoreProperty(t *testing.T) {
@@ -114,15 +94,11 @@ func TestStoreProperty(t *testing.T) {
 			const ops = 20_000
 			for i := 0; i < ops; i++ {
 				switch p := rng.Intn(100); {
-				case p < 35: // Set, sometimes with a TTL
+				case p < 35: // Set
 					k := key()
 					v := val()
-					var ttl time.Duration
-					if rng.Intn(4) == 0 {
-						ttl = time.Duration(1+rng.Intn(120)) * time.Second
-					}
-					ver := eng.Set(k, v, ttl)
-					m.set(k, v, ver, ttl)
+					ver := eng.Set(k, v)
+					m.set(k, v, ver)
 				case p < 55: // Get cross-check
 					k := key()
 					ge, gok := eng.Get(k)
@@ -155,11 +131,6 @@ func TestStoreProperty(t *testing.T) {
 						e.Tombstone = true
 					} else {
 						e.Value = val()
-						if rng.Intn(4) == 0 {
-							// A replicated TTL'd entry: exercises the expiry
-							// wire field and the mortal-beats-immortal tie-break.
-							e.ExpireAt = ft.now().Add(time.Duration(1+rng.Intn(300)) * time.Second).UnixNano()
-						}
 					}
 					_, applied := eng.Merge(k, e)
 					if mApplied := m.merge(k, e); applied != mApplied {
@@ -170,19 +141,19 @@ func TestStoreProperty(t *testing.T) {
 					k := key()
 					ge, gok := eng.Load(k)
 					me, mok := m.data[k]
-					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone || ge.ExpireAt != me.ExpireAt)) {
+					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone)) {
 						t.Fatalf("op %d: Load(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
 					}
 				case p < 90: // listing + Merkle digest cross-check
-					got := liveKeys(rawState(eng), ft.now())
-					if want := liveKeys(m.data, ft.now()); !slices.Equal(got, want) { // nil and empty listings are the same listing
+					got := liveKeys(rawState(eng))
+					if want := liveKeys(m.data); !slices.Equal(got, want) { // nil and empty listings are the same listing
 						t.Fatalf("op %d: live keys engine=%v model=%v", i, got, want)
 					}
 					d := eng.Digest()
 					if want := digestOf(m.data, d.Buckets()); d.Root() != want.Root() {
 						t.Fatalf("op %d: Digest root %016x, model %016x", i, d.Root(), want.Root())
 					}
-				case p < 95: // advance time: TTLs lapse, tombstones age
+				case p < 95: // advance time: tombstones age
 					ft.advance(time.Duration(1+rng.Intn(90)) * time.Second)
 				default: // sweep both (sometimes bounded)
 					limit := 0
@@ -194,15 +165,9 @@ func TestStoreProperty(t *testing.T) {
 						m.sweep(gcAge)
 					} else {
 						// A bounded engine sweep removes a subset; resync the
-						// model by sweeping both to their fixpoint. One full
-						// pass is not enough: an entry the bounded sweep just
-						// expired into a tombstone can be old enough for the
-						// next pass to collect, where the model's single pass
-						// only expires it.
-						for range 2 {
-							eng.Sweep(0)
-							m.sweep(gcAge)
-						}
+						// model by sweeping both whole.
+						eng.Sweep(0)
+						m.sweep(gcAge)
 					}
 				}
 			}
@@ -215,12 +180,12 @@ func TestStoreProperty(t *testing.T) {
 			for k, me := range m.data {
 				ge, ok := raw[k]
 				if !ok || ge.Version != me.Version || ge.Tombstone != me.Tombstone ||
-					string(ge.Value) != string(me.Value) || ge.ExpireAt != me.ExpireAt {
+					string(ge.Value) != string(me.Value) {
 					t.Fatalf("raw entry %q: engine %+v model %+v", k, ge, me)
 				}
 			}
-			got := liveKeys(raw, ft.now())
-			if want := liveKeys(m.data, ft.now()); !slices.Equal(got, want) { // nil and empty listings are the same listing
+			got := liveKeys(raw)
+			if want := liveKeys(m.data); !slices.Equal(got, want) { // nil and empty listings are the same listing
 				t.Fatalf("final live keys: engine %v model %v", got, want)
 			}
 			live := 0

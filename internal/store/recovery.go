@@ -125,7 +125,7 @@ func (w *wal) recover() (maxVer uint64, err error) {
 		if err != nil {
 			for si := range w.eng.shards {
 				sh := &w.eng.shards[si]
-				sh.t = newTable(sh.t.now, sh.t.touch)
+				sh.t = newTable(sh.t.touch)
 			}
 			maxVer = 0
 			continue
@@ -236,9 +236,10 @@ const (
 
 // LayoutError is OpenSharded's refusal of a data directory in a layout
 // this build does not read: v1, the per-shard s<N>.wal.<G> and
-// s<N>.snap.<G> files, or v2, whose frames carried a length and a
-// field-by-field entry of their own. The directory is left exactly as
-// it was.
+// s<N>.snap.<G> files; v2, whose frames carried a length and a
+// field-by-field entry of their own; or v3, whose records could carry
+// an expiry and numbered their flags around it. The directory is left
+// exactly as it was.
 type LayoutError struct{ Version int }
 
 func (e *LayoutError) Error() string {
@@ -246,7 +247,7 @@ func (e *LayoutError) Error() string {
 		e.Version, manifestVersion)
 }
 
-const manifestVersion = 3
+const manifestVersion = 4
 
 // parseManifest decodes a manifest body, refusing other layout
 // versions and out-of-range geometry.

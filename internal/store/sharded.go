@@ -65,7 +65,7 @@ func NewSharded(o Options) *Sharded {
 	// RangeBuckets listing scan one shard instead of the whole store.
 	s.merkle.init(merkleBuckets(o.MerkleBuckets, pow))
 	for i := range s.shards {
-		s.shards[i].t = newTable(o.Now, s.merkle.touch)
+		s.shards[i].t = newTable(s.merkle.touch)
 	}
 	return s
 }
@@ -95,9 +95,7 @@ func (s *Sharded) shardFor(key string) *shard {
 // Shards reports the effective (power-of-two) shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Get implements Engine. TTL-free entries never cost a wall-clock
-// read here — the expiry check is lazy inside the table — which keeps
-// the hot path at hash + one shard lock + one table probe.
+// Get implements Engine: hash + one shard lock + one table probe.
 func (s *Sharded) Get(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -117,16 +115,12 @@ func (s *Sharded) Load(key string) (Entry, bool) {
 
 // Set implements Engine. The version is stamped under the shard lock,
 // so within a key the table order and the version order agree.
-func (s *Sharded) Set(key string, value []byte, ttl time.Duration) uint64 {
-	var expireAt int64
-	if ttl > 0 {
-		expireAt = s.now().Add(ttl).UnixNano()
-	}
+func (s *Sharded) Set(key string, value []byte) uint64 {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	ver := s.clock.Next()
-	sh.t.set(key, value, ver, expireAt)
-	s.logAndUnlock(sh, key, Entry{Value: value, Version: ver, ExpireAt: expireAt}, false)
+	sh.t.set(key, value, ver)
+	s.logAndUnlock(sh, key, Entry{Value: value, Version: ver}, false)
 	return ver
 }
 
@@ -229,9 +223,8 @@ func (s *Sharded) Len() int {
 // persistent cursor, stopping once roughly limit entries have been
 // scanned (always at least one shard), so a bounded sweep converges on
 // the full store across calls instead of re-scanning the same prefix.
-func (s *Sharded) Sweep(limit int) (expired, purged int) {
-	now := s.now()
-	gcBefore := now.Add(-s.gcAge).UnixMilli()
+func (s *Sharded) Sweep(limit int) (purged int) {
+	gcBefore := s.now().Add(-s.gcAge).UnixMilli()
 	scanned := 0
 	var onPurge func(string)
 	if s.wal != nil {
@@ -244,17 +237,14 @@ func (s *Sharded) Sweep(limit int) (expired, purged int) {
 		sh := &s.shards[(s.cursor.Add(1)-1)&s.mask]
 		sh.mu.Lock()
 		scanned += sh.t.size()
-		e, p := sh.t.sweep(now.UnixNano(), gcBefore, onPurge)
+		purged += sh.t.sweep(gcBefore, onPurge)
 		sh.mu.Unlock()
-		expired += e
-		purged += p
 		if limit > 0 && scanned >= limit {
 			break
 		}
 	}
-	sweepExpired.Add(uint64(expired))
 	sweepPurged.Add(uint64(purged))
-	return expired, purged
+	return purged
 }
 
 // Counts implements Engine in one pass over the shard counters — the

@@ -41,7 +41,7 @@ func TestWALSnapshotRotation(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 300; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)), 0)
+		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -52,7 +52,7 @@ func TestWALSnapshotRotation(t *testing.T) {
 	}
 	// Post-snapshot writes land in the tail and must replay on top.
 	for i := 0; i < 50; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte("updated"), 0)
+		s.Set(fmt.Sprintf("key-%d", i), []byte("updated"))
 	}
 	s.Delete("key-299")
 	want := rawState(s)
@@ -83,7 +83,7 @@ func TestWALSnapshotRotation(t *testing.T) {
 	}
 	defer s2.Close()
 	for i := 0; i < 2000; i++ {
-		s2.Set(fmt.Sprintf("key-%d", i%200), []byte(fmt.Sprintf("value-%d", i)), 0)
+		s2.Set(fmt.Sprintf("key-%d", i%200), []byte(fmt.Sprintf("value-%d", i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -115,8 +115,8 @@ func TestRecoveryNoResurrectionAfterGC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	s.Set("doomed", []byte("v"), 0)
-	s.Set("kept", []byte("v"), 0)
+	s.Set("doomed", []byte("v"))
+	s.Set("kept", []byte("v"))
 	s.Delete("doomed")
 	ft.advance(2 * time.Minute)
 	s.Sweep(0)
@@ -154,7 +154,7 @@ func TestRecoveryManifestGeometry(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 100; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte("v"), 0)
+		s.Set(fmt.Sprintf("key-%d", i), []byte("v"))
 	}
 	want := rawState(s)
 	root, ok := s.Digest().Node(1)
@@ -204,7 +204,7 @@ func TestRecoveryRestartsLeaveBoundedFiles(t *testing.T) {
 		}
 		if i == 0 {
 			for k := 0; k < 100; k++ {
-				s.Set(fmt.Sprintf("key-%d", k), []byte("v"), 0)
+				s.Set(fmt.Sprintf("key-%d", k), []byte("v"))
 			}
 			want = rawState(s)
 		}
@@ -223,9 +223,10 @@ func TestRecoveryRestartsLeaveBoundedFiles(t *testing.T) {
 }
 
 // TestRecoveryRefusesV1Layout: a directory written by an earlier layout
-// — v1's per-shard files, or v2's one log of length-framed entries — is
-// refused with the typed error, and nothing in it is touched: no new
-// manifest, no new segment, no deleted file.
+// — v1's per-shard files, v2's one log of length-framed entries, or
+// v3's records that could carry an expiry — is refused with the typed
+// error, and nothing in it is touched: no new manifest, no new segment,
+// no deleted file.
 func TestRecoveryRefusesV1Layout(t *testing.T) {
 	// A v2 frame of "k" = "v" at version 1: payload length and CRC,
 	// then flags, version, expireAt, key length, key, value length and
@@ -233,6 +234,12 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 	payload := []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'k', 1, 0, 0, 0, 'v'}
 	v2Frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	v2Frame = append(binary.LittleEndian.AppendUint32(v2Frame, crc32.Checksum(payload, crcTable)), payload...)
+	// A v3 frame of "k" = "v" at version 1 expiring at 1<<56: CRC and
+	// version, then flags (bit 1, the expiry), klen, vlen, expireAt, key
+	// and value.
+	v3Frame := binary.LittleEndian.AppendUint64(make([]byte, 4), 1)
+	v3Frame = append(v3Frame, 2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 'v')
+	binary.LittleEndian.PutUint32(v3Frame, crc32.Checksum(v3Frame[4:], crcTable))
 	for _, c := range []struct {
 		version int
 		files   map[string][]byte
@@ -245,6 +252,10 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 		{2, map[string][]byte{
 			"WALMETA": []byte("pdcedu-wal v2\nshards 2\nbuckets 32\n"),
 			"wal.1":   append([]byte("PDCWAL1\n"), v2Frame...),
+		}},
+		{3, map[string][]byte{
+			"WALMETA": []byte("pdcedu-wal v3\nshards 2\nbuckets 32\n"),
+			"wal.1":   append([]byte("PDCWAL2\n"), v3Frame...),
 		}},
 	} {
 		t.Run(fmt.Sprintf("v%d", c.version), func(t *testing.T) {
@@ -273,7 +284,7 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 // the write.
 func pacedSet(t *testing.T, s *Sharded, key string, val []byte) int64 {
 	t.Helper()
-	s.Set(key, val, 0)
+	s.Set(key, val)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		// ckMu is held from before a rotation until its image is in
@@ -322,7 +333,7 @@ func TestCheckpointPacedByImage(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < keys; i++ {
-		s.Set(pacingKey(i), val, 0)
+		s.Set(pacingKey(i), val)
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)

@@ -1,7 +1,7 @@
 // Package store is the storage-engine substrate under the csnet KV
 // protocol, the dist cluster, and the txn transactional layer: a
 // pluggable Engine interface whose entries are versioned by a
-// hybrid-logical-clock stamp, with tombstoned deletes, TTL expiry, and
+// hybrid-logical-clock stamp, with tombstoned deletes and
 // last-writer-wins merge.
 //
 // Two implementations ship. Sharded is the production engine: the key
@@ -24,14 +24,11 @@
 // drop its set-if-absent ordering tricks.
 //
 // Deletes write tombstones rather than removing entries, so a delete
-// can propagate through merge exactly like a write. TTL expiry does
-// the same: an expired entry converts (lazily on read, or in Sweep)
-// into a tombstone that keeps the entry's version and ExpireAt, so a
-// replica that held an older immortal copy of the key through the
-// expiry loses the merge instead of resurrecting the value. Sweep
-// garbage-collects tombstones once they are older than the configured
-// GC age — a delete tombstone ages from its version's wall-clock
-// bits, an expiry tombstone from max(write wall time, ExpireAt).
+// can propagate through merge exactly like a write: a replica that
+// held an older copy of the key through the delete loses the merge
+// instead of resurrecting the value. Sweep garbage-collects tombstones
+// once they are older than the configured GC age, measured from the
+// wall-clock bits of the tombstone's version.
 //
 // Every engine also maintains an incremental Merkle tree over its raw
 // entry space (Digest): leaves are hash-partitioned key buckets,
@@ -59,27 +56,14 @@ type Entry struct {
 	Version uint64
 	// Tombstone marks a deleted key awaiting garbage collection.
 	Tombstone bool
-	// ExpireAt is the expiry wall time in Unix nanoseconds; zero means
-	// the entry never expires.
-	ExpireAt int64
-}
-
-// Live reports whether the entry is readable at the given wall time
-// (Unix nanoseconds): not a tombstone and not past its expiry.
-func (e Entry) Live(now int64) bool {
-	return !e.Tombstone && (e.ExpireAt == 0 || now < e.ExpireAt)
 }
 
 // Wins reports whether e supersedes cur under last-writer-wins merge:
 // the higher version wins; on a version tie a tombstone beats a value,
-// the lexicographically larger value beats the smaller, and — with
-// everything else equal — the mortal entry beats the immortal one
-// (the earlier nonzero ExpireAt wins). The chain is a strict total
-// order, so concurrent merges converge to the same entry whichever
-// order they apply in; the expiry tie-break is what lets an
-// expired-into-tombstone copy and a same-version immortal copy
-// converge to deleted instead of diverging forever. Equal entries do
-// not win (merge is idempotent).
+// and the lexicographically larger value beats the smaller. The chain
+// is a strict total order, so concurrent merges converge to the same
+// entry whichever order they apply in. Equal entries do not win (merge
+// is idempotent).
 func (e Entry) Wins(cur Entry) bool {
 	if e.Version != cur.Version {
 		return e.Version > cur.Version
@@ -87,16 +71,7 @@ func (e Entry) Wins(cur Entry) bool {
 	if e.Tombstone != cur.Tombstone {
 		return e.Tombstone
 	}
-	if c := bytes.Compare(e.Value, cur.Value); c != 0 {
-		return c > 0
-	}
-	if e.ExpireAt != cur.ExpireAt {
-		if e.ExpireAt == 0 {
-			return false // immortal never beats mortal
-		}
-		return cur.ExpireAt == 0 || e.ExpireAt < cur.ExpireAt
-	}
-	return false
+	return bytes.Compare(e.Value, cur.Value) > 0
 }
 
 // Engine is a versioned key-value storage engine. Implementations are
@@ -105,16 +80,15 @@ func (e Entry) Wins(cur Entry) bool {
 // table stores the key its record holds), so a server may hand them
 // bytes it is about to reuse.
 type Engine interface {
-	// Get returns the live entry for key: tombstoned, expired, and
-	// absent keys all miss. Implementations may lazily drop an expired
-	// entry discovered here.
+	// Get returns the live entry for key: tombstoned and absent keys
+	// both miss.
 	Get(key string) (Entry, bool)
-	// Load returns the raw entry including tombstones and expired
-	// entries — the replication view.
+	// Load returns the raw entry including tombstones — the
+	// replication view.
 	Load(key string) (Entry, bool)
-	// Set stores value with a fresh clock version (ttl <= 0 means no
-	// expiry) and returns the stamped version.
-	Set(key string, value []byte, ttl time.Duration) uint64
+	// Set stores value with a fresh clock version and returns the
+	// stamped version.
+	Set(key string, value []byte) uint64
 	// Delete tombstones key at a fresh clock version (recording the
 	// deletion even when the key was never present, so it can propagate
 	// to replicas that do hold a copy) and reports whether a live value
@@ -149,19 +123,16 @@ type Engine interface {
 	// their sum is what a RangeBuckets over every bucket visits.
 	Counts() (live, tombstones int)
 	// Digest returns a point-in-time Merkle tree over the raw entry
-	// space — tombstones and not-yet-swept expired entries included,
-	// exactly what RangeBuckets lists. Dirty buckets are rebuilt lazily
+	// space — tombstones included, exactly what RangeBuckets lists. Dirty buckets are rebuilt lazily
 	// here; an idle engine answers from a cached snapshot.
 	Digest() *Digest
-	// Len reports the number of non-tombstone entries. Entries that
-	// expired but have not yet been swept or lazily dropped still
-	// count.
+	// Len reports the number of non-tombstone entries.
 	Len() int
-	// Sweep reaps expired entries and garbage-collects tombstones
-	// older than the engine's GC age, scanning roughly limit entries
-	// (at least one shard; limit <= 0 sweeps everything). It returns
-	// how many expired entries and old tombstones were removed.
-	Sweep(limit int) (expired, purged int)
+	// Sweep garbage-collects tombstones older than the engine's GC
+	// age, scanning roughly limit entries (at least one shard; limit
+	// <= 0 sweeps everything). It returns how many tombstones were
+	// removed.
+	Sweep(limit int) (purged int)
 	// Clock returns the engine's version clock, so a coordinator can
 	// stamp or observe versions consistently with local writes.
 	Clock() *Clock
@@ -186,7 +157,7 @@ type Options struct {
 	// longest expected replica outage, or a rejoining node can miss a
 	// delete.
 	TombstoneGC time.Duration
-	// Now is the wall-time source for TTL expiry and GC (default
+	// Now is the wall-time source for tombstone GC (default
 	// time.Now). Tests inject a fake time here.
 	Now func() time.Time
 }

@@ -45,7 +45,7 @@ func TestEngineBasicOps(t *testing.T) {
 			if _, ok := eng.Get("missing"); ok {
 				t.Fatal("Get on empty engine hit")
 			}
-			v1 := eng.Set("k", []byte("a"), 0)
+			v1 := eng.Set("k", []byte("a"))
 			if v1 == 0 {
 				t.Fatal("Set stamped version 0")
 			}
@@ -53,14 +53,14 @@ func TestEngineBasicOps(t *testing.T) {
 			if !ok || string(e.Value) != "a" || e.Version != v1 {
 				t.Fatalf("Get = %+v %v, want a@%d", e, ok, v1)
 			}
-			v2 := eng.Set("k", []byte("b"), 0)
+			v2 := eng.Set("k", []byte("b"))
 			if v2 <= v1 {
 				t.Fatalf("versions not monotonic: %d then %d", v1, v2)
 			}
 			if eng.Len() != 1 {
 				t.Fatalf("Len = %d, want 1", eng.Len())
 			}
-			eng.Set("k2", []byte("c"), 0)
+			eng.Set("k2", []byte("c"))
 			dv, existed := eng.Delete("k")
 			if !existed || dv <= v2 {
 				t.Fatalf("Delete = %d %v, want newer version and existed", dv, existed)
@@ -134,68 +134,31 @@ func TestEngineMergeLWW(t *testing.T) {
 	}
 }
 
-func TestEngineTTL(t *testing.T) {
-	ft := newFakeTime()
-	for name, eng := range engines(ft) {
-		t.Run(name, func(t *testing.T) {
-			ver := eng.Set(name+"-short", []byte("x"), 100*time.Millisecond)
-			eng.Set(name+"-long", []byte("y"), time.Hour)
-			eng.Set(name+"-forever", []byte("z"), 0)
-			if _, ok := eng.Get(name + "-short"); !ok {
-				t.Fatal("entry expired before its TTL")
-			}
-			ft.advance(time.Second)
-			if _, ok := eng.Get(name + "-short"); ok {
-				t.Fatal("expired entry still readable")
-			}
-			// Lazy expiry converted it into an expiry tombstone that
-			// keeps the version and expiry, so the expiry can propagate
-			// through merge instead of leaving a resurrection hole.
-			raw, ok := eng.Load(name + "-short")
-			if !ok || !raw.Tombstone || raw.Version != ver || raw.ExpireAt == 0 {
-				t.Fatalf("lazy expiry left %+v %v, want expiry tombstone@%d", raw, ok, ver)
-			}
-			if _, ok := eng.Get(name + "-long"); !ok {
-				t.Fatal("unexpired entry missing")
-			}
-			if _, ok := eng.Get(name + "-forever"); !ok {
-				t.Fatal("no-TTL entry missing")
-			}
-		})
-	}
-}
-
 func TestEngineSweep(t *testing.T) {
 	ft := newFakeTime()
 	for name, eng := range engines(ft) {
 		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 50; i++ {
-				eng.Set(fmt.Sprintf("ttl-%d", i), []byte("x"), time.Minute)
-			}
 			for i := 0; i < 30; i++ {
-				eng.Set(fmt.Sprintf("del-%d", i), []byte("x"), 0)
+				eng.Set(fmt.Sprintf("del-%d", i), []byte("x"))
 				eng.Delete(fmt.Sprintf("del-%d", i))
 			}
-			eng.Set("keep", []byte("x"), 0)
+			eng.Set("keep", []byte("x"))
 			// Nothing is old enough yet: a sweep removes nothing.
-			if exp, pur := eng.Sweep(0); exp != 0 || pur != 0 {
-				t.Fatalf("premature sweep removed %d/%d", exp, pur)
+			if pur := eng.Sweep(0); pur != 0 {
+				t.Fatalf("premature sweep removed %d", pur)
 			}
-			// Past the TTL but inside the tombstone GC age: expiry only,
-			// and each expired entry is retained as a tombstone.
+			// Inside the tombstone GC age, each tombstone is retained.
 			ft.advance(2 * time.Minute)
-			exp, pur := eng.Sweep(0)
-			if exp != 50 || pur != 0 {
-				t.Fatalf("post-TTL sweep = %d expired %d purged, want 50/0", exp, pur)
+			if pur := eng.Sweep(0); pur != 0 {
+				t.Fatalf("sweep inside the GC age purged %d, want 0", pur)
 			}
-			if raw, ok := eng.Load("ttl-0"); !ok || !raw.Tombstone {
-				t.Fatalf("swept TTL entry = %+v %v, want expiry tombstone", raw, ok)
+			if raw, ok := eng.Load("del-0"); !ok || !raw.Tombstone {
+				t.Fatalf("swept delete = %+v %v, want its tombstone", raw, ok)
 			}
-			// Past the GC age: delete tombstones and expiry tombstones go.
+			// Past the GC age: the tombstones go.
 			ft.advance(2 * time.Hour)
-			exp, pur = eng.Sweep(0)
-			if exp != 0 || pur != 80 {
-				t.Fatalf("post-GC sweep = %d expired %d purged, want 0/80", exp, pur)
+			if pur := eng.Sweep(0); pur != 30 {
+				t.Fatalf("post-GC sweep purged %d, want 30", pur)
 			}
 			if eng.Len() != 1 {
 				t.Fatalf("Len after sweeps = %d, want 1", eng.Len())
@@ -213,16 +176,15 @@ func TestShardedBoundedSweep(t *testing.T) {
 	ft := newFakeTime()
 	eng := NewSharded(Options{Shards: 8, Now: ft.now})
 	for i := 0; i < 400; i++ {
-		eng.Set(fmt.Sprintf("k-%d", i), []byte("x"), time.Minute)
+		eng.Delete(fmt.Sprintf("k-%d", i))
 	}
-	ft.advance(time.Hour)
+	ft.advance(2 * time.Hour)
 	total := 0
 	for i := 0; i < eng.Shards(); i++ {
-		exp, _ := eng.Sweep(1) // scan at least one shard per call
-		total += exp
+		total += eng.Sweep(1) // scan at least one shard per call
 	}
 	if total != 400 {
-		t.Fatalf("bounded sweeps expired %d entries, want all 400", total)
+		t.Fatalf("bounded sweeps purged %d tombstones, want all 400", total)
 	}
 }
 
@@ -231,13 +193,12 @@ func TestEngineKeysAndRange(t *testing.T) {
 	for name, eng := range engines(ft) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 20; i++ {
-				eng.Set(fmt.Sprintf("k-%d", i), []byte("x"), 0)
+				eng.Set(fmt.Sprintf("k-%d", i), []byte("x"))
 			}
 			eng.Delete("k-0")
-			eng.Set("gone", []byte("x"), time.Minute)
-			ft.advance(time.Hour)
-			// The listing sees the raw state: tombstone and expired
-			// included; only 19 of its entries are live.
+			eng.Delete("gone") // a tombstone for a key never written
+			// The listing sees the raw state, tombstones included; only
+			// 19 of its entries are live.
 			raw := rawState(eng)
 			if len(raw) != 21 {
 				t.Fatalf("listing visited %d entries, want 21 raw", len(raw))
@@ -247,7 +208,7 @@ func TestEngineKeysAndRange(t *testing.T) {
 			}
 			live := 0
 			for k, e := range raw {
-				if e.Live(ft.now().UnixNano()) {
+				if !e.Tombstone {
 					live++
 				} else if k != "k-0" && k != "gone" {
 					t.Fatalf("live key %q listed as dead: %+v", k, e)
@@ -281,7 +242,7 @@ func TestEngineKeysAndRange(t *testing.T) {
 func TestShardedConcurrentSnapshotDoesNotBlockWrites(t *testing.T) {
 	eng := NewSharded(Options{Shards: 16})
 	for i := 0; i < 10_000; i++ {
-		eng.Set(fmt.Sprintf("seed-%d", i), []byte("x"), 0)
+		eng.Set(fmt.Sprintf("seed-%d", i), []byte("x"))
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -308,7 +269,7 @@ func TestShardedConcurrentSnapshotDoesNotBlockWrites(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 2_000; i++ {
-				eng.Set(fmt.Sprintf("w%d-%d", w, i), []byte("y"), 0)
+				eng.Set(fmt.Sprintf("w%d-%d", w, i), []byte("y"))
 			}
 		}(w)
 	}

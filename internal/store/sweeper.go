@@ -6,8 +6,7 @@ import (
 )
 
 // Sweeper runs an engine's Sweep on a fixed interval in the
-// background, reaping expired entries that no read has touched and
-// garbage-collecting aged-out tombstones. One sweeper per engine is
+// background, garbage-collecting aged-out tombstones. One sweeper per engine is
 // plenty; Sweep itself is safe to run concurrently with everything
 // else.
 type Sweeper struct {
@@ -19,7 +18,7 @@ type Sweeper struct {
 // StartSweeper begins sweeping e every interval (default one second),
 // scanning roughly limit entries per pass (limit <= 0 sweeps the whole
 // store each time). What it removes is counted where every Sweep is:
-// store.sweep.expired and store.sweep.purged.
+// store.sweep.purged.
 func StartSweeper(e Engine, interval time.Duration, limit int) *Sweeper {
 	if interval <= 0 {
 		interval = time.Second

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 	"unsafe"
 )
 
@@ -29,15 +28,11 @@ type table struct {
 	// one, so both count toward the 7/8 limit. n counts full slots, the
 	// resident entries.
 	used, n int
-	// now is the wall-time source, consulted lazily: an entry with no
-	// TTL never costs a clock read on the hot path.
-	now func() time.Time
 	// touch notifies the engine's Merkle tree that key's raw entry
 	// changed; every mutation of the slots must call it (never nil).
 	touch func(key string)
-	// live counts non-tombstone entries. An entry that expired but has
-	// not been lazily tombstoned or swept still counts; the invariant
-	// is live == number of entries with Tombstone == false.
+	// live counts non-tombstone entries: live == number of entries
+	// with Tombstone == false.
 	live int
 }
 
@@ -67,8 +62,8 @@ const (
 // of a shard shares them.
 var slotSeed = maphash.MakeSeed()
 
-func newTable(now func() time.Time, touch func(key string)) table {
-	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), now: now, touch: touch}
+func newTable(touch func(key string)) table {
+	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), touch: touch}
 }
 
 // find probes for key. It returns key's slot and true or, when key is
@@ -176,7 +171,7 @@ func (t *table) resize() {
 // A record is one entry's key, value and metadata in a single
 // allocation:
 //
-//	flags(1) | klen(2) | vlen(4) | expireAt(8, only when set) | key | value
+//	flags(1) | klen(2) | vlen(4) | key | value
 //
 // little-endian, klen widening to 4 bytes for a key over 64 KiB. A
 // 9-byte key and a 128-byte value make exactly the 144-byte size class.
@@ -200,7 +195,6 @@ type rec struct {
 
 const (
 	flagTombstone = 1 << iota
-	flagExpires
 	flagLongKey
 	// flagPurge marks a log record that removes its key outright; it
 	// is never installed in a table.
@@ -221,9 +215,6 @@ func appendRec(dst []byte, key string, e Entry, flags byte) []byte {
 	if len(key) > math.MaxUint16 {
 		flags |= flagLongKey
 	}
-	if e.ExpireAt != 0 {
-		flags |= flagExpires
-	}
 	hdr, lw := header(flags)
 	size := hdr + len(key) + len(e.Value)
 	if dst == nil {
@@ -239,9 +230,6 @@ func appendRec(dst []byte, key string, e Entry, flags byte) []byte {
 		binary.LittleEndian.PutUint32(b[1:], uint32(len(key)))
 	}
 	binary.LittleEndian.PutUint32(b[1+lw:], uint32(len(e.Value)))
-	if e.ExpireAt != 0 {
-		binary.LittleEndian.PutUint64(b[hdr-8:], uint64(e.ExpireAt))
-	}
 	copy(b[hdr:], key)
 	copy(b[hdr+len(key):], e.Value)
 	return dst
@@ -260,9 +248,6 @@ func header(flags byte) (hdr, lw int) {
 	hdr, lw = baseHeader, 2
 	if flags&flagLongKey != 0 {
 		hdr, lw = hdr+2, 4
-	}
-	if flags&flagExpires != 0 {
-		hdr += 8
 	}
 	return hdr, lw
 }
@@ -314,54 +299,22 @@ func (r rec) entry() Entry {
 	flags, hdr, klen, vlen := r.layout()
 	b := unsafe.Slice(r.p, hdr+klen+vlen)
 	e := Entry{Version: r.ver, Tombstone: flags&flagTombstone != 0}
-	if flags&flagExpires != 0 {
-		e.ExpireAt = int64(binary.LittleEndian.Uint64(b[hdr-8:]))
-	}
 	if vlen > 0 {
 		e.Value = b[hdr+klen : len(b) : len(b)]
 	}
 	return e
 }
 
-// liveNow reports whether e is readable, reading the wall clock only
-// when e actually carries an expiry.
-func (t *table) liveNow(e Entry) bool {
-	if e.Tombstone {
-		return false
-	}
-	return e.ExpireAt == 0 || t.now().UnixNano() < e.ExpireAt
-}
-
-// get returns key's live entry, lazily converting an expired one into
-// a tombstone: the tombstone keeps the entry's version and expiry, so
-// the expiry propagates through merge like a delete would, and a stale
-// immortal copy on another replica can never resurrect the value (the
-// hole outright deletion used to leave). The sweeper reaps it at the
-// GC horizon.
+// get returns key's live entry: a tombstone misses.
 func (t *table) get(key string) (Entry, bool) {
 	i, _, ok := t.find(key)
-	if !ok {
+	if !ok || t.slots[i].tombstone() {
 		return Entry{}, false
 	}
-	e := t.slots[i].entry()
-	if e.Tombstone {
-		return Entry{}, false
-	}
-	if e.ExpireAt != 0 && t.now().UnixNano() >= e.ExpireAt {
-		t.expire(i, e)
-		return Entry{}, false
-	}
-	return e, true
+	return t.slots[i].entry(), true
 }
 
-// expire converts slot i's expired value entry e into its expiry
-// tombstone.
-func (t *table) expire(i int, e Entry) {
-	r := newRec(t.slots[i].key(), Entry{Version: e.Version, Tombstone: true, ExpireAt: e.ExpireAt})
-	t.replace(i, t.tags[i], r)
-}
-
-// load returns the raw entry, tombstones and expired entries included.
+// load returns the raw entry, tombstones included.
 func (t *table) load(key string) (Entry, bool) {
 	i, _, ok := t.find(key)
 	if !ok {
@@ -372,16 +325,16 @@ func (t *table) load(key string) (Entry, bool) {
 
 // set installs a value entry (a record holding a copy of val) at
 // version ver.
-func (t *table) set(key string, val []byte, ver uint64, expireAt int64) {
+func (t *table) set(key string, val []byte, ver uint64) {
 	i, tag, _ := t.find(key)
-	t.replace(i, tag, newRec(key, Entry{Value: val, Version: ver, ExpireAt: expireAt}))
+	t.replace(i, tag, newRec(key, Entry{Value: val, Version: ver}))
 }
 
 // del installs a tombstone at version ver and reports whether a live
 // value was displaced.
 func (t *table) del(key string, ver uint64) bool {
 	i, tag, had := t.find(key)
-	existed := had && t.liveNow(t.slots[i].entry())
+	existed := had && !t.slots[i].tombstone()
 	t.replace(i, tag, newRec(key, Entry{Version: ver, Tombstone: true}))
 	return existed
 }
@@ -450,40 +403,24 @@ func (t *table) scan(want []bool, fn func(b int, key string, e Entry) bool) bool
 	return true
 }
 
-// sweep scans the whole table, converting expired value entries into
-// expiry tombstones and garbage-collecting tombstones older than the
-// GC horizon. A delete tombstone ages from its version's wall-clock
-// bits; an expiry tombstone from max(write wall time, ExpireAt), so it
-// survives long enough for every replica to have expired its own copy.
-// onPurge (may be nil) fires for each GC'd tombstone while the
-// enclosing lock is still held — the persistent engine logs the purge
-// there so a reopen cannot resurrect a collected tombstone. Expiry
-// conversions are deliberately not reported: they are deterministic
-// from the stored ExpireAt, so replay re-derives them for free. Both
-// rewrite the slot they stand on, so the walk meets every entry once.
-func (t *table) sweep(now, gcBeforeMillis int64, onPurge func(key string)) (expired, purged int) {
+// sweep scans the whole table, garbage-collecting tombstones whose
+// version's wall-clock bits are older than the GC horizon. onPurge
+// (may be nil) fires for each GC'd tombstone while the enclosing lock
+// is still held — the persistent engine logs the purge there so a
+// reopen cannot resurrect a collected tombstone. remove leaves the
+// slot it empties where it is, so the walk meets every entry once.
+func (t *table) sweep(gcBeforeMillis int64, onPurge func(key string)) (purged int) {
 	for i, tag := range t.tags {
 		if tag&tagFull == 0 {
 			continue
 		}
-		e := t.slots[i].entry()
-		switch {
-		case e.Tombstone:
-			age := WallMillis(e.Version)
-			if expMillis := e.ExpireAt / int64(time.Millisecond); expMillis > age {
-				age = expMillis
+		if r := t.slots[i]; r.tombstone() && WallMillis(r.ver) < gcBeforeMillis {
+			k := t.remove(i)
+			if onPurge != nil {
+				onPurge(k)
 			}
-			if age < gcBeforeMillis {
-				k := t.remove(i)
-				if onPurge != nil {
-					onPurge(k)
-				}
-				purged++
-			}
-		case e.ExpireAt != 0 && now >= e.ExpireAt:
-			t.expire(i, e)
-			expired++
+			purged++
 		}
 	}
-	return expired, purged
+	return purged
 }

@@ -29,19 +29,14 @@ func TestValueSurvivesItsKey(t *testing.T) {
 	const key = "subject"
 	want := []byte("value-of-odd-length-25-b.") // a copy by append would round its capacity up
 	mutations := map[string]func(eng Engine, ft *fakeTime){
-		"overwritten": func(eng Engine, _ *fakeTime) { eng.Set(key, []byte("another value"), 0) },
+		"overwritten": func(eng Engine, _ *fakeTime) { eng.Set(key, []byte("another value")) },
 		"merged over": func(eng Engine, _ *fakeTime) {
 			eng.Merge(key, Entry{Value: []byte("a newer value"), Version: eng.Clock().Next() + 1})
 		},
 		"deleted": func(eng Engine, _ *fakeTime) { eng.Delete(key) },
 		"purged":  func(eng Engine, _ *fakeTime) { eng.Purge(key, math.MaxUint64) },
-		"expired": func(eng Engine, ft *fakeTime) {
-			ft.advance(time.Hour)
-			eng.Get(key)
-		},
 		"swept": func(eng Engine, ft *fakeTime) {
-			ft.advance(3 * time.Hour)
-			eng.Sweep(0) // expired into a tombstone
+			eng.Delete(key)
 			ft.advance(3 * time.Hour)
 			eng.Sweep(0) // the tombstone collected
 		},
@@ -51,7 +46,7 @@ func TestValueSurvivesItsKey(t *testing.T) {
 			t.Run(mname+"/"+ename, func(t *testing.T) {
 				ft := newFakeTime()
 				eng := engines(ft)[ename]
-				eng.Set(key, want, time.Minute)
+				eng.Set(key, want)
 				var held [][]byte
 				e, _ := eng.Get(key)
 				held = append(held, e.Value)
@@ -68,7 +63,7 @@ func TestValueSurvivesItsKey(t *testing.T) {
 				}
 				mutate(eng, ft)
 				for i := 0; i < 2000; i++ { // reuse what the mutation freed
-					eng.Set(fmt.Sprintf("churn-%d", i), bytes.Repeat([]byte{0xDB}, len(want)), 0)
+					eng.Set(fmt.Sprintf("churn-%d", i), bytes.Repeat([]byte{0xDB}, len(want)))
 				}
 				runtime.GC()
 				runtime.GC()
@@ -86,8 +81,8 @@ func TestValueSurvivesItsKey(t *testing.T) {
 // TestRecordKeyReadBack: every probe hit compares the caller's key with
 // the one read back out of a record, and every listing hands that key
 // out, so a key must read back byte-exact whatever its record's header
-// looks like — empty, 9 bytes, or past 64 KiB (the 4-byte klen), with
-// and without an expiry, and as a tombstone.
+// looks like — empty, 9 bytes, or past 64 KiB (the 4-byte klen), and
+// as a tombstone.
 func TestRecordKeyReadBack(t *testing.T) {
 	keys := map[string]string{
 		"empty":   "",
@@ -98,25 +93,14 @@ func TestRecordKeyReadBack(t *testing.T) {
 	// Each write leaves one entry under k and reports whether it is a
 	// tombstone.
 	writes := map[string]func(eng Engine, ft *fakeTime, k string) bool{
-		"Set":     func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val, 0); return false },
-		"Set+TTL": func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val, time.Hour); return false },
+		"Set": func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val); return false },
 		"Delete": func(eng Engine, _ *fakeTime, k string) bool {
-			eng.Set(k, val, 0)
+			eng.Set(k, val)
 			eng.Delete(k)
-			return true
-		},
-		"expired": func(eng Engine, ft *fakeTime, k string) bool {
-			eng.Set(k, val, time.Minute)
-			ft.advance(time.Hour)
-			eng.Get(k) // the expiry tombstone: tombstone and expiry flags
 			return true
 		},
 		"Merge": func(eng Engine, _ *fakeTime, k string) bool {
 			eng.Merge(k, Entry{Value: val, Version: eng.Clock().Next()})
-			return false
-		},
-		"Merge+expiry": func(eng Engine, ft *fakeTime, k string) bool {
-			eng.Merge(k, Entry{Value: val, Version: eng.Clock().Next(), ExpireAt: ft.now().Add(time.Hour).UnixNano()})
 			return false
 		},
 		"Merge tombstone": func(eng Engine, _ *fakeTime, k string) bool {
@@ -155,7 +139,7 @@ func TestRecordKeyReadBack(t *testing.T) {
 					if _, applied := eng.Merge(k, Entry{Value: val, Version: 1}); applied {
 						t.Fatal("a stale Merge was applied: it did not find the resident entry")
 					}
-					eng.Set(k, []byte("again"), 0)
+					eng.Set(k, []byte("again"))
 					if live, tombs := eng.Counts(); live != 1 || tombs != 0 {
 						t.Fatalf("after an overwrite: %d live, %d tombstones, want the one entry", live, tombs)
 					}
@@ -193,7 +177,7 @@ func TestTableChurnStaysBounded(t *testing.T) {
 	val := make([]byte, 8)
 	for _, resident := range []int{1, 6, 7, 100, 895, 896} {
 		t.Run(fmt.Sprint(resident), func(t *testing.T) {
-			tb := newTable(time.Now, func(string) {})
+			tb := newTable(func(string) {})
 			bound := slotBound(resident + 1) // each insert precedes its purge
 			tomb := map[string]bool{}        // the model: resident key → is a tombstone
 			var order []string
@@ -205,7 +189,7 @@ func TestTableChurnStaysBounded(t *testing.T) {
 				if tomb[k] {
 					tb.del(k, uint64(next))
 				} else {
-					tb.set(k, val, uint64(next), 0)
+					tb.set(k, val, uint64(next))
 				}
 				order = append(order, k)
 			}
@@ -250,21 +234,20 @@ func TestTableChurnStaysBounded(t *testing.T) {
 	}
 }
 
-// TestTableSweepVisitsEachEntryOnce: a sweep rewrites or removes the
-// slot it stands on as it walks, so it must meet every entry exactly
-// once. An expired value here becomes a tombstone already past the GC
-// horizon, which a walk that met it again would collect in the same
-// pass; deleted slots from earlier purges sit among the entries.
+// TestTableSweepVisitsEachEntryOnce: a sweep removes the slot it
+// stands on as it walks, so it must meet every entry exactly once —
+// old tombstones collected once each, values and young tombstones
+// kept — with deleted slots from earlier purges among the entries.
 func TestTableSweepVisitsEachEntryOnce(t *testing.T) {
 	ft := newFakeTime()
 	now := ft.now()
 	version := func(age time.Duration) uint64 { return uint64(now.Add(-age).UnixMilli()) << logicalBits }
-	tb := newTable(ft.now, func(string) {})
+	tb := newTable(func(string) {})
 	const n = 500
 	for i := 0; i < n; i++ {
-		tb.set(fmt.Sprintf("filler-%d", i), []byte("v"), version(0), 0)
-		tb.set(fmt.Sprintf("value-%d", i), []byte("v"), version(0), 0)
-		tb.set(fmt.Sprintf("expired-%d", i), []byte("v"), version(time.Hour), now.Add(-30*time.Minute).UnixNano())
+		tb.set(fmt.Sprintf("filler-%d", i), []byte("v"), version(0))
+		tb.set(fmt.Sprintf("value-%d", i), []byte("v"), version(0))
+		tb.set(fmt.Sprintf("old-value-%d", i), []byte("v"), version(time.Hour))
 		tb.del(fmt.Sprintf("old-tomb-%d", i), version(time.Hour))
 		tb.del(fmt.Sprintf("new-tomb-%d", i), version(0))
 	}
@@ -273,21 +256,20 @@ func TestTableSweepVisitsEachEntryOnce(t *testing.T) {
 	}
 	purgedKeys := map[string]int{}
 	gcBefore := now.Add(-time.Minute).UnixMilli()
-	expired, purged := tb.sweep(now.UnixNano(), gcBefore, func(k string) { purgedKeys[k]++ })
-	if expired != n || purged != n || len(purgedKeys) != n {
-		t.Fatalf("sweep expired %d and purged %d (%d distinct keys), want %d each", expired, purged, len(purgedKeys), n)
+	if purged := tb.sweep(gcBefore, func(k string) { purgedKeys[k]++ }); purged != n || len(purgedKeys) != n {
+		t.Fatalf("sweep purged %d (%d distinct keys), want %d", purged, len(purgedKeys), n)
 	}
 	for k, times := range purgedKeys {
 		if !strings.HasPrefix(k, "old-tomb-") || times != 1 {
 			t.Fatalf("sweep purged %s %d times; want only the old tombstones, once each", k, times)
 		}
 	}
-	if tb.size() != 3*n || tb.live != n {
-		t.Fatalf("after the sweep: size %d, live %d; want %d, %d", tb.size(), tb.live, 3*n, n)
+	if tb.size() != 3*n || tb.live != 2*n {
+		t.Fatalf("after the sweep: size %d, live %d; want %d, %d", tb.size(), tb.live, 3*n, 2*n)
 	}
-	// The expiry tombstones are collected by the next pass.
-	if expired, purged := tb.sweep(now.UnixNano(), gcBefore, nil); expired != 0 || purged != n || tb.size() != 2*n {
-		t.Fatalf("second sweep expired %d, purged %d, left %d; want 0, %d, %d", expired, purged, tb.size(), n, 2*n)
+	// Nothing is left for the next pass.
+	if purged := tb.sweep(gcBefore, nil); purged != 0 || tb.size() != 3*n {
+		t.Fatalf("second sweep purged %d, left %d; want 0, %d", purged, tb.size(), 3*n)
 	}
 }
 
@@ -338,12 +320,11 @@ func TestOneAllocationPerRecord(t *testing.T) {
 	val := make([]byte, 128)
 	for name, eng := range engines(newFakeTime()) {
 		t.Run(name, func(t *testing.T) {
-			eng.Set("k", val, 0)
+			eng.Set("k", val)
 			writes := map[string]func(){
-				"Set":     func() { eng.Set("k", val, 0) },
-				"Set+TTL": func() { eng.Set("k", val, time.Hour) },
-				"Merge":   func() { eng.Merge("k", Entry{Value: val, Version: eng.Clock().Next()}) },
-				"Delete":  func() { eng.Delete("k") },
+				"Set":    func() { eng.Set("k", val) },
+				"Merge":  func() { eng.Merge("k", Entry{Value: val, Version: eng.Clock().Next()}) },
+				"Delete": func() { eng.Delete("k") },
 			}
 			for wname, write := range writes {
 				if got := testing.AllocsPerRun(100, write); got != 1 {
@@ -359,7 +340,7 @@ func TestOneAllocationPerRecord(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			for i, k := range keys {
 				if i%2 == 0 {
-					eng.Set(k, val, 0)
+					eng.Set(k, val)
 				} else {
 					eng.Merge(k, Entry{Value: val, Version: uint64(i)})
 				}

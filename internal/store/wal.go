@@ -33,8 +33,7 @@ import (
 // Each segment starts with an 8-byte magic, then one frame per record:
 //
 //	u32 CRC-32C of the rest | u64 version | record
-//	record = flags(1) | klen(2, or 4 past 64 KiB) | vlen(4) |
-//	         expireAt(8, only with flagExpires) | key | value
+//	record = flags(1) | klen(2, or 4 past 64 KiB) | vlen(4) | key | value
 //
 // The record is the table's own (table.go), byte for byte, plus one
 // flag only the log sets: flagPurge, a record that removes its key. The
@@ -167,7 +166,7 @@ const (
 	snapMagic = "PDCSNP2\n"
 	magicLen  = 8
 	frameHead = 4 + 8                  // u32 crc + u64 version
-	minFrame  = frameHead + baseHeader // an empty key and value, no expiry
+	minFrame  = frameHead + baseHeader // an empty key and value
 
 	// walFlushBytes bounds the in-memory log buffer: the writer that
 	// grows it past this writes it out, so one write syscall carries
@@ -208,7 +207,7 @@ var (
 // means b ends mid-frame (a crash mid-append), and comes with how long
 // b must be to tell more. errCorruptRecord means a bad CRC or a record
 // header no encoder writes: an unknown flag, a tombstone or purge
-// carrying a value, a wide klen for a short key, or a zero expiry.
+// carrying a value, or a wide klen for a short key.
 func decodeFrame(b []byte) (rec, int, error) {
 	if len(b) < minFrame {
 		return rec{}, minFrame, errTornRecord
@@ -225,8 +224,7 @@ func decodeFrame(b []byte) (rec, int, error) {
 	n := frameHead + hdr + klen + vlen
 	switch {
 	case flags&(flagTombstone|flagPurge) != 0 && vlen > 0,
-		flags&flagLongKey != 0 && klen <= math.MaxUint16,
-		flags&flagExpires != 0 && binary.LittleEndian.Uint64(b[frameHead+hdr-8:]) == 0:
+		flags&flagLongKey != 0 && klen <= math.MaxUint16:
 		return rec{}, 0, errCorruptRecord
 	case len(b) < n:
 		return rec{}, n, errTornRecord

@@ -82,10 +82,10 @@ var codecCases = []struct {
 	purge bool
 }{
 	{"k", Entry{Value: []byte("v"), Version: 1}, false},
-	{"ttl", Entry{Value: []byte("mortal"), Version: 3, ExpireAt: 1 << 62}, false},
-	{"", Entry{Value: nil, Version: 42, ExpireAt: 12345}, false},
+	{"max", Entry{Value: []byte("newest"), Version: math.MaxUint64}, false},
+	{"", Entry{Value: nil, Version: 42}, false},
 	{"empty-value", Entry{Version: 7}, false},
-	{"tomb", Entry{Version: 9, Tombstone: true, ExpireAt: 99}, false},
+	{"tomb", Entry{Version: 9, Tombstone: true}, false},
 	{"purged", Entry{}, true},
 	{string(bytes.Repeat([]byte("K"), 300)), Entry{Value: bytes.Repeat([]byte("V"), 4096), Version: 1 << 60}, false},
 }
@@ -178,11 +178,10 @@ func TestWALBytesPerRecord(t *testing.T) {
 		write func()
 		want  int64
 	}{
-		{"Set", func() { s.Set(key, val, 0) }, 156},
-		{"Set with a TTL", func() { s.Set(key, val, time.Hour) }, 164},
+		{"Set", func() { s.Set(key, val) }, 156},
 		{"Delete", func() { s.Delete(key) }, 28},
 		{"sweep purge", func() { ft.advance(2 * time.Minute); s.Sweep(0) }, 28},
-		{"Set of a 64 KiB + 1 key", func() { s.Set(long, val, 0) }, 156 + int64(len(long)-len(key)) + 2},
+		{"Set of a 64 KiB + 1 key", func() { s.Set(long, val) }, 156 + int64(len(long)-len(key)) + 2},
 	} {
 		if got := grew("store.wal.append_bytes", c.write); got != c.want {
 			t.Errorf("%s logged %d bytes, want %d", c.name, got, c.want)
@@ -191,7 +190,7 @@ func TestWALBytesPerRecord(t *testing.T) {
 	s.Purge(long, math.MaxUint64)
 	const n = 100
 	for i := 0; i < n; i++ {
-		s.Set(fmt.Sprintf("k%08d", i), val, 0)
+		s.Set(fmt.Sprintf("k%08d", i), val)
 	}
 	if got, want := grew("store.wal.snapshot_bytes", func() { s.Snapshot() }), int64(magicLen+4+n*156); got != want {
 		t.Errorf("a checkpoint of %d entries wrote %d bytes, want %d", n, got, want)
@@ -211,12 +210,11 @@ func TestWALBasicDurability(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < 200; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)), 0)
+		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
 	}
 	for i := 0; i < 50; i++ {
 		s.Delete(fmt.Sprintf("key-%d", i))
 	}
-	s.Set("ttl-key", []byte("mortal"), time.Minute)
 	s.Merge("merged", Entry{Value: []byte("riding-in"), Version: s.Clock().Next()})
 	s.Purge("key-60", math.MaxUint64)
 	var maxVer uint64
@@ -246,7 +244,7 @@ func TestWALBasicDurability(t *testing.T) {
 	if rec.TornBytes != 0 {
 		t.Fatalf("clean close left %d torn bytes", rec.TornBytes)
 	}
-	if v := r.Set("post-restart", []byte("x"), 0); v <= maxVer {
+	if v := r.Set("post-restart", []byte("x")); v <= maxVer {
 		t.Fatalf("post-restart version %d not above recovered max %d", v, maxVer)
 	}
 }
@@ -268,7 +266,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.Set(fmt.Sprintf("w%d-%d", g, i), []byte(fmt.Sprintf("v%d-%d", g, i)), 0)
+				s.Set(fmt.Sprintf("w%d-%d", g, i), []byte(fmt.Sprintf("v%d-%d", g, i)))
 			}
 		}(g)
 	}
@@ -358,7 +356,7 @@ func openFault(t *testing.T, dir string, policy FsyncPolicy, n int) (*Sharded, *
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		s.Set(fmt.Sprintf("pre-%d", i), []byte(fmt.Sprintf("val-%d", i)), 0)
+		s.Set(fmt.Sprintf("pre-%d", i), []byte(fmt.Sprintf("val-%d", i)))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatalf("sync prelude: %v", err)
@@ -382,7 +380,7 @@ func TestWALFaultInjection(t *testing.T) {
 		dir := t.TempDir()
 		s, fs, pre := openFault(t, dir, FsyncInterval, 10)
 		fs.set(nil, true, nil)
-		s.Set("lost", []byte("half-written"), 0)
+		s.Set("lost", []byte("half-written"))
 		// The record sits in the log buffer until a flush point; the
 		// manual barrier forces one and must surface the short write.
 		err := s.Sync()
@@ -391,7 +389,7 @@ func TestWALFaultInjection(t *testing.T) {
 			t.Fatalf("want sticky WALError{Op: write, short write}, got %v", err)
 		}
 		// Sticky: the next write must not pretend the log is healthy.
-		s.Set("after", []byte("x"), 0)
+		s.Set("after", []byte("x"))
 		if s.Err() == nil {
 			t.Fatal("error did not stick")
 		}
@@ -411,7 +409,7 @@ func TestWALFaultInjection(t *testing.T) {
 		dir := t.TempDir()
 		s, fs, pre := openFault(t, dir, FsyncInterval, 10)
 		fs.set(syscall.ENOSPC, false, nil)
-		s.Set("lost", []byte("no space"), 0)
+		s.Set("lost", []byte("no space"))
 		err := s.Sync()
 		var we *WALError
 		if !errors.As(err, &we) || !errors.Is(err, syscall.ENOSPC) {
@@ -426,7 +424,7 @@ func TestWALFaultInjection(t *testing.T) {
 		dir := t.TempDir()
 		s, fs, _ := openFault(t, dir, FsyncAlways, 10)
 		fs.set(nil, false, errors.New("simulated fsync failure"))
-		s.Set("unacked", []byte("v"), 0)
+		s.Set("unacked", []byte("v"))
 		err := s.Err()
 		var we *WALError
 		if !errors.As(err, &we) || we.Op != "sync" {
@@ -436,7 +434,7 @@ func TestWALFaultInjection(t *testing.T) {
 		// write must return promptly (poisoned, not blocked).
 		done := make(chan struct{})
 		go func() {
-			s.Set("also-unacked", []byte("v"), 0)
+			s.Set("also-unacked", []byte("v"))
 			close(done)
 		}()
 		select {
@@ -467,7 +465,7 @@ func TestWALFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		s.Set("k", []byte("v"), 0)
+		s.Set("k", []byte("v"))
 		pre := rawState(s)
 		err = s.Snapshot()
 		var we *WALError
@@ -498,7 +496,7 @@ func TestWALFaultInjection(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
 					k, v := fmt.Sprintf("g%d-%d", g, i), fmt.Sprintf("v%d-%d", g, i)
-					s.Set(k, []byte(v), 0)
+					s.Set(k, []byte(v))
 					mu.Lock()
 					written[k] = v
 					mu.Unlock()
@@ -557,7 +555,7 @@ func BenchmarkWALSet(b *testing.B) {
 	val := make([]byte, 128)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%08d", i)
-		s.Set(keys[i], val, 0)
+		s.Set(keys[i], val)
 	}
 	if err := s.Sync(); err != nil {
 		b.Fatal(err)
@@ -566,7 +564,7 @@ func BenchmarkWALSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Set(keys[i%len(keys)], val, 0)
+		s.Set(keys[i%len(keys)], val)
 	}
 	b.StopTimer()
 	if err := s.Sync(); err != nil {
@@ -592,7 +590,7 @@ func TestWALOneLogOneFsync(t *testing.T) {
 			touched := map[*shard]bool{}
 			for i := 0; len(touched) < shards; i++ {
 				k := fmt.Sprintf("key-%d", i)
-				s.Set(k, []byte("v"), 0)
+				s.Set(k, []byte("v"))
 				touched[s.shardFor(k)] = true
 			}
 			before := counter("store.wal.fsyncs")
@@ -674,7 +672,7 @@ func TestWALGroupCommitAcrossShards(t *testing.T) {
 		go func(ks []string) {
 			defer wg.Done()
 			for _, k := range ks {
-				s.Set(k, []byte(k), 0)
+				s.Set(k, []byte(k))
 			}
 		}(keys[g])
 	}

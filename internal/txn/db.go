@@ -64,7 +64,7 @@ func decInt(b []byte, ok bool) int64 {
 // a later rollback) because nothing orders the two. The old DB-wide
 // mutex hid that race by accident; the contract is now explicit.
 func (db *DB) Set(key string, v int64) {
-	db.eng.Set(key, encInt(v), 0)
+	db.eng.Set(key, encInt(v))
 }
 
 // ReadCommitted returns a key's committed value outside any transaction.
@@ -140,7 +140,7 @@ func (t *Txn) Put(key string, v int64) error {
 	}
 	e, had := t.db.eng.Get(key)
 	t.undo = append(t.undo, undoRec{key: key, prev: decInt(e.Value, had), had: had})
-	t.db.eng.Set(key, encInt(v), 0)
+	t.db.eng.Set(key, encInt(v))
 	t.db.history.Record(t.id, OpWrite, key)
 	return nil
 }
@@ -181,7 +181,7 @@ func (t *Txn) rollback() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := t.undo[i]
 		if u.had {
-			t.db.eng.Set(u.key, encInt(u.prev), 0)
+			t.db.eng.Set(u.key, encInt(u.prev))
 		} else {
 			t.db.eng.Delete(u.key)
 		}

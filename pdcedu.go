@@ -14,9 +14,9 @@
 // The store substrate is the data layer everything key-value stands
 // on: a pluggable storage engine whose sharded implementation puts
 // each slice of the key space behind its own lock, stamps every entry
-// with a hybrid-logical-clock version, tombstones both deletes and
-// TTL expiries (with bounded GC), resolves concurrent writes by
-// last-writer-wins merge, and maintains an incremental Merkle digest
+// with a hybrid-logical-clock version, tombstones deletes (with
+// bounded GC), resolves concurrent writes by last-writer-wins merge,
+// and maintains an incremental Merkle digest
 // over its entries — the csnet KV handler, the dist cluster's
 // backends, and the txn transactional store all share it (see the
 // README "Storage engine" section). The engine is durable on demand:
