@@ -6,7 +6,8 @@ import (
 	"fmt"
 )
 
-// Batch is how a burst of versioned writes travels to one server: Add
+// Batch is how a burst of versioned requests — a coordinator's writes,
+// reads, merges and purges — travels to one server: Add
 // encodes each request straight into the frame being built, a frame
 // goes out when the next entry would take it past muxBufSize (so both
 // ends' free lists recycle its buffer and no frame nears MaxFrameSize)
@@ -16,9 +17,11 @@ import (
 // Client.Send would have written — the choice is the size of the group
 // and nothing else. Either way a frame takes one Pending and one reply
 // body, however many entries it carries, and both are the transport's:
-// NextV copies out of a reply the one part a caller can keep, an
-// error's text, and hands the Pending and body back once the frame's
-// last entry is read, so a burst allocates neither.
+// NextV copies out of a reply the parts a caller can keep, a read's
+// value and an error's text, and hands the Pending and body back once
+// the frame's last entry is read, so a burst allocates neither. A
+// key's entry rides Batch; a node-wide query (TreeV, RangeV, Stats,
+// Traces, gossip) rides Call.
 //
 // The zero Batch is not usable; get one from Client.Batch. A Batch is
 // for one goroutine and one burst: Add…, Send, then NextV once per Add.

@@ -38,7 +38,8 @@ func respErr(what string, resp Response) error {
 // Client is a framed-protocol TCP client over a single pipelined,
 // multiplexed connection. It is safe for concurrent use: N callers
 // share the connection with N requests in flight, instead of
-// serializing lock-step round trips.
+// serializing lock-step round trips. A key's entry rides Batch; a
+// node-wide query (TreeV, RangeV, Stats, Traces, gossip) rides Call.
 type Client struct {
 	m *muxConn
 }
@@ -297,7 +298,7 @@ func (c *Client) Stats() (obs.Snapshot, error) {
 // Traces fetches spans from the server's trace recorder: mode is one
 // of the TraceQuery constants, id the trace ID for TraceQueryID (0
 // otherwise). Spans from many nodes assemble into cross-node trees
-// via trace.Assemble (see dist.Cluster.ClusterTrace).
+// via trace.Assemble.
 func (c *Client) Traces(mode byte, id uint64) ([]trace.Span, error) {
 	resp, err := c.Do(Request{Op: OpTraces, Value: EncodeTraceQuery(mode, id)})
 	if err != nil {

@@ -43,17 +43,17 @@ const muxIdleWindow = time.Second
 //   - the dst a server hands ServeFrame to append the response to;
 //   - a Batch frame's reply body, released by the Batch together with
 //     the frame's Pending (getPending/putPending) once the frame's last
-//     entry has been decoded. A write's reply is a status and a version;
-//     the one part of it a caller can keep, an error's text, is copied
-//     out, so no Response a Batch returns aliases the body.
+//     entry has been decoded. The parts of a reply a caller can keep —
+//     a read's value, an error's text — are copied out, so no Response
+//     a Batch returns aliases the body.
 //
 // Everything else a caller can hold is a plain allocation made for it
 // and never reused: the *Call of Send, the *Pending of SendFrame, and
-// their reply bodies (a read's body is the value Get returns and the
-// read cache keeps). A buffer or Pending that misses its release — a
-// dying connection's backlog, an abandoned Batch — is ordinary
-// garbage, so no path has to release to stay correct; none may release
-// early.
+// their reply bodies (a node-wide query's reply is what its decoder
+// aliases: a RangeV listing's keys, say). A buffer or Pending that
+// misses its release — a dying connection's backlog, an abandoned
+// Batch — is ordinary garbage, so no path has to release to stay
+// correct; none may release early.
 //
 // Decoders do not copy out of the bytes they decode (aliasString):
 //

@@ -82,10 +82,9 @@ const (
 	// OpTraces asks the server for spans from its trace recorder: the
 	// request Value is an EncodeTraceQuery (all spans, one trace by ID,
 	// or only pinned slow traces), the response Value a
-	// trace.EncodeSpans list. It is the wire leg of the cluster trace
-	// plane — dist.Cluster.ClusterTrace / SlowTraces fan it out over
-	// the existing mux and assemble the replies into cross-node span
-	// trees. Key is unused.
+	// trace.EncodeSpans list; spans pulled from several nodes assemble
+	// into cross-node trees (trace.Assemble), as bench -traced does.
+	// Key is unused.
 	OpTraces
 	// OpBatch is an envelope, not an operation: the request Value is a
 	// counted sequence of encoded requests (AppendBatchItem), answered

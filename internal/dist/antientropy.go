@@ -30,7 +30,8 @@ type AntiEntropyStats struct {
 	ListingFrames int
 	// KeysListed counts entries received in bucket listings.
 	KeysListed int
-	// ValueFetches counts OpGetV reads issued to resolve divergence.
+	// ValueFetches counts OpGetV reads issued to resolve divergence; a
+	// read asked again alone after its source refused it counts twice.
 	ValueFetches int
 	// Streamed counts entries merged onto stale or missing owners.
 	Streamed int
@@ -69,9 +70,10 @@ type AntiEntropyStats struct {
 //     copies are fetched and ordered by bytes.
 //  4. Streams winners to every owner that is behind, divergent, or
 //     missing the key: tombstones straight from the listing, values as
-//     pipelined OpGetV reads merged with OpMerge — which can never
-//     clobber a write that landed after the listing. A winner stranded
-//     on a non-owner streams onto the owners the same way.
+//     OpGetV reads, one batch per source backend, merged with OpMerge
+//     — which can never clobber a write that landed after the listing.
+//     A winner stranded on a non-owner streams onto the owners the
+//     same way.
 //  5. Purges each non-owner copy (OpPurgeV at its listed version) once
 //     every current owner is confirmed to hold an entry at least as new
 //     — by its own listing, or by a merge of a winner that beats the
@@ -354,10 +356,15 @@ type rescue struct {
 // streamWinners resolves each divergent key to its Entry.Wins winner
 // over every listed copy and merges it onto every owner holding less.
 // Tombstone winners stream straight from the listing; value winners are
-// read once (pipelined per source backend) and merged at the version
-// actually read — which may be newer than the listing's, and merge
-// keeps every target at least that new. Same-version different-digest
-// splits fetch one copy per digest and let Entry.Wins order the bytes.
+// read once and merged at the version actually read — which may be
+// newer than the listing's, and merge keeps every target at least that
+// new. Same-version different-digest splits read one copy per digest
+// and let Entry.Wins order the bytes. The reads ride the batchClients
+// core the data ops use, untraced: each source's share is one burst,
+// and an entry it refuses rather than answers — a burst shed, or
+// declined by a build before OpBatch — is asked once more alone. Only
+// NotFound means the key went since the listing; any other failure is
+// the pass's error.
 //
 // Non-owner copies take part in choosing the winner; only owners whose
 // listing arrived are targets. When every owner of a key was listed,
@@ -368,13 +375,27 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 	type job struct {
 		key     string
 		winner  csnet.KeyDigest
-		source  int     // backend to read a value winner from
-		targets []int   // owners to merge onto
-		rescue  *rescue // the key's strays, when every owner was listed
+		reads   []holderDigest // the copies to read: one per distinct digest at the winner's version
+		targets []int          // owners to merge onto
+		rescue  *rescue        // the key's strays, when every owner was listed
 	}
-	var tombs []job
-	reads := map[int][]job{} // value reads grouped by source backend
-	var splits []job         // same-version digest splits: read from every distinct holder
+	// Each repair merge is a child span of the pass: a waterfall of a
+	// slow pass shows exactly which owners were converged and at what
+	// cost per stream. A merge for a key with strays is remembered by
+	// its place in its backend's burst, so its ack can confirm the owner.
+	mb := mergeBurst{c: c, kind: trace.KindAE}
+	confirms := map[[2]int]*rescue{}
+	merge := func(j job, e store.Entry) {
+		for _, t := range j.targets {
+			if i := mb.send(ctx, t, j.key, e); j.rescue != nil {
+				confirms[[2]int{t, i}] = j.rescue
+			}
+		}
+	}
+	var slots [inlineBackends]clientSlot
+	bc := c.batchClients(&slots)
+	var reads []job
+	var copies []holderDigest // every job's reads, back to back
 	var rescues []*rescue
 	for key, list := range holders {
 		// The Wins-maximal listed copy; splits surface as unordered.
@@ -442,91 +463,66 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 		// one may outlive the group as a read-cache floor
 		// (mergeBurst.send) and would pin that body there, so it gets
 		// its own bytes.
-		j := job{key: strings.Clone(key), winner: winner.entry, source: winner.backend, targets: targets, rescue: r}
-		switch {
-		case split:
-			splits = append(splits, j)
-		case winner.entry.Tombstone:
-			tombs = append(tombs, j)
-		default:
-			reads[winner.backend] = append(reads[winner.backend], j)
+		j := job{key: strings.Clone(key), winner: winner.entry, targets: targets, rescue: r}
+		if winner.entry.Tombstone {
+			// No source read: the listing carries the version.
+			merge(j, store.Entry{Version: j.winner.Version, Tombstone: true})
+			continue
 		}
-	}
-
-	// Each repair merge is a child span of the pass: a waterfall of a
-	// slow pass shows exactly which owners were converged and at what
-	// cost per stream. A merge for a key with strays is remembered by
-	// its place in its backend's burst, so its ack can confirm the owner.
-	mb := mergeBurst{c: c, kind: trace.KindAE}
-	confirms := map[[2]int]*rescue{}
-	merge := func(j job, e store.Entry) {
-		for _, t := range j.targets {
-			if i := mb.send(ctx, t, j.key, e); j.rescue != nil {
-				confirms[[2]int{t, i}] = j.rescue
+		// Every copy at the winner's version is live; without a split
+		// they share one digest, and the first is the winner's own.
+		lo := len(copies)
+		for _, h := range list {
+			if h.entry.Version == winner.entry.Version && clients[h.backend] != nil &&
+				!slices.ContainsFunc(copies[lo:], func(r holderDigest) bool { return r.entry.Digest == h.entry.Digest }) {
+				copies = append(copies, h)
+				bc.add(trace.Context{}, trace.KindAE, h.backend, csnet.Request{Op: csnet.OpGetV, Key: j.key})
+				st.ValueFetches++
 			}
 		}
+		j.reads = copies[lo:len(copies):len(copies)]
+		reads = append(reads, j)
 	}
-	// Tombstones need no source read: the listing carries the version.
-	for _, j := range tombs {
-		merge(j, store.Entry{Version: j.winner.Version, Tombstone: true})
+	bc.flush()
+	// Each source answers in the order it was sent to, so walking the
+	// jobs again pairs every reply with its read.
+	answered := func(resp csnet.Response) bool {
+		return resp.Status == csnet.StatusOK || resp.Status == csnet.StatusNotFound
 	}
-	// Plain value winners: one pipelined GetV burst per source backend.
-	for src, list := range reads {
-		calls := make([]*csnet.Call, len(list))
-		for i, j := range list {
-			calls[i] = clients[src].Send(csnet.Request{Op: csnet.OpGetV, Key: j.key})
-			st.ValueFetches++
-		}
-		for i, j := range list {
-			resp, rerr := calls[i].ResponseV()
-			if rerr != nil {
-				noteErr(src, rerr) // conn poisoned; the next kick retries
-				break
-			}
-			if resp.Status != csnet.StatusOK {
-				continue // deleted since the listing; next pass converges
-			}
-			c.clock.Observe(resp.Version)
-			merge(j, entryOf(resp))
-		}
-	}
-	// Digest splits: fetch one copy per distinct digest and let
-	// Entry.Wins order the actual bytes — the divergence listings alone
-	// could never close. The winner beats exactly the copies whose bytes
-	// arrived, and every older one; a stray holding any other is kept.
-	for _, j := range splits {
-		fetched := map[uint64]bool{}
-		var fetches []*csnet.Call
-		var digests []uint64
-		for _, h := range holders[j.key] {
-			if h.entry.Version != j.winner.Version || h.entry.Tombstone || fetched[h.entry.Digest] || clients[h.backend] == nil {
-				continue
-			}
-			fetched[h.entry.Digest] = true
-			fetches = append(fetches, clients[h.backend].Send(csnet.Request{Op: csnet.OpGetV, Key: j.key}))
-			digests = append(digests, h.entry.Digest)
-			st.ValueFetches++
-		}
+	for _, j := range reads {
 		var best store.Entry
-		have := false
-		for i, call := range fetches {
-			resp, rerr := call.ResponseV()
-			if rerr != nil || resp.Status != csnet.StatusOK {
-				fetched[digests[i]] = false
+		arrived := j.reads[:0] // the copies whose bytes came back, filtered in place
+		for _, h := range j.reads {
+			resp, _, err := bc.next(h.backend)
+			if err == nil && !answered(resp) {
+				resp, err = bc.alone(h.backend, csnet.Request{Op: csnet.OpGetV, Key: j.key})
+				st.ValueFetches++
+			}
+			if err == nil && !answered(resp) {
+				err = statusErr(resp)
+			}
+			if err != nil {
+				noteErr(h.backend, err)
 				continue
 			}
-			c.clock.Observe(resp.Version)
-			e := entryOf(resp)
-			if !have || e.Wins(best) {
-				best, have = e, true
+			if resp.Status == csnet.StatusNotFound {
+				continue // deleted since the listing; the next pass converges
 			}
+			c.clock.Observe(resp.Version)
+			if e := entryOf(resp); len(arrived) == 0 || e.Wins(best) {
+				best = e
+			}
+			arrived = append(arrived, h)
 		}
-		if !have {
-			continue // all holders vanished mid-pass; next pass converges
+		if len(arrived) == 0 {
+			continue
 		}
+		// The winner beats exactly the copies whose bytes arrived, and
+		// every older one; a stray holding any other is kept.
 		if r := j.rescue; r != nil {
 			r.strays = slices.DeleteFunc(r.strays, func(s stray) bool {
-				return s.entry.Version == j.winner.Version && !fetched[s.entry.Digest]
+				return s.entry.Version == j.winner.Version &&
+					!slices.ContainsFunc(arrived, func(h holderDigest) bool { return h.entry.Digest == s.entry.Digest })
 			})
 		}
 		merge(j, best)

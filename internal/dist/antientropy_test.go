@@ -15,7 +15,7 @@ import (
 
 // startKVCluster boots n KV backends (optionally with custom engines)
 // and a cluster over them.
-func startKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine) ([]*csnet.KVHandler, *Cluster) {
+func startKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine) ([]*csnet.KVHandler, *Cluster) {
 	t.Helper()
 	kvs, _, c := startWrappedKVCluster(t, n, cfg, mkEngine, nil)
 	return kvs, c
@@ -24,7 +24,7 @@ func startKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int)
 // startWrappedKVCluster is startKVCluster with each backend's handler
 // passed through wrap (nil: served as is), so a test can watch or
 // break what one backend answers; it also returns the servers.
-func startWrappedKVCluster(t *testing.T, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine,
+func startWrappedKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine,
 	wrap func(i int, kv *csnet.KVHandler) csnet.Handler) ([]*csnet.KVHandler, []*csnet.Server, *Cluster) {
 	t.Helper()
 	kvs := make([]*csnet.KVHandler, n)

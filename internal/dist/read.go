@@ -148,9 +148,9 @@ type readWalk struct {
 }
 
 // readFrom asks set's replicas one round trip at a time, in ring order,
-// until one resolves the read. Each ask is a one-entry Batch of its
-// own: the slot bursts' replies pair with the keys in send order, which
-// a fallback sent in between would break. It dials through fetch's bc,
+// until one resolves the read. Each ask goes alone (batchClients.alone):
+// the slot bursts' replies pair with the keys in send order, which a
+// fallback sent in between would break. It dials through fetch's bc,
 // so a dead replica costs one dial per call, not one per key. When
 // none resolves the read, it is an error if any replica could not
 // answer, and otherwise a miss — cached as a tombstone when the newest
@@ -158,16 +158,12 @@ type readWalk struct {
 // polling a hot value.
 func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
 	for _, b := range set {
-		cl, err := bc.get(b)
-		if err != nil {
+		if _, err := bc.get(b); err != nil {
 			w.err = err
 			continue
 		}
 		sp := c.span(ctx, trace.KindRPC, "GETV", b)
-		batch := cl.Batch()
-		batch.Add(csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
-		batch.Send()
-		resp, err := batch.NextV()
+		resp, err := bc.alone(b, csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
 		if value, ok, done := c.readStep(ctx, key, sess, w, b, resp, err, &sp); done {
 			return value, ok, nil
 		}

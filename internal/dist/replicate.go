@@ -229,6 +229,20 @@ func (bc *batchClients) next(b int) (resp csnet.Response, sp *trace.Active, err 
 	return resp, sp, err
 }
 
+// alone sends req to backend b as a one-entry Batch of its own — a
+// plain frame outside b's burst, whose replies keep their order — and
+// waits for its reply.
+func (bc *batchClients) alone(b int, req csnet.Request) (csnet.Response, error) {
+	cl, err := bc.get(b)
+	if err != nil {
+		return csnet.Response{}, err
+	}
+	batch := cl.Batch()
+	batch.Add(req)
+	batch.Send()
+	return batch.NextV()
+}
+
 // endSpan closes an entry's span once its reply has been judged.
 func endSpan(sp *trace.Active, failed bool) {
 	if sp != nil {

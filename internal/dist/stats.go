@@ -89,29 +89,31 @@ var distM = func() *distMetrics {
 	}
 }()
 
-// askLive puts req to every backend not marked down as one pipelined
-// burst over the existing multiplexed connections and hands each OK
-// reply's body to each. Backends that fail the round trip, answer
-// another status, or send a body each rejects are skipped; the error
-// reports the first such failure (as "cluster <what> on backend N"),
-// alongside whatever the rest of the cluster answered.
-func (c *Cluster) askLive(what string, req csnet.Request, each func(body []byte) error) error {
-	c.mu.Lock()
-	down := append([]bool(nil), c.down...)
-	c.mu.Unlock()
+// ClusterStats fetches and merges the live metrics snapshots of every
+// backend not marked down: one pipelined OpStats round per node over
+// the existing multiplexed connections, folded with Snapshot.Merge
+// into cluster-wide totals — counters add, histograms add bucketwise,
+// so the merged percentiles are computed over the union of every
+// node's samples, not averaged from per-node percentiles. A backend
+// that fails the round trip, answers another status or sends an
+// undecodable snapshot is left out; the error reports the first such
+// failure (as "cluster stats on backend N"), alongside what the rest of
+// the cluster answered.
+func (c *Cluster) ClusterStats() (obs.Snapshot, error) {
 	type sent struct {
 		call    *csnet.Call
 		backend int
 	}
 	calls := make([]sent, 0, len(c.pools))
+	var merged obs.Snapshot
 	var firstErr error
 	noteErr := func(b int, err error) {
 		if firstErr == nil {
-			firstErr = fmt.Errorf("dist: cluster %s on backend %d: %w", what, b, err)
+			firstErr = fmt.Errorf("dist: cluster stats on backend %d: %w", b, err)
 		}
 	}
 	for b, p := range c.pools {
-		if down[b] {
+		if c.IsDown(b) {
 			continue
 		}
 		cl, err := p.Client()
@@ -119,37 +121,22 @@ func (c *Cluster) askLive(what string, req csnet.Request, each func(body []byte)
 			noteErr(b, err)
 			continue
 		}
-		calls = append(calls, sent{cl.Send(req), b})
+		calls = append(calls, sent{cl.Send(csnet.Request{Op: csnet.OpStats}), b})
 	}
 	for _, s := range calls {
 		resp, err := s.call.Response()
 		if err == nil && resp.Status != csnet.StatusOK {
 			err = statusErr(resp)
 		}
+		var snap obs.Snapshot
 		if err == nil {
-			err = each(resp.Value)
+			snap, err = obs.DecodeSnapshot(resp.Value)
 		}
 		if err != nil {
 			noteErr(s.backend, err)
+			continue
 		}
+		merged = merged.Merge(snap)
 	}
-	return firstErr
-}
-
-// ClusterStats fetches and merges the live metrics snapshots of every
-// reachable backend: one OpStats round per node (see askLive), folded
-// with Snapshot.Merge into cluster-wide totals — counters add,
-// histograms add bucketwise, so the merged percentiles are computed
-// over the union of every node's samples, not averaged from per-node
-// percentiles.
-func (c *Cluster) ClusterStats() (obs.Snapshot, error) {
-	var merged obs.Snapshot
-	err := c.askLive("stats", csnet.Request{Op: csnet.OpStats}, func(body []byte) error {
-		snap, err := obs.DecodeSnapshot(body)
-		if err == nil {
-			merged = merged.Merge(snap)
-		}
-		return err
-	})
-	return merged, err
+	return merged, firstErr
 }

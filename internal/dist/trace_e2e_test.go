@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -47,12 +48,64 @@ func findRoot(t *testing.T, rec *trace.Recorder, op string) uint64 {
 	return id
 }
 
+// nodeSpans answers one OpTraces query the way an operator's tool
+// does: the coordinator recorder's own spans (local) plus every
+// backend's, pulled over a direct connection to each of addrs.
+func nodeSpans(t *testing.T, addrs []string, mode byte, id uint64, local []trace.Span) []trace.Span {
+	t.Helper()
+	spans := append([]trace.Span(nil), local...)
+	for _, addr := range addrs {
+		cl, err := csnet.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Traces(mode, id)
+		cl.Close()
+		if err != nil {
+			t.Fatalf("traces of %s: %v", addr, err)
+		}
+		spans = append(spans, got...)
+	}
+	return spans
+}
+
+// clusterTrace assembles one trace's cross-node tree from every node's
+// spans for its ID, or returns nil when no node holds any.
+func clusterTrace(t *testing.T, coord *trace.Recorder, addrs []string, id uint64) *trace.Tree {
+	t.Helper()
+	for _, tree := range trace.Assemble(nodeSpans(t, addrs, csnet.TraceQueryID, id, coord.TraceSpans(id))) {
+		if tree.TraceID == id {
+			return tree
+		}
+	}
+	return nil
+}
+
+// slowTraces assembles the tail-promoted traces visible across the
+// cluster, slowest first, at most n. A node pins only its own spans of
+// a slow trace, so every node is asked for each pinned trace's ID too.
+func slowTraces(t *testing.T, coord *trace.Recorder, addrs []string, n int) []*trace.Tree {
+	t.Helper()
+	spans := nodeSpans(t, addrs, csnet.TraceQuerySlow, 0, coord.SlowSpans())
+	ids := map[uint64]bool{}
+	for _, s := range spans {
+		ids[s.TraceID] = true
+	}
+	for id := range ids {
+		spans = append(spans, nodeSpans(t, addrs, csnet.TraceQueryID, id, coord.TraceSpans(id))...)
+	}
+	trees := trace.Assemble(spans)
+	sort.Slice(trees, func(i, j int) bool { return trees[i].Duration() > trees[j].Duration() })
+	return trees[:min(n, len(trees))]
+}
+
 // TestClusterTraceEndToEnd drives a traced replicated write and a
 // quorum read with an induced read-repair through a real multi-node
-// cluster, then asserts ClusterTrace assembles each into one
-// cross-node tree: spans from at least two distinct nodes, server
-// spans correctly parented under the coordinator's RPC hops, and the
-// repair surfacing as a child span of the read's trace.
+// cluster, then asserts each assembles — from the coordinator's spans
+// and every backend's, pulled over the wire — into one cross-node
+// tree: spans from at least two distinct nodes, server spans correctly
+// parented under the coordinator's RPC hops, and the repair surfacing
+// as a child span of the read's trace.
 func TestClusterTraceEndToEnd(t *testing.T) {
 	handlers, _, addrs := startTracedBackends(t, 3)
 	coord := trace.New(trace.Config{Node: "coordinator"})
@@ -74,12 +127,9 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	setID := findRoot(t, coord, "set")
-	tree, err := c.ClusterTrace(setID)
-	if err != nil {
-		t.Fatalf("ClusterTrace(set): %v", err)
-	}
+	tree := clusterTrace(t, coord, addrs, setID)
 	if tree == nil || tree.TraceID != setID {
-		t.Fatalf("ClusterTrace(set) = %+v, want tree for %016x", tree, setID)
+		t.Fatalf("set trace = %+v, want tree for %016x", tree, setID)
 	}
 	if nodes := tree.Nodes(); len(nodes) < 3 { // coordinator + both replicas
 		t.Fatalf("set trace touched nodes %v, want coordinator plus 2 backends", nodes)
@@ -124,11 +174,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Fatalf("Get after damage = %q %v %v", got, ok, err)
 	}
 	getID := findRoot(t, coord, "get")
-	tree, err = c.ClusterTrace(getID)
-	if err != nil {
-		t.Fatalf("ClusterTrace(get): %v", err)
-	}
-	if tree == nil {
+	if tree = clusterTrace(t, coord, addrs, getID); tree == nil {
 		t.Fatalf("no tree for get trace %016x", getID)
 	}
 	if nodes := tree.Nodes(); len(nodes) < 3 {
@@ -155,13 +201,9 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no server MERGE span parented under repair span %+v", repair)
 	}
 
-	// SlowTraces with a zero threshold everywhere: nothing promoted.
-	slow, err := c.SlowTraces(10)
-	if err != nil {
-		t.Fatalf("SlowTraces: %v", err)
-	}
-	if len(slow) != 0 {
-		t.Fatalf("SlowTraces = %d trees with tail promotion disabled, want 0", len(slow))
+	// A zero slow threshold everywhere: nothing promoted.
+	if slow := slowTraces(t, coord, addrs, 10); len(slow) != 0 {
+		t.Fatalf("slow traces = %d trees with tail promotion disabled, want 0", len(slow))
 	}
 }
 
@@ -184,9 +226,9 @@ func TestClusterTraceBurst(t *testing.T) {
 	if err := c.MSet(keys, values); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := c.ClusterTrace(findRoot(t, coord, "mset"))
-	if err != nil || tree == nil {
-		t.Fatalf("ClusterTrace(mset) = %v, %v", tree, err)
+	tree := clusterTrace(t, coord, addrs, findRoot(t, coord, "mset"))
+	if tree == nil {
+		t.Fatal("no tree for the mset trace")
 	}
 	rpcs := map[uint64]bool{}
 	var servers []trace.Span
@@ -222,7 +264,7 @@ func TestClusterTraceBurst(t *testing.T) {
 // TestClusterTraceMGet: a multi-key MGet's fall-through GETV and its
 // read-repair hang under the mget root span like every first probe, and
 // an MGet whose key no replica could answer finishes that root span as
-// an error, so ClusterTrace and SlowTraces show it failed.
+// an error, so its assembled tree shows it failed.
 func TestClusterTraceMGet(t *testing.T) {
 	coord := trace.New(trace.Config{Node: "coordinator"})
 	coord.SetEnabled(true)
@@ -281,7 +323,8 @@ func TestClusterTraceMGet(t *testing.T) {
 
 // TestClusterSlowTraces pins the tail-promotion plane: with an
 // aggressive slow threshold on the coordinator, ordinary ops pin their
-// traces and SlowTraces surfaces them cluster-wide, slowest first.
+// traces, and every node's pinned spans assemble into them, slowest
+// first.
 func TestClusterSlowTraces(t *testing.T) {
 	_, _, addrs := startTracedBackends(t, 2)
 	coord := trace.New(trace.Config{Node: "coordinator"})
@@ -299,16 +342,13 @@ func TestClusterSlowTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trees, err := c.SlowTraces(2)
-	if err != nil {
-		t.Fatalf("SlowTraces: %v", err)
-	}
+	trees := slowTraces(t, coord, addrs, 2)
 	if len(trees) != 2 {
-		t.Fatalf("SlowTraces(2) = %d trees, want capped at 2", len(trees))
+		t.Fatalf("slow traces = %d trees, want capped at 2", len(trees))
 	}
 	for i := 1; i < len(trees); i++ {
 		if trees[i].Duration() > trees[i-1].Duration() {
-			t.Fatalf("SlowTraces not sorted slowest-first: %v then %v", trees[i-1].Duration(), trees[i].Duration())
+			t.Fatalf("slow traces not sorted slowest-first: %v then %v", trees[i-1].Duration(), trees[i].Duration())
 		}
 	}
 	// Each pinned trace still assembles into a full cross-node tree.

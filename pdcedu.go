@@ -58,10 +58,11 @@
 // versioned frame trailer into every backend, hint replay, and
 // anti-entropy stream; each node records its spans in a lock-free
 // ring with tail promotion pinning any trace that crossed the slow-op
-// threshold; dist.Cluster.ClusterTrace and SlowTraces reassemble the
-// cross-node span trees, and distnode's /debug/traces renders them as
-// text waterfalls (see the README "Tracing" section). The load layer
-// closes the loop between serving and measuring: the coordinator
+// threshold; the OpTraces wire op serves any node's spans, which
+// trace.Assemble joins into cross-node span trees, and distnode's
+// /debug/traces renders its own as text waterfalls (see the README
+// "Tracing" section). The load layer closes the loop between serving
+// and measuring: the coordinator
 // carries a bounded hot-key read cache (version-invalidated by every
 // write path, session tokens for read-your-writes), the csnet server
 // sheds excess load with a typed BUSY status once its queue depth or
