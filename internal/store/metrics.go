@@ -8,6 +8,9 @@ import "pdcedu/internal/obs"
 //
 //	store.sweep.purged           counter: tombstones GC'd by sweeps
 //	store.merkle.leaf_rebuilds   counter: dirty Merkle leaves rehashed
+//	store.table.rewrites         counter: writes that rewrote their
+//	                             key's resident record in place instead
+//	                             of allocating a new one (table.go)
 //	store.wal.appends            counter: records appended to the log
 //	store.wal.append_bytes       counter: bytes those appends wrote
 //	                             (156 for a 9 + 128-byte Set; wal.go)
@@ -47,6 +50,7 @@ import "pdcedu/internal/obs"
 var (
 	sweepPurged   = obs.Default().Counter("store.sweep.purged")
 	merkleRebuilt = obs.Default().Counter("store.merkle.leaf_rebuilds")
+	tableRewrites = obs.Default().Counter("store.table.rewrites")
 
 	walAppends          = obs.Default().Counter("store.wal.appends")
 	walAppendBytes      = obs.Default().Counter("store.wal.append_bytes")

@@ -72,8 +72,13 @@ func liveKeys(data map[string]Entry) []string {
 // engine and the reference model in lock-step, comparing results after
 // every op and full raw state at checkpoints. Covers tombstoned
 // deletes with GC (swept whole or bounded), set-if-newer merge in stale,
-// fresh, and tied flavors, and the whole-store listing. The seed is
-// logged so a failure replays.
+// fresh, and tied flavors, and the whole-store listing. Some values are
+// empty, so overwrites flip a record between a value, an empty value and
+// a tombstone of one length — in place when no reader was lent it — and
+// Counts is checked against the model after every op. Every value a Get
+// or Load hands out is kept and checked again at the end: a write that
+// rewrote a lent record would have changed it. The seed is logged so a
+// failure replays.
 func TestStoreProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	for name, mk := range map[string]func(Options) Engine{
@@ -89,7 +94,19 @@ func TestStoreProperty(t *testing.T) {
 			m := &model{data: map[string]Entry{}, now: ft.now}
 
 			key := func() string { return fmt.Sprintf("k-%d", rng.Intn(64)) }
-			val := func() []byte { return []byte(fmt.Sprintf("v-%d", rng.Intn(1_000_000))) }
+			val := func() []byte {
+				if rng.Intn(8) == 0 {
+					return nil
+				}
+				return []byte(fmt.Sprintf("v-%d", rng.Intn(1_000_000)))
+			}
+			// held is every value a read handed out, with what it read then.
+			type heldValue struct {
+				op   int
+				v    []byte
+				want string
+			}
+			var held []heldValue
 
 			const ops = 20_000
 			for i := 0; i < ops; i++ {
@@ -106,6 +123,7 @@ func TestStoreProperty(t *testing.T) {
 					if gok != mok || (gok && (string(ge.Value) != string(me.Value) || ge.Version != me.Version)) {
 						t.Fatalf("op %d: Get(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
 					}
+					held = append(held, heldValue{i, ge.Value, string(me.Value)})
 				case p < 65: // Delete
 					k := key()
 					ver, _ := eng.Delete(k)
@@ -141,9 +159,11 @@ func TestStoreProperty(t *testing.T) {
 					k := key()
 					ge, gok := eng.Load(k)
 					me, mok := m.data[k]
-					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone)) {
+					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone ||
+						string(ge.Value) != string(me.Value))) {
 						t.Fatalf("op %d: Load(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
 					}
+					held = append(held, heldValue{i, ge.Value, string(me.Value)})
 				case p < 90: // listing + Merkle digest cross-check
 					got := liveKeys(rawState(eng))
 					if want := liveKeys(m.data); !slices.Equal(got, want) { // nil and empty listings are the same listing
@@ -169,6 +189,15 @@ func TestStoreProperty(t *testing.T) {
 						eng.Sweep(0)
 						m.sweep(gcAge)
 					}
+				}
+				if live, tombs := eng.Counts(); live != len(liveKeys(m.data)) || live+tombs != len(m.data) {
+					t.Fatalf("op %d: Counts() = %d live, %d tombstones; model %d live of %d",
+						i, live, tombs, len(liveKeys(m.data)), len(m.data))
+				}
+			}
+			for _, h := range held {
+				if string(h.v) != h.want {
+					t.Fatalf("a value read at op %d is now %q, want %q", h.op, h.v, h.want)
 				}
 			}
 

@@ -45,11 +45,13 @@ import (
 // Entry is one versioned record.
 type Entry struct {
 	// Value is the payload; nil for tombstones and empty values. An
-	// engine copies it into its record on a write, and readers receive
-	// a slice aliasing that record with no copy: its capacity equals its
-	// length, it must not be modified, and it stays intact whatever
-	// later happens to the key, because a record is never mutated or
-	// reused.
+	// engine copies it into its record on a write, and Get and Load
+	// hand out a slice aliasing that record with no copy: its capacity
+	// equals its length, it must not be modified, and it stays intact
+	// whatever later happens to the key, because a record is never
+	// mutated once a slice of it has been handed out past the engine's
+	// lock. A record no reader was handed is rewritten in place by an
+	// overwrite of the same length.
 	Value []byte
 	// Version is the HLC stamp ordering this write; never zero for a
 	// stored entry.
@@ -113,8 +115,10 @@ type Engine interface {
 	// 0 to Buckets()-1 lists the whole store. Nothing is copied: fn runs
 	// under the lock of the shard it is reading, one scan per shard
 	// however many of its buckets are listed, so fn must be brief, must
-	// not call back into the engine, and must copy a key it keeps. fn
-	// returning false stops the iteration.
+	// not call back into the engine, and must copy a key or a value it
+	// keeps — a listed value is not lent (see Entry.Value), so the next
+	// write to its key may rewrite it in place. fn returning false stops
+	// the iteration.
 	RangeBuckets(ids []int, fn func(key string, e Entry) bool)
 	// Buckets reports the Merkle leaf count, fixed when the engine was
 	// created — Digest().Buckets() without rebuilding anything.

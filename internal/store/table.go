@@ -24,6 +24,12 @@ type table struct {
 	// two long and never shrink.
 	slots []rec
 	tags  []byte
+	// lent holds a bit per slot, set once the slot's record has been
+	// handed out past the lock (lend) and cleared when a new record
+	// takes the slot: only an unlent record may be rewritten in place.
+	// It lives beside the records, never in them, because their bytes
+	// are the log's and the checkpoints' layout.
+	lent []uint64
 	// used counts full and deleted slots: a probe ends only at an empty
 	// one, so both count toward the 7/8 limit. n counts full slots, the
 	// resident entries.
@@ -63,8 +69,14 @@ const (
 var slotSeed = maphash.MakeSeed()
 
 func newTable(touch func(key string)) table {
-	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), touch: touch}
+	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), lent: newBits(minSlots), touch: touch}
 }
+
+// newBits returns a bitmap of n bits, all clear.
+func newBits(n int) []uint64 { return make([]uint64, (n+63)/64) }
+
+// isLent reports whether slot i's record has been lent out.
+func (t *table) isLent(i int) bool { return t.lent[i>>6]&(1<<(i&63)) != 0 }
 
 // find probes for key. It returns key's slot and true or, when key is
 // absent, the slot an insert of it should take — the first deleted slot
@@ -94,16 +106,34 @@ func (t *table) find(key string) (i int, tag byte, ok bool) {
 	}
 }
 
+// put stores key's entry e in slot i, which find returned for key with
+// tag. A resident record that was never lent and is as long as e's
+// rewrites in place, at no allocation; any other write takes a new
+// record.
+func (t *table) put(i int, tag byte, key string, e Entry) {
+	if t.tags[i]&tagFull != 0 && !t.isLent(i) {
+		b := t.slots[i].bytes()
+		if _, size := recShape(key, e, 0); len(b) == size {
+			was := t.liveAt(i) // read before the rewrite changes the flags
+			appendRec(b[:0], key, e, 0)
+			t.slots[i].ver = e.Version
+			t.account(was, !e.Tombstone, key)
+			tableRewrites.Inc()
+			return
+		}
+	}
+	t.replace(i, tag, newRec(key, e))
+}
+
 // replace stores r in slot i, which find returned for r's key with tag,
 // keeping the counts and the Merkle tree current. An insert into an
-// empty slot at the 7/8 limit resizes the index and probes again. A
-// table holding no tombstone knows an overwritten record is a value
-// without reading it, which an overwrite otherwise never touches.
+// empty slot at the 7/8 limit resizes the index and probes again. The
+// slot's lent mark is cleared: r is a record no reader has seen.
 func (t *table) replace(i int, tag byte, r rec) {
 	k := r.key()
 	was := false
 	if t.tags[i]&tagFull != 0 {
-		was = t.live == t.n || !t.slots[i].tombstone()
+		was = t.liveAt(i)
 	} else {
 		if t.tags[i] == tagEmpty {
 			if t.used >= len(t.tags)/8*7 {
@@ -115,13 +145,25 @@ func (t *table) replace(i int, tag byte, r rec) {
 		t.tags[i] = tag
 		t.n++
 	}
-	if is := !r.tombstone(); is && !was {
+	t.slots[i] = r
+	t.lent[i>>6] &^= 1 << (i & 63)
+	t.account(was, !r.tombstone(), k)
+}
+
+// liveAt reports whether full slot i holds a value. A table holding no
+// tombstone knows without reading the record, which an overwrite
+// otherwise never touches.
+func (t *table) liveAt(i int) bool { return t.live == t.n || !t.slots[i].tombstone() }
+
+// account keeps the live count as a slot that held a value (was) or not
+// now holds one (is) or not, and marks key's bucket dirty.
+func (t *table) account(was, is bool, key string) {
+	if is && !was {
 		t.live++
 	} else if was && !is {
 		t.live--
 	}
-	t.slots[i] = r
-	t.touch(k)
+	t.touch(key)
 }
 
 // remove deletes slot i's entry and returns its key. Nothing moves, so
@@ -153,8 +195,8 @@ func (t *table) resize() {
 	if t.n+1 > size/8*7 {
 		size *= 2
 	}
-	slots, tags := t.slots, t.tags
-	t.slots, t.tags, t.used = make([]rec, size), make([]byte, size), t.n
+	slots, tags, lent := t.slots, t.tags, t.lent
+	t.slots, t.tags, t.lent, t.used = make([]rec, size), make([]byte, size), newBits(size), t.n
 	mask := size - 1
 	for j, tag := range tags {
 		if tag&tagFull == 0 {
@@ -165,6 +207,7 @@ func (t *table) resize() {
 			i = (i + 1) & mask
 		}
 		t.slots[i], t.tags[i] = slots[j], tag
+		t.lent[i>>6] |= (lent[j>>6] >> (j & 63) & 1) << (i & 63)
 	}
 }
 
@@ -181,13 +224,19 @@ func (t *table) resize() {
 // copies a resident record out as it is and replay installs one copy
 // of the record it read.
 //
-// The rule that makes the aliasing safe: a record is written once, when
-// it is created, and is never mutated or reused. Every key and
-// Entry.Value handed out point into it, and the garbage collector keeps
-// it alive for as long as any of them does, so a caller holding one
-// sees the same bytes whatever happens to the key afterwards. This file
-// is the only one that converts between a record and the string and
-// slices aliasing it.
+// The rule that makes the aliasing safe: a record is never mutated once
+// a slice of it has been handed out past the lock. Get and Load lend
+// the record their Value aliases (the slot's lent bit); from then on a
+// write to the key installs a new record and leaves the lent one to the
+// garbage collector, which keeps it alive for as long as any reader
+// holds it, so a caller holding a Value sees the same bytes whatever
+// happens to the key afterwards. A record no reader was lent is
+// rewritten in place by a write of the same length — the same key and
+// an equally long value — which is most overwrites of a fixed-size
+// workload. Keys and values handed out under the lock (RangeBuckets,
+// the Merkle rebuild, a checkpoint's copy) are not lent: they must not
+// be kept past the call. This file is the only one that converts
+// between a record and the string and slices aliasing it.
 type rec struct {
 	p   *byte
 	ver uint64
@@ -206,17 +255,14 @@ const (
 
 // appendRec lays key and e out as a record, with flags as well as the
 // ones e implies, on the end of dst: the one encoder of the layout,
-// behind both newRec and the log. A tombstone's value is dropped.
+// behind newRec, an in-place rewrite and the log. A tombstone's value
+// is dropped.
 func appendRec(dst []byte, key string, e Entry, flags byte) []byte {
+	flags, size := recShape(key, e, flags)
 	if e.Tombstone {
-		flags |= flagTombstone
 		e.Value = nil
 	}
-	if len(key) > math.MaxUint16 {
-		flags |= flagLongKey
-	}
 	hdr, lw := header(flags)
-	size := hdr + len(key) + len(e.Value)
 	if dst == nil {
 		dst = make([]byte, 0, size) // newRec's: one allocation, under -race too
 	}
@@ -233,6 +279,21 @@ func appendRec(dst []byte, key string, e Entry, flags byte) []byte {
 	copy(b[hdr:], key)
 	copy(b[hdr+len(key):], e.Value)
 	return dst
+}
+
+// recShape returns the flags a record of key and e carries, flags
+// included, and the record's length.
+func recShape(key string, e Entry, flags byte) (byte, int) {
+	vlen := len(e.Value)
+	if e.Tombstone {
+		flags |= flagTombstone
+		vlen = 0
+	}
+	if len(key) > math.MaxUint16 {
+		flags |= flagLongKey
+	}
+	hdr, _ := header(flags)
+	return flags, hdr + len(key) + vlen
 }
 
 // newRec lays key and e out as a new record in an allocation of its
@@ -311,7 +372,7 @@ func (t *table) get(key string) (Entry, bool) {
 	if !ok || t.slots[i].tombstone() {
 		return Entry{}, false
 	}
-	return t.slots[i].entry(), true
+	return t.lend(i), true
 }
 
 // load returns the raw entry, tombstones included.
@@ -320,14 +381,23 @@ func (t *table) load(key string) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return t.slots[i].entry(), true
+	return t.lend(i), true
 }
 
-// set installs a value entry (a record holding a copy of val) at
-// version ver.
+// lend returns slot i's entry for a caller that keeps it past the lock,
+// marking the record lent when the entry's Value aliases it.
+func (t *table) lend(i int) Entry {
+	e := t.slots[i].entry()
+	if e.Value != nil {
+		t.lent[i>>6] |= 1 << (i & 63)
+	}
+	return e
+}
+
+// set installs a value entry (a copy of val) at version ver.
 func (t *table) set(key string, val []byte, ver uint64) {
 	i, tag, _ := t.find(key)
-	t.replace(i, tag, newRec(key, Entry{Value: val, Version: ver}))
+	t.put(i, tag, key, Entry{Value: val, Version: ver})
 }
 
 // del installs a tombstone at version ver and reports whether a live
@@ -335,20 +405,19 @@ func (t *table) set(key string, val []byte, ver uint64) {
 func (t *table) del(key string, ver uint64) bool {
 	i, tag, had := t.find(key)
 	existed := had && !t.slots[i].tombstone()
-	t.replace(i, tag, newRec(key, Entry{Version: ver, Tombstone: true}))
+	t.put(i, tag, key, Entry{Version: ver, Tombstone: true})
 	return existed
 }
 
-// merge applies e iff it Wins the resident entry, installing a record
-// that holds a copy of its value. It returns the winning version and
-// whether e was applied.
+// merge applies e iff it Wins the resident entry, storing a copy of its
+// value. It returns the winning version and whether e was applied.
 func (t *table) merge(key string, e Entry) (uint64, bool) {
 	i, tag, had := t.find(key)
 	// Wins orders by version first: only a tie reads the record.
 	if cur := t.slots[i]; had && (e.Version < cur.ver || e.Version == cur.ver && !e.Wins(cur.entry())) {
 		return cur.ver, false
 	}
-	t.replace(i, tag, newRec(key, e))
+	t.put(i, tag, key, e)
 	return e.Version, true
 }
 

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -19,19 +21,27 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 	}
 }
 
-// TestValueSurvivesItsKey holds the record's immutability rule from the
-// reader's side: a Value handed out by Get, Load or RangeBuckets
-// aliases the record it was read from, so it must stay byte for byte
-// what it was — and have no spare capacity an append could write into —
-// whatever later happens to its key, with the heap churned and
-// collected in between.
+// TestValueSurvivesItsKey holds the record's aliasing rule from the
+// reader's side: a Value handed out by Get or Load aliases the record it
+// was read from, so it must stay byte for byte what it was — and have no
+// spare capacity an append could write into — whatever later happens to
+// its key, with the heap churned and collected in between. Each reader's
+// value is held on its own, in a fresh engine, so no other read lends
+// the record for it, and the same-length writes are the ones that would
+// rewrite an unlent record in place.
 func TestValueSurvivesItsKey(t *testing.T) {
 	const key = "subject"
 	want := []byte("value-of-odd-length-25-b.") // a copy by append would round its capacity up
 	mutations := map[string]func(eng Engine, ft *fakeTime){
 		"overwritten": func(eng Engine, _ *fakeTime) { eng.Set(key, []byte("another value")) },
+		"overwritten same length": func(eng Engine, _ *fakeTime) {
+			eng.Set(key, []byte("another value, 25 bytes.."))
+		},
 		"merged over": func(eng Engine, _ *fakeTime) {
 			eng.Merge(key, Entry{Value: []byte("a newer value"), Version: eng.Clock().Next() + 1})
+		},
+		"merged over same length": func(eng Engine, _ *fakeTime) {
+			eng.Merge(key, Entry{Value: []byte("a newer value of 25 bytes"), Version: eng.Clock().Next() + 1})
 		},
 		"deleted": func(eng Engine, _ *fakeTime) { eng.Delete(key) },
 		"purged":  func(eng Engine, _ *fakeTime) { eng.Purge(key, math.MaxUint64) },
@@ -41,40 +51,127 @@ func TestValueSurvivesItsKey(t *testing.T) {
 			eng.Sweep(0) // the tombstone collected
 		},
 	}
+	readers := map[string]func(Engine) (Entry, bool){
+		"Get":  func(eng Engine) (Entry, bool) { return eng.Get(key) },
+		"Load": func(eng Engine) (Entry, bool) { return eng.Load(key) },
+	}
 	for mname, mutate := range mutations {
 		for _, ename := range []string{"sharded", "flat"} {
 			t.Run(mname+"/"+ename, func(t *testing.T) {
-				ft := newFakeTime()
-				eng := engines(ft)[ename]
-				eng.Set(key, want)
-				var held [][]byte
-				e, _ := eng.Get(key)
-				held = append(held, e.Value)
-				e, _ = eng.Load(key)
-				held = append(held, e.Value)
-				eng.RangeBuckets([]int{BucketOf(key, eng.Buckets())}, func(k string, e Entry) bool {
-					if k == key {
-						held = append(held, e.Value)
+				for rname, read := range readers {
+					ft := newFakeTime()
+					eng := engines(ft)[ename]
+					eng.Set(key, want)
+					e, ok := read(eng)
+					if !ok {
+						t.Fatalf("%s missed the key it was just given", rname)
 					}
-					return true
-				})
-				if len(held) != 3 {
-					t.Fatalf("read the value %d times, want 3", len(held))
-				}
-				mutate(eng, ft)
-				for i := 0; i < 2000; i++ { // reuse what the mutation freed
-					eng.Set(fmt.Sprintf("churn-%d", i), bytes.Repeat([]byte{0xDB}, len(want)))
-				}
-				runtime.GC()
-				runtime.GC()
-				for i, v := range held {
-					if !bytes.Equal(v, want) || cap(v) != len(v) {
-						t.Fatalf("value %d read before the key was %s is now %q (cap %d), want %q (cap %d)",
-							i, mname, v, cap(v), want, len(want))
+					held := e.Value
+					mutate(eng, ft)
+					mutate(eng, ft)             // a second write, over the record the first installed
+					for i := 0; i < 2000; i++ { // reuse what the mutation freed
+						eng.Set(fmt.Sprintf("churn-%d", i), bytes.Repeat([]byte{0xDB}, len(want)))
+					}
+					runtime.GC()
+					runtime.GC()
+					if !bytes.Equal(held, want) || cap(held) != len(held) {
+						t.Fatalf("value %s read before the key was %s is now %q (cap %d), want %q (cap %d)",
+							rname, mname, held, cap(held), want, len(want))
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestLentValuesSurviveInPlaceWrites is the aliasing rule under
+// concurrency, for go test -race: readers keep every Value Get hands
+// them while writers overwrite the same few keys with values of one
+// length — the writes that rewrite an unlent record in place — and a
+// checkpoint loop and a digest loop run alongside. Each held value must
+// read back as it did when it was returned; a write into a lent record
+// would change it, and the race detector would see that write race the
+// reader's.
+func TestLentValuesSurviveInPlaceWrites(t *testing.T) {
+	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64}, WALOptions{Dir: t.TempDir(), Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := []string{"a", "b", "c", "d"}
+	value := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%08d", w, i)) }
+	for _, k := range keys {
+		s.Set(k, value(0, 0))
+	}
+	rewrites := counter("store.table.rewrites")
+	const writers, readers, per = 3, 3, 2000
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	var passes atomic.Int64 // calls the two loops completed; reads and writes go on until there are 8
+	for _, loop := range []func() error{
+		s.Snapshot,
+		func() error { s.Digest(); return nil },
+	} {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+					if err := loop(); err != nil {
+						t.Error(err)
+						return
+					}
+					passes.Add(1)
+				}
+			}
+		}()
+	}
+	type heldValue struct {
+		v   []byte
+		was string
+	}
+	held := make([][]heldValue, readers)
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per || passes.Load() < 8; i++ {
+				k := keys[(w+i)%len(keys)]
+				if i%2 == 0 {
+					s.Set(k, value(w, i))
+				} else {
+					s.Merge(k, Entry{Value: value(w, i), Version: s.Clock().Next()})
+				}
+			}
+		}()
+	}
+	for r := range held {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per || passes.Load() < 8; i++ {
+				if e, ok := s.Get(keys[(r+i)%len(keys)]); ok {
+					held[r] = append(held[r], heldValue{e.Value, string(e.Value)})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	for r, hs := range held {
+		for _, h := range hs {
+			if string(h.v) != h.was {
+				t.Fatalf("reader %d held %q, which now reads %q", r, h.was, h.v)
+			}
+		}
+	}
+	if counter("store.table.rewrites") == rewrites {
+		t.Fatal("no write rewrote a record in place: the test exercised nothing")
 	}
 }
 
@@ -312,23 +409,51 @@ func TestTableBytesPerEntry(t *testing.T) {
 	}
 }
 
-// TestOneAllocationPerRecord: a write that installs an entry allocates
-// its record and nothing else — over a resident key, which it replaces
-// in its own slot, exactly one allocation; for new keys, one each plus
-// the index's amortized growth.
+// TestOneAllocationPerRecord: a write allocates at most its record, and
+// only when a reader may hold the one it would overwrite. An overwrite
+// of the same length over a record no reader was lent rewrites it in
+// place and allocates nothing; the first overwrite after a Get or Load
+// lent the record allocates a new one, and the next is back in place; a
+// change of length allocates the new record. A tombstone and an empty
+// value are the same length, so a delete of an empty value and a set
+// over its tombstone stay in place. New keys cost one allocation each
+// plus the index's amortized growth.
 func TestOneAllocationPerRecord(t *testing.T) {
-	val := make([]byte, 128)
+	val, shorter := make([]byte, 128), make([]byte, 64)
 	for name, eng := range engines(newFakeTime()) {
 		t.Run(name, func(t *testing.T) {
 			eng.Set("k", val)
-			writes := map[string]func(){
-				"Set":    func() { eng.Set("k", val) },
-				"Merge":  func() { eng.Merge("k", Entry{Value: val, Version: eng.Clock().Next()}) },
-				"Delete": func() { eng.Delete("k") },
+			writes := map[string]func(v []byte){
+				"Set":   func(v []byte) { eng.Set("k", v) },
+				"Merge": func(v []byte) { eng.Merge("k", Entry{Value: v, Version: eng.Clock().Next()}) },
 			}
+			reads := map[string]func(){
+				"Get":  func() { eng.Get("k") },
+				"Load": func() { eng.Load("k") },
+			}
+			type allocCase struct {
+				what string
+				run  func()
+				want float64
+			}
+			var cases []allocCase
 			for wname, write := range writes {
-				if got := testing.AllocsPerRun(100, write); got != 1 {
-					t.Errorf("%s over a resident key: %.0f allocations, want 1", wname, got)
+				cases = append(cases,
+					allocCase{wname + " of the same length", func() { write(val) }, 0},
+					allocCase{wname + " changing the length, twice", func() { write(shorter); write(val) }, 2})
+				for rname, read := range reads {
+					cases = append(cases,
+						allocCase{wname + " after a " + rname, func() { read(); write(val) }, 1},
+						allocCase{"two of " + wname + " after a " + rname, func() { read(); write(val); write(val) }, 1})
+				}
+			}
+			cases = append(cases,
+				allocCase{"Delete over a tombstone", func() { eng.Delete("k") }, 0},
+				allocCase{"Delete of an empty value, Set of one", func() { eng.Delete("k"); eng.Set("k", nil) }, 0},
+				allocCase{"Delete of a value, Set of one", func() { eng.Delete("k"); eng.Set("k", val) }, 2})
+			for _, c := range cases {
+				if got := testing.AllocsPerRun(100, c.run); got != c.want {
+					t.Errorf("%s over a resident key: %.0f allocations, want %.0f", c.what, got, c.want)
 				}
 			}
 			const n = 50_000

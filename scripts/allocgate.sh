@@ -6,22 +6,23 @@
 #
 #   - the five coordinator paths (root benchmarks, rf=2) against
 #     recorded ceilings, measured over ten runs of this script (go1.24).
-#     A replicated write costs 1 allocation per replica, the engine's
-#     record: every write travels in a csnet.Batch, whose frames take
+#     A replicated write costs each replica at most 1 allocation, the
+#     engine's record, and none when it overwrites a record of the same
+#     length that no Get or Load was handed (the table rewrites it in
+#     place): every write travels in a csnet.Batch, whose frames take
 #     their Pending and reply body from the transport's free lists and
 #     hand them back once the reply is decoded, and the server reads
 #     each key where it arrived. A Get is 1, the value it returns: its
 #     GETV rides a csnet.Batch too, which clones the value out of the
 #     reply and hands the body back. SetGet is a Set and a Get plus the
-#     benchmark's own key (Sprintf and its boxed argument): 5.
-#     MSet100 is 200 x 1 + 5 (the mutation and outcome lists, and per
-#     backend the server's Commit). Its ceiling is 206, not 205,
-#     because the transport's free list is one queue of buffers of
-#     every size: the dst a batch reply is appended to is whichever
-#     buffer comes off it, and when that is a 1 KiB one the reply
-#     regrows it (serveBatch's slices.Grow) — once per frame or not at
-#     all, as the schedule mixes the sizes. Pipelined is SetGet from 64
-#     goroutines; its ceiling is its maximum over ten runs. Get and
+#     benchmark's own key (Sprintf and its boxed argument): 5, because
+#     each Get lends its replica's record and the next Set there
+#     allocates a new one. MSet100 rewrites its 100 keys in place on
+#     both replicas, as nothing reads them: 5 (the mutation and outcome
+#     lists, and per backend the server's Commit), every one of ten
+#     runs; 205 or 206 while every write allocated its record.
+#     Pipelined is SetGet from 64 goroutines; its ceiling is its
+#     maximum over ten runs. Get and
 #     MGet100 run one read path (dist's fetch; Get is its one-key
 #     case), so MGet100 is Get's bill per key plus its fetched list and
 #     result map (5) and, per backend frame, the server's Commit (3):
@@ -35,12 +36,15 @@
 #   - one csnet SETV round trip at a rising version (internal/csnet):
 #     through the public Call, serial and pipelined — the CI twins of
 #     the ladder's csnet.allocs_per_rtt, which times the same op: the
-#     call, the reply body, the engine's record — and as a one-entry
-#     Batch, a replica's share of a coordinator's Set: the record alone;
+#     call and the reply body, 2, and the pipelined one's record too, 3,
+#     as its 4096 keys are each new to the engine — and as a one-entry
+#     Batch, a replica's share of a coordinator's Set: nothing, the
+#     record rewritten in place;
 #   - one frame served in process, decode to encoded reply
 #     (internal/csnet): a GETV allocates nothing — its key aliases the
-#     frame, its value the engine's record — and a SETV once, the
-#     record. Nothing on the server path copies a key out of a frame;
+#     frame, its value the engine's record — and a SETV over its resident
+#     key nothing either, its record rewritten in place. Nothing on the
+#     server path copies a key out of a frame;
 #   - the node side of an anti-entropy pass, in bytes/op, at 100k keys
 #     with every Merkle bucket dirty or listed: Digest() allocates the
 #     tree it returns and two bucket sets (18 KiB; ceiling 64 KiB) and
@@ -52,12 +56,14 @@
 #   - a new key in the engine, in bytes/op at 100k keys of 9 + 128
 #     bytes: its record (one 144-byte allocation holding key, value and
 #     metadata) plus its share of the table index's growth in 17-byte
-#     slots (a 16-byte rec and a tag byte) — 193 measured, 244 behind a
-#     32-byte map[string]rec slot, 322 when a key cost a 64-byte slot
-#     and a separate value copy; ceiling 200. The CI twin of
-#     TestTableBytesPerEntry;
+#     slots (a 16-byte rec, a tag byte and a lent bit) — 194 measured,
+#     193 before the lent bit, 244 behind a 32-byte map[string]rec
+#     slot, 322 when a key cost a 64-byte slot and a separate value
+#     copy; ceiling 200. The CI twin of TestTableBytesPerEntry;
 #   - a Set through a persistent engine (internal/store), 9 + 128
-#     bytes over 100k resident keys: one allocation, the record, and
+#     bytes over 100k resident keys no reader was handed: no
+#     allocation, each record rewritten in place (1, the record, while
+#     every write allocated one), and
 #     156 bytes of log (log-B/op, read from store.wal.append_bytes) —
 #     a 4-byte CRC, the 8-byte version and the table's own 144-byte
 #     record (7 header + 137 payload). The CI twin of the benchmark's
@@ -93,15 +99,15 @@ BEGIN {
 	max["BenchmarkClusterGet"] = 1 # the value
 	max["BenchmarkClusterSetGet"] = 5
 	max["BenchmarkClusterPipelined"] = 10 # 64 goroutines: 6 to 9 by schedule
-	max["BenchmarkClusterMSet100"] = 206  # 205 or 206, see above
+	max["BenchmarkClusterMSet100"] = 5 # rewritten in place, see above
 	max["BenchmarkClusterMGet100"] = 108
 	maxBytes["BenchmarkClusterMGet100"] = 16384
-	max["BenchmarkKVRoundTrip"] = 3 # the call, the reply body, the record
-	max["BenchmarkKVPipelined"] = 3
-	max["BenchmarkKVBatch"] = 1 # the record
+	max["BenchmarkKVRoundTrip"] = 2 # the call, the reply body
+	max["BenchmarkKVPipelined"] = 3 # and the record of each new key
+	max["BenchmarkKVBatch"] = 0 # the record rewritten in place
 	max["BenchmarkServeFrameGetV"] = 0 # a node serves a Get without allocating
-	max["BenchmarkServeFrameSetV"] = 1 # the record
-	max["BenchmarkWALSet"] = 1         # the record
+	max["BenchmarkServeFrameSetV"] = 0 # the record rewritten in place
+	max["BenchmarkWALSet"] = 0         # the record rewritten in place
 	maxLog["BenchmarkWALSet"] = 156    # 4 CRC + 8 version + 7 header + 137
 	max["BenchmarkRebalanceHeal256"] = 5010 # 5000-5004, see above
 	maxBytes["BenchmarkDigestAllDirty"] = 65536
