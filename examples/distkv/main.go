@@ -27,29 +27,25 @@ func main() {
 	storageEngine()
 }
 
-// storageEngine contrasts the single-lock store with the sharded,
+// storageEngine contrasts a single-lock store with the sharded,
 // versioned engine on the workload that breaks a global lock: a mixed
-// Get/Set stream while a listing of the whole keyspace (RangeBuckets
-// over every bucket) runs concurrently. The flat engine's listing holds
-// its one lock for the whole scan, stalling every writer; the sharded
-// engine's listing locks one shard at a time. It then shows why
-// versions exist: a stale replayed write loses its merge instead of
-// clobbering newer data.
+// Get/Set stream while a listing of the whole keyspace runs
+// concurrently. The one-mutex map's listing holds its one lock for the
+// whole scan, stalling every writer; the sharded engine's listing
+// (RangeBuckets over every bucket) locks one shard at a time. It then
+// shows why versions exist: a stale replayed write loses its merge
+// instead of clobbering newer data.
 func storageEngine() {
 	fmt.Println("== Storage engine: sharded vs single-lock ==")
 	const seeded, workers, opsPerWorker = 100_000, 4, 2_000
 	// run returns the total mixed-workload time and the worst single
 	// write stall observed while a full-store listing loops
 	// concurrently — the stall is where the single lock really hurts:
-	// a flat Set can sit behind an entire 100k-key scan,
+	// a Set on the map can sit behind an entire 100k-key scan,
 	// while a sharded Set waits on 1/128th of the store at most.
-	run := func(eng store.Engine) (total, worstStall time.Duration) {
+	run := func(set func(key string, value []byte), get func(key string), list func()) (total, worstStall time.Duration) {
 		for i := 0; i < seeded; i++ {
-			eng.Set(fmt.Sprintf("seed:%d", i), []byte("x"))
-		}
-		every := make([]int, eng.Buckets())
-		for b := range every {
-			every[b] = b
+			set(fmt.Sprintf("seed:%d", i), []byte("x"))
 		}
 		stop := make(chan struct{})
 		var lister sync.WaitGroup
@@ -61,7 +57,7 @@ func storageEngine() {
 				case <-stop:
 					return
 				default:
-					eng.RangeBuckets(every, func(string, store.Entry) bool { return true })
+					list()
 				}
 			}
 		}()
@@ -76,7 +72,7 @@ func storageEngine() {
 				for i := 0; i < opsPerWorker; i++ {
 					k := fmt.Sprintf("hot:%d:%d", w, i&255)
 					opStart := time.Now()
-					eng.Set(k, []byte("v"))
+					set(k, []byte("v"))
 					d := int64(time.Since(opStart))
 					for {
 						cur := worst.Load()
@@ -84,7 +80,7 @@ func storageEngine() {
 							break
 						}
 					}
-					eng.Get(k)
+					get(k)
 				}
 			}()
 		}
@@ -94,20 +90,66 @@ func storageEngine() {
 		lister.Wait()
 		return total, time.Duration(worst.Load())
 	}
-	flatTotal, flatStall := run(store.NewFlat(store.Options{}))
-	shardTotal, shardStall := run(store.NewSharded(store.Options{}))
+	eng := store.NewSharded(store.Options{})
+	every := make([]int, eng.Buckets())
+	for b := range every {
+		every[b] = b
+	}
+	visit := func(string, []byte) bool { return true }
+	flat := &lockedMap{m: map[string][]byte{}, buckets: eng.Buckets()}
+	flatTotal, flatStall := run(flat.set, func(k string) { flat.get(k) },
+		func() { flat.rangeBuckets(every, visit) })
+	shardTotal, shardStall := run(func(k string, v []byte) { eng.Set(k, v) }, func(k string) { eng.Get(k) },
+		func() { eng.RangeBuckets(every, func(k string, e store.Entry) bool { return visit(k, e.Value) }) })
 	t := perf.NewTable(fmt.Sprintf("%d-key store, %d writers under a concurrent listing loop", seeded, workers),
 		"engine", "mixed Get/Set time", "worst single-write stall")
 	t.AddRow("flat (one lock)", flatTotal.Round(time.Millisecond), flatStall.Round(time.Microsecond))
 	t.AddRow("sharded", shardTotal.Round(time.Millisecond), shardStall.Round(time.Microsecond))
 	fmt.Println(t.String())
 
-	eng := store.NewSharded(store.Options{})
 	ver := eng.Set("grade", []byte("A+"))
 	if _, applied := eng.Merge("grade", store.Entry{Value: []byte("C-"), Version: ver - 1}); !applied {
 		e, _ := eng.Get("grade")
 		fmt.Printf("stale replay (version %d) lost the merge: grade is still %q@%d\n\n",
 			ver-1, e.Value, e.Version)
+	}
+}
+
+// lockedMap is the single-lock store: one map behind one mutex.
+type lockedMap struct {
+	mu      sync.Mutex
+	m       map[string][]byte
+	buckets int // the Merkle leaf count its listing partitions keys by
+}
+
+func (l *lockedMap) set(key string, value []byte) {
+	l.mu.Lock()
+	l.m[key] = append([]byte(nil), value...)
+	l.mu.Unlock()
+}
+
+func (l *lockedMap) get(key string) ([]byte, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	v, ok := l.m[key]
+	return v, ok
+}
+
+// rangeBuckets calls fn with every entry whose key hashes into one of
+// the listed buckets, as the engine's RangeBuckets does, but it holds
+// the one mutex for the whole scan: a writer can wait out a listing of
+// the entire keyspace.
+func (l *lockedMap) rangeBuckets(ids []int, fn func(key string, value []byte) bool) {
+	want := make([]bool, l.buckets)
+	for _, b := range ids {
+		want[b] = true
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k, v := range l.m {
+		if want[store.BucketOf(k, l.buckets)] && !fn(k, v) {
+			return
+		}
 	}
 }
 

@@ -173,12 +173,10 @@ func (c *Commit) view(kv *KVHandler) *KVHandler {
 		return c.kv
 	}
 	c.kv = kv
-	if eng, ok := kv.eng.(*store.Sharded); ok {
-		if c.eng = eng.Deferred(); c.eng != eng {
-			v := *kv
-			v.eng = c.eng
-			c.kv = &v
-		}
+	if c.eng = kv.eng.Deferred(); c.eng != kv.eng {
+		v := *kv
+		v.eng = c.eng
+		c.kv = &v
 	}
 	return c.kv
 }
@@ -454,20 +452,14 @@ func (s *Server) Shutdown() {
 }
 
 // KVHandler serves the key-value protocol as a thin adapter over a
-// store.Engine. There is one protocol: the versioned ops
+// store.Sharded. There is one protocol: the versioned ops
 // (SETV/GETV/DELV/MERGE/PURGEV), applied last-writer-wins, plus the
-// digest and listing ops anti-entropy walks (TREEV/RANGEV). The default
-// engine is the sharded, versioned store, so parallel mixed workloads
-// scale past the global-lock ceiling.
+// digest and listing ops anti-entropy walks (TREEV/RANGEV). The engine
+// locks per shard, so parallel mixed workloads scale past the
+// global-lock ceiling.
 type KVHandler struct {
-	eng store.Engine
+	eng *store.Sharded
 	trc *trace.Recorder // nil = trace.Default()
-	// durable is the engine's sticky persistence-error accessor
-	// ((*store.Sharded).Err), captured once at construction when the
-	// engine offers one. Checked after every write op: a WAL that can
-	// no longer commit must not let the node keep acking writes the
-	// disk is silently dropping.
-	durable func() error
 }
 
 // NewKVHandler creates a handler over a fresh sharded engine.
@@ -475,26 +467,22 @@ func NewKVHandler() *KVHandler {
 	return NewKVHandlerOn(store.NewSharded(store.Options{}))
 }
 
-// NewKVHandlerOn creates a handler over the given engine — the
-// pluggable seam: a node can share one engine between the handler, a
-// tombstone-GC sweeper, and a transactional layer.
-func NewKVHandlerOn(eng store.Engine) *KVHandler {
-	kv := &KVHandler{eng: eng}
-	if d, ok := eng.(interface{ Err() error }); ok {
-		kv.durable = d.Err
-	}
-	return kv
+// NewKVHandlerOn creates a handler over the given engine, so a node can
+// share one engine between the handler and a tombstone-GC sweeper, and
+// open it with a write-ahead log.
+func NewKVHandlerOn(eng *store.Sharded) *KVHandler {
+	return &KVHandler{eng: eng}
 }
 
 // ackDurable downgrades a write acknowledgment to StatusError when the
-// engine's log is poisoned. The in-memory write happened — replicas
-// may still converge on it — but this node cannot promise durability,
-// so the client must hear failure, not OK.
+// engine's log is poisoned (a memory-only engine's Err is always nil).
+// The in-memory write happened — replicas may still converge on it —
+// but this node cannot promise durability, so the client must hear
+// failure, not OK. It is checked after every write op: a WAL that can
+// no longer commit must not let the node keep acking writes the disk is
+// silently dropping.
 func (kv *KVHandler) ackDurable(resp Response) Response {
-	if kv.durable == nil {
-		return resp
-	}
-	if err := kv.durable(); err != nil {
+	if err := kv.eng.Err(); err != nil {
 		return Response{Status: StatusError, Value: []byte(err.Error())}
 	}
 	return resp
@@ -518,7 +506,7 @@ func (kv *KVHandler) tracer() *trace.Recorder {
 }
 
 // Engine returns the underlying storage engine.
-func (kv *KVHandler) Engine() store.Engine { return kv.eng }
+func (kv *KVHandler) Engine() *store.Sharded { return kv.eng }
 
 // Serve implements Handler. A request carrying a trace context gets a
 // server span wrapped around its handling — queue wait split out, the

@@ -15,7 +15,7 @@ import (
 
 // startKVCluster boots n KV backends (optionally with custom engines)
 // and a cluster over them.
-func startKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine) ([]*csnet.KVHandler, *Cluster) {
+func startKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) *store.Sharded) ([]*csnet.KVHandler, *Cluster) {
 	t.Helper()
 	kvs, _, c := startWrappedKVCluster(t, n, cfg, mkEngine, nil)
 	return kvs, c
@@ -24,7 +24,7 @@ func startKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int)
 // startWrappedKVCluster is startKVCluster with each backend's handler
 // passed through wrap (nil: served as is), so a test can watch or
 // break what one backend answers; it also returns the servers.
-func startWrappedKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) store.Engine,
+func startWrappedKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func(i int) *store.Sharded,
 	wrap func(i int, kv *csnet.KVHandler) csnet.Handler) ([]*csnet.KVHandler, []*csnet.Server, *Cluster) {
 	t.Helper()
 	kvs := make([]*csnet.KVHandler, n)
@@ -62,7 +62,7 @@ func startWrappedKVCluster(t testing.TB, n int, cfg ClusterConfig, mkEngine func
 
 // lose simulates data loss behind the cluster's back: key's entry
 // vanishes from eng, tombstone or not, whatever its version.
-func lose(eng store.Engine, key string) { eng.Purge(key, math.MaxUint64) }
+func lose(eng *store.Sharded, key string) { eng.Purge(key, math.MaxUint64) }
 
 // damageManyBuckets loads keys through c and then purges every fifth
 // one from backend 1 behind the cluster's back. It returns the holes
@@ -313,7 +313,7 @@ func TestRebalanceGeometryMismatch(t *testing.T) {
 	const odd = 2
 	var merges atomic.Int32
 	kvs, _, c := startWrappedKVCluster(t, 3, ClusterConfig{Replication: 3, WriteQuorum: 1},
-		func(i int) store.Engine {
+		func(i int) *store.Sharded {
 			if i == odd {
 				return store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64})
 			}

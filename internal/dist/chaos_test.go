@@ -49,7 +49,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 	}
 
 	// Fault injection: mutate engines behind the cluster's back.
-	eng := func(b int) store.Engine { return kvs[b].Engine() }
+	eng := func(b int) *store.Sharded { return kvs[b].Engine() }
 	nonOwner := func(owners []int) int {
 		for {
 			if b := rng.Intn(nNodes); !slices.Contains(owners, b) {

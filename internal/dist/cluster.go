@@ -67,7 +67,7 @@ type ClusterConfig struct {
 //
 // Versioning: every write is stamped by the cluster's hybrid logical
 // clock and applied on each replica with last-writer-wins merge
-// (csnet.OpSetV/OpDelV/OpMerge over a versioned store.Engine), so no
+// (csnet.OpSetV/OpDelV/OpMerge over a versioned store.Sharded), so no
 // replay path — read-repair, hinted handoff, the rebalancer — can ever
 // overwrite a newer value with an older one, regardless of delivery
 // order. Deletes are tombstones and propagate through the same merge,

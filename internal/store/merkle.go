@@ -161,7 +161,7 @@ func (d *Digest) Node(i int) (uint64, bool) {
 // Leaf returns bucket b's leaf hash (0 for an empty bucket).
 func (d *Digest) Leaf(b int) uint64 { return d.nodes[d.buckets+b] }
 
-// merkle is the incremental tree maintenance both engines embed: every
+// merkle is the incremental tree maintenance the engine embeds: every
 // write marks its bucket dirty (one atomic store, no shared lock), and
 // Digest() lazily rebuilds exactly the dirty leaves before recomputing
 // the inner levels. A converged, idle engine answers Digest() from the
@@ -200,13 +200,15 @@ func (m *merkle) want(ids []int) []bool {
 	return set
 }
 
-// digest returns the current tree, rebuilding the dirty leaves via
-// scan — the engine's scanBuckets: scan(want, fn) calls fn with every
-// (bucket, key, entry) resident in a bucket want marks, under whatever
-// locking the engine needs. Each entry is summed into its leaf as the
-// scan meets it, so a rebuild of every leaf allocates O(buckets)
-// however many keys it visits.
-func (m *merkle) digest(scan func(want []bool, fn func(b int, key string, e Entry) bool)) *Digest {
+// Digest returns a point-in-time Merkle tree over the raw entry space —
+// tombstones included, exactly what RangeBuckets lists. Dirty buckets
+// are rebuilt here: each shard holding one is scanned once under its
+// own lock, so a digest after scattered writes costs a few shard scans,
+// and a digest of an idle engine answers from a cached snapshot. Each
+// entry is summed into its leaf as the scan meets it, so a rebuild of
+// every leaf allocates O(buckets) however many keys it visits.
+func (s *Sharded) Digest() *Digest {
+	m := &s.merkle
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var stale []bool // the buckets to rebuild; nil while none is dirty
@@ -224,7 +226,7 @@ func (m *merkle) digest(scan func(want []bool, fn func(b int, key string, e Entr
 		return m.snap
 	}
 	filled := make([]bool, m.buckets)
-	scan(stale, func(b int, key string, e Entry) bool {
+	s.scanBuckets(stale, func(b int, key string, e Entry) bool {
 		m.leaves[b] += leafTerm(key, e)
 		filled[b] = true
 		return true

@@ -42,7 +42,7 @@ func digestOf(data map[string]Entry, buckets int) *Digest {
 func TestMerkleDigestDeterministic(t *testing.T) {
 	ft := newFakeTime()
 	a := NewSharded(Options{Shards: 4, MerkleBuckets: 64, Now: ft.now})
-	b := NewFlat(Options{MerkleBuckets: 64, Now: ft.now})
+	b := NewSharded(Options{Shards: 1, MerkleBuckets: 64, Now: ft.now})
 	entries := map[string]Entry{}
 	for i := 0; i < 200; i++ {
 		entries[fmt.Sprintf("k-%d", i)] = Entry{Value: []byte(fmt.Sprintf("v-%d", i)), Version: uint64(1000 + i)}
@@ -66,7 +66,7 @@ func TestMerkleDigestDeterministic(t *testing.T) {
 		t.Fatalf("buckets = %d/%d, want 64", da.Buckets(), db.Buckets())
 	}
 	if da.Root() == 0 || da.Root() != db.Root() {
-		t.Fatalf("roots differ: sharded %016x flat %016x", da.Root(), db.Root())
+		t.Fatalf("roots differ: 4 shards %016x, 1 shard %016x", da.Root(), db.Root())
 	}
 	if want := digestOf(entries, 64); da.Root() != want.Root() {
 		t.Fatalf("engine root %016x, reference %016x", da.Root(), want.Root())
@@ -221,7 +221,7 @@ func TestRangeBucketsVisitsListedBuckets(t *testing.T) {
 // TestMerkleOrderIndependent pins what makes the leaf a reduction and
 // not a fold: the same entries arriving in 20 shuffled orders — so in
 // 20 map layouts, met by the scan in 20 orders — give one root, the
-// reference's, on both engines.
+// reference's, at four shards and at one.
 func TestMerkleOrderIndependent(t *testing.T) {
 	type kv struct {
 		k string
@@ -241,9 +241,9 @@ func TestMerkleOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for round := 0; round < 20; round++ {
 		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-		for name, eng := range map[string]Engine{
-			"sharded": NewSharded(Options{Shards: 4, MerkleBuckets: 64}),
-			"flat":    NewFlat(Options{MerkleBuckets: 64}),
+		for name, eng := range map[string]*Sharded{
+			"4 shards": NewSharded(Options{Shards: 4, MerkleBuckets: 64}),
+			"1 shard":  NewSharded(Options{Shards: 1, MerkleBuckets: 64}),
 		} {
 			for _, x := range entries {
 				eng.Merge(x.k, x.e)
@@ -341,7 +341,7 @@ func TestMerkleEmptyBucketIsZero(t *testing.T) {
 
 // fillAllBuckets loads n keys — enough that every bucket holds some —
 // and returns a function that dirties every bucket again.
-func fillAllBuckets(tb testing.TB, eng Engine, n int) (touchAll func()) {
+func fillAllBuckets(tb testing.TB, eng *Sharded, n int) (touchAll func()) {
 	tb.Helper()
 	first := make([]string, eng.Buckets()) // one resident key per bucket
 	for i := 0; i < n; i++ {

@@ -68,29 +68,27 @@ func liveKeys(data map[string]Entry) []string {
 	return keys
 }
 
-// TestStoreProperty drives a randomized op sequence through each
-// engine and the reference model in lock-step, comparing results after
-// every op and full raw state at checkpoints. Covers tombstoned
-// deletes with GC (swept whole or bounded), set-if-newer merge in stale,
-// fresh, and tied flavors, and the whole-store listing. Some values are
-// empty, so overwrites flip a record between a value, an empty value and
-// a tombstone of one length — in place when no reader was lent it — and
-// Counts is checked against the model after every op. Every value a Get
+// TestStoreProperty drives a randomized op sequence through the engine,
+// at eight shards and at one, and the reference model in lock-step,
+// comparing results after every op and full raw state at checkpoints.
+// Covers tombstoned deletes with GC (swept whole or bounded),
+// set-if-newer merge in stale, fresh, and tied flavors, and the
+// whole-store listing. Some values are empty, so overwrites flip a
+// record between a value, an empty value and a tombstone of one length
+// — in place when no reader was lent it — and Counts is checked against
+// the model after every op. Every value a Get
 // or Load hands out is kept and checked again at the end: a write that
 // rewrote a lent record would have changed it. The seed is logged so a
 // failure replays.
 func TestStoreProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
-	for name, mk := range map[string]func(Options) Engine{
-		"sharded": func(o Options) Engine { return NewSharded(o) },
-		"flat":    func(o Options) Engine { return NewFlat(o) },
-	} {
+	for name, shards := range map[string]int{"sharded": 8, "flat": 1} {
 		t.Run(name, func(t *testing.T) {
 			t.Logf("seed %d", seed)
 			rng := rand.New(rand.NewSource(seed))
 			ft := newFakeTime()
 			const gcAge = 10 * time.Minute
-			eng := mk(Options{Shards: 8, Now: ft.now, TombstoneGC: gcAge})
+			eng := NewSharded(Options{Shards: shards, Now: ft.now, TombstoneGC: gcAge})
 			m := &model{data: map[string]Entry{}, now: ft.now}
 
 			key := func() string { return fmt.Sprintf("k-%d", rng.Intn(64)) }

@@ -10,12 +10,15 @@ import (
 // that a sweep pass over one shard stays cheap.
 const DefaultShards = 128
 
-// Sharded is the production engine: the key space is split over a
+// Sharded is the storage engine: the key space is split over a
 // power-of-two number of shards, each an independent table behind its
 // own mutex. Writers on different shards never contend, and the
 // whole-store paths (RangeBuckets, Digest, Sweep) lock one shard at a
 // time, so a listing of a huge store stalls at most 1/N of the key
-// space at once.
+// space at once. It is safe for concurrent use, and keeps neither a key
+// nor a value a caller passes in past the call: whatever it stores is
+// its own copy (a table stores the key its record holds), so a server
+// may hand it bytes it is about to reuse.
 type Sharded struct {
 	*sharded
 	// deferred marks a view made by Deferred: its writes note their log
@@ -95,7 +98,8 @@ func (s *Sharded) shardFor(key string) *shard {
 // Shards reports the effective (power-of-two) shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Get implements Engine: hash + one shard lock + one table probe.
+// Get returns the live entry for key: tombstoned and absent keys both
+// miss. It costs a hash, one shard lock and one table probe.
 func (s *Sharded) Get(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -104,7 +108,8 @@ func (s *Sharded) Get(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Load implements Engine.
+// Load returns the raw entry including tombstones — the replication
+// view.
 func (s *Sharded) Load(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -113,8 +118,9 @@ func (s *Sharded) Load(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Set implements Engine. The version is stamped under the shard lock,
-// so within a key the table order and the version order agree.
+// Set stores value with a fresh clock version and returns the stamped
+// version. The version is stamped under the shard lock, so within a key
+// the table order and the version order agree.
 func (s *Sharded) Set(key string, value []byte) uint64 {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -168,7 +174,10 @@ func (s *Sharded) Wait() error {
 	return s.Err()
 }
 
-// Delete implements Engine.
+// Delete tombstones key at a fresh clock version and reports whether a
+// live value existed. It records the tombstone even when the key was
+// never present, so the deletion can propagate to replicas that do hold
+// a copy.
 func (s *Sharded) Delete(key string) (uint64, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -178,9 +187,10 @@ func (s *Sharded) Delete(key string) (uint64, bool) {
 	return ver, existed
 }
 
-// Merge implements Engine. Only an applied merge is logged — and it
-// is logged as the exact entry installed, so replay needs no Wins
-// re-judging.
+// Merge applies e iff e.Wins the resident entry, observing e.Version
+// on the clock either way. It returns the winning version and whether e
+// was applied. Only an applied merge is logged — and it is logged as
+// the exact entry installed, so replay needs no Wins re-judging.
 func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 	s.clock.Observe(e.Version)
 	sh := s.shardFor(key)
@@ -194,8 +204,13 @@ func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 	return winner, true
 }
 
-// Purge implements Engine. The removal is logged as a purge record,
-// the one garbage collection writes.
+// Purge removes key's entry outright — no tombstone, no version stamp
+// — iff its version is at most version, so a purge never takes a write
+// newer than the copy it was aimed at. Anti-entropy uses it to drop
+// copies a backend holds outside the buckets it owns; tests pass
+// math.MaxUint64 to simulate data loss. It reports whether an entry was
+// removed. The removal is logged as a purge record, the one garbage
+// collection writes.
 func (s *Sharded) Purge(key string, version uint64) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -207,7 +222,7 @@ func (s *Sharded) Purge(key string, version uint64) bool {
 	return true
 }
 
-// Len implements Engine.
+// Len reports the number of non-tombstone entries.
 func (s *Sharded) Len() int {
 	n := 0
 	for i := range s.shards {
@@ -219,10 +234,12 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Sweep implements Engine: shards are swept in rotation starting at a
-// persistent cursor, stopping once roughly limit entries have been
-// scanned (always at least one shard), so a bounded sweep converges on
-// the full store across calls instead of re-scanning the same prefix.
+// Sweep garbage-collects tombstones older than the engine's GC age and
+// returns how many it removed. Shards are swept in rotation starting at
+// a persistent cursor, stopping once roughly limit entries have been
+// scanned (always at least one shard; limit <= 0 sweeps everything), so
+// a bounded sweep converges on the full store across calls instead of
+// re-scanning the same prefix.
 func (s *Sharded) Sweep(limit int) (purged int) {
 	gcBefore := s.now().Add(-s.gcAge).UnixMilli()
 	scanned := 0
@@ -247,8 +264,10 @@ func (s *Sharded) Sweep(limit int) (purged int) {
 	return purged
 }
 
-// Counts implements Engine in one pass over the shard counters — the
-// feed for the store.entries / store.tombstones gauges.
+// Counts reports the live entries and the resident tombstones, whose
+// sum is what a RangeBuckets over every bucket visits, in one pass over
+// the shard counters — the feed for the store.entries /
+// store.tombstones gauges.
 func (s *Sharded) Counts() (live, tombstones int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -284,19 +303,25 @@ func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) b
 	}
 }
 
-// RangeBuckets implements Engine.
+// RangeBuckets calls fn with every raw entry (tombstones included)
+// whose key hashes into one of the listed Merkle buckets (see BucketOf;
+// ids may repeat and come in any order, each entry is visited once) —
+// how the anti-entropy protocol lists exactly the divergent buckets, and
+// the engine's one listing: every bucket from 0 to Buckets()-1 lists
+// the whole store. Nothing is copied: fn runs under the lock of the
+// shard it is reading, one scan per shard however many of its buckets
+// are listed, so fn must be brief, must not call back into the engine,
+// and must copy a key or a value it keeps — a listed value is not lent
+// (see Entry.Value), so the next write to its key may rewrite it in
+// place. fn returning false stops the iteration.
 func (s *Sharded) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
 	s.scanBuckets(s.merkle.want(ids), func(_ int, k string, e Entry) bool { return fn(k, e) })
 }
 
-// Digest implements Engine. Each shard holding a dirty bucket is
-// scanned once under its own lock, so a digest after scattered writes
-// costs a few shard scans, and a digest of an idle engine costs
-// nothing.
-func (s *Sharded) Digest() *Digest { return s.merkle.digest(s.scanBuckets) }
-
-// Buckets implements Engine.
+// Buckets reports the Merkle leaf count, fixed when the engine was
+// created — Digest().Buckets() without rebuilding anything.
 func (s *Sharded) Buckets() int { return s.merkle.buckets }
 
-// Clock implements Engine.
+// Clock returns the engine's version clock, so a coordinator can stamp
+// or observe versions consistently with local writes.
 func (s *Sharded) Clock() *Clock { return s.clock }

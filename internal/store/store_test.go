@@ -30,12 +30,15 @@ func (f *fakeTime) advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// engines returns both implementations on the same fake time, so every
-// semantic test runs against each.
-func engines(ft *fakeTime) map[string]Engine {
-	return map[string]Engine{
+// engines returns the engine in two geometries on the same fake time,
+// so every semantic test runs against each: "sharded" spreads the keys
+// over eight shards, and "flat" keeps them all behind one lock, where
+// every Merkle bucket lives in the one shard and the shard-skipping
+// paths (scanBuckets, Sweep's cursor) have a single shard to visit.
+func engines(ft *fakeTime) map[string]*Sharded {
+	return map[string]*Sharded{
 		"sharded": NewSharded(Options{Shards: 8, Now: ft.now}),
-		"flat":    NewFlat(Options{Now: ft.now}),
+		"flat":    NewSharded(Options{Shards: 1, Now: ft.now}),
 	}
 }
 

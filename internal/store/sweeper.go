@@ -19,7 +19,7 @@ type Sweeper struct {
 // scanning roughly limit entries per pass (limit <= 0 sweeps the whole
 // store each time). What it removes is counted where every Sweep is:
 // store.sweep.purged.
-func StartSweeper(e Engine, interval time.Duration, limit int) *Sweeper {
+func StartSweeper(e *Sharded, interval time.Duration, limit int) *Sweeper {
 	if interval <= 0 {
 		interval = time.Second
 	}

@@ -10,10 +10,10 @@ import (
 	"unsafe"
 )
 
-// table is the lock-agnostic core both engines share: an open-addressed
-// index of records plus the bookkeeping that keeps Flat and Sharded from
-// ever drifting semantically. Every method must be called with the
-// enclosing engine's lock (the shard's, or Flat's single one) held.
+// table is one shard's lock-agnostic core: an open-addressed index of
+// records plus the live-entry bookkeeping and the transition rules
+// (set, delete, merge, purge, sweep). Every method must be called with
+// the enclosing shard's lock held.
 type table struct {
 	// slots holds each resident entry's record, found by linear probing
 	// from its key's slot hash; the record holds the key, so a slot is
@@ -456,7 +456,7 @@ func (t *table) all() iter.Seq[rec] {
 }
 
 // scan calls fn with every entry of the Merkle buckets want marks (the
-// engines' scanBuckets), decoding only those, and reports whether it
+// engine's scanBuckets), decoding only those, and reports whether it
 // got through the table without fn stopping it.
 func (t *table) scan(want []bool, fn func(b int, key string, e Entry) bool) bool {
 	for i, tag := range t.tags {

@@ -32,28 +32,28 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 func TestValueSurvivesItsKey(t *testing.T) {
 	const key = "subject"
 	want := []byte("value-of-odd-length-25-b.") // a copy by append would round its capacity up
-	mutations := map[string]func(eng Engine, ft *fakeTime){
-		"overwritten": func(eng Engine, _ *fakeTime) { eng.Set(key, []byte("another value")) },
-		"overwritten same length": func(eng Engine, _ *fakeTime) {
+	mutations := map[string]func(eng *Sharded, ft *fakeTime){
+		"overwritten": func(eng *Sharded, _ *fakeTime) { eng.Set(key, []byte("another value")) },
+		"overwritten same length": func(eng *Sharded, _ *fakeTime) {
 			eng.Set(key, []byte("another value, 25 bytes.."))
 		},
-		"merged over": func(eng Engine, _ *fakeTime) {
+		"merged over": func(eng *Sharded, _ *fakeTime) {
 			eng.Merge(key, Entry{Value: []byte("a newer value"), Version: eng.Clock().Next() + 1})
 		},
-		"merged over same length": func(eng Engine, _ *fakeTime) {
+		"merged over same length": func(eng *Sharded, _ *fakeTime) {
 			eng.Merge(key, Entry{Value: []byte("a newer value of 25 bytes"), Version: eng.Clock().Next() + 1})
 		},
-		"deleted": func(eng Engine, _ *fakeTime) { eng.Delete(key) },
-		"purged":  func(eng Engine, _ *fakeTime) { eng.Purge(key, math.MaxUint64) },
-		"swept": func(eng Engine, ft *fakeTime) {
+		"deleted": func(eng *Sharded, _ *fakeTime) { eng.Delete(key) },
+		"purged":  func(eng *Sharded, _ *fakeTime) { eng.Purge(key, math.MaxUint64) },
+		"swept": func(eng *Sharded, ft *fakeTime) {
 			eng.Delete(key)
 			ft.advance(3 * time.Hour)
 			eng.Sweep(0) // the tombstone collected
 		},
 	}
-	readers := map[string]func(Engine) (Entry, bool){
-		"Get":  func(eng Engine) (Entry, bool) { return eng.Get(key) },
-		"Load": func(eng Engine) (Entry, bool) { return eng.Load(key) },
+	readers := map[string]func(*Sharded) (Entry, bool){
+		"Get":  func(eng *Sharded) (Entry, bool) { return eng.Get(key) },
+		"Load": func(eng *Sharded) (Entry, bool) { return eng.Load(key) },
 	}
 	for mname, mutate := range mutations {
 		for _, ename := range []string{"sharded", "flat"} {
@@ -189,18 +189,18 @@ func TestRecordKeyReadBack(t *testing.T) {
 	val := []byte("value")
 	// Each write leaves one entry under k and reports whether it is a
 	// tombstone.
-	writes := map[string]func(eng Engine, ft *fakeTime, k string) bool{
-		"Set": func(eng Engine, _ *fakeTime, k string) bool { eng.Set(k, val); return false },
-		"Delete": func(eng Engine, _ *fakeTime, k string) bool {
+	writes := map[string]func(eng *Sharded, ft *fakeTime, k string) bool{
+		"Set": func(eng *Sharded, _ *fakeTime, k string) bool { eng.Set(k, val); return false },
+		"Delete": func(eng *Sharded, _ *fakeTime, k string) bool {
 			eng.Set(k, val)
 			eng.Delete(k)
 			return true
 		},
-		"Merge": func(eng Engine, _ *fakeTime, k string) bool {
+		"Merge": func(eng *Sharded, _ *fakeTime, k string) bool {
 			eng.Merge(k, Entry{Value: val, Version: eng.Clock().Next()})
 			return false
 		},
-		"Merge tombstone": func(eng Engine, _ *fakeTime, k string) bool {
+		"Merge tombstone": func(eng *Sharded, _ *fakeTime, k string) bool {
 			eng.Merge(k, Entry{Version: eng.Clock().Next(), Tombstone: true})
 			return true
 		},
@@ -374,7 +374,7 @@ func TestTableSweepVisitsEachEntryOnce(t *testing.T) {
 // benchmark's shape — into eng at versions above ver, each key a fresh
 // string as a request decoder would hand over, the value a shared
 // buffer the engine copies.
-func fillFresh(eng Engine, n int, ver uint64) {
+func fillFresh(eng *Sharded, n int, ver uint64) {
 	val := make([]byte, 128)
 	for i := 0; i < n; i++ {
 		eng.Merge(fmt.Sprintf("k%08d", i), Entry{Value: val, Version: ver + uint64(i) + 1})

@@ -21,7 +21,7 @@ import (
 
 // everyBucket lists every Merkle bucket of e: RangeBuckets over it is
 // the engine's whole listing.
-func everyBucket(e Engine) []int {
+func everyBucket(e *Sharded) []int {
 	ids := make([]int, e.Buckets())
 	for b := range ids {
 		ids[b] = b
@@ -32,7 +32,7 @@ func everyBucket(e Engine) []int {
 // rawState snapshots an engine's raw entry space (tombstones included)
 // into a plain map, each key and value copied out of the record it
 // aliases.
-func rawState(e Engine) map[string]Entry {
+func rawState(e *Sharded) map[string]Entry {
 	m := map[string]Entry{}
 	e.RangeBuckets(everyBucket(e), func(k string, en Entry) bool {
 		en.Value = bytes.Clone(en.Value)

@@ -9,14 +9,14 @@ import (
 )
 
 // DB is a transactional key-value store protected by strict 2PL. The
-// data lives in a store.Engine — the same sharded, versioned substrate
+// data lives in a store.Sharded — the same sharded, versioned substrate
 // the csnet KV handler and the dist cluster run on — so transactions
 // no longer funnel every access through one DB-wide mutex: the lock
 // manager serializes conflicting transactions per key, and the engine
 // shards the physical access under them.
 type DB struct {
 	lm      *LockManager
-	eng     store.Engine
+	eng     *store.Sharded
 	nextTxn atomic.Int64
 	history *History
 	// Commits and Aborts count outcomes.
@@ -28,18 +28,8 @@ type DB struct {
 // fresh sharded engine. The history of every successful read/write is
 // recorded for offline serializability checking.
 func NewDB(s Strategy) *DB {
-	return NewDBOn(s, store.NewSharded(store.Options{}))
+	return &DB{lm: NewLockManager(s), eng: store.NewSharded(store.Options{}), history: &History{}}
 }
-
-// NewDBOn creates a DB over an existing engine, so a node can share
-// one storage substrate between its transactional and replicated
-// faces.
-func NewDBOn(s Strategy, eng store.Engine) *DB {
-	return &DB{lm: NewLockManager(s), eng: eng, history: &History{}}
-}
-
-// Engine returns the underlying storage engine.
-func (db *DB) Engine() store.Engine { return db.eng }
 
 // encInt packs a value for the byte-oriented engine.
 func encInt(v int64) []byte {

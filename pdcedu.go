@@ -12,8 +12,8 @@
 // and the command-line tools under cmd/.
 //
 // The store substrate is the data layer everything key-value stands
-// on: a pluggable storage engine whose sharded implementation puts
-// each slice of the key space behind its own lock, stamps every entry
+// on: one sharded storage engine that puts each slice of the key
+// space behind its own lock, stamps every entry
 // with a hybrid-logical-clock version, tombstones deletes (with
 // bounded GC), resolves concurrent writes by last-writer-wins merge,
 // and maintains an incremental Merkle digest
