@@ -240,7 +240,7 @@ func TestRangeVAllocatesItsBody(t *testing.T) {
 	seen := make(map[string]bool, keys)
 	digest := store.ValueDigest(make([]byte, 128))
 	for _, e := range listing {
-		raw, ok := kv.Engine().Load(e.Key)
+		_, raw, ok := kv.Engine().AppendLoad(nil, e.Key)
 		if !ok || seen[e.Key] || e.Version != raw.Version || e.Digest != digest || e.Tombstone {
 			t.Fatalf("listed %+v (seen before: %v), resident %+v %v", e, seen[e.Key], raw, ok)
 		}

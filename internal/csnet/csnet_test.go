@@ -354,9 +354,9 @@ func BenchmarkKVPipelined(b *testing.B) {
 
 // BenchmarkServeFrameGetV is a node serving one GETV frame of a resident
 // key, decode to encoded reply, as a server worker runs it: it
-// allocates nothing — the key aliases the frame, the value the engine's
-// record, and the reply is appended to the transport's dst.
-// scripts/allocgate.sh holds it to 0.
+// allocates nothing — the key aliases the frame, the value is copied
+// into the worker's scratch, and the reply is appended to the
+// transport's dst. scripts/allocgate.sh holds it to 0.
 func BenchmarkServeFrameGetV(b *testing.B) {
 	kv := NewKVHandler()
 	kv.Engine().Set("bench", make([]byte, 128))
@@ -365,14 +365,48 @@ func BenchmarkServeFrameGetV(b *testing.B) {
 		b.Fatal(err)
 	}
 	fh := protocolFrames{h: kv}
+	meta := FrameMeta{Scratch: getBuf(0)} // a worker's, drawn once
+	defer putBuf(meta.Scratch)
 	dst := make([]byte, 0, bufMinCap)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = fh.ServeFrame(dst[:0], body, FrameMeta{})
+		dst = fh.ServeFrame(dst[:0], body, meta)
 	}
 	if resp, err := DecodeResponseV(dst); err != nil || resp.Status != StatusOK || len(resp.Value) != 128 {
 		b.Fatalf("GETV = %+v %v", resp, err)
+	}
+}
+
+// BenchmarkServeFrameGetVSetV is a replica's read followed by a write
+// of the same key: a GETV, then a SETV of a value of the same length,
+// each served as a worker serves it. The GETV lends the engine nothing,
+// so the SETV rewrites the record in place and the pair allocates
+// nothing; a GETV that lent the record cost the SETV a new one.
+// scripts/allocgate.sh holds it to 0.
+func BenchmarkServeFrameGetVSetV(b *testing.B) {
+	kv := NewKVHandler()
+	clock := store.NewClock()
+	val := make([]byte, 128)
+	kv.Engine().Merge("bench", store.Entry{Value: val, Version: clock.Next()})
+	getv, err := EncodeRequest(Request{Op: OpGetV, Key: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fh := protocolFrames{h: kv}
+	meta := FrameMeta{Scratch: getBuf(0)}
+	defer putBuf(meta.Scratch)
+	setv := make([]byte, 0, bufMinCap)
+	dst := make([]byte, 0, bufMinCap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = fh.ServeFrame(dst[:0], getv, meta)
+		setv, _ = AppendRequest(setv[:0], Request{Op: OpSetV, Key: "bench", Value: val, Version: clock.Next()})
+		dst = fh.ServeFrame(dst[:0], setv, meta)
+	}
+	if resp, err := DecodeResponseV(dst); err != nil || resp.Status != StatusOK {
+		b.Fatalf("SETV = %+v %v", resp, err)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestRetiredExpiryBitIsRefused(t *testing.T) {
 	if resp, err := DecodeResponseV(protocolFrames{kv}.ServeFrame(nil, setv, FrameMeta{})); err != nil || resp.Status != StatusError {
 		t.Errorf("served SETV+expiry = %+v %v, want StatusError", resp, err)
 	}
-	if e, ok := kv.Engine().Load("key-1"); ok {
+	if _, e, ok := kv.Engine().AppendLoad(nil, "key-1"); ok {
 		t.Errorf("refused SETV+expiry stored %+v", e)
 	}
 	// Each decoder meets the frame an expiry once made and the bit

@@ -41,6 +41,13 @@ const muxIdleWindow = time.Second
 //   - the request body a server reads off a connection, which rides its
 //     response frame so a reply that aliases it is written first;
 //   - the dst a server hands ServeFrame to append the response to;
+//   - a server worker's scratch (FrameMeta.Scratch, Request.Scratch),
+//     drawn once when the worker starts and released when it exits. A
+//     handler appends a reply's value to it — a GETV's, copied out of
+//     the engine under the shard lock, so the engine lends no record —
+//     and the reply is encoded into dst before the worker serves its
+//     next frame or the next entry of a batch, so one scratch per
+//     worker is never read after it is reused;
 //   - a Batch frame's reply body, released by the Batch together with
 //     the frame's Pending (getPending/putPending) once the frame's last
 //     entry has been decoded. The parts of a reply a caller can keep —
@@ -60,7 +67,7 @@ const muxIdleWindow = time.Second
 //   - a served Request's Key and Value alias the request body, so they
 //     are valid until Handler.Serve returns, and a handler that keeps
 //     either past that clones it (strings.Clone, bytes.Clone). The
-//     engines copy what they store, so a served read copies its key
+//     engine copies what it stores, so a served read copies its key
 //     nowhere and a write once, into the engine's record;
 //   - a decoded listing's keys (DecodeRangeV) alias the reply body,
 //     which is the caller's and lives as long as any of them does.

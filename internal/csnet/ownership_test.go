@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pdcedu/internal/obs"
 	"pdcedu/internal/store"
 )
 
@@ -703,5 +704,112 @@ func TestPendingReleaseIsChecked(t *testing.T) {
 	}
 	if body, err := p.Wait(); err != nil || string(body) != "next" {
 		t.Fatalf("reused Pending: %q %v", body, err)
+	}
+}
+
+// TestServedValuesOutliveTheirScratch: a served GETV's value is copied
+// into its worker's scratch, which the worker reuses for the next frame
+// or batch entry it serves, and is released (and poisoned, TestMain)
+// when the worker exits. Readers issue GETVs — pipelined alone and in
+// Batches — while writers overwrite the same few keys with values of
+// one length, the writes the engine rewrites in place. Every reply must
+// be exactly the bytes one write of the key it asked for stored: a
+// scratch reused or released before its reply was encoded, or shared
+// between workers, hands back another read's value or 0xDB, and under
+// -race the detector sees the overlap.
+func TestServedValuesOutliveTheirScratch(t *testing.T) {
+	const valueLen = 192
+	keys := []string{"k0", "k1", "k2", "k3"}
+	valueFor := func(key string, w, seq int) []byte {
+		head := fmt.Sprintf("%s w%d %08d ", key, w, seq)
+		return bytes.Repeat([]byte(head), valueLen/len(head)+1)[:valueLen]
+	}
+	kv := NewKVHandler()
+	for _, k := range keys {
+		kv.Engine().Set(k, valueFor(k, 0, 0))
+	}
+	srv := NewServer(kv, 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	// The readers share one connection, so its workers serve their
+	// GETVs side by side.
+	dial := func() *Client {
+		cl, err := Dial(addr, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	rcl := dial()
+	check := func(key string, resp Response, err error) bool {
+		if err != nil || resp.Status != StatusOK {
+			t.Errorf("GETV %s = %s %v", key, resp.Status, err)
+			return false
+		}
+		var k string
+		var w, seq int
+		if _, err := fmt.Sscanf(string(resp.Value), "%s w%d %d", &k, &w, &seq); err != nil || !bytes.Equal(resp.Value, valueFor(key, w, seq)) {
+			t.Errorf("GETV %s answered %q, which no write of it stored", key, resp.Value[:min(24, len(resp.Value))])
+			return false
+		}
+		return true
+	}
+	rewrites := obs.Default().Counter("store.table.rewrites")
+	before := rewrites.Value()
+	const writers, readers, rounds = 2, 3, 150
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := dial()
+			for seq := 1; seq <= rounds; seq++ {
+				calls := make([]*Call, len(keys))
+				for i, k := range keys {
+					calls[i] = cl.Send(Request{Op: OpSetV, Key: k, Value: valueFor(k, w, seq)})
+				}
+				for i, c := range calls {
+					if resp, err := c.ResponseV(); err != nil || resp.Status != StatusOK {
+						t.Errorf("SETV %s = %s %v", keys[i], resp.Status, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				calls := make([]*Call, len(keys))
+				for j, k := range keys {
+					calls[j] = rcl.Send(Request{Op: OpGetV, Key: k})
+				}
+				for j, c := range calls {
+					if resp, err := c.ResponseV(); !check(keys[j], resp, err) {
+						return
+					}
+				}
+				b := rcl.Batch()
+				for j := range keys {
+					b.Add(Request{Op: OpGetV, Key: keys[(r+j)%len(keys)]})
+				}
+				b.Send()
+				for j := range keys {
+					if resp, err := b.NextV(); !check(keys[(r+j)%len(keys)], resp, err) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if rewrites.Value() == before {
+		t.Fatal("no SETV rewrote a record in place: the test exercised nothing")
 	}
 }

@@ -213,9 +213,10 @@ func (s Status) String() string {
 // Request is a protocol request. Version and Flags ride the wire only
 // for versioned ops (see Versioned). Trace likewise rides only
 // versioned requests, only when valid (gated by FlagHasTrace).
-// QueueWait and Commit are server-local bookkeeping and never touch the
-// wire. On a server, Key and Value alias the request frame and are valid
-// only until Handler.Serve returns (the ownership rule in mux.go).
+// QueueWait, Scratch and Commit are server-local bookkeeping and never
+// touch the wire. On a server, Key and Value alias the request frame and
+// are valid only until Handler.Serve returns (the ownership rule in
+// mux.go).
 type Request struct {
 	Op      Op
 	Key     string
@@ -229,6 +230,12 @@ type Request struct {
 	// queue before handling began (set by the server, muxed
 	// connections only).
 	QueueWait time.Duration
+	// Scratch is the serving worker's buffer (FrameMeta.Scratch): a
+	// handler may append a reply's value to Scratch[:0] instead of
+	// allocating one, because the reply is encoded before the worker
+	// serves anything else. Nil outside a server worker, where append
+	// allocates.
+	Scratch []byte
 	// Commit is set by the server on every entry of a batch frame (see
 	// Commit); nil on a request that arrived as a frame of its own.
 	Commit *Commit

@@ -32,9 +32,14 @@ func (f HandlerFunc) Serve(r Request) Response { return f(r) }
 // FrameMeta carries per-frame transport facts the handler cannot
 // measure itself. QueueWait is how long the frame sat in the
 // connection's worker queue before a handler picked it up — the
-// queue-wait vs handle-time split a trace waterfall renders.
+// queue-wait vs handle-time split a trace waterfall renders. Scratch
+// is the serving worker's buffer (the ownership rule in mux.go): a
+// handler may append to it and hand the result out in its reply, and
+// the worker reuses it once that reply is encoded; nil when no worker
+// serves the frame.
 type FrameMeta struct {
 	QueueWait time.Duration
+	Scratch   []byte
 }
 
 // FrameHandler processes one raw request frame. It is the layer below
@@ -90,6 +95,7 @@ func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) 
 		return p.serveBatch(dst, req.Value, meta)
 	}
 	req.QueueWait = meta.QueueWait
+	req.Scratch = meta.Scratch
 	req.Commit = commit
 	out := appendReply(dst, req.Op, p.h.Serve(req))
 	slot := opSlot(req.Op)
@@ -379,8 +385,10 @@ func (s *Server) serveMux(conn net.Conn) {
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
+			scratch := getBuf(0)
+			defer putBuf(scratch)
 			for f := range in {
-				meta := FrameMeta{QueueWait: time.Since(f.at)}
+				meta := FrameMeta{QueueWait: time.Since(f.at), Scratch: scratch}
 				dst := getBuf(0)
 				out <- muxFrame{seq: f.seq, body: s.frames.ServeFrame(dst, f.body, meta), free: [2][]byte{f.body, dst}}
 				s.release()
@@ -556,7 +564,8 @@ func (kv *KVHandler) serve(req Request) Response {
 		if resp, ok := checkVersion(req.Version); !ok {
 			return resp
 		}
-		_, hadLive := kv.eng.Get(req.Key) // engine-judged liveness, engine's clock
+		_, cur, ok := kv.eng.AppendLoad(req.Scratch[:0], req.Key) // engine-judged liveness, engine's clock
+		hadLive := ok && !cur.Tombstone
 		resp := kv.merge(store.Entry{Version: req.Version, Tombstone: true}, req.Key, req.Trace)
 		if resp.Status == StatusOK && !hadLive {
 			// The tombstone landed but displaced nothing readable:
@@ -582,7 +591,7 @@ func (kv *KVHandler) serve(req Request) Response {
 		if kv.eng.Purge(req.Key, req.Version) {
 			return kv.ackDurable(Response{Status: StatusOK})
 		}
-		cur, _ := kv.eng.Load(req.Key)
+		_, cur, _ := kv.eng.AppendLoad(req.Scratch[:0], req.Key)
 		return Response{Status: StatusExists, Version: cur.Version}
 	case OpTreeV:
 		ids, err := DecodeBucketList(req.Value)
@@ -694,13 +703,17 @@ func checkVersion(v uint64) (Response, bool) {
 // value answers StatusOK, and a resident tombstone answers a miss that
 // still carries its version, which the reader needs to order the
 // delete against other replicas' copies and to repair peers with it.
+// The value is copied into the request's scratch under the shard lock,
+// so the reply lends the engine no record and the key's next write of
+// the same length rewrites it in place; a request without a scratch,
+// or a value that outgrows it, costs one allocated copy.
 func (kv *KVHandler) getV(req Request) Response {
 	eng := kv.tracer().StartSpan(req.Trace, trace.KindEngine, "get")
 	if eng.Live() {
 		eng.S.Bucket = int32(store.BucketOf(req.Key, kv.eng.Buckets()))
 	}
 	resp := Response{Status: StatusNotFound}
-	if e, ok := kv.eng.Load(req.Key); ok && !e.Tombstone {
+	if _, e, ok := kv.eng.AppendLoad(req.Scratch[:0], req.Key); ok && !e.Tombstone {
 		resp = Response{Status: StatusOK, Value: e.Value, Version: e.Version}
 	} else if ok {
 		resp.Version, resp.Flags = e.Version, FlagTombstone

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pdcedu/internal/obs"
 	"pdcedu/internal/store"
 	"pdcedu/internal/trace"
 )
@@ -194,11 +195,60 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if resp := purge(20); resp.Status != StatusOK {
 		t.Fatalf("purge at the resident version = %+v, want OK", resp)
 	}
-	if e, ok := kv.Engine().Load("dead"); ok {
+	if _, e, ok := kv.Engine().AppendLoad(nil, "dead"); ok {
 		t.Fatalf("purged tombstone still resident: %+v", e)
 	}
 	if resp := purge(20); resp.Status != StatusExists || resp.Version != 0 {
 		t.Fatalf("purge of an absent key = %+v, want Exists@0", resp)
+	}
+}
+
+// TestRefusedProbesLendNothing: a versioned DELV refused as stale reads
+// the key's liveness, and a refused PURGEV the resident version, before
+// answering; neither reply carries the value, so neither may lend the
+// engine the record. Each probe, served as a worker serves it, is
+// followed by a SETV of a value of the same length, which must rewrite
+// the record in place (store.table.rewrites advances) and allocate
+// nothing.
+func TestRefusedProbesLendNothing(t *testing.T) {
+	probes := map[string]Request{
+		"stale DELV":     {Op: OpDelV, Key: "k", Version: 1},
+		"refused PURGEV": {Op: OpPurgeV, Key: "k", Version: 1},
+	}
+	for name, probe := range probes {
+		t.Run(name, func(t *testing.T) {
+			kv := NewKVHandler()
+			val := make([]byte, 128)
+			kv.Engine().Set("k", val)
+			fh := protocolFrames{h: kv}
+			meta := FrameMeta{Scratch: getBuf(0)}
+			defer putBuf(meta.Scratch)
+			body, err := EncodeRequest(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			setv, err := EncodeRequest(Request{Op: OpSetV, Key: "k", Value: val}) // server-stamped: always newer
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, 0, bufMinCap)
+			if resp, err := DecodeResponseV(fh.ServeFrame(dst, body, meta)); err != nil || resp.Status != StatusExists {
+				t.Fatalf("%s = %+v %v, want refused", probe.Op, resp, err)
+			}
+			rewrites := obs.Default().Counter("store.table.rewrites")
+			before := rewrites.Value()
+			const runs = 100
+			allocs := testing.AllocsPerRun(runs, func() {
+				dst = fh.ServeFrame(dst[:0], body, meta)
+				dst = fh.ServeFrame(dst[:0], setv, meta)
+			})
+			if allocs != 0 {
+				t.Errorf("%s then a same-length SETV: %.0f allocations, want 0", name, allocs)
+			}
+			if d := rewrites.Value() - before; d < runs {
+				t.Errorf("%d SETVs after a %s rewrote %d records in place, want every one", runs, name, d)
+			}
+		})
 	}
 }
 
@@ -243,7 +293,7 @@ func TestRetiredKeysVIsUnknownOp(t *testing.T) {
 			if want := fmt.Sprintf("unknown op %d", retired.op); err != nil || resp.Status != StatusError || string(resp.Value) != want {
 				t.Fatalf("op %d = %+v %v, want StatusError %q", retired.op, resp, err, want)
 			}
-			if e, ok := kv.Engine().Load("k"); !ok || string(e.Value) != "v" || e.Version != 5 || e.Tombstone {
+			if _, e, ok := kv.Engine().AppendLoad(nil, "k"); !ok || string(e.Value) != "v" || e.Version != 5 || e.Tombstone {
 				t.Fatalf("op %d changed the engine: k = %+v %v", retired.op, e, ok)
 			}
 			if live, tombs := kv.Engine().Counts(); live != 1 || tombs != 0 {

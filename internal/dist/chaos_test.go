@@ -60,7 +60,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 	for _, k := range keys {
 		owners := c.replicaSet(k)
 		victim := owners[rng.Intn(len(owners))]
-		base, ok := eng(owners[0]).Load(k)
+		_, base, ok := eng(owners[0]).AppendLoad(nil, k)
 		if !ok {
 			t.Fatalf("baseline copy of %q missing on owner %d", k, owners[0])
 		}
@@ -96,7 +96,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 	for _, k := range keys {
 		var w want
 		for o := 0; o < nNodes; o++ {
-			e, ok := eng(o).Load(k)
+			_, e, ok := eng(o).AppendLoad(nil, k)
 			if !ok {
 				continue
 			}
@@ -119,7 +119,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 			t.Fatalf("model lost %q entirely", k)
 		}
 		for _, o := range c.replicaSet(k) {
-			got, ok := eng(o).Load(k)
+			_, got, ok := eng(o).AppendLoad(nil, k)
 			if !ok {
 				t.Fatalf("owner %d missing %q after anti-entropy (want %+v)", o, k, w.e)
 			}

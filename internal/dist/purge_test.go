@@ -24,7 +24,7 @@ func plantLeftover(t *testing.T, kvs []*csnet.KVHandler, c *Cluster, key string)
 	}
 	owners = slices.Clone(c.ReplicaSet(key))
 	stray = slices.IndexFunc([]int{0, 1, 2}, func(b int) bool { return !slices.Contains(owners, b) })
-	base, _ = kvs[owners[0]].Engine().Load(key)
+	_, base, _ = kvs[owners[0]].Engine().AppendLoad(nil, key)
 	kvs[stray].Engine().Merge(key, store.Entry{Value: []byte("leftover"), Version: base.Version - 1})
 	return owners, stray, base
 }
@@ -167,7 +167,7 @@ func TestAntiEntropyPurgeKeepsNewerWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := kvs[stray].Engine().Load(key); !ok || got.Version != newer.Version {
+	if _, got, ok := kvs[stray].Engine().AppendLoad(nil, key); !ok || got.Version != newer.Version {
 		t.Fatalf("non-owner after the racing purge = %+v %v, want the newer entry kept", got, ok)
 	}
 	if purges != 1 || st.Purged != 0 {
@@ -178,11 +178,11 @@ func TestAntiEntropyPurgeKeepsNewerWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range owners {
-		if got, _ := kvs[o].Engine().Load(key); string(got.Value) != "regraded" {
+		if _, got, _ := kvs[o].Engine().AppendLoad(nil, key); string(got.Value) != "regraded" {
 			t.Fatalf("owner %d = %+v, want the rescued newer entry", o, got)
 		}
 	}
-	if got, ok := kvs[stray].Engine().Load(key); ok {
+	if _, got, ok := kvs[stray].Engine().AppendLoad(nil, key); ok {
 		t.Fatalf("non-owner still holds %+v after the rescue", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestAntiEntropyPurgeNeverReachesAnOwner(t *testing.T) {
 	if !slices.Contains(c.ReplicaSet(key), stray) {
 		t.Fatalf("backend %d does not own %q after the ring change (owners %v)", stray, key, c.ReplicaSet(key))
 	}
-	if _, ok := kvs[stray].Engine().Load(key); !ok {
+	if _, _, ok := kvs[stray].Engine().AppendLoad(nil, key); !ok {
 		t.Fatal("the new owner's copy was purged")
 	}
 	mu.Lock()
@@ -269,7 +269,7 @@ func TestPurgeDeclinedByOldPeer(t *testing.T) {
 		if st.BucketsDiffed != 1 || st.ListingFrames == 0 || st.Purged != 0 {
 			t.Fatalf("pass %d = %+v, want the bucket diffed and listed again, nothing purged", pass, st)
 		}
-		if got, ok := kvs[stray].Engine().Load(key); !ok || string(got.Value) != "leftover" {
+		if _, got, ok := kvs[stray].Engine().AppendLoad(nil, key); !ok || string(got.Value) != "leftover" {
 			t.Fatalf("pass %d: old peer's copy = %+v %v, want it kept", pass, got, ok)
 		}
 	}

@@ -80,7 +80,7 @@ func TestRepairReadErrorFailsThePass(t *testing.T) {
 		if err := c.Set(k, []byte("owned")); err != nil {
 			t.Fatal(err)
 		}
-		base, _ := kvs[c.ReplicaSet(k)[0]].Engine().Load(k)
+		_, base, _ := kvs[c.ReplicaSet(k)[0]].Engine().AppendLoad(nil, k)
 		kvs[src].Engine().Merge(k, store.Entry{Value: []byte("newer"), Version: base.Version + 1})
 	}
 

@@ -157,7 +157,7 @@ func TestVersionRebalanceTombstoneTie(t *testing.T) {
 	if _, err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := kvs[0].Engine().Load("k")
+	_, e, ok := kvs[0].Engine().AppendLoad(nil, "k")
 	if !ok || !e.Tombstone || e.Version != 100 {
 		t.Fatalf("backend 0 after tie rebalance = %+v %v, want tombstone@100", e, ok)
 	}
@@ -201,7 +201,7 @@ func TestVersionReadRepairHonorsTombstone(t *testing.T) {
 				t.Fatalf("read of deleted key = %q %v %v, want miss", v, ok, err)
 			}
 			// The stale holder received the tombstone.
-			e, ok := kvs[1].Engine().Load(key)
+			_, e, ok := kvs[1].Engine().AppendLoad(nil, key)
 			if !ok || !e.Tombstone || e.Version != 200 {
 				t.Fatalf("backend 1 after repair = %+v %v, want tombstone@200", e, ok)
 			}
@@ -236,7 +236,7 @@ func TestVersionClusterWritesAgreeAcrossReplicas(t *testing.T) {
 		k := fmt.Sprintf("k-%d", i)
 		var vers [2]store.Entry
 		for b, kv := range kvs {
-			e, ok := kv.Engine().Load(k)
+			_, e, ok := kv.Engine().AppendLoad(nil, k)
 			if !ok {
 				t.Fatalf("backend %d missing %q", b, k)
 			}

@@ -259,7 +259,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				// Aimed at the resident version or the one below it, so
 				// half the purges are declined and must leave no record.
 				k := randKey()
-				cur, _ := s.Load(k)
+				_, cur, _ := s.AppendLoad(nil, k)
 				s.Purge(k, cur.Version-uint64(rng.Intn(2)))
 				touched[k] = true
 			case r < 82:

@@ -139,9 +139,10 @@ func TestMerkleSameVersionDivergenceVisible(t *testing.T) {
 }
 
 // TestRangeBucketsVisitsListedBuckets pins RangeBuckets against its
-// definition — Load of every key the test wrote, filtered by BucketOf:
-// the listed buckets' entries, each exactly once, however the ids are
-// ordered or repeated; all ids together partition the raw entry space.
+// definition — AppendLoad of every key the test wrote, filtered by
+// BucketOf: the listed buckets' entries, each exactly once, however the
+// ids are ordered or repeated; all ids together partition the raw entry
+// space.
 func TestRangeBucketsVisitsListedBuckets(t *testing.T) {
 	ft := newFakeTime()
 	for name, eng := range engines(ft) {
@@ -174,9 +175,9 @@ func TestRangeBucketsVisitsListedBuckets(t *testing.T) {
 					if !listed[BucketOf(k, buckets)] {
 						continue
 					}
-					e, ok := eng.Load(k)
+					_, e, ok := eng.AppendLoad(nil, k)
 					if !ok {
-						t.Fatalf("Load(%q) missed a key the test wrote", k)
+						t.Fatalf("AppendLoad(%q) missed a key the test wrote", k)
 					}
 					want[k] = e
 				}
@@ -189,7 +190,7 @@ func TestRangeBucketsVisitsListedBuckets(t *testing.T) {
 					return true
 				})
 				if len(got) != len(want) {
-					t.Fatalf("ids %v: visited %d entries, Load+BucketOf gives %d", ids, len(got), len(want))
+					t.Fatalf("ids %v: visited %d entries, AppendLoad+BucketOf gives %d", ids, len(got), len(want))
 				}
 				for k, e := range want {
 					if g, ok := got[k]; !ok || g.Version != e.Version || g.Tombstone != e.Tombstone || string(g.Value) != string(e.Value) {

@@ -76,9 +76,9 @@ func liveKeys(data map[string]Entry) []string {
 // whole-store listing. Some values are empty, so overwrites flip a
 // record between a value, an empty value and a tombstone of one length
 // — in place when no reader was lent it — and Counts is checked against
-// the model after every op. Every value a Get
-// or Load hands out is kept and checked again at the end: a write that
-// rewrote a lent record would have changed it. The seed is logged so a
+// the model after every op. Every value a Get or AppendLoad hands out
+// is kept and checked again at the end: a write that rewrote a lent
+// record, or a copy that aliased one, would have changed it. The seed is logged so a
 // failure replays.
 func TestStoreProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
@@ -139,7 +139,7 @@ func TestStoreProperty(t *testing.T) {
 					case 1: // fresh
 						e.Version += uint64(rng.Intn(5_000) + 1)
 					case 2: // tie with whatever is resident, if anything
-						if cur, ok := eng.Load(k); ok {
+						if _, cur, ok := eng.AppendLoad(nil, k); ok {
 							e.Version = cur.Version
 						}
 					}
@@ -153,13 +153,13 @@ func TestStoreProperty(t *testing.T) {
 						t.Fatalf("op %d: Merge(%q, v%d tomb=%v) engine applied=%v model=%v",
 							i, k, e.Version, e.Tombstone, applied, mApplied)
 					}
-				case p < 85: // Load cross-check (raw view)
+				case p < 85: // AppendLoad cross-check (raw view)
 					k := key()
-					ge, gok := eng.Load(k)
+					_, ge, gok := eng.AppendLoad(nil, k)
 					me, mok := m.data[k]
 					if gok != mok || (gok && (ge.Version != me.Version || ge.Tombstone != me.Tombstone ||
 						string(ge.Value) != string(me.Value))) {
-						t.Fatalf("op %d: Load(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
+						t.Fatalf("op %d: AppendLoad(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
 					}
 					held = append(held, heldValue{i, ge.Value, string(me.Value)})
 				case p < 90: // listing + Merkle digest cross-check

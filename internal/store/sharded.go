@@ -99,7 +99,9 @@ func (s *Sharded) shardFor(key string) *shard {
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Get returns the live entry for key: tombstoned and absent keys both
-// miss. It costs a hash, one shard lock and one table probe.
+// miss. It costs a hash, one shard lock and one table probe. Its Value
+// aliases the key's record, which it lends: the key's next write takes
+// a new record rather than rewriting that one in place.
 func (s *Sharded) Get(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -108,14 +110,19 @@ func (s *Sharded) Get(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Load returns the raw entry including tombstones — the replication
-// view.
-func (s *Sharded) Load(key string) (Entry, bool) {
+// AppendLoad returns key's raw entry, tombstones included — the
+// replication view — with its value appended to dst under the shard
+// lock, and the extended dst. The entry's Value aliases dst, never the
+// record (nil for an empty value or a tombstone), so the read lends
+// nothing and the key's next write of the same length still rewrites
+// its record in place; a server hands it a buffer it reuses once the
+// reply is encoded.
+func (s *Sharded) AppendLoad(dst []byte, key string) ([]byte, Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	e, ok := sh.t.load(key)
+	dst, e, ok := sh.t.appendLoad(dst, key)
 	sh.mu.Unlock()
-	return e, ok
+	return dst, e, ok
 }
 
 // Set stores value with a fresh clock version and returns the stamped

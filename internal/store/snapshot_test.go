@@ -120,7 +120,7 @@ func TestRecoveryNoResurrectionAfterGC(t *testing.T) {
 	s.Delete("doomed")
 	ft.advance(2 * time.Minute)
 	s.Sweep(0)
-	if _, ok := s.Load("doomed"); ok {
+	if _, _, ok := s.AppendLoad(nil, "doomed"); ok {
 		t.Fatal("sweep did not purge the aged tombstone")
 	}
 	if err := s.Close(); err != nil {
@@ -132,7 +132,7 @@ func TestRecoveryNoResurrectionAfterGC(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	if e, ok := r.Load("doomed"); ok {
+	if _, e, ok := r.AppendLoad(nil, "doomed"); ok {
 		t.Fatalf("reopen resurrected purged key as %+v", e)
 	}
 	if _, ok := r.Get("kept"); !ok {

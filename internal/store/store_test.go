@@ -72,9 +72,9 @@ func TestEngineBasicOps(t *testing.T) {
 				t.Fatal("Get after Delete hit")
 			}
 			// The tombstone is still loadable for replication.
-			raw, ok := eng.Load("k")
+			_, raw, ok := eng.AppendLoad(nil, "k")
 			if !ok || !raw.Tombstone || raw.Version != dv {
-				t.Fatalf("Load after Delete = %+v %v, want tombstone@%d", raw, ok, dv)
+				t.Fatalf("AppendLoad after Delete = %+v %v, want tombstone@%d", raw, ok, dv)
 			}
 			if eng.Len() != 1 {
 				t.Fatalf("Len after delete = %d, want 1 (k2)", eng.Len())
@@ -83,7 +83,7 @@ func TestEngineBasicOps(t *testing.T) {
 			if _, existed := eng.Delete("never"); existed {
 				t.Fatal("Delete of absent key reported a live value")
 			}
-			if raw, ok := eng.Load("never"); !ok || !raw.Tombstone {
+			if _, raw, ok := eng.AppendLoad(nil, "never"); !ok || !raw.Tombstone {
 				t.Fatal("Delete of absent key left no tombstone")
 			}
 		})
@@ -155,7 +155,7 @@ func TestEngineSweep(t *testing.T) {
 			if pur := eng.Sweep(0); pur != 0 {
 				t.Fatalf("sweep inside the GC age purged %d, want 0", pur)
 			}
-			if raw, ok := eng.Load("del-0"); !ok || !raw.Tombstone {
+			if _, raw, ok := eng.AppendLoad(nil, "del-0"); !ok || !raw.Tombstone {
 				t.Fatalf("swept delete = %+v %v, want its tombstone", raw, ok)
 			}
 			// Past the GC age: the tombstones go.
@@ -228,14 +228,14 @@ func TestEngineKeysAndRange(t *testing.T) {
 			}
 			// Purge removes outright — no tombstone left behind — but never
 			// an entry newer than the version it names.
-			cur, _ := eng.Load("k-1")
+			_, cur, _ := eng.AppendLoad(nil, "k-1")
 			if eng.Purge("k-1", cur.Version-1) {
 				t.Fatal("Purge removed an entry newer than its version")
 			}
 			if !eng.Purge("k-1", cur.Version) || eng.Purge("k-1", cur.Version) {
 				t.Fatal("Purge transitions wrong")
 			}
-			if _, ok := eng.Load("k-1"); ok {
+			if _, _, ok := eng.AppendLoad(nil, "k-1"); ok {
 				t.Fatal("Purge left an entry")
 			}
 		})

@@ -25,7 +25,7 @@ type table struct {
 	slots []rec
 	tags  []byte
 	// lent holds a bit per slot, set once the slot's record has been
-	// handed out past the lock (lend) and cleared when a new record
+	// handed out past the lock (get) and cleared when a new record
 	// takes the slot: only an unlent record may be rewritten in place.
 	// It lives beside the records, never in them, because their bytes
 	// are the log's and the checkpoints' layout.
@@ -225,18 +225,20 @@ func (t *table) resize() {
 // of the record it read.
 //
 // The rule that makes the aliasing safe: a record is never mutated once
-// a slice of it has been handed out past the lock. Get and Load lend
-// the record their Value aliases (the slot's lent bit); from then on a
-// write to the key installs a new record and leaves the lent one to the
-// garbage collector, which keeps it alive for as long as any reader
-// holds it, so a caller holding a Value sees the same bytes whatever
-// happens to the key afterwards. A record no reader was lent is
-// rewritten in place by a write of the same length — the same key and
-// an equally long value — which is most overwrites of a fixed-size
-// workload. Keys and values handed out under the lock (RangeBuckets,
-// the Merkle rebuild, a checkpoint's copy) are not lent: they must not
-// be kept past the call. This file is the only one that converts
-// between a record and the string and slices aliasing it.
+// a slice of it has been handed out past the lock. Only Get lends: it
+// hands out the record its Value aliases (the slot's lent bit), and
+// from then on a write to the key installs a new record and leaves the
+// lent one to the garbage collector, which keeps it alive for as long
+// as any reader holds it, so a caller holding a Value sees the same
+// bytes whatever happens to the key afterwards. AppendLoad copies the
+// value out under the lock instead and lends nothing. A record no
+// reader was lent is rewritten in place by a write of the same length —
+// the same key and an equally long value — which is every overwrite of
+// a fixed-size workload that no Get reads. Keys and values handed out
+// under the lock (RangeBuckets, the Merkle rebuild, a checkpoint's
+// copy) are not lent: they must not be kept past the call. This file
+// is the only one that converts between a record and the string and
+// slices aliasing it.
 type rec struct {
 	p   *byte
 	ver uint64
@@ -366,32 +368,37 @@ func (r rec) entry() Entry {
 	return e
 }
 
-// get returns key's live entry: a tombstone misses.
+// get returns key's live entry, a tombstone missing, for a caller that
+// keeps it past the lock: the record is marked lent when the entry's
+// Value aliases it.
 func (t *table) get(key string) (Entry, bool) {
 	i, _, ok := t.find(key)
 	if !ok || t.slots[i].tombstone() {
 		return Entry{}, false
 	}
-	return t.lend(i), true
-}
-
-// load returns the raw entry, tombstones included.
-func (t *table) load(key string) (Entry, bool) {
-	i, _, ok := t.find(key)
-	if !ok {
-		return Entry{}, false
-	}
-	return t.lend(i), true
-}
-
-// lend returns slot i's entry for a caller that keeps it past the lock,
-// marking the record lent when the entry's Value aliases it.
-func (t *table) lend(i int) Entry {
 	e := t.slots[i].entry()
 	if e.Value != nil {
 		t.lent[i>>6] |= 1 << (i & 63)
 	}
-	return e
+	return e, true
+}
+
+// appendLoad returns key's raw entry, tombstones included, with its
+// value copied onto the end of dst: the entry's Value aliases the
+// returned slice, with capacity equal to its length, and the record is
+// not lent.
+func (t *table) appendLoad(dst []byte, key string) ([]byte, Entry, bool) {
+	i, _, ok := t.find(key)
+	if !ok {
+		return dst, Entry{}, false
+	}
+	e := t.slots[i].entry()
+	if e.Value != nil {
+		n := len(dst)
+		dst = append(dst, e.Value...)
+		e.Value = dst[n:len(dst):len(dst)]
+	}
+	return dst, e, true
 }
 
 // set installs a value entry (a copy of val) at version ver.

@@ -22,13 +22,14 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 }
 
 // TestValueSurvivesItsKey holds the record's aliasing rule from the
-// reader's side: a Value handed out by Get or Load aliases the record it
-// was read from, so it must stay byte for byte what it was — and have no
-// spare capacity an append could write into — whatever later happens to
-// its key, with the heap churned and collected in between. Each reader's
-// value is held on its own, in a fresh engine, so no other read lends
-// the record for it, and the same-length writes are the ones that would
-// rewrite an unlent record in place.
+// reader's side: a Value handed out by Get aliases the record it was
+// read from, and one handed out by AppendLoad is a copy the record was
+// never lent for, so each must stay byte for byte what it was — and
+// have no spare capacity an append could write into — whatever later
+// happens to its key, with the heap churned and collected in between.
+// Each reader's value is held on its own, in a fresh engine, so no
+// other read lends the record for it, and the same-length writes are
+// the ones that rewrite an unlent record in place.
 func TestValueSurvivesItsKey(t *testing.T) {
 	const key = "subject"
 	want := []byte("value-of-odd-length-25-b.") // a copy by append would round its capacity up
@@ -52,8 +53,11 @@ func TestValueSurvivesItsKey(t *testing.T) {
 		},
 	}
 	readers := map[string]func(*Sharded) (Entry, bool){
-		"Get":  func(eng *Sharded) (Entry, bool) { return eng.Get(key) },
-		"Load": func(eng *Sharded) (Entry, bool) { return eng.Load(key) },
+		"Get": func(eng *Sharded) (Entry, bool) { return eng.Get(key) },
+		"AppendLoad": func(eng *Sharded) (Entry, bool) {
+			_, e, ok := eng.AppendLoad(nil, key)
+			return e, ok
+		},
 	}
 	for mname, mutate := range mutations {
 		for _, ename := range []string{"sharded", "flat"} {
@@ -212,8 +216,8 @@ func TestRecordKeyReadBack(t *testing.T) {
 					ft := newFakeTime()
 					eng := engines(ft)[ename]
 					tomb := write(eng, ft, k)
-					if e, ok := eng.Load(k); !ok || e.Tombstone != tomb {
-						t.Fatalf("Load = %v, tombstone %v; want found, tombstone %v", ok, e.Tombstone, tomb)
+					if _, e, ok := eng.AppendLoad(nil, k); !ok || e.Tombstone != tomb {
+						t.Fatalf("AppendLoad = %v, tombstone %v; want found, tombstone %v", ok, e.Tombstone, tomb)
 					}
 					if _, ok := eng.Get(k); ok == tomb {
 						t.Fatalf("Get found %v, want %v", ok, !tomb)
@@ -296,7 +300,7 @@ func TestTableChurnStaysBounded(t *testing.T) {
 					if !isTomb {
 						live++
 					}
-					if e, ok := tb.load(k); !ok || e.Tombstone != isTomb {
+					if _, e, ok := tb.appendLoad(nil, k); !ok || e.Tombstone != isTomb {
 						t.Fatalf("round %d: %s found %v (tombstone %v), want found (tombstone %v)", round, k, ok, e.Tombstone, isTomb)
 					}
 				}
@@ -315,7 +319,7 @@ func TestTableChurnStaysBounded(t *testing.T) {
 					t.Fatalf("round %d: purge of resident %s failed", round, k)
 				}
 				delete(tomb, k)
-				if _, ok := tb.load(k); ok {
+				if _, _, ok := tb.appendLoad(nil, k); ok {
 					t.Fatalf("round %d: purged %s is still found", round, k)
 				}
 				if len(tb.slots) > bound || tb.used > len(tb.tags)/8*7 {
@@ -412,12 +416,13 @@ func TestTableBytesPerEntry(t *testing.T) {
 // TestOneAllocationPerRecord: a write allocates at most its record, and
 // only when a reader may hold the one it would overwrite. An overwrite
 // of the same length over a record no reader was lent rewrites it in
-// place and allocates nothing; the first overwrite after a Get or Load
-// lent the record allocates a new one, and the next is back in place; a
-// change of length allocates the new record. A tombstone and an empty
-// value are the same length, so a delete of an empty value and a set
-// over its tombstone stay in place. New keys cost one allocation each
-// plus the index's amortized growth.
+// place and allocates nothing, after an AppendLoad too, which copies
+// the value out into its caller's buffer; the first overwrite after a
+// Get lent the record allocates a new one, and the next is back in
+// place; a change of length allocates the new record. A tombstone and
+// an empty value are the same length, so a delete of an empty value and
+// a set over its tombstone stay in place. New keys cost one allocation
+// each plus the index's amortized growth.
 func TestOneAllocationPerRecord(t *testing.T) {
 	val, shorter := make([]byte, 128), make([]byte, 64)
 	for name, eng := range engines(newFakeTime()) {
@@ -427,9 +432,13 @@ func TestOneAllocationPerRecord(t *testing.T) {
 				"Set":   func(v []byte) { eng.Set("k", v) },
 				"Merge": func(v []byte) { eng.Merge("k", Entry{Value: v, Version: eng.Clock().Next()}) },
 			}
-			reads := map[string]func(){
-				"Get":  func() { eng.Get("k") },
-				"Load": func() { eng.Load("k") },
+			buf := make([]byte, 0, 2*len(val))
+			reads := map[string]struct {
+				run    func()
+				allocs float64 // the write after it
+			}{
+				"Get":        {func() { eng.Get("k") }, 1},
+				"AppendLoad": {func() { buf, _, _ = eng.AppendLoad(buf[:0], "k") }, 0},
 			}
 			type allocCase struct {
 				what string
@@ -443,8 +452,8 @@ func TestOneAllocationPerRecord(t *testing.T) {
 					allocCase{wname + " changing the length, twice", func() { write(shorter); write(val) }, 2})
 				for rname, read := range reads {
 					cases = append(cases,
-						allocCase{wname + " after a " + rname, func() { read(); write(val) }, 1},
-						allocCase{"two of " + wname + " after a " + rname, func() { read(); write(val); write(val) }, 1})
+						allocCase{wname + " after a " + rname, func() { read.run(); write(val) }, read.allocs},
+						allocCase{"two of " + wname + " after a " + rname, func() { read.run(); write(val); write(val) }, read.allocs})
 				}
 			}
 			cases = append(cases,

@@ -8,19 +8,21 @@
 #     recorded ceilings, measured over ten runs of this script (go1.24).
 #     A replicated write costs each replica at most 1 allocation, the
 #     engine's record, and none when it overwrites a record of the same
-#     length that no Get or Load was handed (the table rewrites it in
-#     place): every write travels in a csnet.Batch, whose frames take
+#     length that no Get was handed (the table rewrites it in place; a
+#     served GETV copies its value out and lends nothing): every write
+#     travels in a csnet.Batch, whose frames take
 #     their Pending and reply body from the transport's free lists and
 #     hand them back once the reply is decoded, and the server reads
 #     each key where it arrived. A Get is 1, the value it returns: its
 #     GETV rides a csnet.Batch too, which clones the value out of the
 #     reply and hands the body back. SetGet is a Set and a Get plus the
-#     benchmark's own key (Sprintf and its boxed argument): 5, because
-#     each Get lends its replica's record and the next Set there
-#     allocates a new one. MSet100 rewrites its 100 keys in place on
-#     both replicas, as nothing reads them: 5 (the mutation and outcome
-#     lists, and per backend the server's Commit), every one of ten
-#     runs; 205 or 206 while every write allocated its record.
+#     benchmark's own key (Sprintf and its boxed argument): 5. Its Set's
+#     two records are new keys' records, not lent ones: at 2000
+#     iterations i&4095 never comes back to a key. MSet100 rewrites its
+#     100 keys in place on both replicas, as nothing reads them: 5 (the
+#     mutation and outcome lists, and per backend the server's Commit),
+#     every one of ten runs; 205 or 206 while every write allocated its
+#     record.
 #     Pipelined is SetGet from 64 goroutines; its ceiling is its
 #     maximum over ten runs. Get and
 #     MGet100 run one read path (dist's fetch; Get is its one-key
@@ -41,10 +43,13 @@
 #     Batch, a replica's share of a coordinator's Set: nothing, the
 #     record rewritten in place;
 #   - one frame served in process, decode to encoded reply
-#     (internal/csnet): a GETV allocates nothing — its key aliases the
-#     frame, its value the engine's record — and a SETV over its resident
-#     key nothing either, its record rewritten in place. Nothing on the
-#     server path copies a key out of a frame;
+#     (internal/csnet), with a worker's scratch: a GETV allocates
+#     nothing — its key aliases the frame, its value copied into the
+#     worker's scratch — and a SETV over its resident key nothing
+#     either, its record rewritten in place; nor does a GETV then a
+#     same-length SETV of one key, as the GETV lends the engine no
+#     record (1, the SETV's new record, while a GETV lent it). Nothing
+#     on the server path copies a key out of a frame;
 #   - the node side of an anti-entropy pass, in bytes/op, at 100k keys
 #     with every Merkle bucket dirty or listed: Digest() allocates the
 #     tree it returns and two bucket sets (18 KiB; ceiling 64 KiB) and
@@ -86,7 +91,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 out=$(go test -run '^$' -bench 'ClusterGet$|ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$|ServerOp' -benchtime 2000x .
-	go test -run '^$' -bench 'KVRoundTrip$|KVPipelined$|KVBatch$|ServeFrameGetV$|ServeFrameSetV$' -benchtime 2000x ./internal/csnet/
+	go test -run '^$' -bench 'KVRoundTrip$|KVPipelined$|KVBatch$|ServeFrameGetV$|ServeFrameSetV$|ServeFrameGetVSetV$' -benchtime 2000x ./internal/csnet/
 	go test -run '^$' -bench 'DigestAllDirty$' -benchtime 10x ./internal/store/
 	go test -run '^$' -bench 'MergeNewKey$' -benchtime 100000x ./internal/store/
 	go test -run '^$' -bench 'WALSet$' -benchtime 200000x ./internal/store/
@@ -107,6 +112,7 @@ BEGIN {
 	max["BenchmarkKVBatch"] = 0 # the record rewritten in place
 	max["BenchmarkServeFrameGetV"] = 0 # a node serves a Get without allocating
 	max["BenchmarkServeFrameSetV"] = 0 # the record rewritten in place
+	max["BenchmarkServeFrameGetVSetV"] = 0 # the GETV lends nothing
 	max["BenchmarkWALSet"] = 0         # the record rewritten in place
 	maxLog["BenchmarkWALSet"] = 156    # 4 CRC + 8 version + 7 header + 137
 	max["BenchmarkRebalanceHeal256"] = 5010 # 5000-5004, see above
