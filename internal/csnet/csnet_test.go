@@ -278,8 +278,8 @@ func BenchmarkKVRoundTrip(b *testing.B) {
 // BenchmarkKVBatch is the same SetV as a one-entry Batch, the frame
 // every replica of a coordinator's Set gets: the Batch draws its
 // Pending and reply body from the transport and hands them back, and
-// the engine rewrites the key's record in place, as no reader was handed
-// it, so the round trip allocates nothing.
+// the engine rewrites the key's record in place, so the round trip
+// allocates nothing.
 func BenchmarkKVBatch(b *testing.B) {
 	srv := NewServer(NewKVHandler(), 16)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -380,9 +380,9 @@ func BenchmarkServeFrameGetV(b *testing.B) {
 
 // BenchmarkServeFrameGetVSetV is a replica's read followed by a write
 // of the same key: a GETV, then a SETV of a value of the same length,
-// each served as a worker serves it. The GETV lends the engine nothing,
-// so the SETV rewrites the record in place and the pair allocates
-// nothing; a GETV that lent the record cost the SETV a new one.
+// each served as a worker serves it. The GETV copies its value into the
+// worker's scratch, so the SETV rewrites the record in place and the
+// pair allocates nothing.
 // scripts/allocgate.sh holds it to 0.
 func BenchmarkServeFrameGetVSetV(b *testing.B) {
 	kv := NewKVHandler()
@@ -411,9 +411,8 @@ func BenchmarkServeFrameGetVSetV(b *testing.B) {
 }
 
 // BenchmarkServeFrameSetV is the same for a SETV frame at a rising
-// version, so every one is applied — over a record of the same length
-// no reader was handed, which the engine rewrites in place: no
-// allocation. scripts/allocgate.sh holds it to 0.
+// version, so every one is applied — over a record of the same length,
+// which the engine rewrites in place: no allocation. scripts/allocgate.sh holds it to 0.
 func BenchmarkServeFrameSetV(b *testing.B) {
 	kv := NewKVHandler()
 	clock := store.NewClock()

@@ -43,11 +43,11 @@ const muxIdleWindow = time.Second
 //   - the dst a server hands ServeFrame to append the response to;
 //   - a server worker's scratch (FrameMeta.Scratch, Request.Scratch),
 //     drawn once when the worker starts and released when it exits. A
-//     handler appends a reply's value to it — a GETV's, copied out of
-//     the engine under the shard lock, so the engine lends no record —
-//     and the reply is encoded into dst before the worker serves its
-//     next frame or the next entry of a batch, so one scratch per
-//     worker is never read after it is reused;
+//     handler appends a reply's value to it — a GETV's, a copy made
+//     under the shard lock by Sharded.AppendLoad — and the reply is
+//     encoded into dst before the worker serves its next frame or the
+//     next entry of a batch, so one scratch per worker is never read
+//     after it is reused;
 //   - a Batch frame's reply body, released by the Batch together with
 //     the frame's Pending (getPending/putPending) once the frame's last
 //     entry has been decoded. The parts of a reply a caller can keep —

@@ -703,10 +703,9 @@ func checkVersion(v uint64) (Response, bool) {
 // value answers StatusOK, and a resident tombstone answers a miss that
 // still carries its version, which the reader needs to order the
 // delete against other replicas' copies and to repair peers with it.
-// The value is copied into the request's scratch under the shard lock,
-// so the reply lends the engine no record and the key's next write of
-// the same length rewrites it in place; a request without a scratch,
-// or a value that outgrows it, costs one allocated copy.
+// The value is a copy, made into the request's scratch under the shard
+// lock; a request without a scratch, or a value that outgrows it, costs
+// one allocated copy.
 func (kv *KVHandler) getV(req Request) Response {
 	eng := kv.tracer().StartSpan(req.Trace, trace.KindEngine, "get")
 	if eng.Live() {

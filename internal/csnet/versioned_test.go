@@ -205,11 +205,10 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 
 // TestRefusedProbesLendNothing: a versioned DELV refused as stale reads
 // the key's liveness, and a refused PURGEV the resident version, before
-// answering; neither reply carries the value, so neither may lend the
-// engine the record. Each probe, served as a worker serves it, is
-// followed by a SETV of a value of the same length, which must rewrite
-// the record in place (store.table.rewrites advances) and allocate
-// nothing.
+// answering, into the worker's scratch; neither reply carries the
+// value. Each probe, served as a worker serves it, is followed by a
+// SETV of a value of the same length, which must rewrite the record in
+// place (store.table.rewrites advances) and allocate nothing.
 func TestRefusedProbesLendNothing(t *testing.T) {
 	probes := map[string]Request{
 		"stale DELV":     {Op: OpDelV, Key: "k", Version: 1},

@@ -83,18 +83,19 @@ func (e *PartialWriteError) Error() string {
 // hints for keys not already queued are dropped (counted as
 // dist.hints.dropped) and the rebalancer is left to converge the
 // backend when it returns.
-// With version-aware merge a dropped hint costs only convergence
-// latency, never correctness: the rebalancer streams the newer entry
-// (or tombstone) to the rejoined backend, and a stale copy cannot win.
+// A dropped hint is safe only while the survivors still hold the entry
+// it carried: the rebalancer streams the newer value or tombstone to
+// the rejoined backend, and a stale copy cannot win its merge. A
+// dropped delete whose tombstone the survivors have already swept
+// (-tombstone-gc) is not: the rejoined backend's stale value is then
+// the newest copy, and the rebalancer resurrects it (ROADMAP.md, "An
+// acked delete never resurrects").
 const maxHintsPerNode = 8192
 
 // hintEntry is one queued write awaiting replay: the newest value (or
 // tombstone) the unreachable backend missed, carrying the version the
 // coordinator stamped so the replay merges exactly as the original
-// write would have. The full-geometry "second ring" that used to keep
-// hints current across a whole outage is gone — a stale hint now loses
-// its merge by version instead of needing to be prevented, and the
-// version-aware rebalancer converges whatever the hints missed.
+// write would have.
 type hintEntry struct {
 	e  store.Entry   // value or tombstone
 	tr trace.Context // trace of the write that queued the hint, so the replay joins it

@@ -75,11 +75,10 @@ func liveKeys(data map[string]Entry) []string {
 // set-if-newer merge in stale, fresh, and tied flavors, and the
 // whole-store listing. Some values are empty, so overwrites flip a
 // record between a value, an empty value and a tombstone of one length
-// — in place when no reader was lent it — and Counts is checked against
-// the model after every op. Every value a Get or AppendLoad hands out
-// is kept and checked again at the end: a write that rewrote a lent
-// record, or a copy that aliased one, would have changed it. The seed is logged so a
-// failure replays.
+// — in place — and Counts is checked against the model after every op.
+// Every value a Get or AppendLoad hands out is a copy, kept and checked
+// again at the end: one that aliased its record would have been changed
+// by a later write. The seed is logged so a failure replays.
 func TestStoreProperty(t *testing.T) {
 	seed := time.Now().UnixNano()
 	for name, shards := range map[string]int{"sharded": 8, "flat": 1} {

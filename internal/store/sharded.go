@@ -99,24 +99,21 @@ func (s *Sharded) shardFor(key string) *shard {
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Get returns the live entry for key: tombstoned and absent keys both
-// miss. It costs a hash, one shard lock and one table probe. Its Value
-// aliases the key's record, which it lends: the key's next write takes
-// a new record rather than rewriting that one in place.
+// miss. It is AppendLoad into a new buffer, so its Value is the
+// caller's own copy.
 func (s *Sharded) Get(key string) (Entry, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.t.get(key)
-	sh.mu.Unlock()
-	return e, ok
+	_, e, ok := s.AppendLoad(nil, key)
+	if !ok || e.Tombstone {
+		return Entry{}, false
+	}
+	return e, true
 }
 
 // AppendLoad returns key's raw entry, tombstones included — the
 // replication view — with its value appended to dst under the shard
 // lock, and the extended dst. The entry's Value aliases dst, never the
-// record (nil for an empty value or a tombstone), so the read lends
-// nothing and the key's next write of the same length still rewrites
-// its record in place; a server hands it a buffer it reuses once the
-// reply is encoded.
+// record (nil for an empty value or a tombstone); a server hands it a
+// buffer it reuses once the reply is encoded.
 func (s *Sharded) AppendLoad(dst []byte, key string) ([]byte, Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -318,9 +315,9 @@ func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) b
 // the whole store. Nothing is copied: fn runs under the lock of the
 // shard it is reading, one scan per shard however many of its buckets
 // are listed, so fn must be brief, must not call back into the engine,
-// and must copy a key or a value it keeps — a listed value is not lent
-// (see Entry.Value), so the next write to its key may rewrite it in
-// place. fn returning false stops the iteration.
+// and must copy a key or a value it keeps: both alias the record, which
+// the next write to its key may rewrite in place. fn returning false
+// stops the iteration.
 func (s *Sharded) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
 	s.scanBuckets(s.merkle.want(ids), func(_ int, k string, e Entry) bool { return fn(k, e) })
 }

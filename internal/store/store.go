@@ -43,14 +43,11 @@ import (
 // Entry is one versioned record.
 type Entry struct {
 	// Value is the payload; nil for tombstones and empty values. An
-	// engine copies it into its record on a write, and Get hands out a
-	// slice aliasing that record with no copy: its capacity equals its
-	// length, it must not be modified, and it stays intact whatever
-	// later happens to the key, because a record is never mutated once
-	// a slice of it has been handed out past the engine's lock.
-	// AppendLoad hands out a copy in the caller's buffer instead. A
-	// record no Get was handed is rewritten in place by an overwrite of
-	// the same length.
+	// engine copies it into its record on a write, and a read (Get,
+	// AppendLoad) hands out a copy, with capacity equal to its length,
+	// that stays intact whatever later happens to the key: no slice of
+	// a record outlives the engine's lock, so an overwrite of the same
+	// length rewrites the record in place.
 	Value []byte
 	// Version is the HLC stamp ordering this write; never zero for a
 	// stored entry.

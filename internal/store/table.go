@@ -24,12 +24,6 @@ type table struct {
 	// two long and never shrink.
 	slots []rec
 	tags  []byte
-	// lent holds a bit per slot, set once the slot's record has been
-	// handed out past the lock (get) and cleared when a new record
-	// takes the slot: only an unlent record may be rewritten in place.
-	// It lives beside the records, never in them, because their bytes
-	// are the log's and the checkpoints' layout.
-	lent []uint64
 	// used counts full and deleted slots: a probe ends only at an empty
 	// one, so both count toward the 7/8 limit. n counts full slots, the
 	// resident entries.
@@ -69,14 +63,8 @@ const (
 var slotSeed = maphash.MakeSeed()
 
 func newTable(touch func(key string)) table {
-	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), lent: newBits(minSlots), touch: touch}
+	return table{slots: make([]rec, minSlots), tags: make([]byte, minSlots), touch: touch}
 }
-
-// newBits returns a bitmap of n bits, all clear.
-func newBits(n int) []uint64 { return make([]uint64, (n+63)/64) }
-
-// isLent reports whether slot i's record has been lent out.
-func (t *table) isLent(i int) bool { return t.lent[i>>6]&(1<<(i&63)) != 0 }
 
 // find probes for key. It returns key's slot and true or, when key is
 // absent, the slot an insert of it should take — the first deleted slot
@@ -107,11 +95,10 @@ func (t *table) find(key string) (i int, tag byte, ok bool) {
 }
 
 // put stores key's entry e in slot i, which find returned for key with
-// tag. A resident record that was never lent and is as long as e's
-// rewrites in place, at no allocation; any other write takes a new
-// record.
+// tag. A resident record as long as e's is rewritten in place, at no
+// allocation; any other write takes a new record.
 func (t *table) put(i int, tag byte, key string, e Entry) {
-	if t.tags[i]&tagFull != 0 && !t.isLent(i) {
+	if t.tags[i]&tagFull != 0 {
 		b := t.slots[i].bytes()
 		if _, size := recShape(key, e, 0); len(b) == size {
 			was := t.liveAt(i) // read before the rewrite changes the flags
@@ -127,8 +114,7 @@ func (t *table) put(i int, tag byte, key string, e Entry) {
 
 // replace stores r in slot i, which find returned for r's key with tag,
 // keeping the counts and the Merkle tree current. An insert into an
-// empty slot at the 7/8 limit resizes the index and probes again. The
-// slot's lent mark is cleared: r is a record no reader has seen.
+// empty slot at the 7/8 limit resizes the index and probes again.
 func (t *table) replace(i int, tag byte, r rec) {
 	k := r.key()
 	was := false
@@ -146,7 +132,6 @@ func (t *table) replace(i int, tag byte, r rec) {
 		t.n++
 	}
 	t.slots[i] = r
-	t.lent[i>>6] &^= 1 << (i & 63)
 	t.account(was, !r.tombstone(), k)
 }
 
@@ -195,8 +180,8 @@ func (t *table) resize() {
 	if t.n+1 > size/8*7 {
 		size *= 2
 	}
-	slots, tags, lent := t.slots, t.tags, t.lent
-	t.slots, t.tags, t.lent, t.used = make([]rec, size), make([]byte, size), newBits(size), t.n
+	slots, tags := t.slots, t.tags
+	t.slots, t.tags, t.used = make([]rec, size), make([]byte, size), t.n
 	mask := size - 1
 	for j, tag := range tags {
 		if tag&tagFull == 0 {
@@ -207,7 +192,6 @@ func (t *table) resize() {
 			i = (i + 1) & mask
 		}
 		t.slots[i], t.tags[i] = slots[j], tag
-		t.lent[i>>6] |= (lent[j>>6] >> (j & 63) & 1) << (i & 63)
 	}
 }
 
@@ -224,21 +208,11 @@ func (t *table) resize() {
 // copies a resident record out as it is and replay installs one copy
 // of the record it read.
 //
-// The rule that makes the aliasing safe: a record is never mutated once
-// a slice of it has been handed out past the lock. Only Get lends: it
-// hands out the record its Value aliases (the slot's lent bit), and
-// from then on a write to the key installs a new record and leaves the
-// lent one to the garbage collector, which keeps it alive for as long
-// as any reader holds it, so a caller holding a Value sees the same
-// bytes whatever happens to the key afterwards. AppendLoad copies the
-// value out under the lock instead and lends nothing. A record no
-// reader was lent is rewritten in place by a write of the same length —
-// the same key and an equally long value — which is every overwrite of
-// a fixed-size workload that no Get reads. Keys and values handed out
-// under the lock (RangeBuckets, the Merkle rebuild, a checkpoint's
-// copy) are not lent: they must not be kept past the call. This file
-// is the only one that converts between a record and the string and
-// slices aliasing it.
+// The rule that makes the aliasing safe: no slice of a record outlives
+// the shard lock, so any write of the same length — the same key and an
+// equally long value — rewrites its key's record in place, and a value
+// a reader keeps (Get, AppendLoad) is a copy. This file is the only one
+// that converts between a record and the string and slices aliasing it.
 type rec struct {
 	p   *byte
 	ver uint64
@@ -368,25 +342,9 @@ func (r rec) entry() Entry {
 	return e
 }
 
-// get returns key's live entry, a tombstone missing, for a caller that
-// keeps it past the lock: the record is marked lent when the entry's
-// Value aliases it.
-func (t *table) get(key string) (Entry, bool) {
-	i, _, ok := t.find(key)
-	if !ok || t.slots[i].tombstone() {
-		return Entry{}, false
-	}
-	e := t.slots[i].entry()
-	if e.Value != nil {
-		t.lent[i>>6] |= 1 << (i & 63)
-	}
-	return e, true
-}
-
 // appendLoad returns key's raw entry, tombstones included, with its
 // value copied onto the end of dst: the entry's Value aliases the
-// returned slice, with capacity equal to its length, and the record is
-// not lent.
+// returned slice, with capacity equal to its length, never the record.
 func (t *table) appendLoad(dst []byte, key string) ([]byte, Entry, bool) {
 	i, _, ok := t.find(key)
 	if !ok {

@@ -22,14 +22,13 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 }
 
 // TestValueSurvivesItsKey holds the record's aliasing rule from the
-// reader's side: a Value handed out by Get aliases the record it was
-// read from, and one handed out by AppendLoad is a copy the record was
-// never lent for, so each must stay byte for byte what it was — and
-// have no spare capacity an append could write into — whatever later
-// happens to its key, with the heap churned and collected in between.
-// Each reader's value is held on its own, in a fresh engine, so no
-// other read lends the record for it, and the same-length writes are
-// the ones that rewrite an unlent record in place.
+// reader's side: a Value handed out by Get or AppendLoad is a copy, so
+// it must stay byte for byte what it was — and have no spare capacity
+// an append could write into — whatever later happens to its key, with
+// the heap churned and collected in between. Each reader's value is
+// held on its own, in a fresh engine, and the same-length writes are
+// the ones that rewrite the record in place, which a value aliasing
+// the record would see.
 func TestValueSurvivesItsKey(t *testing.T) {
 	const key = "subject"
 	want := []byte("value-of-odd-length-25-b.") // a copy by append would round its capacity up
@@ -91,11 +90,11 @@ func TestValueSurvivesItsKey(t *testing.T) {
 // TestLentValuesSurviveInPlaceWrites is the aliasing rule under
 // concurrency, for go test -race: readers keep every Value Get hands
 // them while writers overwrite the same few keys with values of one
-// length — the writes that rewrite an unlent record in place — and a
-// checkpoint loop and a digest loop run alongside. Each held value must
-// read back as it did when it was returned; a write into a lent record
-// would change it, and the race detector would see that write race the
-// reader's.
+// length — the writes that rewrite the record in place — and a
+// checkpoint loop and a digest loop run alongside. Each held value is a
+// copy and must read back as it did when it was returned; a value that
+// aliased the record would change under those writes, and the race
+// detector would see the write race the reader's.
 func TestLentValuesSurviveInPlaceWrites(t *testing.T) {
 	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64}, WALOptions{Dir: t.TempDir(), Fsync: FsyncNever})
 	if err != nil {
@@ -414,15 +413,15 @@ func TestTableBytesPerEntry(t *testing.T) {
 }
 
 // TestOneAllocationPerRecord: a write allocates at most its record, and
-// only when a reader may hold the one it would overwrite. An overwrite
-// of the same length over a record no reader was lent rewrites it in
-// place and allocates nothing, after an AppendLoad too, which copies
-// the value out into its caller's buffer; the first overwrite after a
-// Get lent the record allocates a new one, and the next is back in
-// place; a change of length allocates the new record. A tombstone and
-// an empty value are the same length, so a delete of an empty value and
-// a set over its tombstone stay in place. New keys cost one allocation
-// each plus the index's amortized growth.
+// only when the record changes length. An overwrite of the same length
+// rewrites the record in place (store.table.rewrites advances) and
+// allocates nothing, whatever read came before it, since a read hands
+// out a copy: a Get costs 1, the copy it returns, and an AppendLoad
+// nothing, its copy going into its caller's buffer. The read and the
+// write after it are billed apart. A change of length allocates the new
+// record. A tombstone and an empty value are the same length, so a
+// delete of an empty value and a set over its tombstone stay in place.
+// New keys cost one allocation each plus the index's amortized growth.
 func TestOneAllocationPerRecord(t *testing.T) {
 	val, shorter := make([]byte, 128), make([]byte, 64)
 	for name, eng := range engines(newFakeTime()) {
@@ -435,34 +434,47 @@ func TestOneAllocationPerRecord(t *testing.T) {
 			buf := make([]byte, 0, 2*len(val))
 			reads := map[string]struct {
 				run    func()
-				allocs float64 // the write after it
+				allocs float64
 			}{
-				"Get":        {func() { eng.Get("k") }, 1},
+				"Get":        {func() { eng.Get("k") }, 1}, // its copy
 				"AppendLoad": {func() { buf, _, _ = eng.AppendLoad(buf[:0], "k") }, 0},
 			}
 			type allocCase struct {
-				what string
-				run  func()
-				want float64
+				what     string
+				run      func()
+				read     func() // what run begins with, measured alone and not billed to the case (nil: none)
+				want     float64
+				rewrites int // in-place rewrites per run, checked where nonzero
 			}
 			var cases []allocCase
+			for rname, read := range reads {
+				cases = append(cases, allocCase{"a " + rname + " alone", read.run, nil, read.allocs, 0})
+			}
 			for wname, write := range writes {
 				cases = append(cases,
-					allocCase{wname + " of the same length", func() { write(val) }, 0},
-					allocCase{wname + " changing the length, twice", func() { write(shorter); write(val) }, 2})
+					allocCase{wname + " of the same length", func() { write(val) }, nil, 0, 1},
+					allocCase{wname + " changing the length, twice", func() { write(shorter); write(val) }, nil, 2, 0})
 				for rname, read := range reads {
 					cases = append(cases,
-						allocCase{wname + " after a " + rname, func() { read.run(); write(val) }, read.allocs},
-						allocCase{"two of " + wname + " after a " + rname, func() { read.run(); write(val); write(val) }, read.allocs})
+						allocCase{wname + " after a " + rname, func() { read.run(); write(val) }, read.run, 0, 1},
+						allocCase{"two of " + wname + " after a " + rname, func() { read.run(); write(val); write(val) }, read.run, 0, 2})
 				}
 			}
 			cases = append(cases,
-				allocCase{"Delete over a tombstone", func() { eng.Delete("k") }, 0},
-				allocCase{"Delete of an empty value, Set of one", func() { eng.Delete("k"); eng.Set("k", nil) }, 0},
-				allocCase{"Delete of a value, Set of one", func() { eng.Delete("k"); eng.Set("k", val) }, 2})
+				allocCase{"Delete over a tombstone", func() { eng.Delete("k") }, nil, 0, 0},
+				allocCase{"Delete of an empty value, Set of one", func() { eng.Delete("k"); eng.Set("k", nil) }, nil, 0, 0},
+				allocCase{"Delete of a value, Set of one", func() { eng.Delete("k"); eng.Set("k", val) }, nil, 2, 0})
 			for _, c := range cases {
-				if got := testing.AllocsPerRun(100, c.run); got != c.want {
+				runs, rewrites := 0, counter("store.table.rewrites")
+				got := testing.AllocsPerRun(100, func() { runs++; c.run() })
+				if c.read != nil {
+					got -= testing.AllocsPerRun(100, c.read)
+				}
+				if got != c.want {
 					t.Errorf("%s over a resident key: %.0f allocations, want %.0f", c.what, got, c.want)
+				}
+				if got, want := counter("store.table.rewrites")-rewrites, int64(runs*c.rewrites); c.rewrites > 0 && got != want {
+					t.Errorf("%s over a resident key: %d records rewritten in place, want %d", c.what, got, want)
 				}
 			}
 			const n = 50_000

@@ -294,8 +294,8 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 // TestInPlaceRewritesAreDurable: a record rewritten in place is logged
 // like any other write and checkpointed as it stands, so a crash after
 // rewrites on both sides of a checkpoint reopens to the state before it —
-// the lent records' new copies and the in-place rewrites alike, with no
-// torn or corrupt byte in the log.
+// the in-place rewrites and the new records of a changed length alike,
+// with no torn or corrupt byte in the log.
 func TestInPlaceRewritesAreDurable(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 4, MerkleBuckets: 64}
@@ -614,8 +614,8 @@ func histSum(name string) int64 {
 // store.wal_bytes_per_set: 9 + 128-byte Sets over 100k resident keys
 // through a persistent engine, reporting the log bytes each one wrote
 // (log-B/op, from store.wal.append_bytes). scripts/allocgate.sh holds
-// it to 156 and to no allocation — no reader was handed the records, so
-// each is rewritten in place — so a field added to the frame, or a copy
+// it to 156 and to no allocation — each record is rewritten in place —
+// so a field added to the frame, or a copy
 // added to the write path, fails there rather than in a later benchmark
 // run.
 func BenchmarkWALSet(b *testing.B) {

@@ -8,17 +8,16 @@
 #     recorded ceilings, measured over ten runs of this script (go1.24).
 #     A replicated write costs each replica at most 1 allocation, the
 #     engine's record, and none when it overwrites a record of the same
-#     length that no Get was handed (the table rewrites it in place; a
-#     served GETV copies its value out and lends nothing): every write
-#     travels in a csnet.Batch, whose frames take
+#     length (the table rewrites it in place, as every read copies its
+#     value out): every write travels in a csnet.Batch, whose frames take
 #     their Pending and reply body from the transport's free lists and
 #     hand them back once the reply is decoded, and the server reads
 #     each key where it arrived. A Get is 1, the value it returns: its
 #     GETV rides a csnet.Batch too, which clones the value out of the
 #     reply and hands the body back. SetGet is a Set and a Get plus the
 #     benchmark's own key (Sprintf and its boxed argument): 5. Its Set's
-#     two records are new keys' records, not lent ones: at 2000
-#     iterations i&4095 never comes back to a key. MSet100 rewrites its
+#     two records are new keys' records: at 2000 iterations i&4095
+#     never comes back to a key. MSet100 rewrites its
 #     100 keys in place on both replicas, as nothing reads them: 5 (the
 #     mutation and outcome lists, and per backend the server's Commit),
 #     every one of ten runs; 205 or 206 while every write allocated its
@@ -47,9 +46,9 @@
 #     nothing — its key aliases the frame, its value copied into the
 #     worker's scratch — and a SETV over its resident key nothing
 #     either, its record rewritten in place; nor does a GETV then a
-#     same-length SETV of one key, as the GETV lends the engine no
-#     record (1, the SETV's new record, while a GETV lent it). Nothing
-#     on the server path copies a key out of a frame;
+#     same-length SETV of one key, as the GETV copies its value out
+#     (1, the SETV's new record, while a GETV aliased the record).
+#     Nothing on the server path copies a key out of a frame;
 #   - the node side of an anti-entropy pass, in bytes/op, at 100k keys
 #     with every Merkle bucket dirty or listed: Digest() allocates the
 #     tree it returns and two bucket sets (18 KiB; ceiling 64 KiB) and
@@ -61,15 +60,14 @@
 #   - a new key in the engine, in bytes/op at 100k keys of 9 + 128
 #     bytes: its record (one 144-byte allocation holding key, value and
 #     metadata) plus its share of the table index's growth in 17-byte
-#     slots (a 16-byte rec, a tag byte and a lent bit) — 194 measured,
-#     193 before the lent bit, 244 behind a 32-byte map[string]rec
-#     slot, 322 when a key cost a 64-byte slot and a separate value
-#     copy; ceiling 200. The CI twin of TestTableBytesPerEntry;
+#     slots (a 16-byte rec and a tag byte) — 193 measured, 244 behind
+#     a 32-byte map[string]rec slot, 322 when a key cost a 64-byte slot
+#     and a separate value copy; ceiling 200. The CI twin of
+#     TestTableBytesPerEntry;
 #   - a Set through a persistent engine (internal/store), 9 + 128
-#     bytes over 100k resident keys no reader was handed: no
-#     allocation, each record rewritten in place (1, the record, while
-#     every write allocated one), and
-#     156 bytes of log (log-B/op, read from store.wal.append_bytes) —
+#     bytes over 100k resident keys: no allocation, each record
+#     rewritten in place (1, the record, while every write allocated
+#     one), and 156 bytes of log (log-B/op, read from store.wal.append_bytes) —
 #     a 4-byte CRC, the 8-byte version and the table's own 144-byte
 #     record (7 header + 137 payload). The CI twin of the benchmark's
 #     store.wal_bytes_per_set (3 replicas x 156 = 468) and of
@@ -112,7 +110,7 @@ BEGIN {
 	max["BenchmarkKVBatch"] = 0 # the record rewritten in place
 	max["BenchmarkServeFrameGetV"] = 0 # a node serves a Get without allocating
 	max["BenchmarkServeFrameSetV"] = 0 # the record rewritten in place
-	max["BenchmarkServeFrameGetVSetV"] = 0 # the GETV lends nothing
+	max["BenchmarkServeFrameGetVSetV"] = 0 # the GETV copies its value out
 	max["BenchmarkWALSet"] = 0         # the record rewritten in place
 	maxLog["BenchmarkWALSet"] = 156    # 4 CRC + 8 version + 7 header + 137
 	max["BenchmarkRebalanceHeal256"] = 5010 # 5000-5004, see above
