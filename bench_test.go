@@ -1,6 +1,6 @@
 // Root benchmarks: one testing.B per table and figure of the paper,
 // regenerating each artifact end to end (E1-E6), and the two sets that
-// scripts/allocgate.sh reads allocs/op from — the five coordinator
+// scripts/allocgate.sh reads allocs/op from — the six coordinator
 // paths, and the E29/E30 pairs that hold instrumentation and tracing to
 // zero added allocations on a server round trip. Timings belong to
 // bench/ (bash bench/run.sh): every other layer is a rung of its
@@ -95,9 +95,10 @@ func BenchmarkSurveyAudit(b *testing.B) {
 }
 
 // benchCluster starts loopback KV backends and a replicated cluster
-// for the five coordinator benchmarks (E18, E20-E22, Get) whose allocs/op
-// scripts/allocgate.sh holds to a ceiling.
-func benchCluster(b *testing.B) *dist.Cluster {
+// for the six coordinator benchmarks (E18, E20-E22, Get, GetCached)
+// whose allocs/op scripts/allocgate.sh holds to a ceiling; readCache is
+// ClusterConfig.ReadCache.
+func benchCluster(b *testing.B, readCache int) *dist.Cluster {
 	b.Helper()
 	const backends = 3
 	addrs := make([]string, backends)
@@ -110,7 +111,7 @@ func benchCluster(b *testing.B) *dist.Cluster {
 		b.Cleanup(srv.Shutdown)
 		addrs[i] = addr
 	}
-	c, err := dist.NewCluster(dist.ClusterConfig{Addrs: addrs, Replication: 2, Timeout: 5 * time.Second})
+	c, err := dist.NewCluster(dist.ClusterConfig{Addrs: addrs, Replication: 2, Timeout: 5 * time.Second, ReadCache: readCache})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func benchCluster(b *testing.B) *dist.Cluster {
 // the sharded cluster over real loopback TCP, one request at a time
 // from one goroutine (E18).
 func BenchmarkClusterSetGet(b *testing.B) {
-	c := benchCluster(b)
+	c := benchCluster(b, 0)
 	val := []byte("benchmark-value")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -141,7 +142,7 @@ func BenchmarkClusterSetGet(b *testing.B) {
 // the one-key case of fetch, the read path MGet shares, gated on its
 // own so a stray allocation there is not hidden in SetGet's write.
 func BenchmarkClusterGet(b *testing.B) {
-	c := benchCluster(b)
+	c := benchCluster(b, 0)
 	keys, values := benchBatchKeys()
 	if err := c.MSet(keys, values); err != nil {
 		b.Fatal(err)
@@ -155,12 +156,37 @@ func BenchmarkClusterGet(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterGetCached is ClusterGet with the read cache on: the
+// preload's write-through installs every key, so each Get is a hit,
+// and a hit hands out a copy of the cache's value, as a miss hands out
+// its reply's.
+func BenchmarkClusterGetCached(b *testing.B) {
+	c := benchCluster(b, 1024)
+	keys, values := benchBatchKeys()
+	if err := c.MSet(keys, values); err != nil {
+		b.Fatal(err)
+	}
+	hits := obs.Default().Counter("dist.cache.hits")
+	before := hits.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := c.Get(keys[i%len(keys)]); err != nil || !ok {
+			b.Fatalf("get %s: %v %v", keys[i%len(keys)], ok, err)
+		}
+	}
+	b.StopTimer()
+	if n := hits.Value() - before; n != uint64(b.N) {
+		b.Fatalf("%d cache hits in %d Gets", n, b.N)
+	}
+}
+
 // BenchmarkClusterPipelined measures the same Set+Get pair issued by
 // many concurrent goroutines sharing one multiplexed connection per
 // backend (E20): throughput comes from N requests in flight, not N
 // connections in lock-step.
 func BenchmarkClusterPipelined(b *testing.B) {
-	c := benchCluster(b)
+	c := benchCluster(b, 0)
 	val := []byte("benchmark-value")
 	var ctr atomic.Uint64
 	b.ReportAllocs()
@@ -191,7 +217,7 @@ func benchBatchKeys() (keys []string, values [][]byte) {
 // BenchmarkClusterMSet100 writes 100 replicated keys as one batched
 // MSet — a single pipelined burst per backend (E21).
 func BenchmarkClusterMSet100(b *testing.B) {
-	c := benchCluster(b)
+	c := benchCluster(b, 0)
 	keys, values := benchBatchKeys()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -204,7 +230,7 @@ func BenchmarkClusterMSet100(b *testing.B) {
 
 // BenchmarkClusterMGet100 reads 100 keys as one batched MGet (E22).
 func BenchmarkClusterMGet100(b *testing.B) {
-	c := benchCluster(b)
+	c := benchCluster(b, 0)
 	keys, values := benchBatchKeys()
 	if err := c.MSet(keys, values); err != nil {
 		b.Fatal(err)

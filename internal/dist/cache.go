@@ -1,9 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"pdcedu/internal/store"
 )
@@ -92,7 +92,8 @@ func (c *readCache) shardOf(key string) *cacheShard {
 // get returns the cached entry for key. ok means the entry is
 // *servable*: a live value or a known tombstone (the caller reports a
 // tombstone as a definitive miss without touching the replicas).
-// Floors return ok=false.
+// Floors return ok=false. The value is the cache's own: copy it before
+// it leaves the coordinator.
 func (c *readCache) get(key string) (store.Entry, bool) {
 	if c == nil {
 		return store.Entry{}, false
@@ -117,11 +118,13 @@ func (c *readCache) get(key string) (store.Entry, bool) {
 // the put, a version tie resolves exactly as the replicas' Entry.Wins
 // does (tombstone beats value; a floor — which represents "at least
 // this version exists somewhere" — is replaced by the confirmed entry
-// that proves what it is).
+// that proves what it is). The cache keeps its own copy of the value,
+// so the caller's buffer stays the caller's.
 func (c *readCache) put(key string, e store.Entry) {
 	if c == nil {
 		return
 	}
+	e.Value = bytes.Clone(e.Value)
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,38 +194,4 @@ func (c *readCache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Session is a read-your-writes token. A caller that threads one
-// Session through its GetS/SetS/DelS calls is guaranteed never to be
-// served a cached entry older than its own latest observed write: the
-// session remembers the highest version it has seen (CAS-max, safe for
-// concurrent use), and the coordinator serves from cache only when the
-// cached version is at least that new — otherwise the read goes to the
-// replicas, which by quorum intersection hold the session's write. A
-// nil *Session (the plain Get/Set/Del API) opts out and accepts the
-// cache's version-bounded staleness.
-type Session struct {
-	last atomic.Uint64
-}
-
-// Observe folds version v into the session's watermark.
-func (s *Session) Observe(v uint64) {
-	if s == nil {
-		return
-	}
-	for {
-		cur := s.last.Load()
-		if v <= cur || s.last.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Last reports the newest version this session has observed.
-func (s *Session) Last() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.last.Load()
 }

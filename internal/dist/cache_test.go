@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -92,23 +91,6 @@ func TestReadCacheEviction(t *testing.T) {
 	}
 	if distM.cacheEvict.Value() == before {
 		t.Fatal("evictions not counted")
-	}
-}
-
-func TestSessionObserve(t *testing.T) {
-	var s Session
-	if s.Last() != 0 {
-		t.Fatal("fresh session watermark nonzero")
-	}
-	s.Observe(10)
-	s.Observe(5) // must not regress
-	if s.Last() != 10 {
-		t.Fatalf("Last = %d, want 10", s.Last())
-	}
-	var nilSess *Session
-	nilSess.Observe(1) // nil-safe
-	if nilSess.Last() != 0 {
-		t.Fatal("nil session watermark nonzero")
 	}
 }
 
@@ -332,44 +314,61 @@ func TestCacheReadRepairSupersedes(t *testing.T) {
 	}
 }
 
-// TestCacheSessionReadYourWrites checks the session guard: a cached
-// entry older than the session's watermark is never served to it, but
-// sessionless readers still take the hit.
-func TestCacheSessionReadYourWrites(t *testing.T) {
+// TestCacheValuesAreTheCallers checks that no slice crosses the read
+// cache in either direction: a value Get or MGet returns is the
+// caller's to modify, whether it was a hit or populated the cache, and
+// a buffer the caller reuses after Set returned is not what a later
+// read serves.
+func TestCacheValuesAreTheCallers(t *testing.T) {
 	_, addrs := startBackends(t, 3)
 	c := cachedCluster(t, addrs, 1024)
+	other, err := NewCluster(ClusterConfig{Addrs: addrs, Replication: 3, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 
-	sess := &Session{}
-	if err := c.SetS(sess, "k", []byte("mine")); err != nil {
+	// "k" enters the cache through c's Set, "p" through c's first Get
+	// (other wrote it): each is read once to populate or hit, mutated,
+	// and read again.
+	if err := c.Set("k", []byte("orig")); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Last() == 0 {
-		t.Fatal("session did not observe its own write")
-	}
-	if v, ok, err := c.GetS(sess, "k"); err != nil || !ok || !bytes.Equal(v, []byte("mine")) {
-		t.Fatalf("GetS = %q, %v, %v", v, ok, err)
-	}
-	// Simulate a stale cached copy below the session watermark (an
-	// older populate surviving from before the write).
-	c.cache.put("k2", store.Entry{Value: []byte("stale"), Version: 1})
-	sess.Observe(c.clock.Next())
-	misses := distM.cacheMiss.Value()
-	if v, ok, _ := c.GetS(sess, "k2"); ok {
-		t.Fatalf("session served a cached read below its watermark: %q", v)
-	}
-	if distM.cacheMiss.Value() == misses {
-		t.Fatal("watermarked read did not fall through to the replicas")
-	}
-	// A sessionless reader accepts the version-bounded staleness.
-	if v, ok, _ := c.Get("k2"); !ok || string(v) != "stale" {
-		t.Fatalf("sessionless read = %q, %v", v, ok)
-	}
-	// DelS advances the watermark too: the delete is immediately
-	// visible to its session.
-	if _, err := c.DelS(sess, "k"); err != nil {
+	if err := other.Set("p", []byte("orig")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.GetS(sess, "k"); ok {
-		t.Fatal("session read its own delete's victim")
+	for _, key := range []string{"k", "p"} {
+		for i := 0; i < 3; i++ {
+			v, ok, err := c.Get(key)
+			if err != nil || !ok || string(v) != "orig" {
+				t.Fatalf("Get(%s) #%d = %q, %v, %v, want \"orig\"", key, i, v, ok, err)
+			}
+			v[0] = 'X'
+		}
+	}
+	for i := 0; i < 3; i++ {
+		got, err := c.MGet([]string{"k", "p"})
+		if err != nil || string(got["k"]) != "orig" || string(got["p"]) != "orig" {
+			t.Fatalf("MGet #%d = %q, %v, want both \"orig\"", i, got, err)
+		}
+		got["k"][0], got["p"][0] = 'X', 'X'
+	}
+
+	// One buffer reused across Sets, as a caller filling it per write
+	// would.
+	buf := []byte("aaaa")
+	if err := c.Set("r", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "Zbbb")
+	if err := c.Set("r2", buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'Y'
+	if v, ok, err := c.Get("r"); err != nil || !ok || string(v) != "aaaa" {
+		t.Fatalf("Get(r) after reusing Set's buffer = %q, %v, %v, want \"aaaa\"", v, ok, err)
+	}
+	if v, ok, err := c.Get("r2"); err != nil || !ok || string(v) != "Zbbb" {
+		t.Fatalf("Get(r2) after reusing Set's buffer = %q, %v, %v, want \"Zbbb\"", v, ok, err)
 	}
 }

@@ -20,8 +20,6 @@ type ClusterConfig struct {
 	// Replication is the number of backends each key is written to
 	// (default 1, capped at len(Addrs)).
 	Replication int
-	// Vnodes is the virtual-node count of the placement ring (default 64).
-	Vnodes int
 	// Timeout bounds each backend round-trip (default 5s).
 	Timeout time.Duration
 	// WriteQuorum is how many replica acks a Set/MSet needs to succeed
@@ -44,8 +42,7 @@ type ClusterConfig struct {
 	// ReadCache bounds the coordinator's hot-key read cache in entries
 	// (0, the default, disables it). Quorum-read wins and quorum-write
 	// successes populate it; every write path the coordinator sees
-	// invalidates by version. See readCache for the coherence contract
-	// and Session for read-your-writes on top of it.
+	// invalidates by version. See readCache for the coherence contract.
 	ReadCache int
 }
 
@@ -180,7 +177,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		tracer = trace.Default()
 	}
 	c := &Cluster{
-		ring:          NewConsistentHash(n, cfg.Vnodes),
+		ring:          NewConsistentHash(n, 64),
 		clock:         store.NewClock(),
 		tracer:        tracer,
 		cache:         newReadCache(cfg.ReadCache),
@@ -207,12 +204,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	go c.rebalanceLoop()
 	return c, nil
 }
-
-// Backends reports the number of backend servers.
-func (c *Cluster) Backends() int { return len(c.pools) }
-
-// Replication reports the effective replication factor.
-func (c *Cluster) Replication() int { return c.rf }
 
 // replicaSet returns the live backends holding key: the first rf
 // distinct nodes clockwise from the key's *bucket's* ring position
@@ -327,24 +318,14 @@ func noLiveErr(op, key string) error {
 // coordinators resolve last-writer-wins by version on every replica
 // identically. It succeeds once a quorum of the live replica set
 // acknowledges and otherwise returns a *PartialWriteError naming the
-// replicas that did; the Cluster doc has the per-reply rules.
+// replicas that did; the Cluster doc has the per-reply rules. For a
+// replica the write could not reach, the hint queue keeps value until
+// the hint is replayed, so do not modify value after the call.
 func (c *Cluster) Set(key string, value []byte) error {
-	return c.SetS(nil, key, value)
-}
-
-// SetS is Set bound to a read-your-writes Session: on success the
-// session observes the write's version, so a later GetS through the
-// same session can never be served a cached entry older than this
-// write. See Session.
-func (c *Cluster) SetS(sess *Session, key string, value []byte) error {
 	defer distM.latSet.ObserveSince(obs.StartTimer())
 	muts := [1]mutation{{key, store.Entry{Value: value, Version: c.clock.Next()}}}
 	var out [1]outcome
-	err := c.writeSets("set", muts[:], out[:])
-	if err == nil {
-		sess.Observe(muts[0].e.Version)
-	}
-	return err
+	return c.writeSets("set", muts[:], out[:])
 }
 
 // MSet writes many key/value pairs with replicated quorum writes: each
@@ -354,7 +335,7 @@ func (c *Cluster) SetS(sess *Session, key string, value []byte) error {
 // key misses quorum the whole batch returns one *PartialWriteError
 // carrying the first such key's detail plus the total count of
 // under-quorum keys (every other key's writes still complete and
-// remain durable).
+// remain durable). As with Set, do not modify values after the call.
 func (c *Cluster) MSet(keys []string, values [][]byte) error {
 	defer distM.latMSet.ObserveSince(obs.StartTimer())
 	if len(keys) != len(values) {
@@ -401,23 +382,10 @@ func (c *Cluster) writeSets(op string, muts []mutation, out []outcome) error {
 // copy can never win the merge against it. A delete that did not reach
 // its whole live replica set returns the first replica's cause.
 func (c *Cluster) Del(key string) (ok bool, err error) {
-	return c.delS(key, nil)
-}
-
-// DelS is Del bound to a read-your-writes Session: the session
-// observes the tombstone's version, so a later GetS through the same
-// session reports the key gone rather than serving a cached pre-delete
-// value.
-func (c *Cluster) DelS(sess *Session, key string) (ok bool, err error) {
-	return c.delS(key, sess)
-}
-
-func (c *Cluster) delS(key string, sess *Session) (ok bool, err error) {
 	defer distM.latDel.ObserveSince(obs.StartTimer())
 	muts := [1]mutation{{key, store.Entry{Version: c.clock.Next(), Tombstone: true}}}
 	var out [1]outcome
 	n, err := c.writeDels("del", muts[:], out[:])
-	sess.Observe(muts[0].e.Version)
 	return n > 0, err
 }
 

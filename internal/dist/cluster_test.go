@@ -224,10 +224,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Replication() != 2 {
-		t.Errorf("replication capped at %d, want len(addrs)=2", c.Replication())
-	}
-	if c.Backends() != 2 {
-		t.Errorf("Backends() = %d, want 2", c.Backends())
+	if n := len(c.ReplicaSet("k")); n != 2 {
+		t.Errorf("replication capped at %d, want len(addrs)=2", n)
 	}
 }

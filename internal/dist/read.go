@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"fmt"
 
 	"pdcedu/internal/csnet"
@@ -9,17 +10,15 @@ import (
 	"pdcedu/internal/trace"
 )
 
-// cached consults the read cache for key on behalf of sess and books
-// the hit or the miss. An entry below the session's watermark is a
-// miss; a hit advances the watermark. A returned entry is servable: a
-// live value, or a tombstone to report as a definitive miss.
-func (c *Cluster) cached(key string, sess *Session) (store.Entry, bool) {
+// cached consults the read cache for key and books the hit or the
+// miss. A returned entry is servable: a live value, or a tombstone to
+// report as a definitive miss.
+func (c *Cluster) cached(key string) (store.Entry, bool) {
 	if c.cache == nil {
 		return store.Entry{}, false
 	}
-	if e, hit := c.cache.get(key); hit && e.Version >= sess.Last() {
+	if e, hit := c.cache.get(key); hit {
 		distM.cacheHits.Inc()
-		sess.Observe(e.Version)
 		return e, true
 	}
 	distM.cacheMiss.Inc()
@@ -41,25 +40,15 @@ func (c *Cluster) cached(key string, sess *Session) (store.Entry, bool) {
 // cached entry — a live value, or a cached tombstone reported as a
 // definitive miss — short-circuits the replica round entirely; reads
 // that do go to the replicas populate the cache with what they learn
-// (the winning entry, or the newest tombstone seen).
+// (the winning entry, or the newest tombstone seen). A cached value
+// may be stale until the next write, repair or supersede of its key
+// that this coordinator sees (readCache has the contract). The
+// returned value is the caller's, cached or not.
 func (c *Cluster) Get(key string) (value []byte, ok bool, err error) {
-	return c.getS(key, nil)
-}
-
-// GetS is Get bound to a read-your-writes Session: a cached entry is
-// served only when its version is at least the session's watermark, so
-// a session can never be handed a cached read older than its own
-// writes; the session then observes what it read, making session reads
-// monotonic too.
-func (c *Cluster) GetS(sess *Session, key string) (value []byte, ok bool, err error) {
-	return c.getS(key, sess)
-}
-
-func (c *Cluster) getS(key string, sess *Session) (value []byte, ok bool, err error) {
 	defer distM.latGet.ObserveSince(obs.StartTimer())
 	keys := [1]string{key}
 	var out [1]fetched
-	err = c.fetch("get", keys[:], sess, out[:])
+	err = c.fetch("get", keys[:], out[:])
 	return out[0].value, out[0].ok, err
 }
 
@@ -72,7 +61,7 @@ func (c *Cluster) getS(key string, sess *Session) (value []byte, ok bool, err er
 func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
 	defer distM.latMGet.ObserveSince(obs.StartTimer())
 	out := make([]fetched, len(keys))
-	err := c.fetch("mget", keys, nil, out)
+	err := c.fetch("mget", keys, out)
 	found := make(map[string][]byte, len(keys))
 	for i := range out {
 		if out[i].ok {
@@ -99,14 +88,14 @@ type fetched struct {
 // primary's reply, and for a key it did not settle, the rest of the
 // replica set through readFrom. The root span opens before the cache
 // is consulted and reports the first error, which fetch also returns.
-func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) (err error) {
+func (c *Cluster) fetch(op string, keys []string, out []fetched) (err error) {
 	ctx, root := c.startOp(trace.KindOp, op)
 	var slots [inlineBackends]clientSlot
 	bc := c.batchClients(&slots)
 	for i, key := range keys {
 		f := &out[i]
-		if e, hit := c.cached(key, sess); hit {
-			f.value, f.ok = e.Value, !e.Tombstone
+		if e, hit := c.cached(key); hit {
+			f.value, f.ok = bytes.Clone(e.Value), !e.Tombstone
 			continue
 		}
 		if f.set = c.replicaSet(key); len(f.set) == 0 {
@@ -128,10 +117,10 @@ func (c *Cluster) fetch(op string, keys []string, sess *Session, out []fetched) 
 		var w readWalk
 		resp, sp, rerr := bc.next(f.set[0])
 		var done bool
-		if f.value, f.ok, done = c.readStep(ctx, key, sess, &w, f.set[0], resp, rerr, sp); done {
+		if f.value, f.ok, done = c.readStep(ctx, key, &w, f.set[0], resp, rerr, sp); done {
 			continue
 		}
-		if f.value, f.ok, rerr = c.readFrom(ctx, &bc, key, sess, f.set[1:], &w); rerr != nil && err == nil {
+		if f.value, f.ok, rerr = c.readFrom(ctx, &bc, key, f.set[1:], &w); rerr != nil && err == nil {
 			err = rerr
 		}
 	}
@@ -156,7 +145,7 @@ type readWalk struct {
 // answer, and otherwise a miss — cached as a tombstone when the newest
 // miss was an explicit delete, so polling a deleted key is as cheap as
 // polling a hot value.
-func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess *Session, set []int, w *readWalk) (value []byte, ok bool, err error) {
+func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, set []int, w *readWalk) (value []byte, ok bool, err error) {
 	for _, b := range set {
 		if _, err := bc.get(b); err != nil {
 			w.err = err
@@ -164,7 +153,7 @@ func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess
 		}
 		sp := c.span(ctx, trace.KindRPC, "GETV", b)
 		resp, err := bc.alone(b, csnet.Request{Op: csnet.OpGetV, Key: key, Trace: sp.Context()})
-		if value, ok, done := c.readStep(ctx, key, sess, w, b, resp, err, &sp); done {
+		if value, ok, done := c.readStep(ctx, key, w, b, resp, err, &sp); done {
 			return value, ok, nil
 		}
 	}
@@ -173,7 +162,6 @@ func (c *Cluster) readFrom(ctx trace.Context, bc *batchClients, key string, sess
 	}
 	if w.tomb.Version > 0 {
 		c.cache.put(key, w.tomb)
-		sess.Observe(w.tomb.Version)
 	}
 	return nil, false, nil
 }
@@ -191,7 +179,7 @@ func entryOf(resp csnet.Response) store.Entry {
 // which case the value is the stale copy, the tombstone is pushed at
 // its holder, and the key reads as gone. A miss or a failure moves the
 // walk on.
-func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *readWalk, b int, resp csnet.Response, err error, sp *trace.Active) (value []byte, ok, done bool) {
+func (c *Cluster) readStep(ctx trace.Context, key string, w *readWalk, b int, resp csnet.Response, err error, sp *trace.Active) (value []byte, ok, done bool) {
 	if err == nil && resp.Status != csnet.StatusOK && resp.Status != csnet.StatusNotFound {
 		err = statusErr(resp)
 	}
@@ -220,7 +208,6 @@ func (c *Cluster) readStep(ctx trace.Context, key string, sess *Session, w *read
 		c.readRepair(ctx, key, e, w.missed)
 	}
 	c.cache.put(key, e)
-	sess.Observe(e.Version)
 	return e.Value, !e.Tombstone, true
 }
 

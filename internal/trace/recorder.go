@@ -114,14 +114,8 @@ func Default() *Recorder { return defaultRecorder }
 // default: NewTrace returns the zero Context and nothing records.
 func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether this recorder originates traces.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
-
 // SetNode sets the identity stamped on spans this recorder starts.
 func (r *Recorder) SetNode(node string) { r.node.Store(&node) }
-
-// NodeName returns the identity stamped on spans started here.
-func (r *Recorder) NodeName() string { return *r.node.Load() }
 
 // SetSampleEvery head-samples 1 in n new traces; n<=0 disables head
 // sampling (tail promotion still captures slow traces).

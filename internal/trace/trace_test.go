@@ -121,7 +121,7 @@ func synth(r *Recorder, traceID, id, parent uint64, dur time.Duration, sampled b
 	r.record(Span{
 		TraceID: traceID, ID: id, Parent: parent,
 		Start: int64(id), Dur: int64(dur), Bucket: -1,
-		Kind: KindServer, Op: "SETV", Node: r.NodeName(),
+		Kind: KindServer, Op: "SETV", Node: *r.node.Load(),
 	}, flags)
 }
 

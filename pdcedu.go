@@ -64,7 +64,7 @@
 // "Tracing" section). The load layer closes the loop between serving
 // and measuring: the coordinator
 // carries a bounded hot-key read cache (version-invalidated by every
-// write path, session tokens for read-your-writes), the csnet server
+// write path it sees), the csnet server
 // sheds excess load with a typed BUSY status once its queue depth or
 // in-flight budget is exceeded (clients retry with jittered backoff),
 // and cmd/distload offers the coordinator a fixed open-loop arrival

@@ -4,7 +4,7 @@
 # count is not, so this is the part of the perf ledger CI can gate on.
 # Eight checks; the ceilings below are the one place the numbers live:
 #
-#   - the five coordinator paths (root benchmarks, rf=2) against
+#   - the six coordinator paths (root benchmarks, rf=2) against
 #     recorded ceilings, measured over ten runs of this script (go1.24).
 #     A replicated write costs each replica at most 1 allocation, the
 #     engine's record, and none when it overwrites a record of the same
@@ -31,7 +31,9 @@
 #     over a measured 13.5k-14.1k, so the per-key read state cannot
 #     quietly grow back (at 56k a Batch per key, at 40k a Call per
 #     key). Get is gated alone: a stray allocation on that path fails
-#     ClusterGet instead of hiding in SetGet's write. Lower one when a
+#     ClusterGet instead of hiding in SetGet's write. GetCached is Get
+#     with the read cache on, every Get a hit: 1, the copy a hit hands
+#     out (0 while a hit returned the cache's own slice). Lower one when a
 #     change brings its number down, never raise one without saying why
 #     in CHANGES.md;
 #   - one csnet SETV round trip at a rising version (internal/csnet):
@@ -88,7 +90,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'ClusterGet$|ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$|ServerOp' -benchtime 2000x .
+out=$(go test -run '^$' -bench 'ClusterGet$|ClusterGetCached$|ClusterSetGet$|ClusterPipelined$|ClusterMSet100$|ClusterMGet100$|ServerOp' -benchtime 2000x .
 	go test -run '^$' -bench 'KVRoundTrip$|KVPipelined$|KVBatch$|ServeFrameGetV$|ServeFrameSetV$|ServeFrameGetVSetV$' -benchtime 2000x ./internal/csnet/
 	go test -run '^$' -bench 'DigestAllDirty$' -benchtime 10x ./internal/store/
 	go test -run '^$' -bench 'MergeNewKey$' -benchtime 100000x ./internal/store/
@@ -100,6 +102,7 @@ printf '%s\n' "$out"
 printf '%s\n' "$out" | awk '
 BEGIN {
 	max["BenchmarkClusterGet"] = 1 # the value
+	max["BenchmarkClusterGetCached"] = 1 # the value, copied out of the cache
 	max["BenchmarkClusterSetGet"] = 5
 	max["BenchmarkClusterPipelined"] = 10 # 64 goroutines: 6 to 9 by schedule
 	max["BenchmarkClusterMSet100"] = 5 # rewritten in place, see above
