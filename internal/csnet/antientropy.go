@@ -26,20 +26,31 @@ func EncodeBucketList(ids []uint32) []byte {
 
 // DecodeBucketList parses an EncodeBucketList body.
 func DecodeBucketList(b []byte) ([]uint32, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("csnet: bucket list too short (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != 4*n {
-		return nil, fmt.Errorf("csnet: bucket list count %d but %d body bytes", n, len(b))
+	n, err := bucketListLen(b)
+	if err != nil {
+		return nil, err
 	}
 	ids := make([]uint32, n)
 	for i := range ids {
-		ids[i] = binary.BigEndian.Uint32(b[4*i:])
+		ids[i] = bucketListAt(b, i)
 	}
 	return ids, nil
 }
+
+// bucketListLen checks an EncodeBucketList body and returns its count.
+func bucketListLen(b []byte) (int, error) {
+	if len(b) < 4 {
+		return 0, fmt.Errorf("csnet: bucket list too short (%d bytes)", len(b))
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if len(b)-4 != 4*n {
+		return 0, fmt.Errorf("csnet: bucket list count %d but %d body bytes", n, len(b)-4)
+	}
+	return n, nil
+}
+
+// bucketListAt is index i of a body bucketListLen accepted.
+func bucketListAt(b []byte, i int) uint32 { return binary.BigEndian.Uint32(b[4+4*i:]) }
 
 // TreeNode is one (node index, hash) pair of an OpTreeV response.
 type TreeNode struct {
@@ -98,21 +109,10 @@ type KeyDigest struct {
 // keyLen(2) version(8) digest(8) flags(1) plus an empty key.
 const rangeVEntryMin = 2 + 8 + 8 + 1
 
-// EncodeRangeV serializes an OpRangeV response: count(4) then count *
-// (keyLen(2) key version(8) digest(8) flags(1)).
-func EncodeRangeV(entries []KeyDigest) ([]byte, error) {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
-	for _, e := range entries {
-		if len(e.Key) > 0xFFFF {
-			return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(e.Key))
-		}
-		buf = appendRangeVEntry(buf, e)
-	}
-	return buf, nil
-}
-
-// appendRangeVEntry appends one listing entry in the EncodeRangeV
-// layout; the caller has checked the key length.
+// appendRangeVEntry appends one entry of an OpRangeV listing —
+// keyLen(2) key version(8) digest(8) flags(1), after the listing's
+// count(4) — as DecodeRangeV reads it; the caller has checked the key
+// length.
 func appendRangeVEntry(buf []byte, e KeyDigest) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Key)))
 	buf = append(buf, e.Key...)

@@ -9,10 +9,14 @@ import (
 // Batch is how a burst of versioned requests — a coordinator's writes,
 // reads, merges and purges — travels to one server: Add
 // encodes each request straight into the frame being built, a frame
-// goes out when the next entry would take it past muxBufSize (so both
-// ends' free lists recycle its buffer and no frame nears MaxFrameSize)
-// or on Send, and NextV hands back the replies in the order the entries
-// were added. A frame of several entries is one OpBatch envelope; a
+// goes out when the next entry would take it, or the reply it draws,
+// past muxBufSize (so both ends' free lists recycle the buffers of both
+// and no frame nears MaxFrameSize) or on Send, and NextV hands back the
+// replies in the order the entries were added. A write draws an ack
+// (batchReplyGuess); a read is taken to draw as much as the longest
+// read reply this Client has decoded, so a burst of reads is cut by
+// what it draws, not by its few request bytes. A frame of several
+// entries is one OpBatch envelope; a
 // frame of one is that request's own plain frame, byte for byte what
 // Client.Send would have written — the choice is the size of the group
 // and nothing else. Either way a frame takes one Pending and one reply
@@ -27,9 +31,10 @@ import (
 // for one goroutine and one burst: Add…, Send, then NextV once per Add.
 // It must not be copied after the first Add.
 type Batch struct {
-	c   *Client
-	buf []byte // the frame being built: room for the envelope header, then its items
-	n   int    // entries in buf
+	c     *Client
+	buf   []byte // the frame being built: room for the envelope header, then its items
+	n     int    // entries in buf
+	reply int    // the reply bytes buf's entries are expected to draw
 
 	// Frames sent, in order. The first lives inline: a burst that fits
 	// one frame — every single-key write — allocates no list.
@@ -71,13 +76,18 @@ func (b *Batch) Add(req Request) {
 		return
 	}
 	need := batchItemMin + 1 + 2 + len(req.Key) + 4 + len(req.Value) + maxTrailerSize
-	if b.n > 0 && len(b.buf)+need > muxBufSize {
+	draws := batchReplyGuess
+	if req.Op == OpGetV {
+		draws = max(draws, batchItemMin+int(b.c.readReply.Load()))
+	}
+	if b.n > 0 && (len(b.buf)+need > muxBufSize || b.reply+draws > muxBufSize) {
 		b.Send()
 	}
 	switch b.n {
 	case 0:
 		// Alone until a second entry shows up: an ordinary request buffer.
 		b.buf = append(getBuf(0), make([]byte, batchRequestHeader)...)
+		b.reply = batchReplyHeader
 	case 1:
 		if cap(b.buf) < muxBufSize {
 			// A group after all: move to a buffer a whole frame fits, so
@@ -97,6 +107,7 @@ func (b *Batch) Add(req Request) {
 	binary.BigEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-batchItemMin))
 	b.buf = buf
 	b.n++
+	b.reply += draws
 }
 
 // refuse books an entry that cannot be sent, after whatever is already
@@ -170,6 +181,7 @@ func (b *Batch) NextV() (Response, error) {
 		return Response{}, b.err
 	}
 	resp, err := DecodeResponseV(item)
+	b.c.noteReply(len(item), resp)
 	resp.Value = bytes.Clone(resp.Value)
 	if b.left == 0 {
 		b.release()
@@ -191,6 +203,7 @@ func (b *Batch) open(f batchFrame) {
 	}
 	if f.n == 1 {
 		b.all, b.err = DecodeResponseV(b.body)
+		b.c.noteReply(len(b.body), b.all)
 	} else if b.all, b.err = DecodeResponse(b.body); b.err == nil && b.all.Status == StatusOK {
 		if b.items, b.err = DecodeBatch(b.all.Value); b.err == nil {
 			return // the items are read, and the body released, by NextV
@@ -200,6 +213,21 @@ func (b *Batch) open(f batchFrame) {
 	b.whole = true
 	b.all.Value = bytes.Clone(b.all.Value)
 	b.release()
+}
+
+// noteReply raises readReply to n, the encoded length of resp, when
+// resp answers a read: a StatusOK reply with a value (a write's ack
+// carries none).
+func (c *Client) noteReply(n int, resp Response) {
+	if resp.Status != StatusOK || len(resp.Value) == 0 {
+		return
+	}
+	for {
+		cur := c.readReply.Load()
+		if int64(n) <= cur || c.readReply.CompareAndSwap(cur, int64(n)) {
+			return
+		}
+	}
 }
 
 // release hands the open frame's Pending and reply body back to the

@@ -143,6 +143,108 @@ func TestBatchRepliesInOrderAcrossFrames(t *testing.T) {
 	}
 }
 
+// replySizes passes every frame through to next and keeps the length
+// of each reply it answers with, in order.
+type replySizes struct {
+	next  FrameHandler
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (r *replySizes) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
+	out := r.next.ServeFrame(dst, body, meta)
+	r.mu.Lock()
+	r.sizes = append(r.sizes, len(out)-len(dst))
+	r.mu.Unlock()
+	return out
+}
+
+// take returns the lengths kept so far and starts a new list.
+func (r *replySizes) take() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sizes := r.sizes
+	r.sizes = nil
+	return sizes
+}
+
+// TestBatchReadBurstCutByItsReplies: a Batch of GETVs whose values
+// total several times muxBufSize is cut by the replies it draws — each
+// read taken to be as long as the longest read reply the Client has
+// decoded — and not by its few request bytes, so every reply frame
+// fits muxBufSize and none is dropped instead of recycled; NextV still
+// hands the values back in Add order.
+func TestBatchReadBurstCutByItsReplies(t *testing.T) {
+	const n, size = 600, 400
+	kv := NewKVHandler()
+	sizes := &replySizes{next: protocolFrames{kv}}
+	cl := startFrames(t, sizes)
+	value := func(i int) []byte {
+		return append([]byte(fmt.Sprintf("%04d:", i)), payload(size, i)...)
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("read-%04d", i)
+		kv.Engine().Set(keys[i], value(i))
+	}
+	// One read first: a Client that has decoded none cannot tell what a
+	// read draws.
+	warm := cl.Batch()
+	warm.Add(Request{Op: OpGetV, Key: keys[0]})
+	warm.Send()
+	if resp, err := warm.NextV(); err != nil || !bytes.Equal(resp.Value, value(0)) {
+		t.Fatalf("first read = %+v %v", resp, err)
+	}
+	sizes.take()
+	oversize := csnetM.replyOversize.Value()
+
+	batch := cl.Batch()
+	for _, k := range keys {
+		batch.Add(Request{Op: OpGetV, Key: k})
+	}
+	batch.Send()
+	for i := range keys {
+		resp, err := batch.NextV()
+		if err != nil || resp.Status != StatusOK || !bytes.Equal(resp.Value, value(i)) {
+			t.Fatalf("read %d: %s %q %v, want its own value", i, resp.Status, resp.Value[:min(8, len(resp.Value))], err)
+		}
+	}
+	frames := sizes.take()
+	total := 0
+	for i, sz := range frames {
+		if sz > muxBufSize {
+			t.Errorf("reply frame %d is %d bytes, over muxBufSize", i, sz)
+		}
+		total += sz
+	}
+	if total < n*size || len(frames) < (total+muxBufSize-1)/muxBufSize {
+		t.Errorf("%d reads answered in %d frames of %d bytes in all", n, len(frames), total)
+	}
+	if d := csnetM.replyOversize.Value() - oversize; d != 0 {
+		t.Errorf("csnet.server.reply_oversize grew by %d over a burst cut to fit, want 0", d)
+	}
+}
+
+// TestReplyOversizeCounted: csnet.server.reply_oversize counts exactly
+// the replies that outgrew muxBufSize — an echo of one byte more — and
+// not one that fits it, wherever it was built.
+func TestReplyOversizeCounted(t *testing.T) {
+	cl := startFrames(t, protocolFrames{NewKVHandler()})
+	for _, tc := range []struct {
+		n    int
+		want uint64
+	}{{1, 0}, {4 << 10, 0}, {muxBufSize - 64, 0}, {muxBufSize + 1, 1}, {300 << 10, 1}} {
+		before := csnetM.replyOversize.Value()
+		resp, err := cl.Send(Request{Op: OpEcho, Value: payload(tc.n, 3)}).Response()
+		if err != nil || !bytes.Equal(resp.Value, payload(tc.n, 3)) {
+			t.Fatalf("echo of %d bytes: %v %v", tc.n, resp.Status, err)
+		}
+		if d := csnetM.replyOversize.Value() - before; d != tc.want {
+			t.Errorf("echo of %d bytes: reply_oversize grew by %d, want %d", tc.n, d, tc.want)
+		}
+	}
+}
+
 // oldPeerFrames is a build from before OpBatch: the envelope decodes
 // as a request with an op it does not know.
 type oldPeerFrames struct{ next FrameHandler }

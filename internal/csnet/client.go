@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pdcedu/internal/obs"
@@ -42,6 +43,10 @@ func respErr(what string, resp Response) error {
 // node-wide query (TreeV, RangeV, Stats, Traces, gossip) rides Call.
 type Client struct {
 	m *muxConn
+	// readReply is the longest read reply, as encoded, a Batch has
+	// decoded from this server: what a Batch expects each read it sends
+	// to draw.
+	readReply atomic.Int64
 }
 
 // Dial connects to a Server at addr. timeout bounds the dial and each

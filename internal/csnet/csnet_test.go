@@ -378,6 +378,97 @@ func BenchmarkServeFrameGetV(b *testing.B) {
 	}
 }
 
+// warmWorker serves body through w as a server worker does, then hands
+// the reply's buffer back as the frame writer would once the reply is
+// written, and returns the reply as it was before that release.
+func warmWorker(b *testing.B, w *worker, fh FrameHandler, body []byte) Response {
+	b.Helper()
+	f := w.serve(fh, muxFrame{body: body})
+	if len(f.body) > muxBufSize {
+		b.Fatalf("reply of %d bytes does not fit muxBufSize", len(f.body))
+	}
+	decode := DecodeResponse
+	if Versioned(Op(body[0])) {
+		decode = DecodeResponseV
+	}
+	resp, err := decode(f.body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp.Value = bytes.Clone(resp.Value)
+	putBuf(f.free[1])
+	return resp
+}
+
+// BenchmarkServeFrameRangeV is a node serving one OpRangeV listing
+// frame whose reply fits muxBufSize, as a warm worker serves it: the
+// listing is built in the worker's scratch, the bucket set it marks is
+// the worker's, and the reply frame is drawn from the free list and
+// goes back to it, so the frame allocates nothing.
+// scripts/allocgate.sh holds it to 0.
+func BenchmarkServeFrameRangeV(b *testing.B) {
+	kv := NewKVHandler()
+	for i := 0; i < 20_000; i++ {
+		kv.Engine().Merge(fmt.Sprintf("key-%07d", i), store.Entry{Value: make([]byte, 128), Version: uint64(1000 + i)})
+	}
+	ids := make([]uint32, 64) // ~20 keys a bucket: a ~38 KB listing
+	for i := range ids {
+		ids[i] = uint32(i * 16)
+	}
+	body, err := EncodeRequest(Request{Op: OpRangeV, Value: EncodeBucketList(ids)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fh FrameHandler = protocolFrames{h: kv} // boxed once, as a Server holds it
+	w := worker{scratch: getBuf(0)}
+	defer func() { putBuf(w.scratch) }()
+	if resp := warmWorker(b, &w, fh, body); resp.Status != StatusOK || len(resp.Value) < muxBufSize/2 {
+		b.Fatalf("RANGEV = %s, %d bytes; want a listing of more than half a frame", resp.Status, len(resp.Value))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putBuf(w.serve(fh, muxFrame{body: body}).free[1])
+	}
+}
+
+// BenchmarkServeFrameGetVBurst is a node serving one OpBatch frame of
+// 256 GETVs whose reply fits muxBufSize — a heal pass's repair reads —
+// as a warm worker serves it: each value is copied into the worker's
+// scratch and encoded into a reply frame drawn from the free list, and
+// the frame's Commit is the worker's, so it allocates nothing.
+// scripts/allocgate.sh holds it to 0.
+func BenchmarkServeFrameGetVBurst(b *testing.B) {
+	const reads = 256
+	kv := NewKVHandler()
+	env := AppendBatchHeader(nil, reads)
+	for i := 0; i < reads; i++ {
+		key := fmt.Sprintf("burst-%04d", i)
+		kv.Engine().Set(key, make([]byte, 128))
+		enc, err := EncodeRequest(Request{Op: OpGetV, Key: key})
+		if err != nil {
+			b.Fatal(err)
+		}
+		env = AppendBatchItem(env, enc)
+	}
+	body, err := EncodeRequest(Request{Op: OpBatch, Value: env})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fh FrameHandler = protocolFrames{h: kv} // boxed once, as a Server holds it
+	w := worker{scratch: getBuf(0)}
+	defer func() { putBuf(w.scratch) }()
+	resp := warmWorker(b, &w, fh, body)
+	if items, err := DecodeBatch(resp.Value); resp.Status != StatusOK || err != nil || items.Len() != reads {
+		b.Fatalf("BATCH = %s %v, want %d replies", resp.Status, err, reads)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putBuf(w.serve(fh, muxFrame{body: body}).free[1])
+	}
+}
+
 // BenchmarkServeFrameGetVSetV is a replica's read followed by a write
 // of the same key: a GETV, then a SETV of a value of the same length,
 // each served as a worker serves it. The GETV copies its value into the

@@ -24,6 +24,9 @@ import (
 //	                              admission control (queue or budget)
 //	csnet.server.inflight.hw      gauge: admitted-frame high water while
 //	                              the in-flight budget is enabled
+//	csnet.server.reply_oversize   counter: reply frames that outgrew
+//	                              muxBufSize, so their buffer was dropped
+//	                              instead of recycled
 //	csnet.mux.pending.hw          gauge: client pipeline depth high water
 //	csnet.mux.timeouts            counter: client waits that expired
 //	csnet.mux.poisoned            counter: muxed conns failed with error
@@ -58,6 +61,9 @@ type serverMetrics struct {
 
 	// framesPerFlush has one sample per write syscall of runFrameWriter.
 	framesPerFlush *obs.Histogram
+	// replyOversize counts the replies a worker could not hand back to
+	// the free list: moved out of dst into more than muxBufSize.
+	replyOversize *obs.Counter
 }
 
 // csnetM holds the package's metric pointers, resolved once at init so
@@ -82,6 +88,7 @@ var csnetM = func() *serverMetrics {
 		peerRedials:  r.Counter("csnet.peer.redials"),
 
 		framesPerFlush: r.Histogram("csnet.mux.frames_per_flush"),
+		replyOversize:  r.Counter("csnet.server.reply_oversize"),
 	}
 	for op := 0; op <= int(OpPurgeV); op++ {
 		name := Op(op).String() // op 0 and unmapped bytes stringify as UNKNOWN

@@ -16,9 +16,16 @@ import (
 // client (or its connection) is torn down.
 var ErrClientClosed = errors.New("csnet: client closed")
 
-// muxBufSize sizes the per-connection read and write buffers: large
-// enough that a burst of pipelined frames coalesces into one syscall.
-const muxBufSize = 64 << 10
+// FrameBudget is the largest frame, request or reply, whose buffer the
+// transport recycles (see freeBufs): a sender that keeps its frames and
+// the replies they draw within it allocates nothing per frame on either
+// end once the free lists are warm.
+const FrameBudget = 64 << 10
+
+// muxBufSize sizes the per-connection read and write buffers — large
+// enough that a burst of pipelined frames coalesces into one syscall —
+// and is the frame budget.
+const muxBufSize = FrameBudget
 
 // muxSendQueue bounds how many requests may wait for the writer
 // goroutine; enqueueing past it applies backpressure to callers.
@@ -40,14 +47,22 @@ const muxIdleWindow = time.Second
 //     connection's write buffer;
 //   - the request body a server reads off a connection, which rides its
 //     response frame so a reply that aliases it is written first;
-//   - the dst a server hands ServeFrame to append the response to;
+//   - the dst a server hands ServeFrame to append the response to — or,
+//     when the reply outgrew dst, the array append (or roomFor, from
+//     getBuf) moved it to: a reply in neither dst's array nor the
+//     body's is released by the writer in dst's place, and dst by the
+//     worker at once (worker.serve), so a reply of up to muxBufSize is
+//     recycled wherever it was built;
 //   - a server worker's scratch (FrameMeta.Scratch, Request.Scratch),
-//     drawn once when the worker starts and released when it exits. A
+//     drawn when the worker starts and released when it exits. A
 //     handler appends a reply's value to it — a GETV's, a copy made
-//     under the shard lock by Sharded.AppendLoad — and the reply is
-//     encoded into dst before the worker serves its next frame or the
-//     next entry of a batch, so one scratch per worker is never read
-//     after it is reused;
+//     under the shard lock by Sharded.AppendLoad, or an OpRangeV
+//     listing's whole body — and the reply is encoded into dst before
+//     the worker serves its next frame or the next entry of a batch, so
+//     one scratch per worker is never read after it is reused. A
+//     handler that needs a larger one (Request.scratchFor) draws it
+//     from getBuf, up to muxBufSize; the worker keeps it from then on
+//     and the old one is released, as nothing reads it any more;
 //   - a Batch frame's reply body, released by the Batch together with
 //     the frame's Pending (getPending/putPending) once the frame's last
 //     entry has been decoded. The parts of a reply a caller can keep —
@@ -57,7 +72,9 @@ const muxIdleWindow = time.Second
 // Everything else a caller can hold is a plain allocation made for it
 // and never reused: the *Call of Send, the *Pending of SendFrame, and
 // their reply bodies (a node-wide query's reply is what its decoder
-// aliases: a RangeV listing's keys, say). A buffer or Pending that
+// aliases: a RangeV listing's keys, say; the server built that listing
+// in its transport buffers, which is why a coordinator asks for
+// listings that fit muxBufSize). A buffer or Pending that
 // misses its release — a dying connection's backlog, an abandoned
 // Batch — is ordinary garbage, so no path has to release to stay
 // correct; none may release early.
@@ -75,8 +92,9 @@ const muxIdleWindow = time.Second
 // freeBufs is the free list: bounded — 1024 slots hold a pipelined
 // burst's buffers on both ends of a few connections, so a batch reuses
 // them instead of churning — and holding nothing above muxBufSize, so
-// one large frame (an OpRangeV listing, an OpStats snapshot) cannot pin
-// memory.
+// one large frame (an OpStats snapshot, a listing a coordinator asked
+// for whole) cannot pin memory; such a reply is counted in
+// csnet.server.reply_oversize as it is dropped.
 var freeBufs = make(chan []byte, 1024)
 
 // freePendings is the Batch frames' Pendings, under freeBufs' rules:
@@ -93,6 +111,17 @@ const bufMinCap = 1 << 10
 // them: the package's one unsafe conversion, safe exactly as long as
 // the rule above holds b still.
 func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// within reports whether s starts inside b's array — s is b, b grown in
+// place, or a piece of b — by comparing addresses only.
+func within(s, b []byte) bool {
+	if cap(s) == 0 || cap(b) == 0 {
+		return false
+	}
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return at >= lo && at < lo+uintptr(cap(b))
+}
 
 // TestPoisonRelease makes putBuf overwrite every released buffer with
 // 0xDB, so an alias that outlives its owner fails the test that reads

@@ -66,10 +66,12 @@ const (
 	OpTreeV
 	// OpRangeV lists the raw entries of the requested Merkle buckets
 	// only (request Value: EncodeBucketList of bucket indexes; response
-	// Value: EncodeRangeV), each entry carrying its version, value
-	// digest, and tombstone flag. It is what the digest descent
-	// ends in: only divergent buckets ever pay for a listing, and the
-	// digest makes same-version value splits visible to the planner.
+	// Value: the listing DecodeRangeV reads, count(4) then per entry
+	// keyLen(2) key version(8) digest(8) flags(1)), each entry carrying
+	// its version, value digest, and tombstone flag. It is what the
+	// digest descent ends in: only divergent buckets ever pay for a
+	// listing, and the digest makes same-version value splits visible
+	// to the planner.
 	OpRangeV
 	// OpStats asks the server for its live metrics: the response Value
 	// is an obs.Snapshot of the process-global registry, encoded by
@@ -213,8 +215,8 @@ func (s Status) String() string {
 // Request is a protocol request. Version and Flags ride the wire only
 // for versioned ops (see Versioned). Trace likewise rides only
 // versioned requests, only when valid (gated by FlagHasTrace).
-// QueueWait, Scratch and Commit are server-local bookkeeping and never
-// touch the wire. On a server, Key and Value alias the request frame and
+// QueueWait, Scratch and Commit (and the serving worker behind them) are
+// server-local bookkeeping and never touch the wire. On a server, Key and Value alias the request frame and
 // are valid only until Handler.Serve returns (the ownership rule in
 // mux.go).
 type Request struct {
@@ -234,11 +236,14 @@ type Request struct {
 	// handler may append a reply's value to Scratch[:0] instead of
 	// allocating one, because the reply is encoded before the worker
 	// serves anything else. Nil outside a server worker, where append
-	// allocates.
+	// allocates. A handler that needs more room than it has asks
+	// scratchFor, which regrows the worker's scratch.
 	Scratch []byte
 	// Commit is set by the server on every entry of a batch frame (see
 	// Commit); nil on a request that arrived as a frame of its own.
 	Commit *Commit
+
+	w *worker // the worker serving the request; nil outside one
 }
 
 // Response is a protocol response. Version and Flags ride the wire
@@ -391,8 +396,7 @@ func AppendResponseV(dst []byte, r Response) []byte {
 	return appendTrailer(dst, r.Version, r.Flags, trace.Context{})
 }
 
-// EncodeResponse and EncodeResponseV serialize into a fresh buffer.
-func EncodeResponse(r Response) []byte  { return AppendResponse(nil, r) }
+// EncodeResponseV serializes into a fresh buffer.
 func EncodeResponseV(r Response) []byte { return AppendResponseV(nil, r) }
 
 // appendReply appends resp in the framing a caller of op expects:

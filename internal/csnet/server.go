@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +39,18 @@ func (f HandlerFunc) Serve(r Request) Response { return f(r) }
 type FrameMeta struct {
 	QueueWait time.Duration
 	Scratch   []byte
+
+	w *worker // the worker serving the frame; nil outside one
+}
+
+// scratch is the serving worker's scratch as it is now — a handler
+// may have regrown it since meta was made (Request.scratchFor) — or
+// Scratch outside a worker.
+func (meta FrameMeta) scratch() []byte {
+	if meta.w != nil {
+		return meta.w.scratch
+	}
+	return meta.Scratch
 }
 
 // FrameHandler processes one raw request frame. It is the layer below
@@ -53,8 +64,12 @@ type FrameMeta struct {
 // ownership rule in mux.go): body is valid until the response has been
 // written, so the response may alias it — or be it — and nothing of
 // body or dst may be retained after that; a handler keeps what it needs
-// by copying. A reply that outgrows dst is written from wherever append
-// put it, at the cost of that one allocation.
+// by copying. A reply that outgrows dst is wherever append (or the
+// handler, from getBuf) moved it, and that array becomes the
+// transport's in dst's place: the worker hands dst back at once and the
+// reply once it is written, so a reply up to muxBufSize is recycled
+// like dst would have been. A handler therefore returns dst, dst grown,
+// or a piece of body — never memory it keeps or shares.
 type FrameHandler interface {
 	ServeFrame(dst, body []byte, meta FrameMeta) []byte
 }
@@ -81,7 +96,10 @@ func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
 // set, an entry of a batch frame — is counted into the per-op
 // request/latency/byte metrics under its own op; the timer spans decode
 // through encode, so the histograms report what the client actually
-// waited on the server, not just the handler body.
+// waited on the server, not just the handler body. The reply of a
+// frame of its own is encoded into dst, or when dst has no room for it
+// into a transport buffer that has (roomFor); a batch entry's grows
+// the batch's reply by append.
 func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) []byte {
 	start := obs.StartTimer()
 	req, err := DecodeRequest(body)
@@ -95,9 +113,13 @@ func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) 
 		return p.serveBatch(dst, req.Value, meta)
 	}
 	req.QueueWait = meta.QueueWait
-	req.Scratch = meta.Scratch
+	req.Scratch, req.w = meta.scratch(), meta.w
 	req.Commit = commit
-	out := appendReply(dst, req.Op, p.h.Serve(req))
+	resp := p.h.Serve(req)
+	if commit == nil {
+		dst = roomFor(dst, replySize(req.Op, resp))
+	}
+	out := appendReply(dst, req.Op, resp)
 	slot := opSlot(req.Op)
 	csnetM.ops[slot].Inc()
 	csnetM.bytesIn.Add(uint64(len(body)))
@@ -114,6 +136,10 @@ func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) 
 // front: a length prefix and a versioned write's ack.
 const batchReplyGuess = 4 + 5 + versionTrailerSize + 8
 
+// batchReplyHeader is what precedes the items of an OpBatch reply:
+// status(1) valLen(4) count(4).
+const batchReplyHeader = 1 + 4 + 4
+
 // serveBatch answers an OpBatch envelope: every entry goes through
 // serve as a frame of its own would — an entry that is itself a batch
 // reaches the handler and is refused as an unknown op — and then the
@@ -121,10 +147,18 @@ const batchReplyGuess = 4 + 5 + versionTrailerSize + 8
 // refused whole, before any entry runs. If the wait reports the log
 // lost, no ack of the frame stands: every entry is answered
 // StatusError.
+//
+// The reply is built where it fits from the start (roomFor): a write's
+// ack is batchReplyGuess, and a read's is as long as its value, which
+// the envelope does not say — so a frame with a read in it is built in
+// a buffer of muxBufSize, the most a Batch lets a frame's replies draw.
 func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
 	items, err := DecodeBatch(body)
+	reads := false
 	for it := items; err == nil && it.Len() > 0; {
-		_, err = it.Next()
+		var item []byte
+		item, err = it.Next()
+		reads = reads || len(item) > 0 && Op(item[0]) == OpGetV
 	}
 	if err != nil {
 		csnetM.decodeEr.Inc()
@@ -133,8 +167,12 @@ func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
 		return AppendResponse(dst, Response{Status: StatusError, Value: []byte(err.Error())})
 	}
 	csnetM.batchEntries.Observe(int64(items.Len()))
-	commit := new(Commit)
-	out := p.appendBatchReply(slices.Grow(dst, 9+items.Len()*batchReplyGuess), items, meta, commit, nil)
+	room := batchReplyHeader + items.Len()*batchReplyGuess
+	if reads {
+		room = max(room, muxBufSize-len(dst))
+	}
+	commit := meta.commit()
+	out := p.appendBatchReply(roomFor(dst, room), items, meta, commit, nil)
 	if err := commit.wait(); err != nil {
 		out = p.appendBatchReply(out[:len(dst)], items, meta, commit, &Response{Status: StatusError, Value: []byte(err.Error())})
 	}
@@ -146,7 +184,7 @@ func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
 // refused with lost.
 func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, meta FrameMeta, commit *Commit, lost *Response) []byte {
 	// status(1) valLen(4) count(4) items; valLen is patched in last.
-	out := append(dst, byte(StatusOK), 0, 0, 0, 0)
+	out := append(dst, byte(StatusOK), 0, 0, 0, 0) // batchReplyHeader
 	out = AppendBatchHeader(out, items.Len())
 	for items.Len() > 0 {
 		item, _ := items.Next() // serveBatch walked the envelope clean
@@ -185,6 +223,17 @@ func (c *Commit) view(kv *KVHandler) *KVHandler {
 		c.kv = &v
 	}
 	return c.kv
+}
+
+// commit returns the Commit a batch frame's entries share: the serving
+// worker's, cleared — a worker serves one frame at a time — or a new
+// one outside a worker.
+func (meta FrameMeta) commit() *Commit {
+	if meta.w == nil {
+		return new(Commit)
+	}
+	meta.w.commit = Commit{}
+	return &meta.w.commit
 }
 
 // wait blocks until the frame's writes are durable and reports whether
@@ -381,16 +430,16 @@ func (s *Server) serveMux(conn net.Conn) {
 		runFrameWriter(conn, out, nil, 0, func(error) { conn.Close() })
 	}()
 	var workerWG sync.WaitGroup
-	for i := 0; i < muxConnHandlers; i++ {
+	workers := make([]worker, muxConnHandlers) // one allocation a connection, not one a worker
+	for i := range workers {
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
-			scratch := getBuf(0)
-			defer putBuf(scratch)
+			w := &workers[i]
+			w.scratch = getBuf(0)
+			defer func() { putBuf(w.scratch) }()
 			for f := range in {
-				meta := FrameMeta{QueueWait: time.Since(f.at), Scratch: scratch}
-				dst := getBuf(0)
-				out <- muxFrame{seq: f.seq, body: s.frames.ServeFrame(dst, f.body, meta), free: [2][]byte{f.body, dst}}
+				out <- w.serve(s.frames, f)
 				s.release()
 			}
 		}()
@@ -442,6 +491,57 @@ func (s *Server) serveMux(conn net.Conn) {
 	workerWG.Wait()
 	close(out)
 	writerWG.Wait()
+}
+
+// worker is what one of a muxed connection's handler goroutines keeps
+// from one frame to the next (the ownership rule in mux.go): its
+// scratch, drawn when it starts, regrown by a handler that needs more
+// (Request.scratchFor) and released when it exits; the bucket set a
+// listing marks; and the Commit a batch frame's entries share.
+type worker struct {
+	scratch []byte
+	want    []bool
+	commit  Commit
+}
+
+// serve answers one request frame with fh and returns the reply frame
+// for the writer, which releases the request body and the reply's
+// buffer once the reply is written. The reply is dst, a transport
+// buffer drawn here, unless it was moved: a reply in neither dst's
+// array nor body's is one append (or roomFor) moved out of dst, so it
+// is released in dst's place and dst goes back now. One that outgrew
+// muxBufSize is dropped there instead of recycled, and counted.
+func (w *worker) serve(fh FrameHandler, f muxFrame) muxFrame {
+	dst := getBuf(0)
+	reply := fh.ServeFrame(dst, f.body, FrameMeta{QueueWait: time.Since(f.at), Scratch: w.scratch, w: w})
+	if !within(reply, dst) && !within(reply, f.body) {
+		putBuf(dst)
+		dst = reply
+		if cap(reply) > muxBufSize {
+			csnetM.replyOversize.Inc()
+		}
+	}
+	return muxFrame{seq: f.seq, body: reply, free: [2][]byte{f.body, dst}}
+}
+
+// roomFor returns dst with room for n more bytes: dst itself when it
+// has them, else a transport buffer (getBuf) holding dst's bytes. What
+// is appended then lives outside dst, and a worker releases it in dst's
+// place (worker.serve).
+func roomFor(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(getBuf(len(dst) + n)[:0], dst...)
+}
+
+// replySize is the most appendReply appends for resp to a caller of op.
+func replySize(op Op, resp Response) int {
+	n := 1 + 4 + len(resp.Value)
+	if Versioned(op) {
+		n += maxTrailerSize
+	}
+	return n
 }
 
 // Shutdown stops accepting, closes every connection and waits for the
@@ -612,19 +712,11 @@ func (kv *KVHandler) serve(req Request) Response {
 		}
 		return Response{Status: StatusOK, Value: EncodeTree(d.Buckets(), nodes)}
 	case OpRangeV:
-		ids, err := DecodeBucketList(req.Value)
+		want, listed, err := req.wantBuckets(kv.eng.Buckets())
 		if err != nil {
 			return Response{Status: StatusError, Value: []byte(err.Error())}
 		}
-		buckets := kv.eng.Buckets()
-		listed := make([]int, len(ids))
-		for i, b := range ids {
-			if int(b) >= buckets {
-				return Response{Status: StatusError, Value: []byte(fmt.Sprintf("bucket %d out of range", b))}
-			}
-			listed[i] = int(b)
-		}
-		return kv.rangeV(listed, buckets)
+		return kv.rangeV(&req, want, listed)
 	case OpStats:
 		// The process-global registry, not a per-handler one: a node's
 		// wire, coordinator, membership, and storage metrics all answer
@@ -653,26 +745,77 @@ func (kv *KVHandler) serve(req Request) Response {
 	}
 }
 
-// rangeV serves OpRangeV: the listed buckets' entries are encoded into
-// the response body as the engine's scan meets them, in the
-// EncodeRangeV layout, so a listing costs its own bytes and no per-key
+// wantBuckets marks the buckets an OpRangeV request lists (its Value,
+// an EncodeBucketList body) in a set of one flag per bucket — the
+// serving worker's, cleared, or a new one outside a worker — and
+// returns it with how many distinct buckets it marks.
+func (r *Request) wantBuckets(buckets int) (want []bool, listed int, err error) {
+	n, err := bucketListLen(r.Value)
+	if err != nil {
+		return nil, 0, err
+	}
+	if r.w == nil {
+		want = make([]bool, buckets)
+	} else {
+		if cap(r.w.want) < buckets {
+			r.w.want = make([]bool, buckets)
+		}
+		want = r.w.want[:buckets]
+		clear(want)
+	}
+	for i := 0; i < n; i++ {
+		b := bucketListAt(r.Value, i)
+		if int(b) >= buckets {
+			return nil, 0, fmt.Errorf("bucket %d out of range", b)
+		}
+		if !want[b] {
+			want[b] = true
+			listed++
+		}
+	}
+	return want, listed, nil
+}
+
+// scratchFor returns the request's scratch, emptied, with room for n
+// bytes. A scratch too small is regrown from the transport's buffers
+// when a worker serves the request and n fits them: the worker keeps
+// the new one as its scratch and the old one goes back. Otherwise it
+// is a fresh allocation, the reply's own.
+func (r *Request) scratchFor(n int) []byte {
+	if cap(r.Scratch) >= n {
+		return r.Scratch[:0]
+	}
+	if r.w == nil || n > muxBufSize {
+		return make([]byte, 0, n)
+	}
+	putBuf(r.w.scratch)
+	r.w.scratch = getBuf(n)[:0]
+	r.Scratch = r.w.scratch
+	return r.Scratch
+}
+
+// rangeV serves OpRangeV: the marked buckets' entries are encoded into
+// the response body as the engine's scan meets them, in the layout
+// DecodeRangeV reads, so a listing costs its own bytes and no per-key
 // intermediate. The body is sized once, when the first entry shows how
 // wide one is, for the listed share of the engine's entries — keys
-// hash uniformly over buckets — plus a sixteenth; a listing that
-// outgrows that is regrown by append.
-func (kv *KVHandler) rangeV(ids []int, buckets int) Response {
+// hash uniformly over buckets — plus a sixteenth, and lives in the
+// request's scratch (scratchFor): a listing whose reply fits muxBufSize
+// allocates nothing on a worker that has served one as long. A listing
+// that outgrows its estimate is regrown by append.
+func (kv *KVHandler) rangeV(req *Request, want []bool, listed int) Response {
 	live, tombstones := kv.eng.Counts()
-	expect := (live + tombstones) * min(len(ids), buckets) / buckets
-	body := []byte{0, 0, 0, 0} // the count, patched in last
+	expect := (live + tombstones) * listed / len(want)
+	body := append(req.Scratch[:0], 0, 0, 0, 0) // the count, patched in last
 	var tooLong error
 	n := 0
-	kv.eng.RangeBuckets(ids, func(k string, e store.Entry) bool {
+	kv.eng.RangeMarked(want, func(k string, e store.Entry) bool {
 		if len(k) > 0xFFFF {
 			tooLong = fmt.Errorf("csnet: key length %d exceeds 65535", len(k))
 			return false
 		}
 		if n == 0 {
-			body = make([]byte, 4, 4+(expect+expect/16+1)*(rangeVEntryMin+len(k)))
+			body = append(req.scratchFor(4+(expect+expect/16+1)*(rangeVEntryMin+len(k))), 0, 0, 0, 0)
 		}
 		body = appendRangeVEntry(body, KeyDigest{
 			Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone,

@@ -63,7 +63,8 @@ type AntiEntropyStats struct {
 //  2. Lists only the divergent buckets (OpRangeV), aeGroupBuckets of
 //     them at a time, from their owners and from the non-owners holding
 //     something there, each entry carrying version, value digest and
-//     tombstone.
+//     tombstone — in frames whose replies fit csnet.FrameBudget once the
+//     pass has seen how wide a bucket's listing is.
 //  3. Resolves each key exactly like the engines' Entry.Wins over every
 //     listed copy: highest version, tombstone beats value on a tie, and
 //     — the hole listings could not see — same-version different-digest
@@ -131,11 +132,12 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 
 	divergent := c.descendTrees(clients, live, &st, noteErr)
 	st.BucketsDiffed = len(divergent)
+	width := 0 // bytes a listed bucket costs, the widest any listing reply of this pass showed
 	for len(divergent) > 0 {
 		group := divergent[:min(aeGroupBuckets, len(divergent))]
 		divergent = divergent[len(group):]
 		table := c.owners.Load()
-		holders, listed := c.listDivergent(clients, *table, group, &st, noteErr)
+		holders, listed := c.listDivergent(clients, *table, group, &width, &st, noteErr)
 		applied, strays := c.streamWinners(ctx, clients, *table, holders, listed, &st, noteErr)
 		st.Streamed += applied
 		st.Purged += c.purgeStrays(ctx, table, strays, noteErr)
@@ -145,13 +147,23 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 
 // aeGroupBuckets is how many divergent buckets a pass lists, resolves
 // and streams at a time. It bounds what one pass holds on either side
-// whatever the keyspace: a replica's OpRangeV response is 64/buckets of
-// its entries (~350 KB at 200k 9-byte keys over 1024 buckets), and the
-// coordinator's holders map that many keys, each aliasing the listing
-// it came in (csnet.DecodeRangeV) — nothing of which outlives the group
-// but the keys it streams (streamWinners). A backend whose connection
-// fails in one group is out of the pass for the groups after it.
+// whatever the keyspace: a replica lists 64/buckets of its entries a
+// group (~350 KB at 200k 9-byte keys over 1024 buckets, in frames of
+// at most aeListingBudget once the pass knows a bucket's width; see
+// listDivergent), and the coordinator's holders map that many keys,
+// each aliasing the listing it came in (csnet.DecodeRangeV) — nothing
+// of which outlives the group but the keys it streams (streamWinners).
+// A backend whose connection fails in one group is out of the pass for
+// the groups after it.
 const aeGroupBuckets = 64
+
+// aeListingBudget is the listing bytes a frame asks for once the pass
+// knows a bucket's width: three quarters of csnet.FrameBudget, so the
+// reply — its header, its trailer, and a frame's share of buckets that
+// came out wider than the widest seen so far — still fits the
+// transport's recycled buffers, and so does the server's own estimate,
+// a sixteenth over the listed share of its entries.
+const aeListingBudget = csnet.FrameBudget * 3 / 4
 
 // divergence is one bucket the pass lists: from its owners, and from
 // the non-owners (strays) whose leaf showed they hold something in it.
@@ -265,12 +277,18 @@ type holderDigest struct {
 
 // listDivergent fetches one group of divergent buckets' listings: each
 // bucket is requested from every reachable owner and from its strays,
-// one pipelined OpRangeV per backend carrying the group's buckets it is
-// asked for. It returns the listed copies per key, and which backends'
-// listings arrived: one that was lost, refused or undecodable says
-// nothing about what its owner holds, so that backend is neither a
-// target nor a witness for the group.
-func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group []divergence, st *AntiEntropyStats, noteErr func(int, error)) (holders map[string][]holderDigest, listed []bool) {
+// in pipelined OpRangeV frames per backend carrying the group's buckets
+// it is asked for. Until the pass has seen a listing, a backend's
+// share goes in one frame; after, in frames of as many buckets as
+// aeListingBudget holds at *width — the bytes per bucket of the widest
+// reply the pass has seen, which each reply here raises — so every
+// reply fits the transport's recycled buffers on both ends. It returns
+// the listed copies per key, and which backends' listings arrived
+// whole: one frame lost, refused or undecodable says nothing about what
+// its owner holds in those buckets, so that backend is neither a target
+// nor a witness for the group, and none of its copies are planned
+// with.
+func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group []divergence, width *int, st *AntiEntropyStats, noteErr func(int, error)) (holders map[string][]holderDigest, listed []bool) {
 	perBackend := map[int][]uint32{}
 	for _, d := range group {
 		for _, b := range slices.Concat(owners[d.bucket], d.strays) {
@@ -279,42 +297,61 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group [
 			}
 		}
 	}
+	per := aeGroupBuckets // buckets a frame asks for
+	if *width > 0 {
+		per = max(1, aeListingBudget / *width)
+	}
 	type sent struct {
 		call    *csnet.Call
-		backend int
+		buckets int
 	}
-	calls := make([]sent, 0, len(perBackend))
+	calls := make(map[int][]sent, len(perBackend))
 	for b, ids := range perBackend {
-		calls = append(calls, sent{clients[b].Send(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(ids)}), b})
-		st.ListingFrames++
+		for len(ids) > 0 {
+			frame := ids[:min(per, len(ids))]
+			ids = ids[len(frame):]
+			calls[b] = append(calls[b], sent{clients[b].Send(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(frame)}), len(frame)})
+			st.ListingFrames++
+		}
 	}
 	holders = map[string][]holderDigest{}
 	listed = make([]bool, len(clients))
-	for _, s := range calls {
-		resp, rerr := s.call.ResponseV()
-		if rerr != nil {
-			noteErr(s.backend, rerr)
-			clients[s.backend] = nil
+	var listings [][]csnet.KeyDigest
+	for b, frames := range calls {
+		listings = listings[:0]
+		for _, s := range frames {
+			resp, rerr := s.call.ResponseV()
+			if rerr != nil {
+				noteErr(b, rerr)
+				clients[b] = nil
+				continue
+			}
+			if resp.Status != csnet.StatusOK {
+				noteErr(b, fmt.Errorf("rangev %w", statusErr(resp)))
+				continue
+			}
+			listing, derr := csnet.DecodeRangeV(resp.Value)
+			if derr != nil {
+				noteErr(b, derr)
+				continue
+			}
+			*width = max(*width, (len(resp.Value)+s.buckets-1)/s.buckets)
+			listings = append(listings, listing)
+		}
+		if len(listings) < len(frames) {
 			continue
 		}
-		if resp.Status != csnet.StatusOK {
-			noteErr(s.backend, fmt.Errorf("rangev %w", statusErr(resp)))
-			continue
-		}
-		listing, derr := csnet.DecodeRangeV(resp.Value)
-		if derr != nil {
-			noteErr(s.backend, derr)
-			continue
-		}
-		listed[s.backend] = true
-		st.KeysListed += len(listing)
-		for _, e := range listing {
-			// Observe every imported version (the same invariant as the
-			// read/write paths): a coordinator whose wall clock lags must
-			// advance past listed state or its next Set could stamp under
-			// it and silently lose everywhere.
-			c.clock.Observe(e.Version)
-			holders[e.Key] = append(holders[e.Key], holderDigest{backend: s.backend, entry: e})
+		listed[b] = true
+		for _, listing := range listings {
+			st.KeysListed += len(listing)
+			for _, e := range listing {
+				// Observe every imported version (the same invariant as
+				// the read/write paths): a coordinator whose wall clock
+				// lags must advance past listed state or its next Set
+				// could stamp under it and silently lose everywhere.
+				c.clock.Observe(e.Version)
+				holders[e.Key] = append(holders[e.Key], holderDigest{backend: b, entry: e})
+			}
 		}
 	}
 	return holders, listed

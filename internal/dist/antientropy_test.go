@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pdcedu/internal/csnet"
+	"pdcedu/internal/obs"
 	"pdcedu/internal/store"
 )
 
@@ -199,6 +200,76 @@ func TestAntiEntropyGroupedPassDropsPoisonedBackend(t *testing.T) {
 	}
 	if r0, r1 := kvs[0].Engine().Digest().Root(), kvs[1].Engine().Digest().Root(); r0 != r1 {
 		t.Errorf("surviving backends did not converge: roots %016x and %016x", r0, r1)
+	}
+}
+
+// TestAntiEntropyListingsFitTheirFrames: over a keyspace whose
+// 64-bucket listing is more than twice csnet.FrameBudget, a pass asks
+// each backend for its first group's share in one frame — nothing yet
+// says how wide a bucket is — and from then on splits every share into
+// frames whose replies fit csnet.FrameBudget, so the transport recycles
+// them on both ends. csnet.server.reply_oversize counts exactly the
+// replies that did not fit, and the pass converges as an unsplit one
+// would.
+func TestAntiEntropyListingsFitTheirFrames(t *testing.T) {
+	const n, keys, buckets = 3, 20_000, 256
+	var mu sync.Mutex
+	replies := make([][]int, n) // per backend, each OpRangeV reply frame's length, in arrival order
+	kvs, _, c := startWrappedKVCluster(t, n, ClusterConfig{Replication: n, WriteQuorum: n, Buckets: buckets},
+		func(int) *store.Sharded { return store.NewSharded(store.Options{MerkleBuckets: buckets}) },
+		func(i int, kv *csnet.KVHandler) csnet.Handler {
+			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
+				resp := kv.Serve(req)
+				if req.Op == csnet.OpRangeV {
+					mu.Lock()
+					replies[i] = append(replies[i], len(csnet.EncodeResponseV(resp)))
+					mu.Unlock()
+				}
+				return resp
+			})
+		})
+	holes, divergent := damageManyBuckets(t, kvs, c, keys)
+	all := make([]uint32, aeGroupBuckets)
+	for b := range all {
+		all[b] = uint32(b)
+	}
+	if share := len(kvs[0].Serve(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(all)}).Value); share <= 2*csnet.FrameBudget {
+		t.Fatalf("a %d-bucket listing is %d bytes, want over twice the %d-byte frame budget", aeGroupBuckets, share, csnet.FrameBudget)
+	}
+	mu.Lock()
+	clear(replies)
+	mu.Unlock()
+	oversize := obs.Default().Counter("csnet.server.reply_oversize")
+	before := oversize.Value()
+
+	st, err := c.Rebalance()
+	if err != nil || st.Streamed != holes || st.BucketsDiffed != len(divergent) {
+		t.Fatalf("pass = %+v %v, want %d buckets diffed and %d holes streamed", st, err, len(divergent), holes)
+	}
+	for b, kv := range kvs {
+		if got, want := kv.Engine().Digest().Root(), kvs[0].Engine().Digest().Root(); got != want {
+			t.Errorf("backend %d root %016x after the pass, backend 0 has %016x", b, got, want)
+		}
+	}
+	groups := (len(divergent) + aeGroupBuckets - 1) / aeGroupBuckets
+	if st.ListingFrames <= groups*n {
+		t.Errorf("pass used %d listing frames, want more than %d groups x %d owners", st.ListingFrames, groups, n)
+	}
+	over := 0
+	for b, sizes := range replies {
+		for i, sz := range sizes {
+			if sz <= csnet.FrameBudget {
+				continue
+			}
+			over++
+			if i > 0 {
+				t.Errorf("backend %d's listing reply %d is %d bytes, over the %d-byte frame budget", b, i, sz, csnet.FrameBudget)
+			}
+		}
+	}
+	t.Logf("%d listing frames for %d groups x %d owners; %d replies over budget", st.ListingFrames, groups, n, over)
+	if d := oversize.Value() - before; d != uint64(over) {
+		t.Errorf("csnet.server.reply_oversize grew by %d over the pass, want %d (the replies over budget)", d, over)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -319,7 +320,18 @@ func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) b
 // the next write to its key may rewrite in place. fn returning false
 // stops the iteration.
 func (s *Sharded) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
-	s.scanBuckets(s.merkle.want(ids), func(_ int, k string, e Entry) bool { return fn(k, e) })
+	s.RangeMarked(s.merkle.want(ids), fn)
+}
+
+// RangeMarked is RangeBuckets over the buckets b with want[b] set:
+// want has one flag per bucket (len Buckets()), so a caller that lists
+// often keeps one set and marks it anew instead of allocating one a
+// listing.
+func (s *Sharded) RangeMarked(want []bool, fn func(key string, e Entry) bool) {
+	if len(want) != s.merkle.buckets {
+		panic(fmt.Sprintf("store: RangeMarked over %d buckets, the engine has %d", len(want), s.merkle.buckets))
+	}
+	s.scanBuckets(want, func(_ int, k string, e Entry) bool { return fn(k, e) })
 }
 
 // Buckets reports the Merkle leaf count, fixed when the engine was
