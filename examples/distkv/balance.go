@@ -1,16 +1,18 @@
-package dist
+package main
 
 import (
 	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"pdcedu/internal/dist"
 )
 
 // Balancer assigns requests to one of a fixed set of servers. All
 // implementations are safe for concurrent use. The strategies are
-// compared by SimulateLoad; Cluster uses none of them — its reads ask
-// each key's primary first.
+// compared by SimulateLoad; dist.Cluster uses none of them — its reads
+// ask each key's primary first.
 type Balancer interface {
 	// Name identifies the strategy in reports.
 	Name() string
@@ -48,6 +50,22 @@ func (r *RoundRobin) Pick(key string) int {
 
 // Done implements Balancer.
 func (r *RoundRobin) Done(server int) {}
+
+// ringBalancer is the coordinator's consistent-hash ring as a Balancer:
+// sticky, key-affine routing that tracks no load.
+type ringBalancer struct{ *dist.ConsistentHash }
+
+// NewConsistentHash creates a ring of n nodes with vnodes virtual nodes
+// each (see dist.NewConsistentHash) and balances over it.
+func NewConsistentHash(n, vnodes int) Balancer {
+	return ringBalancer{dist.NewConsistentHash(n, vnodes)}
+}
+
+// Name implements Balancer.
+func (ringBalancer) Name() string { return "consistent-hash" }
+
+// Done implements Balancer; key-affine routing tracks no load.
+func (ringBalancer) Done(server int) {}
 
 // LeastLoaded sends each request to the server with the fewest requests
 // in flight — the global-knowledge ideal the other strategies are

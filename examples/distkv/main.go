@@ -1,6 +1,11 @@
 // distkv is the RIT-style networks/distributed lab: a concurrent TCP
 // key-value service behind a load balancer, plus a replication study
 // contrasting sequential and eventual consistency, and an RPC round.
+// The lab's own code lives beside it: the load-balancing strategies
+// and their simulator (balance.go), ReplicatedKV (replica.go) and the
+// RPC middleware (rpc.go). The coordinator, transport and engine it
+// runs them against come from internal/dist, internal/csnet and
+// internal/store.
 package main
 
 import (
@@ -91,12 +96,12 @@ func storageEngine() {
 		return total, time.Duration(worst.Load())
 	}
 	eng := store.NewSharded(store.Options{})
-	every := make([]int, eng.Buckets())
+	every := make([]bool, eng.Buckets())
 	for b := range every {
-		every[b] = b
+		every[b] = true
 	}
 	visit := func(string, []byte) bool { return true }
-	flat := &lockedMap{m: map[string][]byte{}, buckets: eng.Buckets()}
+	flat := &lockedMap{m: map[string][]byte{}}
 	flatTotal, flatStall := run(flat.set, func(k string) { flat.get(k) },
 		func() { flat.rangeBuckets(every, visit) })
 	shardTotal, shardStall := run(func(k string, v []byte) { eng.Set(k, v) }, func(k string) { eng.Get(k) },
@@ -117,9 +122,8 @@ func storageEngine() {
 
 // lockedMap is the single-lock store: one map behind one mutex.
 type lockedMap struct {
-	mu      sync.Mutex
-	m       map[string][]byte
-	buckets int // the Merkle leaf count its listing partitions keys by
+	mu sync.Mutex
+	m  map[string][]byte
 }
 
 func (l *lockedMap) set(key string, value []byte) {
@@ -135,19 +139,15 @@ func (l *lockedMap) get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// rangeBuckets calls fn with every entry whose key hashes into one of
-// the listed buckets, as the engine's RangeBuckets does, but it holds
-// the one mutex for the whole scan: a writer can wait out a listing of
-// the entire keyspace.
-func (l *lockedMap) rangeBuckets(ids []int, fn func(key string, value []byte) bool) {
-	want := make([]bool, l.buckets)
-	for _, b := range ids {
-		want[b] = true
-	}
+// rangeBuckets calls fn with every entry whose key hashes into a
+// bucket b with want[b] set, as the engine's RangeBuckets does, but it
+// holds the one mutex for the whole scan: a writer can wait out a
+// listing of the entire keyspace.
+func (l *lockedMap) rangeBuckets(want []bool, fn func(key string, value []byte) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for k, v := range l.m {
-		if want[store.BucketOf(k, l.buckets)] && !fn(k, v) {
+		if want[store.BucketOf(k, len(want))] && !fn(k, v) {
 			return
 		}
 	}
@@ -222,13 +222,13 @@ func clientServer() {
 func loadBalancing() {
 	fmt.Println("== Load-balancing strategies ==")
 	t := perf.NewTable("10k requests over 8 servers", "strategy", "max", "min", "imbalance")
-	for _, b := range []dist.Balancer{
-		dist.NewRoundRobin(8),
-		dist.NewLeastLoaded(8),
-		dist.NewPowerOfTwo(8, 42),
-		dist.NewConsistentHash(8, 64),
+	for _, b := range []Balancer{
+		NewRoundRobin(8),
+		NewLeastLoaded(8),
+		NewPowerOfTwo(8, 42),
+		NewConsistentHash(8, 64),
 	} {
-		rep := dist.SimulateLoad(b, 8, 10000, 64, 7)
+		rep := SimulateLoad(b, 8, 10000, 64, 7)
 		t.AddRow(rep.Strategy, rep.Max, rep.Min, rep.Imbalance)
 	}
 	fmt.Println(t.String())
@@ -238,7 +238,7 @@ func loadBalancing() {
 // consistency modes.
 func replication() {
 	fmt.Println("== Replication: sequential vs eventual consistency ==")
-	seq, err := dist.NewReplicatedKV(3, true)
+	seq, err := NewReplicatedKV(3, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func replication() {
 	v, _, _ := seq.Read(2, "grade")
 	fmt.Printf("sequential: write at replica 1, read at replica 2 -> %q (immediately consistent)\n", v)
 
-	ev, err := dist.NewReplicatedKV(3, false)
+	ev, err := NewReplicatedKV(3, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -262,10 +262,10 @@ func replication() {
 // rpcMiddleware demonstrates the distributed-objects layer.
 func rpcMiddleware() {
 	fmt.Println("== RPC middleware ==")
-	srv := dist.NewRPCServer()
+	srv := NewRPCServer()
 	srv.Register("stats.mean", func(args []byte) ([]byte, error) {
 		var xs []float64
-		if err := dist.Unmarshal(args, &xs); err != nil {
+		if err := Unmarshal(args, &xs); err != nil {
 			return nil, err
 		}
 		s := 0.0
@@ -275,14 +275,14 @@ func rpcMiddleware() {
 		if len(xs) > 0 {
 			s /= float64(len(xs))
 		}
-		return dist.Marshal(s)
+		return Marshal(s)
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Shutdown()
-	cl, err := dist.DialRPC(addr, time.Second)
+	cl, err := DialRPC(addr, time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package dist
+package main
 
 import (
 	"fmt"

@@ -32,3 +32,10 @@ func EncodeRangeV(entries []KeyDigest) ([]byte, error) {
 	}
 	return buf, nil
 }
+
+// pendingCount reports how many requests await responses.
+func (m *muxConn) pendingCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pending)
+}

@@ -364,13 +364,6 @@ func (m *muxConn) enqueue(p *Pending, body, free []byte) {
 	}
 }
 
-// pendingCount reports how many requests await responses.
-func (m *muxConn) pendingCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
-}
-
 // expired reports whether any in-flight request has outlived its
 // deadline — the distinction between a stale read-deadline wake-up and
 // a genuinely stuck request.

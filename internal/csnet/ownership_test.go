@@ -512,9 +512,9 @@ func TestServedKeysOutliveTheirFrame(t *testing.T) {
 			}
 		}
 		eng := kv.Engine()
-		every := make([]int, eng.Buckets())
+		every := make([]bool, eng.Buckets())
 		for b := range every {
-			every[b] = b
+			every[b] = true
 		}
 		var ranged []string
 		eng.RangeBuckets(every, func(k string, e store.Entry) bool {

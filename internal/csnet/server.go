@@ -809,7 +809,7 @@ func (kv *KVHandler) rangeV(req *Request, want []bool, listed int) Response {
 	body := append(req.Scratch[:0], 0, 0, 0, 0) // the count, patched in last
 	var tooLong error
 	n := 0
-	kv.eng.RangeMarked(want, func(k string, e store.Entry) bool {
+	kv.eng.RangeBuckets(want, func(k string, e store.Entry) bool {
 		if len(k) > 0xFFFF {
 			tooLong = fmt.Errorf("csnet: key length %d exceeds 65535", len(k))
 			return false

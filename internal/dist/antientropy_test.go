@@ -115,13 +115,13 @@ func TestAntiEntropyGroupedPass(t *testing.T) {
 			})
 		})
 	holes, divergent := damageManyBuckets(t, kvs, c, keys)
-	ids := make([]int, 0, len(divergent))
+	want := make([]bool, c.buckets)
 	for b := range divergent {
-		ids = append(ids, b)
+		want[b] = true
 	}
 	wantListed := 0
 	for _, kv := range kvs {
-		kv.Engine().RangeBuckets(ids, func(string, store.Entry) bool { wantListed++; return true })
+		kv.Engine().RangeBuckets(want, func(string, store.Entry) bool { wantListed++; return true })
 	}
 
 	st, err := c.Rebalance()

@@ -9,8 +9,7 @@ import (
 // ConsistentHash is a consistent-hash ring with virtual nodes. Keys map
 // to the first virtual node clockwise from their hash, so adding a node
 // moves only ~K/(n+1) of K keys instead of rehashing everything, and
-// removing one moves only the ~K/n keys it owned. It also implements
-// Balancer (sticky, key-affine routing).
+// removing one moves only the ~K/n keys it owned.
 //
 // Nodes are small integer indices. RemoveNode and RestoreNode let a
 // membership layer evict dead nodes and readmit recovered ones: a
@@ -158,17 +157,12 @@ func (c *ConsistentHash) PickN(key string, n int) []int {
 	return out
 }
 
-// Name implements Balancer.
-func (c *ConsistentHash) Name() string { return "consistent-hash" }
-
-// Done implements Balancer; key-affine routing tracks no load.
-func (c *ConsistentHash) Done(server int) {}
-
-// fnv64a is FNV-1a without the hash.Hash64 allocation (Pick is a hot
-// path for the Cluster router), followed by a murmur3-style finalizer:
-// raw FNV diffuses the sequential keys typical of workloads ("user:17")
-// poorly into the high bits that order the ring, which skews placement
-// no matter how many virtual nodes are used.
+// fnv64a is FNV-1a without the hash.Hash64 allocation, followed by a
+// murmur3-style finalizer: raw FNV diffuses the sequential keys typical
+// of workloads ("user:17") poorly into the high bits that order the
+// ring, which skews placement no matter how many virtual nodes are
+// used. The Cluster router walks no ring per key: it reads the owners
+// table reroute builds from the ring.
 func fnv64a(s string) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -211,9 +211,6 @@ func TestConsistentHashDefaults(t *testing.T) {
 	if got := ring.Pick("anything"); got != 0 {
 		t.Errorf("single-node ring Pick = %d, want 0", got)
 	}
-	if ring.Name() != "consistent-hash" {
-		t.Errorf("Name() = %q", ring.Name())
-	}
 }
 
 // TestOwnersTableTracksRing flips backends down and up from several

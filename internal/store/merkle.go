@@ -188,18 +188,6 @@ func (m *merkle) touch(key string) {
 	m.dirty[BucketOf(key, m.buckets)].Store(true)
 }
 
-// want turns a bucket id list into the set scanBuckets takes; ids
-// outside the tree are ignored.
-func (m *merkle) want(ids []int) []bool {
-	set := make([]bool, m.buckets)
-	for _, b := range ids {
-		if b >= 0 && b < m.buckets {
-			set[b] = true
-		}
-	}
-	return set
-}
-
 // Digest returns a point-in-time Merkle tree over the raw entry space —
 // tombstones included, exactly what RangeBuckets lists. Dirty buckets
 // are rebuilt here: each shard holding one is scanned once under its

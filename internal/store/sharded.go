@@ -309,27 +309,19 @@ func (s *Sharded) scanBuckets(want []bool, fn func(b int, key string, e Entry) b
 }
 
 // RangeBuckets calls fn with every raw entry (tombstones included)
-// whose key hashes into one of the listed Merkle buckets (see BucketOf;
-// ids may repeat and come in any order, each entry is visited once) —
-// how the anti-entropy protocol lists exactly the divergent buckets, and
-// the engine's one listing: every bucket from 0 to Buckets()-1 lists
-// the whole store. Nothing is copied: fn runs under the lock of the
-// shard it is reading, one scan per shard however many of its buckets
-// are listed, so fn must be brief, must not call back into the engine,
-// and must copy a key or a value it keeps: both alias the record, which
-// the next write to its key may rewrite in place. fn returning false
-// stops the iteration.
-func (s *Sharded) RangeBuckets(ids []int, fn func(key string, e Entry) bool) {
-	s.RangeMarked(s.merkle.want(ids), fn)
-}
-
-// RangeMarked is RangeBuckets over the buckets b with want[b] set:
-// want has one flag per bucket (len Buckets()), so a caller that lists
-// often keeps one set and marks it anew instead of allocating one a
-// listing.
-func (s *Sharded) RangeMarked(want []bool, fn func(key string, e Entry) bool) {
+// whose key hashes into a Merkle bucket b with want[b] set (see
+// BucketOf; want has one flag per bucket, len Buckets(), so a caller
+// that lists often keeps one set and marks it anew) — how the
+// anti-entropy protocol lists exactly the divergent buckets, and the
+// engine's one listing: every bucket marked lists the whole store.
+// Nothing is copied: fn runs under the lock of the shard it is reading,
+// one scan per shard however many of its buckets are marked, so fn must
+// be brief, must not call back into the engine, and must copy a key or
+// a value it keeps: both alias the record, which the next write to its
+// key may rewrite in place. fn returning false stops the iteration.
+func (s *Sharded) RangeBuckets(want []bool, fn func(key string, e Entry) bool) {
 	if len(want) != s.merkle.buckets {
-		panic(fmt.Sprintf("store: RangeMarked over %d buckets, the engine has %d", len(want), s.merkle.buckets))
+		panic(fmt.Sprintf("store: RangeBuckets over %d buckets, the engine has %d", len(want), s.merkle.buckets))
 	}
 	s.scanBuckets(want, func(_ int, k string, e Entry) bool { return fn(k, e) })
 }

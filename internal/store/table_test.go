@@ -230,7 +230,9 @@ func TestRecordKeyReadBack(t *testing.T) {
 							n++
 							return true
 						}
-						eng.RangeBuckets([]int{BucketOf(k, eng.Buckets())}, check)
+						want := make([]bool, eng.Buckets())
+						want[BucketOf(k, eng.Buckets())] = true
+						eng.RangeBuckets(want, check)
 						return n
 					}
 					if n := listed(); n != 1 {

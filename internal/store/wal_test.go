@@ -19,14 +19,14 @@ import (
 	"pdcedu/internal/obs"
 )
 
-// everyBucket lists every Merkle bucket of e: RangeBuckets over it is
+// everyBucket marks every Merkle bucket of e: RangeBuckets over it is
 // the engine's whole listing.
-func everyBucket(e *Sharded) []int {
-	ids := make([]int, e.Buckets())
-	for b := range ids {
-		ids[b] = b
+func everyBucket(e *Sharded) []bool {
+	want := make([]bool, e.Buckets())
+	for b := range want {
+		want[b] = true
 	}
-	return ids
+	return want
 }
 
 // rawState snapshots an engine's raw entry space (tombstones included)

@@ -29,15 +29,16 @@
 // and then catches up on only the divergence window through the
 // Merkle anti-entropy exchange instead of re-streaming its keyspace
 // (see cmd/distnode's -data-dir and the README "Durability" section). The dist substrate is the
-// service-shaped layer: consistent hashing with virtual nodes,
-// pluggable load-balancing strategies with a deterministic simulator,
-// sequential- and eventual-consistency replication, an RPC middleware
-// over TCP, and a dist.Cluster that shards one key space across
+// service-shaped layer: a dist.Cluster that places one key space on a
+// consistent-hash ring with virtual nodes and shards it across
 // several csnet backend servers with synchronous coordinator-versioned
 // replication, version-aware read-repair, and batched MSet/MGet/MDel —
 // all carried by csnet's pipelined multiplexed transport, which keeps
-// N requests in flight per connection (see examples/distkv and the
-// README "Performance" section). The member substrate makes that
+// N requests in flight per connection (see the README "Performance"
+// section). The course lab's load-balancing strategies with their
+// deterministic simulator, its sequential- and eventual-consistency
+// replication and its RPC middleware over TCP live in examples/distkv,
+// beside the program that teaches them. The member substrate makes that
 // cluster self-healing: SWIM-style gossip membership with indirect
 // probing and incarnation-guarded suspicion drives the ring — dead
 // backends are evicted (writes degrade to a quorum of live replicas
