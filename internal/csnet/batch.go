@@ -75,7 +75,7 @@ func (b *Batch) Add(req Request) {
 		b.refuse(fmt.Errorf("csnet: batch: %s is not a versioned op", req.Op))
 		return
 	}
-	need := batchItemMin + 1 + 2 + len(req.Key) + 4 + len(req.Value) + maxTrailerSize
+	need := batchItemMin + requestSize(req)
 	draws := batchReplyGuess
 	if req.Op == OpGetV {
 		draws = max(draws, batchItemMin+int(b.c.readReply.Load()))
@@ -86,7 +86,7 @@ func (b *Batch) Add(req Request) {
 	switch b.n {
 	case 0:
 		// Alone until a second entry shows up: an ordinary request buffer.
-		b.buf = append(getBuf(0), make([]byte, batchRequestHeader)...)
+		b.buf = append(getBuf(batchRequestHeader + need)[:0], make([]byte, batchRequestHeader)...)
 		b.reply = batchReplyHeader
 	case 1:
 		if cap(b.buf) < muxBufSize {

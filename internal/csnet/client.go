@@ -204,7 +204,7 @@ func (call *Call) ResponseV() (Response, error) {
 // any other failure to send. The call is single-use (see Call).
 func (c *Client) Send(req Request) *Call {
 	call := new(Call)
-	buf, err := AppendRequest(getBuf(0), req)
+	buf, err := AppendRequest(getBuf(requestSize(req))[:0], req)
 	if err != nil {
 		putBuf(buf)
 		call.p.done.Add(1)

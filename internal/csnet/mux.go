@@ -38,13 +38,16 @@ const muxSendQueue = 256
 const muxIdleWindow = time.Second
 
 // Buffer ownership — the one rule of this transport. A buffer whose
-// whole life the transport controls is drawn from getBuf and released
-// with putBuf by the one place that last reads it:
+// whole life the transport controls is drawn from getBuf at the size it
+// will be filled to, so it comes from its size class of the free list
+// (freeBufs) and never regrows into the other, and released with putBuf
+// by the one place that last reads it:
 //
 //   - the request frame Send encodes or a Batch builds (never
-//     SendFrame's body: that is the caller's and is only read), released
-//     by the frame writer once its bytes are copied into the
-//     connection's write buffer;
+//     SendFrame's body: that is the caller's and is only read), drawn at
+//     the request's size (requestSize; a Batch of two or more entries
+//     moves to a whole muxBufSize frame) and released by the frame writer
+//     once its bytes are copied into the connection's write buffer;
 //   - the request body a server reads off a connection, which rides its
 //     response frame so a reply that aliases it is written first;
 //   - the dst a server hands ServeFrame to append the response to — or,
@@ -89,13 +92,20 @@ const muxIdleWindow = time.Second
 //   - a decoded listing's keys (DecodeRangeV) alias the reply body,
 //     which is the caller's and lives as long as any of them does.
 //
-// freeBufs is the free list: bounded — 1024 slots hold a pipelined
-// burst's buffers on both ends of a few connections, so a batch reuses
-// them instead of churning — and holding nothing above muxBufSize, so
-// one large frame (an OpStats snapshot, a listing a coordinator asked
-// for whole) cannot pin memory; such a reply is counted in
-// csnet.server.reply_oversize as it is dropped.
-var freeBufs = make(chan []byte, 1024)
+// freeBufs is the free list, in two size classes so that neither
+// starves the other: small holds buffers of up to bufMinCap — the
+// single-key frames and replies, 1024 slots for a pipelined burst's
+// buffers on both ends of a few connections — and large those past it
+// up to muxBufSize — batch frames, listings and their replies, 64
+// slots, at most 4 MiB pinned. A small frame never takes a large
+// buffer and a large frame never pops (and drops) a small one. Nothing
+// above muxBufSize is kept, so one large frame (an OpStats snapshot, a
+// listing a coordinator asked for whole) cannot pin memory; such a
+// reply is counted in csnet.server.reply_oversize as it is dropped.
+var freeBufs = struct{ small, large chan []byte }{
+	small: make(chan []byte, 1024),
+	large: make(chan []byte, 64),
+}
 
 // freePendings is the Batch frames' Pendings, under freeBufs' rules:
 // bounded — 1024 slots, one per frame in flight, hold the bursts of a
@@ -131,21 +141,27 @@ func within(s, b []byte) bool {
 // exists.
 var TestPoisonRelease bool
 
-// getBuf returns a transport-owned buffer of length n.
+// getBuf returns a transport-owned buffer of length n, from the free
+// list of n's size class.
 func getBuf(n int) []byte {
+	free := freeBufs.small
+	if n > bufMinCap {
+		free = freeBufs.large
+	}
 	select {
-	case b := <-freeBufs:
+	case b := <-free:
 		if cap(b) >= n {
 			return b[:n]
 		}
-		// Too small for this frame: let it go, so the list grows toward
+		// Too small for this frame: let it go, so the class grows toward
 		// the sizes the traffic needs.
 	default:
 	}
 	return make([]byte, n, max(n, bufMinCap))
 }
 
-// putBuf releases a buffer obtained from getBuf (nil is a no-op).
+// putBuf releases a buffer obtained from getBuf (nil is a no-op) to
+// the free list of its capacity's class.
 func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -157,11 +173,15 @@ func putBuf(b []byte) {
 			copy(b[n:], b[:n]) // doubling: one bulk write per step, cheap under -race
 		}
 	}
-	if cap(b) > muxBufSize {
+	free := freeBufs.small
+	switch {
+	case cap(b) > muxBufSize:
 		return
+	case cap(b) > bufMinCap:
+		free = freeBufs.large
 	}
 	select {
-	case freeBufs <- b[:0]:
+	case free <- b[:0]:
 	default:
 	}
 }

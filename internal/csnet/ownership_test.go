@@ -225,6 +225,31 @@ func TestPoisonedMidBurst(t *testing.T) {
 	}
 }
 
+// drainFree empties both classes of the transport's free list and
+// returns what they held, small first.
+func drainFree() (small, large [][]byte) {
+	drain := func(free chan []byte) (bufs [][]byte) {
+		for {
+			select {
+			case b := <-free:
+				bufs = append(bufs, b)
+			default:
+				return bufs
+			}
+		}
+	}
+	return drain(freeBufs.small), drain(freeBufs.large)
+}
+
+// refill hands drained buffers back to the free list.
+func refill(lists ...[][]byte) {
+	for _, bufs := range lists {
+		for _, b := range bufs {
+			putBuf(b)
+		}
+	}
+}
+
 // TestLargeFrameNotKept sends a 1 MiB frame each way and then empties
 // the free list: nothing above muxBufSize may have been kept, or one
 // large listing would pin its memory for the life of the process.
@@ -248,30 +273,21 @@ func TestLargeFrameNotKept(t *testing.T) {
 	// goroutines out before looking.
 	cl.Close()
 	srv.Shutdown()
-	drain := func() (bufs [][]byte) {
-		for {
-			select {
-			case b := <-freeBufs:
-				bufs = append(bufs, b)
-			default:
-				return bufs
-			}
-		}
-	}
-	kept := drain()
-	if len(kept) == 0 {
+	small, large := drainFree()
+	if len(small)+len(large) == 0 {
 		t.Fatal("the free list is empty after a round trip: nothing is being recycled")
 	}
-	for _, b := range kept {
+	for _, b := range slices.Concat(small, large) {
 		if cap(b) > muxBufSize {
 			t.Errorf("free list kept a %d-byte buffer, above the %d cap", cap(b), muxBufSize)
 		}
 	}
-	// The rule itself, at its edge, on the emptied list.
+	// The rule itself, at its edge, on the emptied lists.
 	putBuf(make([]byte, muxBufSize+1))
 	putBuf(make([]byte, muxBufSize))
 	exact := false
-	for _, b := range drain() {
+	edgeSmall, edgeLarge := drainFree()
+	for _, b := range slices.Concat(edgeSmall, edgeLarge) {
 		exact = exact || cap(b) == muxBufSize
 		if cap(b) > muxBufSize {
 			t.Errorf("putBuf kept a %d-byte buffer", cap(b))
@@ -280,8 +296,44 @@ func TestLargeFrameNotKept(t *testing.T) {
 	if !exact {
 		t.Errorf("putBuf dropped a buffer of exactly %d bytes", muxBufSize)
 	}
-	for _, b := range kept {
+	refill(small, large)
+}
+
+// TestFreeListClasses pins the two size classes: a frame of up to
+// bufMinCap never takes a large buffer, a larger frame never pops (and
+// drops) a small one, and a buffer released to either class is
+// poisoned first.
+func TestFreeListClasses(t *testing.T) {
+	keptSmall, keptLarge := drainFree()
+	defer refill(keptSmall, keptLarge)
+
+	for range 8 {
+		putBuf(make([]byte, 0, bufMinCap))
+	}
+	putBuf(make([]byte, 0, muxBufSize))
+	for _, n := range []int{0, 1, bufMinCap} {
+		if b := getBuf(n); cap(b) > bufMinCap {
+			t.Errorf("getBuf(%d) took a %d-byte buffer from the large class", n, cap(b))
+		}
+	}
+	for _, n := range []int{bufMinCap + 1, muxBufSize} {
+		b := getBuf(n)
+		if len(b) != n || cap(b) < n {
+			t.Fatalf("getBuf(%d) = len %d cap %d", n, len(b), cap(b))
+		}
 		putBuf(b)
+	}
+	small, large := drainFree()
+	if len(small) < 5 {
+		t.Errorf("the small class holds %d buffers after 3 small draws from 8, want 5: a large draw dropped one", len(small))
+	}
+	if !slices.ContainsFunc(large, func(b []byte) bool { return cap(b) == muxBufSize }) {
+		t.Errorf("the large class lost its %d-byte buffer", muxBufSize)
+	}
+	for _, b := range slices.Concat(small, large) {
+		if bytes.Count(b[:cap(b)], []byte{0xDB}) != cap(b) {
+			t.Errorf("a released %d-byte buffer was not poisoned", cap(b))
+		}
 	}
 }
 

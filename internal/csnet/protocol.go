@@ -327,11 +327,7 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	if len(r.Key) > 0xFFFF {
 		return dst, fmt.Errorf("csnet: key length %d exceeds 65535", len(r.Key))
 	}
-	size := 1 + 2 + len(r.Key) + 4 + len(r.Value)
-	if Versioned(r.Op) {
-		size += maxTrailerSize
-	}
-	dst = slices.Grow(dst, size)
+	dst = slices.Grow(dst, requestSize(r))
 	dst = append(dst, byte(r.Op))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Key)))
 	dst = append(dst, r.Key...)
@@ -341,6 +337,15 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 		dst = appendTrailer(dst, r.Version, r.Flags, r.Trace)
 	}
 	return dst, nil
+}
+
+// requestSize is the most AppendRequest appends for r.
+func requestSize(r Request) int {
+	size := 1 + 2 + len(r.Key) + 4 + len(r.Value)
+	if Versioned(r.Op) {
+		size += maxTrailerSize
+	}
+	return size
 }
 
 // EncodeRequest serializes a request into a fresh buffer.

@@ -10,7 +10,8 @@ import "pdcedu/internal/obs"
 //	store.merkle.leaf_rebuilds   counter: dirty Merkle leaves rehashed
 //	store.table.rewrites         counter: writes that rewrote their
 //	                             key's resident record in place instead
-//	                             of allocating a new one (table.go)
+//	                             of allocating a new one (table.go);
+//	                             served writes only, not replay's
 //	store.wal.appends            counter: records appended to the log
 //	store.wal.append_bytes       counter: bytes those appends wrote
 //	                             (156 for a 9 + 128-byte Set; wal.go)

@@ -101,18 +101,17 @@ func (w *wal) recover() (maxVer uint64, err error) {
 		os.Remove(tmp)
 	}
 	// A record read aliases the reader's frame buffer and is already in
-	// the table's layout: installing it is one copy, its key included.
+	// the table's layout: installing it copies it over its key's
+	// resident record when the lengths match, else into a new one.
 	apply := func(r rec) {
+		k := r.key() // looked up or copied, so it may alias the buffer
 		if r.purge() {
 			// Logged only when it removed an entry, and replayed in table
-			// order, so whatever is resident now is what it removed. The
-			// key is only looked up, so it may alias the buffer.
-			k := r.key()
+			// order, so whatever is resident now is what it removed.
 			w.eng.shardFor(k).t.purge(k, math.MaxUint64)
 			return
 		}
-		r = r.clone()
-		w.eng.shardFor(r.key()).t.install(r)
+		w.eng.shardFor(k).t.install(r)
 		maxVer = max(maxVer, r.ver)
 	}
 

@@ -157,15 +157,18 @@ func (w *wal) writeCheckpoint(gen uint64) (int64, error) {
 // in at the end), then every shard's records, each copied out as it is
 // and framed like a log record. Shards are copied one at a time under
 // their own lock and written with no lock held: a checkpoint stalls
-// 1/N of the key space and buffers one shard. Returns the bytes
-// written.
+// 1/N of the key space. The copy is made in w.ckBuf, which keeps the
+// largest shard's size from one checkpoint to the next, so a
+// checkpoint of a store that has stopped growing allocates no copy.
+// Callers hold ckMu. Returns the bytes written.
 func (w *wal) streamShards(f *os.File) (int64, error) {
 	var hdr [magicLen + 4]byte
 	copy(hdr[:], snapMagic)
 	if _, err := f.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	var buf []byte
+	buf := w.ckBuf
+	defer func() { w.ckBuf = buf[:0] }()
 	count, written := 0, int64(len(hdr))
 	for i := range w.eng.shards {
 		sh := &w.eng.shards[i]

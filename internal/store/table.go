@@ -205,8 +205,8 @@ func (t *table) resize() {
 // The version lives beside the pointer in the slot, where merge and
 // sweep compare it. The log and checkpoints store this same layout
 // byte for byte behind a CRC and the version (wal.go), so a checkpoint
-// copies a resident record out as it is and replay installs one copy
-// of the record it read.
+// copies a resident record out as it is and replay copies the record
+// it read over the resident one, or into a new one (install).
 //
 // The rule that makes the aliasing safe: no slice of a record outlives
 // the shard lock, so any write of the same length — the same key and an
@@ -308,8 +308,9 @@ func (r rec) bytes() []byte {
 	return unsafe.Slice(r.p, hdr+klen+vlen)
 }
 
-// clone copies r into an allocation of its own: the one copy replay
-// makes of a record it read into a reused buffer.
+// clone copies r into an allocation of its own: what replay makes of a
+// record it read into a reused buffer when no resident record of its
+// length can take it (install).
 func (r rec) clone() rec {
 	b := append([]byte(nil), r.bytes()...)
 	return rec{p: &b[0], ver: r.ver}
@@ -386,13 +387,26 @@ func (t *table) merge(key string, e Entry) (uint64, bool) {
 	return e.Version, true
 }
 
-// install stores r exactly as given — no Wins comparison. WAL replay
-// uses it: records reapply in append order, so last-record-wins
-// reproduces the table state at the crash point, and each decoded
-// record is built once, straight from the log's bytes.
+// install stores r exactly as given — no Wins comparison. Replay uses
+// it: records reapply in append order, so last-record-wins reproduces
+// the table state at the crash point. r may alias the reader's buffer:
+// like put for a served write, install rewrites a resident record of
+// r's length in place and clones r only for a new key or a new length,
+// so a key the log rewrote K times costs one record, not K. An in-place
+// install is not a served write and does not count in
+// store.table.rewrites.
 func (t *table) install(r rec) {
-	i, tag, _ := t.find(r.key())
-	t.replace(i, tag, r)
+	i, tag, ok := t.find(r.key())
+	if b := r.bytes(); ok {
+		if cur := t.slots[i].bytes(); len(cur) == len(b) {
+			was := t.liveAt(i) // read before the copy changes the flags
+			copy(cur, b)
+			t.slots[i].ver = r.ver
+			t.account(was, !r.tombstone(), r.key())
+			return
+		}
+	}
+	t.replace(i, tag, r.clone())
 }
 
 // purge removes key's entry outright if its version is at most ver,

@@ -502,9 +502,10 @@ func TestOneAllocationPerRecord(t *testing.T) {
 }
 
 // TestRecoveryBuildsEachRecordOnce: replay hands each decoded key and
-// value to the table once — one allocation per record replayed, plus
-// the index's growth and a constant for the files — never a decoded copy
-// that is then copied again.
+// value to the table once — at most one allocation per record replayed
+// (none for this log tail, whose records rewrite the checkpoint's in
+// place), plus the index's growth and a constant for the files — never
+// a decoded copy that is then copied again.
 func TestRecoveryBuildsEachRecordOnce(t *testing.T) {
 	const n = 20_000
 	dir := t.TempDir()

@@ -359,7 +359,10 @@ type wal struct {
 	seq, flushed, durable uint64
 	flushing              bool
 
-	ckMu  sync.Mutex    // one checkpoint at a time (background loop vs Snapshot)
+	ckMu sync.Mutex // one checkpoint at a time (background loop vs Snapshot)
+	// ckBuf is the shard copy a checkpoint writes from (streamShards),
+	// kept across checkpoints at its largest shard's size; ckMu guards it.
+	ckBuf []byte
 	snapC chan struct{} // size-trigger token for the checkpoint loop
 	stop  chan struct{}
 	bg    sync.WaitGroup
