@@ -438,7 +438,7 @@ func replicaCoverage(c *dist.Cluster, nodes []*healNode, nKeys int) int {
 
 // selfHealing is the kill-a-node live demo: five gossiping nodes, one
 // killed under load. The failure detector declares it dead, the cluster
-// evicts it from the ring and keeps serving reads and quorum writes
+// marks it down and keeps serving reads and quorum writes
 // (queuing hints for the dead node); after a restart with an empty
 // store, hint replay plus the rebalancer restore full replication.
 func selfHealing() {
@@ -497,7 +497,7 @@ func selfHealing() {
 		}
 	}
 	waitFor("eviction", func() bool { return c.IsDown(victim) })
-	fmt.Printf("dead in %v: suspected, timed out, evicted from the ring (%d/%d backends live)\n",
+	fmt.Printf("dead in %v: suspected, timed out, marked down (%d/%d backends live)\n",
 		time.Since(killedAt).Round(time.Millisecond), c.Live(), nNodes)
 	fmt.Printf("%d writes hinted for the dead node during the detection window\n", c.Hints(victim))
 

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain turns poison-on-release on for the whole suite: every
@@ -38,4 +41,52 @@ func (m *muxConn) pendingCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.pending)
+}
+
+// muxGoroutines names every goroutine running a mux loop — a client
+// connection's reader or writer, or a server's accept loop, connection
+// reader, handler worker or frame writer — by its header and the first
+// such frame of its stack.
+func muxGoroutines() []string {
+	buf := make([]byte, 64<<10)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var live []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(g, "\n")
+		for _, l := range lines[1:] {
+			if strings.Contains(l, "csnet.(*muxConn).") || strings.Contains(l, "csnet.(*Server).") || strings.Contains(l, "csnet.runFrameWriter") {
+				live = append(live, lines[0]+" "+strings.TrimSpace(l))
+				break
+			}
+		}
+	}
+	return live
+}
+
+// shutdownOnCleanup closes cl and shuts srv down when the test ends,
+// and waits there until no mux goroutine is left: Close returns before
+// the client's reader and writer exit, and Shutdown before its
+// connections' goroutines have finished their last deferred calls, so
+// one still exiting — allocating its error on the way out — would land
+// in whatever test runs next, and testing.AllocsPerRun counts the
+// whole process.
+func shutdownOnCleanup(t *testing.T, srv *Server, cl *Client) {
+	t.Cleanup(func() {
+		cl.Close()
+		srv.Shutdown()
+		deadline := time.Now().Add(5 * time.Second)
+		for live := muxGoroutines(); len(live) > 0; live = muxGoroutines() {
+			if time.Now().After(deadline) {
+				t.Errorf("mux goroutines still running 5 s after shutdown: %s", strings.Join(live, "; "))
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

@@ -93,7 +93,7 @@ const muxIdleWindow = time.Second
 //     which is the caller's and lives as long as any of them does.
 //
 // freeBufs is the free list, in two size classes so that neither
-// starves the other: small holds buffers of up to bufMinCap — the
+// starves the other: small holds buffers of exactly bufMinCap — the
 // single-key frames and replies, 1024 slots for a pipelined burst's
 // buffers on both ends of a few connections — and large those past it
 // up to muxBufSize — batch frames, listings and their replies, 64
@@ -102,6 +102,10 @@ const muxIdleWindow = time.Second
 // above muxBufSize is kept, so one large frame (an OpStats snapshot, a
 // listing a coordinator asked for whole) cannot pin memory; such a
 // reply is counted in csnet.server.reply_oversize as it is dropped.
+// Nothing below bufMinCap is kept either — a reply body read for a
+// caller that gave up, a handler's reply built outside dst — so every
+// draw of up to bufMinCap bytes, a worker's scratch included, has room
+// for bufMinCap.
 var freeBufs = struct{ small, large chan []byte }{
 	small: make(chan []byte, 1024),
 	large: make(chan []byte, 64),
@@ -175,7 +179,7 @@ func putBuf(b []byte) {
 	}
 	free := freeBufs.small
 	switch {
-	case cap(b) > muxBufSize:
+	case cap(b) > muxBufSize, cap(b) < bufMinCap:
 		return
 	case cap(b) > bufMinCap:
 		free = freeBufs.large

@@ -301,8 +301,8 @@ func TestLargeFrameNotKept(t *testing.T) {
 
 // TestFreeListClasses pins the two size classes: a frame of up to
 // bufMinCap never takes a large buffer, a larger frame never pops (and
-// drops) a small one, and a buffer released to either class is
-// poisoned first.
+// drops) a small one, a buffer smaller than bufMinCap is not kept, and
+// a buffer released to either class is poisoned first.
 func TestFreeListClasses(t *testing.T) {
 	keptSmall, keptLarge := drainFree()
 	defer refill(keptSmall, keptLarge)
@@ -310,6 +310,7 @@ func TestFreeListClasses(t *testing.T) {
 	for range 8 {
 		putBuf(make([]byte, 0, bufMinCap))
 	}
+	putBuf(make([]byte, 9)) // a reply body read for a caller that gave up
 	putBuf(make([]byte, 0, muxBufSize))
 	for _, n := range []int{0, 1, bufMinCap} {
 		if b := getBuf(n); cap(b) > bufMinCap {
@@ -326,6 +327,11 @@ func TestFreeListClasses(t *testing.T) {
 	small, large := drainFree()
 	if len(small) < 5 {
 		t.Errorf("the small class holds %d buffers after 3 small draws from 8, want 5: a large draw dropped one", len(small))
+	}
+	for _, b := range small {
+		if cap(b) < bufMinCap {
+			t.Errorf("the small class kept a %d-byte buffer: a draw of up to %d bytes, a worker's scratch, may find no room in it", cap(b), bufMinCap)
+		}
 	}
 	if !slices.ContainsFunc(large, func(b []byte) bool { return cap(b) == muxBufSize }) {
 		t.Errorf("the large class lost its %d-byte buffer", muxBufSize)

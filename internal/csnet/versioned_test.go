@@ -3,6 +3,7 @@ package csnet
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,12 +99,12 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Shutdown()
 	cl, err := Dial(addr, time.Second)
 	if err != nil {
+		srv.Shutdown()
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	shutdownOnCleanup(t, srv, cl)
 
 	// SetV with an explicit version, then a stale one: must be kept out.
 	if winner, applied, err := cl.SetV("k", []byte("v2"), 200); err != nil || !applied || winner != 200 {
@@ -236,6 +237,10 @@ func TestRefusedProbesLendNothing(t *testing.T) {
 			}
 			rewrites := obs.Default().Counter("store.table.rewrites")
 			before := rewrites.Value()
+			if live := muxGoroutines(); len(live) > 0 {
+				t.Fatalf("mux goroutines an earlier test left running would allocate inside the measurement: %s",
+					strings.Join(live, "; "))
+			}
 			const runs = 100
 			allocs := testing.AllocsPerRun(runs, func() {
 				dst = fh.ServeFrame(dst[:0], body, meta)

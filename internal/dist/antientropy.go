@@ -41,19 +41,19 @@ type AntiEntropyStats struct {
 }
 
 // Rebalance converges replication by Merkle anti-entropy. It is the
-// cluster's one converger: scheduled after every ring change, callable
-// directly for a deterministic converge in tests and demos. Every live
-// backend maintains a hash tree over its raw entry space (leaf = one
-// hash-partitioned key bucket; see store.Digest), and because
-// placement is bucket-granular, a bucket's owners hold identical
-// content exactly when their leaf hashes agree. The pass:
+// cluster's one converger: scheduled after every MarkDown and MarkUp,
+// callable directly for a deterministic converge in tests and demos.
+// Every live backend maintains a hash tree over its raw entry space
+// (leaf = one hash-partitioned key bucket; see store.Digest), and
+// because placement is bucket-granular, a bucket's owners hold
+// identical content exactly when their leaf hashes agree. The pass:
 //
 //  1. Descends the trees: compare every backend's root, then the
 //     children of each node any pair of backends disagrees on, level
 //     by level (one pipelined OpTreeV burst per level), down to the
 //     leaves. A leaf diverges when its bucket's current owners disagree
 //     or when a non-owner's leaf is not empty — a copy stranded there
-//     by a ring change, or left over from before one. A subtree every
+//     by a membership change, or left over from before one. A subtree every
 //     backend agrees on is pruned whole when it is empty, or when every
 //     live backend owns every bucket: a converged cluster then resolves
 //     in one root exchange per backend, and a pass costs O(diff · log
@@ -78,8 +78,8 @@ type AntiEntropyStats struct {
 //  5. Purges each non-owner copy (OpPurgeV at its listed version) once
 //     every current owner is confirmed to hold an entry at least as new
 //     — by its own listing, or by a merge of a winner that beats the
-//     copy, acked in this pass — and only while the owners table is the
-//     one the group was planned with.
+//     copy, acked in this pass — and only while the route is the one
+//     the group was planned with.
 //
 // It returns the pass's stats — Streamed is how many entries were
 // streamed and applied — and the first backend error.
@@ -112,10 +112,11 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 			firstErr = fmt.Errorf("dist: rebalance backend %d: %w", b, err)
 		}
 	}
+	rt := c.route.Load()
 	clients := make([]*csnet.Client, n)
 	live := make([]int, 0, n)
 	for b := 0; b < n; b++ {
-		if c.IsDown(b) {
+		if rt.down[b] {
 			continue
 		}
 		cl, cerr := c.pools[b].Client()
@@ -130,17 +131,17 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 		return st, firstErr
 	}
 
-	divergent := c.descendTrees(clients, live, &st, noteErr)
+	divergent := c.descendTrees(clients, live, rt, &st, noteErr)
 	st.BucketsDiffed = len(divergent)
 	width := 0 // bytes a listed bucket costs, the widest any listing reply of this pass showed
 	for len(divergent) > 0 {
 		group := divergent[:min(aeGroupBuckets, len(divergent))]
 		divergent = divergent[len(group):]
-		table := c.owners.Load()
-		holders, listed := c.listDivergent(clients, *table, group, &width, &st, noteErr)
-		applied, strays := c.streamWinners(ctx, clients, *table, holders, listed, &st, noteErr)
+		planned := c.route.Load()
+		holders, listed := c.listDivergent(clients, planned.owners, group, &width, &st, noteErr)
+		applied, strays := c.streamWinners(ctx, clients, planned.owners, holders, listed, &st, noteErr)
 		st.Streamed += applied
-		st.Purged += c.purgeStrays(ctx, table, strays, noteErr)
+		st.Purged += c.purgeStrays(ctx, planned, strays, noteErr)
 	}
 	return st, firstErr
 }
@@ -173,15 +174,14 @@ type divergence struct {
 }
 
 // descendTrees walks every live backend's Merkle tree in lock-step
-// from the root, returning the buckets whose owners disagree or that a
-// non-owner holds something in.
-func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntropyStats, noteErr func(int, error)) (divergent []divergence) {
+// from the root, returning the buckets whose owners under rt disagree
+// or that a non-owner holds something in.
+func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, rt *route, st *AntiEntropyStats, noteErr func(int, error)) (divergent []divergence) {
 	// Where every live backend owns every bucket no copy can be stray,
 	// so agreement anywhere is convergence. Otherwise agreeing on
 	// non-empty content means some backend holds buckets it does not
 	// own, and only an empty subtree is pruned.
-	ownsAll := c.rf >= c.Live()
-	owners := *c.owners.Load()
+	ownsAll := c.rf >= rt.live
 	frontier := []uint32{1}
 	for len(frontier) > 0 {
 		body := csnet.EncodeBucketList(frontier)
@@ -236,7 +236,7 @@ func (c *Cluster) descendTrees(clients []*csnet.Client, live []int, st *AntiEntr
 				continue
 			}
 			d := divergence{bucket: int(id) - c.buckets}
-			row := owners[d.bucket]
+			row := rt.owners[d.bucket]
 			for _, b := range live {
 				if m, ok := hashes[b]; ok && m[id] != 0 && !slices.Contains(row, b) {
 					d.strays = append(d.strays, b)
@@ -580,11 +580,11 @@ func (c *Cluster) streamWinners(ctx trace.Context, clients []*csnet.Client, owne
 // purgeStrays removes the confirmed non-owner copies, one OpPurgeV at
 // each copy's listed version — so a write that reached the backend
 // since is kept — batched per backend like the merges. It sends nothing
-// once the owners table has moved on from the one the group was
-// planned with: a stray may own its bucket now, and the next pass
-// (every ring change schedules one) judges it afresh.
-func (c *Cluster) purgeStrays(ctx trace.Context, planned *[][]int, strays []stray, noteErr func(int, error)) int {
-	if len(strays) == 0 || c.owners.Load() != planned {
+// once the route has moved on from the one the group was planned
+// with: a stray may own its bucket now, and the next pass (every
+// membership change schedules one) judges it afresh.
+func (c *Cluster) purgeStrays(ctx trace.Context, planned *route, strays []stray, noteErr func(int, error)) int {
+	if len(strays) == 0 || c.route.Load() != planned {
 		return 0
 	}
 	mb := mergeBurst{c: c, kind: trace.KindAE}

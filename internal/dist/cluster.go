@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,10 +48,10 @@ type ClusterConfig struct {
 }
 
 // Cluster shards one key space across several csnet backend servers: a
-// consistent-hash ring places each key's Merkle bucket (so every key
-// in a bucket shares one replica set — the granularity anti-entropy
-// digests compare) on its Replication first distinct ring successors,
-// writes go synchronously to the live members of that set, and reads
+// fixed consistent-hash ring places each key's Merkle bucket (so every
+// key in a bucket shares one replica set — the granularity anti-entropy
+// digests compare) on its Replication first distinct ring successors
+// that are not marked down, writes go synchronously to that set, and reads
 // ask the primary first, walking the rest of the set in ring order
 // with read-repair backfilling replicas that missed a write.
 //
@@ -95,17 +96,19 @@ type ClusterConfig struct {
 // "rejected" for each entry; a reply's missing tail, "transport error".
 //
 // Fault tolerance: Watch subscribes the cluster to a member.Memberlist
-// so dead backends are evicted from the ring (their keys reroute to the
-// next live nodes) and recovered ones are readmitted. Writes that fail
-// on an unreachable replica are queued as hints (latest version per
-// key) and replayed when the replica rejoins; a
-// background Merkle anti-entropy pass compares replica digests and
-// streams exactly the diverged entries — missing, stale, value-split,
-// or tombstoned — to their current owners after every ring change, then
-// purges the copies backends hold in buckets they no longer own. See
-// MarkDown, MarkUp, Rebalance, and PartialWriteError.
+// so dead backends are marked down (their keys reroute to the next live
+// nodes on the ring) and recovered ones are marked up again; the down
+// set and the placement it implies are one published route, changed
+// only by MarkDown and MarkUp. Writes that fail on an unreachable
+// replica are queued as hints (latest version per key) and replayed
+// when the replica rejoins; a background Merkle anti-entropy pass
+// compares replica digests and streams exactly the diverged entries —
+// missing, stale, value-split, or tombstoned — to their current owners
+// after every membership change, then purges the copies backends hold
+// in buckets they no longer own. See MarkDown, MarkUp, Rebalance, and
+// PartialWriteError.
 type Cluster struct {
-	ring    *ConsistentHash // live placement: down backends removed
+	ring    *ConsistentHash // fixed placement; the route says who is down
 	clock   *store.Clock    // stamps write versions, observes read versions
 	tracer  *trace.Recorder
 	cache   *readCache // hot-key read cache; nil when disabled
@@ -121,15 +124,14 @@ type Cluster struct {
 	// sliced differently by per-key placement.
 	buckets    int
 	bucketKeys []string // precomputed ring keys, one per bucket
-	// owners is the ring's answer for every bucket, precomputed: the ring
-	// changes only in MarkDown and MarkUp, which republish it (reroute),
-	// so the per-op path is a hash and an index — no lock, no ring walk,
-	// no allocation. The published table is immutable.
-	owners  atomic.Pointer[[][]int]
-	routeMu sync.Mutex // serializes ring changes with the table they publish
+	// route is the cluster's one membership state: MarkDown and MarkUp
+	// publish a new one under routeMu, and every reader loads one
+	// snapshot, so the down set and the owners table it implies are
+	// never seen apart.
+	route   atomic.Pointer[route]
+	routeMu sync.Mutex // serializes membership transitions
 
-	mu    sync.Mutex
-	down  []bool
+	mu    sync.Mutex             // guards hints
 	hints []map[string]hintEntry // per-backend pending hinted operations
 
 	rebalanceMu   sync.Mutex // serializes Rebalance passes
@@ -137,6 +139,47 @@ type Cluster struct {
 	stop          chan struct{}
 	rebalanceDone chan struct{}
 	closeOnce     sync.Once
+}
+
+// route is one membership state and the placement it implies, built
+// whole and never modified once published: the per-op path is a hash
+// and an index into owners — no lock, no ring walk, no allocation.
+type route struct {
+	owners [][]int // per bucket: its live replica set, primary first
+	down   []bool  // per backend: marked down
+	live   int     // backends not down
+}
+
+// newRoute builds the route for the down set, which it keeps.
+func (c *Cluster) newRoute(down []bool) *route {
+	r := &route{owners: make([][]int, c.buckets), down: down, live: len(down)}
+	for _, d := range down {
+		if d {
+			r.live--
+		}
+	}
+	for b := range r.owners {
+		r.owners[b] = c.ring.PickN(c.bucketKeys[b], c.rf, down)
+	}
+	return r
+}
+
+// setDown sets backend b's down bit and publishes the route that
+// results, reporting whether the bit changed.
+func (c *Cluster) setDown(b int, down bool) bool {
+	if b < 0 || b >= len(c.pools) {
+		return false
+	}
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	cur := c.route.Load()
+	if cur.down[b] == down {
+		return false
+	}
+	next := slices.Clone(cur.down)
+	next[b] = down
+	c.route.Store(c.newRoute(next))
+	return true
 }
 
 // NewCluster connects a cluster router to the configured backends.
@@ -187,7 +230,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		addrIdx:       make(map[string]int, n),
 		buckets:       buckets,
 		bucketKeys:    make([]string, buckets),
-		down:          make([]bool, n),
 		hints:         make([]map[string]hintEntry, n),
 		rebalance:     make(chan struct{}, 1),
 		stop:          make(chan struct{}),
@@ -200,16 +242,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.pools[i] = csnet.NewPeer(addr, timeout)
 		c.addrIdx[addr] = i
 	}
-	c.reroute(nil)
+	c.route.Store(c.newRoute(make([]bool, n)))
 	go c.rebalanceLoop()
 	return c, nil
 }
 
 // replicaSet returns the live backends holding key: the first rf
-// distinct nodes clockwise from the key's *bucket's* ring position
-// (placement is bucket-granular; see the Cluster doc). Backends marked
-// down are out of the ring, so the set shrinks below rf only when
-// fewer than rf backends are live.
+// distinct live nodes clockwise from the key's *bucket's* ring position
+// (placement is bucket-granular; see the Cluster doc), so the set
+// shrinks below rf only when fewer than rf backends are live.
 func (c *Cluster) replicaSet(key string) []int {
 	return c.ownersOf(store.BucketOf(key, c.buckets))
 }
@@ -217,22 +258,7 @@ func (c *Cluster) replicaSet(key string) []int {
 // ownersOf returns the live replica set of one Merkle bucket. The
 // slice is shared by every caller: index it, never write to it.
 func (c *Cluster) ownersOf(bucket int) []int {
-	return (*c.owners.Load())[bucket]
-}
-
-// reroute applies one ring change (nil: none, for the first table) and
-// publishes the owners table of the ring that results.
-func (c *Cluster) reroute(change func()) {
-	c.routeMu.Lock()
-	defer c.routeMu.Unlock()
-	if change != nil {
-		change()
-	}
-	table := make([][]int, c.buckets)
-	for b := range table {
-		table[b] = c.ring.PickN(c.bucketKeys[b], c.rf)
-	}
-	c.owners.Store(&table)
+	return c.route.Load().owners[bucket]
 }
 
 // ReplicaSet reports the live backends currently owning key, primary
@@ -304,7 +330,7 @@ func (c *Cluster) cacheSupersede(key string, ver uint64) {
 }
 
 // noLiveErr is what every op reports for a key whose replica set is
-// empty: every backend is out of the ring.
+// empty: every backend is marked down.
 func noLiveErr(op, key string) error {
 	return fmt.Errorf("dist: cluster %s %q: no live backends", op, key)
 }

@@ -85,7 +85,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // TestMemberChurnEndToEnd is the acceptance churn test: five nodes,
 // 1000 keys written while one node is killed mid-load, every key still
-// readable, the dead node evicted from the ring within the suspicion
+// readable, the dead node marked down within the suspicion
 // window, and — after a restart with an empty store — hint replay plus
 // the rebalancer converging every replica.
 func TestMemberChurnEndToEnd(t *testing.T) {

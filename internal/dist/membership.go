@@ -197,41 +197,35 @@ func (c *Cluster) replayHints(b int) int {
 	return delivered
 }
 
-// MarkDown evicts backend b from the placement ring: subsequent reads
-// and writes route around it (each of its keys to the next live node
-// clockwise), and a rebalance is scheduled so the shrunken replica sets
+// MarkDown takes backend b out of placement: it sets b's down bit and
+// publishes the route that results, so subsequent reads and writes pass
+// it by (each of its buckets to the next live node clockwise on the
+// fixed ring), and schedules a rebalance so the shrunken replica sets
 // regain full replication. It reports whether the backend transitioned
 // (false when already down or out of range). Watch calls this on dead
 // events; tests and operators may call it directly.
 func (c *Cluster) MarkDown(b int) bool {
-	if b < 0 || b >= len(c.pools) {
+	if !c.setDown(b, true) {
 		return false
 	}
-	c.mu.Lock()
-	if c.down[b] {
-		c.mu.Unlock()
-		return false
-	}
-	c.down[b] = true
-	c.mu.Unlock()
-	c.reroute(func() { c.ring.RemoveNode(b) })
 	c.kickRebalance()
 	return true
 }
 
 // MarkUp readmits backend b after it recovers: queued hints are
-// replayed (bulk first, then a final drain for hints that raced the
-// flag flip), the ring restores b's virtual nodes to exactly their old
-// positions, and a background rebalance is scheduled to stream
+// replayed, b's down bit is cleared and the route republished — b's
+// virtual nodes never left the ring, so exactly the buckets that moved
+// away at MarkDown move back — then the hints that raced the flip are
+// drained, and a background rebalance is scheduled to stream
 // everything the hints missed — values written and keys deleted during
 // the outage — over b's stale copies, and to purge the copies the
 // stand-ins took for b's buckets once b holds them. None of the replay ordering is
 // correctness-critical anymore: every path is a version-aware merge,
 // so a stale hint racing a rebalanced copy just loses by version; the
-// bulk-replay-before-restore order survives only because it gets data
+// replay-before-republish order survives only because it gets data
 // onto b before reads route to it.
 //
-// Known window: between RestoreNode and the rebalance pass finishing,
+// Known window: between the republish and the rebalance pass finishing,
 // a read served by b can still see a pre-outage copy (a value since
 // overwritten, or a key since deleted). The converge is deliberately
 // asynchronous — a Memberlist Watch delivers events on one goroutine,
@@ -242,20 +236,13 @@ func (c *Cluster) MarkDown(b int) bool {
 // reads is the ROADMAP "quorum reads" item. It reports whether the
 // backend transitioned.
 func (c *Cluster) MarkUp(b int) bool {
-	if b < 0 || b >= len(c.pools) {
+	if !c.IsDown(b) {
 		return false
 	}
-	c.mu.Lock()
-	if !c.down[b] {
-		c.mu.Unlock()
-		return false
-	}
-	c.mu.Unlock()
 	c.replayHints(b)
-	c.reroute(func() { c.ring.RestoreNode(b) })
-	c.mu.Lock()
-	c.down[b] = false
-	c.mu.Unlock()
+	if !c.setDown(b, false) {
+		return false
+	}
 	c.replayHints(b)
 	c.kickRebalance()
 	return true
@@ -263,23 +250,18 @@ func (c *Cluster) MarkUp(b int) bool {
 
 // IsDown reports whether backend b is currently marked down.
 func (c *Cluster) IsDown(b int) bool {
-	if b < 0 || b >= len(c.pools) {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down[b]
+	return b >= 0 && b < len(c.pools) && c.route.Load().down[b]
 }
 
-// Live reports how many backends are currently in the placement ring.
-func (c *Cluster) Live() int { return c.ring.Nodes() }
+// Live reports how many backends are not marked down.
+func (c *Cluster) Live() int { return c.route.Load().live }
 
 // Watch subscribes the cluster to a Memberlist whose member IDs are
-// this cluster's backend addresses: dead members are evicted from the
-// placement ring, members that come back alive are readmitted (hints
+// this cluster's backend addresses: dead members are marked down,
+// members that come back alive are marked up (hints
 // replayed, rebalance scheduled). Suspect is deliberately ignored — a
 // suspect node keeps serving until the suspicion timeout expires, so a
-// transient hiccup never reshuffles the ring. The Memberlist should be
+// transient hiccup never reshuffles placement. The Memberlist should be
 // one that participates in the cluster (e.g. a co-located node's list);
 // events about unknown IDs are ignored. The returned stop function ends
 // the watch.

@@ -112,8 +112,9 @@ func (c *Cluster) ClusterStats() (obs.Snapshot, error) {
 			firstErr = fmt.Errorf("dist: cluster stats on backend %d: %w", b, err)
 		}
 	}
+	down := c.route.Load().down
 	for b, p := range c.pools {
-		if c.IsDown(b) {
+		if down[b] {
 			continue
 		}
 		cl, err := p.Client()

@@ -227,16 +227,10 @@ func (s *Sharded) Purge(key string, version uint64) bool {
 	return true
 }
 
-// Len reports the number of non-tombstone entries.
+// Len reports the number of non-tombstone entries: Counts' live.
 func (s *Sharded) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.live
-		sh.mu.Unlock()
-	}
-	return n
+	live, _ := s.Counts()
+	return live
 }
 
 // Sweep garbage-collects tombstones older than the engine's GC age and

@@ -40,8 +40,8 @@
 // replication and its RPC middleware over TCP live in examples/distkv,
 // beside the program that teaches them. The member substrate makes that
 // cluster self-healing: SWIM-style gossip membership with indirect
-// probing and incarnation-guarded suspicion drives the ring — dead
-// backends are evicted (writes degrade to a quorum of live replicas
+// probing and incarnation-guarded suspicion drives placement — dead
+// backends are marked down (writes degrade to a quorum of live replicas
 // with hinted handoff), recovered ones are readmitted and converged by
 // Merkle anti-entropy — replicas compare hash-tree digests and
 // exchange only the diverged buckets, so a steady-state converge
