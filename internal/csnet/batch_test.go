@@ -451,17 +451,7 @@ func batchStatuses(t *testing.T, p protocolFrames, env []byte) []Status {
 // when the log fails under the frame, no entry's ack stands.
 func TestBatchWaitsForDurabilityOnce(t *testing.T) {
 	var fail atomic.Bool
-	eng, err := store.OpenSharded(store.Options{}, store.WALOptions{
-		Dir: t.TempDir(), Fsync: store.FsyncAlways,
-		OpenFile: func(path string) (store.WALFile, error) {
-			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			return failSyncFile{f, &fail}, err
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := failingEngine(t, store.FsyncAlways, &fail)
 	p := protocolFrames{NewKVHandlerOn(eng)}
 	const n = 256
 	fsyncs := obs.Default().Counter("store.wal.fsyncs")
@@ -489,6 +479,192 @@ func TestBatchWaitsForDurabilityOnce(t *testing.T) {
 	}
 	if eng.Err() == nil {
 		t.Fatal("failed fsync did not poison the engine")
+	}
+}
+
+// engineOver opens an engine under fsync whose log segments are the
+// files wrap makes of them, closed when the test ends.
+func engineOver(t testing.TB, fsync store.FsyncPolicy, wrap func(*os.File) store.WALFile) *store.Sharded {
+	eng, err := store.OpenSharded(store.Options{}, store.WALOptions{
+		Dir: t.TempDir(), Fsync: fsync,
+		OpenFile: func(path string) (store.WALFile, error) {
+			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			return wrap(f), err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// failingEngine is an engine under fsync whose log's fsync fails once
+// fail is set.
+func failingEngine(t testing.TB, fsync store.FsyncPolicy, fail *atomic.Bool) *store.Sharded {
+	return engineOver(t, fsync, func(f *os.File) store.WALFile { return failSyncFile{f, fail} })
+}
+
+// TestOneDurabilityVerdictPerFrame is the one rule for every served
+// frame, plain or batch, under either policy that syncs: a frame that
+// wrote waits for the log once, and over a log that failed none of its
+// acks stands, while a frame that only reads answers from memory, alone
+// or in a burst. A request handed to the handler outside any frame is
+// held to the same rule.
+func TestOneDurabilityVerdictPerFrame(t *testing.T) {
+	for _, policy := range []store.FsyncPolicy{store.FsyncAlways, store.FsyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var fail atomic.Bool
+			eng := failingEngine(t, policy, &fail)
+			kv := NewKVHandlerOn(eng)
+			p := protocolFrames{kv}
+			w := worker{scratch: getBuf(0)}
+			defer func() { putBuf(w.scratch) }()
+			serve := func(r Request) Response {
+				t.Helper()
+				body, err := EncodeRequest(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply := p.ServeFrame(nil, body, FrameMeta{w: &w})
+				resp, err := DecodeResponseV(reply)
+				if r.Op == OpBatch {
+					resp, err = DecodeResponse(reply)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			eng.Set("a", []byte("va"))
+			eng.Set("b", []byte("vb"))
+			pver := eng.Set("p", []byte("vp"))
+			if err := eng.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			fsyncs := obs.Default().Counter("store.wal.fsyncs")
+			before := fsyncs.Value()
+			if resp := serve(Request{Op: OpSetV, Key: "w", Value: []byte("x")}); resp.Status != StatusOK {
+				t.Fatalf("SETV over a healthy log = %+v", resp)
+			}
+			if d := fsyncs.Value() - before; policy == store.FsyncAlways && d != 1 {
+				t.Errorf("a plain SETV frame under %s moved store.wal.fsyncs by %d, want 1", policy, d)
+			}
+
+			fail.Store(true)
+			eng.Set("poison", []byte("p"))
+			if eng.Sync() == nil || eng.Err() == nil {
+				t.Fatal("failed fsync did not poison the engine")
+			}
+			for _, r := range []Request{
+				{Op: OpSetV, Key: "w", Value: []byte("y"), Version: store.NewClock().Next()},
+				{Op: OpDelV, Key: "w"},
+				{Op: OpMerge, Key: "m", Value: []byte("z"), Version: store.NewClock().Next()},
+				{Op: OpPurgeV, Key: "p", Version: pver},
+			} {
+				if resp := serve(r); resp.Status != StatusError {
+					t.Errorf("plain %s frame over a failed log = %s, want %s", r.Op, resp.Status, StatusError)
+				}
+				if resp := kv.Serve(r); resp.Status != StatusError {
+					t.Errorf("%s handed to Serve outside a frame over a failed log = %s, want %s", r.Op, resp.Status, StatusError)
+				}
+			}
+
+			if resp := serve(Request{Op: OpGetV, Key: "a"}); resp.Status != StatusOK || string(resp.Value) != "va" {
+				t.Errorf("plain GETV over a failed log = %s %q, want OK \"va\"", resp.Status, resp.Value)
+			}
+			// A burst that only reads never waits; one that wrote is
+			// refused whole, as its one verdict is the log's.
+			for _, c := range []struct {
+				name string
+				reqs []Request
+				want []string // each entry's value, "" for refused
+			}{
+				{"GETV burst", []Request{{Op: OpGetV, Key: "a"}, {Op: OpGetV, Key: "b"}}, []string{"va", "vb"}},
+				{"GETV, SETV burst", []Request{{Op: OpGetV, Key: "a"}, {Op: OpSetV, Key: "w", Value: []byte("y")}}, []string{"", ""}},
+			} {
+				burst := AppendBatchHeader(nil, len(c.reqs))
+				for _, r := range c.reqs {
+					enc, err := EncodeRequest(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					burst = AppendBatchItem(burst, enc)
+				}
+				resp := serve(Request{Op: OpBatch, Value: burst})
+				items, err := DecodeBatch(resp.Value)
+				if resp.Status != StatusOK || err != nil || items.Len() != len(c.want) {
+					t.Fatalf("%s = %s %v, %d replies", c.name, resp.Status, err, items.Len())
+				}
+				for i, want := range c.want {
+					item, err := items.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := StatusOK
+					if want == "" {
+						st = StatusError
+					}
+					if r, err := DecodeResponseV(item); err != nil || r.Status != st || st == StatusOK && string(r.Value) != want {
+						t.Errorf("%s entry %d = %s %q %v, want %s %q", c.name, i, r.Status, r.Value, err, st, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// noSyncFile is a log segment whose fsync returns at once, so a
+// benchmark under FsyncAlways times the commit path and no disk.
+type noSyncFile struct{ *os.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+// BenchmarkServeFrameSetVAlways is a warm worker serving, under
+// FsyncAlways, a plain SETV frame and a 64-entry SETV batch frame, each
+// over resident keys of the same length: each frame waits for the log
+// once, through the deferred engine view the worker keeps from frame to
+// frame, and rewrites its records in place, so neither allocates.
+// scripts/allocgate.sh holds it to 0.
+func BenchmarkServeFrameSetVAlways(b *testing.B) {
+	eng := engineOver(b, store.FsyncAlways, func(f *os.File) store.WALFile { return noSyncFile{f} })
+	const entries = 64
+	val := make([]byte, 128)
+	plain, err := EncodeRequest(Request{Op: OpSetV, Key: "plain", Value: val}) // server-stamped: always applied
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := AppendBatchHeader(nil, entries)
+	for i := 0; i < entries; i++ {
+		enc, err := EncodeRequest(Request{Op: OpSetV, Key: fmt.Sprintf("batch-%02d", i), Value: val})
+		if err != nil {
+			b.Fatal(err)
+		}
+		env = AppendBatchItem(env, enc)
+	}
+	batch, err := EncodeRequest(Request{Op: OpBatch, Value: env})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fh FrameHandler = protocolFrames{h: NewKVHandlerOn(eng)} // boxed once, as a Server holds it
+	w := worker{scratch: getBuf(0)}
+	defer func() { putBuf(w.scratch) }()
+	if resp := warmWorker(b, &w, fh, plain); resp.Status != StatusOK {
+		b.Fatalf("SETV = %s %q", resp.Status, resp.Value)
+	}
+	if resp := warmWorker(b, &w, fh, batch); resp.Status != StatusOK {
+		b.Fatalf("BATCH = %s %q", resp.Status, resp.Value)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putBuf(w.serve(fh, muxFrame{body: plain}).free[1])
+		putBuf(w.serve(fh, muxFrame{body: batch}).free[1])
+	}
+	b.StopTimer()
+	if err := eng.Err(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -327,7 +327,9 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Close releases the connection, failing any in-flight requests.
+// Close releases the connection, failing any in-flight requests, and
+// returns once the connection's reader and writer goroutines are done:
+// all that is left of them is their return.
 func (c *Client) Close() error {
 	return c.m.close()
 }

@@ -365,8 +365,9 @@ func BenchmarkServeFrameGetV(b *testing.B) {
 		b.Fatal(err)
 	}
 	fh := protocolFrames{h: kv}
-	meta := FrameMeta{Scratch: getBuf(0)} // a worker's, drawn once
-	defer putBuf(meta.Scratch)
+	w := worker{scratch: getBuf(0)} // a worker's, drawn once
+	defer func() { putBuf(w.scratch) }()
+	meta := FrameMeta{w: &w}
 	dst := make([]byte, 0, bufMinCap)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -485,8 +486,9 @@ func BenchmarkServeFrameGetVSetV(b *testing.B) {
 		b.Fatal(err)
 	}
 	fh := protocolFrames{h: kv}
-	meta := FrameMeta{Scratch: getBuf(0)}
-	defer putBuf(meta.Scratch)
+	w := worker{scratch: getBuf(0)}
+	defer func() { putBuf(w.scratch) }()
+	meta := FrameMeta{w: &w}
 	setv := make([]byte, 0, bufMinCap)
 	dst := make([]byte, 0, bufMinCap)
 	b.ReportAllocs()
@@ -503,19 +505,21 @@ func BenchmarkServeFrameGetVSetV(b *testing.B) {
 
 // BenchmarkServeFrameSetV is the same for a SETV frame at a rising
 // version, so every one is applied — over a record of the same length,
-// which the engine rewrites in place: no allocation. scripts/allocgate.sh holds it to 0.
+// which the engine rewrites in place — and its frame's commit is the
+// worker's: no allocation. scripts/allocgate.sh holds it to 0.
 func BenchmarkServeFrameSetV(b *testing.B) {
 	kv := NewKVHandler()
 	clock := store.NewClock()
 	val := make([]byte, 128)
 	fh := protocolFrames{h: kv}
+	var w worker
 	body := make([]byte, 0, bufMinCap)
 	dst := make([]byte, 0, bufMinCap)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body, _ = AppendRequest(body[:0], Request{Op: OpSetV, Key: "bench", Value: val, Version: clock.Next()})
-		dst = fh.ServeFrame(dst[:0], body, FrameMeta{})
+		dst = fh.ServeFrame(dst[:0], body, FrameMeta{w: &w})
 	}
 	if resp, err := DecodeResponseV(dst); err != nil || resp.Status != StatusOK {
 		b.Fatalf("SETV = %+v %v", resp, err)

@@ -48,16 +48,8 @@ func (m *muxConn) pendingCount() int {
 // reader, handler worker or frame writer — by its header and the first
 // such frame of its stack.
 func muxGoroutines() []string {
-	buf := make([]byte, 64<<10)
-	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
 	var live []string
-	for _, g := range strings.Split(string(buf), "\n\n") {
+	for _, g := range goroutines() {
 		lines := strings.Split(g, "\n")
 		for _, l := range lines[1:] {
 			if strings.Contains(l, "csnet.(*muxConn).") || strings.Contains(l, "csnet.(*Server).") || strings.Contains(l, "csnet.runFrameWriter") {
@@ -69,13 +61,39 @@ func muxGoroutines() []string {
 	return live
 }
 
+// muxLoopsDialedHere returns the stack of every client reader and
+// writer goroutine that a Dial made by the calling goroutine started.
+func muxLoopsDialedHere() []string {
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(self), "goroutine "), " ")
+	creator := "created by pdcedu/internal/csnet.newMuxConn in goroutine " + id + "\n"
+	var live []string
+	for _, g := range goroutines() {
+		if strings.Contains(g+"\n", creator) {
+			live = append(live, g)
+		}
+	}
+	return live
+}
+
+// goroutines returns the stack of every goroutine, one string each.
+func goroutines() []string {
+	buf := make([]byte, 64<<10)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // shutdownOnCleanup closes cl and shuts srv down when the test ends,
-// and waits there until no mux goroutine is left: Close returns before
-// the client's reader and writer exit, and Shutdown before its
-// connections' goroutines have finished their last deferred calls, so
-// one still exiting — allocating its error on the way out — would land
-// in whatever test runs next, and testing.AllocsPerRun counts the
-// whole process.
+// and waits there until no mux goroutine is left: Shutdown returns
+// before its connections' goroutines have finished their last deferred
+// calls, so one still exiting — allocating its error on the way out —
+// would land in whatever test runs next, and testing.AllocsPerRun
+// counts the whole process.
 func shutdownOnCleanup(t *testing.T, srv *Server, cl *Client) {
 	t.Cleanup(func() {
 		cl.Close()

@@ -56,16 +56,19 @@ const muxIdleWindow = time.Second
 //     body's is released by the writer in dst's place, and dst by the
 //     worker at once (worker.serve), so a reply of up to muxBufSize is
 //     recycled wherever it was built;
-//   - a server worker's scratch (FrameMeta.Scratch, Request.Scratch),
-//     drawn when the worker starts and released when it exits. A
-//     handler appends a reply's value to it — a GETV's, a copy made
-//     under the shard lock by Sharded.AppendLoad, or an OpRangeV
-//     listing's whole body — and the reply is encoded into dst before
-//     the worker serves its next frame or the next entry of a batch, so
-//     one scratch per worker is never read after it is reused. A
-//     handler that needs a larger one (Request.scratchFor) draws it
-//     from getBuf, up to muxBufSize; the worker keeps it from then on
-//     and the old one is released, as nothing reads it any more;
+//   - a server worker's scratch (worker.scratch, which a served
+//     Request reaches through its worker), drawn when the worker starts
+//     and released when it exits. The KVHandler appends a reply's value
+//     to it — a GETV's, a copy made under the shard lock by
+//     Sharded.AppendLoad, or an OpRangeV listing's whole body — and the
+//     reply is encoded into dst before the worker serves its next frame
+//     or the next entry of a batch, so one scratch per worker is never
+//     read after it is reused. A reply that needs a larger one
+//     (worker.scratchFor) draws it from getBuf, up to muxBufSize; the
+//     worker keeps it from then on and the old one is released, as
+//     nothing reads it any more. A throwaway worker — a frame served
+//     outside a server — has none, and whatever it draws is garbage
+//     with it;
 //   - a Batch frame's reply body, released by the Batch together with
 //     the frame's Pending (getPending/putPending) once the frame's last
 //     entry has been decoded. The parts of a reply a caller can keep —
@@ -323,7 +326,8 @@ type muxConn struct {
 	conn    net.Conn
 	timeout time.Duration
 	sendq   chan muxFrame
-	dead    chan struct{} // closed by fail(); unblocks writer and enqueuers
+	dead    chan struct{}  // closed by fail(); unblocks writer and enqueuers
+	loops   sync.WaitGroup // the writer and reader goroutines
 
 	mu      sync.Mutex
 	pending map[uint64]muxEntry
@@ -346,6 +350,7 @@ func newMuxConn(conn net.Conn, timeout time.Duration) (*muxConn, error) {
 		dead:    make(chan struct{}),
 		pending: map[uint64]muxEntry{},
 	}
+	m.loops.Add(2)
 	go m.writeLoop()
 	go m.readLoop()
 	return m, nil
@@ -445,9 +450,11 @@ func (m *muxConn) broken() bool {
 	return m.err != nil
 }
 
-// close tears the connection down, failing all in-flight requests.
+// close tears the connection down, failing all in-flight requests, and
+// returns once the writer and reader goroutines are done.
 func (m *muxConn) close() error {
 	m.fail(ErrClientClosed)
+	m.loops.Wait()
 	return nil
 }
 
@@ -548,6 +555,7 @@ func runFrameWriter(conn net.Conn, q <-chan muxFrame, stop <-chan struct{}, time
 
 // writeLoop feeds the shared coalescing writer from the send queue.
 func (m *muxConn) writeLoop() {
+	defer m.loops.Done()
 	runFrameWriter(m.conn, m.sendq, m.dead, m.timeout, m.fail)
 }
 
@@ -586,6 +594,7 @@ func (m *muxConn) readRetry(br *bufio.Reader, buf []byte) error {
 
 // readLoop dispatches response frames to their waiting callers.
 func (m *muxConn) readLoop() {
+	defer m.loops.Done()
 	br := bufio.NewReaderSize(m.conn, muxBufSize)
 	hdr := make([]byte, muxHeaderSize)
 	for {

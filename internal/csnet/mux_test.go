@@ -357,6 +357,39 @@ func TestMuxCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestMuxCloseWaitsForItsLoops: once Close returns, the client's reader
+// and writer have exited — none is left to allocate its exit error
+// inside whatever the caller measures next. A client's loops are told
+// apart from every other by the goroutine that dialed it. Go has no
+// join, so a loop may still be seen returning from the WaitGroup.Done
+// that let Close return, its last act; anywhere else it is at work.
+func TestMuxCloseWaitsForItsLoops(t *testing.T) {
+	srv := NewServer(NewKVHandler(), 0)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	for i := 0; i < 20; i++ {
+		cl, err := Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if live := muxLoopsDialedHere(); len(live) != 2 {
+			t.Fatalf("a live client runs %d loops, want a reader and a writer: %s", len(live), strings.Join(live, "; "))
+		}
+		cl.Close()
+		for _, g := range muxLoopsDialedHere() {
+			if _, top, _ := strings.Cut(g, "\n"); !strings.HasPrefix(top, "sync.(*WaitGroup).") {
+				t.Fatalf("close %d returned with one of the client's loops still at work: %s", i, g)
+			}
+		}
+	}
+}
+
 // TestMuxStuckRequestTimesOutOnBusyConn pins one request in a handler
 // that never answers while other requests keep the shared connection
 // busy: the stuck caller must still time out (the reader arms the

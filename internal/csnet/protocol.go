@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"pdcedu/internal/trace"
 )
@@ -214,11 +213,9 @@ func (s Status) String() string {
 
 // Request is a protocol request. Version and Flags ride the wire only
 // for versioned ops (see Versioned). Trace likewise rides only
-// versioned requests, only when valid (gated by FlagHasTrace).
-// QueueWait, Scratch and Commit (and the serving worker behind them) are
-// server-local bookkeeping and never touch the wire. On a server, Key and Value alias the request frame and
-// are valid only until Handler.Serve returns (the ownership rule in
-// mux.go).
+// versioned requests, only when valid (gated by FlagHasTrace). On a
+// server, Key and Value alias the request frame and are valid only
+// until Handler.Serve returns (the ownership rule in mux.go).
 type Request struct {
 	Op      Op
 	Key     string
@@ -228,22 +225,8 @@ type Request struct {
 	// Trace is the distributed trace context stamped by the
 	// coordinator; the server's handler records its spans under it.
 	Trace trace.Context
-	// QueueWait is how long the frame waited in the server's worker
-	// queue before handling began (set by the server, muxed
-	// connections only).
-	QueueWait time.Duration
-	// Scratch is the serving worker's buffer (FrameMeta.Scratch): a
-	// handler may append a reply's value to Scratch[:0] instead of
-	// allocating one, because the reply is encoded before the worker
-	// serves anything else. Nil outside a server worker, where append
-	// allocates. A handler that needs more room than it has asks
-	// scratchFor, which regrows the worker's scratch.
-	Scratch []byte
-	// Commit is set by the server on every entry of a batch frame (see
-	// Commit); nil on a request that arrived as a frame of its own.
-	Commit *Commit
 
-	w *worker // the worker serving the request; nil outside one
+	w *worker // the worker serving the request (server.go); never on the wire
 }
 
 // Response is a protocol response. Version and Flags ride the wire

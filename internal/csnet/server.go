@@ -28,29 +28,13 @@ type HandlerFunc func(Request) Response
 // Serve implements Handler.
 func (f HandlerFunc) Serve(r Request) Response { return f(r) }
 
-// FrameMeta carries per-frame transport facts the handler cannot
-// measure itself. QueueWait is how long the frame sat in the
-// connection's worker queue before a handler picked it up — the
-// queue-wait vs handle-time split a trace waterfall renders. Scratch
-// is the serving worker's buffer (the ownership rule in mux.go): a
-// handler may append to it and hand the result out in its reply, and
-// the worker reuses it once that reply is encoded; nil when no worker
-// serves the frame.
+// FrameMeta is what the server hands a FrameHandler beside a frame:
+// the worker serving it, whose state — scratch, bucket set, queue wait,
+// commit — the key-value protocol serves the frame with. It has no
+// exported field; the zero FrameMeta, a frame served outside a server,
+// is served on a throwaway worker.
 type FrameMeta struct {
-	QueueWait time.Duration
-	Scratch   []byte
-
-	w *worker // the worker serving the frame; nil outside one
-}
-
-// scratch is the serving worker's scratch as it is now — a handler
-// may have regrown it since meta was made (Request.scratchFor) — or
-// Scratch outside a worker.
-func (meta FrameMeta) scratch() []byte {
-	if meta.w != nil {
-		return meta.w.scratch
-	}
-	return meta.Scratch
+	w *worker
 }
 
 // FrameHandler processes one raw request frame. It is the layer below
@@ -80,11 +64,16 @@ type protocolFrames struct {
 }
 
 // ServeFrame implements FrameHandler: one request, or one OpBatch
-// envelope of them. A reply too large for a frame is answered
+// envelope of them, served on the worker meta names — a throwaway one
+// outside a server. A reply too large for a frame is answered
 // StatusError instead, so it fails its own call and not the connection
 // every other call shares.
 func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
-	out := p.serve(dst, body, meta, nil)
+	w := meta.w
+	if w == nil {
+		w = new(worker)
+	}
+	out := p.serve(dst, body, w, false)
 	if len(out)-len(dst) > MaxFrameSize {
 		out = appendUndecoded(dst, body, Response{Status: StatusError, Value: []byte(ErrFrameTooLarge.Error())})
 	}
@@ -92,15 +81,16 @@ func (p protocolFrames) ServeFrame(dst, body []byte, meta FrameMeta) []byte {
 }
 
 // serve answers one encoded request in the framing its op calls for
-// (appendReply). Every request — a frame of its own or, with commit
-// set, an entry of a batch frame — is counted into the per-op
-// request/latency/byte metrics under its own op; the timer spans decode
-// through encode, so the histograms report what the client actually
-// waited on the server, not just the handler body. The reply of a
-// frame of its own is encoded into dst, or when dst has no room for it
-// into a transport buffer that has (roomFor); a batch entry's grows
-// the batch's reply by append.
-func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) []byte {
+// (appendReply). Every request — a frame of its own or an entry of a
+// batch frame — is counted into the per-op request/latency/byte
+// metrics under its own op; the timer spans decode through encode, so
+// the histograms report what the client actually waited on the server,
+// not just the handler body. A frame of its own is a batch of one: it
+// ends with the worker's commit (see commit), so a write's ack stands
+// only if the wait for the log returns nil. Its reply is encoded into
+// dst, or when dst has no room for it into a transport buffer that has
+// (roomFor); a batch entry's grows the batch's reply by append.
+func (p protocolFrames) serve(dst, body []byte, w *worker, entry bool) []byte {
 	start := obs.StartTimer()
 	req, err := DecodeRequest(body)
 	if err != nil {
@@ -109,14 +99,15 @@ func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) 
 		csnetM.bytesIn.Add(uint64(len(body)))
 		return appendUndecoded(dst, body, Response{Status: StatusError, Value: []byte(err.Error())})
 	}
-	if req.Op == OpBatch && commit == nil {
-		return p.serveBatch(dst, req.Value, meta)
+	if req.Op == OpBatch && !entry {
+		return p.serveBatch(dst, req.Value, w)
 	}
-	req.QueueWait = meta.QueueWait
-	req.Scratch, req.w = meta.scratch(), meta.w
-	req.Commit = commit
+	req.w = w
 	resp := p.h.Serve(req)
-	if commit == nil {
+	if !entry {
+		if err := w.commit.wait(); err != nil {
+			resp = Response{Status: StatusError, Value: []byte(err.Error())}
+		}
 		dst = roomFor(dst, replySize(req.Op, resp))
 	}
 	out := appendReply(dst, req.Op, resp)
@@ -132,6 +123,16 @@ func (p protocolFrames) serve(dst, body []byte, meta FrameMeta, commit *Commit) 
 	return out
 }
 
+// writes reports whether op is a write: the ops whose ack is a promise
+// about the log, which the frame's commit must keep.
+func writes(op Op) bool {
+	switch op {
+	case OpSetV, OpDelV, OpMerge, OpPurgeV:
+		return true
+	}
+	return false
+}
+
 // batchReplyGuess is the reply bytes a batch entry is sized for up
 // front: a length prefix and a versioned write's ack.
 const batchReplyGuess = 4 + 5 + versionTrailerSize + 8
@@ -143,16 +144,16 @@ const batchReplyHeader = 1 + 4 + 4
 // serveBatch answers an OpBatch envelope: every entry goes through
 // serve as a frame of its own would — an entry that is itself a batch
 // reaches the handler and is refused as an unknown op — and then the
-// frame waits for durability once. An envelope that does not parse is
-// refused whole, before any entry runs. If the wait reports the log
-// lost, no ack of the frame stands: every entry is answered
+// frame ends with the worker's commit. An envelope that does not parse
+// is refused whole, before any entry runs. If the commit reports the
+// log lost, no ack of the frame stands: every entry is answered
 // StatusError.
 //
 // The reply is built where it fits from the start (roomFor): a write's
 // ack is batchReplyGuess, and a read's is as long as its value, which
 // the envelope does not say — so a frame with a read in it is built in
 // a buffer of muxBufSize, the most a Batch lets a frame's replies draw.
-func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
+func (p protocolFrames) serveBatch(dst, body []byte, w *worker) []byte {
 	items, err := DecodeBatch(body)
 	reads := false
 	for it := items; err == nil && it.Len() > 0; {
@@ -171,10 +172,9 @@ func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
 	if reads {
 		room = max(room, muxBufSize-len(dst))
 	}
-	commit := meta.commit()
-	out := p.appendBatchReply(roomFor(dst, room), items, meta, commit, nil)
-	if err := commit.wait(); err != nil {
-		out = p.appendBatchReply(out[:len(dst)], items, meta, commit, &Response{Status: StatusError, Value: []byte(err.Error())})
+	out := p.appendBatchReply(roomFor(dst, room), items, w, nil)
+	if err := w.commit.wait(); err != nil {
+		out = p.appendBatchReply(out[:len(dst)], items, w, &Response{Status: StatusError, Value: []byte(err.Error())})
 	}
 	return out
 }
@@ -182,7 +182,7 @@ func (p protocolFrames) serveBatch(dst, body []byte, meta FrameMeta) []byte {
 // appendBatchReply appends the response frame of a batch: every item
 // answered by serve, or — the log having failed under the frame —
 // refused with lost.
-func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, meta FrameMeta, commit *Commit, lost *Response) []byte {
+func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, w *worker, lost *Response) []byte {
 	// status(1) valLen(4) count(4) items; valLen is patched in last.
 	out := append(dst, byte(StatusOK), 0, 0, 0, 0) // batchReplyHeader
 	out = AppendBatchHeader(out, items.Len())
@@ -193,7 +193,7 @@ func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, meta Fram
 		if lost != nil {
 			out = appendUndecoded(out, item, *lost)
 		} else {
-			out = p.serve(out, item, meta, commit)
+			out = p.serve(out, item, w, true)
 		}
 		binary.BigEndian.PutUint32(out[mark:], uint32(len(out)-mark-4))
 	}
@@ -201,48 +201,44 @@ func (p protocolFrames) appendBatchReply(dst []byte, items BatchItems, meta Fram
 	return out
 }
 
-// Commit is the one durability wait the entries of a batch frame share.
-// The server hands the same Commit to every entry (Request.Commit); a
-// handler whose writes wait for the disk defers those waits into it,
-// and the server waits once after the last entry.
-type Commit struct {
-	kv  *KVHandler     // the handler's view over eng, made for the first entry it serves
-	eng *store.Sharded // what the entries write through; nil until a KVHandler has served one
+// commit is the one durability wait of a served frame, plain or batch,
+// and the one place a served write reads the log's verdict. A KVHandler
+// serves the frame's entries through its view (kv over a deferred view
+// of its engine, see store.Sharded.Deferred), whose writes are applied
+// and logged but not waited for; the frame then waits once, after its
+// last entry, and only if one of them was a write, so a frame that only
+// reads answers from memory. The worker keeps the view from frame to
+// frame, so a frame allocates none.
+type commit struct {
+	base  *KVHandler // the handler the view was made for
+	kv    *KVHandler // base over a deferred view of its engine, or base where nothing waits
+	wrote bool       // an entry of the frame being served is a write
 }
 
-// view returns the handler the frame's entries are served by: kv over
-// a deferred view of its engine, or kv itself where nothing waits.
-func (c *Commit) view(kv *KVHandler) *KVHandler {
-	if c.kv != nil {
-		return c.kv
-	}
-	c.kv = kv
-	if c.eng = kv.eng.Deferred(); c.eng != kv.eng {
-		v := *kv
-		v.eng = c.eng
-		c.kv = &v
+// view returns the handler an entry of op is served by — made anew
+// only when a different handler serves — and notes whether it writes.
+func (c *commit) view(kv *KVHandler, op Op) *KVHandler {
+	c.wrote = c.wrote || writes(op)
+	if c.base != kv {
+		c.base, c.kv = kv, kv
+		if eng := kv.eng.Deferred(); eng != kv.eng {
+			v := *kv
+			v.eng = eng
+			c.kv = &v
+		}
 	}
 	return c.kv
 }
 
-// commit returns the Commit a batch frame's entries share: the serving
-// worker's, cleared — a worker serves one frame at a time — or a new
-// one outside a worker.
-func (meta FrameMeta) commit() *Commit {
-	if meta.w == nil {
-		return new(Commit)
-	}
-	meta.w.commit = Commit{}
-	return &meta.w.commit
-}
-
-// wait blocks until the frame's writes are durable and reports whether
-// their acks may stand.
-func (c *Commit) wait() error {
-	if c.eng == nil {
+// wait ends the frame: if it wrote, it blocks until the frame's writes
+// are as durable as the fsync policy promises and reports whether their
+// acks may stand.
+func (c *commit) wait() error {
+	if !c.wrote {
 		return nil
 	}
-	return c.eng.Wait()
+	c.wrote = false
+	return c.kv.eng.Wait()
 }
 
 // Server is a concurrent framed-protocol TCP server.
@@ -493,15 +489,18 @@ func (s *Server) serveMux(conn net.Conn) {
 	writerWG.Wait()
 }
 
-// worker is what one of a muxed connection's handler goroutines keeps
+// worker is the one home of a served frame's server-side state, kept
 // from one frame to the next (the ownership rule in mux.go): its
 // scratch, drawn when it starts, regrown by a handler that needs more
-// (Request.scratchFor) and released when it exits; the bucket set a
-// listing marks; and the Commit a batch frame's entries share.
+// (scratchFor) and released when it exits; the bucket set a listing
+// marks; how long the frame it serves waited in the connection's queue;
+// and the frame's commit. A frame served outside a server gets a
+// throwaway one.
 type worker struct {
-	scratch []byte
-	want    []bool
-	commit  Commit
+	scratch   []byte
+	want      []bool
+	queueWait time.Duration
+	commit    commit
 }
 
 // serve answers one request frame with fh and returns the reply frame
@@ -513,7 +512,8 @@ type worker struct {
 // muxBufSize is dropped there instead of recycled, and counted.
 func (w *worker) serve(fh FrameHandler, f muxFrame) muxFrame {
 	dst := getBuf(0)
-	reply := fh.ServeFrame(dst, f.body, FrameMeta{QueueWait: time.Since(f.at), Scratch: w.scratch, w: w})
+	w.queueWait = time.Since(f.at)
+	reply := fh.ServeFrame(dst, f.body, FrameMeta{w: w})
 	if !within(reply, dst) && !within(reply, f.body) {
 		putBuf(dst)
 		dst = reply
@@ -582,20 +582,6 @@ func NewKVHandlerOn(eng *store.Sharded) *KVHandler {
 	return &KVHandler{eng: eng}
 }
 
-// ackDurable downgrades a write acknowledgment to StatusError when the
-// engine's log is poisoned (a memory-only engine's Err is always nil).
-// The in-memory write happened — replicas may still converge on it —
-// but this node cannot promise durability, so the client must hear
-// failure, not OK. It is checked after every write op: a WAL that can
-// no longer commit must not let the node keep acking writes the disk is
-// silently dropping.
-func (kv *KVHandler) ackDurable(resp Response) Response {
-	if err := kv.eng.Err(); err != nil {
-		return Response{Status: StatusError, Value: []byte(err.Error())}
-	}
-	return resp
-}
-
 // WithTracer routes this handler's spans — server handling, engine
 // calls — and its OpTraces answers through rec instead of the
 // process-global trace.Default(). It is the seam that lets several
@@ -619,34 +605,48 @@ func (kv *KVHandler) Engine() *store.Sharded { return kv.eng }
 // Serve implements Handler. A request carrying a trace context gets a
 // server span wrapped around its handling — queue wait split out, the
 // context reparented so engine (and deeper) spans hang off it; an
-// untraced request skips all of it, never touching the clock.
+// untraced request skips all of it, never touching the clock. A write
+// is served through its frame's commit, which is what decides whether
+// its ack stands; a request handed to Serve outside any served frame is
+// served as a frame of its own.
 func (kv *KVHandler) Serve(req Request) Response {
-	if req.Commit != nil {
-		kv = req.Commit.view(kv)
+	if req.w != nil {
+		return kv.serveOn(req.w, req)
 	}
+	var w worker // a throwaway worker; passed beside req, it stays on the stack
+	resp := kv.serveOn(&w, req)
+	if err := w.commit.wait(); err != nil {
+		return Response{Status: StatusError, Value: []byte(err.Error())}
+	}
+	return resp
+}
+
+// serveOn serves req on the worker w, through w's commit.
+func (kv *KVHandler) serveOn(w *worker, req Request) Response {
+	kv = w.commit.view(kv, req.Op)
 	if !req.Trace.Valid() {
-		return kv.serve(req)
+		return kv.serve(w, req)
 	}
 	srv := kv.tracer().StartSpan(req.Trace, trace.KindServer, req.Op.String())
-	srv.S.Wait = int64(req.QueueWait)
+	srv.S.Wait = int64(w.queueWait)
 	req.Trace = srv.Context()
-	resp := kv.serve(req)
+	resp := kv.serve(w, req)
 	srv.S.Err = resp.Status == StatusError
 	srv.Finish()
 	return resp
 }
 
-func (kv *KVHandler) serve(req Request) Response {
+func (kv *KVHandler) serve(w *worker, req Request) Response {
 	switch req.Op {
 	case OpPing:
 		return Response{Status: StatusOK, Value: []byte("pong")}
 	case OpEcho:
 		return Response{Status: StatusOK, Value: req.Value}
 	case OpGetV:
-		return kv.getV(req)
+		return kv.getV(w, req)
 	case OpSetV:
 		if req.Version == 0 {
-			return kv.ackDurable(Response{Status: StatusOK, Version: kv.eng.Set(req.Key, req.Value)})
+			return Response{Status: StatusOK, Version: kv.eng.Set(req.Key, req.Value)}
 		}
 		if resp, ok := checkVersion(req.Version); !ok {
 			return resp
@@ -659,12 +659,12 @@ func (kv *KVHandler) serve(req Request) Response {
 			if !existed {
 				resp.Status = StatusNotFound
 			}
-			return kv.ackDurable(resp)
+			return resp
 		}
 		if resp, ok := checkVersion(req.Version); !ok {
 			return resp
 		}
-		_, cur, ok := kv.eng.AppendLoad(req.Scratch[:0], req.Key) // engine-judged liveness, engine's clock
+		_, cur, ok := kv.eng.AppendLoad(w.scratch[:0], req.Key) // engine-judged liveness, engine's clock
 		hadLive := ok && !cur.Tombstone
 		resp := kv.merge(store.Entry{Version: req.Version, Tombstone: true}, req.Key, req.Trace)
 		if resp.Status == StatusOK && !hadLive {
@@ -689,9 +689,9 @@ func (kv *KVHandler) serve(req Request) Response {
 		return kv.merge(e, req.Key, req.Trace)
 	case OpPurgeV:
 		if kv.eng.Purge(req.Key, req.Version) {
-			return kv.ackDurable(Response{Status: StatusOK})
+			return Response{Status: StatusOK}
 		}
-		_, cur, _ := kv.eng.AppendLoad(req.Scratch[:0], req.Key)
+		_, cur, _ := kv.eng.AppendLoad(w.scratch[:0], req.Key)
 		return Response{Status: StatusExists, Version: cur.Version}
 	case OpTreeV:
 		ids, err := DecodeBucketList(req.Value)
@@ -712,11 +712,11 @@ func (kv *KVHandler) serve(req Request) Response {
 		}
 		return Response{Status: StatusOK, Value: EncodeTree(d.Buckets(), nodes)}
 	case OpRangeV:
-		want, listed, err := req.wantBuckets(kv.eng.Buckets())
+		want, listed, err := w.wantBuckets(req.Value, kv.eng.Buckets())
 		if err != nil {
 			return Response{Status: StatusError, Value: []byte(err.Error())}
 		}
-		return kv.rangeV(&req, want, listed)
+		return kv.rangeV(w, want, listed)
 	case OpStats:
 		// The process-global registry, not a per-handler one: a node's
 		// wire, coordinator, membership, and storage metrics all answer
@@ -746,25 +746,20 @@ func (kv *KVHandler) serve(req Request) Response {
 }
 
 // wantBuckets marks the buckets an OpRangeV request lists (its Value,
-// an EncodeBucketList body) in a set of one flag per bucket — the
-// serving worker's, cleared, or a new one outside a worker — and
-// returns it with how many distinct buckets it marks.
-func (r *Request) wantBuckets(buckets int) (want []bool, listed int, err error) {
-	n, err := bucketListLen(r.Value)
+// an EncodeBucketList body) in the worker's set of one flag per bucket,
+// cleared, and returns it with how many distinct buckets it marks.
+func (w *worker) wantBuckets(list []byte, buckets int) (want []bool, listed int, err error) {
+	n, err := bucketListLen(list)
 	if err != nil {
 		return nil, 0, err
 	}
-	if r.w == nil {
-		want = make([]bool, buckets)
-	} else {
-		if cap(r.w.want) < buckets {
-			r.w.want = make([]bool, buckets)
-		}
-		want = r.w.want[:buckets]
-		clear(want)
+	if cap(w.want) < buckets {
+		w.want = make([]bool, buckets)
 	}
+	want = w.want[:buckets]
+	clear(want)
 	for i := 0; i < n; i++ {
-		b := bucketListAt(r.Value, i)
+		b := bucketListAt(list, i)
 		if int(b) >= buckets {
 			return nil, 0, fmt.Errorf("bucket %d out of range", b)
 		}
@@ -776,22 +771,21 @@ func (r *Request) wantBuckets(buckets int) (want []bool, listed int, err error) 
 	return want, listed, nil
 }
 
-// scratchFor returns the request's scratch, emptied, with room for n
+// scratchFor returns the worker's scratch, emptied, with room for n
 // bytes. A scratch too small is regrown from the transport's buffers
-// when a worker serves the request and n fits them: the worker keeps
-// the new one as its scratch and the old one goes back. Otherwise it
-// is a fresh allocation, the reply's own.
-func (r *Request) scratchFor(n int) []byte {
-	if cap(r.Scratch) >= n {
-		return r.Scratch[:0]
+// when n fits them: the worker keeps the new one as its scratch and the
+// old one goes back. Otherwise it is a fresh allocation, the reply's
+// own.
+func (w *worker) scratchFor(n int) []byte {
+	if cap(w.scratch) >= n {
+		return w.scratch[:0]
 	}
-	if r.w == nil || n > muxBufSize {
+	if n > muxBufSize {
 		return make([]byte, 0, n)
 	}
-	putBuf(r.w.scratch)
-	r.w.scratch = getBuf(n)[:0]
-	r.Scratch = r.w.scratch
-	return r.Scratch
+	putBuf(w.scratch)
+	w.scratch = getBuf(n)[:0]
+	return w.scratch
 }
 
 // rangeV serves OpRangeV: the marked buckets' entries are encoded into
@@ -800,13 +794,13 @@ func (r *Request) scratchFor(n int) []byte {
 // intermediate. The body is sized once, when the first entry shows how
 // wide one is, for the listed share of the engine's entries — keys
 // hash uniformly over buckets — plus a sixteenth, and lives in the
-// request's scratch (scratchFor): a listing whose reply fits muxBufSize
+// worker's scratch (scratchFor): a listing whose reply fits muxBufSize
 // allocates nothing on a worker that has served one as long. A listing
 // that outgrows its estimate is regrown by append.
-func (kv *KVHandler) rangeV(req *Request, want []bool, listed int) Response {
+func (kv *KVHandler) rangeV(w *worker, want []bool, listed int) Response {
 	live, tombstones := kv.eng.Counts()
 	expect := (live + tombstones) * listed / len(want)
-	body := append(req.Scratch[:0], 0, 0, 0, 0) // the count, patched in last
+	body := append(w.scratch[:0], 0, 0, 0, 0) // the count, patched in last
 	var tooLong error
 	n := 0
 	kv.eng.RangeBuckets(want, func(k string, e store.Entry) bool {
@@ -815,7 +809,7 @@ func (kv *KVHandler) rangeV(req *Request, want []bool, listed int) Response {
 			return false
 		}
 		if n == 0 {
-			body = append(req.scratchFor(4+(expect+expect/16+1)*(rangeVEntryMin+len(k))), 0, 0, 0, 0)
+			body = append(w.scratchFor(4+(expect+expect/16+1)*(rangeVEntryMin+len(k))), 0, 0, 0, 0)
 		}
 		body = appendRangeVEntry(body, KeyDigest{
 			Key: k, Version: e.Version, Digest: store.ValueDigest(e.Value), Tombstone: e.Tombstone,
@@ -846,16 +840,16 @@ func checkVersion(v uint64) (Response, bool) {
 // value answers StatusOK, and a resident tombstone answers a miss that
 // still carries its version, which the reader needs to order the
 // delete against other replicas' copies and to repair peers with it.
-// The value is a copy, made into the request's scratch under the shard
-// lock; a request without a scratch, or a value that outgrows it, costs
-// one allocated copy.
-func (kv *KVHandler) getV(req Request) Response {
+// The value is a copy, made into the serving worker's scratch under the
+// shard lock; a value that outgrows the scratch — or a throwaway
+// worker's, which has none — costs one allocated copy.
+func (kv *KVHandler) getV(w *worker, req Request) Response {
 	eng := kv.tracer().StartSpan(req.Trace, trace.KindEngine, "get")
 	if eng.Live() {
 		eng.S.Bucket = int32(store.BucketOf(req.Key, kv.eng.Buckets()))
 	}
 	resp := Response{Status: StatusNotFound}
-	if _, e, ok := kv.eng.AppendLoad(req.Scratch[:0], req.Key); ok && !e.Tombstone {
+	if _, e, ok := kv.eng.AppendLoad(w.scratch[:0], req.Key); ok && !e.Tombstone {
 		resp = Response{Status: StatusOK, Value: e.Value, Version: e.Version}
 	} else if ok {
 		resp.Version, resp.Flags = e.Version, FlagTombstone
@@ -884,7 +878,7 @@ func (kv *KVHandler) merge(e store.Entry, key string, tr trace.Context) Response
 	if e.Tombstone {
 		resp.Flags |= FlagTombstone
 	}
-	return kv.ackDurable(resp)
+	return resp
 }
 
 // Len reports the number of live stored keys.

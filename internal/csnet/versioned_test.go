@@ -221,8 +221,9 @@ func TestRefusedProbesLendNothing(t *testing.T) {
 			val := make([]byte, 128)
 			kv.Engine().Set("k", val)
 			fh := protocolFrames{h: kv}
-			meta := FrameMeta{Scratch: getBuf(0)}
-			defer putBuf(meta.Scratch)
+			w := worker{scratch: getBuf(0)}
+			defer func() { putBuf(w.scratch) }()
+			meta := FrameMeta{w: &w}
 			body, err := EncodeRequest(probe)
 			if err != nil {
 				t.Fatal(err)

@@ -150,7 +150,8 @@ type route struct {
 	live   int     // backends not down
 }
 
-// newRoute builds the route for the down set, which it keeps.
+// newRoute builds the route for the down set, which it keeps. Every
+// owners row is a piece of one backing array, capped at its own length.
 func (c *Cluster) newRoute(down []bool) *route {
 	r := &route{owners: make([][]int, c.buckets), down: down, live: len(down)}
 	for _, d := range down {
@@ -158,8 +159,12 @@ func (c *Cluster) newRoute(down []bool) *route {
 			r.live--
 		}
 	}
+	rows := make([]int, 0, c.buckets*c.rf)
 	for b := range r.owners {
-		r.owners[b] = c.ring.PickN(c.bucketKeys[b], c.rf, down)
+		at := len(rows)
+		if rows = c.ring.appendPickN(rows, c.bucketKeys[b], c.rf, down); len(rows) > at {
+			r.owners[b] = rows[at:len(rows):len(rows)]
+		}
 	}
 	return r
 }

@@ -74,18 +74,24 @@ func (c *ConsistentHash) PickN(key string, n int, down []bool) []int {
 	if n < 1 {
 		return nil
 	}
-	var out []int
-	for i, at := 0, c.start(key); i < len(c.ring) && len(out) < n; i++ {
-		node := c.ring[(at+i)%len(c.ring)].node
-		if node < len(down) && down[node] || slices.Contains(out, node) {
+	if out := c.appendPickN(make([]int, 0, n), key, n, down); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// appendPickN appends PickN's nodes to dst and returns the extended
+// slice.
+func (c *ConsistentHash) appendPickN(dst []int, key string, n int, down []bool) []int {
+	at := len(dst)
+	for i, start := 0, c.start(key); i < len(c.ring) && len(dst)-at < n; i++ {
+		node := c.ring[(start+i)%len(c.ring)].node
+		if node < len(down) && down[node] || slices.Contains(dst[at:], node) {
 			continue
 		}
-		if out == nil {
-			out = make([]int, 0, n)
-		}
-		out = append(out, node)
+		dst = append(dst, node)
 	}
-	return out
+	return dst
 }
 
 // fnv64a is FNV-1a without the hash.Hash64 allocation, followed by a
