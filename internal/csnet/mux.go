@@ -95,20 +95,21 @@ const muxIdleWindow = time.Second
 //   - a decoded listing's keys (DecodeRangeV) alias the reply body,
 //     which is the caller's and lives as long as any of them does.
 //
-// freeBufs is the free list, in two size classes so that neither
-// starves the other: small holds buffers of exactly bufMinCap — the
+// freeBufs is the free list, in two size classes of one capacity each,
+// so that neither starves the other and any buffer of a class fits any
+// draw of it: small holds buffers of exactly bufMinCap — the
 // single-key frames and replies, 1024 slots for a pipelined burst's
-// buffers on both ends of a few connections — and large those past it
-// up to muxBufSize — batch frames, listings and their replies, 64
-// slots, at most 4 MiB pinned. A small frame never takes a large
-// buffer and a large frame never pops (and drops) a small one. Nothing
-// above muxBufSize is kept, so one large frame (an OpStats snapshot, a
-// listing a coordinator asked for whole) cannot pin memory; such a
-// reply is counted in csnet.server.reply_oversize as it is dropped.
-// Nothing below bufMinCap is kept either — a reply body read for a
-// caller that gave up, a handler's reply built outside dst — so every
-// draw of up to bufMinCap bytes, a worker's scratch included, has room
-// for bufMinCap.
+// buffers on both ends of a few connections — and large buffers of
+// exactly muxBufSize — batch frames, listings and their replies, 64
+// slots, at most 4 MiB pinned. getBuf allocates every draw at its
+// class's capacity, so a popped buffer is never too small and never
+// dropped for a larger one. A small frame never takes a large buffer
+// and a large frame never pops a small one. Nothing above muxBufSize is
+// kept, so one large frame (an OpStats snapshot, a listing a
+// coordinator asked for whole) cannot pin memory; such a reply is
+// counted in csnet.server.reply_oversize as it is dropped. Nothing of
+// another capacity is kept either — a reply body read for a caller that
+// gave up, a handler's reply built outside dst, one append regrew.
 var freeBufs = struct{ small, large chan []byte }{
 	small: make(chan []byte, 1024),
 	large: make(chan []byte, 64),
@@ -148,27 +149,28 @@ func within(s, b []byte) bool {
 // exists.
 var TestPoisonRelease bool
 
-// getBuf returns a transport-owned buffer of length n, from the free
-// list of n's size class.
+// getBuf returns a transport-owned buffer of length n: from the free
+// list of n's size class, or allocated at the class's capacity. A draw
+// past muxBufSize has no class and gets exactly n.
 func getBuf(n int) []byte {
-	free := freeBufs.small
-	if n > bufMinCap {
-		free = freeBufs.large
+	free, size := freeBufs.small, bufMinCap
+	switch {
+	case n > muxBufSize:
+		return make([]byte, n)
+	case n > bufMinCap:
+		free, size = freeBufs.large, muxBufSize
 	}
 	select {
 	case b := <-free:
-		if cap(b) >= n {
-			return b[:n]
-		}
-		// Too small for this frame: let it go, so the class grows toward
-		// the sizes the traffic needs.
+		return b[:n]
 	default:
+		return make([]byte, n, size)
 	}
-	return make([]byte, n, max(n, bufMinCap))
 }
 
 // putBuf releases a buffer obtained from getBuf (nil is a no-op) to
-// the free list of its capacity's class.
+// the free list of its capacity's class; a buffer of any other
+// capacity is dropped.
 func putBuf(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -180,12 +182,14 @@ func putBuf(b []byte) {
 			copy(b[n:], b[:n]) // doubling: one bulk write per step, cheap under -race
 		}
 	}
-	free := freeBufs.small
-	switch {
-	case cap(b) > muxBufSize, cap(b) < bufMinCap:
-		return
-	case cap(b) > bufMinCap:
+	var free chan []byte
+	switch cap(b) {
+	case bufMinCap:
+		free = freeBufs.small
+	case muxBufSize:
 		free = freeBufs.large
+	default:
+		return
 	}
 	select {
 	case free <- b[:0]:

@@ -301,8 +301,10 @@ func TestLargeFrameNotKept(t *testing.T) {
 
 // TestFreeListClasses pins the two size classes: a frame of up to
 // bufMinCap never takes a large buffer, a larger frame never pops (and
-// drops) a small one, a buffer smaller than bufMinCap is not kept, and
-// a buffer released to either class is poisoned first.
+// drops) a small one, a buffer smaller than bufMinCap is not kept, a
+// large buffer released after a draw of any large size is what a later
+// large draw of any size gets, allocating nothing, and a buffer
+// released to either class is poisoned first.
 func TestFreeListClasses(t *testing.T) {
 	keptSmall, keptLarge := drainFree()
 	defer refill(keptSmall, keptLarge)
@@ -339,6 +341,24 @@ func TestFreeListClasses(t *testing.T) {
 	for _, b := range slices.Concat(small, large) {
 		if bytes.Count(b[:cap(b)], []byte{0xDB}) != cap(b) {
 			t.Errorf("a released %d-byte buffer was not poisoned", cap(b))
+		}
+	}
+
+	// One large capacity: on the emptied lists, a buffer drawn at one
+	// large size, released, is what a draw at any other large size pops
+	// — never dropped as too small and allocated again.
+	sizes := []int{bufMinCap + 1, muxBufSize / 3, muxBufSize}
+	for _, drawn := range sizes {
+		b := getBuf(drawn) // allocated: the lists are empty
+		for _, n := range sizes {
+			var got []byte
+			if allocs := testing.AllocsPerRun(10, func() { putBuf(b); got = getBuf(n) }); allocs != 0 || !within(got, b) {
+				t.Errorf("a draw of %d bytes after a release of one drawn at %d allocated %v times (reused it: %v), want 0 and the same buffer",
+					n, drawn, allocs, within(got, b))
+			}
+			if len(got) != n || bytes.Count(got[:cap(got)], []byte{0xDB}) != cap(got) {
+				t.Errorf("a draw of %d bytes got len %d, not the poisoned buffer released to it", n, len(got))
+			}
 		}
 	}
 }

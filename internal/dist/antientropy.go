@@ -64,7 +64,8 @@ type AntiEntropyStats struct {
 //     them at a time, from their owners and from the non-owners holding
 //     something there, each entry carrying version, value digest and
 //     tombstone — in frames whose replies fit csnet.FrameBudget once the
-//     pass has seen how wide a bucket's listing is.
+//     cluster has seen how wide a bucket's listing is, in this pass or
+//     an earlier one.
 //  3. Resolves each key exactly like the engines' Entry.Wins over every
 //     listed copy: highest version, tombstone beats value on a tie, and
 //     — the hole listings could not see — same-version different-digest
@@ -133,12 +134,11 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 
 	divergent := c.descendTrees(clients, live, rt, &st, noteErr)
 	st.BucketsDiffed = len(divergent)
-	width := 0 // bytes a listed bucket costs, the widest any listing reply of this pass showed
 	for len(divergent) > 0 {
 		group := divergent[:min(aeGroupBuckets, len(divergent))]
 		divergent = divergent[len(group):]
 		planned := c.route.Load()
-		holders, listed := c.listDivergent(clients, planned.owners, group, &width, &st, noteErr)
+		holders, listed := c.listDivergent(clients, planned.owners, group, &st, noteErr)
 		applied, strays := c.streamWinners(ctx, clients, planned.owners, holders, listed, &st, noteErr)
 		st.Streamed += applied
 		st.Purged += c.purgeStrays(ctx, planned, strays, noteErr)
@@ -150,20 +150,24 @@ func (c *Cluster) Rebalance() (st AntiEntropyStats, err error) {
 // and streams at a time. It bounds what one pass holds on either side
 // whatever the keyspace: a replica lists 64/buckets of its entries a
 // group (~350 KB at 200k 9-byte keys over 1024 buckets, in frames of
-// at most aeListingBudget once the pass knows a bucket's width; see
-// listDivergent), and the coordinator's holders map that many keys,
-// each aliasing the listing it came in (csnet.DecodeRangeV) — nothing
-// of which outlives the group but the keys it streams (streamWinners).
+// at most aeListingBudget once the cluster knows a bucket's width —
+// from its first listing on, in every pass after; see listDivergent),
+// and the coordinator's holders map that many keys, each aliasing the
+// listing it came in (csnet.DecodeRangeV) — nothing of which outlives
+// the group but the keys it streams (streamWinners).
 // A backend whose connection fails in one group is out of the pass for
 // the groups after it.
 const aeGroupBuckets = 64
 
-// aeListingBudget is the listing bytes a frame asks for once the pass
-// knows a bucket's width: three quarters of csnet.FrameBudget, so the
-// reply — its header, its trailer, and a frame's share of buckets that
-// came out wider than the widest seen so far — still fits the
-// transport's recycled buffers, and so does the server's own estimate,
-// a sixteenth over the listed share of its entries.
+// aeListingBudget is the listing bytes a frame asks for once the
+// cluster knows a bucket's width (Cluster.aeWidth): three quarters of
+// csnet.FrameBudget, so the reply — its header, its trailer, and a
+// frame's share of buckets that came out wider than the widest seen so
+// far — still fits the transport's recycled buffers, and so does the
+// server's own estimate, a sixteenth over the listed share of its
+// entries. A keyspace that has grown since the width was seen widens
+// its buckets past it; the first reply that shows it raises the width
+// for every frame after.
 const aeListingBudget = csnet.FrameBudget * 3 / 4
 
 // divergence is one bucket the pass lists: from its owners, and from
@@ -278,17 +282,18 @@ type holderDigest struct {
 // listDivergent fetches one group of divergent buckets' listings: each
 // bucket is requested from every reachable owner and from its strays,
 // in pipelined OpRangeV frames per backend carrying the group's buckets
-// it is asked for. Until the pass has seen a listing, a backend's
+// it is asked for. Until the cluster has seen a listing, a backend's
 // share goes in one frame; after, in frames of as many buckets as
-// aeListingBudget holds at *width — the bytes per bucket of the widest
-// reply the pass has seen, which each reply here raises — so every
-// reply fits the transport's recycled buffers on both ends. It returns
+// aeListingBudget holds at c.aeWidth — the bytes per bucket of the
+// widest reply any pass has seen, which each reply here raises — so
+// every reply fits the transport's recycled buffers on both ends, and
+// only a coordinator's first listings come back unsized. It returns
 // the listed copies per key, and which backends' listings arrived
 // whole: one frame lost, refused or undecodable says nothing about what
 // its owner holds in those buckets, so that backend is neither a target
 // nor a witness for the group, and none of its copies are planned
 // with.
-func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group []divergence, width *int, st *AntiEntropyStats, noteErr func(int, error)) (holders map[string][]holderDigest, listed []bool) {
+func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group []divergence, st *AntiEntropyStats, noteErr func(int, error)) (holders map[string][]holderDigest, listed []bool) {
 	perBackend := map[int][]uint32{}
 	for _, d := range group {
 		for _, b := range slices.Concat(owners[d.bucket], d.strays) {
@@ -298,8 +303,8 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group [
 		}
 	}
 	per := aeGroupBuckets // buckets a frame asks for
-	if *width > 0 {
-		per = max(1, aeListingBudget / *width)
+	if w := int(c.aeWidth.Load()); w > 0 {
+		per = max(1, aeListingBudget/w)
 	}
 	type sent struct {
 		call    *csnet.Call
@@ -335,7 +340,9 @@ func (c *Cluster) listDivergent(clients []*csnet.Client, owners [][]int, group [
 				noteErr(b, derr)
 				continue
 			}
-			*width = max(*width, (len(resp.Value)+s.buckets-1)/s.buckets)
+			if w := int64((len(resp.Value) + s.buckets - 1) / s.buckets); w > c.aeWidth.Load() {
+				c.aeWidth.Store(w) // passes are serialized (rebalanceMu)
+			}
 			listings = append(listings, listing)
 		}
 		if len(listings) < len(frames) {

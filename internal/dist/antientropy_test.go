@@ -212,33 +212,11 @@ func TestAntiEntropyGroupedPassDropsPoisonedBackend(t *testing.T) {
 // replies that did not fit, and the pass converges as an unsplit one
 // would.
 func TestAntiEntropyListingsFitTheirFrames(t *testing.T) {
-	const n, keys, buckets = 3, 20_000, 256
-	var mu sync.Mutex
-	replies := make([][]int, n) // per backend, each OpRangeV reply frame's length, in arrival order
-	kvs, _, c := startWrappedKVCluster(t, n, ClusterConfig{Replication: n, WriteQuorum: n, Buckets: buckets},
-		func(int) *store.Sharded { return store.NewSharded(store.Options{MerkleBuckets: buckets}) },
-		func(i int, kv *csnet.KVHandler) csnet.Handler {
-			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
-				resp := kv.Serve(req)
-				if req.Op == csnet.OpRangeV {
-					mu.Lock()
-					replies[i] = append(replies[i], len(csnet.EncodeResponseV(resp)))
-					mu.Unlock()
-				}
-				return resp
-			})
-		})
+	const n, keys = 3, 20_000
+	kvs, c, takeReplies := startWideListingCluster(t, n)
 	holes, divergent := damageManyBuckets(t, kvs, c, keys)
-	all := make([]uint32, aeGroupBuckets)
-	for b := range all {
-		all[b] = uint32(b)
-	}
-	if share := len(kvs[0].Serve(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(all)}).Value); share <= 2*csnet.FrameBudget {
-		t.Fatalf("a %d-bucket listing is %d bytes, want over twice the %d-byte frame budget", aeGroupBuckets, share, csnet.FrameBudget)
-	}
-	mu.Lock()
-	clear(replies)
-	mu.Unlock()
+	checkWideListings(t, kvs)
+	takeReplies()
 	oversize := obs.Default().Counter("csnet.server.reply_oversize")
 	before := oversize.Value()
 
@@ -256,7 +234,7 @@ func TestAntiEntropyListingsFitTheirFrames(t *testing.T) {
 		t.Errorf("pass used %d listing frames, want more than %d groups x %d owners", st.ListingFrames, groups, n)
 	}
 	over := 0
-	for b, sizes := range replies {
+	for b, sizes := range takeReplies() {
 		for i, sz := range sizes {
 			if sz <= csnet.FrameBudget {
 				continue
@@ -270,6 +248,93 @@ func TestAntiEntropyListingsFitTheirFrames(t *testing.T) {
 	t.Logf("%d listing frames for %d groups x %d owners; %d replies over budget", st.ListingFrames, groups, n, over)
 	if d := oversize.Value() - before; d != uint64(over) {
 		t.Errorf("csnet.server.reply_oversize grew by %d over the pass, want %d (the replies over budget)", d, over)
+	}
+}
+
+// startWideListingCluster boots n backends over 256 Merkle buckets —
+// few enough that a 20k-key keyspace makes a group's listing wider
+// than csnet.FrameBudget — each recording the length of every OpRangeV
+// reply frame it sends. takeReplies returns what each backend recorded
+// since the last take, in arrival order.
+func startWideListingCluster(t *testing.T, n int) (kvs []*csnet.KVHandler, c *Cluster, takeReplies func() [][]int) {
+	t.Helper()
+	const buckets = 256
+	var mu sync.Mutex
+	replies := make([][]int, n)
+	kvs, _, c = startWrappedKVCluster(t, n, ClusterConfig{Replication: n, WriteQuorum: n, Buckets: buckets},
+		func(int) *store.Sharded { return store.NewSharded(store.Options{MerkleBuckets: buckets}) },
+		func(i int, kv *csnet.KVHandler) csnet.Handler {
+			return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
+				resp := kv.Serve(req)
+				if req.Op == csnet.OpRangeV {
+					mu.Lock()
+					replies[i] = append(replies[i], len(csnet.EncodeResponseV(resp)))
+					mu.Unlock()
+				}
+				return resp
+			})
+		})
+	return kvs, c, func() [][]int {
+		mu.Lock()
+		defer mu.Unlock()
+		taken := replies
+		replies = make([][]int, n)
+		return taken
+	}
+}
+
+// checkWideListings fails the test unless one group's listing on
+// kvs[0] is more than twice csnet.FrameBudget: wide enough that a pass
+// which lists it in one frame is seen to.
+func checkWideListings(t *testing.T, kvs []*csnet.KVHandler) {
+	t.Helper()
+	all := make([]uint32, aeGroupBuckets)
+	for b := range all {
+		all[b] = uint32(b)
+	}
+	if share := len(kvs[0].Serve(csnet.Request{Op: csnet.OpRangeV, Value: csnet.EncodeBucketList(all)}).Value); share <= 2*csnet.FrameBudget {
+		t.Fatalf("a %d-bucket listing is %d bytes, want over twice the %d-byte frame budget", aeGroupBuckets, share, csnet.FrameBudget)
+	}
+}
+
+// TestAntiEntropyWidthOutlivesAPass runs two passes on one Cluster over
+// a keyspace whose 64-bucket listing is more than twice
+// csnet.FrameBudget. The first lists its first group unsized, as
+// nothing has shown how wide a bucket is, and some reply comes back
+// oversize; the second starts from the width the first saw, so every
+// listing reply of it fits FrameBudget and no backend builds one past
+// the transport's buffers (csnet.server.reply_oversize, the process's
+// count over every backend, does not move).
+func TestAntiEntropyWidthOutlivesAPass(t *testing.T) {
+	const n, keys = 3, 20_000
+	kvs, c, takeReplies := startWideListingCluster(t, n)
+	oversize := obs.Default().Counter("csnet.server.reply_oversize")
+	for pass := 1; pass <= 2; pass++ {
+		holes, _ := damageManyBuckets(t, kvs, c, keys)
+		checkWideListings(t, kvs)
+		takeReplies()
+		before := oversize.Value()
+		st, err := c.Rebalance()
+		if err != nil || st.Streamed != holes {
+			t.Fatalf("pass %d = %+v %v, want %d holes streamed", pass, st, err, holes)
+		}
+		d := oversize.Value() - before
+		if pass == 1 {
+			if d == 0 {
+				t.Fatal("the first pass built no reply past the transport's buffers: nothing here needs a carried width")
+			}
+			continue
+		}
+		if d != 0 {
+			t.Errorf("pass 2: csnet.server.reply_oversize grew by %d, want 0: the pass listed unsized again", d)
+		}
+		for b, sizes := range takeReplies() {
+			for i, sz := range sizes {
+				if sz > csnet.FrameBudget {
+					t.Errorf("pass 2: backend %d's listing reply %d is %d bytes, over the %d-byte frame budget", b, i, sz, csnet.FrameBudget)
+				}
+			}
+		}
 	}
 }
 

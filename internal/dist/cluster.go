@@ -139,6 +139,11 @@ type Cluster struct {
 	stop          chan struct{}
 	rebalanceDone chan struct{}
 	closeOnce     sync.Once
+
+	// aeWidth is the bytes a listed bucket costs: the widest any
+	// listing reply has shown, carried from pass to pass so that only
+	// the cluster's first pass lists unsized (listDivergent).
+	aeWidth atomic.Int64
 }
 
 // route is one membership state and the placement it implies, built

@@ -94,10 +94,19 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte(snapMagic))                 // header cut short
 	f.Add(append([]byte(walMagic), 0, 0, 0)) // wrong magic
 	f.Fuzz(func(t *testing.T, b []byte) {
-		delivered := 0
-		n, err := readSnapshot(bytes.NewReader(b), int64(len(b)), func(rec) { delivered++ })
+		delivered, reserved := 0, -1
+		reserve := func(entries int) {
+			if reserved >= 0 || delivered > 0 {
+				t.Fatalf("reserve(%d) after reserve(%d) and %d records", entries, reserved, delivered)
+			}
+			reserved = entries
+		}
+		n, err := readSnapshot(bytes.NewReader(b), int64(len(b)), reserve, func(rec) { delivered++ })
 		if n != delivered {
 			t.Fatalf("reported %d entries, delivered %d", n, delivered)
+		}
+		if reserved > len(b)/minFrame {
+			t.Fatalf("reserved %d entries out of %d bytes", reserved, len(b))
 		}
 		if delivered > len(b)/minFrame {
 			t.Fatalf("%d entries out of %d bytes", delivered, len(b))

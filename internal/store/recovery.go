@@ -115,12 +115,13 @@ func (w *wal) recover() (maxVer uint64, err error) {
 		maxVer = max(maxVer, r.ver)
 	}
 
-	// Newest readable checkpoint wins. An unreadable one (impossible
-	// after the atomic rename, but cheap to tolerate) has what it
-	// installed wiped, and the next older one is tried.
+	// Newest readable checkpoint wins, its tables sized once from its
+	// header's count. An unreadable one (impossible after the atomic
+	// rename, but cheap to tolerate) has what it installed wiped, and
+	// the next older one is tried.
 	var snapGen uint64
 	for i := len(snaps) - 1; i >= 0 && snapGen == 0; i-- {
-		n, size, err := loadSnapshot(w.snapPath(snaps[i]), apply)
+		n, size, err := loadSnapshot(w.snapPath(snaps[i]), w.eng.reserve, apply)
 		if err != nil {
 			for si := range w.eng.shards {
 				sh := &w.eng.shards[si]

@@ -13,9 +13,10 @@ import (
 
 // cloneReplay rebuilds an engine from dir the way recovery did while
 // every record it read was cloned and installed over whatever it
-// replaced: the newest checkpoint, then the segments after it, oldest
-// first, up to the first torn or corrupt record. It reads the files
-// without changing them.
+// replaced: the newest checkpoint, its tables sized by the helper
+// recovery sizes them with, then the segments after it, oldest first,
+// up to the first torn or corrupt record. It reads the files without
+// changing them.
 func cloneReplay(t *testing.T, dir string, o Options) *Sharded {
 	t.Helper()
 	ref := NewSharded(o)
@@ -33,7 +34,7 @@ func cloneReplay(t *testing.T, dir string, o Options) *Sharded {
 	var snapGen uint64
 	if len(snaps) > 0 {
 		snapGen = snaps[len(snaps)-1]
-		if _, _, err := loadSnapshot(filepath.Join(dir, fmt.Sprintf("snap.%d", snapGen)), apply); err != nil {
+		if _, _, err := loadSnapshot(filepath.Join(dir, fmt.Sprintf("snap.%d", snapGen)), ref.reserve, apply); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -96,6 +96,17 @@ func (s *Sharded) shardFor(key string) *shard {
 	return &s.shards[keyHash32(key)&s.mask]
 }
 
+// reserve sizes every shard's table for its share of entries keys —
+// they hash uniformly over shards — before a load of that many, so the
+// tables are not doubled up from minSlots one insert at a time. A shard
+// dealt more than its share resizes as any insert would. The engine is
+// not shared yet, so it takes no locks.
+func (s *Sharded) reserve(entries int) {
+	for i := range s.shards {
+		s.shards[i].t.reserve(entries / len(s.shards))
+	}
+}
+
 // Shards reports the effective (power-of-two) shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 

@@ -193,14 +193,24 @@ func (w *wal) streamShards(f *os.File) (int64, error) {
 }
 
 // readSnapshot streams a checkpoint of size bytes from r through fn
-// and returns how many entries it delivered. Any framing or count
-// mismatch makes the whole file invalid (checkpoints are renamed into
-// place whole, so a bad one should not exist): the caller treats it as
-// absent and discards what fn was given. As with scanRecords, fn's
-// record is valid only during the call.
-func readSnapshot(r io.Reader, size int64, fn func(rec)) (int, error) {
+// and returns how many entries it delivered. Before the first record
+// it hands reserve the entry count the header promises — no more than
+// size bytes of frames can hold, so a corrupt count sizes nothing past
+// the file. Any framing or count mismatch makes the whole file invalid
+// (checkpoints are renamed into place whole, so a bad one should not
+// exist): the caller treats it as absent and discards what fn was
+// given. As with scanRecords, fn's record is valid only during the
+// call.
+func readSnapshot(r io.Reader, size int64, reserve func(entries int), fn func(rec)) (int, error) {
 	var count [4]byte
-	n, left, err := scanRecords(r, size, snapMagic, count[:], fn)
+	reserved := false
+	n, left, err := scanRecords(r, size, snapMagic, count[:], func(r rec) {
+		if !reserved {
+			reserved = true
+			reserve(int(min(int64(binary.LittleEndian.Uint32(count[:])), size/minFrame)))
+		}
+		fn(r)
+	})
 	if err != nil {
 		return n, fmt.Errorf("%v at offset %d", err, size-left)
 	}
@@ -212,7 +222,7 @@ func readSnapshot(r io.Reader, size int64, fn func(rec)) (int, error) {
 
 // loadSnapshot is readSnapshot over the file at path; it also returns
 // the file's size.
-func loadSnapshot(path string, fn func(rec)) (n int, size int64, err error) {
+func loadSnapshot(path string, reserve func(entries int), fn func(rec)) (n int, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -222,7 +232,7 @@ func loadSnapshot(path string, fn func(rec)) (n int, size int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err = readSnapshot(f, st.Size(), fn)
+	n, err = readSnapshot(f, st.Size(), reserve, fn)
 	if err != nil {
 		return n, 0, fmt.Errorf("%s: %w", path, err)
 	}

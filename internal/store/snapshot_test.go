@@ -525,3 +525,43 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReopen counts one OpenSharded of a checkpointed 128-shard
+// engine — 50k keys of 9 + 128 bytes, all in the checkpoint, no log
+// to replay — closed again before the next. A reopen allocates each
+// key's record and, per shard, one index sized from the checkpoint's
+// entry count: scripts/allocgate.sh holds its allocs/op under what
+// doubling 128 tables up from 8 slots again would add (two
+// allocations a doubling, six doublings a shard).
+func BenchmarkReopen(b *testing.B) {
+	dir := b.TempDir()
+	o, wo := Options{Shards: 128}, WALOptions{Dir: dir, Fsync: FsyncNever}
+	s, err := OpenSharded(o, wo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 128)
+	for i := range 50_000 {
+		s.Set(fmt.Sprintf("k%08d", i), val)
+	}
+	if err := s.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := OpenSharded(o, wo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs := r.Recovery(); rs.SnapshotEntries != 50_000 || rs.WALRecords != 0 {
+			b.Fatalf("reopen recovered %d checkpointed entries and %d log records, want 50000 and 0", rs.SnapshotEntries, rs.WALRecords)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

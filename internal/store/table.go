@@ -123,7 +123,7 @@ func (t *table) replace(i int, tag byte, r rec) {
 	} else {
 		if t.tags[i] == tagEmpty {
 			if t.used >= len(t.tags)/8*7 {
-				t.resize()
+				t.resize(max(len(t.tags), slotsFor(t.n+1)))
 				i, _, _ = t.find(k)
 			}
 			t.used++
@@ -172,14 +172,12 @@ func (t *table) remove(i int) string {
 	return k
 }
 
-// resize rebuilds the index with room for one more entry: at twice the
-// size when the entries alone would pass 7/8 of it, else at the same
-// size, reclaiming the deleted slots that filled it.
-func (t *table) resize() {
-	size := len(t.tags)
-	if t.n+1 > size/8*7 {
-		size *= 2
-	}
+// resize rebuilds the index at size slots, a power of two whose 7/8
+// holds every entry, reclaiming the deleted slots on the way. An insert
+// at the limit resizes with room for one more entry: at twice the size
+// when the entries alone would pass 7/8 of it, else at the same size; a
+// load that knows its count resizes once, up front (reserve).
+func (t *table) resize(size int) {
 	slots, tags := t.slots, t.tags
 	t.slots, t.tags, t.used = make([]rec, size), make([]byte, size), t.n
 	mask := size - 1
@@ -192,6 +190,24 @@ func (t *table) resize() {
 			i = (i + 1) & mask
 		}
 		t.slots[i], t.tags[i] = slots[j], tag
+	}
+}
+
+// slotsFor returns the smallest index, at least minSlots, whose 7/8
+// holds n entries.
+func slotsFor(n int) int {
+	size := minSlots
+	for n > size/8*7 {
+		size *= 2
+	}
+	return size
+}
+
+// reserve grows the index to hold n entries, so a load of that many
+// resizes once instead of doubling its way up. A larger index is kept.
+func (t *table) reserve(n int) {
+	if size := slotsFor(n); size > len(t.tags) {
+		t.resize(size)
 	}
 }
 
