@@ -73,10 +73,10 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		"Merkle anti-entropy bucket count (rounded up to a power of two; must match the cluster coordinator's)")
 	tombGC := fs.Duration("tombstone-gc", store.DefaultTombstoneGC, "how long delete tombstones are retained before garbage collection")
 	sweep := fs.Duration("sweep", 5*time.Second, "background sweep interval for tombstone GC")
-	dataDir := fs.String("data-dir", "", "durability: directory for the node's write-ahead log (wal.<G>), its checkpoints (snap.<G>) and the WALMETA manifest; on restart the node reloads from it and catches up via Merkle anti-entropy (empty = in-memory only)")
+	dataDir := fs.String("data-dir", "", "durability: directory for the node's write-ahead log (segments wal.<G>) and the WALMETA manifest; on restart the node replays it and catches up via Merkle anti-entropy (empty = in-memory only)")
 	fsyncPolicy := fs.String("fsync", "interval", "WAL fsync policy: always (every write waits for a group commit shared by all shards), interval (one background fsync per -fsync-interval), or never (requires -data-dir)")
 	fsyncEvery := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence for -fsync interval")
-	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "floor, in log bytes per shard, under the checkpoint trigger: the log rotates, the whole engine is checkpointed and the covered segments are deleted once the un-checkpointed log is as large as the last checkpoint, and never before it holds this × -shards (requires -data-dir)")
+	snapshotEvery := fs.Int64("snapshot-every", 8<<20, "floor, in log bytes per shard, under the cleaning trigger: while the log on disk holds at least max(this × -shards, twice the live image), the oldest segment's live records are re-appended and the segment deleted; the open segment rotates every quarter of this × -shards (requires -data-dir)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/traces, /debug/vars, and /debug/pprof on this address (empty = off)")
 	shedQueue := fs.Int("shed-queue", 0, "admission control: per-connection worker queue depth; frames past it are shed with BUSY (0 = queue bounded only by worker count, no shedding)")
 	shedInflight := fs.Int("shed-inflight", 0, "admission control: server-wide in-flight request budget; frames past it are shed with BUSY (0 = unlimited)")
@@ -109,11 +109,11 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 			return fmt.Errorf("distnode: open %s: %w", *dataDir, oerr)
 		}
 		rs := eng.Recovery()
-		logBytes, checkpointAt := eng.Backlog()
-		logger.Printf("distnode: recovered %d snapshot entries + %d WAL records (%d segments, %d torn bytes dropped) from %s in %s; fsync=%s; %d log bytes un-checkpointed, next checkpoint at %d",
-			rs.SnapshotEntries, rs.WALRecords, rs.Segments, rs.TornBytes, *dataDir, rs.Elapsed.Round(time.Microsecond), policy, logBytes, checkpointAt)
-		// Checkpoint pacing: the log a restart would replay, and the
-		// size at which it is next rewritten as an image.
+		logBytes, cleanAt := eng.Backlog()
+		logger.Printf("distnode: recovered %d WAL records (%d segments, %d torn bytes dropped) from %s in %s; fsync=%s; %d log bytes on disk, cleaning at %d",
+			rs.WALRecords, rs.Segments, rs.TornBytes, *dataDir, rs.Elapsed.Round(time.Microsecond), policy, logBytes, cleanAt)
+		// The two sides of the cleaning trigger: the log a restart would
+		// replay, and the size at which its oldest segment is cleaned.
 		obs.Default().Func("store.wal.log_bytes", func() int64 { logBytes, _ := eng.Backlog(); return logBytes })
 		obs.Default().Func("store.wal.checkpoint_at", func() int64 { _, at := eng.Backlog(); return at })
 	} else {

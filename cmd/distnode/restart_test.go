@@ -81,22 +81,21 @@ func TestDistnodeRestartRecovery(t *testing.T) {
 	if raddr != addr1 {
 		t.Fatalf("restarted node bound %s, want its old identity %s", raddr, addr1)
 	}
-	recRE := regexp.MustCompile(`recovered (\d+) snapshot entries \+ (\d+) WAL records`)
+	recRE := regexp.MustCompile(`recovered (\d+) WAL records`)
 	m := recRE.FindStringSubmatch(rlogs.String())
 	if m == nil {
 		t.Fatalf("no recovery line in restart logs:\n%s", rlogs.String())
 	}
-	snapN, _ := strconv.Atoi(m[1])
-	walN, _ := strconv.Atoi(m[2])
-	if snapN+walN < keys {
-		t.Fatalf("restart recovered %d snapshot entries + %d WAL records, want >= %d", snapN, walN, keys)
+	walN, _ := strconv.Atoi(m[1])
+	if walN < keys {
+		t.Fatalf("restart recovered %d WAL records, want >= %d", walN, keys)
 	}
-	// The same line carries the checkpoint pacing in force: the log just
-	// replayed counts as un-checkpointed, against the default floor
-	// (-snapshot-every 8 MiB × 128 shards — no checkpoint exists yet).
-	paceRE := regexp.MustCompile(`(\d+) log bytes un-checkpointed, next checkpoint at (\d+)`)
+	// The same line carries the cleaning trigger in force: the log just
+	// replayed counts toward it, against the default floor (-snapshot-every
+	// 8 MiB × 128 shards, far above twice this image).
+	paceRE := regexp.MustCompile(`(\d+) log bytes on disk, cleaning at (\d+)`)
 	if pm := paceRE.FindStringSubmatch(rlogs.String()); pm == nil {
-		t.Fatalf("no checkpoint pacing in the recovery line:\n%s", rlogs.String())
+		t.Fatalf("no cleaning trigger in the recovery line:\n%s", rlogs.String())
 	} else if logBytes, _ := strconv.Atoi(pm[1]); logBytes < walN*30 || pm[2] != strconv.Itoa(8<<20*128) {
 		t.Fatalf("recovery line reports %s log bytes after %d records, threshold %s; want the replayed log counted and the 1 GiB floor", pm[1], walN, pm[2])
 	}

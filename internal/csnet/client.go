@@ -89,17 +89,26 @@ var ErrPeerClosed = errors.New("csnet: peer closed")
 // every caller: pipelining makes one muxed connection carry any number
 // of concurrent requests. It dials on first use and again once a
 // transport failure has poisoned the connection, and never hands out a
-// broken client. Dials run outside the lock: when two race, the first
-// to finish is kept and the other closed, and a dial that finishes
-// after Close is closed too.
+// broken client. One dial is in flight at a time, outside the lock:
+// callers that arrive meanwhile wait for it and share its outcome, so a
+// cold Peer under a burst of callers opens one connection, not one a
+// caller; a dial that finishes after Close is closed.
 type Peer struct {
 	addr    string
 	timeout time.Duration
 	dial    func(addr string, timeout time.Duration) (*Client, error) // Dial; a test stalls it here
 
-	mu     sync.Mutex
-	cl     *Client
-	closed bool
+	mu      sync.Mutex
+	cl      *Client
+	pending *peerDial // the dial in flight, nil when none is
+	closed  bool
+}
+
+// peerDial is one dial's outcome for the callers waiting on it: err is
+// set before done is closed.
+type peerDial struct {
+	done chan struct{}
+	err  error
 }
 
 // NewPeer returns the Peer for the server at addr; timeout is Dial's.
@@ -111,41 +120,55 @@ func NewPeer(addr string, timeout time.Duration) *Peer {
 // Addr returns the server's address.
 func (p *Peer) Addr() string { return p.addr }
 
-// Client returns the peer's live client, dialing when there is none.
+// Client returns the peer's live client, dialing when there is none, or
+// waiting for the dial already in flight. A broken client is closed and
+// dropped first — replacing one, unlike the first dial, is a redial and
+// is counted.
 func (p *Peer) Client() (*Client, error) {
-	if cl, err := p.settle(nil); cl != nil || err != nil {
-		return cl, err
-	}
-	cl, err := p.dial(p.addr, p.timeout)
-	if err != nil {
-		return nil, err
-	}
-	return p.settle(cl)
-}
-
-// settle returns the live installed client, or installs dialed (nil:
-// none yet) when there is none. A broken client is closed and dropped
-// first — replacing one, unlike the first dial, is a redial and is
-// counted — and a dialed client that is not installed is closed.
-func (p *Peer) settle(dialed *Client) (*Client, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.cl != nil && p.cl.broken() {
 		csnetM.peerRedials.Inc()
 		p.cl.Close()
 		p.cl = nil
 	}
-	if p.closed || p.cl != nil {
-		if dialed != nil {
-			dialed.Close()
+	switch {
+	case p.closed:
+		p.mu.Unlock()
+		return nil, ErrPeerClosed
+	case p.cl != nil:
+		cl := p.cl
+		p.mu.Unlock()
+		return cl, nil
+	case p.pending != nil:
+		d := p.pending
+		p.mu.Unlock()
+		<-d.done
+		if d.err != nil {
+			return nil, d.err
 		}
-		if p.closed {
-			return nil, ErrPeerClosed
-		}
-		return p.cl, nil
+		return p.Client()
 	}
-	p.cl = dialed
-	return dialed, nil
+	d := &peerDial{done: make(chan struct{})}
+	p.pending = d
+	p.mu.Unlock()
+	cl, err := p.dial(p.addr, p.timeout)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pending = nil
+	switch {
+	case err != nil:
+		d.err = err
+	case p.closed:
+		cl.Close()
+		d.err = ErrPeerClosed
+	default:
+		p.cl = cl
+	}
+	close(d.done)
+	if d.err != nil {
+		return nil, d.err
+	}
+	return cl, nil
 }
 
 // Close closes the connection, failing its in-flight calls, and every

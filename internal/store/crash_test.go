@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,81 +99,46 @@ func (tf *trackFile) floors() (synced, size int64) {
 // refReplay is the reference model: a straight-line, single-map replay
 // of the directory's current on-disk state, written independently of
 // the engine's recovery path (whole-file reads, its own directory
-// listing; only the record codec is shared). It picks the newest
-// loadable checkpoint, then applies the records of every later
-// segment oldest-first, last-record-wins, stopping at the first torn
-// or corrupt record (and ignoring later segments, which recovery
-// discards for the same reason). Interrupted .tmp checkpoints and
-// segments a checkpoint already covers are ignored.
+// listing; only the record codec is shared). It applies the records of
+// every segment oldest-first, last-record-wins, stopping at the first
+// torn or corrupt record (and ignoring later segments, which recovery
+// discards for the same reason).
 func refReplay(t *testing.T, dir string) map[string]Entry {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("ref readdir: %v", err)
 	}
-	var segs, snaps []int
+	var segs []int
 	for _, de := range des {
 		var g int
 		var rest string
 		if n, _ := fmt.Sscanf(de.Name(), "wal.%d%s", &g, &rest); n == 1 {
 			segs = append(segs, g)
-		} else if n, _ := fmt.Sscanf(de.Name(), "snap.%d%s", &g, &rest); n == 1 {
-			snaps = append(snaps, g)
 		}
 	}
 	sort.Ints(segs)
-	sort.Ints(snaps)
-
-	// records decodes b as back-to-back frames, reporting whether it
-	// got through all of it.
-	records := func(b []byte, fn func(key string, e Entry, purge bool)) (n int, whole bool) {
-		for len(b) > 0 {
-			r, used, err := decodeFrame(b)
-			if err != nil {
-				return n, false
-			}
-			fn(r.key(), r.entry(), r.purge())
-			b = b[used:]
-			n++
-		}
-		return n, true
-	}
 
 	m := map[string]Entry{}
-	snapGen := 0
-	for i := len(snaps) - 1; i >= 0; i-- {
-		b, err := os.ReadFile(fmt.Sprintf("%s/snap.%d", dir, snaps[i]))
-		if err != nil || len(b) < magicLen+4 || string(b[:magicLen]) != snapMagic {
-			continue
-		}
-		cand := map[string]Entry{}
-		n, whole := records(b[magicLen+4:], func(key string, e Entry, _ bool) { cand[key] = e })
-		if !whole || uint32(n) != binary.LittleEndian.Uint32(b[magicLen:]) {
-			continue
-		}
-		m, snapGen = cand, snaps[i]
-		break
-	}
 	for _, g := range segs {
-		if g <= snapGen {
-			continue
-		}
 		b, err := os.ReadFile(fmt.Sprintf("%s/wal.%d", dir, g))
 		if err != nil {
 			t.Fatalf("ref read gen %d: %v", g, err)
 		}
-		if len(b) < magicLen || string(b[:magicLen]) != walMagic {
+		if len(b) < magicLen+4 || string(b[:magicLen]) != walMagic {
 			break
 		}
-		_, whole := records(b[magicLen:], func(key string, e Entry, purge bool) {
-			if purge {
-				delete(m, key)
-			} else {
-				m[key] = e
+		for b = b[magicLen+4:]; len(b) > 0; {
+			r, used, err := decodeFrame(b)
+			if err != nil {
+				return m
 			}
-		})
-		if !whole {
-			break
+			if r.purge() {
+				delete(m, r.key())
+			} else {
+				m[r.key()] = r.entry()
+			}
+			b = b[used:]
 		}
 	}
 	return m
@@ -200,8 +164,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	const shards = 4
 	opts := Options{Shards: shards, MerkleBuckets: 64, Now: ft.now, TombstoneGC: time.Minute}
 	// FsyncNever keeps every fsync under test control: the explicit
-	// Sync barrier below and snapshot rotations are the only durability
-	// points, so the acked floor is exactly what the test tracked.
+	// Sync barrier below, rotations and cleaning passes are the only
+	// durability points, so the acked floor is exactly what the test
+	// tracked. The floor is small enough that passes land mid-history.
 	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 4 << 10, OpenFile: tfs.open}
 	open := func() *Sharded {
 		tfs.reset()
@@ -287,15 +252,15 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// flip a byte (a corrupt CRC), both of which recovery must
 		// refuse to replay past.
 		s.wal.close(false)
-		// The crash windows around a checkpoint are only exercised if
-		// the size trigger still fires at this floor every round.
+		// Cleaning is only exercised if the size trigger still fires at
+		// this floor every round.
 		if counter("store.wal.snapshots") == snapsBefore {
-			t.Fatalf("round %d: no size-triggered checkpoint in %d ops (seed %d)", round, nops, seed)
+			t.Fatalf("round %d: no cleaning pass in %d ops (seed %d)", round, nops, seed)
 		}
 		for _, tf := range tfs.tracked() {
 			st, err := os.Stat(tf.path)
 			if err != nil {
-				continue // rotated away: its content lives in a snapshot now
+				continue // cleaned away: its live records were copied ahead
 			}
 			synced, _ := tf.floors()
 			size := st.Size()
@@ -384,100 +349,152 @@ func copyFiles(t *testing.T, dir string, match func(name string) bool) map[strin
 	return out
 }
 
-// TestCrashCheckpointWindows puts the directory into the two states a
-// crash inside a checkpoint can leave — the checkpoint renamed into
-// place but the segments it covers not yet deleted, and the log
-// rotated but the checkpoint still a partial .tmp — plus the one that
-// takes a bad disk: the newest checkpoint unreadable halfway through,
-// with everything it covers still there. All three must recover
-// exactly the state the engine held, agreeing with the independent
-// reference replay, and clear the leftovers.
+// sealHead rotates s's open segment by hand, as the cleaner loop does once
+// the segment is due.
+func sealHead(t *testing.T, s *Sharded) {
+	t.Helper()
+	w := s.wal
+	w.ckMu.Lock()
+	defer w.ckMu.Unlock()
+	entries, _ := s.census()
+	if !w.rotate(entries) {
+		t.Fatalf("rotate: %v", s.Err())
+	}
+}
+
+// cleanOldest runs one cleaning pass by hand, as the cleaner loop does
+// once the log is due.
+func cleanOldest(t *testing.T, s *Sharded) {
+	t.Helper()
+	w := s.wal
+	w.ckMu.Lock()
+	defer w.ckMu.Unlock()
+	if !w.clean() {
+		t.Fatalf("clean: %v", s.Err())
+	}
+}
+
+// TestCrashCheckpointWindows rebuilds on disk each state a crash inside
+// a cleaning pass can leave, and one a crash after it can:
+//
+//   - the live records of the oldest segment copied to the head of the
+//     log but not yet fsynced, so that the head ends anywhere among the
+//     copies, mid-frame included;
+//   - the copies fsynced, the segment not yet deleted;
+//   - the segment deleted, the directory not yet fsynced: the unlink
+//     either reached the disk (the segment is gone) or did not (the
+//     window before);
+//   - a torn head after the pass, writes on top of the copies cut off
+//     mid-frame.
+//
+// Each must recover exactly the independent reference replay of what is
+// on disk, which, up to the tear, is the state the engine held.
 func TestCrashCheckpointWindows(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	// A floor far above this history: only the test seals and cleans.
+	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 30}
+	s, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	set := func(from, to int, tag string) {
+		for i := from; i < to; i++ {
+			s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("%s-%d", tag, i)))
+		}
+	}
+	sync := func() {
+		if err := s.Sync(); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+	}
 	isSeg := func(name string) bool { return strings.HasPrefix(name, "wal.") }
-	for _, window := range []string{"renamed, segments not deleted", "rotated, checkpoint still .tmp", "checkpoint unreadable"} {
-		t.Run(window, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := Options{Shards: 4, MerkleBuckets: 64}
-			wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 30}
-			s, err := OpenSharded(opts, wopts)
-			if err != nil {
-				t.Fatalf("open: %v", err)
+	// Three segments: the oldest holds key-0..199, half of them since
+	// rewritten, key-7 deleted and key-3 purged in the next one.
+	set(0, 200, "first")
+	sealHead(t, s)
+	set(100, 300, "second")
+	s.Delete("key-7")
+	s.Purge("key-3", math.MaxUint64)
+	sealHead(t, s)
+	set(250, 350, "tail")
+	sync()
+	before := copyFiles(t, dir, isSeg)
+	want := rawState(s)
+	head := s.wal.path[len(dir)+1:]
+	oldest := s.wal.sealed[0]
+
+	appends, copied := counter("store.wal.appends"), counter("store.wal.snapshot_bytes")
+	cleanOldest(t, s)
+	after := copyFiles(t, dir, isSeg)
+	if _, ok := after[fmt.Sprintf("wal.%d", oldest.gen)]; ok || len(after) != len(before)-1 {
+		t.Fatalf("the pass left %d of %d segments, the oldest among them", len(after), len(before))
+	}
+	// The oldest segment's live records are key-0..99 less key-3 and
+	// key-7, each copied once, as the resident record.
+	if n := counter("store.wal.appends") - appends; n != 98 {
+		t.Fatalf("the pass copied %d records, want 98", n)
+	}
+	if n := counter("store.wal.snapshot_bytes") - copied; n != int64(len(after[head])-len(before[head])) {
+		t.Fatalf("the pass counted %d copied bytes, the head grew %d", n, len(after[head])-len(before[head]))
+	}
+	diffStates(t, "the state the pass left", rawState(s), want)
+
+	set(300, 400, "later")
+	s.Delete("key-150")
+	sync()
+	later := copyFiles(t, dir, isSeg)[head]
+	wantLater := rawState(s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	cut := func(b []byte, from int) []byte { return b[:from+rng.Intn(len(b)-from)] }
+	for _, c := range []struct {
+		window string
+		oldest bool   // the cleaned segment is still on disk
+		head   []byte // the open segment's bytes
+		torn   bool   // writes after the pass were cut off
+	}{
+		{"copies appended, not fsynced", true, cut(after[head], len(before[head])), false},
+		{"copies fsynced, segment not deleted", true, after[head], false},
+		{"segment deleted, directory not fsynced", false, after[head], false},
+		{"torn head after a pass", false, cut(later, len(after[head])), true},
+	} {
+		t.Run(c.window, func(t *testing.T) {
+			for name := range copyFiles(t, dir, isSeg) {
+				os.Remove(dir + "/" + name)
 			}
-			set := func(from, to int, tag string) {
-				for i := from; i < to; i++ {
-					s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("%s-%d", tag, i)))
+			files := map[string][]byte{head: c.head}
+			for name, b := range before {
+				if name != head && (c.oldest || name != fmt.Sprintf("wal.%d", oldest.gen)) {
+					files[name] = b
 				}
 			}
-			// An older checkpoint + a sealed segment on top of it, so the
-			// .tmp window has something to fall back to.
-			set(0, 200, "first")
-			if err := s.Snapshot(); err != nil {
-				t.Fatalf("first checkpoint: %v", err)
-			}
-			set(100, 300, "second")
-			s.Delete("key-7")
-			if err := s.Sync(); err != nil {
-				t.Fatalf("sync: %v", err)
-			}
-			covered := copyFiles(t, dir, isSeg)
-			olderSnaps := copyFiles(t, dir, func(n string) bool { return strings.HasPrefix(n, "snap.") })
-			if err := s.Snapshot(); err != nil {
-				t.Fatalf("second checkpoint: %v", err)
-			}
-			set(250, 350, "tail")
-			s.Purge("key-3", math.MaxUint64)
-			want := rawState(s)
-			if err := s.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-
-			// Rewind the directory into the crash window.
-			for name, b := range covered {
+			for name, b := range files {
 				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for name, b := range olderSnaps {
-				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
-					t.Fatal(err)
+			ref := refReplay(t, dir)
+			if !c.torn {
+				diffStates(t, "reference replay of the crash window", ref, want)
+			}
+			// Up to the tear, every key the later writes left alone is as
+			// the pass left it.
+			for k, e := range want {
+				if g := ref[k]; reflect.DeepEqual(wantLater[k], e) && !reflect.DeepEqual(g, e) {
+					t.Fatalf("key %q: reference replay %+v, want %+v", k, g, e)
 				}
 			}
-			newest, _ := snapFiles(t, dir)
-			sort.Strings(newest)
-			path := dir + "/" + newest[len(newest)-1]
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch window {
-			case "rotated, checkpoint still .tmp":
-				if err := os.WriteFile(path+".tmp", b[:len(b)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				os.Remove(path)
-			case "checkpoint unreadable":
-				b[len(b)/2] ^= 0xff
-				if err := os.WriteFile(path, b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			diffStates(t, "reference replay of the crash window", refReplay(t, dir), want)
 			r, err := OpenSharded(opts, wopts)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer r.Close()
-			diffStates(t, "recovery from the crash window", rawState(r), want)
-			if tmps := copyFiles(t, dir, func(n string) bool { return strings.HasSuffix(n, ".tmp") }); len(tmps) != 0 {
-				t.Fatalf("recovery left interrupted checkpoints behind: %d", len(tmps))
-			}
-			if window == "renamed, segments not deleted" {
-				for name := range covered {
-					if _, err := os.Stat(dir + "/" + name); err == nil {
-						t.Fatalf("recovery kept %s, which the checkpoint covers", name)
-					}
-				}
+			diffStates(t, "recovery from the crash window", rawState(r), ref)
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -74,50 +74,57 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// snapshotBytes frames records as a checkpoint claiming count entries.
-func snapshotBytes(count uint32, records ...[]byte) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(snapMagic), count)
+// segmentBytes frames records as a segment whose header claims count
+// entries.
+func segmentBytes(count uint32, records ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(walMagic), count)
 	for _, rec := range records {
 		b = append(b, rec...)
 	}
 	return b
 }
 
+// FuzzLoadSnapshot reads a segment as recovery does — the entry count
+// its header carries, which a reopen reserves tables for, then its
+// records — as after a Snapshot, when the log is one segment holding
+// the live image.
 func FuzzLoadSnapshot(f *testing.F) {
 	recs := codecSeeds()
-	whole := snapshotBytes(uint32(len(recs)), recs...)
+	whole := segmentBytes(uint32(len(recs)), recs...)
 	f.Add(whole)
-	f.Add(whole[:len(whole)-3])              // ends mid-record
-	f.Add(snapshotBytes(1<<31, recs[0]))     // count far beyond the content
-	f.Add(snapshotBytes(0, recs[0]))         // count below the content
-	f.Add(snapshotBytes(0))                  // empty engine
-	f.Add([]byte(snapMagic))                 // header cut short
-	f.Add(append([]byte(walMagic), 0, 0, 0)) // wrong magic
+	f.Add(whole[:len(whole)-3])                 // ends mid-record
+	f.Add(segmentBytes(1<<31, recs[0]))         // count far beyond the content
+	f.Add(segmentBytes(0, recs[0]))             // count below the content
+	f.Add(segmentBytes(0))                      // empty engine
+	f.Add([]byte(walMagic))                     // header cut short
+	f.Add(append([]byte("PDCWAL2\n"), 0, 0, 0)) // an older layout's magic
 	f.Fuzz(func(t *testing.T, b []byte) {
-		delivered, reserved := 0, -1
-		reserve := func(entries int) {
-			if reserved >= 0 || delivered > 0 {
-				t.Fatalf("reserve(%d) after reserve(%d) and %d records", entries, reserved, delivered)
-			}
-			reserved = entries
-		}
-		n, err := readSnapshot(bytes.NewReader(b), int64(len(b)), reserve, func(rec) { delivered++ })
-		if n != delivered {
-			t.Fatalf("reported %d entries, delivered %d", n, delivered)
-		}
-		if reserved > len(b)/minFrame {
+		var rr recordReader
+		count, err := rr.open(bytes.NewReader(b), int64(len(b)))
+		if reserved := entriesFor(count, int64(len(b))); reserved > len(b)/minFrame {
 			t.Fatalf("reserved %d entries out of %d bytes", reserved, len(b))
 		}
-		if delivered > len(b)/minFrame {
-			t.Fatalf("%d entries out of %d bytes", delivered, len(b))
+		delivered, n, left := 0, 0, int64(len(b))
+		if err == nil {
+			n, left, err = rr.each(func(rec) { delivered++ })
 		}
-		if err == nil && uint32(n) != binary.LittleEndian.Uint32(b[magicLen:]) {
-			t.Fatalf("accepted %d entries against a header count of %d", n, binary.LittleEndian.Uint32(b[magicLen:]))
+		if n != delivered {
+			t.Fatalf("reported %d records, delivered %d", n, delivered)
+		}
+		if delivered > len(b)/minFrame {
+			t.Fatalf("%d records out of %d bytes", delivered, len(b))
+		}
+		if err == nil && left != 0 || left < 0 || left > int64(len(b)) {
+			t.Fatalf("stopped with %d of %d bytes unread: %v", left, len(b), err)
+		}
+		if err == nil && len(b) < segHead {
+			t.Fatalf("accepted a %d-byte segment", len(b))
 		}
 	})
 }
 
 func FuzzLoadManifest(f *testing.F) {
+	f.Add([]byte("pdcedu-wal v5\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v4\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v3\nshards 128\nbuckets 1024\n"))
 	f.Add([]byte("pdcedu-wal v2\nshards 128\nbuckets 1024\n"))

@@ -12,20 +12,23 @@ import "pdcedu/internal/obs"
 //	                             key's resident record in place instead
 //	                             of allocating a new one (table.go);
 //	                             served writes only, not replay's
-//	store.wal.appends            counter: records appended to the log
+//	store.wal.appends            counter: records appended to the log,
+//	                             the cleaner's copies included
 //	store.wal.append_bytes       counter: bytes those appends wrote
 //	                             (156 for a 9 + 128-byte Set; wal.go)
 //	store.wal.fsyncs             counter: fsyncs issued (group commits,
-//	                             interval flushes, rotations)
+//	                             interval flushes, rotations, passes)
 //	store.wal.errors             counter: sticky log failures (each one
 //	                             poisons an engine)
-//	store.wal.snapshots          counter: engine checkpoints written
-//	store.wal.snapshot_bytes     counter: image bytes those checkpoints
-//	                             wrote; ÷ append_bytes is what
-//	                             checkpoints add to the log's own write
-//	                             amplification (≤ 1 once the store has
-//	                             stopped growing)
-//	store.wal.recovered_entries  counter: checkpoint entries loaded at open
+//	store.wal.snapshots          counter: cleaning passes, each one
+//	                             sealed segment rewritten and deleted
+//	store.wal.snapshot_bytes     counter: bytes those passes re-appended,
+//	                             live records copied to the head of the
+//	                             log (counted in append_bytes too);
+//	                             ÷ (append_bytes − snapshot_bytes) is
+//	                             what cleaning adds to the log's own
+//	                             write amplification (≤ 1; about a
+//	                             quarter under uniform overwrites)
 //	store.wal.recovered_records  counter: log records replayed at open
 //	store.wal.torn_bytes         counter: log bytes dropped at torn or
 //	                             corrupt tails during recovery
@@ -33,7 +36,8 @@ import "pdcedu/internal/obs"
 //	                             the log buffer — the group-commit batch
 //	                             (sums to store.wal.appends)
 //	store.wal.fsync_ns           histogram: fsync latency
-//	store.wal.snapshot_ns        histogram: rotation + checkpoint latency
+//	store.wal.snapshot_ns        histogram: cleaning pass latency, from
+//	                             reading the segment to deleting it
 //	store.wal.recovery_ns        histogram: whole-engine reload latency
 //
 // The per-engine levels are deliberately not here: a process can host
@@ -41,13 +45,11 @@ import "pdcedu/internal/obs"
 // its own engine —
 //
 //	store.entries, store.tombstones   Counts()
-//	store.wal.log_bytes               Backlog(): bytes of log no
-//	                                  checkpoint covers (what a restart
-//	                                  would replay)
+//	store.wal.log_bytes               Backlog(): bytes of log on disk
+//	                                  (what a restart would replay)
 //	store.wal.checkpoint_at           Backlog(): log_bytes at which the
-//	                                  next checkpoint fires,
-//	                                  max(snapshot-every × shards, bytes
-//	                                  of the newest checkpoint)
+//	                                  cleaner runs, max(snapshot-every ×
+//	                                  shards, twice the live image)
 var (
 	sweepPurged   = obs.Default().Counter("store.sweep.purged")
 	merkleRebuilt = obs.Default().Counter("store.merkle.leaf_rebuilds")
@@ -59,7 +61,6 @@ var (
 	walErrors           = obs.Default().Counter("store.wal.errors")
 	walSnapshots        = obs.Default().Counter("store.wal.snapshots")
 	walSnapshotBytes    = obs.Default().Counter("store.wal.snapshot_bytes")
-	walRecoveredEntries = obs.Default().Counter("store.wal.recovered_entries")
 	walRecoveredRecords = obs.Default().Counter("store.wal.recovered_records")
 	walTornBytes        = obs.Default().Counter("store.wal.torn_bytes")
 

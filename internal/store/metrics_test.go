@@ -22,7 +22,6 @@ func TestMetricsRegistration(t *testing.T) {
 		"store.wal.errors",
 		"store.wal.snapshots",
 		"store.wal.snapshot_bytes",
-		"store.wal.recovered_entries",
 		"store.wal.recovered_records",
 		"store.wal.torn_bytes",
 	}
@@ -99,7 +98,7 @@ func TestMetricsWALCounters(t *testing.T) {
 		"store.wal.fsyncs",
 		"store.wal.snapshots",
 		"store.wal.snapshot_bytes",
-		"store.wal.recovered_entries",
+		"store.wal.recovered_records",
 	} {
 		if after[name] <= before[name] {
 			t.Errorf("%s did not advance (%d -> %d)", name, before[name], after[name])

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,9 +16,7 @@ import (
 
 // RecoveryStats summarizes what OpenSharded rebuilt from disk.
 type RecoveryStats struct {
-	// SnapshotEntries is how many entries were loaded from the checkpoint.
-	SnapshotEntries int
-	// WALRecords is how many log records were replayed after them.
+	// WALRecords is how many log records were replayed.
 	WALRecords int
 	// Segments is how many log segments held those records.
 	Segments int
@@ -27,11 +28,10 @@ type RecoveryStats struct {
 }
 
 // OpenSharded opens (or creates) a persistent sharded engine on
-// wo.Dir: it loads the newest checkpoint, replays the log segments
-// after it — truncating at the first torn or corrupt record, so
-// exactly the intact prefix is recovered — observes the largest
-// recovered version on the engine's clock, and starts the background
-// fsync and checkpoint loops. A directory's manifest pins its shard
+// wo.Dir: it replays the log segments oldest first — truncating at the
+// first torn or corrupt record, so exactly the intact prefix is
+// recovered — observes the largest recovered version on the engine's
+// clock, and starts the background fsync and cleaner loops. A directory's manifest pins its shard
 // count and Merkle bucket count; when one exists it overrides o.Shards
 // and o.MerkleBuckets. A directory in an earlier layout is refused
 // with a *LayoutError and left untouched.
@@ -67,16 +67,20 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 	if n := int64(s.Shards()); wo.SnapshotBytes <= math.MaxInt64/n {
 		w.floor = wo.SnapshotBytes * n
 	}
+	w.segBytes = max(w.floor/segShare, segHead+1)
 	w.cond.L = &w.mu
+	if w.dir, err = os.Open(wo.Dir); err != nil {
+		return nil, err
+	}
 	maxVer, err := w.recover()
 	if err != nil {
+		w.dir.Close()
 		return nil, err
 	}
 	if maxVer > 0 {
 		s.clock.Observe(maxVer)
 	}
 	w.rec.Elapsed = time.Since(start)
-	walRecoveredEntries.Add(uint64(w.rec.SnapshotEntries))
 	walRecoveredRecords.Add(uint64(w.rec.WALRecords))
 	walTornBytes.Add(uint64(w.rec.TornBytes))
 	walRecoveryLatency.Observe(int64(w.rec.Elapsed))
@@ -85,21 +89,15 @@ func OpenSharded(o Options, wo WALOptions) (*Sharded, error) {
 	return s, nil
 }
 
-// recover rebuilds the engine from the newest checkpoint plus the
-// segments after it, deletes every file that no longer carries state,
-// and opens a fresh segment (a recovered tail is never appended through
-// again). The checkpoint's bytes and those of the segments it keeps
-// seed the checkpoint trigger: log replayed here is as un-checkpointed
-// as log appended later, and a node that restarts often must not stack
-// segments the trigger cannot see. Returns the largest version it
-// installed. The engine is not shared yet, so it takes no locks.
+// recover rebuilds the engine from the log, its tables sized once
+// from the entry count in the newest segment's header, and opens a
+// fresh segment (a recovered tail is never appended through again).
+// Every segment it keeps is sealed, and counts toward the cleaning
+// trigger: log replayed here is as much the log as log appended later,
+// and a node that restarts often must not stack segments the trigger
+// cannot see. Returns the largest version it installed. The engine is
+// not shared yet, so its census is uncontended.
 func (w *wal) recover() (maxVer uint64, err error) {
-	segs, snaps := scanDir(w.o.Dir)
-	// A checkpoint interrupted before its rename.
-	tmps, _ := filepath.Glob(filepath.Join(w.o.Dir, "snap.*.tmp"))
-	for _, tmp := range tmps {
-		os.Remove(tmp)
-	}
 	// A record read aliases the reader's frame buffer and is already in
 	// the table's layout: installing it copies it over its key's
 	// resident record when the lengths match, else into a new one.
@@ -114,84 +112,97 @@ func (w *wal) recover() (maxVer uint64, err error) {
 		w.eng.shardFor(k).t.install(r)
 		maxVer = max(maxVer, r.ver)
 	}
+	segs := scanDir(w.o.Dir)
+	reserveFor(w.eng, w.o.Dir, segs)
 
-	// Newest readable checkpoint wins, its tables sized once from its
-	// header's count. An unreadable one (impossible after the atomic
-	// rename, but cheap to tolerate) has what it installed wiped, and
-	// the next older one is tried.
-	var snapGen uint64
-	for i := len(snaps) - 1; i >= 0 && snapGen == 0; i-- {
-		n, size, err := loadSnapshot(w.snapPath(snaps[i]), w.eng.reserve, apply)
-		if err != nil {
-			for si := range w.eng.shards {
-				sh := &w.eng.shards[si]
-				sh.t = newTable(sh.t.touch)
-			}
-			maxVer = 0
-			continue
-		}
-		snapGen, w.rec.SnapshotEntries, w.image = snaps[i], n, size
-		for _, older := range snaps[:i] {
-			os.Remove(w.snapPath(older))
-		}
-	}
-
-	// Replay segments after the checkpoint, oldest first, stopping at
-	// the first torn or corrupt record: the file is truncated there and
-	// any later segments are dropped — by the crash model nothing past
-	// the first tear was ever acked as durable.
-	maxGen := snapGen
+	// Replay oldest first, stopping at the first torn or corrupt record:
+	// the file is truncated there and any later segments are dropped —
+	// by the crash model nothing past the first tear was ever acked as
+	// durable.
+	var maxGen uint64
 	stopped := false
-	w.backlog = magicLen // the fresh segment's
-	for _, g := range segs {
-		maxGen = max(maxGen, g)
-		path := w.segPath(g)
-		if g <= snapGen || stopped {
-			if st, err := os.Stat(path); stopped && err == nil {
-				w.rec.TornBytes += st.Size()
-			}
+	for _, sg := range segs {
+		maxGen = sg.gen
+		path := segPath(w.o.Dir, sg.gen)
+		if stopped {
+			w.rec.TornBytes += sg.size
 			os.Remove(path)
 			continue
 		}
-		records, kept, torn, err := replaySegment(path, apply)
+		records, kept, torn, err := w.replaySegment(path, sg.size, apply)
 		if err != nil {
 			return 0, err
 		}
 		if records > 0 {
 			w.rec.Segments++
 			w.rec.WALRecords += records
+			w.sealed = append(w.sealed, segment{gen: sg.gen, size: kept, path: path})
+			w.sealedBytes += kept
 		}
-		w.backlog += kept
 		w.rec.TornBytes += torn
 		stopped = torn > 0
 	}
 
 	// Fresh segment for this incarnation's appends.
-	w.f, w.path, err = w.createSegment(maxGen + 1)
+	entries, image := w.eng.census()
+	w.cleanAt = max(w.floor, 2*image)
+	w.f, w.path, err = w.createSegment(maxGen+1, entries)
 	if err != nil {
 		return 0, err
 	}
-	w.gen = maxGen + 1
+	w.gen, w.open = maxGen+1, segHead
 	return maxVer, nil
 }
 
-// replaySegment streams the segment at path through apply and reports
-// the records applied, the bytes of the file it kept, and the trailing
-// bytes dropped as torn or corrupt. The file is truncated to its intact
-// prefix; one left with no record — never written to, or torn at its
-// first frame — is deleted, so restarts do not pile up empty segments.
-func replaySegment(path string, apply func(rec)) (records int, kept, torn int64, err error) {
+// reserveFor sizes s's tables once for a replay of segs, the log in
+// dir: for the entry count in the newest whole header — what the engine
+// held when that segment was created — capped at what the log's bytes
+// can hold.
+func reserveFor(s *Sharded, dir string, segs []segment) {
+	var size int64
+	for _, sg := range segs {
+		size += sg.size
+	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		if n, ok := headEntries(segPath(dir, segs[i].gen)); ok {
+			s.reserve(entriesFor(n, size))
+			return
+		}
+	}
+}
+
+// headEntries reads the entry count from the header of the segment at
+// path, and reports whether the header was whole.
+func headEntries(path string) (uint32, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	var head [segHead]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil || string(head[:magicLen]) != walMagic {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(head[magicLen:]), true
+}
+
+// replaySegment streams the segment of size bytes at path through
+// apply and reports the records applied, the bytes of the file it
+// kept, and the trailing bytes dropped as torn or corrupt. The file is
+// truncated to its intact prefix; one left with no record — never
+// written to, or torn at its first frame — is deleted, so restarts do
+// not pile up empty segments.
+func (w *wal) replaySegment(path string, size int64, apply func(rec)) (records int, kept, torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, 0, err
+	torn = size
+	if _, err = w.rr.open(f, size); err == nil {
+		records, torn, err = w.rr.each(apply)
 	}
-	records, torn, err = scanRecords(f, st.Size(), walMagic, nil, apply)
-	kept = st.Size() - torn
+	kept = size - torn
 	switch {
 	case err != nil && err != errTornRecord && err != errCorruptRecord:
 		return records, 0, 0, fmt.Errorf("%s: %w", path, err)
@@ -203,24 +214,21 @@ func replaySegment(path string, apply func(rec)) (records int, kept, torn int64,
 	return records, kept, torn, err
 }
 
-// scanDir lists the directory's log segment and checkpoint
-// generations, each sorted ascending.
-func scanDir(dir string) (segs, snaps []uint64) {
+// scanDir lists the directory's log segments, sorted by generation.
+func scanDir(dir string) (segs []segment) {
 	des, _ := os.ReadDir(dir)
 	for _, de := range des {
 		kind, gen, _ := strings.Cut(de.Name(), ".")
 		g, err := strconv.ParseUint(gen, 10, 64)
-		switch {
-		case err != nil: // WALMETA, an interrupted checkpoint's .tmp
-		case kind == "wal":
-			segs = append(segs, g)
-		case kind == "snap":
-			snaps = append(snaps, g)
+		if err != nil || kind != "wal" {
+			continue // WALMETA, its .tmp
+		}
+		if info, err := de.Info(); err == nil {
+			segs = append(segs, segment{gen: g, size: info.Size()})
 		}
 	}
-	slices.Sort(segs)
-	slices.Sort(snaps)
-	return segs, snaps
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.gen, b.gen) })
+	return segs
 }
 
 // Manifest: one tiny file pinning the directory's layout version and
@@ -237,9 +245,11 @@ const (
 // LayoutError is OpenSharded's refusal of a data directory in a layout
 // this build does not read: v1, the per-shard s<N>.wal.<G> and
 // s<N>.snap.<G> files; v2, whose frames carried a length and a
-// field-by-field entry of their own; or v3, whose records could carry
-// an expiry and numbered their flags around it. The directory is left
-// exactly as it was.
+// field-by-field entry of their own; v3, whose records could carry an
+// expiry and numbered their flags around it; or v4, whose whole-engine
+// checkpoints (snap.<G>) the cleaned log has replaced and whose
+// segments carry no entry count. The directory is left exactly as it
+// was.
 type LayoutError struct{ Version int }
 
 func (e *LayoutError) Error() string {
@@ -247,7 +257,7 @@ func (e *LayoutError) Error() string {
 		e.Version, manifestVersion)
 }
 
-const manifestVersion = 4
+const manifestVersion = 5
 
 // parseManifest decodes a manifest body, refusing other layout
 // versions and out-of-range geometry.

@@ -1,11 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -13,10 +13,9 @@ import (
 
 // cloneReplay rebuilds an engine from dir the way recovery did while
 // every record it read was cloned and installed over whatever it
-// replaced: the newest checkpoint, its tables sized by the helper
-// recovery sizes them with, then the segments after it, oldest first,
-// up to the first torn or corrupt record. It reads the files without
-// changing them.
+// replaced: its tables sized by the helper recovery sizes them with,
+// then every segment, oldest first, up to the first torn or corrupt
+// record. It reads the files without changing them.
 func cloneReplay(t *testing.T, dir string, o Options) *Sharded {
 	t.Helper()
 	ref := NewSharded(o)
@@ -30,29 +29,18 @@ func cloneReplay(t *testing.T, dir string, o Options) *Sharded {
 		i, tag, _ := tb.find(k)
 		tb.replace(i, tag, r.clone())
 	}
-	segs, snaps := scanDir(dir)
-	var snapGen uint64
-	if len(snaps) > 0 {
-		snapGen = snaps[len(snaps)-1]
-		if _, _, err := loadSnapshot(filepath.Join(dir, fmt.Sprintf("snap.%d", snapGen)), ref.reserve, apply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, g := range segs {
-		if g <= snapGen {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, fmt.Sprintf("wal.%d", g)))
+	segs := scanDir(dir)
+	reserveFor(ref, dir, segs)
+	var rr recordReader
+	for _, sg := range segs {
+		b, err := os.ReadFile(segPath(dir, sg.gen))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.Stat()
-		if err != nil {
-			t.Fatal(err)
+		if _, err := rr.open(bytes.NewReader(b), sg.size); err != nil {
+			break
 		}
-		_, left, _ := scanRecords(f, st.Size(), walMagic, nil, apply)
-		f.Close()
-		if left > 0 {
+		if _, left, _ := rr.each(apply); left > 0 {
 			break
 		}
 	}
@@ -65,8 +53,9 @@ func cloneReplay(t *testing.T, dir string, o Options) *Sharded {
 // must build the same tables — entries, slot and live counts, Merkle
 // roots. The histories overwrite keys at one length and at another,
 // delete them (tombstones of the same length as an empty value), purge
-// them, sometimes take a checkpoint midway, span several incarnations
-// and end, half the time, in a torn tail.
+// them, sometimes Snapshot midway, span several incarnations and end,
+// half the time, in a torn tail. The floor is small enough that the
+// cleaner's passes land mid-history too, copies and purges dropped.
 func TestReplayInPlaceMatchesClone(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("seed %d", seed)
@@ -75,7 +64,7 @@ func TestReplayInPlaceMatchesClone(t *testing.T) {
 	o := Options{Shards: 4, MerkleBuckets: 64}
 	for round := 0; round < 24; round++ {
 		dir := t.TempDir()
-		wo := WALOptions{Dir: dir, Fsync: FsyncNever}
+		wo := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 512}
 		for open := rng.Intn(3); open >= 0; open-- {
 			s, err := OpenSharded(o, wo)
 			if err != nil {
@@ -104,8 +93,8 @@ func TestReplayInPlaceMatchesClone(t *testing.T) {
 			}
 		}
 		if rng.Intn(2) == 0 {
-			segs, _ := scanDir(dir)
-			path := filepath.Join(dir, fmt.Sprintf("wal.%d", segs[len(segs)-1]))
+			segs := scanDir(dir)
+			path := segPath(dir, segs[len(segs)-1].gen)
 			if st, err := os.Stat(path); err == nil && st.Size() > magicLen {
 				cut := min(st.Size()-magicLen, 1+rng.Int63n(300))
 				if err := os.Truncate(path, st.Size()-cut); err != nil {
@@ -124,6 +113,17 @@ func TestReplayInPlaceMatchesClone(t *testing.T) {
 			g, w := &got.shards[i].t, &want.shards[i].t
 			if g.n != w.n || g.used != w.used || g.live != w.live {
 				t.Fatalf("round %d shard %d: n/used/live %d/%d/%d, cloning replay %d/%d/%d", round, i, g.n, g.used, g.live, w.n, w.used, w.live)
+			}
+			// The live image the cleaner paces by is what the records
+			// resident add up to, however they got there.
+			var image int64
+			for j, tag := range g.tags {
+				if tag&tagFull != 0 {
+					image += frameLen(g.slots[j])
+				}
+			}
+			if g.image != image || w.image != image {
+				t.Fatalf("round %d shard %d: image %d, cloning replay %d, records %d", round, i, g.image, w.image, image)
 			}
 		}
 		if g, w := got.Digest().Root(), want.Digest().Root(); g != w {

@@ -289,6 +289,20 @@ func (s *Sharded) Counts() (live, tombstones int) {
 	return live, tombstones
 }
 
+// census reports the resident entries, tombstones included, and the
+// log bytes their records take as frames — the live image the cleaner
+// paces itself by — in one pass over the shard counters.
+func (s *Sharded) census() (entries int, image int64) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		entries += sh.t.size()
+		image += sh.t.image
+		sh.mu.Unlock()
+	}
+	return entries, image
+}
+
 // scanBuckets calls fn with every entry of the buckets want marks, one
 // shard at a time under that shard's lock. Shard i holds the buckets
 // congruent to i modulo the shard count (the bucket mask refines the

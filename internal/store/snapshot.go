@@ -1,258 +1,206 @@
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"os"
+	"slices"
 
 	"pdcedu/internal/obs"
 )
 
-// Checkpoints bound recovery time and disk growth: once the
-// un-checkpointed log has grown as large as the image it would replace
-// — max(WALOptions.SnapshotBytes × Shards(), bytes of the newest
-// checkpoint) — the log rotates to a fresh generation and every
-// shard's table is streamed to snap.<G>, G being the generation the
-// checkpoint covers, after which the covered segments are deleted.
-// Recovery loads the newest checkpoint and replays only the segments
-// after it.
+// The log is the engine's only on-disk structure, and the cleaner keeps
+// it proportional to what the engine holds, one segment at a time, as a
+// log-structured file system or Bitcask does:
 //
-// Pacing by the image is what keeps the cost proportional whatever the
-// data size: an image is rewritten only after at least its own size of
-// log, so checkpoints write no more than the log does once the store
-// has stopped growing (and no more than twice the log while it doubles,
-// the image then being up to image + log); recovery reads one image
-// plus at most max(floor, image) of log, plus what was appended while
-// the last checkpoint was being written; and the directory peaks at
-// three images — the old checkpoint, its log, and the .tmp replacing
-// both. SnapshotBytes is the floor below which a small store does not
-// bother.
+//   - The open segment rotates once it holds floor ÷ 4 bytes, the floor
+//     being WALOptions.SnapshotBytes × Shards(): everything appended to
+//     it is written and fsynced (the seal), then a fresh segment takes
+//     the appends.
+//   - While the log holds at least max(floor, 2 × the live image) — the
+//     image being the frame bytes of the resident records — the cleaner
+//     reads the oldest sealed segment back. A frame whose key's resident
+//     record carries the frame's version is live: the resident record is
+//     re-appended under its shard lock, through the ordinary append, so
+//     the copy is ordered with every write to its key as any write is.
+//     Every other frame is dropped, purges included: nothing of their
+//     key older than the oldest segment is left for them to remove.
+//   - Once everything appended so far is fsynced — the copies, and the
+//     writes that outdated every dropped frame — the segment is deleted
+//     and the directory fsynced.
 //
-// Crash windows are all safe by construction:
+// The bounds, none weaker than a whole-engine checkpoint's:
 //
-//   - The old segment is fsynced before the rotation is acked past,
-//     so no group-commit ack ever rides on a checkpoint not yet written.
-//   - Shards are copied after the rotation, each under its own lock,
-//     so every record in a segment <= G is in the checkpoint. A shard
-//     copied late also carries writes logged in G+1; replaying those on
-//     top is idempotent, because replay is last-record-wins.
-//   - The checkpoint is written to a .tmp, fsynced, renamed into place,
-//     and the directory fsynced — it exists fully or not at all.
-//   - Covered segments and older checkpoints are deleted only after
-//     the rename; recovery ignores and removes whatever a crash leaves.
+//   - Writes. A lap over the log copies each live record at most once,
+//     at most one image, and takes two images of appends to complete at
+//     a log of two images, so the cleaner writes no more than the user
+//     writes: at most 2× the log, worst case. Under uniform overwrites
+//     the oldest segment is about a fifth live, so it writes about a
+//     quarter. A store that only grows keeps its log near one image,
+//     below the trigger, and is never cleaned.
+//   - Replay. A reopen replays the whole log: below max(floor, 2
+//     images) plus a segment and what is appended during a pass.
+//   - Disk. The same, at most 2 images and a segment.
+//
+// Every crash window replays to the engine's state, because replay is
+// last-record-wins and a copy re-states a record the log already holds:
+//
+//   - Copies appended, not yet fsynced: the segment is still on disk,
+//     and whatever of the copies reached it repeats it.
+//   - Copies fsynced, segment not yet deleted — or deleted with the
+//     directory not yet fsynced, so that it comes back: its records
+//     replay first and their copies after them.
+//   - A torn head after a pass: recovery truncates the open segment at
+//     the tear; everything the pass appended was fsynced before the
+//     segment was deleted, so the tear takes only later writes.
 
-// checkpointAt is the backlog at which the size trigger fires: the log
-// is checkpointed when it is as large as the image it would replace,
-// and never below the floor. Callers hold mu.
-func (w *wal) checkpointAt() int64 { return max(w.floor, w.image) }
-
-// checkpoint rotates the log and checkpoints everything before the
-// rotation, provided the backlog has reached its threshold:
-// checkpointAt for the size trigger (so a token queued while the
-// previous checkpoint was rotating is a no-op), one record for the
-// manual one.
-func (w *wal) checkpoint(manual bool) error {
+// maintain is the cleaner loop's one step, and Snapshot's: it rotates
+// the open segment once it is due — for Snapshot, once it holds a
+// record — then cleans the oldest sealed segment while the log is at
+// least cleanAt, or, for Snapshot, every segment sealed so far, so that
+// the log becomes the live image. A census of the engine first sets
+// cleanAt from the live image and gives the rotation its entry count.
+func (w *wal) maintain(manual bool) error {
 	w.ckMu.Lock()
 	defer w.ckMu.Unlock()
-	start := obs.StartTimer()
-
-	w.mu.Lock()
-	threshold := w.checkpointAt()
-	if manual {
-		threshold = magicLen + 1
-	}
-	due := w.failed.Load() == nil && !w.closed.Load() && w.backlog >= threshold
-	oldGen := w.gen // only a checkpoint moves gen, and ckMu is held
-	w.mu.Unlock()
-	if !due {
+	if w.failed.Load() != nil || w.closed.Load() {
 		return w.errOrNil()
 	}
-	nf, newPath, err := w.createSegment(oldGen + 1)
+	entries, image := w.eng.census()
+	w.mu.Lock()
+	w.cleanAt = max(w.floor, 2*image)
+	rotate := w.open >= w.segBytes || manual && w.open > segHead
+	w.mu.Unlock()
+	if rotate && !w.rotate(entries) {
+		return w.errOrNil()
+	}
+	progress := rotate
+	for n := len(w.sealed); n > 0; n-- {
+		w.mu.Lock()
+		due := manual || w.sealedBytes+w.open >= w.cleanAt
+		w.mu.Unlock()
+		if !due || !w.clean() {
+			break
+		}
+		progress = true
+	}
+	// A run that ends with work left and no append since the token it
+	// took hands the next run a token itself.
+	w.mu.Lock()
+	due := progress && w.due()
+	w.mu.Unlock()
+	if due {
+		w.wake()
+	}
+	return w.errOrNil()
+}
 
+// rotate seals the open segment and opens the next, whose header
+// carries entries. It reports whether it did; a failure poisons the
+// engine. Callers hold ckMu, so only they move gen.
+func (w *wal) rotate(entries int) bool {
+	nf, newPath, err := w.createSegment(w.gen+1, entries)
 	w.mu.Lock()
 	if err != nil {
 		w.poison("rotate", newPath, err)
 		w.mu.Unlock()
-		return w.errOrNil()
+		return false
 	}
 	for w.flushing {
 		w.cond.Wait()
 	}
 	if w.failed.Load() == nil {
 		// Seal the old segment: everything appended so far is written
-		// and fsynced here, so acks issued after the swap ride the new
-		// file's fsyncs and never depend on the checkpoint below.
+		// and fsynced here, so the segment is whole before the cleaner
+		// can reach it.
 		w.flushLocked(true)
 	}
 	if w.failed.Load() != nil {
 		w.mu.Unlock()
-		nf.Close() // left magic-only; the next recovery deletes it
-		return w.errOrNil()
+		nf.Close() // left header-only; the next recovery deletes it
+		return false
 	}
 	// Records that landed in buf during the seal's I/O were not sealed:
 	// they open the new segment.
+	old := segment{gen: w.gen, size: w.open - int64(len(w.buf)), path: w.path}
+	w.sealed = append(w.sealed, old)
+	w.sealedBytes += old.size
 	oldF := w.f
-	w.f, w.path, w.gen, w.backlog = nf, newPath, oldGen+1, magicLen+int64(len(w.buf))
+	w.f, w.path, w.gen, w.open = nf, newPath, w.gen+1, segHead+int64(len(w.buf))
 	w.mu.Unlock()
 	oldF.Close()
+	return true
+}
 
-	image, err := w.writeCheckpoint(oldGen)
+// clean rewrites the live records of the oldest sealed segment at the
+// head of the log, waits until everything appended so far is durable,
+// and deletes the segment. It reports whether it did; a failure poisons
+// the engine and leaves the segment where it is. Callers hold ckMu.
+func (w *wal) clean() bool {
+	start := obs.StartTimer()
+	seg := w.sealed[0]
+	var copied int64
+	f, err := os.Open(seg.path)
+	if err == nil {
+		if _, err = w.rr.open(f, seg.size); err == nil {
+			_, _, err = w.rr.each(func(r rec) {
+				if !r.purge() {
+					copied += w.copyLive(r)
+				}
+			})
+		}
+		f.Close()
+	}
+	if err == nil {
+		w.sync()
+		if w.failed.Load() != nil {
+			return false
+		}
+		if err = os.Remove(seg.path); err == nil {
+			err = w.dir.Sync()
+		}
+	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if err != nil {
-		// The old segments stay on disk: recovery replays without the
-		// checkpoint and remains exact. Poison anyway — a disk that
-		// cannot take a checkpoint will not keep absorbing a growing log
-		// for long, and the operator should hear about it now.
-		w.poison("snapshot", w.snapPath(oldGen), err)
-		w.mu.Unlock()
-		return w.errOrNil()
+		w.poison("clean", seg.path, err)
+		return false
 	}
-	w.image = image
-	w.mu.Unlock()
-	segs, snaps := scanDir(w.o.Dir)
-	for _, g := range segs {
-		if g <= oldGen {
-			os.Remove(w.segPath(g))
-		}
-	}
-	for _, g := range snaps {
-		if g < oldGen {
-			os.Remove(w.snapPath(g))
-		}
-	}
+	w.sealedBytes -= seg.size
+	w.sealed = slices.Delete(w.sealed, 0, 1)
 	walSnapshots.Inc()
+	walSnapshotBytes.Add(uint64(copied))
 	walSnapshotLatency.ObserveSince(start)
-	return nil
+	return true
 }
 
-// writeCheckpoint persists the engine as snap.<gen> atomically — tmp
-// file, fsync, rename, directory fsync — and returns the image's bytes.
-func (w *wal) writeCheckpoint(gen uint64) (int64, error) {
-	path := w.snapPath(gen)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
+// copyLive re-appends the resident record of frame r's key if it still
+// carries r's version, and returns the bytes it appended.
+func (w *wal) copyLive(r rec) int64 {
+	k := r.key()
+	sh := w.eng.shardFor(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur, ok := sh.t.lookup(k)
+	if !ok || cur.ver != r.ver {
+		return 0
 	}
-	n, err := w.streamShards(f)
-	walSnapshotBytes.Add(uint64(n))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return n, syncDir(w.o.Dir)
+	w.append(cur.key(), cur.entry(), false)
+	return frameLen(cur)
 }
 
-// streamShards writes the checkpoint body: magic, entry count (patched
-// in at the end), then every shard's records, each copied out as it is
-// and framed like a log record. Shards are copied one at a time under
-// their own lock and written with no lock held: a checkpoint stalls
-// 1/N of the key space. The copy is made in w.ckBuf, which keeps the
-// largest shard's size from one checkpoint to the next, so a
-// checkpoint of a store that has stopped growing allocates no copy.
-// Callers hold ckMu. Returns the bytes written.
-func (w *wal) streamShards(f *os.File) (int64, error) {
-	var hdr [magicLen + 4]byte
-	copy(hdr[:], snapMagic)
-	if _, err := f.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	buf := w.ckBuf
-	defer func() { w.ckBuf = buf[:0] }()
-	count, written := 0, int64(len(hdr))
-	for i := range w.eng.shards {
-		sh := &w.eng.shards[i]
-		buf = buf[:0]
-		sh.mu.Lock()
-		for r := range sh.t.all() {
-			start := len(buf)
-			buf = append(append(buf, make([]byte, frameHead)...), r.bytes()...)
-			seal(buf[start:], r.ver)
-		}
-		count += sh.t.size()
-		sh.mu.Unlock()
-		n, err := f.Write(buf)
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	binary.LittleEndian.PutUint32(hdr[magicLen:], uint32(count))
-	_, err := f.WriteAt(hdr[magicLen:], magicLen)
-	return written, err
-}
-
-// readSnapshot streams a checkpoint of size bytes from r through fn
-// and returns how many entries it delivered. Before the first record
-// it hands reserve the entry count the header promises — no more than
-// size bytes of frames can hold, so a corrupt count sizes nothing past
-// the file. Any framing or count mismatch makes the whole file invalid
-// (checkpoints are renamed into place whole, so a bad one should not
-// exist): the caller treats it as absent and discards what fn was
-// given. As with scanRecords, fn's record is valid only during the
-// call.
-func readSnapshot(r io.Reader, size int64, reserve func(entries int), fn func(rec)) (int, error) {
-	var count [4]byte
-	reserved := false
-	n, left, err := scanRecords(r, size, snapMagic, count[:], func(r rec) {
-		if !reserved {
-			reserved = true
-			reserve(int(min(int64(binary.LittleEndian.Uint32(count[:])), size/minFrame)))
-		}
-		fn(r)
-	})
-	if err != nil {
-		return n, fmt.Errorf("%v at offset %d", err, size-left)
-	}
-	if want := binary.LittleEndian.Uint32(count[:]); uint32(n) != want {
-		return n, fmt.Errorf("snapshot holds %d entries, header says %d", n, want)
-	}
-	return n, nil
-}
-
-// loadSnapshot is readSnapshot over the file at path; it also returns
-// the file's size.
-func loadSnapshot(path string, reserve func(entries int), fn func(rec)) (n int, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	n, err = readSnapshot(f, st.Size(), reserve, fn)
-	if err != nil {
-		return n, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return n, st.Size(), nil
-}
-
-// Snapshot forces a log rotation + checkpoint if the un-checkpointed
-// log holds any record, so the next boot replays a checkpoint instead
-// of the whole log. Memory-only engines return nil.
+// Snapshot rotates the log and cleans every sealed segment, so the log
+// becomes the live image — what the next boot replays — plus whatever
+// is written meanwhile. Memory-only engines return nil.
 func (s *Sharded) Snapshot() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.checkpoint(true)
+	return s.wal.maintain(true)
 }
 
-// Backlog reports the bytes of log no checkpoint covers yet — what a
-// reopen would replay — and the size at which the engine will next
-// checkpoint it: max(SnapshotBytes × Shards(), bytes of the newest
-// checkpoint). Both zero for a memory-only engine.
+// Backlog reports the two sides of the cleaning trigger: the bytes of
+// log on disk — what a reopen would replay — and the size at which the
+// cleaner runs, max(SnapshotBytes × Shards(), twice the live image) as
+// of the cleaner's last census. Both zero for a memory-only engine.
 func (s *Sharded) Backlog() (logBytes, checkpointAt int64) {
 	w := s.wal
 	if w == nil {
@@ -260,5 +208,5 @@ func (s *Sharded) Backlog() (logBytes, checkpointAt int64) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.backlog, w.checkpointAt()
+	return w.sealedBytes + w.open, w.cleanAt
 }

@@ -5,34 +5,41 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// snapFiles lists the directory's snapshot and segment file names.
-func snapFiles(t *testing.T, dir string) (snaps, segs []string) {
+// segFiles lists the directory's log segments and their bytes.
+func segFiles(t *testing.T, dir string) (segs []string, size int64) {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("readdir: %v", err)
 	}
 	for _, de := range des {
-		switch {
-		case strings.HasPrefix(de.Name(), "snap."):
-			snaps = append(snaps, de.Name())
-		case strings.HasPrefix(de.Name(), "wal."):
+		if strings.HasPrefix(de.Name(), "wal.") {
+			info, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
 			segs = append(segs, de.Name())
+			size += info.Size()
 		}
 	}
-	return snaps, segs
+	return segs, size
 }
 
-// TestWALSnapshotRotation drives both snapshot triggers — the manual
-// barrier and the segment-size threshold — and expects reopen to come
-// back from snapshot + tail with the exact state and truncated logs.
+// TestWALSnapshotRotation drives both cleaning triggers — the manual
+// Snapshot and the log-size threshold. Snapshot leaves the log as one
+// segment holding the live image, which a reopen replays with the tail
+// on top; the size trigger cleans in the background, the oldest segment
+// first, with no manual call.
 func TestWALSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 2, MerkleBuckets: 32}
@@ -43,12 +50,14 @@ func TestWALSnapshotRotation(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
 	}
+	for i := 0; i < 300; i += 3 {
+		s.Set(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
+	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	snaps, _ := snapFiles(t, dir)
-	if len(snaps) == 0 {
-		t.Fatal("manual Snapshot wrote no snapshot files")
+	if segs, _ := segFiles(t, dir); len(segs) != 1 {
+		t.Fatalf("Snapshot left segments %v, want the one holding the image", segs)
 	}
 	// Post-snapshot writes land in the tail and must replay on top.
 	for i := 0; i < 50; i++ {
@@ -65,39 +74,36 @@ func TestWALSnapshotRotation(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	diffStates(t, "snapshot+tail reopen", rawState(r), want)
-	rec := r.Recovery()
-	if rec.SnapshotEntries == 0 {
-		t.Fatalf("reopen loaded no snapshot entries: %+v", rec)
-	}
-	if rec.WALRecords != 51 {
-		t.Fatalf("tail replay saw %d records, want 51 (50 updates + 1 delete)", rec.WALRecords)
+	if rec := r.Recovery(); rec.WALRecords != 300+51 {
+		t.Fatalf("replay saw %d records, want 351 (the 300-key image, 50 updates, 1 delete)", rec.WALRecords)
 	}
 	r.Close()
 
-	// Size-triggered rotation: a small threshold must produce
-	// snapshots in the background without any manual call.
+	// Size-triggered cleaning: a small threshold must clean in the
+	// background without any manual call, the oldest segment first.
 	dir2 := t.TempDir()
 	s2, err := OpenSharded(opts, WALOptions{Dir: dir2, Fsync: FsyncInterval, SnapshotBytes: 2 << 10})
 	if err != nil {
 		t.Fatalf("open small-threshold: %v", err)
 	}
 	defer s2.Close()
+	passes := counter("store.wal.snapshots")
 	for i := 0; i < 2000; i++ {
 		s2.Set(fmt.Sprintf("key-%d", i%200), []byte(fmt.Sprintf("value-%d", i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snaps, _ := snapFiles(t, dir2)
-		if len(snaps) > 0 {
+		_, err := os.Stat(dir2 + "/wal.1")
+		if os.IsNotExist(err) && counter("store.wal.snapshots") > passes {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("size threshold never triggered a background snapshot")
+			t.Fatal("the size threshold never cleaned the oldest segment")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := s2.Err(); err != nil {
-		t.Fatalf("engine poisoned by background snapshots: %v", err)
+		t.Fatalf("engine poisoned by background cleaning: %v", err)
 	}
 }
 
@@ -223,10 +229,10 @@ func TestRecoveryRestartsLeaveBoundedFiles(t *testing.T) {
 }
 
 // TestRecoveryRefusesV1Layout: a directory written by an earlier layout
-// — v1's per-shard files, v2's one log of length-framed entries, or
-// v3's records that could carry an expiry — is refused with the typed
-// error, and nothing in it is touched: no new manifest, no new segment,
-// no deleted file.
+// — v1's per-shard files, v2's one log of length-framed entries, v3's
+// records that could carry an expiry, or v4's checkpoints and segments
+// without an entry count — is refused with the typed error, and nothing
+// in it is touched: no new manifest, no new segment, no deleted file.
 func TestRecoveryRefusesV1Layout(t *testing.T) {
 	// A v2 frame of "k" = "v" at version 1: payload length and CRC,
 	// then flags, version, expireAt, key length, key, value length and
@@ -240,6 +246,9 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 	v3Frame := binary.LittleEndian.AppendUint64(make([]byte, 4), 1)
 	v3Frame = append(v3Frame, 2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 'v')
 	binary.LittleEndian.PutUint32(v3Frame, crc32.Checksum(v3Frame[4:], crcTable))
+	// A v4 frame is today's; its segment has no entry count, and a
+	// checkpoint may sit beside it.
+	v4Frame := appendFrame(nil, "k", Entry{Value: []byte("v"), Version: 1}, false)
 	for _, c := range []struct {
 		version int
 		files   map[string][]byte
@@ -256,6 +265,11 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 		{3, map[string][]byte{
 			"WALMETA": []byte("pdcedu-wal v3\nshards 2\nbuckets 32\n"),
 			"wal.1":   append([]byte("PDCWAL2\n"), v3Frame...),
+		}},
+		{4, map[string][]byte{
+			"WALMETA": []byte("pdcedu-wal v4\nshards 2\nbuckets 32\n"),
+			"wal.2":   append([]byte("PDCWAL2\n"), v4Frame...),
+			"snap.1":  binary.LittleEndian.AppendUint32([]byte("PDCSNP2\n"), 0),
 		}},
 	} {
 		t.Run(fmt.Sprintf("v%d", c.version), func(t *testing.T) {
@@ -277,32 +291,33 @@ func TestRecoveryRefusesV1Layout(t *testing.T) {
 	}
 }
 
-// pacedSet is Set by a writer that waits out every checkpoint it makes
-// due — the rotation and the image behind it — so checkpoints land
-// exactly where the trigger puts them, hold exactly the writes before
-// them, and can be counted. It returns the threshold in force after
-// the write.
-func pacedSet(t *testing.T, s *Sharded, key string, val []byte) int64 {
+// pacedSet is Set by a writer that waits out the cleaner work it makes
+// due — a rotation, the passes behind it — so passes land exactly where
+// the trigger puts them and can be counted. It returns the log and the
+// threshold in force after the write.
+func pacedSet(t *testing.T, s *Sharded, key string, val []byte) (log, at int64) {
 	t.Helper()
 	s.Set(key, val)
+	w := s.wal
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		// ckMu is held from before a rotation until its image is in
-		// place, so under it the backlog and threshold are settled.
-		if !s.wal.ckMu.TryLock() {
-			time.Sleep(100 * time.Microsecond)
-			continue
-		}
-		log, at := s.Backlog()
-		s.wal.ckMu.Unlock()
-		if log < at {
-			return at
+		// ckMu is held through a rotation and its passes, so under it
+		// the log and the threshold are settled.
+		if w.ckMu.TryLock() {
+			w.mu.Lock()
+			due := w.due()
+			w.mu.Unlock()
+			log, at = s.Backlog()
+			w.ckMu.Unlock()
+			if !due {
+				return log, at
+			}
 		}
 		if err := s.Err(); err != nil {
-			t.Fatalf("engine poisoned waiting for a checkpoint: %v", err)
+			t.Fatalf("engine poisoned waiting for the cleaner: %v", err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("checkpoint due at %d bytes never ran (backlog %d)", at, log)
+			t.Fatalf("cleaning due at %d bytes never ran (log %d)", at, log)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -315,148 +330,230 @@ const pacingRecord = frameHead + baseHeader + 8 + 100
 
 func pacingKey(i int) string { return fmt.Sprintf("key-%04d", i) }
 
-// TestCheckpointPacedByImage is the pacing rule end to end: one writer
-// overwrites a fixed key set whose image is far above the floor for
-// twelve images' worth of log, across clean restarts. Checkpoints must
-// write no more than the log did (plus one image), come once per image
-// of log, and leave every reopen at most one image of log to replay —
-// restarts included, since replayed log counts toward the trigger.
+// amplification runs sets of 100-byte values at the keys pick returns,
+// each paced, and returns the log bytes they cost — the cleaner's
+// copies included — per byte of user frames.
+func amplification(t *testing.T, s *Sharded, sets int, pick func(i int) int, each func(i int, log, at int64)) float64 {
+	t.Helper()
+	val := make([]byte, 100)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appended, copied := counter("store.wal.append_bytes"), counter("store.wal.snapshot_bytes")
+	for i := 0; i < sets; i++ {
+		val[0] = byte(i)
+		log, at := pacedSet(t, s, pacingKey(pick(i)), val)
+		if each != nil {
+			each(i, log, at)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appended = counter("store.wal.append_bytes") - appended
+	if copied = counter("store.wal.snapshot_bytes") - copied; appended != int64(sets)*pacingRecord+copied {
+		t.Fatalf("appended %d log bytes for %d sets and %d copied bytes", appended, sets, copied)
+	}
+	return float64(appended) / float64(sets*pacingRecord)
+}
+
+// TestCheckpointPacedByImage is the cleaner's pacing end to end: one
+// writer overwrites a fixed key set, uniformly at random, whose image is
+// above half the floor, for ten images' worth of log, across clean
+// restarts. Once the log has reached two images, the log writes no more
+// than 1.4 bytes per byte of user frames (the cleaned segment is about
+// a fifth live; a whole-image checkpoint per image of log made it 2),
+// the files on disk never hold more than two images and a segment, and
+// no reopen replays more than that.
 func TestCheckpointPacedByImage(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	opts := Options{Shards: 4, MerkleBuckets: 64}
-	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 10}
-	const keys, sets = 400, 12 * 400
-	val := make([]byte, 100)
+	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 8 << 10}
+	const keys = 400
+	const image, segBytes = keys * pacingRecord, 4 * (8 << 10) / segShare
 
 	s, err := OpenSharded(opts, wopts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	for i := 0; i < keys; i++ {
-		s.Set(pacingKey(i), val)
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	const image = magicLen + 4 + keys*pacingRecord
-	if _, at := s.Backlog(); at != image {
-		t.Fatalf("threshold after a %d-byte checkpoint is %d, want the image", image, at)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	snaps0, snapBytes0, appended0 := counter("store.wal.snapshots"), counter("store.wal.snapshot_bytes"), counter("store.wal.append_bytes")
-
-	for i := 0; i < sets; i++ {
-		val[0] = byte(i)
-		pacedSet(t, s, pacingKey(i%keys), val)
-		if i%1000 != 999 {
-			continue
-		}
+	uniform := func(int) int { return rng.Intn(keys) }
+	amplification(t, s, keys, func(i int) int { return i }, nil)
+	amplification(t, s, 2*keys, uniform, nil) // the log reaches two images
+	passes := counter("store.wal.snapshots")
+	var amp float64
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
+		amp += amplification(t, s, 10*keys/rounds, uniform, func(i int, log, at int64) {
+			if at != 2*image {
+				t.Fatalf("threshold %d after set %d, want twice the %d-byte image", at, i, image)
+			}
+			if i%100 == 0 {
+				if _, size := segFiles(t, dir); size > 2*image+segBytes {
+					t.Fatalf("%d bytes of segments on disk after set %d, more than two %d-byte images and a segment", size, i, image)
+				}
+			}
+		}) / rounds
 		want := rawState(s)
 		if err := s.Close(); err != nil {
-			t.Fatalf("close at %d: %v", i, err)
+			t.Fatalf("close after round %d: %v", round, err)
 		}
 		if s, err = OpenSharded(opts, wopts); err != nil {
-			t.Fatalf("reopen at %d: %v", i, err)
+			t.Fatalf("reopen after round %d: %v", round, err)
 		}
-		diffStates(t, fmt.Sprintf("reopen at %d", i), rawState(s), want)
-		rec := s.Recovery()
-		if rec.SnapshotEntries != keys {
-			t.Fatalf("reopen at %d loaded %d checkpoint entries, want %d", i, rec.SnapshotEntries, keys)
-		}
-		if replayed := int64(rec.WALRecords) * pacingRecord; replayed > image+walFlushBytes {
-			t.Fatalf("reopen at %d replayed %d log bytes on a %d-byte image", i, replayed, image)
-		}
-		if log, at := s.Backlog(); at != image || log < int64(rec.WALRecords)*pacingRecord {
-			t.Fatalf("reopen at %d: backlog %d, threshold %d; want the %d replayed records counted against the loaded image %d",
-				i, log, at, rec.WALRecords, image)
+		diffStates(t, fmt.Sprintf("reopen after round %d", round), rawState(s), want)
+		if replayed := int64(s.Recovery().WALRecords) * pacingRecord; replayed > 2*image+segBytes {
+			t.Fatalf("reopen after round %d replayed %d log bytes on a %d-byte image", round, replayed, image)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-
-	snaps := counter("store.wal.snapshots") - snaps0
-	snapBytes := counter("store.wal.snapshot_bytes") - snapBytes0
-	appended := counter("store.wal.append_bytes") - appended0
-	if appended != sets*pacingRecord {
-		t.Fatalf("appended %d log bytes, want %d", appended, sets*pacingRecord)
-	}
-	if snapBytes != snaps*image {
-		t.Fatalf("store.wal.snapshot_bytes advanced %d over %d checkpoints of %d bytes", snapBytes, snaps, image)
-	}
-	if snapBytes > appended+image {
-		t.Fatalf("checkpoints wrote %d bytes for %d of log: more than the log plus one image", snapBytes, appended)
-	}
-	if want := appended / image; snaps < want-1 || snaps > want+1 {
-		t.Fatalf("%d checkpoints for %d images' worth of log", snaps, want)
+	t.Logf("%.3f log bytes per byte of user frames over %d passes", amp, counter("store.wal.snapshots")-passes)
+	if amp > 1.4 {
+		t.Fatalf("uniform overwrites cost %.3f log bytes per byte of user frames, want at most 1.4", amp)
 	}
 }
 
-// TestCheckpointFloor: a store whose image is below SnapshotBytes ×
-// Shards() checkpoints at that floor, as it did before checkpoints were
-// paced by the image.
+// TestCheckpointFloor: a store whose image is below half of
+// SnapshotBytes × Shards() cleans at that floor and not before it, and
+// a pass over a segment whose every record was rewritten since copies
+// nothing.
 func TestCheckpointFloor(t *testing.T) {
-	const floor = 4 * (4 << 10)
+	const floor, segBytes = 4 * (4 << 10), 4 * (4 << 10) / segShare
 	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64},
 		WALOptions{Dir: t.TempDir(), Fsync: FsyncNever, SnapshotBytes: 4 << 10})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer s.Close()
-	snaps0 := counter("store.wal.snapshots")
-	val := make([]byte, 100)
-	const sets = 5 * floor / pacingRecord
-	for i := 0; i < sets; i++ {
-		if at := pacedSet(t, s, pacingKey(i%20), val); at != floor {
-			t.Fatalf("threshold %d after set %d, want the floor %d (the image is %d bytes)", at, i, floor, 20*pacingRecord)
+	passes := counter("store.wal.snapshots")
+	var maxLog int64
+	amp := amplification(t, s, 5*floor/pacingRecord, func(i int) int { return i % 20 }, func(i int, log, at int64) {
+		if at != floor || log >= floor {
+			t.Fatalf("log %d, threshold %d after set %d, want below the floor %d (the image is %d bytes)", log, at, i, floor, 20*pacingRecord)
 		}
+		maxLog = max(maxLog, log)
+	})
+	if passes = counter("store.wal.snapshots") - passes; passes < 4 {
+		t.Fatalf("%d passes for five floors' worth of log", passes)
 	}
-	if snaps := counter("store.wal.snapshots") - snaps0; snaps != 4 && snaps != 5 {
-		t.Fatalf("%d checkpoints for five floors' worth of log, want one per floor", snaps)
+	if maxLog < floor-segBytes-pacingRecord {
+		t.Fatalf("the log never grew past %d bytes: cleaned below the %d-byte floor", maxLog, floor)
+	}
+	if amp != 1 {
+		t.Fatalf("%.3f log bytes per byte of user frames: a pass copied a record rewritten since", amp)
 	}
 }
 
-// TestCheckpointGrowthIsGeometric: a store that only grows checkpoints
-// at doubling intervals — each image is as large as all the log before
-// it — so 64 floors' worth of inserts take about log2(64) checkpoints,
-// not 64, and they write no more than twice what the log did.
-func TestCheckpointGrowthIsGeometric(t *testing.T) {
-	const floor = 4 * (1 << 10)
+// TestCheckpointSkipsGrowth: a store that only grows keeps its log at
+// one image, below twice the image, so 64 floors' worth of inserts are
+// never cleaned and the log holds exactly the frames written.
+func TestCheckpointSkipsGrowth(t *testing.T) {
+	const floor, segBytes = 4 * (1 << 10), 4 * (1 << 10) / segShare
+	dir := t.TempDir()
 	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64},
-		WALOptions{Dir: t.TempDir(), Fsync: FsyncNever, SnapshotBytes: 1 << 10})
+		WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 10})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer s.Close()
-	snaps0, snapBytes0 := counter("store.wal.snapshots"), counter("store.wal.snapshot_bytes")
-	val := make([]byte, 100)
+	passes := counter("store.wal.snapshots")
 	const sets = 64 * floor / pacingRecord
-	thresholds := []int64{floor}
-	for i := 0; i < sets; i++ {
-		if at := pacedSet(t, s, pacingKey(i), val); at != thresholds[len(thresholds)-1] {
-			thresholds = append(thresholds, at)
+	amp := amplification(t, s, sets, func(i int) int { return i }, func(i int, log, at int64) {
+		// The threshold is twice the image as of the last rotation's
+		// census, at most a segment of inserts ago.
+		if image := int64(i+1) * pacingRecord; at < max(floor, 2*(image-segBytes)) || at > max(floor, 2*image) {
+			t.Fatalf("threshold %d after %d inserts, want twice the %d-byte image, a segment ago", at, i+1, image)
 		}
+	})
+	if passes = counter("store.wal.snapshots") - passes; passes != 0 || amp != 1 {
+		t.Fatalf("%d passes, %.3f log bytes per byte of user frames, for a store that only grew", passes, amp)
 	}
-	// The first image is one floor of log, so the threshold first moves
-	// at the second checkpoint; from there every one doubles it.
-	for i := 2; i < len(thresholds); i++ {
-		if prev, at := thresholds[i-1], thresholds[i]; at < prev*19/10 || at > prev*21/10 {
-			t.Fatalf("thresholds %v: step %d is not a doubling", thresholds, i)
-		}
-	}
-	snaps := counter("store.wal.snapshots") - snaps0
-	if snaps < 6 || snaps > 8 {
-		t.Fatalf("%d checkpoints for 64 floors' worth of inserts (thresholds %v), want about log2(64)+1", snaps, thresholds)
-	}
-	if snapBytes := counter("store.wal.snapshot_bytes") - snapBytes0; snapBytes > 2*sets*pacingRecord {
-		t.Fatalf("checkpoints wrote %d bytes for %d of log while growing: more than twice the log", snapBytes, sets*pacingRecord)
+	segs, size := segFiles(t, dir)
+	if want := int64(sets*pacingRecord + len(segs)*segHead); size != want {
+		t.Fatalf("%d bytes in %d segments, want the %d frames written and the headers (%d)", size, len(segs), sets, want)
 	}
 }
 
+// TestCheckpointHotCold: a history whose cold keys, written once, sit
+// in the oldest segments, while a hot tenth of the keys is overwritten,
+// copies the cold image once a lap: the log writes at most twice the
+// user frames, the worst case's bound.
+func TestCheckpointHotCold(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	s, err := OpenSharded(Options{Shards: 4, MerkleBuckets: 64},
+		WALOptions{Dir: t.TempDir(), Fsync: FsyncNever, SnapshotBytes: 8 << 10})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	const cold, hot = 400, 40
+	hotKey := func(int) int { return cold + rng.Intn(hot) }
+	amplification(t, s, cold+hot, func(i int) int { return i }, nil)
+	amplification(t, s, 2*(cold+hot), hotKey, nil) // the log reaches two images
+	amp := amplification(t, s, 10*(cold+hot), hotKey, nil)
+	t.Logf("%.3f log bytes per byte of user frames", amp)
+	if amp > 2 {
+		t.Fatalf("hot/cold overwrites cost %.3f log bytes per byte of user frames, want at most 2", amp)
+	}
+}
+
+// TestCheckpointKeepsConcurrentWrites: four writers overwrite, delete
+// and purge one key set while the background cleaner runs at a small
+// floor. A clean reopen must replay exactly the state they left: a copy
+// appended after a newer write of its key would bring the older record
+// back.
+func TestCheckpointKeepsConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 4, MerkleBuckets: 64}
+	wopts := WALOptions{Dir: dir, Fsync: FsyncNever, SnapshotBytes: 1 << 10}
+	s, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	passes := counter("store.wal.snapshots")
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range 1500 {
+				k := pacingKey(rng.Intn(100))
+				switch rng.Intn(10) {
+				case 0:
+					s.Delete(k)
+				case 1:
+					s.Purge(k, math.MaxUint64)
+				default:
+					s.Set(k, make([]byte, rng.Intn(40)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := rawState(s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if counter("store.wal.snapshots") == passes {
+		t.Fatal("no cleaning pass ran alongside the writers")
+	}
+	r, err := OpenSharded(opts, wopts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	diffStates(t, "reopen after concurrent writes and cleaning", rawState(r), want)
+}
+
 // TestRecoveryCountsReplayedLog: a node that restarts more often than
-// it logs one threshold must still checkpoint — the segments a reopen
+// it logs one threshold must still clean — the segments a reopen
 // replays count toward the trigger — so neither the directory nor the
 // replay grows with the number of restarts.
 func TestRecoveryCountsReplayedLog(t *testing.T) {
@@ -468,40 +565,44 @@ func TestRecoveryCountsReplayedLog(t *testing.T) {
 	// ~2 KiB of log an incarnation, a quarter of the floor, over a key
 	// set whose image stays below it.
 	const perOpen, keys = 15, 40
+	var at int64
 	for open := 0; open < 24; open++ {
 		s, err := OpenSharded(opts, wopts)
 		if err != nil {
 			t.Fatalf("open %d: %v", open, err)
 		}
-		if replayed := int64(s.Recovery().WALRecords) * pacingRecord; replayed > floor+pacingRecord {
-			t.Fatalf("open %d replayed %d log bytes, more than the %d-byte threshold", open, replayed, floor)
+		// Everything on disk is replayed, and the writer below left it
+		// under the threshold in force.
+		if replayed := int64(s.Recovery().WALRecords) * pacingRecord; replayed > max(floor, at) {
+			t.Fatalf("open %d replayed %d log bytes, more than the %d-byte threshold", open, replayed, max(floor, at))
 		}
-		if _, segs := snapFiles(t, dir); len(segs) > floor/(perOpen*pacingRecord)+2 {
+		if segs, _ := segFiles(t, dir); len(segs) > int(2*max(floor, at)/(floor/segShare))+2 {
 			t.Fatalf("open %d found %d segments stacked: %v", open, len(segs), segs)
 		}
 		if got := s.Len(); got != min(open*perOpen, keys) {
 			t.Fatalf("open %d recovered %d keys, want %d", open, got, min(open*perOpen, keys))
 		}
 		for i := 0; i < perOpen; i++ {
-			pacedSet(t, s, pacingKey((open*perOpen+i)%keys), val)
+			_, at = pacedSet(t, s, pacingKey((open*perOpen+i)%keys), val)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close %d: %v", open, err)
 		}
 	}
-	if snaps, _ := snapFiles(t, dir); len(snaps) != 1 {
-		t.Fatalf("24 restarts left checkpoints %v, want exactly one", snaps)
+	if _, size := segFiles(t, dir); size > at {
+		t.Fatalf("24 restarts left %d bytes of log, more than the %d-byte threshold", size, at)
 	}
 }
 
-// BenchmarkCheckpoint times and counts one checkpoint of a warm
-// 128-shard engine — 50k keys of 9 + 128 bytes, ~61 KiB of frames a
-// shard — each op rewriting one key first so the manual checkpoint is
-// due. The engine's first checkpoint, before the timer, sizes the shard
-// copy, so what an op allocates is the checkpoint's files and names,
-// never a copy: scripts/allocgate.sh holds its B/op far below one
-// shard's frames.
-func BenchmarkCheckpoint(b *testing.B) {
+// BenchmarkCleanPass times and counts one cleaning pass over a warm
+// 128-shard engine's whole image — 50k keys of 9 + 128 bytes, one
+// segment of ~7.8 MB — each op rewriting one key first, so that
+// Snapshot has a segment to seal and clean. Every live record is read
+// through the wal's one buffered reader and frame buffer and copied
+// through the log's own buffer, so what an op allocates is the pass's
+// files and names: scripts/allocgate.sh holds its B/op far below the
+// 64 KiB a reader of its own would cost.
+func BenchmarkCleanPass(b *testing.B) {
 	s, err := OpenSharded(Options{Shards: 128}, WALOptions{Dir: b.TempDir(), Fsync: FsyncNever})
 	if err != nil {
 		b.Fatal(err)
@@ -516,6 +617,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if err := s.Snapshot(); err != nil {
 		b.Fatal(err)
 	}
+	copied := counter("store.wal.snapshot_bytes")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -524,15 +626,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if n := counter("store.wal.snapshot_bytes") - copied; n != int64(b.N*len(keys)*156) {
+		b.Fatalf("%d passes copied %d bytes, want the whole image each", b.N, n)
+	}
 }
 
-// BenchmarkReopen counts one OpenSharded of a checkpointed 128-shard
-// engine — 50k keys of 9 + 128 bytes, all in the checkpoint, no log
-// to replay — closed again before the next. A reopen allocates each
-// key's record and, per shard, one index sized from the checkpoint's
-// entry count: scripts/allocgate.sh holds its allocs/op under what
-// doubling 128 tables up from 8 slots again would add (two
-// allocations a doubling, six doublings a shard).
+// BenchmarkReopen counts one OpenSharded of a 128-shard engine whose
+// log is its image — 50k keys of 9 + 128 bytes in one segment, written
+// by Snapshot — closed again before the next. A reopen allocates each
+// key's record and, per shard, one index sized from the entry count the
+// newest segment's header carries: scripts/allocgate.sh holds its
+// allocs/op under what doubling 128 tables up from 8 slots again would
+// add (two allocations a doubling, six doublings a shard).
 func BenchmarkReopen(b *testing.B) {
 	dir := b.TempDir()
 	o, wo := Options{Shards: 128}, WALOptions{Dir: dir, Fsync: FsyncNever}
@@ -557,8 +663,8 @@ func BenchmarkReopen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rs := r.Recovery(); rs.SnapshotEntries != 50_000 || rs.WALRecords != 0 {
-			b.Fatalf("reopen recovered %d checkpointed entries and %d log records, want 50000 and 0", rs.SnapshotEntries, rs.WALRecords)
+		if rs := r.Recovery(); rs.WALRecords != 50_000 {
+			b.Fatalf("reopen replayed %d log records, want the 50000 of the image", rs.WALRecords)
 		}
 		if err := r.Close(); err != nil {
 			b.Fatal(err)

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"hash/maphash"
-	"iter"
 	"math"
 	"slices"
 	"sync"
@@ -34,6 +33,10 @@ type table struct {
 	// live counts non-tombstone entries: live == number of entries
 	// with Tombstone == false.
 	live int
+	// image is the log bytes the resident records take as frames — a
+	// frame's CRC and version plus the record: what the log holds live,
+	// and what the cleaner paces itself by (snapshot.go).
+	image int64
 }
 
 // shard is one table behind its own mutex, padded out to whole 64-byte
@@ -120,6 +123,7 @@ func (t *table) replace(i int, tag byte, r rec) {
 	was := false
 	if t.tags[i]&tagFull != 0 {
 		was = t.liveAt(i)
+		t.image -= frameLen(t.slots[i])
 	} else {
 		if t.tags[i] == tagEmpty {
 			if t.used >= len(t.tags)/8*7 {
@@ -132,6 +136,7 @@ func (t *table) replace(i int, tag byte, r rec) {
 		t.n++
 	}
 	t.slots[i] = r
+	t.image += frameLen(r)
 	t.account(was, !r.tombstone(), k)
 }
 
@@ -160,6 +165,7 @@ func (t *table) remove(i int) string {
 	if !t.slots[i].tombstone() {
 		t.live--
 	}
+	t.image -= frameLen(t.slots[i])
 	t.slots[i] = rec{}
 	t.n--
 	if t.tags[(i+1)&(len(t.tags)-1)] == tagEmpty {
@@ -219,10 +225,10 @@ func (t *table) reserve(n int) {
 // little-endian, klen widening to 4 bytes for a key over 64 KiB. A
 // 9-byte key and a 128-byte value make exactly the 144-byte size class.
 // The version lives beside the pointer in the slot, where merge and
-// sweep compare it. The log and checkpoints store this same layout
-// byte for byte behind a CRC and the version (wal.go), so a checkpoint
-// copies a resident record out as it is and replay copies the record
-// it read over the resident one, or into a new one (install).
+// sweep compare it. The log stores this same layout byte for byte
+// behind a CRC and the version (wal.go), so the cleaner re-appends a
+// resident record as it is and replay copies the record it read over
+// the resident one, or into a new one (install).
 //
 // The rule that makes the aliasing safe: no slice of a record outlives
 // the shard lock, so any write of the same length — the same key and an
@@ -324,6 +330,9 @@ func (r rec) bytes() []byte {
 	return unsafe.Slice(r.p, hdr+klen+vlen)
 }
 
+// frameLen is the log bytes r takes as a frame: CRC, version, record.
+func frameLen(r rec) int64 { return int64(frameHead + len(r.bytes())) }
+
 // clone copies r into an allocation of its own: what replay makes of a
 // record it read into a reused buffer when no resident record of its
 // length can take it (install).
@@ -357,6 +366,15 @@ func (r rec) entry() Entry {
 		e.Value = b[hdr+klen : len(b) : len(b)]
 	}
 	return e
+}
+
+// lookup returns key's resident record, which aliases the table and
+// is valid only under the shard lock.
+func (t *table) lookup(key string) (rec, bool) {
+	if i, _, ok := t.find(key); ok {
+		return t.slots[i], true
+	}
+	return rec{}, false
 }
 
 // appendLoad returns key's raw entry, tombstones included, with its
@@ -438,17 +456,6 @@ func (t *table) purge(key string, ver uint64) bool {
 
 // size reports the resident entries, tombstones included.
 func (t *table) size() int { return t.n }
-
-// all iterates every resident record, tombstones included.
-func (t *table) all() iter.Seq[rec] {
-	return func(yield func(rec) bool) {
-		for i, tag := range t.tags {
-			if tag&tagFull != 0 && !yield(t.slots[i]) {
-				return
-			}
-		}
-	}
-}
 
 // scan calls fn with every entry of the Merkle buckets want marks (the
 // engine's scanBuckets), decoding only those, and reports whether it

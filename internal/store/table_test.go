@@ -503,9 +503,9 @@ func TestOneAllocationPerRecord(t *testing.T) {
 
 // TestRecoveryBuildsEachRecordOnce: replay hands each decoded key and
 // value to the table once — at most one allocation per record replayed
-// (none for this log tail, whose records rewrite the checkpoint's in
-// place), plus the index's growth and a constant for the files — never
-// a decoded copy that is then copied again.
+// (none for this log tail, whose records rewrite the image's in place),
+// plus the index's growth and a constant for the files — never a
+// decoded copy that is then copied again.
 func TestRecoveryBuildsEachRecordOnce(t *testing.T) {
 	const n = 20_000
 	dir := t.TempDir()
@@ -531,8 +531,8 @@ func TestRecoveryBuildsEachRecordOnce(t *testing.T) {
 	}
 	defer r.Close()
 	rs := r.Recovery()
-	if rs.SnapshotEntries != n || rs.WALRecords != n || r.Len() != n {
-		t.Fatalf("recovered %d entries + %d records into %d keys, want %d each", rs.SnapshotEntries, rs.WALRecords, r.Len(), n)
+	if rs.WALRecords != 2*n || r.Len() != n {
+		t.Fatalf("recovered %d records into %d keys, want %d into %d", rs.WALRecords, r.Len(), 2*n, n)
 	}
 	if per := float64(after.Mallocs-before.Mallocs) / (2 * n); per > 1.1 {
 		t.Errorf("%.3f allocations per replayed record, want 1 plus index growth (<= 1.1)", per)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,18 +20,20 @@ import (
 
 // This file is the write-ahead side of the engine's persistence seam:
 // one append-only log of CRC-framed versioned records per engine,
-// shared by every shard, with group-commit fsync batching. snapshot.go
-// rotates the log under periodic checkpoints; recovery.go replays
-// checkpoint + tail on open.
+// shared by every shard, with group-commit fsync batching. The log is
+// the engine's only on-disk structure: snapshot.go rotates it into
+// segments and cleans the oldest one at a time; recovery.go replays
+// every segment on open.
 //
 // On-disk layout of a WAL directory (one engine):
 //
 //	WALMETA     manifest pinning layout version, shard count and
 //	            Merkle buckets
-//	wal.<G>     log segment, generation G
-//	snap.<G>    checkpoint of the whole engine covering segments <= G
+//	wal.<G>     log segment, generation G; the highest is the open one
 //
-// Each segment starts with an 8-byte magic, then one frame per record:
+// Each segment starts with a 12-byte header — an 8-byte magic and, as a
+// u32, the engine's resident entries when the segment was created,
+// which a reopen sizes its tables from — then one frame per record:
 //
 //	u32 CRC-32C of the rest | u64 version | record
 //	record = flags(1) | klen(2, or 4 past 64 KiB) | vlen(4) | key | value
@@ -108,10 +111,10 @@ type WALOptions struct {
 	// Interval is the background fsync cadence under FsyncInterval
 	// (default 100ms).
 	Interval time.Duration
-	// SnapshotBytes, per shard, is the floor under the checkpoint
-	// trigger: the log rotates and the engine is checkpointed once the
-	// un-checkpointed log is as large as the image it would replace,
-	// and never before it holds SnapshotBytes × Shards() (default
+	// SnapshotBytes, per shard, is the floor under the cleaning
+	// trigger: the oldest segment is cleaned while the log holds at
+	// least max(SnapshotBytes × Shards(), twice the live image), and
+	// the open segment rotates every quarter of that floor (default
 	// 8 MiB per shard). See snapshot.go.
 	SnapshotBytes int64
 	// OpenFile opens a log segment for appending, creating it when
@@ -146,7 +149,7 @@ func (o WALOptions) withDefaults() WALOptions {
 // stop, FsyncAlways writers stop acking — and only a reopen (which
 // replays the intact prefix) clears it.
 type WALError struct {
-	Op   string // "write", "sync", "rotate", "snapshot", "closed"
+	Op   string // "write", "sync", "rotate", "clean", "closed"
 	Path string
 	Err  error
 }
@@ -162,11 +165,16 @@ var errWALClosed = errors.New("log is closed")
 // Record framing.
 
 const (
-	walMagic  = "PDCWAL2\n"
-	snapMagic = "PDCSNP2\n"
+	walMagic  = "PDCWAL3\n"
 	magicLen  = 8
+	segHead   = magicLen + 4           // magic + u32 entry count
 	frameHead = 4 + 8                  // u32 crc + u64 version
 	minFrame  = frameHead + baseHeader // an empty key and value
+
+	// segShare is how many segments make a floor: small enough a share
+	// that the oldest segment is all of an age, so cleaning it copies
+	// little, large enough that a reopen opens few files.
+	segShare = 4
 
 	// walFlushBytes bounds the in-memory log buffer: the writer that
 	// grows it past this writes it out, so one write syscall carries
@@ -236,11 +244,15 @@ func decodeFrame(b []byte) (rec, int, error) {
 
 // recordReader streams records through one reusable frame buffer. left
 // is what remains of the source: a length read from disk is checked
-// against it before anything is allocated.
+// against it before anything is allocated. The wal keeps one, with the
+// buffered reader open reads a segment through, so neither a cleaning
+// pass nor a replayed segment allocates either.
 type recordReader struct {
 	r    io.Reader
 	left int64
 	buf  []byte
+	br   *bufio.Reader
+	head [segHead]byte
 }
 
 // next decodes the next record, which aliases the frame buffer and is
@@ -286,21 +298,30 @@ func (rr *recordReader) fill(p []byte) error {
 	return err
 }
 
-// scanRecords streams a segment or checkpoint of size bytes — magic,
-// len(hdr) more header bytes (copied out into hdr), then records —
-// through apply, whose record aliases a reused frame buffer and is
-// valid only during the call. It returns the records delivered and, if
-// it stopped early, the bytes left unread and why: torn, corrupt (a bad
-// magic included), or a read error.
-func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(rec)) (records int, left int64, err error) {
-	head := make([]byte, magicLen+len(hdr))
-	rr := recordReader{r: bufio.NewReaderSize(r, 64<<10), left: size - int64(len(head))}
-	if err := rr.fill(head); err != nil && err != errTornRecord {
-		return 0, size, err
-	} else if err != nil || string(head[:magicLen]) != magic {
-		return 0, size, errCorruptRecord
+// open starts a read of a segment of size bytes from r, through the
+// buffered reader: it reads the header and returns the entry count it
+// carries. A source that ends within the header, or whose magic is not
+// the log's, is corrupt; any other failure is a read error.
+func (rr *recordReader) open(r io.Reader, size int64) (uint32, error) {
+	if rr.br == nil {
+		rr.br = bufio.NewReaderSize(r, 64<<10)
+	} else {
+		rr.br.Reset(r)
 	}
-	copy(hdr, head[magicLen:])
+	rr.r, rr.left = rr.br, size-segHead
+	if err := rr.fill(rr.head[:]); err != nil && err != errTornRecord {
+		return 0, err
+	} else if err != nil || string(rr.head[:magicLen]) != walMagic {
+		return 0, errCorruptRecord
+	}
+	return binary.LittleEndian.Uint32(rr.head[magicLen:]), nil
+}
+
+// each streams the records of the segment open started through apply,
+// whose record aliases the frame buffer and is valid only during the
+// call. It returns the records delivered and, if it stopped early, the
+// bytes left unread and why: torn, corrupt, or a read error.
+func (rr *recordReader) each(apply func(rec)) (records int, left int64, err error) {
 	for {
 		r, err := rr.next()
 		if err == io.EOF {
@@ -314,6 +335,13 @@ func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(r
 	}
 }
 
+// entriesFor is what a reopen reserves for a header's entry count over
+// a log of size bytes: no more entries than those bytes of frames can
+// hold, so a corrupt count sizes nothing past the files.
+func entriesFor(count uint32, size int64) int {
+	return int(min(int64(count), size/minFrame))
+}
+
 // wal is the persistence state of a Sharded opened with OpenSharded:
 // one open segment shared by every shard, and the group-commit state
 // that lets all of them ride one flush. Appends land in buf under mu,
@@ -323,14 +351,18 @@ func scanRecords(r io.Reader, size int64, magic string, hdr []byte, apply func(r
 // while the disk works and everything sealed under one swap is acked
 // together.
 type wal struct {
-	o     WALOptions
-	eng   *Sharded
-	floor int64 // SnapshotBytes × Shards(): the least backlog worth a checkpoint
+	o   WALOptions
+	eng *Sharded
+	// floor is SnapshotBytes × Shards(), the least log worth cleaning,
+	// and segBytes its segShare-th part, the size the open segment
+	// rotates at.
+	floor, segBytes int64
 
 	// failed is the sticky first error; once set the engine is
 	// poisoned (see WALError).
-	failed atomic.Pointer[WALError]
-	closed atomic.Bool
+	failed    atomic.Pointer[WALError]
+	closed    atomic.Bool
+	closeOnce sync.Once
 
 	mu   sync.Mutex
 	cond sync.Cond
@@ -345,12 +377,12 @@ type wal struct {
 	f    WALFile
 	path string
 	gen  uint64
-	// backlog is the un-checkpointed log: the bytes of every segment a
-	// reopen would replay — those retained at open, the open one on
-	// file — plus buf. image is the bytes of the newest checkpoint,
-	// written or loaded. Between them they pace checkpoints (see
-	// checkpointAt).
-	backlog, image int64
+	// open is the bytes of the open segment, its file and buf, and
+	// sealedBytes those of the sealed segments still on disk: their sum
+	// is the log, what a reopen would replay. cleanAt is the log at
+	// which the cleaner runs, max(floor, twice the live image) as of its
+	// last census (snapshot.go).
+	open, sealedBytes, cleanAt int64
 
 	// seq numbers appended records; flushed is the highest seq handed to
 	// the file, durable the highest known to be on stable storage. The
@@ -359,15 +391,30 @@ type wal struct {
 	seq, flushed, durable uint64
 	flushing              bool
 
-	ckMu sync.Mutex // one checkpoint at a time (background loop vs Snapshot)
-	// ckBuf is the shard copy a checkpoint writes from (streamShards),
-	// kept across checkpoints at its largest shard's size; ckMu guards it.
-	ckBuf []byte
-	snapC chan struct{} // size-trigger token for the checkpoint loop
-	stop  chan struct{}
-	bg    sync.WaitGroup
+	ckMu sync.Mutex // one cleaner run at a time (background loop vs Snapshot)
+	// sealed lists the sealed segments, oldest first, and rr reads them
+	// back, one buffered reader and frame buffer for every pass; head is
+	// the header a new segment starts with, and dir the data directory,
+	// held open for the fsyncs that make a segment's creation and
+	// deletion durable. ckMu guards all four, so a pass allocates only
+	// the files it opens.
+	sealed []segment
+	rr     recordReader
+	head   [segHead]byte
+	dir    *os.File
+	snapC  chan struct{} // size-trigger token for the cleaner loop
+	stop   chan struct{}
+	bg     sync.WaitGroup
 
 	rec RecoveryStats
+}
+
+// segment is a sealed log segment: its generation, its bytes and its
+// path.
+type segment struct {
+	gen  uint64
+	size int64
+	path string
 }
 
 // poison records the engine's first fatal log error and wakes every
@@ -395,20 +442,31 @@ func (w *wal) append(key string, e Entry, purge bool) uint64 {
 	}
 	before := len(w.buf)
 	w.buf = appendFrame(w.buf, key, e, purge)
-	w.backlog += int64(len(w.buf) - before)
+	w.open += int64(len(w.buf) - before)
 	w.seq++
-	seq, due := w.seq, w.backlog >= w.checkpointAt()
+	seq, due := w.seq, w.due()
 	if len(w.buf) >= walFlushBytes && !w.flushing {
 		w.flushLocked(false)
 	}
 	w.mu.Unlock()
 	if due {
-		select {
-		case w.snapC <- struct{}{}:
-		default: // a checkpoint is already due
-		}
+		w.wake()
 	}
 	return seq
+}
+
+// due reports whether the cleaner loop has work: a segment to rotate or
+// a log to clean. Callers hold mu.
+func (w *wal) due() bool {
+	return w.open >= w.segBytes || w.sealedBytes+w.open >= w.cleanAt
+}
+
+// wake hands the cleaner loop its token, unless one is pending.
+func (w *wal) wake() {
+	select {
+	case w.snapC <- struct{}{}:
+	default:
+	}
 }
 
 // flushLocked is the leader's turn: it writes the buffered records to
@@ -484,14 +542,20 @@ func (w *wal) waitDurable(seq uint64) {
 }
 
 // start launches the background loops: interval fsyncs (policy
-// permitting) and size-triggered checkpoints — separate goroutines, so
+// permitting) and the size-triggered cleaner — separate goroutines, so
 // the fsync cadence, which bounds what a crash can lose, never stalls
-// behind a checkpoint streaming the whole engine to disk.
+// behind a cleaning pass. A reopened log may be due already.
 func (w *wal) start() {
 	if w.o.Fsync == FsyncInterval {
 		loop(w, time.NewTicker(w.o.Interval).C, w.sync)
 	}
-	loop(w, w.snapC, func() { w.checkpoint(false) })
+	loop(w, w.snapC, func() { w.maintain(false) })
+	w.mu.Lock()
+	due := w.due()
+	w.mu.Unlock()
+	if due {
+		w.wake()
+	}
 }
 
 // loop runs fn for every value on c until the log is closed.
@@ -514,11 +578,18 @@ func loop[T any](w *wal, c <-chan T, fn func()) {
 // a final flush first (false simulates a crash: buffered state is
 // abandoned, which the crash tests pair with test-side truncation).
 func (w *wal) close(sync bool) error {
-	if w.closed.Swap(true) {
+	first := false
+	w.closeOnce.Do(func() {
+		first = true
+		// The loops stop first: a cleaning pass runs to its end, and its
+		// copies must not find the log closed.
+		close(w.stop)
+		w.bg.Wait()
+		w.closed.Store(true)
+	})
+	if !first {
 		return w.errOrNil()
 	}
-	close(w.stop)
-	w.bg.Wait()
 	if sync {
 		w.sync()
 	}
@@ -528,6 +599,7 @@ func (w *wal) close(sync bool) error {
 	}
 	w.buf, w.spare = nil, nil // crash-style: never acked durable
 	w.f.Close()
+	w.dir.Close()
 	w.mu.Unlock()
 	return w.errOrNil()
 }
@@ -541,25 +613,24 @@ func (w *wal) errOrNil() error {
 
 // Path helpers.
 
-func (w *wal) segPath(gen uint64) string {
-	return filepath.Join(w.o.Dir, fmt.Sprintf("wal.%d", gen))
-}
-
-func (w *wal) snapPath(gen uint64) string {
-	return filepath.Join(w.o.Dir, fmt.Sprintf("snap.%d", gen))
+func segPath(dir string, gen uint64) string {
+	return dir + string(filepath.Separator) + "wal." + strconv.FormatUint(gen, 10)
 }
 
 // createSegment opens a fresh segment for appending and writes its
-// magic. The directory is fsynced so the new name survives a crash
-// alongside any record fsynced into it.
-func (w *wal) createSegment(gen uint64) (WALFile, string, error) {
-	path := w.segPath(gen)
+// header: the magic and the engine's resident entries. The directory is
+// fsynced so the new name survives a crash alongside any record
+// fsynced into it. Callers hold ckMu, or are recovery.
+func (w *wal) createSegment(gen uint64, entries int) (WALFile, string, error) {
+	path := segPath(w.o.Dir, gen)
 	f, err := w.o.OpenFile(path)
 	if err != nil {
 		return nil, path, err
 	}
-	if err = writeFull(f, []byte(walMagic)); err == nil {
-		err = syncDir(w.o.Dir)
+	copy(w.head[:], walMagic)
+	binary.LittleEndian.PutUint32(w.head[magicLen:], uint32(min(entries, math.MaxUint32)))
+	if err = writeFull(f, w.head[:]); err == nil {
+		err = w.dir.Sync()
 	}
 	if err != nil {
 		f.Close()

@@ -23,9 +23,10 @@
 // opened on a directory it appends every write to one CRC-framed
 // write-ahead log shared by all shards (one group-commit fsync for the
 // whole node under a configurable always/interval/never policy) and
-// periodically rotates it under an atomic checkpoint, so a restarted
-// node replays checkpoint plus log tail locally — truncating any torn
-// crash tail —
+// rotates it into segments, cleaning the oldest one at a time — its
+// live records re-appended, the segment deleted — so the log stays
+// near twice the live data and a restarted node replays it locally —
+// truncating any torn crash tail —
 // and then catches up on only the divergence window through the
 // Merkle anti-entropy exchange instead of re-streaming its keyspace
 // (see cmd/distnode's -data-dir and the README "Durability" section). The dist substrate is the

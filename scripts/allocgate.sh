@@ -22,8 +22,11 @@
 #     mutation and outcome lists), every one of four runs; 5 while each
 #     server batch frame allocated its commit, which now lives in the
 #     serving worker; 205 or 206 while every write allocated its record.
-#     Pipelined is SetGet from 64 goroutines; its ceiling is its
-#     maximum over ten runs. Get and
+#     Pipelined is SetGet from 64 goroutines: 5 at GOMAXPROCS 1 and 2,
+#     6 at 4 and 8, every run; ceiling 6. It read 6 to 11 by schedule
+#     while a cold csnet.Peer let every caller that found no connection
+#     dial its own and closed all but the first: one connection and its
+#     server side a racing caller, per backend, each run. Get and
 #     MGet100 run one read path (dist's fetch; Get is its one-key
 #     case), so MGet100 is Get's bill per key plus its fetched list and
 #     result map (5): 105, every one of four runs (108 while each
@@ -87,20 +90,23 @@
 #     a 32-byte map[string]rec slot, 322 when a key cost a 64-byte slot
 #     and a separate value copy; ceiling 200. The CI twin of
 #     TestTableBytesPerEntry;
-#   - a checkpoint of a warm 128-shard engine (internal/store), 50k
-#     keys of 9 + 128 bytes, in bytes/op: its files, names and
-#     directory listing, 2.7k-4.0k, and never a copy of a shard
-#     (~61 KiB of frames), which the wal keeps from one checkpoint to
-#     the next — 289k while each checkpoint grew a fresh one; ceiling
-#     8192;
-#   - a reopen of a checkpointed 128-shard engine (internal/store), 50k
-#     keys of 9 + 128 bytes and no log to replay, one OpenSharded a op:
-#     each key's record, the engine, and one index a shard sized from
-#     the checkpoint's entry count before its records stream in,
-#     50736 to 50741 allocs/op at GOMAXPROCS 1 to 8 (go1.24); ceiling
-#     50800. 52021 while every table doubled its way up from 8 slots,
-#     two allocations a doubling, leaving the old slot arrays (~1.2 MB
-#     of the 9.9 MB a reopen allocated then, 8.7 MB now) behind;
+#   - a cleaning pass over a warm 128-shard engine's whole image
+#     (internal/store), 50k keys of 9 + 128 bytes in one ~7.8 MB
+#     segment, every record live and copied to the head of the log, in
+#     bytes/op: the two files it opens, ~400 in 8 allocations, and never
+#     a reader or frame buffer of its own — the wal keeps one 64 KiB
+#     buffered reader for every pass, which a reader a pass would add
+#     whole, and holds the data directory open for its fsyncs; ceiling 8192
+#     (a whole-engine checkpoint's, 2.7k-4.0k, when this gated those);
+#   - a reopen of a 128-shard engine whose log is its image
+#     (internal/store), 50k keys of 9 + 128 bytes in one segment, one
+#     OpenSharded a op: each key's record, the engine, and one index a
+#     shard sized from the entry count the newest segment's header
+#     carries before any record streams in, 50725 to 50729 allocs/op
+#     at GOMAXPROCS 1 to 8 (go1.24); ceiling 50800. 52021 while every
+#     table doubled its way up from 8 slots, two allocations a
+#     doubling, leaving the old slot arrays (~1.2 MB of the 9.9 MB a
+#     reopen allocated then, 8.6 MB now) behind;
 #   - a Set through a persistent engine (internal/store), 9 + 128
 #     bytes over 100k resident keys: no allocation, each record
 #     rewritten in place (1, the record, while every write allocated
@@ -140,7 +146,7 @@ out=$(go test -run '^$' -bench 'ClusterGet$|ClusterGetCached$|ClusterSetGet$|Clu
 	go test -run '^$' -bench 'DigestAllDirty$' -benchtime 10x ./internal/store/
 	go test -run '^$' -bench 'MergeNewKey$' -benchtime 100000x ./internal/store/
 	go test -run '^$' -bench 'WALSet$' -benchtime 200000x ./internal/store/
-	go test -run '^$' -bench 'Checkpoint$|Reopen$' -benchtime 10x ./internal/store/
+	go test -run '^$' -bench 'CleanPass$|Reopen$' -benchtime 10x ./internal/store/
 	go test -run '^$' -bench 'RangeVAllBuckets$' -benchtime 10x ./internal/csnet/
 	go test -run '^$' -bench 'RebalanceHeal256$|Route$' -benchtime 50x ./internal/dist/)
 printf '%s\n' "$out"
@@ -150,7 +156,7 @@ BEGIN {
 	max["BenchmarkClusterGet"] = 1 # the value
 	max["BenchmarkClusterGetCached"] = 1 # the value, copied out of the cache
 	max["BenchmarkClusterSetGet"] = 5
-	max["BenchmarkClusterPipelined"] = 10 # 64 goroutines: 6 to 9 by schedule
+	max["BenchmarkClusterPipelined"] = 6 # 5 at GOMAXPROCS 1-2, 6 at 4-8
 	max["BenchmarkClusterMSet100"] = 2 # rewritten in place, see above
 	max["BenchmarkClusterMGet100"] = 105
 	maxBytes["BenchmarkClusterMGet100"] = 16384
@@ -169,7 +175,7 @@ BEGIN {
 	max["BenchmarkRoute"] = 8 # one backing array for the rows, see above
 	maxBytes["BenchmarkDigestAllDirty"] = 65536
 	maxBytes["BenchmarkMergeNewKey"] = 200
-	maxBytes["BenchmarkCheckpoint"] = 8192 # no shard copy, see above
+	maxBytes["BenchmarkCleanPass"] = 8192 # one reader kept, see above
 	max["BenchmarkReopen"] = 50800 # tables sized once, see above
 	maxBytes["BenchmarkRangeVAllBuckets"] = 3750000
 	base["BenchmarkServerOpInstrumented"] = "BenchmarkServerOpBaseline"
