@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -361,9 +365,12 @@ func TestMuxCloseFailsPending(t *testing.T) {
 // and writer have exited — none is left to allocate its exit error
 // inside whatever the caller measures next. A client's loops are told
 // apart from every other by the goroutine that dialed it. Go has no
-// join, so a loop may still be seen returning from the WaitGroup.Done
-// that let Close return, its last act; anywhere else it is at work.
+// join, so a loop may still be seen past the WaitGroup.Done that let
+// Close return, its last act: inside Done, or back in the loop
+// function alone at one of its returns (loopReturns), the deferred
+// Done already run. Anywhere else — any deeper frame — it is at work.
 func TestMuxCloseWaitsForItsLoops(t *testing.T) {
+	returns := loopReturns(t)
 	srv := NewServer(NewKVHandler(), 0)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -383,11 +390,70 @@ func TestMuxCloseWaitsForItsLoops(t *testing.T) {
 		}
 		cl.Close()
 		for _, g := range muxLoopsDialedHere() {
-			if _, top, _ := strings.Cut(g, "\n"); !strings.HasPrefix(top, "sync.(*WaitGroup).") {
+			if !loopExiting(g, returns) {
 				t.Fatalf("close %d returned with one of the client's loops still at work: %s", i, g)
 			}
 		}
 	}
+}
+
+// loopReturns maps each of a client's loop functions, as a goroutine
+// stack names it, to the mux.go lines it returns at: its return
+// statements and the closing brace of its body.
+func loopReturns(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "mux.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(p token.Pos) string { return "mux.go:" + strconv.Itoa(fset.Position(p).Line) }
+	returns := map[string]map[string]bool{}
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || (fd.Name.Name != "readLoop" && fd.Name.Name != "writeLoop") {
+			continue
+		}
+		lines := map[string]bool{at(fd.Body.Rbrace): true}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if r, ok := n.(*ast.ReturnStmt); ok {
+				lines[at(r.Pos())] = true
+			}
+			return true
+		})
+		returns["pdcedu/internal/csnet.(*muxConn)."+fd.Name.Name] = lines
+	}
+	if len(returns) != 2 {
+		t.Fatalf("found the returns of %d loop functions in mux.go, want readLoop and writeLoop", len(returns))
+	}
+	return returns
+}
+
+// loopExiting reports whether goroutine stack g is a loop past its
+// WaitGroup.Done: its top frame inside Done, its one frame the loop
+// function at one of its returns, or nothing left of it but the
+// runtime's goexit.
+func loopExiting(g string, returns map[string]map[string]bool) bool {
+	lines := strings.Split(g, "\n")
+	var frames, at []string // each frame's function and its file:line
+	for i := 1; i+1 < len(lines) && !strings.HasPrefix(lines[i], "created by "); i += 2 {
+		fn := lines[i]
+		if k := strings.LastIndex(fn, "("); k > 0 {
+			fn = fn[:k] // drop the arguments: "(*muxConn).readLoop(0xc000…)"
+		}
+		file, _, _ := strings.Cut(strings.TrimSpace(lines[i+1]), " ")
+		_, line, _ := strings.Cut(file, "/internal/csnet/")
+		frames, at = append(frames, fn), append(at, line)
+	}
+	switch {
+	case len(frames) == 0:
+		return false
+	case strings.HasPrefix(frames[0], "sync.(*WaitGroup)."):
+		return true
+	case !slices.ContainsFunc(frames, func(fn string) bool { return !strings.HasPrefix(fn, "runtime.goexit") }):
+		return true // the loop function has returned
+	}
+	return len(frames) == 1 && returns[frames[0]][at[0]]
 }
 
 // TestMuxStuckRequestTimesOutOnBusyConn pins one request in a handler

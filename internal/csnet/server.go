@@ -788,6 +788,37 @@ func (w *worker) scratchFor(n int) []byte {
 	return w.scratch
 }
 
+// Scratch returns the scratch of the worker serving r, emptied, with
+// room for n bytes, for a handler to build its reply's Value in as the
+// KVHandler builds a GETV's value (scratchFor): the reply is encoded
+// before the worker serves anything else, so nothing reads the scratch
+// after that. A request served outside a server has no worker, and its
+// scratch is a fresh allocation.
+func (r Request) Scratch(n int) []byte {
+	if r.w == nil {
+		return make([]byte, 0, n)
+	}
+	return r.w.scratchFor(n)
+}
+
+// A Worker serves request frames in process, one at a time, as each
+// of a server's workers does: through a handler's frame layer, with a
+// scratch and commit kept from one frame to the next. A handler's
+// benchmark serves through one to count what a served frame costs.
+type Worker struct {
+	fh FrameHandler
+	w  worker
+}
+
+// NewWorker returns a Worker serving h as NewServer does.
+func NewWorker(h Handler) *Worker { return &Worker{fh: protocolFrames{h: h}} }
+
+// ServeFrame appends the reply to the request frame body to dst, under
+// the FrameHandler rules.
+func (w *Worker) ServeFrame(dst, body []byte) []byte {
+	return w.fh.ServeFrame(dst, body, FrameMeta{w: &w.w})
+}
+
 // rangeV serves OpRangeV: the marked buckets' entries are encoded into
 // the response body as the engine's scan meets them, in the layout
 // DecodeRangeV reads, so a listing costs its own bytes and no per-key

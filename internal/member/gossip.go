@@ -1,8 +1,9 @@
 package member
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // broadcast is one queued membership update awaiting dissemination.
@@ -16,20 +17,21 @@ type broadcast struct {
 // retransmitted O(log n) times so an update reaches the whole cluster
 // with high probability and then stops consuming bandwidth.
 type broadcasts struct {
-	items []*broadcast
+	items []broadcast
+	out   []Update // what take hands out, reused by the next take
 }
 
 // queue adds an update, superseding any queued update about the same
 // member: only the newest claim about a node is worth spreading, and a
 // fresh claim restarts the retransmit budget.
 func (b *broadcasts) queue(u Update) {
-	for i, it := range b.items {
-		if it.u.ID == u.ID {
-			b.items[i] = &broadcast{u: u}
+	for i := range b.items {
+		if b.items[i].u.ID == u.ID {
+			b.items[i] = broadcast{u: u}
 			return
 		}
 	}
-	b.items = append(b.items, &broadcast{u: u})
+	b.items = append(b.items, broadcast{u: u})
 }
 
 // retransmitLimit is how many times one update is piggybacked before it
@@ -47,15 +49,13 @@ func retransmitLimit(mult, n int) int {
 // take returns up to max updates to piggyback on one outgoing message,
 // preferring the least-transmitted (freshest information spreads
 // first), and retires updates that have exhausted their budget of
-// limit transmissions.
+// limit transmissions. The updates are valid until the next take.
 func (b *broadcasts) take(max, limit int) []Update {
 	if len(b.items) == 0 || max < 1 {
 		return nil
 	}
-	sort.SliceStable(b.items, func(i, j int) bool {
-		return b.items[i].transmits < b.items[j].transmits
-	})
-	out := make([]Update, 0, max)
+	slices.SortStableFunc(b.items, func(x, y broadcast) int { return cmp.Compare(x.transmits, y.transmits) })
+	out := b.out[:0]
 	kept := b.items[:0]
 	for _, it := range b.items {
 		if len(out) < max {
@@ -66,11 +66,10 @@ func (b *broadcasts) take(max, limit int) []Update {
 			kept = append(kept, it)
 		}
 	}
-	// Zero the dropped tail so retired broadcasts can be collected.
-	for i := len(kept); i < len(b.items); i++ {
-		b.items[i] = nil
-	}
+	// Zero the dropped tail so retired IDs can be collected.
+	clear(b.items[len(kept):])
 	b.items = kept
+	b.out = out
 	return out
 }
 

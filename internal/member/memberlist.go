@@ -61,6 +61,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ID == "" {
 		return cfg, errors.New("member: config needs an ID")
 	}
+	if len(cfg.ID) > maxField {
+		return cfg, fmt.Errorf("member: ID of %d bytes exceeds %d", len(cfg.ID), maxField)
+	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
@@ -101,15 +104,16 @@ type Memberlist struct {
 	cfg       Config
 	transport Transport
 
-	mu      sync.Mutex
-	tbl     *table
-	bq      broadcasts
-	subs    []chan Event
-	dropped uint64
-	probeQ  []string // current probe rotation, consumed front to back
-	syncQ   []string // current sync rotation (includes dead members)
-	started bool
-	stopped bool
+	mu        sync.Mutex
+	tbl       *table
+	bq        broadcasts
+	subs      []chan Event
+	dropped   uint64
+	probeLast string // the member the probe rotation reached last
+	syncLast  string // the member the sync rotation reached last
+	spare     []byte // an outgoing message's buffer, free for the next exchange
+	started   bool
+	stopped   bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -262,157 +266,125 @@ func (m *Memberlist) Join(peers ...string) error {
 	return nil
 }
 
-// run is the SWIM protocol period: each tick probes the next member in
-// the rotation (or full-syncs, every SyncEvery-th round), then expires
-// overdue suspicions.
+// run is the SWIM protocol period: one round per tick.
 func (m *Memberlist) run() {
 	defer close(m.done)
 	ticker := time.NewTicker(m.cfg.ProbeInterval)
 	defer ticker.Stop()
-	round := 0
-	for {
+	for n := 1; ; n++ {
 		select {
 		case <-m.stop:
 			return
 		case <-ticker.C:
 		}
-		round++
-		if round%m.cfg.SyncEvery == 0 {
-			if peer, ok := m.nextSyncTarget(); ok {
-				_ = m.syncWith(peer)
-			}
-		} else if target, ok := m.nextProbeTarget(); ok {
-			m.probe(target)
-		}
-		m.mu.Lock()
-		m.tbl.sweep(time.Now(), m.cfg.SuspicionTimeout)
-		m.mu.Unlock()
+		m.round(n)
 	}
 }
 
-// nextProbeTarget pops the next non-dead member from the probe
-// rotation, refilling the rotation when it empties. The rotation is the
-// sorted member list, so every member is probed once per cycle — the
-// SWIM round-robin that bounds first-detection time.
-func (m *Memberlist) nextProbeTarget() (string, bool) {
+// round runs protocol round n: it probes the next member of the probe
+// rotation — or, every SyncEvery-th round, full-syncs with the next of
+// the sync rotation — then expires overdue suspicions. Both rotations
+// walk the members in ID order, so each member is visited once per
+// cycle: the SWIM round-robin that bounds first-detection time. The
+// sync rotation deliberately includes dead members: syncing with a
+// node we believe dead (and that may believe us dead) is the
+// reconciliation path after a healed partition.
+func (m *Memberlist) round(n int) {
+	if n%m.cfg.SyncEvery == 0 {
+		if peer, ok := m.nextTarget(&m.syncLast, true); ok {
+			_ = m.syncWith(peer)
+		}
+	} else if target, ok := m.nextTarget(&m.probeLast, false); ok {
+		m.probe(target)
+	}
+	m.mu.Lock()
+	m.tbl.sweep(time.Now(), m.cfg.SuspicionTimeout)
+	m.mu.Unlock()
+}
+
+// nextTarget moves a rotation on from the member *last it reached (a
+// field of m, guarded by m.mu) and returns the member it reaches now.
+func (m *Memberlist) nextTarget(last *string, withDead bool) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if len(m.probeQ) == 0 {
-			m.probeQ = m.tbl.probeTargets()
-			if len(m.probeQ) == 0 {
-				return "", false
-			}
-		}
-		for len(m.probeQ) > 0 {
-			id := m.probeQ[0]
-			m.probeQ = m.probeQ[1:]
-			if st, ok := m.tbl.state(id); ok && st != StateDead {
-				return id, true
-			}
-		}
-		// Every queued member died since the refill; refill once more
-		// (probeTargets may now be empty, ending the loop above).
-		if len(m.tbl.probeTargets()) == 0 {
-			return "", false
-		}
+	id, ok := m.tbl.next(*last, withDead)
+	if ok {
+		*last = id
 	}
+	return id, ok
 }
 
-// nextSyncTarget pops the next member from the sync rotation, which
-// deliberately includes dead members: syncing with a node we believe
-// dead (and that may believe us dead) is the reconciliation path after
-// a healed partition.
-func (m *Memberlist) nextSyncTarget() (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.syncQ) == 0 {
-		m.syncQ = m.tbl.knownIDs()
+// encode appends one outgoing message of kind to dst, with m.mu held.
+// A sync or its ack carries every table row, self included — the
+// anti-entropy path bypasses the piggyback budget and must carry
+// everything, up to the most a message holds; any other kind carries
+// the piggyback queue's next updates.
+func (m *Memberlist) encode(dst []byte, kind msgKind, target string) []byte {
+	if kind == msgSync || kind == msgSyncAck {
+		rows := min(m.tbl.rows(), maxField)
+		dst = appendHeader(dst, kind, m.cfg.ID, target, rows)
+		for i := 0; i < rows; i++ {
+			r := m.tbl.row(i)
+			dst = appendUpdate(dst, r.ID, r.State, r.Incarnation)
+		}
+		return dst
 	}
-	if len(m.syncQ) == 0 {
-		return "", false
-	}
-	id := m.syncQ[0]
-	m.syncQ = m.syncQ[1:]
-	return id, true
-}
-
-// encodeOutbound builds one outgoing message of the given kind with
-// piggybacked gossip attached.
-func (m *Memberlist) encodeOutbound(kind msgKind, target string) []byte {
-	m.mu.Lock()
 	limit := retransmitLimit(m.cfg.RetransmitMult, m.tbl.aliveCount())
 	updates := m.bq.take(m.cfg.Piggyback, limit)
-	m.mu.Unlock()
-	b, err := encodeMessage(message{Kind: kind, From: m.cfg.ID, Target: target, Updates: updates})
-	if err != nil {
-		// Only oversized IDs can fail encoding; they are rejected at
-		// config time, so this is unreachable — but never probe with a
-		// nil message.
-		return []byte{byte(kind)}
+	dst = appendHeader(dst, kind, m.cfg.ID, target, len(updates))
+	for _, u := range updates {
+		dst = appendUpdate(dst, u.ID, u.State, u.Incarnation)
 	}
-	return b
+	return dst
 }
 
-// encodeSync builds a full-state message: every table row (self
-// included) as updates. Sync bypasses the piggyback budget — it is the
-// anti-entropy path and must carry everything.
-func (m *Memberlist) encodeSync(kind msgKind) []byte {
-	m.mu.Lock()
-	rows := m.tbl.snapshot()
-	m.mu.Unlock()
-	updates := make([]Update, len(rows))
-	for i, r := range rows {
-		updates[i] = Update{ID: r.ID, State: r.State, Incarnation: r.Incarnation}
-	}
-	b, err := encodeMessage(message{Kind: kind, From: m.cfg.ID, Updates: updates})
-	if err != nil {
-		return []byte{byte(kind)}
-	}
-	return b
-}
-
-// ingest decodes a peer reply and merges its piggybacked updates,
-// returning the message for kind checks.
-func (m *Memberlist) ingest(b []byte) (message, error) {
-	msg, err := decodeMessage(b)
-	if err != nil {
-		return msg, err
-	}
-	m.applyUpdates(msg.From, msg.Updates)
-	return msg, nil
-}
-
-// applyUpdates merges gossiped updates into the table. Hearing any
-// message from a peer also (re)introduces the sender: an unknown sender
-// is recorded alive at incarnation 0, which real gossip about it then
-// overrides.
-func (m *Memberlist) applyUpdates(from string, updates []Update) {
+// apply merges a parsed message into the table, with m.mu held.
+// Hearing any message from a peer also (re)introduces the sender.
+func (m *Memberlist) apply(in inbound) {
 	now := time.Now()
+	m.tbl.heard(in.from, now)
+	for i := 0; i < in.count; i++ {
+		id, st, inc := in.next()
+		m.tbl.merge(id, st, inc, now)
+	}
+}
+
+// exchange sends peer one message of kind, applies the reply and
+// returns the reply's kind. The message is encoded into spare, the
+// buffer the last exchange to finish left there — so the run loop's
+// rounds, one at a time, reuse one buffer, and only an exchange running
+// beside another allocates its own. The transport is done with the
+// message when Exchange returns: csnet's Send copies it into a frame
+// of its own first.
+func (m *Memberlist) exchange(peer string, kind msgKind, target string, timeout time.Duration) (msgKind, error) {
+	m.mu.Lock()
+	msg := m.encode(m.spare[:0], kind, target)
+	m.spare = nil
+	m.mu.Unlock()
+	reply, err := m.transport.Exchange(peer, msg, timeout)
+	var in inbound
+	if err == nil {
+		in, err = parseMessage(reply)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if from != "" && from != m.cfg.ID {
-		if _, known := m.tbl.state(from); !known {
-			m.tbl.apply(Update{ID: from, State: StateAlive, Incarnation: 0}, now)
-		}
+	m.spare = msg
+	if err != nil {
+		return 0, err
 	}
-	for _, u := range updates {
-		m.tbl.apply(u, now)
-	}
+	m.apply(in)
+	return in.kind, nil
 }
 
 // probe runs one SWIM failure-detection round against target: direct
 // ping, then IndirectFanout relayed ping-reqs, then suspicion.
 func (m *Memberlist) probe(target string) {
 	start := obs.StartTimer()
-	reply, err := m.transport.Exchange(target, m.encodeOutbound(msgPing, ""), m.cfg.ProbeTimeout)
-	if err == nil {
-		if msg, derr := m.ingest(reply); derr == nil && msg.Kind == msgAck {
-			// Only acked direct pings record an RTT: a timed-out probe
-			// measures the timeout, not the peer.
-			probeRTT.ObserveSince(start)
-			return
-		}
+	if kind, err := m.exchange(target, msgPing, "", m.cfg.ProbeTimeout); err == nil && kind == msgAck {
+		// Only acked direct pings record an RTT: a timed-out probe
+		// measures the timeout, not the peer.
+		probeRTT.ObserveSince(start)
+		return
 	}
 	if m.indirectProbe(target) {
 		return
@@ -445,15 +417,9 @@ func (m *Memberlist) indirectProbe(target string) bool {
 	}
 	acks := make(chan bool, len(helpers))
 	for _, h := range helpers {
-		h := h
 		go func() {
-			reply, err := m.transport.Exchange(h, m.encodeOutbound(msgPingReq, target), 2*m.cfg.ProbeTimeout)
-			if err != nil {
-				acks <- false
-				return
-			}
-			msg, derr := m.ingest(reply)
-			acks <- derr == nil && msg.Kind == msgAck
+			kind, err := m.exchange(h, msgPingReq, target, 2*m.cfg.ProbeTimeout)
+			acks <- err == nil && kind == msgAck
 		}()
 	}
 	ok := false
@@ -465,16 +431,12 @@ func (m *Memberlist) indirectProbe(target string) bool {
 
 // syncWith performs one push-pull anti-entropy exchange with peer.
 func (m *Memberlist) syncWith(peer string) error {
-	reply, err := m.transport.Exchange(peer, m.encodeSync(msgSync), 2*m.cfg.ProbeTimeout)
+	kind, err := m.exchange(peer, msgSync, "", 2*m.cfg.ProbeTimeout)
 	if err != nil {
 		return err
 	}
-	msg, err := m.ingest(reply)
-	if err != nil {
-		return err
-	}
-	if msg.Kind != msgSyncAck {
-		return fmt.Errorf("member: sync with %s answered %d, want syncAck", peer, msg.Kind)
+	if kind != msgSyncAck {
+		return fmt.Errorf("member: sync with %s answered %d, want syncAck", peer, kind)
 	}
 	return nil
 }
@@ -483,29 +445,45 @@ func (m *Memberlist) syncWith(peer string) error {
 // Exchange) and returns the encoded reply. Wire it to a csnet server
 // via Handler, or call it directly from a test transport.
 func (m *Memberlist) HandleMessage(b []byte) ([]byte, error) {
-	msg, err := decodeMessage(b)
+	return m.handle(nil, b)
+}
+
+// handle serves one incoming message and appends the reply to dst. The
+// message is parsed and applied where it lies, so serving a known
+// sender allocates nothing but a reply that outgrows dst.
+func (m *Memberlist) handle(dst, b []byte) ([]byte, error) {
+	in, err := parseMessage(b)
 	if err != nil {
 		return nil, err
 	}
-	m.applyUpdates(msg.From, msg.Updates)
-	switch msg.Kind {
+	m.mu.Lock()
+	m.apply(in)
+	m.mu.Unlock()
+	var reply msgKind
+	switch in.kind {
 	case msgPing:
-		return m.encodeOutbound(msgAck, ""), nil
+		reply = msgAck
 	case msgSync:
-		return m.encodeSync(msgSyncAck), nil
+		reply = msgSyncAck
 	case msgPingReq:
-		if msg.Target == m.cfg.ID {
-			// Asked to probe ourselves: trivially alive.
-			return m.encodeOutbound(msgAck, ""), nil
-		}
-		reply, rerr := m.transport.Exchange(msg.Target, m.encodeOutbound(msgPing, ""), m.cfg.ProbeTimeout)
-		if rerr == nil {
-			if rmsg, derr := m.ingest(reply); derr == nil && rmsg.Kind == msgAck {
-				return m.encodeOutbound(msgAck, ""), nil
-			}
-		}
-		return m.encodeOutbound(msgNack, ""), nil
+		reply = m.relay(in.target)
 	default:
-		return nil, fmt.Errorf("member: unexpected request kind %d", msg.Kind)
+		return nil, fmt.Errorf("member: unexpected request kind %d", in.kind)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.encode(dst, reply, ""), nil
+}
+
+// relay serves a ping-req: it pings target on the asker's behalf and
+// answers msgAck if target acked, msgNack if not.
+func (m *Memberlist) relay(target []byte) msgKind {
+	if string(target) == m.cfg.ID {
+		// Asked to probe ourselves: trivially alive.
+		return msgAck
+	}
+	if kind, err := m.exchange(string(target), msgPing, "", m.cfg.ProbeTimeout); err != nil || kind != msgAck {
+		return msgNack
+	}
+	return msgAck
 }

@@ -1,7 +1,7 @@
 package member
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -59,6 +59,7 @@ type Member struct {
 
 // entry is one tracked peer.
 type entry struct {
+	id    string // the table's own copy of the member's ID
 	state State
 	inc   uint64
 	since time.Time // when state last changed; suspicion clock
@@ -75,10 +76,18 @@ type entry struct {
 // dead > suspect > alive. Alive therefore only overrides suspicion or
 // death when the member has re-incarnated, which is exactly the
 // refutation path.
+//
+// Members are never removed, so the sorted ID list — which the probe
+// and sync rotations and every sync's rows walk — changes only when a
+// member is first heard of. Its strings are the table's own: every
+// Update and Event the table originates carries one of them, never a
+// piece of the message that named the member.
 type table struct {
 	self    string
 	selfInc uint64
 	members map[string]*entry
+	ids     []string // the keys of members, sorted
+	selfAt  int      // where self sorts among ids
 
 	// onChange receives every accepted transition plus locally
 	// originated claims (refutations, suspicion expiries) for gossip
@@ -95,38 +104,61 @@ func newTable(self string, onChange func(Update, bool)) *table {
 	}
 }
 
-// apply merges one gossiped update into the table. Updates about the
-// local node are never stored: a claim that we are suspect or dead at
-// our current (or later) incarnation is refuted by bumping our
-// incarnation and re-broadcasting alive.
-func (t *table) apply(u Update, now time.Time) {
-	if u.ID == t.self {
-		if u.State != StateAlive && u.Incarnation >= t.selfInc {
-			t.selfInc = u.Incarnation + 1
+// merge applies one gossiped update about id, which may alias a
+// message: a member already known is looked up in place, and only one
+// never heard of costs a string. Updates about the local node are
+// never stored: a claim that we are suspect or dead at our current (or
+// later) incarnation is refuted by bumping our incarnation and
+// re-broadcasting alive.
+func (t *table) merge(id []byte, st State, inc uint64, now time.Time) {
+	if string(id) == t.self {
+		if st != StateAlive && inc >= t.selfInc {
+			t.selfInc = inc + 1
 			t.onChange(Update{ID: t.self, State: StateAlive, Incarnation: t.selfInc}, true)
 		}
 		return
 	}
-	cur, known := t.members[u.ID]
+	cur, known := t.members[string(id)]
 	if !known {
-		t.members[u.ID] = &entry{state: u.State, inc: u.Incarnation, since: now}
-		t.onChange(u, false)
+		t.add(&entry{id: string(id), state: st, inc: inc, since: now})
 		return
 	}
 	accept := false
 	switch {
-	case u.Incarnation > cur.inc:
+	case inc > cur.inc:
 		accept = true
-	case u.Incarnation == cur.inc:
-		accept = u.State > cur.state
+	case inc == cur.inc:
+		accept = st > cur.state
 	}
 	if !accept {
 		return
 	}
-	cur.state = u.State
-	cur.inc = u.Incarnation
+	cur.state = st
+	cur.inc = inc
 	cur.since = now
-	t.onChange(u, false)
+	t.onChange(Update{ID: cur.id, State: st, Incarnation: inc}, false)
+}
+
+// add records a member heard of for the first time.
+func (t *table) add(e *entry) {
+	i, _ := slices.BinarySearch(t.ids, e.id)
+	t.ids = slices.Insert(t.ids, i, e.id)
+	if e.id < t.self {
+		t.selfAt++
+	}
+	t.members[e.id] = e
+	t.onChange(Update{ID: e.id, State: e.state, Incarnation: e.inc}, false)
+}
+
+// heard records a message's sender: one never heard of is recorded
+// alive at incarnation 0, which real gossip about it then overrides.
+func (t *table) heard(from []byte, now time.Time) {
+	if len(from) == 0 || string(from) == t.self {
+		return
+	}
+	if _, known := t.members[string(from)]; !known {
+		t.merge(from, StateAlive, 0, now)
+	}
 }
 
 // suspect marks a member suspect at its current incarnation — the local
@@ -138,67 +170,75 @@ func (t *table) suspect(id string, now time.Time) {
 	}
 	cur.state = StateSuspect
 	cur.since = now
-	t.onChange(Update{ID: id, State: StateSuspect, Incarnation: cur.inc}, true)
+	t.onChange(Update{ID: cur.id, State: StateSuspect, Incarnation: cur.inc}, true)
 }
 
 // sweep expires suspicions older than timeout into deaths and returns
 // how many members it declared dead.
 func (t *table) sweep(now time.Time, timeout time.Duration) int {
 	dead := 0
-	for id, e := range t.members {
+	for _, e := range t.members {
 		if e.state == StateSuspect && now.Sub(e.since) >= timeout {
 			e.state = StateDead
 			e.since = now
 			dead++
-			t.onChange(Update{ID: id, State: StateDead, Incarnation: e.inc}, true)
+			t.onChange(Update{ID: e.id, State: StateDead, Incarnation: e.inc}, true)
 		}
 	}
 	return dead
 }
 
+// rows reports how many rows the table has, the local node's included.
+func (t *table) rows() int { return len(t.ids) + 1 }
+
+// row returns the i-th row in ID order, the local node's among them.
+func (t *table) row(i int) Member {
+	switch {
+	case i == t.selfAt:
+		return Member{ID: t.self, State: StateAlive, Incarnation: t.selfInc}
+	case i > t.selfAt:
+		i--
+	}
+	e := t.members[t.ids[i]]
+	return Member{ID: e.id, State: e.state, Incarnation: e.inc}
+}
+
 // snapshot returns every known member plus the local node, sorted by ID.
 func (t *table) snapshot() []Member {
-	out := make([]Member, 0, len(t.members)+1)
-	out = append(out, Member{ID: t.self, State: StateAlive, Incarnation: t.selfInc})
-	for id, e := range t.members {
-		out = append(out, Member{ID: id, State: e.state, Incarnation: e.inc})
+	out := make([]Member, t.rows())
+	for i := range out {
+		out[i] = t.row(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// probeTargets returns the non-dead peers, sorted by ID for a stable
-// probe rotation.
+// next returns the first member after id in ID order, wrapping around:
+// one step of a rotation that visits every member once a cycle. The
+// probe rotation skips dead members; the anti-entropy sync rotation
+// (withDead) must reach them, so a healed partition reconciles. ok is
+// false when no member qualifies.
+func (t *table) next(id string, withDead bool) (string, bool) {
+	i, found := slices.BinarySearch(t.ids, id)
+	if found {
+		i++
+	}
+	for k := range t.ids {
+		next := t.ids[(i+k)%len(t.ids)]
+		if withDead || t.members[next].state != StateDead {
+			return next, true
+		}
+	}
+	return "", false
+}
+
+// probeTargets returns the non-dead peers, sorted by ID.
 func (t *table) probeTargets() []string {
-	out := make([]string, 0, len(t.members))
-	for id, e := range t.members {
-		if e.state != StateDead {
+	var out []string
+	for _, id := range t.ids {
+		if t.members[id].state != StateDead {
 			out = append(out, id)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// state reports a member's current state; ok is false for unknown IDs
-// and for the local node (the table never stores self).
-func (t *table) state(id string) (State, bool) {
-	e, ok := t.members[id]
-	if !ok {
-		return 0, false
-	}
-	return e.state, true
-}
-
-// knownIDs returns every tracked member including dead ones, sorted by
-// ID — the anti-entropy sync rotation, which must reach dead-marked
-// nodes so a healed partition reconciles.
-func (t *table) knownIDs() []string {
-	out := make([]string, 0, len(t.members))
-	for id := range t.members {
-		out = append(out, id)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -15,6 +15,8 @@ import (
 type Transport interface {
 	// Exchange performs one request/response round with peer, giving
 	// up after timeout without tearing down shared connection state.
+	// msg is the caller's again once Exchange returns — the next round
+	// encodes into it — so an implementation that keeps it copies it.
 	Exchange(peer string, msg []byte, timeout time.Duration) ([]byte, error)
 	// Close releases any held connections.
 	Close() error
@@ -81,11 +83,14 @@ func (t *csnetTransport) Close() error {
 // Handler wraps a csnet Handler so one server port carries both the
 // key-value data plane and the membership control plane: OpGossip
 // frames are answered by the Memberlist, everything else is passed
-// through to next. A nil next serves gossip only.
+// through to next. A nil next serves gossip only. A gossip reply is
+// built in the serving worker's scratch (csnet.Request.Scratch), sized
+// for the message it answers — a sync's ack carries the table the sync
+// did — so a worker serves probes and syncs without allocating.
 func (m *Memberlist) Handler(next csnet.Handler) csnet.Handler {
 	return csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
 		if req.Op == csnet.OpGossip {
-			reply, err := m.HandleMessage(req.Value)
+			reply, err := m.handle(req.Scratch(len(req.Value)), req.Value)
 			if err != nil {
 				return csnet.Response{Status: csnet.StatusError, Value: []byte(err.Error())}
 			}

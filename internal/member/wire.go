@@ -28,115 +28,108 @@ const (
 	msgSyncAck
 )
 
-// message is one decoded SWIM protocol message. Every message
-// piggybacks Updates — dissemination rides on probe traffic.
-type message struct {
-	Kind    msgKind
-	From    string // sender's member ID
-	Target  string // msgPingReq only: who to probe
-	Updates []Update
+// The wire format of a message, which every node of every version
+// speaks: kind(1) from(str16) target(str16) count(2), then count
+// updates of state(1) incarnation(8) id(str16), where a str16 is a
+// 2-byte big-endian length and that many bytes. appendHeader and
+// appendUpdate write a message into a buffer the caller keeps;
+// parseMessage reads one where it lies. Neither allocates.
+
+// maxField is the longest str16 and the most updates a message carries.
+const maxField = 0xFFFF
+
+// appendHeader appends the fixed part of a message carrying count
+// updates. Every string fits a str16 and count is at most maxField: a
+// node's own ID is checked by New, every other ID arrived in a str16,
+// and a sync caps its rows.
+func appendHeader(b []byte, kind msgKind, from, target string, count int) []byte {
+	b = append(b, byte(kind))
+	b = appendString16(b, from)
+	b = appendString16(b, target)
+	return binary.BigEndian.AppendUint16(b, uint16(count))
 }
 
-func appendString16(b []byte, s string) ([]byte, error) {
-	if len(s) > 0xFFFF {
-		return nil, fmt.Errorf("member: string length %d exceeds 65535", len(s))
-	}
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(s)))
-	b = append(b, l[:]...)
-	return append(b, s...), nil
+// appendUpdate appends one update of a message.
+func appendUpdate(b []byte, id string, st State, inc uint64) []byte {
+	b = append(b, byte(st))
+	b = binary.BigEndian.AppendUint64(b, inc)
+	return appendString16(b, id)
 }
 
-func readString16(b []byte) (string, []byte, error) {
+func appendString16(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
+}
+
+func readString16(b []byte) (s, rest []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, fmt.Errorf("member: truncated string length")
+		return nil, nil, fmt.Errorf("member: truncated string length")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("member: truncated string body")
+		return nil, nil, fmt.Errorf("member: truncated string body")
 	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	return b[2 : 2+n], b[2+n:], nil
 }
 
-// minUpdateSize is the least an update costs its message: state,
-// incarnation and an empty id's length.
-const minUpdateSize = 1 + 8 + 2
-
-// encodeMessage serializes a message:
-// kind(1) from(str16) target(str16) count(2) then count * update,
-// update = state(1) incarnation(8) id(str16).
-func encodeMessage(m message) ([]byte, error) {
-	if len(m.Updates) > 0xFFFF {
-		return nil, fmt.Errorf("member: %d piggybacked updates exceed 65535", len(m.Updates))
-	}
-	buf := []byte{byte(m.Kind)}
-	var err error
-	if buf, err = appendString16(buf, m.From); err != nil {
-		return nil, err
-	}
-	if buf, err = appendString16(buf, m.Target); err != nil {
-		return nil, err
-	}
-	var c [2]byte
-	binary.BigEndian.PutUint16(c[:], uint16(len(m.Updates)))
-	buf = append(buf, c[:]...)
-	var inc [8]byte
-	for _, u := range m.Updates {
-		buf = append(buf, byte(u.State))
-		binary.BigEndian.PutUint64(inc[:], u.Incarnation)
-		buf = append(buf, inc[:]...)
-		if buf, err = appendString16(buf, u.ID); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+// inbound is a message as parseMessage found it: its strings and
+// updates alias the bytes it was parsed from, so it is valid as long
+// as they are, and whatever is kept of it is copied.
+type inbound struct {
+	kind    msgKind
+	from    []byte
+	target  []byte
+	count   int
+	updates []byte // count updates, every one checked
 }
 
-// decodeMessage parses a serialized message.
-func decodeMessage(b []byte) (message, error) {
-	var m message
+// parseMessage checks a whole message — its kind, every length, every
+// update's state, and that nothing trails it — before any of it is
+// applied, so a message is taken whole or not at all.
+func parseMessage(b []byte) (inbound, error) {
+	var in inbound
 	if len(b) < 1 {
-		return m, fmt.Errorf("member: empty message")
+		return in, fmt.Errorf("member: empty message")
 	}
-	m.Kind = msgKind(b[0])
-	if m.Kind < msgPing || m.Kind > msgSyncAck {
-		return m, fmt.Errorf("member: unknown message kind %d", b[0])
+	in.kind = msgKind(b[0])
+	if in.kind < msgPing || in.kind > msgSyncAck {
+		return in, fmt.Errorf("member: unknown message kind %d", b[0])
 	}
-	b = b[1:]
 	var err error
-	if m.From, b, err = readString16(b); err != nil {
-		return m, err
+	if in.from, b, err = readString16(b[1:]); err != nil {
+		return in, err
 	}
-	if m.Target, b, err = readString16(b); err != nil {
-		return m, err
+	if in.target, b, err = readString16(b); err != nil {
+		return in, err
 	}
 	if len(b) < 2 {
-		return m, fmt.Errorf("member: truncated update count")
+		return in, fmt.Errorf("member: truncated update count")
 	}
-	n := int(binary.BigEndian.Uint16(b))
+	in.count = int(binary.BigEndian.Uint16(b))
+	in.updates = b[2:]
 	b = b[2:]
-	if n > len(b)/minUpdateSize {
-		return m, fmt.Errorf("member: %d updates overrun a %d-byte body", n, len(b))
-	}
-	if n > 0 {
-		m.Updates = make([]Update, 0, n)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < in.count; i++ {
 		if len(b) < 9 {
-			return m, fmt.Errorf("member: truncated update %d", i)
+			return in, fmt.Errorf("member: truncated update %d", i)
 		}
-		u := Update{State: State(b[0]), Incarnation: binary.BigEndian.Uint64(b[1:9])}
-		if u.State < StateAlive || u.State > StateDead {
-			return m, fmt.Errorf("member: unknown state %d in update %d", b[0], i)
+		if st := State(b[0]); st < StateAlive || st > StateDead {
+			return in, fmt.Errorf("member: unknown state %d in update %d", b[0], i)
 		}
-		b = b[9:]
-		if u.ID, b, err = readString16(b); err != nil {
-			return m, err
+		if _, b, err = readString16(b[9:]); err != nil {
+			return in, err
 		}
-		m.Updates = append(m.Updates, u)
 	}
 	if len(b) != 0 {
-		return m, fmt.Errorf("member: %d trailing bytes", len(b))
+		return in, fmt.Errorf("member: %d trailing bytes", len(b))
 	}
-	return m, nil
+	return in, nil
+}
+
+// next returns the message's next update and moves past it; call it
+// count times.
+func (in *inbound) next() (id []byte, st State, inc uint64) {
+	b := in.updates
+	n := int(binary.BigEndian.Uint16(b[9:]))
+	in.updates = b[11+n:]
+	return b[11 : 11+n], State(b[0]), binary.BigEndian.Uint64(b[1:9])
 }
