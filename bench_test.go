@@ -256,9 +256,8 @@ func BenchmarkClusterMGet100(b *testing.B) {
 // the system.
 func benchServerOp(b *testing.B, instrumented bool) {
 	b.Helper()
-	prev := obs.Enabled()
 	obs.SetEnabled(instrumented)
-	b.Cleanup(func() { obs.SetEnabled(prev) })
+	b.Cleanup(func() { obs.SetEnabled(true) })
 	srv := csnet.NewServer(csnet.NewKVHandler(), 64)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -73,8 +73,8 @@ func TestDistloadOverloadSheds(t *testing.T) {
 // at 4x its service rate must report p99 latencies well above the
 // service time of one op, because late slots are charged their queueing
 // delay — and that queue must be the cluster's, not the generator's:
-// the service time, measured from each op's send, carries the same
-// tail.
+// the service time, measured from each op's send, reaches the same
+// floor.
 func TestDistloadOpenLoopCO(t *testing.T) {
 	rep, err := runOnce(options{
 		spawn: 1, rf: 1, timeout: 5 * time.Second,
@@ -100,9 +100,11 @@ func TestDistloadOpenLoopCO(t *testing.T) {
 		t.Fatalf("CO p99 %s not above service p50 %s", ns(co), ns(rep.ReadSvc.Quantile(0.50)))
 	}
 	// The dispatcher never waits for a reply, so the backlog sits in the
-	// cluster: service p99 carries it, and the gap is the dispatcher's
-	// own lag.
-	if svc == 0 || co-min(co, svc) > uint64(50*time.Millisecond) {
+	// cluster: service p99 carries it and reaches the same floor. Had the
+	// generator held the backlog, each op would be served in ~20ms. The
+	// gap between the two p99s is the dispatcher's own lag, which a
+	// descheduled dispatcher stretches, so it is not bounded here.
+	if svc < uint64(100*time.Millisecond) {
 		t.Fatalf("CO p99 %s vs service p99 %s: the backlog is in the generator, not the cluster", ns(co), ns(svc))
 	}
 }

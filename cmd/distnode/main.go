@@ -35,7 +35,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -142,10 +141,20 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		return int64(tombs)
 	})
 	registerRuntimeGauges(obs.Default())
+	// The member identity must be the address peers actually dial, so
+	// the node listens first (resolving an ephemeral ":0" port) and
+	// builds everything that carries its identity — the span recorder,
+	// the memberlist, the server around both planes — from the bound
+	// address.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("distnode: listen %s: %w", *addr, err)
+	}
+	bound := ln.Addr().String()
 	// A per-node recorder (not the process-global default) so tests that
 	// boot several nodes in one process keep distinct span rings and node
-	// identities. The node name is set once the listener resolves.
-	rec := trace.New(trace.Config{Capacity: *traceRing})
+	// identities.
+	rec := trace.New(trace.Config{Node: bound, Capacity: *traceRing})
 	rec.SetSlowThreshold(*slowOp)
 	if *traceSample > 0 {
 		rec.SetSampleEvery(*traceSample)
@@ -156,23 +165,6 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 	obs.Default().Func("trace.traces_promoted", func() int64 { return int64(rec.Stats().Promoted) })
 	obs.Default().Func("trace.ring_bytes", func() int64 { return rec.Stats().RingBytes })
 	kv := csnet.NewKVHandlerOn(eng).WithTracer(rec)
-	// The member identity must be the address peers actually dial, so
-	// the server binds first (resolving an ephemeral ":0" port) and the
-	// memberlist is created with the bound address. The server starts
-	// on a swappable handler: gossip frames answer "not ready" for the
-	// instant before the memberlist exists, data frames work throughout.
-	var handler atomic.Value // csnet.HandlerFunc
-	handler.Store(csnet.HandlerFunc(kv.Serve))
-	srv := csnet.NewServer(csnet.HandlerFunc(func(r csnet.Request) csnet.Response {
-		return handler.Load().(csnet.HandlerFunc)(r)
-	}), 256)
-	srv.SetAdmission(*shedQueue, *shedInflight)
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		return err
-	}
-	defer srv.Shutdown()
-	rec.SetNode(bound)
 	ml, err := member.New(member.Config{
 		ID:               bound,
 		ProbeInterval:    *probe,
@@ -180,9 +172,15 @@ func run(args []string, stop <-chan os.Signal, ready chan<- string, logw io.Writ
 		Logf:             logger.Printf,
 	})
 	if err != nil {
+		ln.Close()
 		return err
 	}
-	handler.Store(csnet.HandlerFunc(ml.Handler(kv).Serve))
+	srv := csnet.NewServer(ml.Handler(kv), 256)
+	srv.SetAdmission(*shedQueue, *shedInflight)
+	if err := srv.Serve(ln); err != nil {
+		return err
+	}
+	defer srv.Shutdown()
 	// The embedded coordinator: the same dist.Cluster a standalone
 	// gateway would run, co-located with a node and subscribed to its
 	// membership, so dead backends leave its ring by gossip. Its /kv

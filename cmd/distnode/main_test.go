@@ -260,6 +260,20 @@ func TestDistnodeTracePlane(t *testing.T) {
 	if err != nil || resp.Status != csnet.StatusOK {
 		t.Fatalf("traced SetV = %+v %v", resp, err)
 	}
+	// The server span carries the node's identity: the address it bound.
+	spans, err := cl.Traces(csnet.TraceQueryID, 0xFEEDFACE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var server *trace.Span
+	for i := range spans {
+		if spans[i].Kind == trace.KindServer && spans[i].Op == "SETV" {
+			server = &spans[i]
+		}
+	}
+	if server == nil || server.Node != addr {
+		t.Fatalf("server span of the traced SETV = %+v, want one with Node %q (spans %+v)", server, addr, spans)
+	}
 
 	// The slow-op line carries the trace ID for /debug/traces lookup.
 	slowRE := regexp.MustCompile(`slow op SETV bucket=\d+ took \S+ \(threshold \S+\) trace=00000000feedface`)

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,34 +376,28 @@ type healNode struct {
 	ml   *member.Memberlist
 }
 
-// startHealNode boots a node; the gossip handler lands behind an atomic
-// pointer because the memberlist's identity is the bound address, known
-// only after the listener starts.
+// startHealNode boots a node. It listens first: the memberlist's
+// identity is the bound address, and the server is built around the
+// memberlist's handler.
 func startHealNode(addr string, seeds ...string) *healNode {
-	n := &healNode{kv: csnet.NewKVHandler()}
-	var gossip atomic.Pointer[csnet.Handler]
-	h := csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
-		if hp := gossip.Load(); hp != nil {
-			return (*hp).Serve(req)
-		}
-		return n.kv.Serve(req)
-	})
-	n.srv = csnet.NewServer(h, 64)
-	bound, err := n.srv.Start(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.addr = bound
+	n := &healNode{addr: ln.Addr().String(), kv: csnet.NewKVHandler()}
 	n.ml, err = member.New(member.Config{
-		ID:               bound,
+		ID:               n.addr,
 		ProbeInterval:    30 * time.Millisecond,
 		SuspicionTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
+		ln.Close()
 		log.Fatal(err)
 	}
-	wrapped := n.ml.Handler(n.kv)
-	gossip.Store(&wrapped)
+	n.srv = csnet.NewServer(n.ml.Handler(n.kv), 64)
+	if err := n.srv.Serve(ln); err != nil {
+		log.Fatal(err)
+	}
 	if err := n.ml.Join(seeds...); err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package csnet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -198,6 +200,62 @@ func TestServerShutdownUnblocksClients(t *testing.T) {
 	// Starting a shut-down server must fail.
 	if _, err := srv.Start("127.0.0.1:0"); err == nil {
 		t.Error("restart of shut-down server accepted")
+	}
+}
+
+// TestServeBoundListener pins the order a node starts in: the listener
+// is bound before the server (and the handler that needs its address)
+// exists, and Serve takes it over. A shut-down server refuses a
+// listener and closes it; Start, which is Listen plus Serve, still
+// returns the address it bound.
+func TestServeBoundListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := NewKVHandler()
+	kv.Serve(Request{Op: OpSetV, Key: "addr", Value: []byte(ln.Addr().String()), Version: 1})
+	srv := NewServer(kv, 4)
+	if err := srv.Serve(ln); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if e, ok, err := c.GetV("addr"); err != nil || !ok || string(e.Value) != ln.Addr().String() {
+		t.Fatalf("GetV through the served listener = %q,%v,%v", e.Value, ok, err)
+	}
+	srv.Shutdown()
+
+	late, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(late); err == nil {
+		t.Fatal("shut-down server accepted a listener")
+	}
+	if _, err := late.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("refused listener's Accept = %v, want net.ErrClosed", err)
+	}
+
+	started := NewServer(NewKVHandler(), 4)
+	addr, err := started.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer started.Shutdown()
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+		t.Fatalf("Start returned %q, want the bound address", addr)
+	}
+	sc, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if err := sc.Ping(); err != nil {
+		t.Fatal(err)
 	}
 }
 

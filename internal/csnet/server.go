@@ -241,7 +241,9 @@ func (c *commit) wait() error {
 	return c.kv.eng.Wait()
 }
 
-// Server is a concurrent framed-protocol TCP server.
+// Server is a concurrent framed-protocol TCP server. Build it with
+// NewServer or NewFrameServer, then serve with Start (listen and serve)
+// or Serve (a listener bound beforehand); Shutdown stops it for good.
 type Server struct {
 	frames   FrameHandler
 	maxConns int
@@ -260,7 +262,7 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// SetAdmission enables overload shedding; call it before Start.
+// SetAdmission enables overload shedding; call it before Start or Serve.
 // queueDepth bounds each connection's worker queue: a frame arriving
 // while the queue is full is answered StatusBusy immediately instead
 // of queueing (0 keeps the pre-busy behavior — the read loop blocks,
@@ -331,18 +333,30 @@ func NewFrameServer(fh FrameHandler, maxConns int) *Server {
 	return &Server{frames: fh, maxConns: maxConns, conns: map[net.Conn]struct{}{}}
 }
 
-// Start listens on addr ("127.0.0.1:0" for an ephemeral port) and begins
-// accepting connections. It returns the bound address.
+// Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves
+// the listener (see Serve). It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("csnet: listen %s: %w", addr, err)
 	}
+	if err := s.Serve(ln); err != nil {
+		return "", err
+	}
+	return ln.Addr().String(), nil
+}
+
+// Serve begins accepting connections on ln in the background and
+// returns; Shutdown closes ln. A caller that must know its address
+// before it can build the server's handler — a node whose member
+// identity is the address peers dial — listens first and hands the
+// listener here. After Shutdown, Serve closes ln and refuses.
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
 		ln.Close()
-		return "", errors.New("csnet: server already shut down")
+		return errors.New("csnet: server already shut down")
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -379,7 +393,7 @@ func (s *Server) Start(addr string) (string, error) {
 			}()
 		}
 	}()
-	return ln.Addr().String(), nil
+	return nil
 }
 
 // serveConn serves one connection in the muxed framing, the only one

@@ -297,13 +297,15 @@ func TestCacheAntiEntropySupersedes(t *testing.T) {
 
 // TestCacheReadRepairSupersedes pins the invalidation point directly:
 // a repair entry at version V floors any cached copy below V, so a
-// stale populate racing the repair cannot be served afterwards.
+// stale populate racing the repair cannot be served afterwards. A
+// repair always names at least one replica, as every read that calls
+// it does.
 func TestCacheReadRepairSupersedes(t *testing.T) {
 	_, addrs := startBackends(t, 3)
 	c := cachedCluster(t, addrs, 1024)
 
 	c.cache.put("k", store.Entry{Value: []byte("stale"), Version: 10})
-	c.readRepair(trace.Context{}, "k", store.Entry{Value: []byte("fresh"), Version: 20}, nil)
+	c.readRepair(trace.Context{}, "k", store.Entry{Value: []byte("fresh"), Version: 20}, []int{0})
 	if e, ok := c.cache.get("k"); ok {
 		t.Fatalf("cached entry served past the repair point: %+v", e)
 	}

@@ -3,7 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"net"
 	"testing"
 	"time"
 
@@ -21,39 +21,31 @@ type clusterNode struct {
 }
 
 // startClusterNode boots a node on addr ("127.0.0.1:0" for a fresh
-// port) and joins it to seeds. The gossip handler is installed through
-// an atomic pointer because the memberlist needs the bound address as
-// its ID, which is only known after the listener starts.
+// port) and joins it to seeds. It listens first, so the memberlist's
+// ID is the bound address peers dial.
 func startClusterNode(t *testing.T, addr string, seeds ...string) *clusterNode {
 	t.Helper()
-	n := &clusterNode{kv: csnet.NewKVHandler()}
-	var gossip atomic.Pointer[csnet.Handler]
-	h := csnet.HandlerFunc(func(req csnet.Request) csnet.Response {
-		if hp := gossip.Load(); hp != nil {
-			return (*hp).Serve(req)
-		}
-		return n.kv.Serve(req)
-	})
-	n.srv = csnet.NewServer(h, 64)
-	bound, err := n.srv.Start(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("start node %s: %v", addr, err)
 	}
-	n.addr = bound
+	n := &clusterNode{addr: ln.Addr().String(), kv: csnet.NewKVHandler()}
 	n.ml, err = member.New(member.Config{
-		ID:               bound,
+		ID:               n.addr,
 		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     10 * time.Millisecond,
 		SuspicionTimeout: 120 * time.Millisecond,
 		ConnTimeout:      time.Second,
 	})
 	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
-	wrapped := n.ml.Handler(n.kv)
-	gossip.Store(&wrapped)
+	n.srv = csnet.NewServer(n.ml.Handler(n.kv), 64)
+	if err := n.srv.Serve(ln); err != nil {
+		t.Fatalf("start node %s: %v", addr, err)
+	}
 	if err := n.ml.Join(seeds...); err != nil {
-		t.Fatalf("join %s: %v", bound, err)
+		t.Fatalf("join %s: %v", n.addr, err)
 	}
 	n.ml.Start()
 	return n

@@ -214,12 +214,11 @@ func (c *Cluster) readStep(ctx trace.Context, key string, w *readWalk, b int, re
 // readRepair merges an entry onto replicas that returned a miss (or a
 // stale copy) as one merge burst riding the read's trace, so a
 // waterfall shows which replicas were backfilled (or tombstoned) and
-// what it cost. Failures are ignored: the next read retries.
+// what it cost. Failures are ignored: the next read retries. The
+// burst's send supersedes whatever the cache holds below the repair
+// entry; the caller installs the same entry right after, replacing the
+// floor with the servable copy.
 func (c *Cluster) readRepair(ctx trace.Context, key string, e store.Entry, missed []int) {
-	// The repair entry supersedes whatever the cache holds below it;
-	// the caller installs the same entry right after, replacing the
-	// floor with the servable copy.
-	c.cacheSupersede(key, e.Version)
 	distM.readRepairs.Add(uint64(len(missed)))
 	mb := mergeBurst{c: c, kind: trace.KindRepair}
 	for _, b := range missed {

@@ -120,7 +120,7 @@ func BenchmarkHandleSync(b *testing.B) {
 }
 
 // BenchmarkProbeRound is one protocol round of n0 — a ping, or every
-// SyncEvery-th round a sync, and the suspicion sweep — against warm
+// syncEvery-th round a sync, and the suspicion sweep — against warm
 // peers, both ends counted: the prober's encode and decode, and the
 // peer's handler serving it in a worker. allocgate.sh holds it to 0
 // allocs/op.

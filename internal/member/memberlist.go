@@ -17,36 +17,38 @@ import (
 	"pdcedu/internal/obs"
 )
 
+// SWIM's protocol constants.
+const (
+	// indirectFanout is how many peers relay an indirect probe after a
+	// failed direct ping.
+	indirectFanout = 3
+	// syncEvery makes every Nth round a full-state push-pull sync
+	// instead of a ping. Sync targets rotate over every known member
+	// including dead ones — that reach-back is what heals a fully
+	// partitioned cluster.
+	syncEvery = 4
+	// piggyback is the most membership updates one message carries.
+	piggyback = 8
+	// retransmitMult scales the per-update retransmit budget
+	// mult*ceil(log2(n+1)).
+	retransmitMult = 3
+)
+
 // Config configures a Memberlist. Zero values take the documented
 // defaults, chosen for LAN-scale clusters; tests shrink the intervals
-// to milliseconds.
+// to milliseconds. A node listens before it builds its Memberlist, so
+// that ID can be the address the listener bound.
 type Config struct {
 	// ID is this node's member identity. It doubles as the address
 	// peers dial to reach it, so it must be the node's host:port.
 	ID string
 	// ProbeInterval is the failure-detector period: one probe (or
-	// sync) round per tick (default 500ms).
+	// sync) round per tick (default 500ms). A direct ping waits half
+	// of it; an indirect probe or a sync waits a whole one.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds a direct ping round-trip (default
-	// ProbeInterval/2). Indirect probes get twice this budget.
-	ProbeTimeout time.Duration
 	// SuspicionTimeout is how long a suspect member has to refute
 	// before it is declared dead (default 5*ProbeInterval).
 	SuspicionTimeout time.Duration
-	// IndirectFanout is how many peers relay an indirect probe after a
-	// failed direct ping (default 3).
-	IndirectFanout int
-	// SyncEvery makes every Nth round a full-state push-pull sync
-	// instead of a ping (default 4). Sync targets rotate over every
-	// known member including dead ones — that reach-back is what heals
-	// a fully partitioned cluster.
-	SyncEvery int
-	// Piggyback is the maximum membership updates carried per message
-	// (default 8).
-	Piggyback int
-	// RetransmitMult scales the per-update retransmit budget
-	// mult*ceil(log2(n+1)) (default 3).
-	RetransmitMult int
 	// ConnTimeout bounds transport dials and connection-level request
 	// deadlines (default 2s).
 	ConnTimeout time.Duration
@@ -67,29 +69,18 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval / 2
-	}
 	if cfg.SuspicionTimeout <= 0 {
 		cfg.SuspicionTimeout = 5 * cfg.ProbeInterval
-	}
-	if cfg.IndirectFanout <= 0 {
-		cfg.IndirectFanout = 3
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 4
-	}
-	if cfg.Piggyback <= 0 {
-		cfg.Piggyback = 8
-	}
-	if cfg.RetransmitMult <= 0 {
-		cfg.RetransmitMult = 3
 	}
 	if cfg.ConnTimeout <= 0 {
 		cfg.ConnTimeout = 2 * time.Second
 	}
 	return cfg, nil
 }
+
+// probeTimeout bounds a direct ping round-trip: half a probe interval.
+// An indirect probe or a sync gets twice this budget.
+func (m *Memberlist) probeTimeout() time.Duration { return m.cfg.ProbeInterval / 2 }
 
 // eventBuffer is the per-subscriber channel capacity. Transitions are
 // rare (state changes only, not probe traffic), so a subscriber that
@@ -282,7 +273,7 @@ func (m *Memberlist) run() {
 }
 
 // round runs protocol round n: it probes the next member of the probe
-// rotation — or, every SyncEvery-th round, full-syncs with the next of
+// rotation — or, every syncEvery-th round, full-syncs with the next of
 // the sync rotation — then expires overdue suspicions. Both rotations
 // walk the members in ID order, so each member is visited once per
 // cycle: the SWIM round-robin that bounds first-detection time. The
@@ -290,7 +281,7 @@ func (m *Memberlist) run() {
 // node we believe dead (and that may believe us dead) is the
 // reconciliation path after a healed partition.
 func (m *Memberlist) round(n int) {
-	if n%m.cfg.SyncEvery == 0 {
+	if n%syncEvery == 0 {
 		if peer, ok := m.nextTarget(&m.syncLast, true); ok {
 			_ = m.syncWith(peer)
 		}
@@ -329,8 +320,8 @@ func (m *Memberlist) encode(dst []byte, kind msgKind, target string) []byte {
 		}
 		return dst
 	}
-	limit := retransmitLimit(m.cfg.RetransmitMult, m.tbl.aliveCount())
-	updates := m.bq.take(m.cfg.Piggyback, limit)
+	limit := retransmitLimit(retransmitMult, m.tbl.aliveCount())
+	updates := m.bq.take(piggyback, limit)
 	dst = appendHeader(dst, kind, m.cfg.ID, target, len(updates))
 	for _, u := range updates {
 		dst = appendUpdate(dst, u.ID, u.State, u.Incarnation)
@@ -377,10 +368,10 @@ func (m *Memberlist) exchange(peer string, kind msgKind, target string, timeout 
 }
 
 // probe runs one SWIM failure-detection round against target: direct
-// ping, then IndirectFanout relayed ping-reqs, then suspicion.
+// ping, then indirectFanout relayed ping-reqs, then suspicion.
 func (m *Memberlist) probe(target string) {
 	start := obs.StartTimer()
-	if kind, err := m.exchange(target, msgPing, "", m.cfg.ProbeTimeout); err == nil && kind == msgAck {
+	if kind, err := m.exchange(target, msgPing, "", m.probeTimeout()); err == nil && kind == msgAck {
 		// Only acked direct pings record an RTT: a timed-out probe
 		// measures the timeout, not the peer.
 		probeRTT.ObserveSince(start)
@@ -394,7 +385,7 @@ func (m *Memberlist) probe(target string) {
 	m.mu.Unlock()
 }
 
-// indirectProbe asks up to IndirectFanout alive peers to ping target on
+// indirectProbe asks up to indirectFanout alive peers to ping target on
 // our behalf, in parallel; one relayed ack clears the target. This is
 // SWIM's defense against false positives from a lossy or congested
 // direct path: the target is only suspected when several vantage points
@@ -407,10 +398,9 @@ func (m *Memberlist) indirectProbe(target string) bool {
 			helpers = append(helpers, id)
 		}
 	}
-	fanout := m.cfg.IndirectFanout
 	m.mu.Unlock()
-	if len(helpers) > fanout {
-		helpers = helpers[:fanout]
+	if len(helpers) > indirectFanout {
+		helpers = helpers[:indirectFanout]
 	}
 	if len(helpers) == 0 {
 		return false
@@ -418,7 +408,7 @@ func (m *Memberlist) indirectProbe(target string) bool {
 	acks := make(chan bool, len(helpers))
 	for _, h := range helpers {
 		go func() {
-			kind, err := m.exchange(h, msgPingReq, target, 2*m.cfg.ProbeTimeout)
+			kind, err := m.exchange(h, msgPingReq, target, 2*m.probeTimeout())
 			acks <- err == nil && kind == msgAck
 		}()
 	}
@@ -431,7 +421,7 @@ func (m *Memberlist) indirectProbe(target string) bool {
 
 // syncWith performs one push-pull anti-entropy exchange with peer.
 func (m *Memberlist) syncWith(peer string) error {
-	kind, err := m.exchange(peer, msgSync, "", 2*m.cfg.ProbeTimeout)
+	kind, err := m.exchange(peer, msgSync, "", 2*m.probeTimeout())
 	if err != nil {
 		return err
 	}
@@ -482,7 +472,7 @@ func (m *Memberlist) relay(target []byte) msgKind {
 		// Asked to probe ourselves: trivially alive.
 		return msgAck
 	}
-	if kind, err := m.exchange(string(target), msgPing, "", m.cfg.ProbeTimeout); err != nil || kind != msgAck {
+	if kind, err := m.exchange(string(target), msgPing, "", m.probeTimeout()); err != nil || kind != msgAck {
 		return msgNack
 	}
 	return msgAck

@@ -93,7 +93,6 @@ func newTestNode(t *testing.T, net *memNet, id string) *Memberlist {
 	ml, err := New(Config{
 		ID:               id,
 		ProbeInterval:    10 * time.Millisecond,
-		ProbeTimeout:     5 * time.Millisecond,
 		SuspicionTimeout: 60 * time.Millisecond,
 		Transport:        net.transport(id),
 	})

@@ -10,8 +10,9 @@ import "pdcedu/internal/obs"
 //	member.transitions.refute   counter: this node refuting its own death
 //
 // The probe RTT histogram is the failure detector's own latency
-// honesty: its p99 against ProbeTimeout says how much headroom the
-// detector has before a slow-but-alive peer starts getting suspected.
+// honesty: its p99 against the probe timeout (half of ProbeInterval)
+// says how much headroom the detector has before a slow-but-alive peer
+// starts getting suspected.
 var (
 	probeRTT     = obs.Default().Histogram("member.probe.rtt")
 	suspectTrans = obs.Default().Counter("member.transitions.suspect")

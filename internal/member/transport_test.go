@@ -1,8 +1,8 @@
 package member
 
 import (
+	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,32 +10,27 @@ import (
 )
 
 // startGossipServer serves a Memberlist's gossip (and optionally a KV
-// data plane) on a real csnet server, returning the bound address. The
-// memberlist is created after the bind so its ID is the dialable
-// address.
+// data plane) on a real csnet server, returning the bound address. It
+// listens first, so the memberlist's ID is the dialable address.
 func startGossipServer(t *testing.T, cfg Config, next csnet.Handler) (*Memberlist, string, *csnet.Server) {
 	t.Helper()
-	var mlp atomic.Pointer[Memberlist]
-	srv := csnet.NewServer(csnet.HandlerFunc(func(r csnet.Request) csnet.Response {
-		ml := mlp.Load()
-		if ml == nil {
-			return csnet.Response{Status: csnet.StatusError, Value: []byte("not ready")}
-		}
-		return ml.Handler(next).Serve(r)
-	}), 16)
-	addr, err := srv.Start("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ID = ln.Addr().String()
+	ml, err := New(cfg)
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	srv := csnet.NewServer(ml.Handler(next), 16)
+	if err := srv.Serve(ln); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Shutdown)
-	cfg.ID = addr
-	ml, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mlp.Store(ml)
 	t.Cleanup(func() { ml.Stop() })
-	return ml, addr, srv
+	return ml, cfg.ID, srv
 }
 
 // TestCsnetTransportConvergence runs the SWIM stack over the real

@@ -54,9 +54,3 @@ func init() { enabled.Store(true) }
 // moving. Timers started while enabled still record (the StartTimer
 // zero-Time convention gates on the state at start).
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric recording is on. Instrumentation that
-// must pay a real cost to produce a sample — a time.Now() pair around
-// an operation — checks it first so the disabled path skips the clock
-// reads too.
-func Enabled() bool { return enabled.Load() }

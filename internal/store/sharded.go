@@ -57,7 +57,7 @@ func NewSharded(o Options) *Sharded {
 		pow <<= 1
 	}
 	s := &Sharded{sharded: &sharded{
-		clock:  o.Clock,
+		clock:  NewClockAt(func() int64 { return o.Now().UnixMilli() }),
 		now:    o.Now,
 		gcAge:  o.TombstoneGC,
 		mask:   uint32(pow - 1),

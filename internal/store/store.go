@@ -83,16 +83,13 @@ type Options struct {
 	// digests to be comparable; the wire exchange carries it so a
 	// mismatch is detected rather than mis-diffed.
 	MerkleBuckets int
-	// Clock supplies versions; nil creates a fresh clock (driven by
-	// Now when that is set).
-	Clock *Clock
 	// TombstoneGC is how long tombstones are retained before Sweep
 	// collects them (default one hour). Keep it longer than the
 	// longest expected replica outage, or a rejoining node can miss a
 	// delete.
 	TombstoneGC time.Duration
-	// Now is the wall-time source for tombstone GC (default
-	// time.Now). Tests inject a fake time here.
+	// Now is the wall-time source for tombstone GC and the engine's
+	// version clock (default time.Now). Tests inject a fake time here.
 	Now func() time.Time
 }
 
@@ -106,10 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.Clock == nil {
-		now := o.Now
-		o.Clock = NewClockAt(func() int64 { return now().UnixMilli() })
 	}
 	return o
 }

@@ -36,8 +36,8 @@ type Recorder struct {
 	enabled     atomic.Bool
 	sampleEvery atomic.Int64 // head-sample 1 in N new traces; 0 = never
 	sampleSeq   atomic.Uint64
-	slowNs      atomic.Int64           // tail-promotion threshold; 0 = off
-	node        atomic.Pointer[string] // identity for spans started here
+	slowNs      atomic.Int64 // tail-promotion threshold; 0 = off
+	node        string       // identity for spans started here (Config.Node)
 
 	mask     uint64
 	ring     atomic.Pointer[[]ringSlot] // nil until the first span is written
@@ -93,15 +93,13 @@ func New(cfg Config) *Recorder {
 	if pinSpans <= 0 {
 		pinSpans = DefaultPinSpans
 	}
-	r := &Recorder{
+	return &Recorder{
 		mask:     uint64(n - 1),
 		pinIDs:   make([]atomic.Uint64, pins),
 		pins:     make([]pinSlot, pins),
 		pinSpans: pinSpans,
+		node:     cfg.Node,
 	}
-	node := cfg.Node
-	r.node.Store(&node)
-	return r
 }
 
 var defaultRecorder = New(Config{})
@@ -113,9 +111,6 @@ func Default() *Recorder { return defaultRecorder }
 // SetEnabled turns trace origination on or off. Disabled is the
 // default: NewTrace returns the zero Context and nothing records.
 func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// SetNode sets the identity stamped on spans this recorder starts.
-func (r *Recorder) SetNode(node string) { r.node.Store(&node) }
 
 // SetSampleEvery head-samples 1 in n new traces; n<=0 disables head
 // sampling (tail promotion still captures slow traces).
@@ -164,7 +159,7 @@ func (r *Recorder) StartSpan(ctx Context, kind Kind, op string) Active {
 			Bucket:  -1,
 			Kind:    kind,
 			Op:      op,
-			Node:    *r.node.Load(),
+			Node:    r.node,
 		},
 		flags: ctx.Flags,
 		t0:    t0,
